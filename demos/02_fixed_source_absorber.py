@@ -11,9 +11,10 @@ only the source representation is discretized.
 
 import numpy as np
 
-from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry, SourceField,
-                     assemble_A, block_diagonalize, build_fine_mesh,
-                     evaluate_flux, gauss_legendre, solve_fixed_source)
+from slab_sn import (BoundaryCondition, FixedSourceOperator, MaterialXS,
+                     SlabGeometry, SourceField, assemble_A, block_diagonalize,
+                     build_fine_mesh, evaluate_flux, gauss_legendre,
+                     solve_fixed_source)
 
 sigma_t, length, q = 1.3, 4.0, 0.75
 
@@ -30,7 +31,8 @@ mesh = build_fine_mesh(geometry, 50)
 source = SourceField.isotropic(mesh, np.full((50, 1), 2.0 * q), quad.n)
 
 spectra = {"absorber": block_diagonalize(assemble_A(absorber, quad))}
-solutions, _ = solve_fixed_source(geometry, spectra, source, quad)
+operator = FixedSourceOperator(geometry, spectra, mesh, quad)
+solutions, _ = solve_fixed_source(operator, source)
 
 xs = np.linspace(0.0, length, 201)
 flux = evaluate_flux(solutions, source, xs, quad, geometry)

@@ -16,21 +16,38 @@ far beyond double precision.
 The alpha coefficients of all regions solve one (N G R) x (N G R) linear
 system: N G / 2 rows per boundary condition and N G rows of angular-flux
 continuity per interior interface.
+
+Only J and the right-hand side depend on the source.  A FixedSourceOperator
+is therefore built once per problem and holds, per region, the anchored
+block rates, the half-cell step and integral multipliers, the homogeneous
+factors at the cell centres, and the projection and expansion matrices,
+plus the global matrix, checked once for singularity and inverted once.
+Applying it to a source projects the source onto the blocks, runs the cell
+recurrence for J as one FirstOrderScan per region, forms the right-hand
+side, multiplies by the inverse and evaluates Psi at the cell centres.
+
+Every block is handled as one complex scalar: a real eigenvalue lambda as
+itself, a 2x2 pair block as conj(z), which is how it acts on u1 + i u2.
+Within a region the blocks are kept in scan order: those anchored at the
+left edge first, then those anchored at the right edge, whose per-cell
+arrays run in reversed cell order.  Both kinds then march forward in one
+recurrence with the decaying rate rho (Re rho <= 0), and a cell's upwind
+edge is the one its recurrence enters through.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import (PointOutOfDomainError, SingularSystemError,
                          ValidationError)
 from .mesh import FineMesh, FluxField, SourceField
 from .model import QuadratureSet, SlabGeometry
-from .spectral import BlockSpectrum, exp_pair, phi_pair, phi_real
+from .recurrence import FirstOrderScan
+from .spectral import BlockSpectrum, exp_pair, phi_pair
 
 SOLVE_RCOND_MIN = 1e-14
-UNIFORM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,12 +62,16 @@ class RegionSolution:
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled boundary/continuity system M alpha = rhs."""
+    """Assembled boundary/continuity system M alpha = rhs.
+
+    inverse, when present, is M^-1 already checked against SOLVE_RCOND_MIN.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     ng: int
     n_regions: int
+    inverse: Optional[np.ndarray] = None
 
 
 def select_rows(matrix: np.ndarray, quad: QuadratureSet, sign: str) -> np.ndarray:
@@ -80,170 +101,213 @@ def _pair_rows(quad: QuadratureSet, g: int):
     return pos_rows, neg_rows
 
 
-def _region_theta(source: SourceField, quad: QuadratureSet, cells: np.ndarray) -> np.ndarray:
-    g = source.ng // quad.n
-    return (source.q[cells] / np.tile(quad.mu, g)[None, :]).T
+def _bc_combination(bc, quad: QuadratureSet, side: str, values: np.ndarray) -> np.ndarray:
+    """The N G / 2 combinations of values' (N G) leading rows that one
+    boundary condition constrains: incoming ordinates, or incoming minus
+    mirrored outgoing for a reflective end."""
+    if bc.kind == "reflective":
+        pos, neg = _pair_rows(quad, values.shape[0] // quad.n)
+        return values[pos] - values[neg]
+    return select_rows(values, quad, "positive" if side == "left" else "negative")
 
 
-class _RegionWork:
-    """Everything the assembly and evaluation need for one region."""
+def _factors(rho, anchor, upwind):
+    """Per (point, block): e^{rho anchor}, the homogeneous factor at distance
+    anchor from the block's anchor edge, and the step e^{rho u} and source
+    integral phi(rho, u) over distance u from the upwind cell edge."""
+    return exp_pair(rho, anchor), exp_pair(rho, upwind), phi_pair(rho, upwind)
+
+
+class _Particular(NamedTuple):
+    """Source-dependent data of one region, per cell in scan order."""
+
+    theta: np.ndarray   # (cells, blocks) source over mu, signed along the march
+    j: np.ndarray       # (cells + 1, blocks) particular solution at the edges
+
+
+class _Region:
+    """Source-independent data of one region (blocks in scan order)."""
 
     def __init__(self, spec: BlockSpectrum, x_left: float, x_right: float,
-                 t_edges: np.ndarray, theta: np.ndarray):
+                 t_edges: np.ndarray, t_centres: np.ndarray, cells: slice,
+                 quad: QuadratureSet):
         self.spec = spec
         self.x_left = x_left
         self.x_right = x_right
         self.length = x_right - x_left
         self.t_edges = t_edges
-        self.widths = np.diff(t_edges)
-        # anchor each block at the edge that keeps its exponent nonpositive
-        self.real_anchor = np.where(spec.real_lams > 0.0, self.length, 0.0)
-        self.pair_anchor = np.where(spec.pair_z.real > 0.0, self.length, 0.0)
-        # encoded pair scalar: the 2x2 block action on (u1, u2) ~ u1 + i u2
-        # is multiplication by conj(z), so all encoded math uses conj(z)
-        self.pair_zc = np.conj(spec.pair_z)
-        self.theta_x = spec.P_inv @ theta
-        self.theta_real = self.theta_x[spec.real_cols]
-        self.theta_pair = (self.theta_x[spec.pair_cols]
-                           + 1j * self.theta_x[spec.pair_cols + 1])
-        self.j_real = self._particular_edges(spec.real_lams, self.real_anchor,
-                                             self.theta_real)
-        self.j_pair = self._particular_edges(self.pair_zc, self.pair_anchor,
-                                             self.theta_pair)
+        self.cells = cells
+        rate = np.concatenate([spec.real_lams, np.conj(spec.pair_z)])
+        col = np.concatenate([spec.real_cols, spec.pair_cols])
+        pair = np.arange(rate.size) >= spec.real_lams.size
+        order = np.argsort(rate.real > 0.0, kind="stable")
+        rate, col, pair = rate[order], col[order], pair[order]
+        self.forward = rate.real <= 0.0
+        self.nf = int(np.count_nonzero(self.forward))
+        self.rho = np.where(self.forward, rate, -rate)
+        # enc maps real coefficients to block scalars; expand maps block
+        # scalars back to angular flux rows (psi = Re(x @ expand))
+        self.enc = np.zeros((rate.size, spec.size), dtype=complex)
+        self.enc[np.arange(rate.size), col] = 1.0
+        self.enc[np.nonzero(pair)[0], col[pair] + 1] = 1j
+        self.expand = self.enc.conj() @ spec.P.T
+        g = spec.size // quad.n
+        sign = np.where(self.forward, 1.0, -1.0)
+        self.project = (spec.P_inv / np.tile(quad.mu, g)[None, :]).T @ (self.enc.T * sign)
+        # cell-centre factors; the recurrence's full-cell step and source
+        # multipliers are half**2 (kept in the scan) and phi_half * (1 + half)
+        widths = np.diff(t_edges)
+        anchor = np.where(self.forward, t_centres[:, None], (self.length - t_centres)[::-1, None])
+        upwind = np.where(self.forward, widths[:, None], widths[::-1, None]) / 2.0
+        self.hom, self.half, self.phi_half = _factors(self.rho, anchor, upwind)
+        for arr in (self.forward, self.rho, self.enc, self.expand, self.project,
+                    self.hom, self.half, self.phi_half):
+            arr.setflags(write=False)
+        self.march = FirstOrderScan(self.half * self.half)
 
-    def _particular_edges(self, rates, anchors, theta):
-        """Particular solution J at every local cell edge, one row per block.
+    def scan_order(self, x: np.ndarray) -> np.ndarray:
+        """Swap a (cells, blocks) array between cell and scan order."""
+        return np.concatenate([x[:, :self.nf], x[::-1, self.nf:]], axis=1)
 
-        Forward recurrence from the left edge for blocks anchored at 0,
-        backward from the right edge otherwise; all step multipliers have
-        magnitude <= 1.
-        """
-        m = self.widths.size
-        out = np.zeros((rates.size, m + 1), dtype=theta.dtype)
-        uniform = m > 0 and np.ptp(self.widths) <= UNIFORM_RTOL * self.widths[0]
-        for k in range(rates.size):
-            rate = rates[k]
-            if anchors[k] == 0.0:
-                step = np.exp(rate * self.widths)
-                src = phi(rate, self.widths, theta.dtype) * theta[k]
-                out[k, 1:] = _recurrence(step, src, uniform)
-            else:
-                step = np.exp(-rate * self.widths[::-1])
-                src = -phi(-rate, self.widths[::-1], theta.dtype) * theta[k, ::-1]
-                out[k, :-1] = _recurrence(step, src, uniform)[::-1]
-        return out
+    def particular(self, q: np.ndarray) -> _Particular:
+        """Project the region's (cells, N G) source and march J across it."""
+        theta = self.scan_order(q @ self.project)
+        b = self.half + 1.0
+        b *= self.phi_half
+        b *= theta
+        return _Particular(theta, np.concatenate([np.zeros_like(b[:1]), self.march(b)]))
 
-    def edge_particular(self, side: str) -> np.ndarray:
-        """Particular X-vector at the local edge (t = 0 or t = L)."""
-        col = 0 if side == "left" else -1
-        return self._decode(self.j_real[:, col], self.j_pair[:, col])
+    def pg(self, side: str) -> np.ndarray:
+        """P @ Gtilde at the left or right edge, in the real block basis."""
+        far = ~self.forward if side == "left" else self.forward
+        scale = exp_pair(self.rho, np.where(far, self.length, 0.0))
+        return ((self.expand.T * scale[None, :]) @ self.enc).real
 
-    def _decode(self, real_vals, pair_vals):
-        out = np.zeros(self.spec.size)
-        out[self.spec.real_cols] = real_vals
-        out[self.spec.pair_cols] = pair_vals.real
-        out[self.spec.pair_cols + 1] = pair_vals.imag
-        return out
+    def edge_psi(self, part: _Particular):
+        """Particular angular flux at the (left, right) region edges."""
+        far = part.j[-1]       # the edge each block's march ends on
+        return ((far[self.nf:] @ self.expand[self.nf:]).real,
+                (far[:self.nf] @ self.expand[:self.nf]).real)
 
-    def pg_at(self, t: float) -> np.ndarray:
-        """P @ Gtilde(t): the anchored-basis trial functions at local t."""
-        spec = self.spec
-        out = np.empty_like(spec.P)
-        if spec.real_cols.size:
-            scale = np.exp(spec.real_lams * (t - self.real_anchor))
-            out[:, spec.real_cols] = spec.P[:, spec.real_cols] * scale[None, :]
-        s = exp_pair(spec.pair_z, t - self.pair_anchor)
-        for k, col in enumerate(spec.pair_cols):
-            p, q = spec.P[:, col], spec.P[:, col + 1]
-            out[:, col] = p * s[k].real - q * s[k].imag
-            out[:, col + 1] = p * s[k].imag + q * s[k].real
-        return out
+    def _psi(self, factors, alpha, j_in, theta) -> np.ndarray:
+        """Block scalars hom alpha + half j_in + phi_half theta."""
+        hom, half, phi_half = factors
+        x = hom * (self.enc @ alpha)
+        x += half * j_in
+        x += phi_half * theta
+        return x
 
-    def evaluate(self, alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Psi at local coordinates t (each in [0, L]), columns per point."""
-        spec = self.spec
-        cell = np.searchsorted(self.t_edges[1:], t, side="left")
-        cell = np.clip(cell, 0, self.widths.size - 1)
-        x = np.zeros((spec.size, t.size))
+    def psi_at_centres(self, alpha: np.ndarray, part: _Particular) -> np.ndarray:
+        """Psi (cells, N G) at every cell centre of the region."""
+        x = self._psi((self.hom, self.half, self.phi_half), alpha, part.j[:-1],
+                      part.theta)
+        return (self.scan_order(x) @ self.expand).real
 
-        lam = spec.real_lams[:, None]
-        if lam.size:
-            a = self.real_anchor[:, None]
-            ref_edge = np.where(lam <= 0.0, cell[None, :], cell[None, :] + 1)
-            d = t[None, :] - self.t_edges[ref_edge]
-            j_ref = np.take_along_axis(self.j_real, ref_edge, axis=1)
-            th = self.theta_real[:, cell]
-            j_t = np.exp(lam * d) * j_ref + phi(lam, d, float) * th
-            x[spec.real_cols] = np.exp(lam * (t[None, :] - a)) * alpha[spec.real_cols][:, None] + j_t
-
-        zc = self.pair_zc[:, None]
-        if zc.size:
-            a = self.pair_anchor[:, None]
-            ref_edge = np.where(zc.real <= 0.0, cell[None, :], cell[None, :] + 1)
-            d = t[None, :] - self.t_edges[ref_edge]
-            j_ref = np.take_along_axis(self.j_pair, ref_edge, axis=1)
-            th = self.theta_pair[:, cell]
-            j_t = np.exp(zc * d) * j_ref + phi(zc, d, complex) * th
-            alpha_w = alpha[spec.pair_cols] + 1j * alpha[spec.pair_cols + 1]
-            w = np.exp(zc * (t[None, :] - a)) * alpha_w[:, None] + j_t
-            x[spec.pair_cols] = w.real
-            x[spec.pair_cols + 1] = w.imag
-        return spec.P @ x
+    def psi_at(self, alpha: np.ndarray, part: _Particular, t: np.ndarray) -> np.ndarray:
+        """Psi (points, N G) at local coordinates t, each in [0, L]."""
+        m = self.t_edges.size - 1
+        cell = np.clip(np.searchsorted(self.t_edges[1:], t, side="left"), 0, m - 1)
+        row = np.where(self.forward, cell[:, None], m - 1 - cell[:, None])
+        anchor = np.where(self.forward, t[:, None], (self.length - t)[:, None])
+        upwind = np.where(self.forward, (t - self.t_edges[cell])[:, None],
+                          (self.t_edges[cell + 1] - t)[:, None])
+        j_in = np.take_along_axis(part.j, row, axis=0)
+        theta = np.take_along_axis(part.theta, row, axis=0)
+        x = self._psi(_factors(self.rho, anchor, upwind), alpha, j_in, theta)
+        return (x @ self.expand).real
 
 
-def phi(rate, dt, dtype):
-    """Integral of e^{rate u} du over [0, dt]; dispatches on block kind."""
-    if dtype is complex or np.iscomplexobj(rate):
-        return phi_pair(rate, dt)
-    return phi_real(rate, dt)
+def _region(geometry: SlabGeometry, spectra, mesh: FineMesh, centres, quad, r: int):
+    cells = mesh.cells_of_region(r)
+    if cells.size == 0 or cells[-1] - cells[0] + 1 != cells.size:
+        raise ValidationError(f"region {r} must hold one contiguous run of source cells")
+    cells = slice(cells[0], cells[-1] + 1)
+    x_left = geometry.edges[r]
+    return _Region(spectra[geometry.materials[r]], x_left, geometry.edges[r + 1],
+                   mesh.edges[cells.start:cells.stop + 1] - x_left,
+                   centres[cells] - x_left, cells, quad)
 
 
-def _recurrence(step, src, uniform: bool):
-    """y_m = step_m y_{m-1} + src_m with y_0 = 0; returns y_1..y_M."""
-    if uniform:
-        return lfilter([1.0], [1.0, -step[0]], src)
-    y = np.zeros(src.size, dtype=src.dtype)
-    acc = 0.0j if np.iscomplexobj(src) else 0.0
-    for m in range(src.size):
-        acc = step[m] * acc + src[m]
-        y[m] = acc
-    return y
+def _checked_inverse(matrix: np.ndarray) -> np.ndarray:
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    if not np.isfinite(rcond) or rcond < SOLVE_RCOND_MIN:
+        raise SingularSystemError(
+            f"global system is numerically singular (rcond={rcond:.3e}); "
+            "the shift may sit on an eigenvalue of the problem")
+    return np.linalg.inv(matrix)
 
 
-def _region_works(geometry: SlabGeometry, spectra, source: SourceField,
-                  quad: QuadratureSet):
-    """One _RegionWork per region; spectra maps material name -> BlockSpectrum."""
-    mesh = source.mesh
-    works = []
-    for r in range(geometry.n_regions):
-        cells = mesh.cells_of_region(r)
-        if cells.size == 0:
-            raise ValidationError(f"region {r} has no source cells")
-        x_left = geometry.edges[r]
-        spec = spectra[geometry.materials[r]]
-        t_edges = np.concatenate([mesh.edges[cells] - x_left,
-                                  [mesh.edges[cells[-1] + 1] - x_left]])
-        theta = _region_theta(source, quad, cells)
-        works.append(_RegionWork(spec, x_left, geometry.edges[r + 1], t_edges, theta))
-    return works
+def _incoming(bc):
+    return bc.values if bc.kind == "incoming" else 0.0
 
 
-def _boundary_rows(work: _RegionWork, bc, quad: QuadratureSet, side: str):
-    """(rows, rhs) for one boundary condition applied to one region edge."""
-    t = 0.0 if side == "left" else work.length
-    pg = work.pg_at(t)
-    psi_part = work.spec.P @ work.edge_particular(side)
-    g = work.spec.size // quad.n
-    if bc.kind == "reflective":
-        pos, neg = _pair_rows(quad, g)
-        rows = pg[pos] - pg[neg]
-        rhs = -(psi_part[pos] - psi_part[neg])
-        return rows, rhs
-    sign = "positive" if side == "left" else "negative"
-    rows = select_rows(pg, quad, sign)
-    incoming = bc.values if bc.kind == "incoming" else np.zeros(rows.shape[0])
-    rhs = incoming - select_rows(psi_part[:, None], quad, sign)[:, 0]
-    return rows, rhs
+class FixedSourceOperator:
+    """The source-independent part of the analytic fixed-source solve.
+
+    Built once per (geometry, spectra, mesh, quadrature): the per-region
+    block data and cell-centre factors, and the global boundary/continuity
+    matrix with its inverse, checked once (SingularSystemError below rcond
+    1e-14).  spectra maps material name -> BlockSpectrum.  Nothing here
+    changes after construction; solve_fixed_source and fixed_source_solve
+    apply it to one source at a time.
+    """
+
+    def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
+                 quad: QuadratureSet):
+        self.geometry = geometry
+        self.mesh = mesh
+        self.quad = quad
+        centres = mesh.centers
+        self.regions = tuple(_region(geometry, spectra, mesh, centres, quad, r)
+                             for r in range(geometry.n_regions))
+        self.ng = self.regions[0].spec.size
+        ng, n_reg, half = self.ng, len(self.regions), self.ng // 2
+        mat = np.zeros((ng * n_reg, ng * n_reg))
+        mat[:half, :ng] = _bc_combination(geometry.bc_left, quad, "left",
+                                          self.regions[0].pg("left"))
+        mat[half:ng, (n_reg - 1) * ng:] = _bc_combination(
+            geometry.bc_right, quad, "right", self.regions[-1].pg("right"))
+        for i in range(n_reg - 1):
+            rows = slice(ng * (i + 1), ng * (i + 2))
+            mat[rows, ng * i:ng * (i + 1)] = self.regions[i].pg("right")
+            mat[rows, ng * (i + 1):ng * (i + 2)] = -self.regions[i + 1].pg("left")
+        self.inverse = _checked_inverse(mat)
+        self.matrix = mat
+        for arr in (self.matrix, self.inverse):
+            arr.setflags(write=False)
+
+    def particular(self, source: SourceField):
+        """Per-region projected source and particular solution."""
+        if source.mesh is not self.mesh and not np.array_equal(source.mesh.edges,
+                                                               self.mesh.edges):
+            raise ValidationError("source mesh differs from the operator's mesh")
+        return [reg.particular(source.q[reg.cells]) for reg in self.regions]
+
+    def system(self, particular) -> GlobalSystem:
+        """Global system for one source, carrying the checked inverse."""
+        edges = [reg.edge_psi(part) for reg, part in zip(self.regions, particular)]
+        geo, quad, ng, half = self.geometry, self.quad, self.ng, self.ng // 2
+        rhs = np.empty(self.matrix.shape[0])
+        rhs[:half] = _incoming(geo.bc_left) - _bc_combination(
+            geo.bc_left, quad, "left", edges[0][0])
+        rhs[half:ng] = _incoming(geo.bc_right) - _bc_combination(
+            geo.bc_right, quad, "right", edges[-1][1])
+        for i in range(len(edges) - 1):
+            rhs[ng * (i + 1):ng * (i + 2)] = edges[i + 1][0] - edges[i][1]
+        return GlobalSystem(matrix=self.matrix, rhs=rhs, ng=ng,
+                            n_regions=len(self.regions), inverse=self.inverse)
+
+    def solutions(self, alphas):
+        return [RegionSolution(alpha=a, spectrum=reg.spec, x_left=reg.x_left,
+                               x_right=reg.x_right)
+                for a, reg in zip(alphas, self.regions)]
+
+    def flux_at_centres(self, solutions, particular) -> FluxField:
+        psi = np.empty((self.mesh.n_cells, self.ng))
+        for reg, sol, part in zip(self.regions, solutions, particular):
+            psi[reg.cells] = reg.psi_at_centres(sol.alpha, part)
+        return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
 def assemble_global_system(geometry: SlabGeometry, spectra, source: SourceField,
@@ -254,49 +318,21 @@ def assemble_global_system(geometry: SlabGeometry, spectra, source: SourceField,
     interior interface contributes N G continuity rows coupling the two
     adjacent regions.  spectra maps material name -> BlockSpectrum.
     """
-    works = _region_works(geometry, spectra, source, quad)
-    return _assemble(works, geometry, quad)
-
-
-def _assemble(works, geometry: SlabGeometry, quad: QuadratureSet) -> GlobalSystem:
-    ng = works[0].spec.size
-    r = len(works)
-    mat = np.zeros((ng * r, ng * r))
-    rhs = np.zeros(ng * r)
-    half = ng // 2
-
-    rows, vals = _boundary_rows(works[0], geometry.bc_left, quad, "left")
-    mat[:half, :ng] = rows
-    rhs[:half] = vals
-    rows, vals = _boundary_rows(works[-1], geometry.bc_right, quad, "right")
-    mat[half:ng, (r - 1) * ng:] = rows
-    rhs[half:ng] = vals
-
-    for i in range(r - 1):
-        left, right = works[i], works[i + 1]
-        r0, r1 = ng * (i + 1), ng * (i + 2)
-        mat[r0:r1, ng * i:ng * (i + 1)] = left.pg_at(left.length)
-        mat[r0:r1, ng * (i + 1):ng * (i + 2)] = -right.pg_at(0.0)
-        rhs[r0:r1] = (right.spec.P @ right.edge_particular("left")
-                      - left.spec.P @ left.edge_particular("right"))
-    return GlobalSystem(matrix=mat, rhs=rhs, ng=ng, n_regions=r)
+    operator = FixedSourceOperator(geometry, spectra, source.mesh, quad)
+    return operator.system(operator.particular(source))
 
 
 def solve_alpha(system: GlobalSystem):
-    """Direct dense solve; raises SingularSystemError below rcond 1e-14."""
-    sv = np.linalg.svd(system.matrix, compute_uv=False)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if not np.isfinite(rcond) or rcond < SOLVE_RCOND_MIN:
-        raise SingularSystemError(
-            f"global system is numerically singular (rcond={rcond:.3e}); "
-            "the shift may sit on an eigenvalue of the problem")
-    alpha = np.linalg.solve(system.matrix, system.rhs)
+    """Dense solve, one alpha per region.
+
+    Uses the inverse the system carries; without one, raises
+    SingularSystemError below rcond 1e-14 before solving.
+    """
+    inverse = system.inverse
+    if inverse is None:
+        inverse = _checked_inverse(system.matrix)
+    alpha = inverse @ system.rhs
     return [alpha[i * system.ng:(i + 1) * system.ng] for i in range(system.n_regions)]
-
-
-def _solutions_from_alphas(works, alphas):
-    return [RegionSolution(alpha=a, spectrum=w.spec, x_left=w.x_left, x_right=w.x_right)
-            for a, w in zip(alphas, works)]
 
 
 def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
@@ -308,7 +344,7 @@ def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
 
 
 def evaluate_flux(solutions, source: SourceField, points, quad: QuadratureSet,
-                  geometry: SlabGeometry = None) -> FluxField:
+                  geometry: SlabGeometry) -> FluxField:
     """Angular and scalar flux at arbitrary points inside the slab.
 
     Points on a region interface are evaluated from the left region;
@@ -316,49 +352,30 @@ def evaluate_flux(solutions, source: SourceField, points, quad: QuadratureSet,
     solver tolerance.
     """
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    if geometry is None:
-        geometry = _geometry_of(solutions)
     region = _locate_regions(geometry, points)
     mesh = source.mesh
-    ng = solutions[0].spectrum.size
-    psi = np.zeros((points.size, ng))
+    centres = mesh.centers
+    spectra = {name: sol.spectrum for name, sol in zip(geometry.materials, solutions)}
+    psi = np.zeros((points.size, solutions[0].spectrum.size))
     for r, sol in enumerate(solutions):
         idx = np.nonzero(region == r)[0]
         if idx.size == 0:
             continue
-        cells = mesh.cells_of_region(r)
-        t_edges = np.concatenate([mesh.edges[cells] - sol.x_left,
-                                  [mesh.edges[cells[-1] + 1] - sol.x_left]])
-        theta = _region_theta(source, quad, cells)
-        work = _RegionWork(sol.spectrum, sol.x_left, sol.x_right, t_edges, theta)
-        psi[idx] = work.evaluate(sol.alpha, points[idx] - sol.x_left).T
+        reg = _region(geometry, spectra, mesh, centres, quad, r)
+        part = reg.particular(source.q[reg.cells])
+        psi[idx] = reg.psi_at(sol.alpha, part, points[idx] - reg.x_left)
     return FluxField.from_psi(points, psi, quad)
 
 
-def _geometry_of(solutions) -> SlabGeometry:
-    edges = [solutions[0].x_left] + [s.x_right for s in solutions]
-    return SlabGeometry(edges=np.array(edges),
-                        materials=tuple(f"r{i}" for i in range(len(solutions))))
+def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
+    """Per-region solutions (no evaluation) and the per-region particular
+    data that evaluation at the cell centres reuses."""
+    particular = operator.particular(source)
+    alphas = solve_alpha(operator.system(particular))
+    return operator.solutions(alphas), particular
 
 
-def solve_fixed_source(geometry: SlabGeometry, spectra, source: SourceField,
-                       quad: QuadratureSet):
-    """Assemble, solve, and wrap the per-region solutions (no evaluation)."""
-    works = _region_works(geometry, spectra, source, quad)
-    system = _assemble(works, geometry, quad)
-    alphas = solve_alpha(system)
-    return _solutions_from_alphas(works, alphas), works
-
-
-def fixed_source_solve(geometry: SlabGeometry, spectra, source: SourceField,
-                       quad: QuadratureSet) -> FluxField:
+def fixed_source_solve(operator: FixedSourceOperator, source: SourceField) -> FluxField:
     """Full fixed-source solve evaluated at the source-cell centers."""
-    solutions, works = solve_fixed_source(geometry, spectra, source, quad)
-    mesh = source.mesh
-    centers = mesh.centers
-    ng = works[0].spec.size
-    psi = np.zeros((centers.size, ng))
-    for r, (sol, work) in enumerate(zip(solutions, works)):
-        cells = mesh.cells_of_region(r)
-        psi[cells] = work.evaluate(sol.alpha, centers[cells] - sol.x_left).T
-    return FluxField.from_psi(centers, psi, quad)
+    solutions, particular = solve_fixed_source(operator, source)
+    return operator.flux_at_centres(solutions, particular)

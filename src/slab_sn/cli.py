@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import outputs
-from .analytic import fixed_source_solve
+from .analytic import FixedSourceOperator, fixed_source_solve
 from .bench import BenchCell, run_benchmark
 from .eigen import power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
@@ -134,7 +134,7 @@ def cmd_fixed(args) -> int:
     if cfg.solver_kind == "analytic":
         # the fixed-source operator excludes fission
         tms, spectra = _spectra(problem, quad, 0.0)
-        flux = fixed_source_solve(geo, spectra, source, quad)
+        flux = fixed_source_solve(FixedSourceOperator(geo, spectra, mesh, quad), source)
         if args.dump_matrices:
             outputs.dump_matrices(outdir / "matrices", tms, spectra)
     else:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import fixed_source_solve
+from .analytic import FixedSourceOperator, fixed_source_solve
 from .exceptions import (MaxOuterIterationsError, NonpositiveIntegralError,
                          ShiftAtEigenvalueError, ValidationError, ZeroFluxError)
 from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh
@@ -50,8 +50,8 @@ class EigenResult:
     """Converged eigenpair with per-iteration history.
 
     history_seconds is cumulative wall time of the iteration loop; one-time
-    setup (eigensystem construction, mesh build) is reported separately in
-    timing["setup_seconds"].
+    setup (eigensystem construction, mesh build, fixed-source operator) is
+    reported separately in timing["setup_seconds"].
     """
 
     k_eff: float
@@ -155,11 +155,12 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     quad = gauss_legendre(config.sn_order)
     mesh = build_fine_mesh(geometry, config.fine_mesh_size)
     ke = config.ke
-    spectra = None
+    operator = None
     if config.solver_kind == "analytic":
         fission_scale = 0.0 if ke is None else 1.0 / ke
         spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
                    for name in set(geometry.materials)}
+        operator = FixedSourceOperator(geometry, spectra, mesh, quad)
     setup_seconds = time.perf_counter() - t_setup
 
     production = _initial_production(geometry, materials, mesh, config.initial_source)
@@ -176,7 +177,7 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
         state = _source_from_production(production, geometry, materials, mesh,
                                         quad, k, ke)
         if config.solver_kind == "analytic":
-            flux = fixed_source_solve(geometry, spectra, state.source, quad)
+            flux = fixed_source_solve(operator, state.source)
         else:
             raw, sweeps = source_iteration(
                 geometry, materials, mesh, quad, state.source.q, tol / 2.0,

@@ -263,16 +263,6 @@ def phi_pair(z, dt):
     return out
 
 
-def apply_pair_block(s, u1, u2):
-    """Apply the 2x2 block standing for s to the rows (u1, u2).
-
-    [[Re s, Im s], [-Im s, Re s]] @ (u1, u2) equals conj(s) * (u1 + i u2)
-    read back as (real, imag).
-    """
-    res = np.conj(s) * (u1 + 1j * u2)
-    return res.real, res.imag
-
-
 def _dense_from_block_values(spec: BlockSpectrum, real_vals, pair_vals) -> np.ndarray:
     out = np.zeros((spec.size, spec.size))
     out[spec.real_cols, spec.real_cols] = real_vals

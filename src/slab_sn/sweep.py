@@ -11,14 +11,14 @@ not the comparison baseline.  The scattering source is iterated until the
 L2 norm of the scalar-flux change drops below the requested tolerance.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import MaxInnerIterationsError, ValidationError
 from .mesh import FineMesh, FluxField
 from .model import QuadratureSet, SlabGeometry, _readonly
+from .recurrence import FirstOrderScan
 
 SCHEMES = ("step", "diamond")
 
@@ -41,136 +41,66 @@ class SweepMesh:
     @classmethod
     def build(cls, geometry: SlabGeometry, materials, mesh: FineMesh,
               q: np.ndarray) -> "SweepMesh":
-        sigma_t = np.vstack([materials[geometry.materials[r]].sigma_t
-                             for r in mesh.region_of_cell])
+        sigma_t = np.vstack([materials[name].sigma_t
+                             for name in geometry.materials])[mesh.region_of_cell]
         return cls(mesh=mesh, sigma_t=sigma_t, q=q)
 
 
-def sweep_once(smesh: SweepMesh, quad: QuadratureSet, incoming_left,
-               incoming_right, scheme: str = "step"):
-    """One transport sweep with the total source frozen in smesh.q.
-
-    incoming_left holds the boundary angular flux for the mu > 0 ordinates
-    (group-major, ascending mu); incoming_right for mu < 0.  Returns the
-    cell-average fluxes (M, N*G) plus the outgoing boundary fluxes
-    (mu < 0 at the left end, mu > 0 at the right end) needed to lag
-    reflective boundaries.
-    """
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown sweep scheme {scheme!r}")
-    n = quad.n
-    half = n // 2
-    m_cells = smesh.mesh.n_cells
-    g = smesh.q.shape[1] // n
-    widths = smesh.mesh.widths
-    q = smesh.q.reshape(m_cells, g, n)
-    sigma_t = smesh.sigma_t
-    flux = np.empty((m_cells, g, n))
-
-    # step: psi_c = (c psi_in + q)/(c + sigma_t), outgoing face = psi_c
-    # diamond: psi_c = (2c psi_in + q)/(2c + sigma_t), outgoing = 2 psi_c - psi_in
-    face = 1.0 if scheme == "step" else 2.0
-
-    mu_pos = quad.mu[half:]
-    psi_in = np.asarray(incoming_left, dtype=float).reshape(g, half).copy()
-    for m in range(m_cells):
-        c = face * mu_pos / widths[m]
-        psi_c = (c * psi_in + q[m, :, half:]) / (c + sigma_t[m][:, None])
-        flux[m, :, half:] = psi_c
-        psi_in = psi_c if scheme == "step" else 2.0 * psi_c - psi_in
-    out_right = psi_in.ravel()
-
-    mu_neg = -quad.mu[:half]
-    psi_in = np.asarray(incoming_right, dtype=float).reshape(g, half).copy()
-    for m in range(m_cells - 1, -1, -1):
-        c = face * mu_neg / widths[m]
-        psi_c = (c * psi_in + q[m, :, :half]) / (c + sigma_t[m][:, None])
-        flux[m, :, :half] = psi_c
-        psi_in = psi_c if scheme == "step" else 2.0 * psi_c - psi_in
-    out_left = psi_in.ravel()
-
-    return flux.reshape(m_cells, g * n), out_left, out_right
-
-
 class _SweepPlan:
-    """Precomputed per-region marching coefficients for repeated sweeps.
+    """Per-cell marching coefficients for repeated sweeps over the whole slab.
 
-    Within one region the mesh is uniform and the material constant, so the
-    upwind recurrence psi_m = a psi_{m-1} + b_m has constant a per (group,
-    ordinate) and runs as a linear filter over the cell axis; regions chain
-    through their interface fluxes.  Falls back to the cell-by-cell
-    reference sweep on nonuniform meshes.
+    Marching in the flow direction, every (group, ordinate) column follows
+    the face-flux recurrence f_m = a_m f_{m-1} + s_m q_m with c = |mu| / dx:
+    a = c / (c + sigma_t) and s = 1 / (c + sigma_t) for step, whose cell
+    average is f_m; a = (2c - sigma_t) / (2c + sigma_t) and
+    s = 2 / (2c + sigma_t) for diamond, whose cell average is the mean of the
+    two faces.  Columns with mu < 0 are stored in reversed cell order, so one
+    FirstOrderScan marches both directions through every region at once.
     """
 
-    def __init__(self, geometry, materials, mesh, quad, scheme):
+    def __init__(self, smesh: SweepMesh, quad: QuadratureSet, scheme: str):
+        if scheme not in SCHEMES:
+            raise ValidationError(f"unknown sweep scheme {scheme!r}")
         self.scheme = scheme
         self.half = quad.n // 2
-        mu_abs = quad.mu[self.half:]
         face = 1.0 if scheme == "step" else 2.0
-        self.regions = []
-        widths = mesh.widths
-        for r in range(geometry.n_regions):
-            cells = mesh.cells_of_region(r)
-            w = widths[cells]
-            if w.size == 0 or np.ptp(w) > 1e-12 * w[0]:
-                self.regions = None
-                return
-            sigma_t = materials[geometry.materials[r]].sigma_t[:, None]
-            c = face * mu_abs[None, :] / w[0]
-            denom = c + sigma_t
-            self.regions.append({
-                "cells": slice(cells[0], cells[-1] + 1),
-                "coef": c / denom,       # multiplies the incoming flux
-                "inv": 1.0 / denom,      # multiplies the cell source
-            })
+        c = face * np.abs(quad.mu)[None, None, :] / smesh.mesh.widths[:, None, None]
+        denom = c + smesh.sigma_t[:, :, None]
+        coef = c / denom
+        if scheme == "step":
+            a, s = coef, 1.0 / denom
+        else:
+            a, s = 2.0 * coef - 1.0, 2.0 / denom
+        a = self.scan_order(a)
+        self.a0 = a[0]
+        self.s = self.scan_order(s)
+        self.march = FirstOrderScan(a)
 
-    @property
-    def usable(self):
-        return self.regions is not None
-
-    def _march(self, region, q_part, psi_in):
-        """One region, one direction: returns (cell averages, outgoing flux)."""
-        coef, inv = region["coef"], region["inv"]
-        b = q_part * inv[None, :, :]
-        if self.scheme == "step":
-            a = coef
-            b[0] += a * psi_in
-            y = np.empty_like(b)
-            for g in range(b.shape[1]):
-                for j in range(b.shape[2]):
-                    y[:, g, j] = lfilter([1.0], [1.0, -a[g, j]], b[:, g, j])
-            return y, y[-1]
-        # diamond: march the face flux f_m = (2 coef - 1) f_{m-1} + 2 b_m,
-        # cell average is the face midpoint
-        a = 2.0 * coef - 1.0
-        b = 2.0 * b
-        b[0] += a * psi_in
-        f = np.empty_like(b)
-        for g in range(b.shape[1]):
-            for j in range(b.shape[2]):
-                f[:, g, j] = lfilter([1.0], [1.0, -a[g, j]], b[:, g, j])
-        faces = np.concatenate([psi_in[None], f], axis=0)
-        return 0.5 * (faces[:-1] + faces[1:]), f[-1]
+    def scan_order(self, x: np.ndarray) -> np.ndarray:
+        """Swap a (cells, G, N) array between cell and scan order."""
+        return np.concatenate([x[::-1, :, :self.half], x[:, :, self.half:]], axis=2)
 
     def sweep(self, q3, inc_left, inc_right):
-        m, g = q3.shape[0], q3.shape[1]
-        flux = np.empty((m, g, 2 * self.half))
-        psi_in = inc_left.reshape(g, self.half)
-        for region in self.regions:
-            cells = region["cells"]
-            flux[cells, :, self.half:], psi_in = self._march(
-                region, q3[cells, :, self.half:], psi_in)
-        out_right = psi_in.ravel()
-        # mu < 0 columns are stored ascending in mu; the coefficient table is
-        # ascending in |mu|, so columns (and the cell order) reverse here
-        psi_in = inc_right.reshape(g, self.half)[:, ::-1]
-        for region in reversed(self.regions):
-            cells = region["cells"]
-            y, psi_in = self._march(
-                region, q3[cells, :, self.half - 1::-1][::-1], psi_in)
-            flux[cells, :, :self.half] = y[::-1, :, ::-1]
-        out_left = psi_in[:, ::-1].ravel()
-        return flux, out_left, out_right
+        """One transport sweep with the total source q3 (cells, G, N) frozen.
+
+        inc_left holds the boundary angular flux for the mu > 0 ordinates
+        (group-major, ascending mu); inc_right for mu < 0.  Returns the
+        cell-average fluxes (cells, G, N) plus the outgoing boundary fluxes
+        (mu < 0 at the left end, mu > 0 at the right end) needed to lag
+        reflective boundaries.
+        """
+        g = q3.shape[1]
+        f_in = np.concatenate([np.reshape(inc_right, (g, self.half)),
+                               np.reshape(inc_left, (g, self.half))], axis=1)
+        b = self.scan_order(q3) * self.s
+        b[0] += self.a0 * f_in
+        f = self.march(b)
+        avg = f
+        if self.scheme == "diamond":
+            avg = 0.5 * (np.concatenate([f_in[None], f[:-1]]) + f)
+        out = f[-1]
+        return (self.scan_order(avg), out[:, :self.half].ravel(),
+                out[:, self.half:].ravel())
 
 
 def _transfer_matrices(geometry, materials, ke):
@@ -212,27 +142,11 @@ def source_iteration(geometry: SlabGeometry, materials, mesh: FineMesh,
     transfer = _transfer_matrices(geometry, materials, ke)
     _check_scattering_ratio(geometry, materials, transfer)
     n = quad.n
+    half = n // 2
     g = q_external.shape[1] // n
     m_cells = mesh.n_cells
-    smesh0 = SweepMesh.build(geometry, materials, mesh, q_external)
-
-    reflective = "reflective" in (geometry.bc_left.kind, geometry.bc_right.kind)
-    if not reflective and all(np.all(t == 0.0) for t in transfer):
-        # pure streaming: a single sweep is the exact solution
-        def bc_vec(bc):
-            return np.zeros(g * (n // 2)) if bc.kind == "vacuum" else bc.values
-        flux, _, _ = sweep_once(smesh0, quad, bc_vec(geometry.bc_left),
-                                bc_vec(geometry.bc_right), scheme=scheme)
-        return flux, 1
-
-    flux = np.zeros((m_cells, g * n)) if flux0 is None else np.array(flux0, dtype=float)
-    phi = flux.reshape(m_cells, g, n) @ quad.weight
-    half = n // 2
-    out_left = np.zeros(g * half)
-    out_right = np.zeros(g * half)
-    plan = _SweepPlan(geometry, materials, mesh, quad, scheme)
-    transfer_t = [t.T for t in transfer]
-    region_cells = [mesh.cells_of_region(r) for r in range(geometry.n_regions)]
+    plan = _SweepPlan(SweepMesh.build(geometry, materials, mesh, q_external),
+                      quad, scheme)
 
     def boundary(bc, outgoing):
         if bc.kind == "vacuum":
@@ -243,6 +157,21 @@ def source_iteration(geometry: SlabGeometry, materials, mesh: FineMesh,
         # the previous iterate
         return outgoing.reshape(g, half)[:, ::-1].ravel()
 
+    reflective = "reflective" in (geometry.bc_left.kind, geometry.bc_right.kind)
+    if not reflective and all(np.all(t == 0.0) for t in transfer):
+        # pure streaming: a single sweep is the exact solution
+        flux3, _, _ = plan.sweep(q_external.reshape(m_cells, g, n),
+                                 boundary(geometry.bc_left, None),
+                                 boundary(geometry.bc_right, None))
+        return flux3.reshape(m_cells, g * n), 1
+
+    flux = np.zeros((m_cells, g * n)) if flux0 is None else np.array(flux0, dtype=float)
+    phi = flux.reshape(m_cells, g, n) @ quad.weight
+    out_left = np.zeros(g * half)
+    out_right = np.zeros(g * half)
+    transfer_t = [t.T for t in transfer]
+    region_cells = [mesh.cells_of_region(r) for r in range(geometry.n_regions)]
+
     for it in range(1, max_inner + 1):
         scat = np.empty((m_cells, g))
         for r, cells in enumerate(region_cells):
@@ -250,14 +179,9 @@ def source_iteration(geometry: SlabGeometry, materials, mesh: FineMesh,
         q_total = q_external + np.repeat(scat / 2.0, n, axis=1)
         inc_left = boundary(geometry.bc_left, out_left)
         inc_right = boundary(geometry.bc_right, out_right)
-        if plan.usable:
-            flux3, out_left, out_right = plan.sweep(
-                q_total.reshape(m_cells, g, n), inc_left, inc_right)
-            flux = flux3.reshape(m_cells, g * n)
-        else:
-            flux, out_left, out_right = sweep_once(
-                replace(smesh0, q=q_total), quad, inc_left, inc_right,
-                scheme=scheme)
+        flux3, out_left, out_right = plan.sweep(
+            q_total.reshape(m_cells, g, n), inc_left, inc_right)
+        flux = flux3.reshape(m_cells, g * n)
         phi_new = flux.reshape(m_cells, g, n) @ quad.weight
         change = np.linalg.norm(phi_new - phi)
         phi = phi_new

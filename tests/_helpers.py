@@ -5,8 +5,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from scipy.signal import lfilter
+
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
-                     BlockSpectrum, ComplexPairBlock, RealBlock)
+                     BlockSpectrum, ComplexPairBlock, RealBlock,
+                     SingularSystemError, ValidationError, mesh_from_edges)
+from slab_sn.analytic import _pair_rows, select_rows
+from slab_sn.spectral import exp_pair, phi_pair, phi_real
+from slab_sn.sweep import SCHEMES
 
 
 def legendre_and_deriv(n, x):
@@ -41,6 +47,45 @@ def one_group_material(name="m", sigma_t=1.0, sigma_s=0.0, nu_sigma_f=0.0):
     chi = [1.0] if nu_sigma_f > 0 else [0.0]
     return MaterialXS(name=name, sigma_t=[sigma_t], sigma_s=[[sigma_s]],
                       nu_sigma_f=[nu_sigma_f], chi=chi)
+
+
+def graded_mesh(geometry, counts, ratio=1.15):
+    """mesh_from_edges mesh with counts[r] cells in region r, each cell
+    ratio times wider than the one to its left."""
+    edges = [geometry.edges[:1]]
+    for x0, x1, count in zip(geometry.edges[:-1], geometry.edges[1:], counts):
+        w = ratio ** np.arange(count)
+        inner = x0 + (x1 - x0) * np.cumsum(w)[:-1] / w.sum()
+        edges += [inner, [x1]]
+    return mesh_from_edges(np.concatenate(edges), geometry)
+
+
+def random_slab(rng, n_groups, n_regions, n_ordinates):
+    """Heterogeneous slab of random materials (scattering ratios 0.1-0.9,
+    half of them fissile) with a random vacuum, reflective or incoming
+    condition at each end."""
+    materials = {}
+    for r in range(n_regions):
+        sigma_t = rng.uniform(0.3, 2.0, n_groups)
+        sigma_s = rng.uniform(0.0, 1.0, (n_groups, n_groups))
+        sigma_s *= (rng.uniform(0.1, 0.9, n_groups) * sigma_t / sigma_s.sum(axis=1))[:, None]
+        fissile = rng.random() < 0.5
+        nu_sigma_f = rng.uniform(0.0, 0.5, n_groups) * sigma_t * fissile
+        chi = rng.dirichlet(np.ones(n_groups)) if fissile else np.zeros(n_groups)
+        materials[f"m{r}"] = MaterialXS(f"m{r}", sigma_t=sigma_t, sigma_s=sigma_s,
+                                        nu_sigma_f=nu_sigma_f, chi=chi)
+
+    def bc():
+        kind = rng.choice(["vacuum", "reflective", "incoming"])
+        if kind == "incoming":
+            return BoundaryCondition.incoming(
+                rng.uniform(0.0, 1.0, n_groups * n_ordinates // 2))
+        return BoundaryCondition(str(kind))
+
+    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 3.0, n_regions))])
+    geometry = SlabGeometry(edges=edges, materials=tuple(materials),
+                            bc_left=bc(), bc_right=bc())
+    return geometry, materials
 
 
 def absorber_problem(sigma_t=1.0, length=4.0, bc_left=None, bc_right=None):
@@ -137,3 +182,295 @@ def perturbed_materials(materials, entries, offsets):
     for (name, field), values in arrays.items():
         out[name] = replace(out[name], **{field: values})
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles.  The package marches every recurrence with one blocked
+# FirstOrderScan and builds the analytic operator once per problem; the slow
+# paths below are the cell-by-cell sweep, the per-element recurrence and the
+# per-source analytic path that rebuilt every region and re-checked the
+# global matrix on each call.  The fast paths must match them to round-off.
+
+
+def sweep_once(smesh, quad, incoming_left, incoming_right, scheme="step"):
+    """One transport sweep with the total source frozen in smesh.q.
+
+    incoming_left holds the boundary angular flux for the mu > 0 ordinates
+    (group-major, ascending mu); incoming_right for mu < 0.  Returns the
+    cell-average fluxes (M, N*G) plus the outgoing boundary fluxes
+    (mu < 0 at the left end, mu > 0 at the right end) needed to lag
+    reflective boundaries.
+    """
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown sweep scheme {scheme!r}")
+    n = quad.n
+    half = n // 2
+    m_cells = smesh.mesh.n_cells
+    g = smesh.q.shape[1] // n
+    widths = smesh.mesh.widths
+    q = smesh.q.reshape(m_cells, g, n)
+    sigma_t = smesh.sigma_t
+    flux = np.empty((m_cells, g, n))
+
+    # step: psi_c = (c psi_in + q)/(c + sigma_t), outgoing face = psi_c
+    # diamond: psi_c = (2c psi_in + q)/(2c + sigma_t), outgoing = 2 psi_c - psi_in
+    face = 1.0 if scheme == "step" else 2.0
+
+    mu_pos = quad.mu[half:]
+    psi_in = np.asarray(incoming_left, dtype=float).reshape(g, half).copy()
+    for m in range(m_cells):
+        c = face * mu_pos / widths[m]
+        psi_c = (c * psi_in + q[m, :, half:]) / (c + sigma_t[m][:, None])
+        flux[m, :, half:] = psi_c
+        psi_in = psi_c if scheme == "step" else 2.0 * psi_c - psi_in
+    out_right = psi_in.ravel()
+
+    mu_neg = -quad.mu[:half]
+    psi_in = np.asarray(incoming_right, dtype=float).reshape(g, half).copy()
+    for m in range(m_cells - 1, -1, -1):
+        c = face * mu_neg / widths[m]
+        psi_c = (c * psi_in + q[m, :, :half]) / (c + sigma_t[m][:, None])
+        flux[m, :, :half] = psi_c
+        psi_in = psi_c if scheme == "step" else 2.0 * psi_c - psi_in
+    out_left = psi_in.ravel()
+
+    return flux.reshape(m_cells, g * n), out_left, out_right
+
+
+UNIFORM_RTOL = 1e-12
+SOLVE_RCOND_MIN = 1e-14
+
+
+def _region_theta(source, quad, cells):
+    g = source.ng // quad.n
+    return (source.q[cells] / np.tile(quad.mu, g)[None, :]).T
+
+
+class _RegionWork:
+    """Everything the assembly and evaluation need for one region."""
+
+    def __init__(self, spec, x_left, x_right, t_edges, theta):
+        self.spec = spec
+        self.x_left = x_left
+        self.x_right = x_right
+        self.length = x_right - x_left
+        self.t_edges = t_edges
+        self.widths = np.diff(t_edges)
+        # anchor each block at the edge that keeps its exponent nonpositive
+        self.real_anchor = np.where(spec.real_lams > 0.0, self.length, 0.0)
+        self.pair_anchor = np.where(spec.pair_z.real > 0.0, self.length, 0.0)
+        # encoded pair scalar: the 2x2 block action on (u1, u2) ~ u1 + i u2
+        # is multiplication by conj(z), so all encoded math uses conj(z)
+        self.pair_zc = np.conj(spec.pair_z)
+        self.theta_x = spec.P_inv @ theta
+        self.theta_real = self.theta_x[spec.real_cols]
+        self.theta_pair = (self.theta_x[spec.pair_cols]
+                           + 1j * self.theta_x[spec.pair_cols + 1])
+        self.j_real = self._particular_edges(spec.real_lams, self.real_anchor,
+                                             self.theta_real)
+        self.j_pair = self._particular_edges(self.pair_zc, self.pair_anchor,
+                                             self.theta_pair)
+
+    def _particular_edges(self, rates, anchors, theta):
+        """Particular solution J at every local cell edge, one row per block.
+
+        Forward recurrence from the left edge for blocks anchored at 0,
+        backward from the right edge otherwise; all step multipliers have
+        magnitude <= 1.
+        """
+        m = self.widths.size
+        out = np.zeros((rates.size, m + 1), dtype=theta.dtype)
+        uniform = m > 0 and np.ptp(self.widths) <= UNIFORM_RTOL * self.widths[0]
+        for k in range(rates.size):
+            rate = rates[k]
+            if anchors[k] == 0.0:
+                step = np.exp(rate * self.widths)
+                src = phi(rate, self.widths, theta.dtype) * theta[k]
+                out[k, 1:] = _recurrence(step, src, uniform)
+            else:
+                step = np.exp(-rate * self.widths[::-1])
+                src = -phi(-rate, self.widths[::-1], theta.dtype) * theta[k, ::-1]
+                out[k, :-1] = _recurrence(step, src, uniform)[::-1]
+        return out
+
+    def edge_particular(self, side):
+        """Particular X-vector at the local edge (t = 0 or t = L)."""
+        col = 0 if side == "left" else -1
+        return self._decode(self.j_real[:, col], self.j_pair[:, col])
+
+    def _decode(self, real_vals, pair_vals):
+        out = np.zeros(self.spec.size)
+        out[self.spec.real_cols] = real_vals
+        out[self.spec.pair_cols] = pair_vals.real
+        out[self.spec.pair_cols + 1] = pair_vals.imag
+        return out
+
+    def pg_at(self, t):
+        """P @ Gtilde(t): the anchored-basis trial functions at local t."""
+        spec = self.spec
+        out = np.empty_like(spec.P)
+        if spec.real_cols.size:
+            scale = np.exp(spec.real_lams * (t - self.real_anchor))
+            out[:, spec.real_cols] = spec.P[:, spec.real_cols] * scale[None, :]
+        s = exp_pair(spec.pair_z, t - self.pair_anchor)
+        for k, col in enumerate(spec.pair_cols):
+            p, q = spec.P[:, col], spec.P[:, col + 1]
+            out[:, col] = p * s[k].real - q * s[k].imag
+            out[:, col + 1] = p * s[k].imag + q * s[k].real
+        return out
+
+    def evaluate(self, alpha, t):
+        """Psi at local coordinates t (each in [0, L]), columns per point."""
+        spec = self.spec
+        cell = np.searchsorted(self.t_edges[1:], t, side="left")
+        cell = np.clip(cell, 0, self.widths.size - 1)
+        x = np.zeros((spec.size, t.size))
+
+        lam = spec.real_lams[:, None]
+        if lam.size:
+            a = self.real_anchor[:, None]
+            ref_edge = np.where(lam <= 0.0, cell[None, :], cell[None, :] + 1)
+            d = t[None, :] - self.t_edges[ref_edge]
+            j_ref = np.take_along_axis(self.j_real, ref_edge, axis=1)
+            th = self.theta_real[:, cell]
+            j_t = np.exp(lam * d) * j_ref + phi(lam, d, float) * th
+            x[spec.real_cols] = np.exp(lam * (t[None, :] - a)) * alpha[spec.real_cols][:, None] + j_t
+
+        zc = self.pair_zc[:, None]
+        if zc.size:
+            a = self.pair_anchor[:, None]
+            ref_edge = np.where(zc.real <= 0.0, cell[None, :], cell[None, :] + 1)
+            d = t[None, :] - self.t_edges[ref_edge]
+            j_ref = np.take_along_axis(self.j_pair, ref_edge, axis=1)
+            th = self.theta_pair[:, cell]
+            j_t = np.exp(zc * d) * j_ref + phi(zc, d, complex) * th
+            alpha_w = alpha[spec.pair_cols] + 1j * alpha[spec.pair_cols + 1]
+            w = np.exp(zc * (t[None, :] - a)) * alpha_w[:, None] + j_t
+            x[spec.pair_cols] = w.real
+            x[spec.pair_cols + 1] = w.imag
+        return spec.P @ x
+
+
+def phi(rate, dt, dtype):
+    """Integral of e^{rate u} du over [0, dt]; dispatches on block kind."""
+    if dtype is complex or np.iscomplexobj(rate):
+        return phi_pair(rate, dt)
+    return phi_real(rate, dt)
+
+
+def _recurrence(step, src, uniform):
+    """y_m = step_m y_{m-1} + src_m with y_0 = 0; returns y_1..y_M."""
+    if uniform:
+        return lfilter([1.0], [1.0, -step[0]], src)
+    y = np.zeros(src.size, dtype=src.dtype)
+    acc = 0.0j if np.iscomplexobj(src) else 0.0
+    for m in range(src.size):
+        acc = step[m] * acc + src[m]
+        y[m] = acc
+    return y
+
+
+def recurrence_loop(a, b):
+    """Per-element reference for FirstOrderScan: the loop recurrence applied
+    to every column of (M, ...) arrays."""
+    a, b = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(a, b)
+    cols_a = a.reshape(a.shape[0], -1).astype(dtype)
+    cols_b = b.reshape(b.shape[0], -1).astype(dtype)
+    out = np.column_stack([_recurrence(cols_a[:, k], cols_b[:, k], False)
+                           for k in range(cols_b.shape[1])])
+    return out.reshape(b.shape)
+
+
+def _region_works(geometry, spectra, source, quad):
+    """One _RegionWork per region; spectra maps material name -> BlockSpectrum."""
+    mesh = source.mesh
+    works = []
+    for r in range(geometry.n_regions):
+        cells = mesh.cells_of_region(r)
+        if cells.size == 0:
+            raise ValidationError(f"region {r} has no source cells")
+        x_left = geometry.edges[r]
+        spec = spectra[geometry.materials[r]]
+        t_edges = np.concatenate([mesh.edges[cells] - x_left,
+                                  [mesh.edges[cells[-1] + 1] - x_left]])
+        theta = _region_theta(source, quad, cells)
+        works.append(_RegionWork(spec, x_left, geometry.edges[r + 1], t_edges, theta))
+    return works
+
+
+def _boundary_rows(work, bc, quad, side):
+    """(rows, rhs) for one boundary condition applied to one region edge."""
+    t = 0.0 if side == "left" else work.length
+    pg = work.pg_at(t)
+    psi_part = work.spec.P @ work.edge_particular(side)
+    g = work.spec.size // quad.n
+    if bc.kind == "reflective":
+        pos, neg = _pair_rows(quad, g)
+        rows = pg[pos] - pg[neg]
+        rhs = -(psi_part[pos] - psi_part[neg])
+        return rows, rhs
+    sign = "positive" if side == "left" else "negative"
+    rows = select_rows(pg, quad, sign)
+    incoming = bc.values if bc.kind == "incoming" else np.zeros(rows.shape[0])
+    rhs = incoming - select_rows(psi_part[:, None], quad, sign)[:, 0]
+    return rows, rhs
+
+
+def _assemble(works, geometry, quad):
+    ng = works[0].spec.size
+    r = len(works)
+    mat = np.zeros((ng * r, ng * r))
+    rhs = np.zeros(ng * r)
+    half = ng // 2
+
+    rows, vals = _boundary_rows(works[0], geometry.bc_left, quad, "left")
+    mat[:half, :ng] = rows
+    rhs[:half] = vals
+    rows, vals = _boundary_rows(works[-1], geometry.bc_right, quad, "right")
+    mat[half:ng, (r - 1) * ng:] = rows
+    rhs[half:ng] = vals
+
+    for i in range(r - 1):
+        left, right = works[i], works[i + 1]
+        r0, r1 = ng * (i + 1), ng * (i + 2)
+        mat[r0:r1, ng * i:ng * (i + 1)] = left.pg_at(left.length)
+        mat[r0:r1, ng * (i + 1):ng * (i + 2)] = -right.pg_at(0.0)
+        rhs[r0:r1] = (right.spec.P @ right.edge_particular("left")
+                      - left.spec.P @ left.edge_particular("right"))
+    return mat, rhs
+
+
+def _solve_alpha(matrix, rhs, ng, n_regions):
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    if not np.isfinite(rcond) or rcond < SOLVE_RCOND_MIN:
+        raise SingularSystemError(
+            f"global system is numerically singular (rcond={rcond:.3e}); "
+            "the shift may sit on an eigenvalue of the problem")
+    alpha = np.linalg.solve(matrix, rhs)
+    return [alpha[i * ng:(i + 1) * ng] for i in range(n_regions)]
+
+
+def oracle_fixed_source(geometry, spectra, source, quad, points=None):
+    """Per-source analytic solve (every region rebuilt, the global matrix
+    re-assembled and re-checked); returns psi at the source-cell centres,
+    or at points when given."""
+    works = _region_works(geometry, spectra, source, quad)
+    mat, rhs = _assemble(works, geometry, quad)
+    alphas = _solve_alpha(mat, rhs, works[0].spec.size, len(works))
+    mesh = source.mesh
+    if points is None:
+        psi = np.zeros((mesh.n_cells, works[0].spec.size))
+        for r, (alpha, work) in enumerate(zip(alphas, works)):
+            cells = mesh.cells_of_region(r)
+            psi[cells] = work.evaluate(alpha, mesh.centers[cells] - work.x_left).T
+        return psi
+    points = np.asarray(points, dtype=float)
+    region = np.searchsorted(geometry.edges[1:], points, side="left")
+    psi = np.zeros((points.size, works[0].spec.size))
+    for r, (alpha, work) in enumerate(zip(alphas, works)):
+        idx = np.nonzero(region == r)[0]
+        if idx.size:
+            psi[idx] = work.evaluate(alpha, points[idx] - work.x_left).T
+    return psi

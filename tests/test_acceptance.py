@@ -23,8 +23,8 @@ from scipy.integrate import quad_vec
 from _helpers import (absorber_problem, absorber_psi, perturbed_materials,
                       printed_entries, random_spectrum)
 from conftest import REFERENCE_KEFF
-from slab_sn import (BoundaryCondition, SlabGeometry, SolverConfig,
-                     SourceField, TransportMatrix, assemble_A,
+from slab_sn import (BoundaryCondition, FixedSourceOperator, SlabGeometry,
+                     SolverConfig, SourceField, TransportMatrix, assemble_A,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
                      gamma, gauss_legendre, power_iteration, run_benchmark,
                      segment_integral, solve_fixed_source)
@@ -172,7 +172,8 @@ def test_acceptance_06_absorber_closed_form(capsys):
         mesh = build_fine_mesh(geo, 50)
         source = SourceField.isotropic(mesh, np.full((50, 1), 2.0 * q), quad.n)
         spectra = {"abs": block_diagonalize(assemble_A(mats["abs"], quad))}
-        sols, _ = solve_fixed_source(geo, spectra, source, quad)
+        operator = FixedSourceOperator(geo, spectra, source.mesh, quad)
+        sols, _ = solve_fixed_source(operator, source)
         xs = np.linspace(1e-3, length - 1e-3, 100)
         psi = evaluate_flux(sols, source, xs, quad, geo).psi
         expected = absorber_psi(xs[:, None], quad.mu[None, :], sigma_t, q, length)
@@ -223,7 +224,8 @@ def _pincell_solution(pincell, n, m):
     source = SourceField.isotropic(mesh, emission, quad.n)
     spectra = {name: block_diagonalize(assemble_A(pincell.materials[name], quad))
                for name in set(pincell.geometry.materials)}
-    sols, _ = solve_fixed_source(pincell.geometry, spectra, source, quad)
+    operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
+    sols, _ = solve_fixed_source(operator, source)
     return quad, mesh, source, sols
 
 

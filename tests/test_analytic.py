@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from _helpers import absorber_problem, absorber_psi, one_group_material
-from slab_sn import (BoundaryCondition, GlobalSystem, MaterialXS,
-                     MeshAlignmentError, PointOutOfDomainError,
-                     SingularSystemError, SlabGeometry, SourceField,
-                     assemble_A, assemble_global_system, block_diagonalize,
+from _helpers import (absorber_problem, absorber_psi, graded_mesh,
+                      one_group_material, oracle_fixed_source, random_slab)
+from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
+                     GlobalSystem, MaterialXS, MeshAlignmentError,
+                     PointOutOfDomainError, SingularSystemError, SlabGeometry,
+                     SourceField, ValidationError, assemble_A,
+                     assemble_global_system, block_diagonalize,
                      build_fine_mesh, evaluate_flux, fixed_source_solve,
                      gauss_legendre, mesh_from_edges, select_rows,
                      solve_alpha, solve_fixed_source)
@@ -27,7 +29,8 @@ def analytic_setup(geometry, materials, n, m, emission):
                                (mesh.n_cells, n_groups))
     source = SourceField.isotropic(mesh, emission, quad.n)
     spectra = spectra_for(geometry, materials, quad)
-    solutions, _ = solve_fixed_source(geometry, spectra, source, quad)
+    operator = FixedSourceOperator(geometry, spectra, source.mesh, quad)
+    solutions, _ = solve_fixed_source(operator, source)
     return quad, mesh, source, spectra, solutions
 
 
@@ -137,7 +140,8 @@ class TestTransportConsistency:
         mesh = build_fine_mesh(pincell.geometry, 140)
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
-        solutions, _ = solve_fixed_source(pincell.geometry, spectra, source, quad)
+        operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
+        solutions, _ = solve_fixed_source(operator, source)
         eps = 4e-10
         for x in (-15.0, 15.0):
             flux = evaluate_flux(solutions, source, [x, x + eps], quad,
@@ -152,7 +156,8 @@ class TestTransportConsistency:
         mesh = build_fine_mesh(pincell.geometry, 140)
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
-        solutions, _ = solve_fixed_source(pincell.geometry, spectra, source, quad)
+        operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
+        solutions, _ = solve_fixed_source(operator, source)
         a_mats = {name: assemble_A(pincell.materials[name], quad).A
                   for name in set(pincell.geometry.materials)}
         cells = [10, 75, 130]
@@ -179,7 +184,8 @@ class TestTransportConsistency:
         mesh = build_fine_mesh(pincell.geometry, 280)
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
-        solutions, _ = solve_fixed_source(pincell.geometry, spectra, source, quad)
+        operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
+        solutions, _ = solve_fixed_source(operator, source)
         gl_x, gl_w = np.polynomial.legendre.leggauss(4)
         mu_w = np.tile(quad.mu * quad.weight, 2)
         geo = pincell.geometry
@@ -209,9 +215,10 @@ class TestTransportConsistency:
         q2 = rng.uniform(0.0, 1.0, size=(70, 4))
         a, b = 2.3, -0.7
 
+        operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad)
+
         def solve(q):
-            return fixed_source_solve(pincell.geometry, spectra,
-                                      SourceField(mesh, q), quad).psi
+            return fixed_source_solve(operator, SourceField(mesh, q)).psi
 
         combined = solve(a * q1 + b * q2)
         split = a * solve(q1) + b * solve(q2)
@@ -251,7 +258,8 @@ class TestSymmetry:
         mesh = build_fine_mesh(pincell.geometry, 140)
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
-        solutions, _ = solve_fixed_source(pincell.geometry, spectra, source, quad)
+        operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
+        solutions, _ = solve_fixed_source(operator, source)
         xs = np.array([-16.2, -9.0, -1.3, 4.4, 12.5])
         psi = evaluate_flux(solutions, source, xs, quad, pincell.geometry).psi
         psi_r = evaluate_flux(solutions, source, -xs, quad, pincell.geometry).psi
@@ -278,6 +286,21 @@ class TestErrors:
         with pytest.raises(PointOutOfDomainError):
             evaluate_flux(solutions, source, [-0.5], quad, geo)
 
+    def test_operator_rejects_source_on_another_mesh(self, pincell, quad2):
+        spectra = spectra_for(pincell.geometry, pincell.materials, quad2)
+        mesh = build_fine_mesh(pincell.geometry, 70)
+        operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad2)
+        other = build_fine_mesh(pincell.geometry, 71)
+        with pytest.raises(ValidationError, match="mesh"):
+            fixed_source_solve(operator, SourceField(other, np.ones((71, 4))))
+
+    def test_operator_rejects_interleaved_regions(self, quad2):
+        mats = {"a": one_group_material("a", sigma_t=1.0)}
+        geo = SlabGeometry(edges=np.array([0.0, 1.0, 2.0]), materials=("a", "a"))
+        mesh = FineMesh(edges=np.linspace(0.0, 2.0, 5), region_of_cell=[0, 1, 0, 1])
+        with pytest.raises(ValidationError, match="contiguous"):
+            FixedSourceOperator(geo, spectra_for(geo, mats, quad2), mesh, quad2)
+
     def test_mesh_alignment(self, pincell):
         with pytest.raises(MeshAlignmentError):
             mesh_from_edges(np.linspace(-17.5, 17.5, 8), pincell.geometry)
@@ -289,3 +312,51 @@ class TestErrors:
         mesh = mesh_from_edges(edges, pincell.geometry)
         assert mesh.n_cells == 34
         assert np.array_equal(np.unique(mesh.region_of_cell), [0, 1, 2])
+
+
+def max_rel_diff(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestOperatorEquivalence:
+    """FixedSourceOperator against the per-source path it replaced."""
+
+    def test_random_heterogeneous_slabs(self):
+        rng = np.random.default_rng(20240127)
+        worst = 0.0
+        for trial in range(40):
+            n_regions = int(rng.integers(1, 9))
+            n_groups = int(rng.integers(1, 5))
+            quad = gauss_legendre(int(rng.choice([2, 4, 8])))
+            geo, mats = random_slab(rng, n_groups, n_regions, quad.n)
+            fission_scale = 0.0 if trial % 2 == 0 else float(rng.uniform(0.2, 1.0))
+            spectra = spectra_for(geo, mats, quad, fission_scale)
+            counts = rng.integers(1, 12, n_regions)
+            mesh = (graded_mesh(geo, counts) if trial % 4 >= 2
+                    else build_fine_mesh(geo, int(counts.sum())))
+            source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells,
+                                                             n_groups * quad.n)))
+            operator = FixedSourceOperator(geo, spectra, mesh, quad)
+            psi = fixed_source_solve(operator, source).psi
+            worst = max(worst, max_rel_diff(
+                psi, oracle_fixed_source(geo, spectra, source, quad)))
+            solutions, _ = solve_fixed_source(operator, source)
+            points = np.concatenate([rng.uniform(geo.edges[0], geo.edges[-1], 20),
+                                     geo.edges])
+            psi = evaluate_flux(solutions, source, points, quad, geo).psi
+            worst = max(worst, max_rel_diff(
+                psi, oracle_fixed_source(geo, spectra, source, quad, points)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_fine_pincell_mesh_takes_the_shared_path(self, pincell, graded):
+        # M = 20000 cells whose widths agree only to ~1e-12 once sent the old
+        # code down a per-element loop; every mesh now runs the same scan
+        quad = gauss_legendre(2)
+        geo = pincell.geometry
+        mesh = graded_mesh(geo, (1429, 17142, 1429), ratio=1.0002) if graded \
+            else build_fine_mesh(geo, 20000)
+        spectra = spectra_for(geo, pincell.materials, quad)
+        source = pincell_chi_absx_source(pincell, mesh, quad)
+        psi = fixed_source_solve(FixedSourceOperator(geo, spectra, mesh, quad), source).psi
+        assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12

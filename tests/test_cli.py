@@ -199,3 +199,12 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "fixed" in proc.stdout and "bench" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package and its CLI need numpy
+    code = ("import sys, slab_sn, slab_sn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from _helpers import absorber_problem, one_group_material
-from slab_sn import (BoundaryCondition, FineMesh, MaxInnerIterationsError,
-                     SlabGeometry, SourceField, SweepMesh, ValidationError,
-                     assemble_A, block_diagonalize, build_fine_mesh,
-                     evaluate_flux, gauss_legendre, solve_fixed_source,
-                     source_iteration, sweep_fixed_source, sweep_once)
+from _helpers import (absorber_problem, graded_mesh, one_group_material,
+                      sweep_once)
+from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
+                     MaxInnerIterationsError, SlabGeometry, SourceField,
+                     SweepMesh, ValidationError, assemble_A,
+                     block_diagonalize, build_fine_mesh, evaluate_flux,
+                     gauss_legendre, solve_fixed_source, source_iteration,
+                     sweep_fixed_source)
 
 
 def simple_sweep_mesh(geometry, materials, n_cells, quad, q_value=0.0):
@@ -200,7 +202,8 @@ class TestCrossSolver:
         src_a = chi_absx(mesh_a)
         spectra = {n: block_diagonalize(assemble_A(mats[n], quad))
                    for n in set(geo.materials)}
-        sols, _ = solve_fixed_source(geo, spectra, src_a, quad)
+        operator = FixedSourceOperator(geo, spectra, src_a.mesh, quad)
+        sols, _ = solve_fixed_source(operator, src_a)
 
         mesh_s = build_fine_mesh(geo, 700)
         flux_s = sweep_fixed_source(geo, mats, mesh_s, quad, chi_absx(mesh_s),
@@ -212,23 +215,36 @@ class TestCrossSolver:
 
 
 class TestFastPathConsistency:
-    @pytest.mark.parametrize("n,scheme", [(2, "step"), (8, "step"), (4, "diamond")])
-    def test_planned_sweep_equals_reference(self, pincell, rng, n, scheme):
+    @pytest.mark.parametrize("n,scheme,bc,graded", [
+        pytest.param(2, "step", "vacuum", False, id="2-step"),
+        pytest.param(8, "step", "vacuum", False, id="8-step"),
+        pytest.param(4, "diamond", "vacuum", False, id="4-diamond"),
+        pytest.param(4, "step", "reflective", True, id="4-step-reflective-graded"),
+        pytest.param(4, "diamond", "reflective", True, id="4-diamond-reflective-graded"),
+        pytest.param(8, "diamond", "vacuum", True, id="8-diamond-graded"),
+    ])
+    def test_planned_sweep_equals_reference(self, pincell, rng, n, scheme, bc, graded):
+        # with reflective ends, three lagged sweeps feed each sweep's
+        # mirrored outgoing flux back in, as source_iteration does
         from slab_sn.sweep import _SweepPlan
         geo, mats = pincell.geometry, pincell.materials
         quad = gauss_legendre(n)
-        mesh = build_fine_mesh(geo, 70)
+        mesh = graded_mesh(geo, (9, 50, 11)) if graded else build_fine_mesh(geo, 70)
         q = rng.uniform(0.0, 1.0, size=(70, 2 * n))
         smesh = SweepMesh.build(geo, mats, mesh, q)
-        inc_l = rng.uniform(0.0, 1.0, n)
-        inc_r = rng.uniform(0.0, 1.0, n)
-        ref, ol_ref, or_ref = sweep_once(smesh, quad, inc_l, inc_r, scheme=scheme)
-        plan = _SweepPlan(geo, mats, mesh, quad, scheme)
-        assert plan.usable
-        fast, ol, orr = plan.sweep(q.reshape(70, 2, n), inc_l, inc_r)
-        assert np.allclose(fast.reshape(70, 2 * n), ref, atol=1e-14)
-        assert np.allclose(ol, ol_ref, atol=1e-14)
-        assert np.allclose(orr, or_ref, atol=1e-14)
+        plan = _SweepPlan(smesh, quad, scheme)
+        inc_ref = inc_fast = (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+
+        def mirror(out):
+            return out.reshape(2, n // 2)[:, ::-1].ravel()
+
+        for _ in range(3 if bc == "reflective" else 1):
+            ref, ol_ref, or_ref = sweep_once(smesh, quad, *inc_ref, scheme=scheme)
+            fast, ol, orr = plan.sweep(q.reshape(70, 2, n), *inc_fast)
+            assert np.allclose(fast.reshape(70, 2 * n), ref, atol=1e-14)
+            assert np.allclose(ol, ol_ref, atol=1e-14)
+            assert np.allclose(orr, or_ref, atol=1e-14)
+            inc_ref, inc_fast = (mirror(ol_ref), mirror(or_ref)), (mirror(ol), mirror(orr))
 
     def test_converged_flux_is_a_sweep_fixed_point(self, pincell, quad2):
         # one reference sweep of the converged total source must reproduce
