@@ -32,10 +32,10 @@ source = SourceField.isotropic(mesh, np.full((50, 1), 2.0 * q), quad.n)
 
 spectra = {"absorber": block_diagonalize(assemble_A(absorber, quad))}
 operator = FixedSourceOperator(geometry, spectra, mesh, quad)
-solutions, _ = solve_fixed_source(operator, source)
+solution = solve_fixed_source(operator, source)
 
 xs = np.linspace(0.0, length, 201)
-flux = evaluate_flux(solutions, source, xs, quad, geometry)
+flux = evaluate_flux(operator, solution, xs)
 
 d = np.where(quad.mu[None, :] > 0, xs[:, None], length - xs[:, None])
 exact = (q / sigma_t) * (1.0 - np.exp(-sigma_t * d / np.abs(quad.mu[None, :])))

@@ -5,13 +5,13 @@ sweeping baseline, and a power-iteration eigenvalue driver with optional
 Wielandt shift, plus a benchmark harness comparing the two solvers.
 """
 
-from .analytic import (FixedSourceOperator, GlobalSystem, RegionSolution,
+from .analytic import (FixedSourceOperator, GlobalSystem,
                        assemble_global_system, evaluate_flux,
                        fixed_source_solve, select_rows, solve_alpha,
                        solve_fixed_source)
 from .bench import BenchmarkReport, default_cells, run_benchmark
-from .eigen import (EigenResult, FissionSourceState, fission_source,
-                    normalize, power_iteration, update_keff)
+from .eigen import (EigenResult, fission_source, normalize, power_iteration,
+                    update_keff)
 from .exceptions import (DefectiveMatrixError, ExponentOverflowError,
                          MaxInnerIterationsError, MaxOuterIterationsError,
                          MeshAlignmentError, NonpositiveIntegralError,
@@ -27,6 +27,6 @@ from .problem_io import Problem, builtin_problem_path, load_problem, save_proble
 from .spectral import (BlockSpectrum, ComplexPairBlock, RealBlock,
                        TransportMatrix, assemble_A, block_diagonalize, gamma,
                        segment_integral)
-from .sweep import SweepMesh, source_iteration, sweep_fixed_source
+from .sweep import SweepOperator, source_iteration, sweep_fixed_source
 
 __version__ = "0.1.0"

@@ -51,16 +51,6 @@ SOLVE_RCOND_MIN = 1e-14
 
 
 @dataclass(frozen=True)
-class RegionSolution:
-    """Expansion coefficients for one region, in the anchored block basis."""
-
-    alpha: np.ndarray
-    spectrum: BlockSpectrum
-    x_left: float
-    x_right: float
-
-
-@dataclass(frozen=True)
 class GlobalSystem:
     """Assembled boundary/continuity system M alpha = rhs.
 
@@ -133,7 +123,6 @@ class _Region:
                  quad: QuadratureSet):
         self.spec = spec
         self.x_left = x_left
-        self.x_right = x_right
         self.length = x_right - x_left
         self.t_edges = t_edges
         self.cells = cells
@@ -298,15 +287,10 @@ class FixedSourceOperator:
         return GlobalSystem(matrix=self.matrix, rhs=rhs, ng=ng,
                             n_regions=len(self.regions), inverse=self.inverse)
 
-    def solutions(self, alphas):
-        return [RegionSolution(alpha=a, spectrum=reg.spec, x_left=reg.x_left,
-                               x_right=reg.x_right)
-                for a, reg in zip(alphas, self.regions)]
-
-    def flux_at_centres(self, solutions, particular) -> FluxField:
+    def flux_at_centres(self, alphas, particular) -> FluxField:
         psi = np.empty((self.mesh.n_cells, self.ng))
-        for reg, sol, part in zip(self.regions, solutions, particular):
-            psi[reg.cells] = reg.psi_at_centres(sol.alpha, part)
+        for reg, alpha, part in zip(self.regions, alphas, particular):
+            psi[reg.cells] = reg.psi_at_centres(alpha, part)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
@@ -343,39 +327,34 @@ def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
     return np.searchsorted(geometry.edges[1:], points, side="left")
 
 
-def evaluate_flux(solutions, source: SourceField, points, quad: QuadratureSet,
-                  geometry: SlabGeometry) -> FluxField:
+def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     """Angular and scalar flux at arbitrary points inside the slab.
 
-    Points on a region interface are evaluated from the left region;
-    continuity of the solution makes the choice immaterial to within the
-    solver tolerance.
+    solution is the (alphas, particular) pair solve_fixed_source returns for
+    this operator.  Points on a region interface are evaluated from the
+    left region; continuity of the solution makes the choice immaterial to
+    within the solver tolerance.
     """
+    alphas, particular = solution
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    region = _locate_regions(geometry, points)
-    mesh = source.mesh
-    centres = mesh.centers
-    spectra = {name: sol.spectrum for name, sol in zip(geometry.materials, solutions)}
-    psi = np.zeros((points.size, solutions[0].spectrum.size))
-    for r, sol in enumerate(solutions):
+    region = _locate_regions(operator.geometry, points)
+    psi = np.zeros((points.size, operator.ng))
+    for r, (reg, alpha, part) in enumerate(zip(operator.regions, alphas, particular)):
         idx = np.nonzero(region == r)[0]
-        if idx.size == 0:
-            continue
-        reg = _region(geometry, spectra, mesh, centres, quad, r)
-        part = reg.particular(source.q[reg.cells])
-        psi[idx] = reg.psi_at(sol.alpha, part, points[idx] - reg.x_left)
-    return FluxField.from_psi(points, psi, quad)
+        if idx.size:
+            psi[idx] = reg.psi_at(alpha, part, points[idx] - reg.x_left)
+    return FluxField.from_psi(points, psi, operator.quad)
 
 
 def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
-    """Per-region solutions (no evaluation) and the per-region particular
-    data that evaluation at the cell centres reuses."""
+    """Per-region expansion coefficients (no evaluation) and the per-region
+    particular data; evaluate_flux and evaluation at the cell centres take
+    the pair."""
     particular = operator.particular(source)
-    alphas = solve_alpha(operator.system(particular))
-    return operator.solutions(alphas), particular
+    return solve_alpha(operator.system(particular)), particular
 
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField) -> FluxField:
     """Full fixed-source solve evaluated at the source-cell centers."""
-    solutions, particular = solve_fixed_source(operator, source)
-    return operator.flux_at_centres(solutions, particular)
+    alphas, particular = solve_fixed_source(operator, source)
+    return operator.flux_at_centres(alphas, particular)

@@ -41,7 +41,6 @@ class BenchmarkReport:
     baseline: Optional[str]
     cells: list
     failed: list
-    parallel: bool = False
 
     def cell(self, name: str) -> dict:
         for c in self.cells:
@@ -50,15 +49,13 @@ class BenchmarkReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        note = ("cells ran concurrently; per-cell wall times overlap"
-                if self.parallel else "cells ran sequentially")
         return {
             "schema": "slab-sn-bench-report/1",
             "problem": self.problem_name,
             "tolerance": self.tolerance,
             "mesh_size": self.mesh_size,
             "baseline": self.baseline,
-            "timing_note": note,
+            "timing_note": "cells ran sequentially",
             "cells": self.cells,
             "failed": self.failed,
         }
@@ -100,7 +97,7 @@ def _run_cell(problem: Problem, cell: BenchCell, warmup: bool) -> dict:
 
 
 def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
-                  parallel: bool = False, warmup: bool = True,
+                  warmup: bool = True,
                   problem_name: str = "problem") -> BenchmarkReport:
     """Run every cell; failures are recorded, not raised.
 
@@ -111,21 +108,11 @@ def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
     if cells is None:
         cells = default_cells()
     results, failed = [], []
-
-    def run(cell):
+    for cell in cells:
         try:
-            return _run_cell(problem, cell, warmup)
+            results.append(_run_cell(problem, cell, warmup))
         except TransportError as exc:
-            return {"name": cell.name, "error": f"{type(exc).__name__}: {exc}"}
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
-    for out in outcomes:
-        (failed if "error" in out else results).append(out)
+            failed.append({"name": cell.name, "error": f"{type(exc).__name__}: {exc}"})
 
     names = [c["name"] for c in results]
     base = baseline if baseline in names and len(results) > 1 else None
@@ -142,5 +129,4 @@ def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
         baseline=base,
         cells=results,
         failed=failed,
-        parallel=parallel,
     )

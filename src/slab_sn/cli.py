@@ -22,7 +22,7 @@ from .mesh import SourceField, build_fine_mesh
 from .model import gauss_legendre
 from .problem_io import load_problem
 from .spectral import assemble_A, block_diagonalize
-from .sweep import sweep_fixed_source
+from .sweep import SweepOperator, sweep_fixed_source
 
 
 def _add_common(parser):
@@ -71,8 +71,6 @@ def _build_parser():
                          help="comma list of shifts; 'none' for unshifted")
     p_bench.add_argument("--baseline", default="analytic_S16",
                          help="cell name time ratios are measured against")
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="run cells concurrently (per-cell timings overlap)")
     return parser
 
 
@@ -138,9 +136,9 @@ def cmd_fixed(args) -> int:
         if args.dump_matrices:
             outputs.dump_matrices(outdir / "matrices", tms, spectra)
     else:
-        flux = sweep_fixed_source(geo, problem.materials, mesh, quad, source,
-                                  cfg.flux_tolerance, max_inner=cfg.max_inner,
-                                  scheme=cfg.sweep_scheme)
+        operator = SweepOperator(geo, problem.materials, mesh, quad, cfg.sweep_scheme)
+        flux = sweep_fixed_source(operator, source, cfg.flux_tolerance,
+                                  max_inner=cfg.max_inner)
     seconds = time.perf_counter() - t0
 
     flux_csv = outdir / "flux.csv"
@@ -187,7 +185,6 @@ def cmd_bench(args) -> int:
     cells = [BenchCell(solver_kind=s, sn_order=n, ke=ke)
              for s in solvers for n in orders for ke in kes]
     report = run_benchmark(problem, cells, baseline=args.baseline,
-                           parallel=args.parallel,
                            problem_name=Path(args.input).stem)
     outputs.write_bench_report(outdir / "report.json", report)
     outputs.write_bench_csv(outdir / "convergence.csv", report)

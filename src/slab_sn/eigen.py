@@ -29,20 +29,9 @@ from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh
 from .model import (QuadratureSet, SlabGeometry, SolverConfig, gauss_legendre,
                     validate_problem)
 from .spectral import assemble_A, block_diagonalize
-from .sweep import source_iteration
+from .sweep import SweepOperator, source_iteration
 
 SHIFT_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class FissionSourceState:
-    """Fission source for one outer iteration plus its bookkeeping."""
-
-    source: SourceField
-    production: np.ndarray        # per-cell production density
-    production_integral: float
-    k: float
-    ke: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -50,8 +39,8 @@ class EigenResult:
     """Converged eigenpair with per-iteration history.
 
     history_seconds is cumulative wall time of the iteration loop; one-time
-    setup (eigensystem construction, mesh build, fixed-source operator) is
-    reported separately in timing["setup_seconds"].
+    setup (mesh build, the solver's fixed-source operator, per-cell fission
+    tables) is reported separately in timing["setup_seconds"].
     """
 
     k_eff: float
@@ -74,13 +63,8 @@ def _per_cell(geometry: SlabGeometry, materials, mesh: FineMesh, attr: str) -> n
     return table[mesh.region_of_cell]
 
 
-def _production_density(flux: FluxField, geometry, materials, mesh) -> np.ndarray:
-    nusf = _per_cell(geometry, materials, mesh, "nu_sigma_f")
-    return np.sum(flux.phi * nusf, axis=1)
-
-
-def _source_from_production(production, geometry, materials, mesh, quad,
-                            k: float, ke: Optional[float]) -> FissionSourceState:
+def _emission(production, chi, k: float, ke: Optional[float]) -> np.ndarray:
+    """Per-cell, per-group fission emission density for the next solve."""
     if ke is None:
         prefactor = 1.0 / k
     else:
@@ -89,12 +73,7 @@ def _source_from_production(production, geometry, materials, mesh, quad,
             raise ShiftAtEigenvalueError(
                 f"shift k_e={ke} coincides with the current k estimate {k}; "
                 "move k_e away from the converged eigenvalue")
-    chi = _per_cell(geometry, materials, mesh, "chi")
-    emission = prefactor * chi * production[:, None]
-    source = SourceField.isotropic(mesh, emission, quad.n)
-    integral = float(np.sum(production * mesh.widths))
-    return FissionSourceState(source=source, production=production,
-                              production_integral=integral, k=k, ke=ke)
+    return prefactor * chi * production[:, None]
 
 
 def fission_source(flux: FluxField, geometry: SlabGeometry, materials,
@@ -103,9 +82,10 @@ def fission_source(flux: FluxField, geometry: SlabGeometry, materials,
     """Fission source built from fluxes evaluated on the source-mesh centers."""
     if not k > 0.0:
         raise ValidationError(f"k must be positive, got {k}")
-    production = _production_density(flux, geometry, materials, mesh)
-    return _source_from_production(production, geometry, materials, mesh,
-                                   quad, k, ke).source
+    production = np.sum(flux.phi * _per_cell(geometry, materials, mesh, "nu_sigma_f"),
+                        axis=1)
+    emission = _emission(production, _per_cell(geometry, materials, mesh, "chi"), k, ke)
+    return SourceField.isotropic(mesh, emission, quad.n)
 
 
 def update_keff(prev_k: float, ke: Optional[float], integral_prev: float,
@@ -155,12 +135,16 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     quad = gauss_legendre(config.sn_order)
     mesh = build_fine_mesh(geometry, config.fine_mesh_size)
     ke = config.ke
-    operator = None
     if config.solver_kind == "analytic":
         fission_scale = 0.0 if ke is None else 1.0 / ke
         spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
                    for name in set(geometry.materials)}
         operator = FixedSourceOperator(geometry, spectra, mesh, quad)
+    else:
+        operator = SweepOperator(geometry, materials, mesh, quad,
+                                 config.sweep_scheme, ke)
+    chi = _per_cell(geometry, materials, mesh, "chi")
+    nu_sigma_f = _per_cell(geometry, materials, mesh, "nu_sigma_f")
     setup_seconds = time.perf_counter() - t_setup
 
     production = _initial_production(geometry, materials, mesh, config.initial_source)
@@ -174,20 +158,17 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
 
     t_loop = time.perf_counter()
     for outer in range(1, config.max_outer + 1):
-        state = _source_from_production(production, geometry, materials, mesh,
-                                        quad, k, ke)
+        source = SourceField.isotropic(mesh, _emission(production, chi, k, ke), quad.n)
         if config.solver_kind == "analytic":
-            flux = fixed_source_solve(operator, state.source)
+            flux = fixed_source_solve(operator, source)
         else:
-            raw, sweeps = source_iteration(
-                geometry, materials, mesh, quad, state.source.q, tol / 2.0,
-                flux0=sweep_flux, ke=ke, max_inner=config.max_inner,
-                scheme=config.sweep_scheme)
-            sweep_flux = raw
+            sweep_flux, sweeps = source_iteration(
+                operator, source.q, tol / 2.0, flux0=sweep_flux,
+                max_inner=config.max_inner)
             inner_total += sweeps
-            flux = FluxField.from_psi(mesh.centers, raw, quad)
+            flux = FluxField.from_psi(mesh.centers, sweep_flux, quad)
 
-        production = _production_density(flux, geometry, materials, mesh)
+        production = np.sum(flux.phi * nu_sigma_f, axis=1)
         integral_new = float(np.sum(production * mesh.widths))
         k = update_keff(k, ke, integral_prev, integral_new)
         integral_prev = integral_new

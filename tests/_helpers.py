@@ -12,7 +12,7 @@ from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
                      SingularSystemError, ValidationError, mesh_from_edges)
 from slab_sn.analytic import _pair_rows, select_rows
 from slab_sn.spectral import exp_pair, phi_pair, phi_real
-from slab_sn.sweep import SCHEMES
+from slab_sn.model import SWEEP_SCHEMES
 
 
 def legendre_and_deriv(n, x):
@@ -186,14 +186,22 @@ def perturbed_materials(materials, entries, offsets):
 
 # ---------------------------------------------------------------------------
 # Reference oracles.  The package marches every recurrence with one blocked
-# FirstOrderScan and builds the analytic operator once per problem; the slow
-# paths below are the cell-by-cell sweep, the per-element recurrence and the
+# FirstOrderScan and builds each solver's operator once per problem; the
+# slow paths below are the cell-by-cell sweep, source iteration over it with
+# a region-by-region scattering update, the per-element recurrence and the
 # per-source analytic path that rebuilt every region and re-checked the
 # global matrix on each call.  The fast paths must match them to round-off.
 
 
-def sweep_once(smesh, quad, incoming_left, incoming_right, scheme="step"):
-    """One transport sweep with the total source frozen in smesh.q.
+def cell_sigma_t(geometry, materials, mesh):
+    """Total cross sections (M, G) of every mesh cell."""
+    return np.vstack([materials[name].sigma_t
+                      for name in geometry.materials])[mesh.region_of_cell]
+
+
+def sweep_once(mesh, sigma_t, q, quad, incoming_left, incoming_right, scheme="step"):
+    """One transport sweep with the per-cell sigma_t (M, G) and the total
+    source q (M, N*G) frozen.
 
     incoming_left holds the boundary angular flux for the mu > 0 ordinates
     (group-major, ascending mu); incoming_right for mu < 0.  Returns the
@@ -201,15 +209,14 @@ def sweep_once(smesh, quad, incoming_left, incoming_right, scheme="step"):
     (mu < 0 at the left end, mu > 0 at the right end) needed to lag
     reflective boundaries.
     """
-    if scheme not in SCHEMES:
+    if scheme not in SWEEP_SCHEMES:
         raise ValidationError(f"unknown sweep scheme {scheme!r}")
     n = quad.n
     half = n // 2
-    m_cells = smesh.mesh.n_cells
-    g = smesh.q.shape[1] // n
-    widths = smesh.mesh.widths
-    q = smesh.q.reshape(m_cells, g, n)
-    sigma_t = smesh.sigma_t
+    m_cells = mesh.n_cells
+    g = q.shape[1] // n
+    widths = mesh.widths
+    q = np.reshape(q, (m_cells, g, n))
     flux = np.empty((m_cells, g, n))
 
     # step: psi_c = (c psi_in + q)/(c + sigma_t), outgoing face = psi_c
@@ -235,6 +242,51 @@ def sweep_once(smesh, quad, incoming_left, incoming_right, scheme="step"):
     out_left = psi_in.ravel()
 
     return flux.reshape(m_cells, g * n), out_left, out_right
+
+
+def oracle_source_iteration(geometry, materials, mesh, quad, q_external,
+                            tolerance, flux0=None, ke=None, scheme="step"):
+    """Source iteration one sweep_once at a time, the scattering (and,
+    under a shift, chi nu-fission / ke) source updated region by region.
+    Returns (angular flux (M, N*G), number of sweeps)."""
+    n, half = quad.n, quad.n // 2
+    m_cells = mesh.n_cells
+    g = q_external.shape[1] // n
+    sigma_t = cell_sigma_t(geometry, materials, mesh)
+    transfer = []
+    for name in geometry.materials:
+        mat = materials[name]
+        t = mat.sigma_s.T.copy()
+        if ke is not None:
+            t += np.outer(mat.chi, mat.nu_sigma_f) / ke
+        transfer.append(t)
+    bcs = (geometry.bc_left, geometry.bc_right)
+    streaming = (all(bc.kind != "reflective" for bc in bcs)
+                 and not any(t.any() for t in transfer))
+
+    def incoming(bc, outgoing):
+        if bc.kind == "reflective":
+            return outgoing.reshape(g, half)[:, ::-1].ravel()
+        return bc.values if bc.kind == "incoming" else np.zeros(g * half)
+
+    phi = (np.zeros((m_cells, g)) if flux0 is None
+           else flux0.reshape(m_cells, g, n) @ quad.weight)
+    out_left = out_right = np.zeros(g * half)
+    for sweeps in range(1, 100000):
+        scat = np.empty((m_cells, g))
+        for r, t in enumerate(transfer):
+            cells = mesh.cells_of_region(r)
+            scat[cells] = phi[cells] @ t.T
+        q_total = q_external + np.repeat(scat / 2.0, n, axis=1)
+        flux, out_left, out_right = sweep_once(
+            mesh, sigma_t, q_total, quad, incoming(geometry.bc_left, out_left),
+            incoming(geometry.bc_right, out_right), scheme)
+        phi_new = flux.reshape(m_cells, g, n) @ quad.weight
+        change = np.linalg.norm(phi_new - phi)
+        phi = phi_new
+        if change < tolerance or streaming:
+            return flux, sweeps
+    raise AssertionError("oracle source iteration did not converge")
 
 
 UNIFORM_RTOL = 1e-12

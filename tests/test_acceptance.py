@@ -173,9 +173,9 @@ def test_acceptance_06_absorber_closed_form(capsys):
         source = SourceField.isotropic(mesh, np.full((50, 1), 2.0 * q), quad.n)
         spectra = {"abs": block_diagonalize(assemble_A(mats["abs"], quad))}
         operator = FixedSourceOperator(geo, spectra, source.mesh, quad)
-        sols, _ = solve_fixed_source(operator, source)
+        solution = solve_fixed_source(operator, source)
         xs = np.linspace(1e-3, length - 1e-3, 100)
-        psi = evaluate_flux(sols, source, xs, quad, geo).psi
+        psi = evaluate_flux(operator, solution, xs).psi
         expected = absorber_psi(xs[:, None], quad.mu[None, :], sigma_t, q, length)
         worst = max(worst, float(np.max(np.abs(psi - expected))))
     ok = worst < 1e-10
@@ -225,12 +225,11 @@ def _pincell_solution(pincell, n, m):
     spectra = {name: block_diagonalize(assemble_A(pincell.materials[name], quad))
                for name in set(pincell.geometry.materials)}
     operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
-    sols, _ = solve_fixed_source(operator, source)
-    return quad, mesh, source, sols
+    return quad, mesh, source, operator, solve_fixed_source(operator, source)
 
 
 def test_acceptance_08_transport_residual_order(pincell, capsys):
-    quad, mesh, source, sols = _pincell_solution(pincell, 4, 140)
+    quad, mesh, source, operator, solution = _pincell_solution(pincell, 4, 140)
     a_mats = {name: assemble_A(pincell.materials[name], quad).A
               for name in set(pincell.geometry.materials)}
     cells = [10, 75, 130]
@@ -240,8 +239,7 @@ def test_acceptance_08_transport_residual_order(pincell, capsys):
     def residual(h):
         worst = 0.0
         for j, x in enumerate(mesh.centers[cells]):
-            vals = evaluate_flux(sols, source, [x - h, x, x + h], quad,
-                                 pincell.geometry).psi
+            vals = evaluate_flux(operator, solution, [x - h, x, x + h]).psi
             res = (vals[2] - vals[0]) / (2.0 * h) - a_mats[names[j]] @ vals[1] \
                 - theta[:, j]
             worst = max(worst, np.max(np.abs(res)))
@@ -256,16 +254,15 @@ def test_acceptance_08_transport_residual_order(pincell, capsys):
 
 
 def test_acceptance_09_continuity_and_symmetry(pincell, capsys):
-    quad, mesh, source, sols = _pincell_solution(pincell, 4, 140)
+    quad, mesh, source, operator, solution = _pincell_solution(pincell, 4, 140)
     eps = 4e-10
     jump = 0.0
     for x in (-15.0, 15.0):
-        psi = evaluate_flux(sols, source, [x, x + eps], quad,
-                            pincell.geometry).psi
+        psi = evaluate_flux(operator, solution, [x, x + eps]).psi
         jump = max(jump, np.max(np.abs(psi[1] - psi[0])) / np.max(np.abs(psi)))
     xs = np.array([-16.8, -12.0, -3.7, 5.5, 14.2, 16.1])
-    psi = evaluate_flux(sols, source, xs, quad, pincell.geometry).psi
-    psi_r = evaluate_flux(sols, source, -xs, quad, pincell.geometry).psi
+    psi = evaluate_flux(operator, solution, xs).psi
+    psi_r = evaluate_flux(operator, solution, -xs).psi
     mirrored = psi_r.reshape(-1, 2, 4)[:, :, ::-1].reshape(-1, 8)
     sym = np.max(np.abs(mirrored - psi)) / np.max(np.abs(psi))
     ok = jump <= 1e-8 and sym <= 1e-8

@@ -30,8 +30,7 @@ def analytic_setup(geometry, materials, n, m, emission):
     source = SourceField.isotropic(mesh, emission, quad.n)
     spectra = spectra_for(geometry, materials, quad)
     operator = FixedSourceOperator(geometry, spectra, source.mesh, quad)
-    solutions, _ = solve_fixed_source(operator, source)
-    return quad, mesh, source, spectra, solutions
+    return quad, mesh, operator, solve_fixed_source(operator, source)
 
 
 class TestSelectRows:
@@ -53,10 +52,10 @@ class TestSelectRows:
 class TestGlobalSystem:
     def test_zero_source_gives_zero_alpha(self):
         geo, mats = absorber_problem(sigma_t=0.9, length=3.0)
-        quad, mesh, source, spectra, solutions = analytic_setup(geo, mats, 4, 12, 0.0)
-        for sol in solutions:
-            assert np.allclose(sol.alpha, 0.0, atol=1e-14)
-        flux = evaluate_flux(solutions, source, [0.3, 1.5, 2.9], quad, geo)
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 4, 12, 0.0)
+        for alpha in solution[0]:
+            assert np.allclose(alpha, 0.0, atol=1e-14)
+        flux = evaluate_flux(operator, solution, [0.3, 1.5, 2.9])
         assert np.allclose(flux.psi, 0.0, atol=1e-14)
 
     def test_pincell_system_shape_and_sparsity(self, pincell, quad2):
@@ -97,10 +96,10 @@ class TestClosedForms:
     def test_absorber_with_constant_source(self, n):
         sigma_t, length, q = 1.3, 4.0, 0.75
         geo, mats = absorber_problem(sigma_t=sigma_t, length=length)
-        quad, mesh, source, spectra, solutions = analytic_setup(
+        quad, mesh, operator, solution = analytic_setup(
             geo, mats, n, 10, 2.0 * q)  # emission 2q -> q per ordinate
         xs = np.linspace(0.013, length - 0.013, 40)
-        flux = evaluate_flux(solutions, source, xs, quad, geo)
+        flux = evaluate_flux(operator, solution, xs)
         expected = absorber_psi(xs[:, None], quad.mu[None, :], sigma_t, q, length)
         assert np.max(np.abs(flux.psi - expected)) < 1e-10
 
@@ -110,9 +109,9 @@ class TestClosedForms:
         geo, mats = absorber_problem(
             sigma_t=sigma_t, length=length,
             bc_left=BoundaryCondition.incoming(beam))
-        quad, mesh, source, spectra, solutions = analytic_setup(geo, mats, 4, 15, 0.0)
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 4, 15, 0.0)
         xs = np.linspace(0.0, length, 31)
-        flux = evaluate_flux(solutions, source, xs, quad, geo)
+        flux = evaluate_flux(operator, solution, xs)
         psi = flux.psi.reshape(xs.size, 1, 4)
         mu_pos = quad.mu[2:]
         expected = beam[None, :] * np.exp(-sigma_t * xs[:, None] / mu_pos[None, :])
@@ -120,10 +119,9 @@ class TestClosedForms:
         assert np.max(np.abs(psi[:, 0, :2])) < 1e-14
 
     def test_scalar_flux_consistent_with_weights(self, pincell):
-        quad, mesh, source, spectra, solutions = analytic_setup(
+        quad, mesh, operator, solution = analytic_setup(
             pincell.geometry, pincell.materials, 4, 70, 1.0)
-        flux = evaluate_flux(solutions, source, mesh.centers[::7], quad,
-                             pincell.geometry)
+        flux = evaluate_flux(operator, solution, mesh.centers[::7])
         psi = flux.psi.reshape(-1, 2, 4)
         assert np.max(np.abs(psi @ quad.weight - flux.phi)) < 1e-12
 
@@ -141,11 +139,10 @@ class TestTransportConsistency:
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
         operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
-        solutions, _ = solve_fixed_source(operator, source)
+        solution = solve_fixed_source(operator, source)
         eps = 4e-10
         for x in (-15.0, 15.0):
-            flux = evaluate_flux(solutions, source, [x, x + eps], quad,
-                                 pincell.geometry)
+            flux = evaluate_flux(operator, solution, [x, x + eps])
             scale = np.max(np.abs(flux.psi))
             assert np.max(np.abs(flux.psi[1] - flux.psi[0])) <= 1e-8 * scale
 
@@ -157,7 +154,7 @@ class TestTransportConsistency:
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
         operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
-        solutions, _ = solve_fixed_source(operator, source)
+        solution = solve_fixed_source(operator, source)
         a_mats = {name: assemble_A(pincell.materials[name], quad).A
                   for name in set(pincell.geometry.materials)}
         cells = [10, 75, 130]
@@ -168,8 +165,7 @@ class TestTransportConsistency:
         def residual(h):
             worst = 0.0
             for j, x in enumerate(centers):
-                vals = evaluate_flux(solutions, source, [x - h, x, x + h], quad,
-                                     pincell.geometry).psi
+                vals = evaluate_flux(operator, solution, [x - h, x, x + h]).psi
                 deriv = (vals[2] - vals[0]) / (2.0 * h)
                 res = deriv - a_mats[mat_names[j]] @ vals[1] - theta[:, j]
                 worst = max(worst, np.max(np.abs(res)))
@@ -185,7 +181,7 @@ class TestTransportConsistency:
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
         operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
-        solutions, _ = solve_fixed_source(operator, source)
+        solution = solve_fixed_source(operator, source)
         gl_x, gl_w = np.polynomial.legendre.leggauss(4)
         mu_w = np.tile(quad.mu * quad.weight, 2)
         geo = pincell.geometry
@@ -199,10 +195,10 @@ class TestTransportConsistency:
             half = mesh.widths[cells] / 2.0
             pts = (mids[:, None] + half[:, None] * gl_x[None, :]).ravel()
             wts = (half[:, None] * gl_w[None, :]).ravel()
-            phi = evaluate_flux(solutions, source, pts, quad, geo).phi
+            phi = evaluate_flux(operator, solution, pts).phi
             absorption = np.sum(wts[:, None] * phi * sigma_a[None, :])
-            edges = evaluate_flux(solutions, source,
-                                  [geo.edges[r], geo.edges[r + 1]], quad, geo).psi
+            edges = evaluate_flux(operator, solution,
+                                  [geo.edges[r], geo.edges[r + 1]]).psi
             leakage = (edges[1] - edges[0]) @ mu_w
             src = np.sum(emission_per_group[cells] * mesh.widths[cells][:, None])
             assert leakage + absorption == pytest.approx(src, rel=1e-6)
@@ -245,12 +241,12 @@ def mirror_setup(rng):
 class TestSymmetry:
     def test_mirrored_problem_mirrors_fluxes(self, rng):
         geo, geo_m, mats, emission = mirror_setup(rng)
-        quad, mesh, source, spectra, sols = analytic_setup(geo, mats, 4, 25, emission)
-        _, mesh_m, source_m, spectra_m, sols_m = analytic_setup(
+        quad, mesh, op, sol = analytic_setup(geo, mats, 4, 25, emission)
+        _, mesh_m, op_m, sol_m = analytic_setup(
             geo_m, mats, 4, 25, emission[::-1])
         xs = np.array([0.1, 0.9, 1.999, 2.0, 3.7, 4.96])
-        psi = evaluate_flux(sols, source, xs, quad, geo).psi
-        psi_m = evaluate_flux(sols_m, source_m, -xs, quad, geo_m).psi
+        psi = evaluate_flux(op, sol, xs).psi
+        psi_m = evaluate_flux(op_m, sol_m, -xs).psi
         assert np.max(np.abs(psi_m[:, ::-1] - psi)) <= 1e-10 * np.max(np.abs(psi))
 
     def test_symmetric_problem_self_mirror(self, pincell):
@@ -259,10 +255,10 @@ class TestSymmetry:
         source = pincell_chi_absx_source(pincell, mesh, quad)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
         operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
-        solutions, _ = solve_fixed_source(operator, source)
+        solution = solve_fixed_source(operator, source)
         xs = np.array([-16.2, -9.0, -1.3, 4.4, 12.5])
-        psi = evaluate_flux(solutions, source, xs, quad, pincell.geometry).psi
-        psi_r = evaluate_flux(solutions, source, -xs, quad, pincell.geometry).psi
+        psi = evaluate_flux(operator, solution, xs).psi
+        psi_r = evaluate_flux(operator, solution, -xs).psi
         flipped = psi_r.reshape(-1, 2, 4)[:, :, ::-1].reshape(-1, 8)
         assert np.max(np.abs(flipped - psi)) <= 1e-8 * np.max(np.abs(psi))
 
@@ -271,20 +267,20 @@ class TestSymmetry:
         full = SlabGeometry(edges=np.array([-4.0, 4.0]), materials=("s",))
         half = SlabGeometry(edges=np.array([0.0, 4.0]), materials=("s",),
                             bc_left=BoundaryCondition.reflective())
-        quad, _, src_full, _, sols_full = analytic_setup(full, mats, 4, 64, 1.0)
-        _, _, src_half, _, sols_half = analytic_setup(half, mats, 4, 32, 1.0)
+        quad, _, op_full, sol_full = analytic_setup(full, mats, 4, 64, 1.0)
+        _, _, op_half, sol_half = analytic_setup(half, mats, 4, 32, 1.0)
         xs = np.array([0.25, 1.75, 3.125])
-        psi_full = evaluate_flux(sols_full, src_full, xs, quad, full).psi
-        psi_half = evaluate_flux(sols_half, src_half, xs, quad, half).psi
+        psi_full = evaluate_flux(op_full, sol_full, xs).psi
+        psi_half = evaluate_flux(op_half, sol_half, xs).psi
         assert np.max(np.abs(psi_full - psi_half)) <= 1e-9 * np.max(np.abs(psi_full))
 
 
 class TestErrors:
     def test_point_out_of_domain(self):
         geo, mats = absorber_problem()
-        quad, mesh, source, spectra, solutions = analytic_setup(geo, mats, 2, 8, 1.0)
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 2, 8, 1.0)
         with pytest.raises(PointOutOfDomainError):
-            evaluate_flux(solutions, source, [-0.5], quad, geo)
+            evaluate_flux(operator, solution, [-0.5])
 
     def test_operator_rejects_source_on_another_mesh(self, pincell, quad2):
         spectra = spectra_for(pincell.geometry, pincell.materials, quad2)
@@ -340,10 +336,10 @@ class TestOperatorEquivalence:
             psi = fixed_source_solve(operator, source).psi
             worst = max(worst, max_rel_diff(
                 psi, oracle_fixed_source(geo, spectra, source, quad)))
-            solutions, _ = solve_fixed_source(operator, source)
+            solution = solve_fixed_source(operator, source)
             points = np.concatenate([rng.uniform(geo.edges[0], geo.edges[-1], 20),
                                      geo.edges])
-            psi = evaluate_flux(solutions, source, points, quad, geo).psi
+            psi = evaluate_flux(operator, solution, points).psi
             worst = max(worst, max_rel_diff(
                 psi, oracle_fixed_source(geo, spectra, source, quad, points)))
         assert worst <= 1e-12

@@ -43,10 +43,3 @@ class TestRunBenchmark:
         assert report.cells == []
         assert len(report.failed) == 1
         assert "MaxOuterIterationsError" in report.failed[0]["error"]
-
-    def test_parallel_flag_annotates_report(self, pincell):
-        cells = [BenchCell("analytic", 2), BenchCell("analytic", 4)]
-        report = run_benchmark(pincell, cells, parallel=True, warmup=False)
-        assert report.parallel
-        assert "concurrently" in report.to_json_dict()["timing_note"]
-        assert len(report.cells) == 2

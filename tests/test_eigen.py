@@ -188,6 +188,41 @@ class TestPowerIteration:
         assert res.timing["setup_seconds"] >= 0.0
 
 
+    def test_each_solve_builds_one_operator_and_checks_sweep_inputs_first(
+            self, pincell, monkeypatch):
+        import slab_sn.eigen as eigen
+        calls = {"FixedSourceOperator": 0, "SweepOperator": 0, "source_iteration": 0}
+
+        def counted(name):
+            original = getattr(eigen, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(eigen, name, counted(name))
+        for kind, built in (("analytic", "FixedSourceOperator"), ("sweep", "SweepOperator")):
+            calls.update(dict.fromkeys(calls, 0))
+            res = self.run(pincell, solver_kind=kind, flux_tolerance=2e-4)
+            assert calls[built] == 1
+            assert calls["FixedSourceOperator"] + calls["SweepOperator"] == 1
+            assert calls["source_iteration"] == (res.iterations if kind == "sweep" else 0)
+
+        # sweep input errors surface in setup, before any inner iteration
+        core = pincell.materials["core"]
+        kernel = np.kron(core.sigma_s.T, np.full((2, 2), 0.5))
+        with_kernel = dict(pincell.materials, core=replace(core, scatter_kernel=kernel))
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(ValidationError, match="isotropic"):
+            power_iteration(pincell.geometry, with_kernel,
+                            replace(pincell.config, sn_order=2, solver_kind="sweep"))
+        with pytest.raises(ValidationError, match="ratio"):
+            self.run(pincell, solver_kind="sweep", ke=1.3)
+        assert calls["source_iteration"] == 0
+
+
 class TestInfiniteMediumLimit:
     def test_reflective_core_slab_reproduces_k_inf(self, pincell):
         core = pincell.materials["core"]

@@ -1,28 +1,32 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from _helpers import (absorber_problem, graded_mesh, one_group_material,
+from _helpers import (absorber_problem, cell_sigma_t, graded_mesh,
+                      one_group_material, oracle_source_iteration, random_slab,
                       sweep_once)
 from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
                      MaxInnerIterationsError, SlabGeometry, SourceField,
-                     SweepMesh, ValidationError, assemble_A,
+                     SweepOperator, ValidationError, assemble_A,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
                      gauss_legendre, solve_fixed_source, source_iteration,
                      sweep_fixed_source)
 
 
 def simple_sweep_mesh(geometry, materials, n_cells, quad, q_value=0.0):
+    """(mesh, per-cell sigma_t, constant per-ordinate source q)."""
     mesh = build_fine_mesh(geometry, n_cells)
     g = materials[geometry.materials[0]].n_groups
     q = np.full((n_cells, g * quad.n), q_value)
-    return mesh, SweepMesh.build(geometry, materials, mesh, q)
+    return mesh, cell_sigma_t(geometry, materials, mesh), q
 
 
 class TestSweepOnce:
     def test_single_cell_closure(self, quad2):
         geo, mats = absorber_problem(sigma_t=1.0, length=1.0)
-        _, smesh = simple_sweep_mesh(geo, mats, 1, quad2)
-        flux, out_left, out_right = sweep_once(smesh, quad2, [1.0], [0.0])
+        mesh, sigma_t, q = simple_sweep_mesh(geo, mats, 1, quad2)
+        flux, out_left, out_right = sweep_once(mesh, sigma_t, q, quad2, [1.0], [0.0])
         mu = quad2.mu[1]
         assert flux[0, 1] == pytest.approx(mu / (mu + 1.0), rel=1e-14)
         assert out_right[0] == pytest.approx(mu / (mu + 1.0), rel=1e-14)
@@ -30,8 +34,9 @@ class TestSweepOnce:
 
     def test_zero_source_vacuum_is_zero(self, quad4):
         geo, mats = absorber_problem(sigma_t=0.5, length=2.0)
-        _, smesh = simple_sweep_mesh(geo, mats, 10, quad4)
-        flux, out_left, out_right = sweep_once(smesh, quad4, np.zeros(2), np.zeros(2))
+        mesh, sigma_t, q = simple_sweep_mesh(geo, mats, 10, quad4)
+        flux, out_left, out_right = sweep_once(mesh, sigma_t, q, quad4, np.zeros(2),
+                                               np.zeros(2))
         assert np.all(flux == 0.0) and np.all(out_left == 0.0) and np.all(out_right == 0.0)
 
     def test_discrete_balance_per_cell(self, quad4, rng):
@@ -40,10 +45,9 @@ class TestSweepOnce:
         geo = SlabGeometry(edges=np.array([0.0, 3.0]), materials=("m",))
         mesh = build_fine_mesh(geo, 7)
         q = rng.uniform(0.0, 2.0, size=(7, 4))
-        smesh = SweepMesh.build(geo, mats, mesh, q)
         inc_l = rng.uniform(0.0, 1.0, 2)
         inc_r = rng.uniform(0.0, 1.0, 2)
-        flux, _, _ = sweep_once(smesh, quad4, inc_l, inc_r)
+        flux, _, _ = sweep_once(mesh, cell_sigma_t(geo, mats, mesh), q, quad4, inc_l, inc_r)
         dx = mesh.widths
         for j, mu in enumerate(quad4.mu):
             order = range(7) if mu > 0 else range(6, -1, -1)
@@ -56,9 +60,9 @@ class TestSweepOnce:
 
     def test_rejects_unknown_scheme(self, quad2):
         geo, mats = absorber_problem()
-        _, smesh = simple_sweep_mesh(geo, mats, 4, quad2)
+        mesh, sigma_t, q = simple_sweep_mesh(geo, mats, 4, quad2)
         with pytest.raises(ValidationError):
-            sweep_once(smesh, quad2, [0.0], [0.0], scheme="upstream")
+            sweep_once(mesh, sigma_t, q, quad2, [0.0], [0.0], scheme="upstream")
 
 
 def absorber_cell_average(edges, mu, sigma_t, q):
@@ -77,8 +81,9 @@ class TestSchemeAccuracy:
         geo, mats = absorber_problem(sigma_t=sigma_t, length=length)
         errs = []
         for n_cells in (20, 40):
-            mesh, smesh = simple_sweep_mesh(geo, mats, n_cells, quad2, q)
-            flux, _, _ = sweep_once(smesh, quad2, [0.0], [0.0], scheme=scheme)
+            mesh, sigma_t, q_cells = simple_sweep_mesh(geo, mats, n_cells, quad2, q)
+            flux, _, _ = sweep_once(mesh, sigma_t, q_cells, quad2, [0.0], [0.0],
+                                    scheme=scheme)
             exact = absorber_cell_average(mesh.edges, quad2.mu[1], sigma_t, q)
             errs.append(np.max(np.abs(flux[:, 1] - exact)))
         assert errs[0] / errs[1] == pytest.approx(2.0 ** order, rel=0.25)
@@ -89,7 +94,7 @@ class TestSourceIteration:
         geo, mats = absorber_problem(sigma_t=1.0, length=2.0)
         mesh = build_fine_mesh(geo, 10)
         q = np.full((10, 2), 0.3)
-        flux, sweeps = source_iteration(geo, mats, mesh, quad2, q, 1e-8)
+        flux, sweeps = source_iteration(SweepOperator(geo, mats, mesh, quad2), q, 1e-8)
         assert sweeps == 1
         assert np.all(flux[:, 1] > 0.0)
 
@@ -100,7 +105,8 @@ class TestSourceIteration:
             geo = SlabGeometry(edges=np.array([0.0, 6.0]), materials=("s",))
             mesh = build_fine_mesh(geo, 60)
             q = np.full((60, 2), 1.0)
-            _, sweeps = source_iteration(geo, {"s": mats["s"]}, mesh, quad2, q, 1e-7)
+            operator = SweepOperator(geo, {"s": mats["s"]}, mesh, quad2)
+            _, sweeps = source_iteration(operator, q, 1e-7)
             counts.append(sweeps)
         assert counts[0] < counts[1] < counts[2]
 
@@ -116,8 +122,8 @@ class TestSourceIteration:
         changes = []
         for _ in range(40):
             q_total = q + np.repeat(c * phi[:, None] / 2.0, 2, axis=1)
-            smesh = SweepMesh.build(geo, mats, mesh, q_total)
-            flux, _, _ = sweep_once(smesh, quad2, [0.0], [0.0])
+            flux, _, _ = sweep_once(mesh, cell_sigma_t(geo, mats, mesh), q_total,
+                                    quad2, [0.0], [0.0])
             phi_new = flux.reshape(100, 1, 2) @ quad2.weight
             phi_new = phi_new[:, 0]
             changes.append(np.linalg.norm(phi_new - phi))
@@ -132,7 +138,8 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 2.5]), materials=("reflector",))
         mesh = build_fine_mesh(geo, 50)
         q = np.full((50, 4), 1.0)
-        flux, sweeps = source_iteration(geo, {"reflector": refl}, mesh, quad2, q, 1e-7)
+        operator = SweepOperator(geo, {"reflector": refl}, mesh, quad2)
+        flux, sweeps = source_iteration(operator, q, 1e-7)
         assert sweeps > 1 and np.all(np.isfinite(flux))
 
     def test_max_inner_iterations(self, quad2):
@@ -140,15 +147,15 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 40.0]), materials=("s",))
         mesh = build_fine_mesh(geo, 40)
         with pytest.raises(MaxInnerIterationsError):
-            source_iteration(geo, mats, mesh, quad2, np.ones((40, 2)), 1e-12,
-                             max_inner=5)
+            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.ones((40, 2)),
+                             1e-12, max_inner=5)
 
     def test_rejects_scattering_ratio_of_one(self, quad2):
         mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=1.0)}
         geo = SlabGeometry(edges=np.array([0.0, 1.0]), materials=("s",))
         mesh = build_fine_mesh(geo, 4)
         with pytest.raises(ValidationError, match="ratio"):
-            source_iteration(geo, mats, mesh, quad2, np.ones((4, 2)), 1e-6)
+            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.ones((4, 2)), 1e-6)
 
     def test_shift_folds_fission_into_source(self, pincell, quad2):
         # a weak shift keeps every folded scattering ratio below one
@@ -156,9 +163,10 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 5.0]), materials=("core",))
         mesh = build_fine_mesh(geo, 25)
         q = np.full((25, 4), 0.2)
-        flux_plain, _ = source_iteration(geo, {"core": core}, mesh, quad2, q, 1e-9)
-        flux_shift, _ = source_iteration(geo, {"core": core}, mesh, quad2, q, 1e-9,
-                                         ke=5.0)
+        flux_plain, _ = source_iteration(
+            SweepOperator(geo, {"core": core}, mesh, quad2), q, 1e-9)
+        flux_shift, _ = source_iteration(
+            SweepOperator(geo, {"core": core}, mesh, quad2, ke=5.0), q, 1e-9)
         # folded fission production must increase the flux
         assert flux_shift.sum() > flux_plain.sum()
 
@@ -169,8 +177,8 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 5.0]), materials=("core",))
         mesh = build_fine_mesh(geo, 25)
         with pytest.raises(ValidationError, match="ratio"):
-            source_iteration(geo, {"core": core}, mesh, quad2,
-                             np.full((25, 4), 0.2), 1e-9, ke=1.3)
+            source_iteration(SweepOperator(geo, {"core": core}, mesh, quad2, ke=1.3),
+                             np.full((25, 4), 0.2), 1e-9)
 
     def test_reflective_half_slab_matches_full(self, quad4):
         mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=0.6)}
@@ -179,9 +187,9 @@ class TestSourceIteration:
                             bc_left=BoundaryCondition.reflective())
         mesh_f = build_fine_mesh(full, 64)
         mesh_h = build_fine_mesh(half, 32)
-        flux_f, _ = source_iteration(full, mats, mesh_f, quad4,
+        flux_f, _ = source_iteration(SweepOperator(full, mats, mesh_f, quad4),
                                      np.full((64, 4), 0.5), 1e-11)
-        flux_h, _ = source_iteration(half, mats, mesh_h, quad4,
+        flux_h, _ = source_iteration(SweepOperator(half, mats, mesh_h, quad4),
                                      np.full((32, 4), 0.5), 1e-11)
         assert np.allclose(flux_h, flux_f[32:], atol=1e-8 * flux_f.max())
 
@@ -203,12 +211,12 @@ class TestCrossSolver:
         spectra = {n: block_diagonalize(assemble_A(mats[n], quad))
                    for n in set(geo.materials)}
         operator = FixedSourceOperator(geo, spectra, src_a.mesh, quad)
-        sols, _ = solve_fixed_source(operator, src_a)
+        solution = solve_fixed_source(operator, src_a)
 
         mesh_s = build_fine_mesh(geo, 700)
-        flux_s = sweep_fixed_source(geo, mats, mesh_s, quad, chi_absx(mesh_s),
-                                    1e-9, scheme="diamond")
-        phi_a = evaluate_flux(sols, src_a, mesh_s.centers, quad, geo).phi
+        flux_s = sweep_fixed_source(SweepOperator(geo, mats, mesh_s, quad, "diamond"),
+                                    chi_absx(mesh_s), 1e-9)
+        phi_a = evaluate_flux(operator, solution, mesh_s.centers).phi
         mask = phi_a > 1e-3 * phi_a.max()
         rel = np.abs(flux_s.phi - phi_a)[mask] / phi_a[mask]
         assert rel.max() < 0.005
@@ -226,25 +234,36 @@ class TestFastPathConsistency:
     def test_planned_sweep_equals_reference(self, pincell, rng, n, scheme, bc, graded):
         # with reflective ends, three lagged sweeps feed each sweep's
         # mirrored outgoing flux back in, as source_iteration does
-        from slab_sn.sweep import _SweepPlan
         geo, mats = pincell.geometry, pincell.materials
         quad = gauss_legendre(n)
         mesh = graded_mesh(geo, (9, 50, 11)) if graded else build_fine_mesh(geo, 70)
         q = rng.uniform(0.0, 1.0, size=(70, 2 * n))
-        smesh = SweepMesh.build(geo, mats, mesh, q)
-        plan = _SweepPlan(smesh, quad, scheme)
-        inc_ref = inc_fast = (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+        sigma_t = cell_sigma_t(geo, mats, mesh)
+        inc_ref = (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
 
         def mirror(out):
             return out.reshape(2, n // 2)[:, ::-1].ravel()
 
+        if bc == "reflective":
+            # the first sweep's incoming flux is the mirror image of out
+            ends = BoundaryCondition.reflective(), BoundaryCondition.reflective()
+            out = np.concatenate([mirror(inc_ref[0]).reshape(2, n // 2),
+                                  mirror(inc_ref[1]).reshape(2, n // 2)], axis=1)
+        else:
+            ends = tuple(BoundaryCondition.incoming(inc) for inc in inc_ref)
+            out = np.zeros((2, n))
+        geo = replace(geo, bc_left=ends[0], bc_right=ends[1])
+        operator = SweepOperator(geo, mats, mesh, quad, scheme)
+        q_scan = operator.scan_order(q.reshape(70, 2, n))
         for _ in range(3 if bc == "reflective" else 1):
-            ref, ol_ref, or_ref = sweep_once(smesh, quad, *inc_ref, scheme=scheme)
-            fast, ol, orr = plan.sweep(q.reshape(70, 2, n), *inc_fast)
-            assert np.allclose(fast.reshape(70, 2 * n), ref, atol=1e-14)
-            assert np.allclose(ol, ol_ref, atol=1e-14)
-            assert np.allclose(orr, or_ref, atol=1e-14)
-            inc_ref, inc_fast = (mirror(ol_ref), mirror(or_ref)), (mirror(ol), mirror(orr))
+            ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref,
+                                             scheme=scheme)
+            fast, out = operator.sweep(q_scan, out)
+            assert np.allclose(operator.scan_order(fast).reshape(70, 2 * n), ref,
+                               atol=1e-14)
+            assert np.allclose(out[:, :n // 2].ravel(), ol_ref, atol=1e-14)
+            assert np.allclose(out[:, n // 2:].ravel(), or_ref, atol=1e-14)
+            inc_ref = (mirror(ol_ref), mirror(or_ref))
 
     def test_converged_flux_is_a_sweep_fixed_point(self, pincell, quad2):
         # one reference sweep of the converged total source must reproduce
@@ -252,7 +271,7 @@ class TestFastPathConsistency:
         geo, mats = pincell.geometry, pincell.materials
         mesh = build_fine_mesh(geo, 70)
         q_ext = np.full((70, 4), 0.1)
-        flux, _ = source_iteration(geo, mats, mesh, quad2, q_ext, 1e-12)
+        flux, _ = source_iteration(SweepOperator(geo, mats, mesh, quad2), q_ext, 1e-12)
         phi = flux.reshape(70, 2, 2) @ quad2.weight
         scat = np.empty((70, 2))
         for r in range(geo.n_regions):
@@ -260,6 +279,37 @@ class TestFastPathConsistency:
             t = mats[geo.materials[r]].sigma_s.T
             scat[cells] = phi[cells] @ t.T
         q_total = q_ext + np.repeat(scat / 2.0, 2, axis=1)
-        smesh = SweepMesh.build(geo, mats, mesh, q_total)
-        again, _, _ = sweep_once(smesh, quad2, np.zeros(2), np.zeros(2))
+        again, _, _ = sweep_once(mesh, cell_sigma_t(geo, mats, mesh), q_total, quad2,
+                                 np.zeros(2), np.zeros(2))
         assert np.allclose(again, flux, atol=1e-11 * flux.max())
+
+    def test_random_slabs_match_oracle(self):
+        # whole inner iterations, sweep for sweep, against sweep_once plus a
+        # region-by-region scattering update
+        rng = np.random.default_rng(20240311)
+        kinds, worst = set(), 0.0
+        for trial in range(24):
+            n_groups = int(rng.integers(1, 4))
+            quad = gauss_legendre(int(rng.choice([2, 4, 8])))
+            geo, mats = random_slab(rng, n_groups, int(rng.integers(1, 7)), quad.n)
+            kinds |= {geo.bc_left.kind, geo.bc_right.kind}
+            scheme = ("step", "diamond")[trial % 2]
+            ke = None
+            if trial % 4 >= 2:
+                # k_e that keeps every folded ratio at or below 0.92 (1 without fission)
+                ke = 1.25 * max(np.max(m.nu_sigma_f / (m.sigma_t - m.sigma_s.sum(axis=1)))
+                                for m in mats.values()) or 1.0
+            counts = rng.integers(1, 9, geo.n_regions)
+            mesh = (graded_mesh(geo, counts) if trial % 3 == 0
+                    else build_fine_mesh(geo, int(counts.sum())))
+            shape = (mesh.n_cells, n_groups * quad.n)
+            q = rng.uniform(0.0, 1.0, shape)
+            flux0 = rng.uniform(0.0, 1.0, shape) if trial % 5 == 0 else None
+            operator = SweepOperator(geo, mats, mesh, quad, scheme, ke)
+            psi, sweeps = source_iteration(operator, q, 1e-10, flux0=flux0)
+            ref, ref_sweeps = oracle_source_iteration(geo, mats, mesh, quad, q, 1e-10,
+                                                      flux0=flux0, ke=ke, scheme=scheme)
+            assert sweeps == ref_sweeps, trial
+            worst = max(worst, np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
+        assert kinds == {"vacuum", "reflective", "incoming"}
+        assert worst <= 1e-12
