@@ -26,13 +26,14 @@ Applying it to a source projects the source onto the blocks, runs the cell
 recurrence for J as one FirstOrderScan per region, forms the right-hand
 side, multiplies by the inverse and evaluates Psi at the cell centres.
 
-Every block is handled as one complex scalar: a real eigenvalue lambda as
-itself, a 2x2 pair block as conj(z), which is how it acts on u1 + i u2.
-Within a region the blocks are kept in scan order: those anchored at the
-left edge first, then those anchored at the right edge, whose per-cell
-arrays run in reversed cell order.  Both kinds then march forward in one
-recurrence with the decaying rate rho (Re rho <= 0), and a cell's upwind
-edge is the one its recurrence enters through.
+Every block is handled as one complex scalar, taken with the encoding
+from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
+block as conj(z), which is how it acts on u1 + i u2.  Within a region the
+blocks are kept in scan order: those anchored at the left edge first, then
+those anchored at the right edge, whose per-cell arrays run in reversed
+cell order.  Both kinds then march forward in one recurrence with the
+decaying rate rho (Re rho <= 0), and a cell's upwind edge is the one its
+recurrence enters through.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .exceptions import (PointOutOfDomainError, SingularSystemError,
 from .mesh import FineMesh, FluxField, SourceField
 from .model import QuadratureSet, SlabGeometry
 from .recurrence import FirstOrderScan
-from .spectral import BlockSpectrum, exp_pair, phi_pair
+from .spectral import BlockSpectrum, exp_block, phi_block
 
 SOLVE_RCOND_MIN = 1e-14
 
@@ -105,7 +106,7 @@ def _factors(rho, anchor, upwind):
     """Per (point, block): e^{rho anchor}, the homogeneous factor at distance
     anchor from the block's anchor edge, and the step e^{rho u} and source
     integral phi(rho, u) over distance u from the upwind cell edge."""
-    return exp_pair(rho, anchor), exp_pair(rho, upwind), phi_pair(rho, upwind)
+    return exp_block(rho, anchor), exp_block(rho, upwind), phi_block(rho, upwind)
 
 
 class _Particular(NamedTuple):
@@ -126,19 +127,14 @@ class _Region:
         self.length = x_right - x_left
         self.t_edges = t_edges
         self.cells = cells
-        rate = np.concatenate([spec.real_lams, np.conj(spec.pair_z)])
-        col = np.concatenate([spec.real_cols, spec.pair_cols])
-        pair = np.arange(rate.size) >= spec.real_lams.size
-        order = np.argsort(rate.real > 0.0, kind="stable")
-        rate, col, pair = rate[order], col[order], pair[order]
+        order = np.argsort(spec.rates.real > 0.0, kind="stable")
+        rate = spec.rates.conj()[order]
         self.forward = rate.real <= 0.0
         self.nf = int(np.count_nonzero(self.forward))
         self.rho = np.where(self.forward, rate, -rate)
         # enc maps real coefficients to block scalars; expand maps block
         # scalars back to angular flux rows (psi = Re(x @ expand))
-        self.enc = np.zeros((rate.size, spec.size), dtype=complex)
-        self.enc[np.arange(rate.size), col] = 1.0
-        self.enc[np.nonzero(pair)[0], col[pair] + 1] = 1j
+        self.enc = spec.encoding[order]
         self.expand = self.enc.conj() @ spec.P.T
         g = spec.size // quad.n
         sign = np.where(self.forward, 1.0, -1.0)
@@ -169,7 +165,7 @@ class _Region:
     def pg(self, side: str) -> np.ndarray:
         """P @ Gtilde at the left or right edge, in the real block basis."""
         far = ~self.forward if side == "left" else self.forward
-        scale = exp_pair(self.rho, np.where(far, self.length, 0.0))
+        scale = exp_block(self.rho, np.where(far, self.length, 0.0))
         return ((self.expand.T * scale[None, :]) @ self.enc).real
 
     def edge_psi(self, part: _Particular):
@@ -268,9 +264,7 @@ class FixedSourceOperator:
 
     def particular(self, source: SourceField):
         """Per-region projected source and particular solution."""
-        if source.mesh is not self.mesh and not np.array_equal(source.mesh.edges,
-                                                               self.mesh.edges):
-            raise ValidationError("source mesh differs from the operator's mesh")
+        self.mesh.require_same(source.mesh)
         return [reg.particular(source.q[reg.cells]) for reg in self.regions]
 
     def system(self, particular) -> GlobalSystem:

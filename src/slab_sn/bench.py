@@ -66,15 +66,14 @@ def default_cells(orders=(2, 4, 8, 16), solvers=("analytic", "sweep"), kes=(None
             for s in solvers for n in orders for ke in kes]
 
 
-def _run_cell(problem: Problem, cell: BenchCell, warmup: bool) -> dict:
+def _run_cell(problem: Problem, cell: BenchCell) -> dict:
     config = replace(problem.config, solver_kind=cell.solver_kind,
                      sn_order=cell.sn_order, ke=cell.ke)
-    if warmup:
-        try:
-            power_iteration(problem.geometry, problem.materials,
-                            replace(config, max_outer=1))
-        except TransportError:
-            pass  # a one-iteration run rarely converges; that is fine
+    try:
+        power_iteration(problem.geometry, problem.materials,
+                        replace(config, max_outer=1))
+    except TransportError:
+        pass  # a one-iteration run rarely converges; that is fine
     t0 = time.perf_counter()
     result = power_iteration(problem.geometry, problem.materials, config)
     total = time.perf_counter() - t0
@@ -97,7 +96,6 @@ def _run_cell(problem: Problem, cell: BenchCell, warmup: bool) -> dict:
 
 
 def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
-                  warmup: bool = True,
                   problem_name: str = "problem") -> BenchmarkReport:
     """Run every cell; failures are recorded, not raised.
 
@@ -110,7 +108,7 @@ def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
     results, failed = [], []
     for cell in cells:
         try:
-            results.append(_run_cell(problem, cell, warmup))
+            results.append(_run_cell(problem, cell))
         except TransportError as exc:
             failed.append({"name": cell.name, "error": f"{type(exc).__name__}: {exc}"})
 

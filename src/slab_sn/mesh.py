@@ -46,6 +46,12 @@ class FineMesh:
     def cells_of_region(self, r: int) -> np.ndarray:
         return np.nonzero(self.region_of_cell == r)[0]
 
+    def require_same(self, other: "FineMesh") -> None:
+        """Raise ValidationError unless other has this mesh's cell edges
+        (a source built on other cannot be solved on this mesh)."""
+        if other is not self and not np.array_equal(other.edges, self.edges):
+            raise ValidationError("source mesh differs from the operator's mesh")
+
 
 def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
     """Uniform-per-region mesh with exactly n_cells cells total.

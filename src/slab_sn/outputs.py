@@ -120,8 +120,8 @@ def dump_matrices(outdir, transport_matrices, spectra) -> None:
     """Debug dump of A, P, B per material as CSV."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, tm in transport_matrices.items():
-        np.savetxt(outdir / f"A_{name}.csv", tm.A, delimiter=",")
+    for name, a in transport_matrices.items():
+        np.savetxt(outdir / f"A_{name}.csv", a, delimiter=",")
     for name, spec in spectra.items():
         np.savetxt(outdir / f"P_{name}.csv", spec.P, delimiter=",")
         np.savetxt(outdir / f"B_{name}.csv", spec.B, delimiter=",")

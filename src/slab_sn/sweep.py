@@ -187,5 +187,6 @@ def source_iteration(operator: SweepOperator, q_external: np.ndarray,
 def sweep_fixed_source(operator: SweepOperator, source: SourceField,
                        tolerance: float, *, max_inner: int = 5000) -> FluxField:
     """Converged sweep solution as a FluxField at the cell centers."""
+    operator.mesh.require_same(source.mesh)
     flux, _ = source_iteration(operator, source.q, tolerance, max_inner=max_inner)
     return FluxField.from_psi(operator.mesh.centers, flux, operator.quad)

@@ -8,10 +8,10 @@ import numpy as np
 from scipy.signal import lfilter
 
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
-                     BlockSpectrum, ComplexPairBlock, RealBlock,
-                     SingularSystemError, ValidationError, mesh_from_edges)
+                     BlockSpectrum, SingularSystemError, ValidationError,
+                     mesh_from_edges)
 from slab_sn.analytic import _pair_rows, select_rows
-from slab_sn.spectral import exp_pair, phi_pair, phi_real
+from slab_sn.spectral import PHI_TAYLOR_CUT, _guard, exp_block, phi_block
 from slab_sn.model import SWEEP_SCHEMES
 
 
@@ -110,22 +110,22 @@ def random_spectrum(rng, n, zero_block=False, max_rate=3.0):
     Built from known blocks and a controlled-conditioning P, so A is
     guaranteed diagonalizable with eigenvector condition around 10.
     """
-    blocks = []
+    rates = []
     cols = 0
     if zero_block:
-        blocks.append(RealBlock(0.0))
+        rates.append(0.0)
         cols += 1
     while cols < n:
         if n - cols >= 2 and rng.random() < 0.5:
-            blocks.append(ComplexPairBlock(rng.uniform(-max_rate, max_rate),
-                                           rng.uniform(0.1, max_rate)))
+            rates.append(complex(rng.uniform(-max_rate, max_rate),
+                                 rng.uniform(0.1, max_rate)))
             cols += 2
         else:
-            blocks.append(RealBlock(rng.uniform(-max_rate, max_rate)))
+            rates.append(rng.uniform(-max_rate, max_rate))
             cols += 1
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     p = q * rng.uniform(0.5, 2.0, size=n)[None, :]
-    spec = BlockSpectrum(P=p, P_inv=np.linalg.inv(p), blocks=tuple(blocks))
+    spec = BlockSpectrum(P=p, P_inv=np.linalg.inv(p), rates=rates)
     return p @ spec.B @ np.linalg.inv(p), spec
 
 
@@ -308,17 +308,23 @@ class _RegionWork:
         self.length = x_right - x_left
         self.t_edges = t_edges
         self.widths = np.diff(t_edges)
+        # split the blocks into real ones (one column) and pairs (two)
+        pair = spec.rates.imag > 0.0
+        width = np.where(pair, 2, 1)
+        first = np.cumsum(width) - width
+        self.real_cols, self.pair_cols = first[~pair], first[pair]
+        self.real_lams, self.pair_z = spec.rates.real[~pair], spec.rates[pair]
         # anchor each block at the edge that keeps its exponent nonpositive
-        self.real_anchor = np.where(spec.real_lams > 0.0, self.length, 0.0)
-        self.pair_anchor = np.where(spec.pair_z.real > 0.0, self.length, 0.0)
+        self.real_anchor = np.where(self.real_lams > 0.0, self.length, 0.0)
+        self.pair_anchor = np.where(self.pair_z.real > 0.0, self.length, 0.0)
         # encoded pair scalar: the 2x2 block action on (u1, u2) ~ u1 + i u2
         # is multiplication by conj(z), so all encoded math uses conj(z)
-        self.pair_zc = np.conj(spec.pair_z)
+        self.pair_zc = np.conj(self.pair_z)
         self.theta_x = spec.P_inv @ theta
-        self.theta_real = self.theta_x[spec.real_cols]
-        self.theta_pair = (self.theta_x[spec.pair_cols]
-                           + 1j * self.theta_x[spec.pair_cols + 1])
-        self.j_real = self._particular_edges(spec.real_lams, self.real_anchor,
+        self.theta_real = self.theta_x[self.real_cols]
+        self.theta_pair = (self.theta_x[self.pair_cols]
+                           + 1j * self.theta_x[self.pair_cols + 1])
+        self.j_real = self._particular_edges(self.real_lams, self.real_anchor,
                                              self.theta_real)
         self.j_pair = self._particular_edges(self.pair_zc, self.pair_anchor,
                                              self.theta_pair)
@@ -352,20 +358,20 @@ class _RegionWork:
 
     def _decode(self, real_vals, pair_vals):
         out = np.zeros(self.spec.size)
-        out[self.spec.real_cols] = real_vals
-        out[self.spec.pair_cols] = pair_vals.real
-        out[self.spec.pair_cols + 1] = pair_vals.imag
+        out[self.real_cols] = real_vals
+        out[self.pair_cols] = pair_vals.real
+        out[self.pair_cols + 1] = pair_vals.imag
         return out
 
     def pg_at(self, t):
         """P @ Gtilde(t): the anchored-basis trial functions at local t."""
         spec = self.spec
         out = np.empty_like(spec.P)
-        if spec.real_cols.size:
-            scale = np.exp(spec.real_lams * (t - self.real_anchor))
-            out[:, spec.real_cols] = spec.P[:, spec.real_cols] * scale[None, :]
-        s = exp_pair(spec.pair_z, t - self.pair_anchor)
-        for k, col in enumerate(spec.pair_cols):
+        if self.real_cols.size:
+            scale = np.exp(self.real_lams * (t - self.real_anchor))
+            out[:, self.real_cols] = spec.P[:, self.real_cols] * scale[None, :]
+        s = exp_block(self.pair_z, t - self.pair_anchor)
+        for k, col in enumerate(self.pair_cols):
             p, q = spec.P[:, col], spec.P[:, col + 1]
             out[:, col] = p * s[k].real - q * s[k].imag
             out[:, col + 1] = p * s[k].imag + q * s[k].real
@@ -378,7 +384,7 @@ class _RegionWork:
         cell = np.clip(cell, 0, self.widths.size - 1)
         x = np.zeros((spec.size, t.size))
 
-        lam = spec.real_lams[:, None]
+        lam = self.real_lams[:, None]
         if lam.size:
             a = self.real_anchor[:, None]
             ref_edge = np.where(lam <= 0.0, cell[None, :], cell[None, :] + 1)
@@ -386,7 +392,7 @@ class _RegionWork:
             j_ref = np.take_along_axis(self.j_real, ref_edge, axis=1)
             th = self.theta_real[:, cell]
             j_t = np.exp(lam * d) * j_ref + phi(lam, d, float) * th
-            x[spec.real_cols] = np.exp(lam * (t[None, :] - a)) * alpha[spec.real_cols][:, None] + j_t
+            x[self.real_cols] = np.exp(lam * (t[None, :] - a)) * alpha[self.real_cols][:, None] + j_t
 
         zc = self.pair_zc[:, None]
         if zc.size:
@@ -396,17 +402,29 @@ class _RegionWork:
             j_ref = np.take_along_axis(self.j_pair, ref_edge, axis=1)
             th = self.theta_pair[:, cell]
             j_t = np.exp(zc * d) * j_ref + phi(zc, d, complex) * th
-            alpha_w = alpha[spec.pair_cols] + 1j * alpha[spec.pair_cols + 1]
+            alpha_w = alpha[self.pair_cols] + 1j * alpha[self.pair_cols + 1]
             w = np.exp(zc * (t[None, :] - a)) * alpha_w[:, None] + j_t
-            x[spec.pair_cols] = w.real
-            x[spec.pair_cols + 1] = w.imag
+            x[self.pair_cols] = w.real
+            x[self.pair_cols + 1] = w.imag
         return spec.P @ x
+
+
+def phi_real(lam, dt):
+    """Integral of e^{lam u} du over [0, dt] for real lam, in real arithmetic."""
+    lam = np.asarray(lam, dtype=float)
+    dt = np.asarray(dt, dtype=float)
+    w = lam * dt
+    _guard(w)
+    small = np.abs(w) < PHI_TAYLOR_CUT
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(small, dt * (1.0 + 0.5 * w), np.expm1(w) / np.where(small, 1.0, lam))
+    return out
 
 
 def phi(rate, dt, dtype):
     """Integral of e^{rate u} du over [0, dt]; dispatches on block kind."""
     if dtype is complex or np.iscomplexobj(rate):
-        return phi_pair(rate, dt)
+        return phi_block(rate, dt)
     return phi_real(rate, dt)
 
 

@@ -24,7 +24,7 @@ from _helpers import (absorber_problem, absorber_psi, perturbed_materials,
                       printed_entries, random_spectrum)
 from conftest import REFERENCE_KEFF
 from slab_sn import (BoundaryCondition, FixedSourceOperator, SlabGeometry,
-                     SolverConfig, SourceField, TransportMatrix, assemble_A,
+                     SolverConfig, SourceField, assemble_A,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
                      gamma, gauss_legendre, power_iteration, run_benchmark,
                      segment_integral, solve_fixed_source)
@@ -189,7 +189,7 @@ def test_acceptance_07_spectral_properties(capsys):
     for trial in range(200):
         n = int(rng.integers(2, 65))
         a, _ = random_spectrum(rng, n, zero_block=(trial % 10 == 0))
-        spec = block_diagonalize(TransportMatrix(a, "rand", 0.0))
+        spec = block_diagonalize(a)
         worst["residual"] = max(
             worst["residual"],
             np.linalg.norm(a @ spec.P - spec.P @ spec.B) / np.linalg.norm(a))
@@ -230,7 +230,7 @@ def _pincell_solution(pincell, n, m):
 
 def test_acceptance_08_transport_residual_order(pincell, capsys):
     quad, mesh, source, operator, solution = _pincell_solution(pincell, 4, 140)
-    a_mats = {name: assemble_A(pincell.materials[name], quad).A
+    a_mats = {name: assemble_A(pincell.materials[name], quad)
               for name in set(pincell.geometry.materials)}
     cells = [10, 75, 130]
     theta = (source.q[cells] / np.tile(quad.mu, 2)[None, :]).T

@@ -6,11 +6,11 @@ from _helpers import (absorber_problem, absorber_psi, graded_mesh,
 from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
                      GlobalSystem, MaterialXS, MeshAlignmentError,
                      PointOutOfDomainError, SingularSystemError, SlabGeometry,
-                     SourceField, ValidationError, assemble_A,
-                     assemble_global_system, block_diagonalize,
+                     SourceField, SweepOperator, ValidationError,
+                     assemble_A, assemble_global_system, block_diagonalize,
                      build_fine_mesh, evaluate_flux, fixed_source_solve,
                      gauss_legendre, mesh_from_edges, select_rows,
-                     solve_alpha, solve_fixed_source)
+                     solve_alpha, solve_fixed_source, sweep_fixed_source)
 
 
 def spectra_for(geometry, materials, quad, fission_scale=0.0):
@@ -155,7 +155,7 @@ class TestTransportConsistency:
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
         operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
         solution = solve_fixed_source(operator, source)
-        a_mats = {name: assemble_A(pincell.materials[name], quad).A
+        a_mats = {name: assemble_A(pincell.materials[name], quad)
                   for name in set(pincell.geometry.materials)}
         cells = [10, 75, 130]
         centers = mesh.centers[cells]
@@ -289,6 +289,15 @@ class TestErrors:
         other = build_fine_mesh(pincell.geometry, 71)
         with pytest.raises(ValidationError, match="mesh"):
             fixed_source_solve(operator, SourceField(other, np.ones((71, 4))))
+        # a graded mesh of the same size passes every shape check
+        graded = graded_mesh(pincell.geometry, np.bincount(mesh.region_of_cell))
+        assert graded.n_cells == mesh.n_cells
+        source = SourceField(graded, np.ones((70, 4)))
+        with pytest.raises(ValidationError, match="mesh"):
+            fixed_source_solve(operator, source)
+        sweep = SweepOperator(pincell.geometry, pincell.materials, mesh, quad2)
+        with pytest.raises(ValidationError, match="mesh"):
+            sweep_fixed_source(sweep, source, 1e-8)
 
     def test_operator_rejects_interleaved_regions(self, quad2):
         mats = {"a": one_group_material("a", sigma_t=1.0)}

@@ -39,7 +39,7 @@ class TestRunBenchmark:
 
     def test_failed_cells_collected(self, pincell):
         crippled = replace(pincell, config=replace(pincell.config, max_outer=2))
-        report = run_benchmark(crippled, [BenchCell("analytic", 2)], warmup=False)
+        report = run_benchmark(crippled, [BenchCell("analytic", 2)])
         assert report.cells == []
         assert len(report.failed) == 1
         assert "MaxOuterIterationsError" in report.failed[0]["error"]

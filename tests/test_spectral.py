@@ -3,10 +3,9 @@ import pytest
 from scipy.integrate import quad_vec
 
 from _helpers import faddeev_leverrier, one_group_material, random_spectrum
-from slab_sn import (BlockSpectrum, ComplexPairBlock, DefectiveMatrixError,
-                     ExponentOverflowError, MaterialXS, RealBlock,
-                     TransportMatrix, ValidationError, assemble_A,
-                     block_diagonalize, gamma, gauss_legendre,
+from slab_sn import (BlockSpectrum, DefectiveMatrixError,
+                     ExponentOverflowError, MaterialXS, ValidationError,
+                     assemble_A, block_diagonalize, gamma, gauss_legendre,
                      segment_integral)
 
 SQRT3 = np.sqrt(3.0)
@@ -34,23 +33,23 @@ def hand_assembled_A(material, quad, fission_scale):
 class TestAssembleA:
     def test_pure_absorber_is_diagonal(self, quad2):
         mat = one_group_material(sigma_t=1.0)
-        a = assemble_A(mat, quad2).A
+        a = assemble_A(mat, quad2)
         assert np.allclose(a, np.diag([SQRT3, -SQRT3]), atol=1e-14)
 
     def test_pure_scatterer_has_isotropic_null_vector(self, quad2):
         mat = one_group_material(sigma_t=1.0, sigma_s=1.0)
-        a = assemble_A(mat, quad2).A
+        a = assemble_A(mat, quad2)
         assert np.allclose(a @ np.ones(2), 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("scale", [0.0, 1.0 / 1.3])
     def test_core_matches_hand_assembly(self, pincell, quad2, scale):
         core = pincell.materials["core"]
-        a = assemble_A(core, quad2, scale).A
+        a = assemble_A(core, quad2, scale)
         assert np.allclose(a, hand_assembled_A(core, quad2, scale), rtol=1e-14, atol=0.0)
 
     def test_core_frozen_entries(self, pincell, quad2):
         # first row of the two-group S2 core matrix, fission excluded
-        a = assemble_A(pincell.materials["core"], quad2).A
+        a = assemble_A(pincell.materials["core"], quad2)
         row0 = [0.62109609908612351, -0.56179067943496530,
                 -3.6471793854977845e-04, -3.6471793854977845e-04]
         assert np.allclose(a[0], row0, rtol=1e-13, atol=0.0)
@@ -63,7 +62,7 @@ class TestAssembleA:
             sig_s = rng.uniform(0.0, 0.4, size=(g, g))
             mat = MaterialXS("m", sigma_t=rng.uniform(1.0, 2.0, g), sigma_s=sig_s,
                              nu_sigma_f=np.zeros(g), chi=np.zeros(g))
-            a = assemble_A(mat, quad).A
+            a = assemble_A(mat, quad)
             perm = np.arange(g * 4).reshape(g, 4)[:, ::-1].ravel()
             assert np.allclose(a[np.ix_(perm, perm)], -a, atol=1e-13)
 
@@ -72,14 +71,14 @@ class TestAssembleA:
         kernel = np.kron(core.sigma_s.T, np.ones((2, 2))) / 2.0
         with_kernel = MaterialXS("core", core.sigma_t, core.sigma_s,
                                  core.nu_sigma_f, core.chi, scatter_kernel=kernel)
-        assert np.allclose(assemble_A(with_kernel, quad2).A,
-                           assemble_A(core, quad2).A, rtol=1e-15)
+        assert np.allclose(assemble_A(with_kernel, quad2),
+                           assemble_A(core, quad2), rtol=1e-15)
 
     def test_anisotropic_kernel_used_verbatim(self, quad2, rng):
         kernel = rng.uniform(0.0, 0.3, size=(2, 2))
         mat = MaterialXS("m", sigma_t=[1.0], sigma_s=[[0.5]], nu_sigma_f=[0.0],
                          chi=[0.0], scatter_kernel=kernel)
-        a = assemble_A(mat, quad2).A
+        a = assemble_A(mat, quad2)
         expected = kernel * quad2.weight[None, :]
         expected[np.arange(2), np.arange(2)] -= 1.0
         expected /= quad2.mu[:, None]
@@ -92,59 +91,64 @@ class TestAssembleA:
 
 class TestBlockDiagonalize:
     def test_diagonal_matrix(self):
-        tm = TransportMatrix(np.diag([SQRT3, -SQRT3]), "abs", 0.0)
-        spec = block_diagonalize(tm)
-        assert all(isinstance(b, RealBlock) for b in spec.blocks)
-        assert np.allclose([b.lam for b in spec.blocks], [-SQRT3, SQRT3])
+        spec = block_diagonalize(np.diag([SQRT3, -SQRT3]))
+        assert np.all(spec.rates.imag == 0.0)
+        assert np.allclose(spec.rates.real, [-SQRT3, SQRT3])
         # sorting by eigenvalue makes P the corresponding signed permutation
         assert np.allclose(np.abs(spec.P), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_rotation_generator(self):
-        tm = TransportMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]), "rot", 0.0)
-        spec = block_diagonalize(tm)
-        assert spec.blocks == (ComplexPairBlock(0.0, 1.0),)
+        spec = block_diagonalize(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert spec.rates.tolist() == [complex(0.0, 1.0)]
         assert np.allclose(spec.B, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
 
     def test_shifted_core_residual_and_char_poly(self, pincell, quad2):
         core = pincell.materials["core"]
-        tm = assemble_A(core, quad2, 1.0 / 1.3)
-        spec = block_diagonalize(tm)
-        resid = np.linalg.norm(tm.A @ spec.P - spec.P @ spec.B)
-        assert resid <= 1e-10 * np.linalg.norm(tm.A)
+        a = assemble_A(core, quad2, 1.0 / 1.3)
+        spec = block_diagonalize(a)
+        resid = np.linalg.norm(a @ spec.P - spec.P @ spec.B)
+        assert resid <= 1e-10 * np.linalg.norm(a)
         # eigenvalues against the characteristic polynomial built by the
         # Faddeev-LeVerrier trace recursion (independent of the eigensolver)
-        roots = np.sort_complex(np.roots(faddeev_leverrier(tm.A)))
+        roots = np.sort_complex(np.roots(faddeev_leverrier(a)))
         assert np.allclose(np.sort_complex(spec.eigenvalues), roots, atol=1e-8)
         # the Wielandt shift makes this matrix genuinely complex
-        assert any(isinstance(b, ComplexPairBlock) for b in spec.blocks)
+        assert np.any(spec.rates.imag > 0.0)
 
     def test_defective_matrix_raises(self):
-        tm = TransportMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), "jordan", 0.0)
         with pytest.raises(DefectiveMatrixError):
-            block_diagonalize(tm)
+            block_diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(4),
+                                   np.array([[1.0, np.nan], [0.0, 1.0]]),
+                                   np.array([[np.inf, 0.0], [0.0, 1.0]])],
+                             ids=["non-square", "vector", "nan", "inf"])
+    def test_rejects_bad_matrix(self, a):
+        with pytest.raises(ValidationError, match="square|finite"):
+            block_diagonalize(a)
 
     def test_deterministic_and_sorted(self, pincell, quad4):
-        tm = assemble_A(pincell.materials["core"], quad4, 1.0 / 1.3)
-        s1, s2 = block_diagonalize(tm), block_diagonalize(tm)
-        assert s1.blocks == s2.blocks
+        a = assemble_A(pincell.materials["core"], quad4, 1.0 / 1.3)
+        s1, s2 = block_diagonalize(a), block_diagonalize(a)
+        assert np.array_equal(s1.rates, s2.rates)
         assert np.array_equal(s1.P, s2.P)
-        keys = [(b.lam, 0.0) if isinstance(b, RealBlock) else (b.a, b.b)
-                for b in s1.blocks]
+        keys = [(z.real, z.imag) for z in s1.rates]
         assert keys == sorted(keys)
 
     def test_random_well_conditioned(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 17))
             a, _ = random_spectrum(rng, n)
-            spec = block_diagonalize(TransportMatrix(a, "rand", 0.0))
+            spec = block_diagonalize(a)
             resid = np.linalg.norm(a @ spec.P - spec.P @ spec.B)
             assert resid <= 1e-10 * np.linalg.norm(a)
 
 
-def direct_spectrum(*blocks):
-    n = sum(1 if isinstance(b, RealBlock) else 2 for b in blocks)
+def direct_spectrum(*rates):
+    """Spectrum with P = I: a real rate owns one column, a complex one two."""
+    n = sum(2 if complex(z).imag > 0.0 else 1 for z in rates)
     eye = np.eye(n)
-    return BlockSpectrum(P=eye, P_inv=eye, blocks=tuple(blocks))
+    return BlockSpectrum(P=eye, P_inv=eye, rates=rates)
 
 
 class TestGamma:
@@ -153,15 +157,15 @@ class TestGamma:
         assert np.allclose(gamma(spec, 0.0), np.eye(6), atol=1e-14)
 
     def test_scalar_exponential(self):
-        spec = direct_spectrum(RealBlock(2.0))
+        spec = direct_spectrum(2.0)
         assert np.allclose(gamma(spec, 0.5), [[np.e]], rtol=1e-14)
 
     def test_half_turn_rotation(self):
-        spec = direct_spectrum(ComplexPairBlock(0.0, np.pi))
+        spec = direct_spectrum(complex(0.0, np.pi))
         assert np.allclose(gamma(spec, 1.0), -np.eye(2), atol=1e-12)
 
     def test_overflow_guard(self):
-        spec = direct_spectrum(RealBlock(800.0))
+        spec = direct_spectrum(800.0)
         with pytest.raises(ExponentOverflowError):
             gamma(spec, 1.0)
         # decay of the same magnitude underflows harmlessly
@@ -196,17 +200,17 @@ class TestGamma:
 
 class TestSegmentIntegral:
     def test_zero_eigenvalue_gives_width(self):
-        spec = direct_spectrum(RealBlock(0.0))
+        spec = direct_spectrum(0.0)
         assert segment_integral(spec, 1.0, 3.5)[0, 0] == pytest.approx(2.5, abs=1e-15)
 
     def test_scalar_case(self):
-        spec = direct_spectrum(RealBlock(1.0))
+        spec = direct_spectrum(1.0)
         assert segment_integral(spec, 0.0, 1.0)[0, 0] == pytest.approx(
             1.0 - np.exp(-1.0), rel=1e-14)
 
     def test_complex_pair_frozen_and_quadrature(self):
         # oracle: adaptive quadrature of Gamma(-xi) entrywise
-        spec = direct_spectrum(ComplexPairBlock(0.3, 2.0))
+        spec = direct_spectrum(complex(0.3, 2.0))
         got = segment_integral(spec, 0.1, 0.7)
         frozen = np.array([[0.35598608474468846, -0.35326635962764941],
                            [0.35326635962764941, 0.35598608474468846]])
@@ -216,7 +220,7 @@ class TestSegmentIntegral:
         assert np.allclose(got, oracle, atol=1e-10)
 
     def test_rejects_reversed_bounds(self):
-        spec = direct_spectrum(RealBlock(1.0))
+        spec = direct_spectrum(1.0)
         with pytest.raises(ValidationError):
             segment_integral(spec, 1.0, 0.0)
 
@@ -232,7 +236,7 @@ class TestSegmentIntegral:
             assert np.max(np.abs(got - oracle)) <= 1e-9
 
     def test_tiny_segment_no_cancellation(self):
-        spec = direct_spectrum(RealBlock(1e-9), ComplexPairBlock(-1e-10, 1e-9))
+        spec = direct_spectrum(1e-9, complex(-1e-10, 1e-9))
         width = 0.5e-8
         got = segment_integral(spec, 1.0, 1.0 + width)
         assert np.allclose(np.diag(got), width, rtol=1e-6)
