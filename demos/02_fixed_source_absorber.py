@@ -28,7 +28,7 @@ quad = gauss_legendre(8)
 mesh = build_fine_mesh(geometry, 50)
 # emission density 2q per cm^3 puts q on each ordinate (the angular
 # measure on [-1, 1] has total weight 2)
-source = SourceField.isotropic(mesh, np.full((50, 1), 2.0 * q), quad.n)
+source = SourceField(mesh, np.full((50, 1), 2.0 * q))
 
 spectra = {"absorber": block_diagonalize(assemble_A(absorber, quad))}
 operator = FixedSourceOperator(geometry, spectra, mesh, quad)

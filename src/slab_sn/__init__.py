@@ -5,8 +5,7 @@ sweeping baseline, and a power-iteration eigenvalue driver with optional
 Wielandt shift, plus a benchmark harness comparing the two solvers.
 """
 
-from .analytic import (FixedSourceOperator, GlobalSystem,
-                       assemble_global_system, evaluate_flux,
+from .analytic import (FixedSourceOperator, GlobalSystem, evaluate_flux,
                        fixed_source_solve, select_rows, solve_alpha,
                        solve_fixed_source)
 from .bench import BenchmarkReport, default_cells, run_benchmark

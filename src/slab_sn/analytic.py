@@ -22,9 +22,12 @@ is therefore built once per problem and holds, per region, the anchored
 block rates, the half-cell step and integral multipliers, the homogeneous
 factors at the cell centres, and the projection and expansion matrices,
 plus the global matrix, checked once for singularity and inverted once.
-Applying it to a source projects the source onto the blocks, runs the cell
-recurrence for J as one FirstOrderScan per region, forms the right-hand
-side, multiplies by the inverse and evaluates Psi at the cell centres.
+A source is an isotropic emission S (cells, G), S/2 on every ordinate, so
+applying the operator projects it onto the blocks with one (G, blocks)
+matrix per region, runs the cell recurrence for J as one FirstOrderScan
+per region, forms the right-hand side, multiplies by the inverse and
+evaluates only the scalar flux at the cell centres, through one
+(blocks, G) expansion.  evaluate_flux gives Psi and phi at any points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -49,6 +52,7 @@ from .recurrence import FirstOrderScan
 from .spectral import BlockSpectrum, exp_block, phi_block
 
 SOLVE_RCOND_MIN = 1e-14
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -133,20 +137,24 @@ class _Region:
         self.nf = int(np.count_nonzero(self.forward))
         self.rho = np.where(self.forward, rate, -rate)
         # enc maps real coefficients to block scalars; expand maps block
-        # scalars back to angular flux rows (psi = Re(x @ expand))
+        # scalars back to angular flux rows (psi = Re(x @ expand)) and
+        # expand_phi to the scalar flux (phi = Re(x @ expand_phi))
         self.enc = spec.encoding[order]
         self.expand = self.enc.conj() @ spec.P.T
         g = spec.size // quad.n
+        self.expand_phi = self.expand.reshape(-1, g, quad.n) @ quad.weight
+        # project maps an emission S, S/2 on every ordinate, to block sources
         sign = np.where(self.forward, 1.0, -1.0)
-        self.project = (spec.P_inv / np.tile(quad.mu, g)[None, :]).T @ (self.enc.T * sign)
+        per_group = (spec.P_inv.reshape(-1, g, quad.n) / quad.mu).sum(axis=2) / 2.0
+        self.project = per_group.T @ (self.enc.T * sign)
         # cell-centre factors; the recurrence's full-cell step and source
         # multipliers are half**2 (kept in the scan) and phi_half * (1 + half)
         widths = np.diff(t_edges)
         anchor = np.where(self.forward, t_centres[:, None], (self.length - t_centres)[::-1, None])
         upwind = np.where(self.forward, widths[:, None], widths[::-1, None]) / 2.0
         self.hom, self.half, self.phi_half = _factors(self.rho, anchor, upwind)
-        for arr in (self.forward, self.rho, self.enc, self.expand, self.project,
-                    self.hom, self.half, self.phi_half):
+        for arr in (self.forward, self.rho, self.enc, self.expand, self.expand_phi,
+                    self.project, self.hom, self.half, self.phi_half):
             arr.setflags(write=False)
         self.march = FirstOrderScan(self.half * self.half)
 
@@ -154,9 +162,9 @@ class _Region:
         """Swap a (cells, blocks) array between cell and scan order."""
         return np.concatenate([x[:, :self.nf], x[::-1, self.nf:]], axis=1)
 
-    def particular(self, q: np.ndarray) -> _Particular:
-        """Project the region's (cells, N G) source and march J across it."""
-        theta = self.scan_order(q @ self.project)
+    def particular(self, emission: np.ndarray) -> _Particular:
+        """Project the region's (cells, G) emission and march J across it."""
+        theta = self.scan_order(emission @ self.project)
         b = self.half + 1.0
         b *= self.phi_half
         b *= theta
@@ -182,11 +190,11 @@ class _Region:
         x += phi_half * theta
         return x
 
-    def psi_at_centres(self, alpha: np.ndarray, part: _Particular) -> np.ndarray:
-        """Psi (cells, N G) at every cell centre of the region."""
+    def phi_at_centres(self, alpha: np.ndarray, part: _Particular) -> np.ndarray:
+        """Scalar flux (cells, G) at every cell centre of the region."""
         x = self._psi((self.hom, self.half, self.phi_half), alpha, part.j[:-1],
                       part.theta)
-        return (self.scan_order(x) @ self.expand).real
+        return (self.scan_order(x) @ self.expand_phi).real
 
     def psi_at(self, alpha: np.ndarray, part: _Particular, t: np.ndarray) -> np.ndarray:
         """Psi (points, N G) at local coordinates t, each in [0, L]."""
@@ -247,6 +255,7 @@ class FixedSourceOperator:
         self.regions = tuple(_region(geometry, spectra, mesh, centres, quad, r)
                              for r in range(geometry.n_regions))
         self.ng = self.regions[0].spec.size
+        self.n_groups = self.ng // quad.n
         ng, n_reg, half = self.ng, len(self.regions), self.ng // 2
         mat = np.zeros((ng * n_reg, ng * n_reg))
         mat[:half, :ng] = _bc_combination(geometry.bc_left, quad, "left",
@@ -265,7 +274,11 @@ class FixedSourceOperator:
     def particular(self, source: SourceField):
         """Per-region projected source and particular solution."""
         self.mesh.require_same(source.mesh)
-        return [reg.particular(source.q[reg.cells]) for reg in self.regions]
+        shape = (self.mesh.n_cells, self.n_groups)
+        if source.emission.shape != shape:
+            raise ValidationError(
+                f"emission has shape {source.emission.shape}, expected (cells, G) = {shape}")
+        return [reg.particular(source.emission[reg.cells]) for reg in self.regions]
 
     def system(self, particular) -> GlobalSystem:
         """Global system for one source, carrying the checked inverse."""
@@ -280,24 +293,6 @@ class FixedSourceOperator:
             rhs[ng * (i + 1):ng * (i + 2)] = edges[i + 1][0] - edges[i][1]
         return GlobalSystem(matrix=self.matrix, rhs=rhs, ng=ng,
                             n_regions=len(self.regions), inverse=self.inverse)
-
-    def flux_at_centres(self, alphas, particular) -> FluxField:
-        psi = np.empty((self.mesh.n_cells, self.ng))
-        for reg, alpha, part in zip(self.regions, alphas, particular):
-            psi[reg.cells] = reg.psi_at_centres(alpha, part)
-        return FluxField.from_psi(self.mesh.centers, psi, self.quad)
-
-
-def assemble_global_system(geometry: SlabGeometry, spectra, source: SourceField,
-                           quad: QuadratureSet) -> GlobalSystem:
-    """Boundary + continuity system for the expansion coefficients.
-
-    The first N G rows hold the two boundary conditions (N G / 2 each); each
-    interior interface contributes N G continuity rows coupling the two
-    adjacent regions.  spectra maps material name -> BlockSpectrum.
-    """
-    operator = FixedSourceOperator(geometry, spectra, source.mesh, quad)
-    return operator.system(operator.particular(source))
 
 
 def solve_alpha(system: GlobalSystem):
@@ -327,7 +322,8 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     solution is the (alphas, particular) pair solve_fixed_source returns for
     this operator.  Points on a region interface are evaluated from the
     left region; continuity of the solution makes the choice immaterial to
-    within the solver tolerance.
+    within the solver tolerance.  Points go through in chunks of
+    EVAL_CHUNK, which bounds the (points, blocks) temporaries.
     """
     alphas, particular = solution
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -335,20 +331,24 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     psi = np.zeros((points.size, operator.ng))
     for r, (reg, alpha, part) in enumerate(zip(operator.regions, alphas, particular)):
         idx = np.nonzero(region == r)[0]
-        if idx.size:
-            psi[idx] = reg.psi_at(alpha, part, points[idx] - reg.x_left)
+        for i in range(0, idx.size, EVAL_CHUNK):
+            chunk = idx[i:i + EVAL_CHUNK]
+            psi[chunk] = reg.psi_at(alpha, part, points[chunk] - reg.x_left)
     return FluxField.from_psi(points, psi, operator.quad)
 
 
 def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
     """Per-region expansion coefficients (no evaluation) and the per-region
-    particular data; evaluate_flux and evaluation at the cell centres take
-    the pair."""
+    particular data; evaluate_flux takes the pair."""
     particular = operator.particular(source)
     return solve_alpha(operator.system(particular)), particular
 
 
-def fixed_source_solve(operator: FixedSourceOperator, source: SourceField) -> FluxField:
-    """Full fixed-source solve evaluated at the source-cell centers."""
-    alphas, particular = solve_fixed_source(operator, source)
-    return operator.flux_at_centres(alphas, particular)
+def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
+    """Fixed-source solve: (scalar flux (cells, G) at the source-cell centres,
+    the solution for evaluate_flux)."""
+    solution = solve_fixed_source(operator, source)
+    phi = np.empty((operator.mesh.n_cells, operator.n_groups))
+    for reg, alpha, part in zip(operator.regions, *solution):
+        phi[reg.cells] = reg.phi_at_centres(alpha, part)
+    return phi, solution

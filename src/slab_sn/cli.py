@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import outputs
-from .analytic import FixedSourceOperator, fixed_source_solve
+from .analytic import FixedSourceOperator, evaluate_flux, solve_fixed_source
 from .bench import BenchCell, run_benchmark
 from .eigen import power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
@@ -95,10 +95,9 @@ def _load(args):
     return problem
 
 
-def _spectra(problem, quad, fission_scale):
-    tms = {name: assemble_A(problem.materials[name], quad, fission_scale)
-           for name in set(problem.geometry.materials)}
-    return tms, {name: block_diagonalize(tm) for name, tm in tms.items()}
+def _transport_matrices(problem, quad, fission_scale):
+    return {name: assemble_A(problem.materials[name], quad, fission_scale)
+            for name in set(problem.geometry.materials)}
 
 
 def _fixed_source(args, problem, mesh, n_groups):
@@ -126,13 +125,15 @@ def cmd_fixed(args) -> int:
     mesh = build_fine_mesh(geo, cfg.fine_mesh_size)
     n_groups = problem.materials[geo.materials[0]].n_groups
     emission = _fixed_source(args, problem, mesh, n_groups)
-    source = SourceField.isotropic(mesh, emission, quad.n)
+    source = SourceField(mesh, emission)
 
     t0 = time.perf_counter()
     if cfg.solver_kind == "analytic":
         # the fixed-source operator excludes fission
-        tms, spectra = _spectra(problem, quad, 0.0)
-        flux = fixed_source_solve(FixedSourceOperator(geo, spectra, mesh, quad), source)
+        tms = _transport_matrices(problem, quad, 0.0)
+        spectra = {name: block_diagonalize(a) for name, a in tms.items()}
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        flux = evaluate_flux(operator, solve_fixed_source(operator, source), mesh.centers)
         if args.dump_matrices:
             outputs.dump_matrices(outdir / "matrices", tms, spectra)
     else:
@@ -157,12 +158,12 @@ def cmd_eigen(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     result = power_iteration(problem.geometry, problem.materials, cfg)
-    if args.dump_matrices and cfg.solver_kind == "analytic":
-        quad = gauss_legendre(cfg.sn_order)
-        scale = 0.0 if cfg.ke is None else 1.0 / cfg.ke
-        tms, spectra = _spectra(problem, quad, scale)
-        outputs.dump_matrices(outdir / "matrices", tms, spectra)
     quad = gauss_legendre(cfg.sn_order)
+    if args.dump_matrices and result.spectra is not None:
+        # P and B come from the spectra the solve built; A is cheap to rebuild
+        scale = 0.0 if cfg.ke is None else 1.0 / cfg.ke
+        outputs.dump_matrices(outdir / "matrices",
+                              _transport_matrices(problem, quad, scale), result.spectra)
     flux_csv = outdir / "flux.csv"
     history_csv = outdir / "history.csv"
     outputs.write_flux_csv(flux_csv, result.flux, quad)

@@ -1,13 +1,14 @@
 """Power iteration over either fixed-source solver, with optional Wielandt shift.
 
 Each outer iteration treats the fission term as a piecewise-constant
-external source
+isotropic emission
 
-    Q(x) = (1/k - 1/k_e) * chi_g / 2 * sum_g' nu_sigma_f[g'] phi_g'(x)
+    S_g(x) = (1/k - 1/k_e) * chi_g * sum_g' nu_sigma_f[g'] phi_g'(x)
 
-(1/k_e == 0 without a shift), solves the fixed-source problem, re-evaluates
-the fission production on the source-mesh centers, and updates k from the
-ratio of successive production integrals.  With a shift the chi nu-fission
+(1/k_e == 0 without a shift), solves the fixed-source problem for the scalar
+flux on the source-mesh centers, re-evaluates the fission production there,
+and updates k from the ratio of successive production integrals; the angular
+flux is evaluated once, after convergence.  With a shift the chi nu-fission
 / k_e part of the production is folded into the transport operator itself:
 the analytic solver assembles its matrices with fission_scale = 1/k_e and
 the sweep solver adds it to the iterated scattering source.
@@ -22,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import FixedSourceOperator, fixed_source_solve
+from .analytic import FixedSourceOperator, evaluate_flux, fixed_source_solve
 from .exceptions import (MaxOuterIterationsError, NonpositiveIntegralError,
                          ShiftAtEigenvalueError, ValidationError, ZeroFluxError)
 from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh
-from .model import (QuadratureSet, SlabGeometry, SolverConfig, gauss_legendre,
-                    validate_problem)
+from .model import SlabGeometry, SolverConfig, gauss_legendre, validate_problem
 from .spectral import assemble_A, block_diagonalize
 from .sweep import SweepOperator, source_iteration
 
@@ -40,7 +40,8 @@ class EigenResult:
 
     history_seconds is cumulative wall time of the iteration loop; one-time
     setup (mesh build, the solver's fixed-source operator, per-cell fission
-    tables) is reported separately in timing["setup_seconds"].
+    tables) is reported separately in timing["setup_seconds"].  spectra holds
+    the analytic operator's BlockSpectrum per material (None for the sweep).
     """
 
     k_eff: float
@@ -56,6 +57,7 @@ class EigenResult:
     tolerance: float
     mesh_size: int
     inner_sweeps: int = 0
+    spectra: Optional[dict] = None
 
 
 def _per_cell(geometry: SlabGeometry, materials, mesh: FineMesh, attr: str) -> np.ndarray:
@@ -77,15 +79,14 @@ def _emission(production, chi, k: float, ke: Optional[float]) -> np.ndarray:
 
 
 def fission_source(flux: FluxField, geometry: SlabGeometry, materials,
-                   mesh: FineMesh, quad: QuadratureSet, k: float,
-                   ke: Optional[float] = None) -> SourceField:
+                   mesh: FineMesh, k: float, ke: Optional[float] = None) -> SourceField:
     """Fission source built from fluxes evaluated on the source-mesh centers."""
     if not k > 0.0:
         raise ValidationError(f"k must be positive, got {k}")
     production = np.sum(flux.phi * _per_cell(geometry, materials, mesh, "nu_sigma_f"),
                         axis=1)
-    emission = _emission(production, _per_cell(geometry, materials, mesh, "chi"), k, ke)
-    return SourceField.isotropic(mesh, emission, quad.n)
+    chi = _per_cell(geometry, materials, mesh, "chi")
+    return SourceField(mesh, _emission(production, chi, k, ke))
 
 
 def update_keff(prev_k: float, ke: Optional[float], integral_prev: float,
@@ -135,7 +136,9 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     quad = gauss_legendre(config.sn_order)
     mesh = build_fine_mesh(geometry, config.fine_mesh_size)
     ke = config.ke
-    if config.solver_kind == "analytic":
+    analytic = config.solver_kind == "analytic"
+    spectra = None
+    if analytic:
         fission_scale = 0.0 if ke is None else 1.0 / ke
         spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
                    for name in set(geometry.materials)}
@@ -151,32 +154,30 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     integral_prev = float(np.sum(production * mesh.widths))
     k = 1.0
     tol = config.flux_tolerance
-    phi_prev = None
-    sweep_flux = None
+    phi = phi_prev = None
     inner_total = 0
     history_k, history_norm, history_seconds = [], [], []
 
     t_loop = time.perf_counter()
     for outer in range(1, config.max_outer + 1):
-        source = SourceField.isotropic(mesh, _emission(production, chi, k, ke), quad.n)
-        if config.solver_kind == "analytic":
-            flux = fixed_source_solve(operator, source)
+        source = SourceField(mesh, _emission(production, chi, k, ke))
+        if analytic:
+            phi, solution = fixed_source_solve(operator, source)
         else:
-            sweep_flux, sweeps = source_iteration(
-                operator, source.q, tol / 2.0, flux0=sweep_flux,
+            phi, solution, sweeps = source_iteration(
+                operator, source.emission, tol / 2.0, phi0=phi,
                 max_inner=config.max_inner)
             inner_total += sweeps
-            flux = FluxField.from_psi(mesh.centers, sweep_flux, quad)
 
-        production = np.sum(flux.phi * nu_sigma_f, axis=1)
+        production = np.sum(phi * nu_sigma_f, axis=1)
         integral_new = float(np.sum(production * mesh.widths))
         k = update_keff(k, ke, integral_prev, integral_new)
         integral_prev = integral_new
 
-        total = float(np.sum(flux.phi * mesh.widths[:, None]))
+        total = float(np.sum(phi * mesh.widths[:, None]))
         if total == 0.0:
             raise ZeroFluxError("scalar flux vanished during power iteration")
-        phi_shape = flux.phi / total
+        phi_shape = phi / total
         change = np.inf if phi_prev is None else float(np.linalg.norm(phi_shape - phi_prev))
         phi_prev = phi_shape
 
@@ -190,6 +191,8 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
             f"power iteration did not reach {tol} in {config.max_outer} outer "
             f"iterations (last change {history_norm[-1]:.3e})")
 
+    flux = evaluate_flux(operator, solution, mesh.centers) if analytic \
+        else operator.flux(solution)
     if config.normalization == "total_scalar_flux_one":
         flux = normalize(flux, mesh)
     return EigenResult(
@@ -207,4 +210,5 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
         tolerance=tol,
         mesh_size=mesh.n_cells,
         inner_sweeps=inner_total,
+        spectra=spectra,
     )

@@ -1,4 +1,5 @@
-"""Fine source mesh, piecewise-constant source fields, and flux fields."""
+"""Fine source mesh, piecewise-constant isotropic source fields, and flux
+fields."""
 
 from dataclasses import dataclass
 
@@ -100,32 +101,19 @@ def mesh_from_edges(edges, geometry: SlabGeometry) -> FineMesh:
 
 @dataclass(frozen=True)
 class SourceField:
-    """Per-ordinate source density q[m, (g-1)N+n], constant on each cell."""
+    """Isotropic emission density S[m, g] (cm^-3 s^-1), constant on each
+    cell; every ordinate sees S/2, the angular measure on [-1, 1] being 2."""
 
     mesh: FineMesh
-    q: np.ndarray
+    emission: np.ndarray
 
     def __post_init__(self):
-        q = _readonly(self.q)
-        object.__setattr__(self, "q", q)
-        if q.ndim != 2 or q.shape[0] != self.mesh.n_cells:
-            raise ValidationError("source values must be (n_cells, N*G)")
-        if np.any(~np.isfinite(q)):
-            raise ValidationError("source values must be finite")
-
-    @property
-    def ng(self) -> int:
-        return self.q.shape[1]
-
-    @classmethod
-    def isotropic(cls, mesh: FineMesh, emission: np.ndarray, n_ordinates: int) -> "SourceField":
-        """Build from a per-cell, per-group emission density S (cm^-3 s^-1).
-
-        The per-ordinate density is S/2 (the angular measure on [-1, 1]).
-        """
-        emission = np.atleast_2d(np.asarray(emission, dtype=float))
-        q = np.repeat(emission / 2.0, n_ordinates, axis=1)
-        return cls(mesh=mesh, q=q)
+        emission = _readonly(self.emission)
+        object.__setattr__(self, "emission", emission)
+        if emission.ndim != 2 or emission.shape[0] != self.mesh.n_cells:
+            raise ValidationError("emission must be (n_cells, G)")
+        if np.any(~np.isfinite(emission)):
+            raise ValidationError("emission must be finite")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ L2 norm of the scalar-flux change drops below the requested tolerance.
 Only the source changes between inner and outer iterations.  A
 SweepOperator is therefore built once per problem and holds the per-cell
 group transfer, the marching coefficients and the boundary handling;
-source_iteration applies it to one external source at a time.
+source_iteration applies it to one isotropic emission (cells, G) at a time,
+adding it to the scattering emission before half of the sum goes to every
+ordinate.
 """
 
 from typing import Optional
@@ -150,35 +152,40 @@ class SweepOperator:
         halves = (psi.reshape(m * g, n) @ self.weights).reshape(m, g, 2)
         return halves[::-1, :, 0] + halves[:, :, 1]
 
+    def flux(self, psi: np.ndarray) -> FluxField:
+        """Angular and scalar flux at the cell centres of scan-order fluxes psi."""
+        m, g, n = self.shape
+        return FluxField.from_psi(self.mesh.centers, self.scan_order(psi).reshape(m, g * n),
+                                  self.quad)
 
-def source_iteration(operator: SweepOperator, q_external: np.ndarray,
-                     tolerance: float, *, flux0=None, max_inner: int = 5000):
+
+def source_iteration(operator: SweepOperator, emission: np.ndarray,
+                     tolerance: float, *, phi0=None, max_inner: int = 5000):
     """Iterate sweeps on the scattering source until the scalar flux settles.
 
-    q_external is the per-ordinate fixed source (M, N*G); flux0, when
-    given, is the angular flux (M, N*G) the scattering source starts from.
-    With a Wielandt shift the operator folds the chi nu-fission / k_e
-    production into the iterated source alongside scattering.  Returns
-    (cell-average angular fluxes (M, N*G), number of sweeps).
+    emission is the isotropic fixed source (M, G); phi0, when given, is the
+    scalar flux (M, G) the scattering source starts from.  With a Wielandt
+    shift the operator folds the chi nu-fission / k_e production into the
+    iterated source alongside scattering.  Returns (cell-average scalar flux
+    (M, G), the last sweep's scan-order angular fluxes for operator.flux,
+    number of sweeps).
     """
     m, g, n = operator.shape
-    if np.shape(q_external) != (m, g * n):
+    if np.shape(emission) != (m, g):
         raise ValidationError(
-            f"q_external has shape {np.shape(q_external)}, expected {(m, g * n)}")
-    q_ext = operator.scan_order(np.reshape(q_external, operator.shape))
-    phi = (np.zeros((m, g)) if flux0 is None
-           else np.reshape(flux0, operator.shape) @ operator.quad.weight)
+            f"emission has shape {np.shape(emission)}, expected (cells, G) = {(m, g)}")
+    phi = np.zeros((m, g)) if phi0 is None else phi0
     out = np.zeros((g, n))
     for it in range(1, max_inner + 1):
-        scat = np.einsum("mg,mgh->mh", phi, operator.transfer) / 2.0
-        # isotropic: every ordinate of a direction half sees the same value
-        halves = np.stack([scat[::-1], scat], axis=2)
-        psi, out = operator.sweep(q_ext + np.repeat(halves, operator.half, axis=2), out)
+        # isotropic: every ordinate of a direction half sees half the emission
+        q = (emission + np.einsum("mg,mgh->mh", phi, operator.transfer)) / 2.0
+        halves = np.repeat(np.stack([q[::-1], q], axis=2), operator.half, axis=2)
+        psi, out = operator.sweep(halves, out)
         phi_new = operator.scalar_flux(psi)
         change = np.linalg.norm(phi_new - phi)
         phi = phi_new
         if change < tolerance or operator.streaming:
-            return operator.scan_order(psi).reshape(m, g * n), it
+            return phi, psi, it
     raise MaxInnerIterationsError(
         f"source iteration did not reach {tolerance} in {max_inner} sweeps "
         "(scattering ratio too close to 1?)")
@@ -188,5 +195,5 @@ def sweep_fixed_source(operator: SweepOperator, source: SourceField,
                        tolerance: float, *, max_inner: int = 5000) -> FluxField:
     """Converged sweep solution as a FluxField at the cell centers."""
     operator.mesh.require_same(source.mesh)
-    flux, _ = source_iteration(operator, source.q, tolerance, max_inner=max_inner)
-    return FluxField.from_psi(operator.mesh.centers, flux, operator.quad)
+    _, psi, _ = source_iteration(operator, source.emission, tolerance, max_inner=max_inner)
+    return operator.flux(psi)

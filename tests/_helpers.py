@@ -244,14 +244,15 @@ def sweep_once(mesh, sigma_t, q, quad, incoming_left, incoming_right, scheme="st
     return flux.reshape(m_cells, g * n), out_left, out_right
 
 
-def oracle_source_iteration(geometry, materials, mesh, quad, q_external,
-                            tolerance, flux0=None, ke=None, scheme="step"):
+def oracle_source_iteration(geometry, materials, mesh, quad, emission,
+                            tolerance, phi0=None, ke=None, scheme="step"):
     """Source iteration one sweep_once at a time, the scattering (and,
     under a shift, chi nu-fission / ke) source updated region by region.
+    The isotropic emission (M, G) puts half of itself on every ordinate.
     Returns (angular flux (M, N*G), number of sweeps)."""
     n, half = quad.n, quad.n // 2
-    m_cells = mesh.n_cells
-    g = q_external.shape[1] // n
+    m_cells, g = emission.shape
+    q_external = np.repeat(emission / 2.0, n, axis=1)
     sigma_t = cell_sigma_t(geometry, materials, mesh)
     transfer = []
     for name in geometry.materials:
@@ -269,8 +270,7 @@ def oracle_source_iteration(geometry, materials, mesh, quad, q_external,
             return outgoing.reshape(g, half)[:, ::-1].ravel()
         return bc.values if bc.kind == "incoming" else np.zeros(g * half)
 
-    phi = (np.zeros((m_cells, g)) if flux0 is None
-           else flux0.reshape(m_cells, g, n) @ quad.weight)
+    phi = np.zeros((m_cells, g)) if phi0 is None else phi0
     out_left = out_right = np.zeros(g * half)
     for sweeps in range(1, 100000):
         scat = np.empty((m_cells, g))
@@ -293,9 +293,12 @@ UNIFORM_RTOL = 1e-12
 SOLVE_RCOND_MIN = 1e-14
 
 
-def _region_theta(source, quad, cells):
-    g = source.ng // quad.n
-    return (source.q[cells] / np.tile(quad.mu, g)[None, :]).T
+def source_over_mu(source, quad, cells):
+    """Per-ordinate source over mu, (N G, cells): half the emission on
+    every ordinate."""
+    q = np.repeat(source.emission[cells] / 2.0, quad.n, axis=1)
+    g = source.emission.shape[1]
+    return (q / np.tile(quad.mu, g)[None, :]).T
 
 
 class _RegionWork:
@@ -464,7 +467,7 @@ def _region_works(geometry, spectra, source, quad):
         spec = spectra[geometry.materials[r]]
         t_edges = np.concatenate([mesh.edges[cells] - x_left,
                                   [mesh.edges[cells[-1] + 1] - x_left]])
-        theta = _region_theta(source, quad, cells)
+        theta = source_over_mu(source, quad, cells)
         works.append(_RegionWork(spec, x_left, geometry.edges[r + 1], t_edges, theta))
     return works
 

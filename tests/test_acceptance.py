@@ -21,7 +21,7 @@ import pytest
 from scipy.integrate import quad_vec
 
 from _helpers import (absorber_problem, absorber_psi, perturbed_materials,
-                      printed_entries, random_spectrum)
+                      printed_entries, random_spectrum, source_over_mu)
 from conftest import REFERENCE_KEFF
 from slab_sn import (BoundaryCondition, FixedSourceOperator, SlabGeometry,
                      SolverConfig, SourceField, assemble_A,
@@ -170,7 +170,7 @@ def test_acceptance_06_absorber_closed_form(capsys):
     for n in ORDERS:
         quad = gauss_legendre(n)
         mesh = build_fine_mesh(geo, 50)
-        source = SourceField.isotropic(mesh, np.full((50, 1), 2.0 * q), quad.n)
+        source = SourceField(mesh, np.full((50, 1), 2.0 * q))
         spectra = {"abs": block_diagonalize(assemble_A(mats["abs"], quad))}
         operator = FixedSourceOperator(geo, spectra, source.mesh, quad)
         solution = solve_fixed_source(operator, source)
@@ -221,7 +221,7 @@ def _pincell_solution(pincell, n, m):
     chi = np.vstack([pincell.materials[name].chi
                      for name in pincell.geometry.materials])
     emission = chi[mesh.region_of_cell] * np.abs(mesh.centers)[:, None]
-    source = SourceField.isotropic(mesh, emission, quad.n)
+    source = SourceField(mesh, emission)
     spectra = {name: block_diagonalize(assemble_A(pincell.materials[name], quad))
                for name in set(pincell.geometry.materials)}
     operator = FixedSourceOperator(pincell.geometry, spectra, source.mesh, quad)
@@ -233,7 +233,7 @@ def test_acceptance_08_transport_residual_order(pincell, capsys):
     a_mats = {name: assemble_A(pincell.materials[name], quad)
               for name in set(pincell.geometry.materials)}
     cells = [10, 75, 130]
-    theta = (source.q[cells] / np.tile(quad.mu, 2)[None, :]).T
+    theta = source_over_mu(source, quad, cells)
     names = [pincell.geometry.materials[r] for r in mesh.region_of_cell[cells]]
 
     def residual(h):

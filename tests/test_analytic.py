@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from _helpers import (absorber_problem, absorber_psi, graded_mesh,
-                      one_group_material, oracle_fixed_source, random_slab)
+                      one_group_material, oracle_fixed_source, random_slab,
+                      source_over_mu)
 from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
-                     GlobalSystem, MaterialXS, MeshAlignmentError,
+                     FluxField, GlobalSystem, MaterialXS, MeshAlignmentError,
                      PointOutOfDomainError, SingularSystemError, SlabGeometry,
                      SourceField, SweepOperator, ValidationError,
-                     assemble_A, assemble_global_system, block_diagonalize,
-                     build_fine_mesh, evaluate_flux, fixed_source_solve,
-                     gauss_legendre, mesh_from_edges, select_rows,
-                     solve_alpha, solve_fixed_source, sweep_fixed_source)
+                     assemble_A, block_diagonalize, build_fine_mesh,
+                     evaluate_flux, fixed_source_solve, gauss_legendre,
+                     mesh_from_edges, select_rows, solve_alpha,
+                     solve_fixed_source, sweep_fixed_source)
 
 
 def spectra_for(geometry, materials, quad, fission_scale=0.0):
@@ -27,7 +28,7 @@ def analytic_setup(geometry, materials, n, m, emission):
                                if np.ndim(emission) else
                                np.full((mesh.n_cells, n_groups), emission),
                                (mesh.n_cells, n_groups))
-    source = SourceField.isotropic(mesh, emission, quad.n)
+    source = SourceField(mesh, emission)
     spectra = spectra_for(geometry, materials, quad)
     operator = FixedSourceOperator(geometry, spectra, source.mesh, quad)
     return quad, mesh, operator, solve_fixed_source(operator, source)
@@ -60,9 +61,10 @@ class TestGlobalSystem:
 
     def test_pincell_system_shape_and_sparsity(self, pincell, quad2):
         mesh = build_fine_mesh(pincell.geometry, 70)
-        source = SourceField.isotropic(mesh, np.ones((70, 2)), quad2.n)
+        source = SourceField(mesh, np.ones((70, 2)))
         spectra = spectra_for(pincell.geometry, pincell.materials, quad2)
-        system = assemble_global_system(pincell.geometry, spectra, source, quad2)
+        operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad2)
+        system = operator.system(operator.particular(source))
         assert system.matrix.shape == (12, 12) and system.rhs.shape == (12,)
         # boundary rows touch only their own region's block column
         assert np.all(system.matrix[:2, 4:] == 0.0)
@@ -129,7 +131,7 @@ class TestClosedForms:
 def pincell_chi_absx_source(pincell, mesh, quad):
     chi = np.vstack([pincell.materials[name].chi for name in pincell.geometry.materials])
     emission = chi[mesh.region_of_cell] * np.abs(mesh.centers)[:, None]
-    return SourceField.isotropic(mesh, emission, quad.n)
+    return SourceField(mesh, emission)
 
 
 class TestTransportConsistency:
@@ -159,7 +161,7 @@ class TestTransportConsistency:
                   for name in set(pincell.geometry.materials)}
         cells = [10, 75, 130]
         centers = mesh.centers[cells]
-        theta = (source.q[cells] / np.tile(quad.mu, 2)[None, :]).T
+        theta = source_over_mu(source, quad, cells)
         mat_names = [pincell.geometry.materials[r] for r in mesh.region_of_cell[cells]]
 
         def residual(h):
@@ -185,7 +187,6 @@ class TestTransportConsistency:
         gl_x, gl_w = np.polynomial.legendre.leggauss(4)
         mu_w = np.tile(quad.mu * quad.weight, 2)
         geo = pincell.geometry
-        emission_per_group = source.q[:, ::quad.n] * 2.0
         for r in range(geo.n_regions):
             mat = pincell.materials[geo.materials[r]]
             sigma_a = mat.sigma_t - mat.sigma_s.sum(axis=1)
@@ -200,21 +201,22 @@ class TestTransportConsistency:
             edges = evaluate_flux(operator, solution,
                                   [geo.edges[r], geo.edges[r + 1]]).psi
             leakage = (edges[1] - edges[0]) @ mu_w
-            src = np.sum(emission_per_group[cells] * mesh.widths[cells][:, None])
+            src = np.sum(source.emission[cells] * mesh.widths[cells][:, None])
             assert leakage + absorption == pytest.approx(src, rel=1e-6)
 
     def test_linearity(self, pincell, rng):
         quad = gauss_legendre(2)
         mesh = build_fine_mesh(pincell.geometry, 70)
         spectra = spectra_for(pincell.geometry, pincell.materials, quad)
-        q1 = rng.uniform(0.0, 1.0, size=(70, 4))
-        q2 = rng.uniform(0.0, 1.0, size=(70, 4))
+        q1 = rng.uniform(0.0, 1.0, size=(70, 2))
+        q2 = rng.uniform(0.0, 1.0, size=(70, 2))
         a, b = 2.3, -0.7
 
         operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad)
 
         def solve(q):
-            return fixed_source_solve(operator, SourceField(mesh, q)).psi
+            solution = solve_fixed_source(operator, SourceField(mesh, q))
+            return evaluate_flux(operator, solution, mesh.centers).psi
 
         combined = solve(a * q1 + b * q2)
         split = a * solve(q1) + b * solve(q2)
@@ -288,16 +290,23 @@ class TestErrors:
         operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad2)
         other = build_fine_mesh(pincell.geometry, 71)
         with pytest.raises(ValidationError, match="mesh"):
-            fixed_source_solve(operator, SourceField(other, np.ones((71, 4))))
+            fixed_source_solve(operator, SourceField(other, np.ones((71, 2))))
         # a graded mesh of the same size passes every shape check
         graded = graded_mesh(pincell.geometry, np.bincount(mesh.region_of_cell))
         assert graded.n_cells == mesh.n_cells
-        source = SourceField(graded, np.ones((70, 4)))
+        source = SourceField(graded, np.ones((70, 2)))
         with pytest.raises(ValidationError, match="mesh"):
             fixed_source_solve(operator, source)
         sweep = SweepOperator(pincell.geometry, pincell.materials, mesh, quad2)
         with pytest.raises(ValidationError, match="mesh"):
             sweep_fixed_source(sweep, source, 1e-8)
+        # six groups on the operator's mesh, against two
+        wrong_groups = SourceField(mesh, np.ones((70, 6)))
+        expected = r"expected \(cells, G\) = \(70, 2\)"
+        with pytest.raises(ValidationError, match=expected):
+            fixed_source_solve(operator, wrong_groups)
+        with pytest.raises(ValidationError, match=expected):
+            sweep_fixed_source(sweep, wrong_groups, 1e-8)
 
     def test_operator_rejects_interleaved_regions(self, quad2):
         mats = {"a": one_group_material("a", sigma_t=1.0)}
@@ -328,7 +337,7 @@ class TestOperatorEquivalence:
 
     def test_random_heterogeneous_slabs(self):
         rng = np.random.default_rng(20240127)
-        worst = 0.0
+        worst = worst_phi = 0.0
         for trial in range(40):
             n_regions = int(rng.integers(1, 9))
             n_groups = int(rng.integers(1, 5))
@@ -339,19 +348,22 @@ class TestOperatorEquivalence:
             counts = rng.integers(1, 12, n_regions)
             mesh = (graded_mesh(geo, counts) if trial % 4 >= 2
                     else build_fine_mesh(geo, int(counts.sum())))
-            source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells,
-                                                             n_groups * quad.n)))
+            source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)))
             operator = FixedSourceOperator(geo, spectra, mesh, quad)
-            psi = fixed_source_solve(operator, source).psi
+            phi, solution = fixed_source_solve(operator, source)
+            centres = evaluate_flux(operator, solution, mesh.centers)
             worst = max(worst, max_rel_diff(
-                psi, oracle_fixed_source(geo, spectra, source, quad)))
-            solution = solve_fixed_source(operator, source)
+                centres.psi, oracle_fixed_source(geo, spectra, source, quad)))
+            # the per-outer scalar flux comes from the (blocks, G) expansion
+            worst_phi = max(worst_phi, max_rel_diff(
+                phi, FluxField.from_psi(mesh.centers, centres.psi, quad).phi))
             points = np.concatenate([rng.uniform(geo.edges[0], geo.edges[-1], 20),
                                      geo.edges])
             psi = evaluate_flux(operator, solution, points).psi
             worst = max(worst, max_rel_diff(
                 psi, oracle_fixed_source(geo, spectra, source, quad, points)))
         assert worst <= 1e-12
+        assert worst_phi <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_fine_pincell_mesh_takes_the_shared_path(self, pincell, graded):
@@ -363,5 +375,6 @@ class TestOperatorEquivalence:
             else build_fine_mesh(geo, 20000)
         spectra = spectra_for(geo, pincell.materials, quad)
         source = pincell_chi_absx_source(pincell, mesh, quad)
-        psi = fixed_source_solve(FixedSourceOperator(geo, spectra, mesh, quad), source).psi
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        psi = evaluate_flux(operator, solve_fixed_source(operator, source), mesh.centers).psi
         assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12

@@ -141,6 +141,33 @@ class TestEigen:
         a = np.loadtxt(out / "matrices" / "A_core.csv", delimiter=",")
         assert a.shape == (4, 4)
 
+    @pytest.mark.parametrize("ke", [None, 1.3])
+    def test_dump_matrices_reuses_the_solve_spectra(self, pincell_file, pincell,
+                                                    tmp_path, monkeypatch, ke):
+        import slab_sn.cli
+        import slab_sn.eigen
+        from slab_sn import assemble_A, block_diagonalize, gauss_legendre
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return block_diagonalize(a)
+
+        for module in (slab_sn.eigen, slab_sn.cli):
+            monkeypatch.setattr(module, "block_diagonalize", counted)
+        out = tmp_path / "run"
+        argv = ["eigen", str(pincell_file), "--sn", "4", "--out", str(out), "--dump-matrices"]
+        assert main(argv + ([] if ke is None else ["--ke", str(ke)])) == 0
+        names = set(pincell.geometry.materials)
+        assert len(calls) == len(names)
+        quad = gauss_legendre(4)
+        for name in names:
+            a = assemble_A(pincell.materials[name], quad, 0.0 if ke is None else 1.0 / ke)
+            spec = block_diagonalize(a)
+            for stem, ref in (("A", a), ("P", spec.P), ("B", spec.B)):
+                got = np.loadtxt(out / "matrices" / f"{stem}_{name}.csv", delimiter=",")
+                assert np.array_equal(got, ref), (stem, name)
+
     def test_solver_error_exit_code(self, tmp_path, absorber_file):
         # no fissile material: eigen run is an input-data problem
         rc = main(["eigen", str(absorber_file), "--out", str(tmp_path / "o")])

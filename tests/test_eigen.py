@@ -19,39 +19,37 @@ def flat_flux(mesh, value=1.0, groups=2, n=2):
 
 
 class TestFissionSource:
-    def test_reflector_cells_have_zero_source(self, pincell, quad2):
+    def test_reflector_cells_have_zero_source(self, pincell):
         mesh = build_fine_mesh(pincell.geometry, 70)
         flux = flat_flux(mesh)
-        src = fission_source(flux, pincell.geometry, pincell.materials, mesh,
-                             quad2, k=1.0)
+        src = fission_source(flux, pincell.geometry, pincell.materials, mesh, k=1.0)
         refl = np.concatenate([mesh.cells_of_region(0), mesh.cells_of_region(2)])
-        assert np.all(src.q[refl] == 0.0)
-        assert np.any(src.q[mesh.cells_of_region(1)] > 0.0)
+        assert np.all(src.emission[refl] == 0.0)
+        assert np.any(src.emission[mesh.cells_of_region(1)] > 0.0)
 
-    def test_unshifted_source_is_half_production_over_k(self, pincell, quad2):
+    def test_unshifted_source_is_half_production_over_k(self, pincell):
         mesh = build_fine_mesh(pincell.geometry, 70)
         flux = flat_flux(mesh)
         core = pincell.materials["core"]
-        src = fission_source(flux, pincell.geometry, pincell.materials, mesh,
-                             quad2, k=1.0)
+        src = fission_source(flux, pincell.geometry, pincell.materials, mesh, k=1.0)
         cells = mesh.cells_of_region(1)
         production = core.nu_sigma_f @ flux.phi[cells[0]]
-        # chi = (1, 0): all source in the fast group, isotropic, halved
-        assert src.q[cells[0], 0] == pytest.approx(production / 2.0, rel=1e-14)
-        assert src.q[cells[0], 2] == 0.0
+        # chi = (1, 0): all emission in the fast group, half of it on each ordinate
+        assert src.emission[cells[0], 0] == pytest.approx(production, rel=1e-14)
+        assert src.emission[cells[0], 1] == 0.0
 
-    def test_shift_at_eigenvalue_raises(self, pincell, quad2):
+    def test_shift_at_eigenvalue_raises(self, pincell):
         mesh = build_fine_mesh(pincell.geometry, 70)
         flux = flat_flux(mesh)
         with pytest.raises(ShiftAtEigenvalueError):
             fission_source(flux, pincell.geometry, pincell.materials, mesh,
-                           quad2, k=1.3, ke=1.3)
+                           k=1.3, ke=1.3)
 
-    def test_rejects_nonpositive_k(self, pincell, quad2):
+    def test_rejects_nonpositive_k(self, pincell):
         mesh = build_fine_mesh(pincell.geometry, 70)
         with pytest.raises(ValidationError):
             fission_source(flat_flux(mesh), pincell.geometry, pincell.materials,
-                           mesh, quad2, k=0.0)
+                           mesh, k=0.0)
 
 
 class TestUpdateKeff:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from slab_sn import save_problem
+from slab_sn import power_iteration, save_problem
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +51,21 @@ def test_setup_probe_runs(monkeypatch, tmp_path, pincell, ke):
     report = child.setup(str(path))
     assert report["spectral_calls"] == 1 + 2 * len(set(pincell.geometry.materials))
     assert report["spectral_s"] >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["analytic", "sweep"])
+def test_traced_solve_attributes_every_outer_iteration(monkeypatch, pincell, kind):
+    # run.traced_layers divides by the per-outer call counts, so a lost
+    # per-outer boundary would only show as a crash of a traced benchmark run
+    tracing = load_perfbench("tracing", monkeypatch)
+    run = load_perfbench("run", monkeypatch)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    config = replace(pincell.config, solver_kind=kind, sn_order=4, fine_mesh_size=70)
+    problem = replace(pincell, config=config)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = tracer.solve(power_iteration, problem.geometry, problem.materials, config)
+    layers, coverage = run.traced_layers(tracer, [(tracer.solve_id, result)], problem)
+    assert layers["trace.unobserved"] == 0, coverage
+    assert layers["eigen.outer_iters"] == result.iterations
+    assert layers[f"{kind}.calls"] == result.iterations

@@ -93,10 +93,10 @@ class TestSourceIteration:
     def test_no_scattering_converges_in_one_sweep(self, quad2):
         geo, mats = absorber_problem(sigma_t=1.0, length=2.0)
         mesh = build_fine_mesh(geo, 10)
-        q = np.full((10, 2), 0.3)
-        flux, sweeps = source_iteration(SweepOperator(geo, mats, mesh, quad2), q, 1e-8)
+        operator = SweepOperator(geo, mats, mesh, quad2)
+        _, psi, sweeps = source_iteration(operator, np.full((10, 1), 0.6), 1e-8)
         assert sweeps == 1
-        assert np.all(flux[:, 1] > 0.0)
+        assert np.all(operator.flux(psi).psi[:, 1] > 0.0)
 
     def test_iterations_grow_with_scattering_ratio(self, quad2):
         counts = []
@@ -104,9 +104,8 @@ class TestSourceIteration:
             mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=c)}
             geo = SlabGeometry(edges=np.array([0.0, 6.0]), materials=("s",))
             mesh = build_fine_mesh(geo, 60)
-            q = np.full((60, 2), 1.0)
             operator = SweepOperator(geo, {"s": mats["s"]}, mesh, quad2)
-            _, sweeps = source_iteration(operator, q, 1e-7)
+            _, _, sweeps = source_iteration(operator, np.full((60, 1), 2.0), 1e-7)
             counts.append(sweeps)
         assert counts[0] < counts[1] < counts[2]
 
@@ -137,17 +136,16 @@ class TestSourceIteration:
         refl = pincell.materials["reflector"]
         geo = SlabGeometry(edges=np.array([0.0, 2.5]), materials=("reflector",))
         mesh = build_fine_mesh(geo, 50)
-        q = np.full((50, 4), 1.0)
         operator = SweepOperator(geo, {"reflector": refl}, mesh, quad2)
-        flux, sweeps = source_iteration(operator, q, 1e-7)
-        assert sweeps > 1 and np.all(np.isfinite(flux))
+        phi, psi, sweeps = source_iteration(operator, np.full((50, 2), 2.0), 1e-7)
+        assert sweeps > 1 and np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
 
     def test_max_inner_iterations(self, quad2):
         mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=0.999)}
         geo = SlabGeometry(edges=np.array([0.0, 40.0]), materials=("s",))
         mesh = build_fine_mesh(geo, 40)
         with pytest.raises(MaxInnerIterationsError):
-            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.ones((40, 2)),
+            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.full((40, 1), 2.0),
                              1e-12, max_inner=5)
 
     def test_rejects_scattering_ratio_of_one(self, quad2):
@@ -155,18 +153,18 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 1.0]), materials=("s",))
         mesh = build_fine_mesh(geo, 4)
         with pytest.raises(ValidationError, match="ratio"):
-            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.ones((4, 2)), 1e-6)
+            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.full((4, 1), 2.0), 1e-6)
 
     def test_shift_folds_fission_into_source(self, pincell, quad2):
         # a weak shift keeps every folded scattering ratio below one
         core = pincell.materials["core"]
         geo = SlabGeometry(edges=np.array([0.0, 5.0]), materials=("core",))
         mesh = build_fine_mesh(geo, 25)
-        q = np.full((25, 4), 0.2)
-        flux_plain, _ = source_iteration(
-            SweepOperator(geo, {"core": core}, mesh, quad2), q, 1e-9)
-        flux_shift, _ = source_iteration(
-            SweepOperator(geo, {"core": core}, mesh, quad2, ke=5.0), q, 1e-9)
+        emission = np.full((25, 2), 0.4)
+        flux_plain, _, _ = source_iteration(
+            SweepOperator(geo, {"core": core}, mesh, quad2), emission, 1e-9)
+        flux_shift, _, _ = source_iteration(
+            SweepOperator(geo, {"core": core}, mesh, quad2, ke=5.0), emission, 1e-9)
         # folded fission production must increase the flux
         assert flux_shift.sum() > flux_plain.sum()
 
@@ -178,7 +176,7 @@ class TestSourceIteration:
         mesh = build_fine_mesh(geo, 25)
         with pytest.raises(ValidationError, match="ratio"):
             source_iteration(SweepOperator(geo, {"core": core}, mesh, quad2, ke=1.3),
-                             np.full((25, 4), 0.2), 1e-9)
+                             np.full((25, 2), 0.4), 1e-9)
 
     def test_reflective_half_slab_matches_full(self, quad4):
         mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=0.6)}
@@ -187,10 +185,10 @@ class TestSourceIteration:
                             bc_left=BoundaryCondition.reflective())
         mesh_f = build_fine_mesh(full, 64)
         mesh_h = build_fine_mesh(half, 32)
-        flux_f, _ = source_iteration(SweepOperator(full, mats, mesh_f, quad4),
-                                     np.full((64, 4), 0.5), 1e-11)
-        flux_h, _ = source_iteration(SweepOperator(half, mats, mesh_h, quad4),
-                                     np.full((32, 4), 0.5), 1e-11)
+        op_f = SweepOperator(full, mats, mesh_f, quad4)
+        op_h = SweepOperator(half, mats, mesh_h, quad4)
+        flux_f = op_f.flux(source_iteration(op_f, np.full((64, 1), 1.0), 1e-11)[1]).psi
+        flux_h = op_h.flux(source_iteration(op_h, np.full((32, 1), 1.0), 1e-11)[1]).psi
         assert np.allclose(flux_h, flux_f[32:], atol=1e-8 * flux_f.max())
 
 
@@ -204,7 +202,7 @@ class TestCrossSolver:
         def chi_absx(mesh):
             chi = np.vstack([mats[n].chi for n in geo.materials])
             emission = chi[mesh.region_of_cell] * np.abs(mesh.centers)[:, None]
-            return SourceField.isotropic(mesh, emission, quad.n)
+            return SourceField(mesh, emission)
 
         mesh_a = build_fine_mesh(geo, 700)
         src_a = chi_absx(mesh_a)
@@ -271,7 +269,9 @@ class TestFastPathConsistency:
         geo, mats = pincell.geometry, pincell.materials
         mesh = build_fine_mesh(geo, 70)
         q_ext = np.full((70, 4), 0.1)
-        flux, _ = source_iteration(SweepOperator(geo, mats, mesh, quad2), q_ext, 1e-12)
+        operator = SweepOperator(geo, mats, mesh, quad2)
+        _, psi, _ = source_iteration(operator, np.full((70, 2), 0.2), 1e-12)
+        flux = operator.flux(psi).psi
         phi = flux.reshape(70, 2, 2) @ quad2.weight
         scat = np.empty((70, 2))
         for r in range(geo.n_regions):
@@ -302,13 +302,14 @@ class TestFastPathConsistency:
             counts = rng.integers(1, 9, geo.n_regions)
             mesh = (graded_mesh(geo, counts) if trial % 3 == 0
                     else build_fine_mesh(geo, int(counts.sum())))
-            shape = (mesh.n_cells, n_groups * quad.n)
-            q = rng.uniform(0.0, 1.0, shape)
-            flux0 = rng.uniform(0.0, 1.0, shape) if trial % 5 == 0 else None
+            shape = (mesh.n_cells, n_groups)
+            emission = rng.uniform(0.0, 1.0, shape)
+            phi0 = rng.uniform(0.0, 1.0, shape) if trial % 5 == 0 else None
             operator = SweepOperator(geo, mats, mesh, quad, scheme, ke)
-            psi, sweeps = source_iteration(operator, q, 1e-10, flux0=flux0)
-            ref, ref_sweeps = oracle_source_iteration(geo, mats, mesh, quad, q, 1e-10,
-                                                      flux0=flux0, ke=ke, scheme=scheme)
+            _, psi, sweeps = source_iteration(operator, emission, 1e-10, phi0=phi0)
+            psi = operator.flux(psi).psi
+            ref, ref_sweeps = oracle_source_iteration(geo, mats, mesh, quad, emission,
+                                                      1e-10, phi0=phi0, ke=ke, scheme=scheme)
             assert sweeps == ref_sweeps, trial
             worst = max(worst, np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
         assert kinds == {"vacuum", "reflective", "incoming"}
