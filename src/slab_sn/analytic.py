@@ -14,20 +14,26 @@ numbers around e^(lambda L), which for thick regions at high S_N order is
 far beyond double precision.
 
 The alpha coefficients of all regions solve one (N G R) x (N G R) linear
-system: N G / 2 rows per boundary condition and N G rows of angular-flux
-continuity per interior interface.
+system M: N G / 2 rows per boundary condition and N G rows of angular-flux
+continuity per interior interface.  Each interface row touches only the
+two regions beside it, so with the rows ordered left boundary, interface
+0 .. R-2, right boundary, one QR per region column eliminates M into block
+upper-bidiagonal form (interface elimination, as in the analytical
+discrete-ordinates method) in O(R (N G)^3) time and O(R (N G)^2) memory:
+see InterfaceFactor.
 
 Only J and the right-hand side depend on the source.  A FixedSourceOperator
 is therefore built once per problem and holds, per region, the anchored
 block rates, the half-cell step and integral multipliers, the homogeneous
 factors at the cell centres, and the projection and expansion matrices,
-plus the global matrix, checked once for singularity and inverted once.
-A source is an isotropic emission S (cells, G), S/2 on every ordinate, so
-applying the operator projects it onto the blocks with one (G, blocks)
-matrix per region, runs the cell recurrence for J as one FirstOrderScan
-per region, forms the right-hand side, multiplies by the inverse and
-evaluates only the scalar flux at the cell centres, through one
-(blocks, G) expansion.  evaluate_flux gives Psi and phi at any points.
+plus the factored global system, checked once for singularity.  A source
+is an isotropic emission S (cells, G), S/2 on every ordinate, so applying
+the operator projects it onto the blocks with one (G, blocks) matrix per
+region, runs the cell recurrence for J as one FirstOrderScan per region,
+forms the right-hand side, solves with the factor (one forward pass and
+one block back-substitution) and evaluates only the scalar flux at the
+cell centres, through one (blocks, G) expansion.  evaluate_flux gives Psi
+and phi at any points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -40,7 +46,7 @@ recurrence enters through.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,21 +58,18 @@ from .recurrence import FirstOrderScan
 from .spectral import BlockSpectrum, exp_block, phi_block
 
 SOLVE_RCOND_MIN = 1e-14
+RCOND_ITERATIONS = 5
 EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled boundary/continuity system M alpha = rhs.
+    """Boundary/continuity system M alpha = rhs for one source, M held as
+    its InterfaceFactor.  rhs rows run left boundary, interface 0 .. R-2,
+    right boundary."""
 
-    inverse, when present, is M^-1 already checked against SOLVE_RCOND_MIN.
-    """
-
-    matrix: np.ndarray
     rhs: np.ndarray
-    ng: int
-    n_regions: int
-    inverse: Optional[np.ndarray] = None
+    factor: "InterfaceFactor"
 
 
 def select_rows(matrix: np.ndarray, quad: QuadratureSet, sign: str) -> np.ndarray:
@@ -221,14 +224,128 @@ def _region(geometry: SlabGeometry, spectra, mesh: FineMesh, centres, quad, r: i
                    centres[cells] - x_left, cells, quad)
 
 
-def _checked_inverse(matrix: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if not np.isfinite(rcond) or rcond < SOLVE_RCOND_MIN:
-        raise SingularSystemError(
-            f"global system is numerically singular (rcond={rcond:.3e}); "
-            "the shift may sit on an eigenvalue of the problem")
-    return np.linalg.inv(matrix)
+def _singular(rcond: float) -> SingularSystemError:
+    return SingularSystemError(
+        f"global system is numerically singular (1-norm rcond={rcond:.3e}); "
+        "the source-free problem has a nonzero solution: give the slab "
+        "absorption or leakage, or move k_e off the eigenvalue")
+
+
+def _inverse(r: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        raise _singular(0.0) from None
+
+
+def _rcond_estimate(norm: float, solve, solve_t, size: int) -> float:
+    """1 / (norm ||M^-1||_1), ||M^-1||_1 estimated from solves with M and
+    M^T: Hager's method with Higham's alternating test vector (Higham, ACM
+    TOMS 14, 1988; LAPACK xLACON), at most RCOND_ITERATIONS steps."""
+    x = np.full(size, 1.0 / size)
+    est = 0.0
+    for _ in range(RCOND_ITERATIONS):
+        y = solve(x)
+        y_norm = np.abs(y).sum()
+        if not y_norm > est:
+            break
+        est = y_norm
+        z = solve_t(np.where(y >= 0.0, 1.0, -1.0))
+        j = np.argmax(np.abs(z))
+        if np.abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(size)
+        x[j] = 1.0
+    alt = np.where(np.arange(size) % 2, -1.0, 1.0) * (1.0 + np.arange(size) / (size - 1))
+    est = max(est, 2.0 * np.abs(solve(alt)).sum() / (3.0 * size))
+    return 1.0 / (norm * est) if np.isfinite(est) and est > 0.0 else 0.0
+
+
+class InterfaceFactor:
+    """Orthogonal block elimination of the boundary/continuity system.
+
+    Built from the left boundary rows (h, n) on alpha_0, the R-1 interface
+    pairs (rows on alpha_k, rows on alpha_k+1), each (n, n), and the right
+    boundary rows (h, n) on alpha_R-1, with h = n / 2.  Column k's panel is
+    the h rows carried from column k-1 (the left boundary for k = 0) over
+    interface k; its complete QR leaves n pivot rows
+    R_k alpha_k + C_k alpha_k+1 and h rows carried to column k+1.  The last
+    panel, carried rows over the right boundary, is square.  Per column the
+    factor keeps
+
+        step[k] = [R_k^-1 Q_k^T[:n]; Q_k^T[n:]]   (h+n, h+n)
+        coupling[k] = R_k^-1 C_k                   (n, n)
+
+    and last = R^-1 Q^T of the final panel, so a solve is one forward pass
+    through the steps and one block back-substitution
+    alpha_k = y_k - coupling[k] alpha_k+1.  rcond is the Hager/Higham
+    estimate of the reciprocal 1-norm condition number of M; below
+    SOLVE_RCOND_MIN the build raises SingularSystemError.
+    """
+
+    def __init__(self, left: np.ndarray, interfaces, right: np.ndarray):
+        h, n = left.shape
+        self.n_regions = len(interfaces) + 1
+        self.step = np.empty((self.n_regions - 1, h + n, h + n))
+        self.coupling = np.empty((self.n_regions - 1, n, n))
+        column_sums = np.zeros((self.n_regions, n))
+        column_sums[0] += np.abs(left).sum(axis=0)
+        column_sums[-1] += np.abs(right).sum(axis=0)
+        carried = left
+        for k, (on_k, on_next) in enumerate(interfaces):
+            column_sums[k] += np.abs(on_k).sum(axis=0)
+            column_sums[k + 1] += np.abs(on_next).sum(axis=0)
+            q, r = np.linalg.qr(np.vstack([carried, on_k]), mode="complete")
+            r_inv = _inverse(r[:n])
+            c = q[h:].T @ on_next
+            self.step[k, :n] = r_inv @ q[:, :n].T
+            self.step[k, n:] = q[:, n:].T
+            self.coupling[k] = r_inv @ c[:n]
+            carried = c[n:]
+        q, r = np.linalg.qr(np.vstack([carried, right]))
+        self.last = _inverse(r) @ q.T
+        for arr in (self.step, self.coupling, self.last):
+            arr.setflags(write=False)
+        self.rcond = _rcond_estimate(column_sums.max(), self.solve,
+                                     self.solve_transposed, self.n_regions * n)
+        if not self.rcond >= SOLVE_RCOND_MIN:
+            raise _singular(self.rcond)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """alpha (R, n) with M alpha = rhs, rhs in row order."""
+        n = self.last.shape[0]
+        h = n // 2
+        # the interface rows' share of every step, all columns at once
+        pre = (self.step[:, :, h:] @ rhs[h:-h].reshape(-1, n, 1))[:, :, 0]
+        y = np.empty((self.n_regions, n))
+        carried = rhs[:h]
+        for k in range(self.n_regions - 1):
+            t = self.step[k, :, :h] @ carried + pre[k]
+            y[k] = t[:n]
+            carried = t[n:]
+        y[-1] = self.last @ np.concatenate([carried, rhs[-h:]])
+        for k in range(self.n_regions - 2, -1, -1):
+            y[k] -= self.coupling[k] @ y[k + 1]
+        return y
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        """x in row order with M^T x = b, b (R n) in alpha order: the
+        transposes of solve's steps in reverse order."""
+        n = self.last.shape[0]
+        h = n // 2
+        w = b.reshape(self.n_regions, n).copy()
+        for k in range(1, self.n_regions):
+            w[k] -= self.coupling[k - 1].T @ w[k - 1]
+        x = np.empty(b.size)
+        t = self.last.T @ w[-1]
+        x[-h:] = t[h:]
+        carried = t[:h]
+        for k in range(self.n_regions - 2, -1, -1):
+            t = self.step[k].T @ np.concatenate([w[k], carried])
+            x[h + k * n:h + (k + 1) * n] = t[h:]
+            carried = t[:h]
+        x[:h] = carried
+        return x
 
 
 def _incoming(bc):
@@ -239,11 +356,12 @@ class FixedSourceOperator:
     """The source-independent part of the analytic fixed-source solve.
 
     Built once per (geometry, spectra, mesh, quadrature): the per-region
-    block data and cell-centre factors, and the global boundary/continuity
-    matrix with its inverse, checked once (SingularSystemError below rcond
-    1e-14).  spectra maps material name -> BlockSpectrum.  Nothing here
-    changes after construction; solve_fixed_source and fixed_source_solve
-    apply it to one source at a time.
+    block data and cell-centre factors, and the InterfaceFactor of the
+    global boundary/continuity system, checked once (SingularSystemError
+    below an estimated 1-norm rcond of 1e-14; rcond keeps the estimate).
+    spectra maps material name -> BlockSpectrum.  Nothing here changes
+    after construction; solve_fixed_source and fixed_source_solve apply it
+    to one source at a time.
     """
 
     def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
@@ -256,20 +374,12 @@ class FixedSourceOperator:
                              for r in range(geometry.n_regions))
         self.ng = self.regions[0].spec.size
         self.n_groups = self.ng // quad.n
-        ng, n_reg, half = self.ng, len(self.regions), self.ng // 2
-        mat = np.zeros((ng * n_reg, ng * n_reg))
-        mat[:half, :ng] = _bc_combination(geometry.bc_left, quad, "left",
-                                          self.regions[0].pg("left"))
-        mat[half:ng, (n_reg - 1) * ng:] = _bc_combination(
-            geometry.bc_right, quad, "right", self.regions[-1].pg("right"))
-        for i in range(n_reg - 1):
-            rows = slice(ng * (i + 1), ng * (i + 2))
-            mat[rows, ng * i:ng * (i + 1)] = self.regions[i].pg("right")
-            mat[rows, ng * (i + 1):ng * (i + 2)] = -self.regions[i + 1].pg("left")
-        self.inverse = _checked_inverse(mat)
-        self.matrix = mat
-        for arr in (self.matrix, self.inverse):
-            arr.setflags(write=False)
+        regs = self.regions
+        self.factor = InterfaceFactor(
+            _bc_combination(geometry.bc_left, quad, "left", regs[0].pg("left")),
+            [(a.pg("right"), -b.pg("left")) for a, b in zip(regs[:-1], regs[1:])],
+            _bc_combination(geometry.bc_right, quad, "right", regs[-1].pg("right")))
+        self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
         """Per-region projected source and particular solution."""
@@ -281,31 +391,20 @@ class FixedSourceOperator:
         return [reg.particular(source.emission[reg.cells]) for reg in self.regions]
 
     def system(self, particular) -> GlobalSystem:
-        """Global system for one source, carrying the checked inverse."""
+        """Global system for one source, carrying the operator's factor."""
         edges = [reg.edge_psi(part) for reg, part in zip(self.regions, particular)]
-        geo, quad, ng, half = self.geometry, self.quad, self.ng, self.ng // 2
-        rhs = np.empty(self.matrix.shape[0])
-        rhs[:half] = _incoming(geo.bc_left) - _bc_combination(
-            geo.bc_left, quad, "left", edges[0][0])
-        rhs[half:ng] = _incoming(geo.bc_right) - _bc_combination(
+        geo, quad = self.geometry, self.quad
+        left = _incoming(geo.bc_left) - _bc_combination(geo.bc_left, quad, "left", edges[0][0])
+        right = _incoming(geo.bc_right) - _bc_combination(
             geo.bc_right, quad, "right", edges[-1][1])
-        for i in range(len(edges) - 1):
-            rhs[ng * (i + 1):ng * (i + 2)] = edges[i + 1][0] - edges[i][1]
-        return GlobalSystem(matrix=self.matrix, rhs=rhs, ng=ng,
-                            n_regions=len(self.regions), inverse=self.inverse)
+        interfaces = [b[0] - a[1] for a, b in zip(edges[:-1], edges[1:])]
+        return GlobalSystem(rhs=np.concatenate([left, *interfaces, right]),
+                            factor=self.factor)
 
 
-def solve_alpha(system: GlobalSystem):
-    """Dense solve, one alpha per region.
-
-    Uses the inverse the system carries; without one, raises
-    SingularSystemError below rcond 1e-14 before solving.
-    """
-    inverse = system.inverse
-    if inverse is None:
-        inverse = _checked_inverse(system.matrix)
-    alpha = inverse @ system.rhs
-    return [alpha[i * system.ng:(i + 1) * system.ng] for i in range(system.n_regions)]
+def solve_alpha(system: GlobalSystem) -> np.ndarray:
+    """One alpha per region, (R, N G), from the system's factor."""
+    return system.factor.solve(system.rhs)
 
 
 def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:

@@ -88,6 +88,25 @@ def random_slab(rng, n_groups, n_regions, n_ordinates):
     return geometry, materials
 
 
+def split_geometry(geometry, n_regions, seed, grid=0.5):
+    """geometry cut into n_regions homogeneous regions: its own material
+    interfaces are kept and the other interior edges are drawn without
+    replacement, seeded, from a grid of spacing grid.  With n_regions=60,
+    grid=0.5 and the two-group pincell this is the benchmark's split60 cut
+    for the same seed."""
+    lo, hi = float(geometry.edges[0]), float(geometry.edges[-1])
+    n_grid = int(round((hi - lo) / grid))
+    keep = {int(round((e - lo) / grid)) for e in geometry.edges[1:-1]}
+    free = [i for i in range(1, n_grid) if i not in keep]
+    rng = np.random.default_rng(seed)
+    cuts = rng.choice(free, size=n_regions - 1 - len(keep), replace=False)
+    interior = sorted(keep | {int(i) for i in cuts})
+    edges = np.array([lo] + [lo + grid * i for i in interior] + [hi])
+    region = np.searchsorted(geometry.edges[1:], 0.5 * (edges[:-1] + edges[1:]))
+    return replace(geometry, edges=edges,
+                   materials=tuple(geometry.materials[r] for r in region))
+
+
 def absorber_problem(sigma_t=1.0, length=4.0, bc_left=None, bc_right=None):
     geo = SlabGeometry(
         edges=np.array([0.0, length]), materials=("abs",),
@@ -515,6 +534,7 @@ def _assemble(works, geometry, quad):
 
 
 def _solve_alpha(matrix, rhs, ng, n_regions):
+    """Dense global solve: 2-norm rcond from a full SVD, then LU."""
     sv = np.linalg.svd(matrix, compute_uv=False)
     rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
     if not np.isfinite(rcond) or rcond < SOLVE_RCOND_MIN:

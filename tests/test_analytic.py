@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from _helpers import (absorber_problem, absorber_psi, graded_mesh,
-                      one_group_material, oracle_fixed_source, random_slab,
-                      source_over_mu)
-from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
-                     FluxField, GlobalSystem, MaterialXS, MeshAlignmentError,
+from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
+                      absorber_psi, graded_mesh, one_group_material,
+                      oracle_fixed_source, random_slab, source_over_mu,
+                      split_geometry)
+from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
+                     FluxField, MaterialXS, MeshAlignmentError,
                      PointOutOfDomainError, SingularSystemError, SlabGeometry,
                      SourceField, SweepOperator, ValidationError,
                      assemble_A, block_diagonalize, build_fine_mesh,
                      evaluate_flux, fixed_source_solve, gauss_legendre,
-                     mesh_from_edges, select_rows, solve_alpha,
+                     mesh_from_edges, power_iteration, select_rows,
                      solve_fixed_source, sweep_fixed_source)
 
 
@@ -63,34 +66,131 @@ class TestGlobalSystem:
         mesh = build_fine_mesh(pincell.geometry, 70)
         source = SourceField(mesh, np.ones((70, 2)))
         spectra = spectra_for(pincell.geometry, pincell.materials, quad2)
-        operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad2)
-        system = operator.system(operator.particular(source))
-        assert system.matrix.shape == (12, 12) and system.rhs.shape == (12,)
+        matrix, rhs = _assemble(_region_works(pincell.geometry, spectra, source, quad2),
+                                pincell.geometry, quad2)
+        assert matrix.shape == (12, 12) and rhs.shape == (12,)
         # boundary rows touch only their own region's block column
-        assert np.all(system.matrix[:2, 4:] == 0.0)
-        assert np.all(system.matrix[2:4, :8] == 0.0)
+        assert np.all(matrix[:2, 4:] == 0.0)
+        assert np.all(matrix[2:4, :8] == 0.0)
         # interface rows couple adjacent region blocks only
-        assert np.all(system.matrix[4:8, 8:] == 0.0)
-        assert np.all(system.matrix[8:12, :4] == 0.0)
-        assert np.any(system.matrix[4:8, :8] != 0.0)
+        assert np.all(matrix[4:8, 8:] == 0.0)
+        assert np.all(matrix[8:12, :4] == 0.0)
+        assert np.any(matrix[4:8, :8] != 0.0)
+        # the factor holds one step per region column and one coupling
+        # block per adjacent pair, and it solves the oracle's system, whose
+        # rows run left BC, right BC, interfaces (the factor's: left BC,
+        # interfaces, right BC)
+        operator = FixedSourceOperator(pincell.geometry, spectra, mesh, quad2)
+        factor = operator.factor
+        assert factor.step.shape == (2, 6, 6)
+        assert factor.coupling.shape == (2, 4, 4) and factor.last.shape == (4, 4)
+        rows = np.r_[0:2, 4:12, 2:4]
+        system = operator.system(operator.particular(source))
+        assert np.allclose(system.rhs, rhs[rows], rtol=1e-13, atol=1e-15)
+        x = np.arange(12.0)
+        assert np.allclose(factor.solve(matrix[rows] @ x).ravel(), x, rtol=0.0, atol=1e-12)
+        assert np.allclose(factor.solve_transposed(matrix[rows].T @ x), x,
+                           rtol=0.0, atol=1e-12)
 
     def test_solve_alpha_zero_rhs(self, rng):
         m = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
-        system = GlobalSystem(matrix=m, rhs=np.zeros(6), ng=3, n_regions=2)
-        assert all(np.allclose(a, 0.0) for a in solve_alpha(system))
+        assert all(np.allclose(a, 0.0) for a in _solve_alpha(m, np.zeros(6), 3, 2))
 
     def test_solve_alpha_row_permutation_invariant(self, rng):
         m = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
         rhs = rng.standard_normal(6)
         perm = rng.permutation(6)
-        a1 = solve_alpha(GlobalSystem(m, rhs, 3, 2))
-        a2 = solve_alpha(GlobalSystem(m[perm], rhs[perm], 3, 2))
+        a1 = _solve_alpha(m, rhs, 3, 2)
+        a2 = _solve_alpha(m[perm], rhs[perm], 3, 2)
         assert np.allclose(np.concatenate(a1), np.concatenate(a2), rtol=1e-12)
 
     def test_solve_alpha_singular(self):
         m = np.ones((4, 4))
         with pytest.raises(SingularSystemError):
-            solve_alpha(GlobalSystem(m, np.ones(4), 2, 2))
+            _solve_alpha(m, np.ones(4), 2, 2)
+
+
+def oracle_rcond(geometry, spectra, mesh, quad):
+    """Exact reciprocal 1-norm condition number of the dense oracle matrix."""
+    n_groups = next(iter(spectra.values())).size // quad.n
+    source = SourceField(mesh, np.zeros((mesh.n_cells, n_groups)))
+    matrix, _ = _assemble(_region_works(geometry, spectra, source, quad), geometry, quad)
+    return 1.0 / np.linalg.cond(matrix, 1)
+
+
+def reachable_arrays(obj):
+    """Every numpy array reachable from obj through attributes, containers
+    and array bases."""
+    seen, found, stack = set(), [], [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (type, str, bytes)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+            if item.base is not None:
+                stack.append(item.base)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return found
+
+
+# the analytic S4 pincell eigenvalue to one ulp: k_e bisected until the
+# global system of the shifted spectra is as close to singular as it gets
+S4_EIGENVALUE = 1.249587586475536
+
+
+class TestInterfaceFactor:
+    """Singularity guard and condition estimate of the factored system."""
+
+    @pytest.mark.parametrize("case", ["zero_column", "reflective_void"])
+    def test_structurally_singular_system_raises_at_build(self, case):
+        quad = gauss_legendre(2)
+        if case == "zero_column":
+            # P's second column is zero, so both regions' edge blocks are too
+            spec = BlockSpectrum(P=[[1.0, 0.0], [0.0, 0.0]], P_inv=np.eye(2),
+                                 rates=[-1.0, 1.0])
+            bcs = {}
+        else:
+            # no interaction, reflective ends: any constant isotropic flux
+            # solves the homogeneous problem
+            spec = BlockSpectrum(P=np.eye(2), P_inv=np.eye(2), rates=[0.0, 0.0])
+            bcs = dict(bc_left=BoundaryCondition.reflective(),
+                       bc_right=BoundaryCondition.reflective())
+        geo = SlabGeometry(edges=np.array([0.0, 1.0, 2.5]), materials=("m", "m"), **bcs)
+        with pytest.raises(SingularSystemError):
+            FixedSourceOperator(geo, {"m": spec}, build_fine_mesh(geo, 6), quad)
+
+    @pytest.mark.parametrize("n, ke, split", [
+        (2, None, False), (2, 1.3, False), (16, None, False), (16, 1.3, False),
+        (64, None, False), (64, 1.3, False), (6, None, True)])
+    def test_rcond_estimate_matches_dense_oracle(self, pincell, n, ke, split):
+        geo = split_geometry(pincell.geometry, 60, seed=1) if split else pincell.geometry
+        quad = gauss_legendre(n)
+        spectra = spectra_for(geo, pincell.materials, quad,
+                              0.0 if ke is None else 1.0 / ke)
+        mesh = build_fine_mesh(geo, 140)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        exact = oracle_rcond(geo, spectra, mesh, quad)
+        assert exact / 3.0 <= operator.rcond <= 3.0 * exact
+
+    def test_shift_at_the_eigenvalue_is_near_singular_but_passes(self, pincell):
+        # a k_e on the S4 eigenvalue leaves the global system about 1e-12
+        # from singular in rcond, above the 1e-14 guard: the operator builds
+        # and reports it
+        quad = gauss_legendre(4)
+        geo = pincell.geometry
+        spectra = spectra_for(geo, pincell.materials, quad, 1.0 / S4_EIGENVALUE)
+        mesh = build_fine_mesh(geo, 70)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        exact = oracle_rcond(geo, spectra, mesh, quad)
+        assert operator.rcond <= 1e-10
+        assert exact / 3.0 <= operator.rcond <= 3.0 * exact
 
 
 class TestClosedForms:
@@ -378,3 +478,63 @@ class TestOperatorEquivalence:
         operator = FixedSourceOperator(geo, spectra, mesh, quad)
         psi = evaluate_flux(operator, solve_fixed_source(operator, source), mesh.centers).psi
         assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12
+
+
+def pincell_lattice(pincell, rng, n_pins=20):
+    """n_pins pincells in a row, each water | core | water with its own
+    widths, the second half mirroring the first about x = 0 (3 n_pins
+    regions), and a mesh of cells about 0.25 cm wide, mirrored too."""
+    water, core = pincell.geometry.materials[:2]
+    pins = [(rng.uniform(0.2, 0.6), rng.uniform(0.8, 1.6), rng.uniform(0.2, 0.6))
+            for _ in range(n_pins // 2)]
+    widths = np.concatenate([np.ravel(pins), np.ravel(pins)[::-1]])
+    edges = np.concatenate([[0.0], np.cumsum(widths)]) - widths.sum() / 2.0
+    geo = replace(pincell.geometry, edges=edges, materials=(water, core, water) * n_pins)
+    mesh_edges = [edges[:1]] + [np.linspace(x0, x1, int(np.ceil((x1 - x0) / 0.25)) + 1)[1:]
+                                for x0, x1 in zip(edges[:-1], edges[1:])]
+    return geo, mesh_from_edges(np.concatenate(mesh_edges), geo)
+
+
+class TestRegionCount:
+    """Cost and answers as the number of regions grows."""
+
+    @pytest.mark.parametrize("ke", [None, 1.3])
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    def test_region_split_leaves_k_unchanged(self, pincell, n, ke):
+        # cutting a homogeneous region changes nothing the analytic solution
+        # sees, so the 60-region cut must give the 3-region k and outer count
+        config = replace(pincell.config, solver_kind="analytic", sn_order=n,
+                         fine_mesh_size=700, ke=ke)
+        split = split_geometry(pincell.geometry, 60, seed=1)
+        assert np.allclose(build_fine_mesh(split, 700).edges,
+                           build_fine_mesh(pincell.geometry, 700).edges, rtol=0.0, atol=1e-12)
+        whole = power_iteration(pincell.geometry, pincell.materials, config)
+        cut = power_iteration(split, pincell.materials, config)
+        assert cut.iterations == whole.iterations
+        assert cut.k_eff == pytest.approx(whole.k_eff, rel=1e-12, abs=0.0)
+
+    def test_heterogeneous_lattice_matches_dense_oracle(self, pincell):
+        geo, mesh = pincell_lattice(pincell, np.random.default_rng(7))
+        assert geo.n_regions == 60
+        quad = gauss_legendre(8)
+        spectra = spectra_for(geo, pincell.materials, quad)
+        source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        phi, solution = fixed_source_solve(operator, source)
+        psi = evaluate_flux(operator, solution, mesh.centers).psi
+        assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12
+        # geometry, mesh and source are mirror-symmetric about x = 0
+        assert max_rel_diff(phi[::-1], phi) <= 1e-10
+
+    def test_factor_memory_grows_linearly_in_region_count(self, pincell):
+        quad = gauss_legendre(8)
+        spectra = spectra_for(pincell.geometry, pincell.materials, quad)
+        held = {}
+        for n_regions in (30, 120):
+            geo = split_geometry(pincell.geometry, n_regions, seed=1, grid=0.25)
+            operator = FixedSourceOperator(geo, spectra, build_fine_mesh(geo, 140), quad)
+            held[n_regions] = sum(a.nbytes for a in reachable_arrays(operator.factor))
+            # nothing the size of the dense (N G R)^2 matrix is kept
+            dense = (operator.ng * n_regions) ** 2
+            assert max(a.size for a in reachable_arrays(operator)) < dense
+        assert held[120] <= 4.4 * held[30]
