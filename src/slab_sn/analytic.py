@@ -24,16 +24,21 @@ see InterfaceFactor.
 
 Only J and the right-hand side depend on the source.  A FixedSourceOperator
 is therefore built once per problem and holds, per region, the anchored
-block rates, the half-cell step and integral multipliers, the homogeneous
-factors at the cell centres, and the projection and expansion matrices,
-plus the factored global system, checked once for singularity.  A source
-is an isotropic emission S (cells, G), S/2 on every ordinate, so applying
-the operator projects it onto the blocks with one (G, blocks) matrix per
-region, runs the cell recurrence for J as one FirstOrderScan per region,
-forms the right-hand side, solves with the factor (one forward pass and
-one block back-substitution) and evaluates only the scalar flux at the
-cell centres, through one (blocks, G) expansion.  evaluate_flux gives Psi
-and phi at any points.
+block rates, the homogeneous factors at the cell centres (cells, blocks),
+the width-only factors (the half-cell step, its source integral and the
+recurrence's source multiplier), and the projection and expansion
+matrices, plus the factored global system, checked once for singularity.
+The width-only factors have one row per distinct cell width: one row at
+the nominal width L / m when the region's widths agree to WIDTH_RTOL, as
+on build_fine_mesh meshes, else one row per cell; both broadcast along
+the cell axis.  A source is an isotropic emission S (cells, G), S/2 on
+every ordinate, so applying the operator projects it onto the blocks with
+one (G, blocks) matrix per region, runs the cell recurrence for J as one
+FirstOrderScan per region, forms the right-hand side, solves with the
+factor (one forward pass and one block back-substitution) and evaluates
+only the scalar flux at the cell centres, through one (blocks, G)
+expansion.  FixedSourceOperator.flux gives Psi and phi at the cell centres
+from the same stored factors; evaluate_flux gives them at any points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -58,6 +63,10 @@ from .recurrence import FirstOrderScan
 from .spectral import BlockSpectrum, exp_block, phi_block
 
 SOLVE_RCOND_MIN = 1e-14
+# a region's cells share one row of width-only factors when their widths
+# spread by at most this much relative to the nominal width; uniform
+# linspace meshes spread by 7e-14 (pincell, M = 700) to 3e-12 (M = 20000)
+WIDTH_RTOL = 1e-10
 RCOND_ITERATIONS = 5
 EVAL_CHUNK = 256
 
@@ -150,16 +159,25 @@ class _Region:
         sign = np.where(self.forward, 1.0, -1.0)
         per_group = (spec.P_inv.reshape(-1, g, quad.n) / quad.mu).sum(axis=2) / 2.0
         self.project = per_group.T @ (self.enc.T * sign)
-        # cell-centre factors; the recurrence's full-cell step and source
-        # multipliers are half**2 (kept in the scan) and phi_half * (1 + half)
+        # cell-centre factors: hom per cell; the half-cell step half and
+        # its integral phi_half at one row per cell, or at one row of the
+        # nominal width when the widths agree to WIDTH_RTOL.  The
+        # recurrence's full-cell step and source multipliers are half**2
+        # (kept in the scan) and source_coef = (1 + half) phi_half
         widths = np.diff(t_edges)
+        nominal = self.length / widths.size
+        if np.ptp(widths) <= WIDTH_RTOL * nominal:
+            widths = np.full(1, nominal)
         anchor = np.where(self.forward, t_centres[:, None], (self.length - t_centres)[::-1, None])
         upwind = np.where(self.forward, widths[:, None], widths[::-1, None]) / 2.0
-        self.hom, self.half, self.phi_half = _factors(self.rho, anchor, upwind)
+        self.hom = exp_block(self.rho, anchor)
+        self.half = exp_block(self.rho, upwind)
+        self.phi_half = phi_block(self.rho, upwind)
+        self.source_coef = (1.0 + self.half) * self.phi_half
         for arr in (self.forward, self.rho, self.enc, self.expand, self.expand_phi,
-                    self.project, self.hom, self.half, self.phi_half):
+                    self.project, self.hom, self.half, self.phi_half, self.source_coef):
             arr.setflags(write=False)
-        self.march = FirstOrderScan(self.half * self.half)
+        self.march = FirstOrderScan(self.half * self.half, t_centres.size)
 
     def scan_order(self, x: np.ndarray) -> np.ndarray:
         """Swap a (cells, blocks) array between cell and scan order."""
@@ -168,9 +186,7 @@ class _Region:
     def particular(self, emission: np.ndarray) -> _Particular:
         """Project the region's (cells, G) emission and march J across it."""
         theta = self.scan_order(emission @ self.project)
-        b = self.half + 1.0
-        b *= self.phi_half
-        b *= theta
+        b = self.source_coef * theta
         return _Particular(theta, np.concatenate([np.zeros_like(b[:1]), self.march(b)]))
 
     def pg(self, side: str) -> np.ndarray:
@@ -193,11 +209,11 @@ class _Region:
         x += phi_half * theta
         return x
 
-    def phi_at_centres(self, alpha: np.ndarray, part: _Particular) -> np.ndarray:
-        """Scalar flux (cells, G) at every cell centre of the region."""
-        x = self._psi((self.hom, self.half, self.phi_half), alpha, part.j[:-1],
-                      part.theta)
-        return (self.scan_order(x) @ self.expand_phi).real
+    def at_centres(self, alpha: np.ndarray, part: _Particular) -> np.ndarray:
+        """Block scalars (cells, blocks) at every cell centre, in cell order,
+        from the stored factors."""
+        return self.scan_order(self._psi((self.hom, self.half, self.phi_half), alpha,
+                                         part.j[:-1], part.theta))
 
     def psi_at(self, alpha: np.ndarray, part: _Particular, t: np.ndarray) -> np.ndarray:
         """Psi (points, N G) at local coordinates t, each in [0, L]."""
@@ -361,7 +377,8 @@ class FixedSourceOperator:
     below an estimated 1-norm rcond of 1e-14; rcond keeps the estimate).
     spectra maps material name -> BlockSpectrum.  Nothing here changes
     after construction; solve_fixed_source and fixed_source_solve apply it
-    to one source at a time.
+    to one source at a time, and flux reads a solution's angular flux at
+    the cell centres.
     """
 
     def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
@@ -401,6 +418,15 @@ class FixedSourceOperator:
         return GlobalSystem(rhs=np.concatenate([left, *interfaces, right]),
                             factor=self.factor)
 
+    def flux(self, solution) -> FluxField:
+        """Angular and scalar flux at the cell centres for the (alphas,
+        particular) pair solve_fixed_source returns, from the stored
+        factors: one (cells, blocks) @ (blocks, N G) per region."""
+        psi = np.empty((self.mesh.n_cells, self.ng))
+        for reg, alpha, part in zip(self.regions, *solution):
+            psi[reg.cells] = (reg.at_centres(alpha, part) @ reg.expand).real
+        return FluxField.from_psi(self.mesh.centers, psi, self.quad)
+
 
 def solve_alpha(system: GlobalSystem) -> np.ndarray:
     """One alpha per region, (R, N G), from the system's factor."""
@@ -421,8 +447,10 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     solution is the (alphas, particular) pair solve_fixed_source returns for
     this operator.  Points on a region interface are evaluated from the
     left region; continuity of the solution makes the choice immaterial to
-    within the solver tolerance.  Points go through in chunks of
-    EVAL_CHUNK, which bounds the (points, blocks) temporaries.
+    within the solver tolerance.  Every point's factors are computed
+    afresh, in chunks of EVAL_CHUNK points, which bounds the (points,
+    blocks) temporaries; at the cell centres FixedSourceOperator.flux reads
+    the stored factors instead.
     """
     alphas, particular = solution
     points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -449,5 +477,5 @@ def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
     solution = solve_fixed_source(operator, source)
     phi = np.empty((operator.mesh.n_cells, operator.n_groups))
     for reg, alpha, part in zip(operator.regions, *solution):
-        phi[reg.cells] = reg.phi_at_centres(alpha, part)
+        phi[reg.cells] = (reg.at_centres(alpha, part) @ reg.expand_phi).real
     return phi, solution

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import outputs
-from .analytic import FixedSourceOperator, evaluate_flux, solve_fixed_source
+from .analytic import FixedSourceOperator, solve_fixed_source
 from .bench import BenchCell, run_benchmark
 from .eigen import power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
@@ -22,7 +22,7 @@ from .mesh import SourceField, build_fine_mesh
 from .model import gauss_legendre
 from .problem_io import load_problem
 from .spectral import assemble_A, block_diagonalize
-from .sweep import SweepOperator, sweep_fixed_source
+from .sweep import SweepOperator, source_iteration
 
 
 def _add_common(parser):
@@ -56,9 +56,10 @@ def _build_parser():
     _add_common(p_eigen)
     p_eigen.add_argument("--solver", choices=("analytic", "sweep"),
                          help="override solver kind")
-    p_eigen.add_argument("--ke", type=float, help="Wielandt shift (omit for none)")
-    p_eigen.add_argument("--no-ke", action="store_true",
-                         help="clear a shift set in the problem file")
+    shift = p_eigen.add_mutually_exclusive_group()
+    shift.add_argument("--ke", type=float, help="Wielandt shift (omit for none)")
+    shift.add_argument("--no-ke", action="store_true",
+                       help="clear a shift set in the problem file")
 
     p_bench = sub.add_parser("bench", help="run the analytic-vs-sweep benchmark matrix")
     p_bench.add_argument("input", help="problem file")
@@ -77,17 +78,11 @@ def _build_parser():
 def _load(args):
     problem = load_problem(args.input)
     config = problem.config
-    over = {}
-    if getattr(args, "sn", None):
-        over["sn_order"] = args.sn
-    if getattr(args, "mesh", None):
-        over["fine_mesh_size"] = args.mesh
-    if getattr(args, "tolerance", None):
-        over["flux_tolerance"] = args.tolerance
-    if getattr(args, "solver", None):
-        over["solver_kind"] = args.solver
-    if getattr(args, "ke", None) is not None:
-        over["ke"] = args.ke
+    # compared against None, so that a zero override reaches validation
+    flags = {"sn": "sn_order", "mesh": "fine_mesh_size", "tolerance": "flux_tolerance",
+             "solver": "solver_kind", "ke": "ke"}
+    over = {field: getattr(args, flag) for flag, field in flags.items()
+            if getattr(args, flag, None) is not None}
     if getattr(args, "no_ke", False):
         over["ke"] = None
     if over:
@@ -133,13 +128,14 @@ def cmd_fixed(args) -> int:
         tms = _transport_matrices(problem, quad, 0.0)
         spectra = {name: block_diagonalize(a) for name, a in tms.items()}
         operator = FixedSourceOperator(geo, spectra, mesh, quad)
-        flux = evaluate_flux(operator, solve_fixed_source(operator, source), mesh.centers)
+        solution = solve_fixed_source(operator, source)
         if args.dump_matrices:
             outputs.dump_matrices(outdir / "matrices", tms, spectra)
     else:
         operator = SweepOperator(geo, problem.materials, mesh, quad, cfg.sweep_scheme)
-        flux = sweep_fixed_source(operator, source, cfg.flux_tolerance,
-                                  max_inner=cfg.max_inner)
+        _, solution, _ = source_iteration(operator, emission, cfg.flux_tolerance,
+                                          max_inner=cfg.max_inner)
+    flux = operator.flux(solution)
     seconds = time.perf_counter() - t0
 
     flux_csv = outdir / "flux.csv"

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import FixedSourceOperator, evaluate_flux, fixed_source_solve
+from .analytic import FixedSourceOperator, fixed_source_solve
 from .exceptions import (MaxOuterIterationsError, NonpositiveIntegralError,
                          ShiftAtEigenvalueError, ValidationError, ZeroFluxError)
 from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh
@@ -191,8 +191,7 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
             f"power iteration did not reach {tol} in {config.max_outer} outer "
             f"iterations (last change {history_norm[-1]:.3e})")
 
-    flux = evaluate_flux(operator, solution, mesh.centers) if analytic \
-        else operator.flux(solution)
+    flux = operator.flux(solution)
     if config.normalization == "total_scalar_flux_one":
         flux = normalize(flux, mesh)
     return EigenResult(

@@ -2,7 +2,8 @@
 
 Flux CSV column order (bit-exact): x, group, psi_1 .. psi_N (ordinates in
 ascending-mu order), phi.  One row per (point, group), points outermost.
-Floats are written with repr, so re-parsing reproduces them exactly.
+Floats are written with repr, so re-parsing reproduces them exactly; lines
+end in \r\n.
 """
 
 import csv
@@ -34,15 +35,18 @@ def load_schema(name: str) -> dict:
 def write_flux_csv(path, flux: FluxField, quad: QuadratureSet) -> None:
     n = quad.n
     g = flux.n_groups
-    psi = flux.psi.reshape(flux.points.size, g, n)
+    rows = flux.points.size * g
+    # an object table holds Python floats and int groups, whose reprs are
+    # the pinned format; one tolist() feeds every line
+    table = np.empty((rows, n + 3), dtype=object)
+    table[:, 0] = np.repeat(flux.points, g)
+    table[:, 1] = np.tile(np.arange(1, g + 1), flux.points.size)
+    table[:, 2:-1] = flux.psi.reshape(rows, n)
+    table[:, -1] = flux.phi.reshape(rows)
+    header = ["x", "group"] + [f"psi_{i}" for i in range(1, n + 1)] + ["phi"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "group"] + [f"psi_{i}" for i in range(1, n + 1)] + ["phi"])
-        for p in range(flux.points.size):
-            for gg in range(g):
-                writer.writerow([_r(flux.points[p]), gg + 1]
-                                + [_r(v) for v in psi[p, gg]]
-                                + [_r(flux.phi[p, gg])])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
 
 
 def write_history_csv(path, result: EigenResult) -> None:

@@ -16,29 +16,36 @@ from .exceptions import ValidationError
 class FirstOrderScan:
     """y[m] = a[m] * y[m-1] + b[m] along axis 0, starting from zero.
 
-    a holds one coefficient per row and column and is fixed at
-    construction; each call takes b of the same shape (real or complex).
-    The M rows are cut into about sqrt(M) blocks of about sqrt(M) rows,
-    stored block-inner so that row j of every block is one contiguous slab.
-    One pass runs the recurrence inside every block at once, a short pass
-    carries each block's last value into the next, and one vectorized update
-    adds the carried value times the running product of a to the rest of
-    each block.  A call therefore costs O(sqrt(M)) whole-array operations
-    whatever the number of columns.
+    a holds one coefficient per row and column, or one row that every row
+    shares (a cell axis of length 1, rows then giving the row count), and is
+    fixed at construction; each call takes b of shape (rows, columns...),
+    real or complex.  The rows are cut into about sqrt(rows) blocks of about
+    sqrt(rows) rows, stored block-inner so that row j of every block is one
+    contiguous slab.  One pass runs the recurrence inside every block at
+    once, a short pass carries each block's last value into the next, and
+    one vectorized update adds the carried value times the running product
+    of a to the rest of each block.  A call therefore costs O(sqrt(rows))
+    whole-array operations whatever the number of columns.  A shared row is
+    kept as a (block size, columns) power table broadcast over the blocks,
+    so it costs no per-row memory.
     """
 
-    def __init__(self, a):
+    def __init__(self, a, rows=None):
         a = np.asarray(a)
-        self.shape = a.shape
-        self.size = max(1, int(np.ceil(np.sqrt(a.shape[0]))))
-        self.count = -(-a.shape[0] // self.size)
-        self.a = self._blocks(a, a.dtype)
+        rows = a.shape[0] if rows is None else rows
+        if a.shape[0] not in (1, rows):
+            raise ValidationError(
+                f"coefficients have {a.shape[0]} rows, expected 1 or {rows}")
+        self.shape = (rows,) + a.shape[1:]
+        self.size = max(1, int(np.ceil(np.sqrt(rows))))
+        self.count = -(-rows // self.size)
+        blocked = self._blocks(a, a.dtype) if a.shape[0] == rows else \
+            np.broadcast_to(a, (self.size, 1) + a.shape[1:])
         # running product of a inside each block
-        self.prod = self.a.copy()
-        for j in range(1, self.size):
-            self.prod[j] *= self.prod[j - 1]
-        for arr in (self.a, self.prod):
-            arr.setflags(write=False)
+        prod = np.cumprod(blocked, axis=0)
+        blocks = (self.size, self.count) + a.shape[1:]
+        self.a = np.broadcast_to(blocked, blocks)
+        self.prod = np.broadcast_to(prod, blocks)
 
     def _blocks(self, x, dtype):
         """Copy of x in block-inner layout, zero-padded to whole blocks."""

@@ -1,5 +1,6 @@
 """Shared builders and independent oracles used across the test modules."""
 
+import csv
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -8,8 +9,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
-                     BlockSpectrum, SingularSystemError, ValidationError,
-                     mesh_from_edges)
+                     BlockSpectrum, SingularSystemError, SourceField,
+                     ValidationError, mesh_from_edges)
 from slab_sn.analytic import _pair_rows, select_rows
 from slab_sn.spectral import PHI_TAYLOR_CUT, _guard, exp_block, phi_block
 from slab_sn.model import SWEEP_SCHEMES
@@ -567,3 +568,39 @@ def oracle_fixed_source(geometry, spectra, source, quad, points=None):
         if idx.size:
             psi[idx] = work.evaluate(alpha, points[idx] - work.x_left).T
     return psi
+
+
+def power_keff(solve_phi, geometry, materials, mesh, outers):
+    """k after a fixed number of unshifted power iterations on a given mesh;
+    solve_phi maps a SourceField to the scalar flux (cells, G) at the cell
+    centres."""
+    def per_cell(attr):
+        table = np.vstack([getattr(materials[name], attr) for name in geometry.materials])
+        return table[mesh.region_of_cell]
+
+    chi, nu_sigma_f = per_cell("chi"), per_cell("nu_sigma_f")
+    production = nu_sigma_f.sum(axis=1)
+    integral = np.sum(production * mesh.widths)
+    k = 1.0
+    for _ in range(outers):
+        phi = solve_phi(SourceField(mesh, chi * production[:, None] / k))
+        production = np.sum(phi * nu_sigma_f, axis=1)
+        new = np.sum(production * mesh.widths)
+        k *= new / integral
+        integral = new
+    return k
+
+
+def write_flux_csv_per_value(path, flux, quad):
+    """Reference flux CSV writer: csv.writer, one repr(float) per value."""
+    n = quad.n
+    g = flux.n_groups
+    psi = flux.psi.reshape(flux.points.size, g, n)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "group"] + [f"psi_{i}" for i in range(1, n + 1)] + ["phi"])
+        for p in range(flux.points.size):
+            for gg in range(g):
+                writer.writerow([repr(float(flux.points[p])), gg + 1]
+                                + [repr(float(v)) for v in psi[p, gg]]
+                                + [repr(float(flux.phi[p, gg]))])

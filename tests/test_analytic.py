@@ -5,8 +5,9 @@ import pytest
 
 from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
                       absorber_psi, graded_mesh, one_group_material,
-                      oracle_fixed_source, random_slab, source_over_mu,
-                      split_geometry)
+                      oracle_fixed_source, power_keff, random_slab,
+                      source_over_mu, split_geometry)
+from slab_sn.analytic import WIDTH_RTOL
 from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
                      FluxField, MaterialXS, MeshAlignmentError,
                      PointOutOfDomainError, SingularSystemError, SlabGeometry,
@@ -437,7 +438,7 @@ class TestOperatorEquivalence:
 
     def test_random_heterogeneous_slabs(self):
         rng = np.random.default_rng(20240127)
-        worst = worst_phi = 0.0
+        worst = worst_phi = worst_centres = 0.0
         for trial in range(40):
             n_regions = int(rng.integers(1, 9))
             n_groups = int(rng.integers(1, 5))
@@ -457,6 +458,11 @@ class TestOperatorEquivalence:
             # the per-outer scalar flux comes from the (blocks, G) expansion
             worst_phi = max(worst_phi, max_rel_diff(
                 phi, FluxField.from_psi(mesh.centers, centres.psi, quad).phi))
+            # the centre flux read from the stored factors
+            flux = operator.flux(solution)
+            assert np.array_equal(flux.points, mesh.centers)
+            worst_centres = max(worst_centres, max_rel_diff(flux.psi, centres.psi),
+                                max_rel_diff(flux.phi, centres.phi))
             points = np.concatenate([rng.uniform(geo.edges[0], geo.edges[-1], 20),
                                      geo.edges])
             psi = evaluate_flux(operator, solution, points).psi
@@ -464,6 +470,7 @@ class TestOperatorEquivalence:
                 psi, oracle_fixed_source(geo, spectra, source, quad, points)))
         assert worst <= 1e-12
         assert worst_phi <= 1e-13
+        assert worst_centres <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_fine_pincell_mesh_takes_the_shared_path(self, pincell, graded):
@@ -478,6 +485,73 @@ class TestOperatorEquivalence:
         operator = FixedSourceOperator(geo, spectra, mesh, quad)
         psi = evaluate_flux(operator, solve_fixed_source(operator, source), mesh.centers).psi
         assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12
+
+
+def factor_rows(operator):
+    """Rows of each region's width-only factors, checked to agree."""
+    rows = []
+    for reg in operator.regions:
+        assert reg.half.shape == reg.phi_half.shape == reg.source_coef.shape
+        assert reg.hom.shape[0] == reg.cells.stop - reg.cells.start
+        rows.append(reg.half.shape[0])
+    return rows
+
+
+def jittered_mesh(geometry, n_cells, jitter, rng):
+    """build_fine_mesh's edges with every edge but the region interfaces
+    moved by jitter (a callable of the edges) times a random integer in
+    [-3, 3]."""
+    edges = build_fine_mesh(geometry, n_cells).edges.copy()
+    inner = ~np.isin(edges, geometry.edges)
+    edges[inner] += rng.integers(-3, 4, inner.sum()) * jitter(edges[inner])
+    return mesh_from_edges(edges, geometry)
+
+
+class TestWidthFactors:
+    """Width-only factors are kept once per region when its widths agree."""
+
+    @pytest.mark.parametrize("split, m", [(False, 70), (False, 700), (False, 20000),
+                                          (True, 700)])
+    def test_uniform_regions_hold_one_row(self, pincell, split, m):
+        geo = split_geometry(pincell.geometry, 60, seed=1) if split else pincell.geometry
+        quad = gauss_legendre(2)
+        spectra = spectra_for(geo, pincell.materials, quad)
+        operator = FixedSourceOperator(geo, spectra, build_fine_mesh(geo, m), quad)
+        assert factor_rows(operator) == [1] * geo.n_regions
+
+    def test_graded_regions_hold_one_row_per_cell(self, pincell):
+        quad = gauss_legendre(2)
+        geo = pincell.geometry
+        spectra = spectra_for(geo, pincell.materials, quad)
+        for mesh in (graded_mesh(geo, (5, 60, 5)),
+                     graded_mesh(geo, (1429, 17142, 1429), ratio=1.0002)):
+            operator = FixedSourceOperator(geo, spectra, mesh, quad)
+            assert factor_rows(operator) == list(np.bincount(mesh.region_of_cell))
+
+    @pytest.mark.parametrize("jitter", ["ulps", "above_threshold"])
+    def test_jittered_widths_match_per_cell_oracle(self, pincell, jitter):
+        # edges moved by a few ulps still group to one row at the nominal
+        # width; moved by multiples of 10 WIDTH_RTOL of the width they keep
+        # one row per cell; either way k matches the oracle, which marches
+        # every cell's own width
+        geo, mats = pincell.geometry, pincell.materials
+        grouped = jitter == "ulps"
+        # cells are 0.5 cm wide at M = 70
+        shift = np.spacing if grouped else lambda x: np.full(x.shape, 5 * WIDTH_RTOL)
+        mesh = jittered_mesh(geo, 70, shift, np.random.default_rng(3))
+        spread = np.ptp(mesh.widths[mesh.region_of_cell == 1]) / 0.5
+        assert 0.0 < spread <= WIDTH_RTOL if grouped else spread > WIDTH_RTOL
+        quad = gauss_legendre(4)
+        spectra = spectra_for(geo, mats, quad)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        expected = [1] * 3 if grouped else list(np.bincount(mesh.region_of_cell))
+        assert factor_rows(operator) == expected
+        k = power_keff(lambda src: fixed_source_solve(operator, src)[0], geo, mats, mesh, 50)
+        k_oracle = power_keff(
+            lambda src: FluxField.from_psi(
+                mesh.centers, oracle_fixed_source(geo, spectra, src, quad), quad).phi,
+            geo, mats, mesh, 50)
+        assert k == pytest.approx(k_oracle, rel=1e-12, abs=0.0)
 
 
 def pincell_lattice(pincell, rng, n_pins=20):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from _helpers import absorber_psi
+from _helpers import absorber_psi, write_flux_csv_per_value
+from slab_sn import FluxField, gauss_legendre
 from slab_sn.cli import main
-from slab_sn.outputs import load_schema
+from slab_sn.outputs import load_schema, write_flux_csv
 
 ABSORBER_INI = """\
 [geometry]
@@ -172,6 +173,46 @@ class TestEigen:
         # no fissile material: eigen run is an input-data problem
         rc = main(["eigen", str(absorber_file), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("command", ["fixed", "eigen"])
+    @pytest.mark.parametrize("flag", ["--sn", "--mesh", "--tolerance"])
+    def test_zero_override_is_input_error(self, command, flag, pincell_file,
+                                          tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main([command, str(pincell_file), flag, "0", "--out", str(out)]) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (out / "flux.csv").exists()
+
+    def test_shift_and_no_shift_are_exclusive(self, pincell_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", str(pincell_file), "--ke", "1.3", "--no-ke",
+                  "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+
+class TestFluxCsv:
+    @pytest.mark.parametrize("n, g", [(2, 1), (16, 2)])
+    def test_bytes_match_per_value_writer(self, tmp_path, n, g):
+        rng = np.random.default_rng(5)
+        p = 400
+
+        def values(shape):
+            out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30.0, 30.0, shape)
+            out.flat[:5] = [-0.0, 1e-300, 1.0 / 3.0, 0.0, 2.0]
+            return out
+
+        points = np.sort(rng.uniform(-17.5, 17.5, p))
+        points[:3] = [-17.5, -0.0, 1.0 / 3.0]
+        flux = FluxField(points=points, psi=values((p, g * n)), phi=values((p, g)))
+        quad = gauss_legendre(n)
+        write_flux_csv(tmp_path / "got.csv", flux, quad)
+        write_flux_csv_per_value(tmp_path / "ref.csv", flux, quad)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert got.count(b"\r\n") == p * g + 1
 
 
 class TestBench:

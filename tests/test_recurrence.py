@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,45 @@ class TestFirstOrderScan:
         # the coefficients are reused unchanged by a second call
         assert np.allclose(scan(b.real), recurrence_loop(a, b.real), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", ["random", "complex"])
+    @pytest.mark.parametrize("m", [1, 2, 7, 49, 50, 1429])
+    def test_shared_row_matches_repeated_rows(self, kind, m):
+        rng = np.random.default_rng(9)
+        a = coefficients(rng, kind, (1, 3, 2))
+        b = rng.standard_normal((m, 3, 2))
+        if kind == "complex":
+            b = b + 1j * rng.standard_normal((m, 3, 2))
+        got = FirstOrderScan(a, m)(b)
+        ref = FirstOrderScan(np.repeat(a, m, axis=0))(b)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_shared_row_keeps_no_per_row_product(self):
+        rng = np.random.default_rng(10)
+        a = coefficients(rng, "complex", (1, 64))
+        m = 1429
+
+        def construction_peak(coef, rows):
+            tracemalloc.start()
+            try:
+                scan = FirstOrderScan(coef, rows)
+                return scan, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scan, peak = construction_peak(a, m)
+        running_product = scan.size * scan.count * a.nbytes
+        assert peak < running_product / 10
+        # per-row coefficients do need the (size, count, columns) product
+        _, peak = construction_peak(np.repeat(a, m, axis=0), m)
+        assert peak >= running_product
+
     def test_rejects_mismatched_source(self):
         with pytest.raises(ValidationError):
             FirstOrderScan(np.ones((4, 2)))(np.ones((4, 3)))
+        with pytest.raises(ValidationError):
+            FirstOrderScan(np.ones((1, 2)), 4)(np.ones((5, 2)))
+
+    def test_rejects_row_count_mismatch(self):
+        with pytest.raises(ValidationError, match="rows"):
+            FirstOrderScan(np.ones((3, 2)), 4)
