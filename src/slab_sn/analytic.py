@@ -23,28 +23,31 @@ discrete-ordinates method) in O(R (N G)^3) time and O(R (N G)^2) memory:
 see InterfaceFactor.
 
 Only J and the right-hand side depend on the source.  A FixedSourceOperator
-is therefore built once per problem and holds, per region, the anchored
-block rates, the homogeneous factors at the cell centres (cells, blocks),
-the width-only factors (the half-cell step, its source integral and the
-recurrence's source multiplier), and the projection and expansion
-matrices, plus the factored global system, checked once for singularity.
-The width-only factors have one row per distinct cell width: one row at
-the nominal width L / m when the region's widths agree to WIDTH_RTOL, as
-on build_fine_mesh meshes, else one row per cell; both broadcast along
-the cell axis.  A source is an isotropic emission S (cells, G), S/2 on
-every ordinate, so applying the operator projects it onto the blocks with
-one (G, blocks) matrix per region, runs the cell recurrence for J as one
-FirstOrderScan per region, forms the right-hand side, solves with the
-factor (one forward pass and one block back-substitution) and evaluates
-only the scalar flux at the cell centres, through one (blocks, G)
-expansion.  FixedSourceOperator.flux gives Psi and phi at the cell centres
-from the same stored factors; evaluate_flux gives them at any points.
+is therefore built once per problem.  It gathers the regions into groups,
+one per material and row of width-only factors: regions whose cell widths
+agree to WIDTH_RTOL, as on build_fine_mesh meshes, share one row at their
+nominal width L / m, and the other regions of a material (graded meshes)
+share a group with one row per cell.  Each group holds, for its cells
+concatenated in slab order, the anchored block rates, the homogeneous
+factors at the cell centres (cells, blocks), the width-only factors (the
+half-cell step, its source integral and the recurrence's source
+multiplier) and the projection and expansion matrices; the operator adds
+the factored global system, checked once for singularity.  A source is an
+isotropic emission S (cells, G), S/2 on every ordinate, so applying the
+operator costs, per group and not per region: one (G, blocks) projection,
+one FirstOrderScan for J in which each region is a segment, the particular
+edge values read at the segment ends, and one (blocks, G) expansion of the
+scalar flux at the cell centres.  Between them the right-hand side is
+formed and solved with the factor (one forward pass and one block
+back-substitution).  FixedSourceOperator.flux gives Psi and phi at the
+cell centres from the same stored factors; evaluate_flux gives them at any
+points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
-block as conj(z), which is how it acts on u1 + i u2.  Within a region the
-blocks are kept in scan order: those anchored at the left edge first, then
-those anchored at the right edge, whose per-cell arrays run in reversed
+block as conj(z), which is how it acts on u1 + i u2.  The blocks are kept
+in scan order: those anchored at the left edge first, then those anchored
+at the right edge, whose per-cell arrays run in each region's reversed
 cell order.  Both kinds then march forward in one recurrence with the
 decaying rate rho (Re rho <= 0), and a cell's upwind edge is the one its
 recurrence enters through.
@@ -64,8 +67,10 @@ from .spectral import BlockSpectrum, exp_block, phi_block
 
 SOLVE_RCOND_MIN = 1e-14
 # a region's cells share one row of width-only factors when their widths
-# spread by at most this much relative to the nominal width; uniform
-# linspace meshes spread by 7e-14 (pincell, M = 700) to 3e-12 (M = 20000)
+# spread by at most this much relative to the nominal width, and regions of
+# one material share the row when their nominal widths agree as closely;
+# uniform linspace meshes spread by 7e-14 (pincell, M = 700) to 3e-12
+# (M = 20000)
 WIDTH_RTOL = 1e-10
 RCOND_ITERATIONS = 5
 EVAL_CHUNK = 256
@@ -118,31 +123,50 @@ def _bc_combination(bc, quad: QuadratureSet, side: str, values: np.ndarray) -> n
     return select_rows(values, quad, "positive" if side == "left" else "negative")
 
 
-def _factors(rho, anchor, upwind):
-    """Per (point, block): e^{rho anchor}, the homogeneous factor at distance
-    anchor from the block's anchor edge, and the step e^{rho u} and source
-    integral phi(rho, u) over distance u from the upwind cell edge."""
-    return exp_block(rho, anchor), exp_block(rho, upwind), phi_block(rho, upwind)
-
-
 class _Particular(NamedTuple):
-    """Source-dependent data of one region, per cell in scan order."""
+    """Source-dependent data of one group, per row in scan order."""
 
-    theta: np.ndarray   # (cells, blocks) source over mu, signed along the march
-    j: np.ndarray       # (cells + 1, blocks) particular solution at the edges
+    theta: np.ndarray   # (rows, blocks) source over mu, signed along the march
+    j_in: np.ndarray    # (rows, blocks) particular solution at each cell's upwind edge
+    ends: np.ndarray    # (regions, blocks) particular solution where each region's march ends
 
 
-class _Region:
-    """Source-independent data of one region (blocks in scan order)."""
+class _Region(NamedTuple):
+    """Where one region's data sit: its group and rows there, and its
+    local coordinates t = x - x_left."""
 
-    def __init__(self, spec: BlockSpectrum, x_left: float, x_right: float,
-                 t_edges: np.ndarray, t_centres: np.ndarray, cells: slice,
-                 quad: QuadratureSet):
-        self.spec = spec
-        self.x_left = x_left
-        self.length = x_right - x_left
-        self.t_edges = t_edges
-        self.cells = cells
+    group: int
+    rows: slice
+    x_left: float
+    length: float
+    t_edges: np.ndarray
+
+
+class _Group:
+    """Source-independent data of the regions of one material that share one
+    row of width-only factors (blocks in scan order).
+
+    The regions' cells are concatenated in slab order; each region is one
+    segment of the group's FirstOrderScan.  The forward blocks run in cell
+    order and the backward blocks in each region's reversed cell order, so
+    both restart at the same rows and a region's rows hold the layout a
+    region of its own would have.
+    """
+
+    def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
+                 cells, geometry: SlabGeometry, mesh: FineMesh):
+        self.regions = np.asarray(regions)
+        counts = np.array([c.stop - c.start for c in cells])
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # each region's rows run from starts to (exclusive) ends
+        self.starts, self.ends = offsets[:-1], offsets[1:]
+        # segment[m]: the group's region that row m belongs to
+        self.segment = np.repeat(np.arange(counts.size), counts)
+        self.cells = np.concatenate([np.arange(c.start, c.stop) for c in cells])
+        # back[m]: the row of cells that scan row m of the backward blocks
+        # holds (each region reversed in place, so back is its own inverse)
+        self.back = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                                    for lo, hi in zip(offsets[:-1], offsets[1:])])
         order = np.argsort(spec.rates.real > 0.0, kind="stable")
         rate = spec.rates.conj()[order]
         self.forward = rate.real <= 0.0
@@ -160,84 +184,136 @@ class _Region:
         per_group = (spec.P_inv.reshape(-1, g, quad.n) / quad.mu).sum(axis=2) / 2.0
         self.project = per_group.T @ (self.enc.T * sign)
         # cell-centre factors: hom per cell; the half-cell step half and
-        # its integral phi_half at one row per cell, or at one row of the
-        # nominal width when the widths agree to WIDTH_RTOL.  The
-        # recurrence's full-cell step and source multipliers are half**2
-        # (kept in the scan) and source_coef = (1 + half) phi_half
-        widths = np.diff(t_edges)
-        nominal = self.length / widths.size
-        if np.ptp(widths) <= WIDTH_RTOL * nominal:
-            widths = np.full(1, nominal)
-        anchor = np.where(self.forward, t_centres[:, None], (self.length - t_centres)[::-1, None])
-        upwind = np.where(self.forward, widths[:, None], widths[::-1, None]) / 2.0
+        # its integral phi_half at one row of the shared width, or at one row
+        # per cell when width is None.  The recurrence's full-cell step and
+        # source multipliers are half**2 (kept in the scan) and
+        # source_coef = (1 + half) phi_half
+        x_left = geometry.edges[self.regions]
+        length = (geometry.edges[self.regions + 1] - x_left)[self.segment]
+        t = mesh.centers[self.cells] - x_left[self.segment]
+        anchor = np.where(self.forward, t[:, None], (length - t)[self.back, None])
+        fwd = np.full(1, width) if width is not None else mesh.widths[self.cells]
+        bwd = fwd if width is not None else fwd[self.back]
+        upwind = np.where(self.forward, fwd[:, None], bwd[:, None]) / 2.0
         self.hom = exp_block(self.rho, anchor)
         self.half = exp_block(self.rho, upwind)
         self.phi_half = phi_block(self.rho, upwind)
         self.source_coef = (1.0 + self.half) * self.phi_half
-        for arr in (self.forward, self.rho, self.enc, self.expand, self.expand_phi,
-                    self.project, self.hom, self.half, self.phi_half, self.source_coef):
+        for arr in (self.regions, self.starts, self.ends, self.segment, self.cells,
+                    self.back, self.forward, self.rho, self.enc, self.expand,
+                    self.expand_phi, self.project, self.hom, self.half, self.phi_half,
+                    self.source_coef):
             arr.setflags(write=False)
-        self.march = FirstOrderScan(self.half * self.half, t_centres.size)
-
-    def scan_order(self, x: np.ndarray) -> np.ndarray:
-        """Swap a (cells, blocks) array between cell and scan order."""
-        return np.concatenate([x[:, :self.nf], x[::-1, self.nf:]], axis=1)
+        self.march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
+        # kept for every outer iteration's scan, and between scans the
+        # room in which the source and the centre values are built
+        self.work = self.march.workspace(complex)
 
     def particular(self, emission: np.ndarray) -> _Particular:
-        """Project the region's (cells, G) emission and march J across it."""
-        theta = self.scan_order(emission @ self.project)
-        b = self.source_coef * theta
-        return _Particular(theta, np.concatenate([np.zeros_like(b[:1]), self.march(b)]))
+        """Project the group's share of the (cells, G) emission and march J
+        across every region at once."""
+        nf = self.nf
+        # theta and J share one allocation, so that the next outer
+        # iteration's can take its place; j[m + 1] is J after scan row m,
+        # and once the segment ends are read j[:-1] becomes J at every row's
+        # upwind edge, zero at the starts
+        theta, j = np.empty((2, self.cells.size + 1, self.rho.size), dtype=complex)
+        theta = theta[:-1]
+        own = emission[self.cells]
+        np.matmul(own, self.project[:, :nf], out=theta[:, :nf])
+        np.matmul(own[self.back], self.project[:, nf:], out=theta[:, nf:])
+        b = np.multiply(self.source_coef, theta, out=self.march.rows(self.work[1]))
+        self.march(b, out=j[1:], work=self.work)
+        ends = j[self.ends]
+        j[self.starts] = 0.0
+        return _Particular(theta, j[:-1], ends)
 
-    def pg(self, side: str) -> np.ndarray:
-        """P @ Gtilde at the left or right edge, in the real block basis."""
+    def pg(self, length: float, side: str) -> np.ndarray:
+        """P @ Gtilde at the left or right edge of a region of this length,
+        in the real block basis."""
         far = ~self.forward if side == "left" else self.forward
-        scale = exp_block(self.rho, np.where(far, self.length, 0.0))
+        scale = exp_block(self.rho, np.where(far, length, 0.0))
         return ((self.expand.T * scale[None, :]) @ self.enc).real
 
     def edge_psi(self, part: _Particular):
-        """Particular angular flux at the (left, right) region edges."""
-        far = part.j[-1]       # the edge each block's march ends on
-        return ((far[self.nf:] @ self.expand[self.nf:]).real,
-                (far[:self.nf] @ self.expand[:self.nf]).real)
+        """Particular angular flux (regions, N G) at every region's left and
+        right edges."""
+        nf = self.nf
+        return ((part.ends[:, nf:] @ self.expand[nf:]).real,
+                (part.ends[:, :nf] @ self.expand[:nf]).real)
 
-    def _psi(self, factors, alpha, j_in, theta) -> np.ndarray:
-        """Block scalars hom alpha + half j_in + phi_half theta."""
-        hom, half, phi_half = factors
-        x = hom * (self.enc @ alpha)
-        x += half * j_in
-        x += phi_half * theta
-        return x
+    def centres_into(self, alphas: np.ndarray, part: _Particular, expand: np.ndarray,
+                     out: np.ndarray):
+        """out[cells] = Re(x @ expand) for the block scalars
+        x = hom alpha + half j_in + phi_half theta at every cell centre,
+        from the stored factors.  x is built in scan order in the
+        workspace."""
+        x, term = (self.march.rows(w) for w in self.work)
+        np.multiply(self.half, part.j_in, out=x)
+        x += np.multiply(self.phi_half, part.theta, out=term)
+        # each region's enc @ alpha on its rows
+        np.take(alphas[self.regions] @ self.enc.T, self.segment, axis=0, out=term)
+        term *= self.hom
+        x += term
+        nf = self.nf
+        # the backward half's rows return to cell order by a gather of the
+        # real result, before the forward half's product is formed
+        values = (x[:, nf:] @ expand[nf:]).real[self.back]
+        values += (x[:, :nf] @ expand[:nf]).real
+        out[self.cells] = values
 
-    def at_centres(self, alpha: np.ndarray, part: _Particular) -> np.ndarray:
-        """Block scalars (cells, blocks) at every cell centre, in cell order,
-        from the stored factors."""
-        return self.scan_order(self._psi((self.hom, self.half, self.phi_half), alpha,
-                                         part.j[:-1], part.theta))
-
-    def psi_at(self, alpha: np.ndarray, part: _Particular, t: np.ndarray) -> np.ndarray:
-        """Psi (points, N G) at local coordinates t, each in [0, L]."""
-        m = self.t_edges.size - 1
-        cell = np.clip(np.searchsorted(self.t_edges[1:], t, side="left"), 0, m - 1)
+    def psi_at(self, reg: _Region, alpha: np.ndarray, part: _Particular,
+               t: np.ndarray) -> np.ndarray:
+        """Psi (points, N G) at local coordinates t, each in [0, L], of one
+        of the group's regions."""
+        m = reg.t_edges.size - 1
+        cell = np.clip(np.searchsorted(reg.t_edges[1:], t, side="left"), 0, m - 1)
         row = np.where(self.forward, cell[:, None], m - 1 - cell[:, None])
-        anchor = np.where(self.forward, t[:, None], (self.length - t)[:, None])
-        upwind = np.where(self.forward, (t - self.t_edges[cell])[:, None],
-                          (self.t_edges[cell + 1] - t)[:, None])
-        j_in = np.take_along_axis(part.j, row, axis=0)
-        theta = np.take_along_axis(part.theta, row, axis=0)
-        x = self._psi(_factors(self.rho, anchor, upwind), alpha, j_in, theta)
+        anchor = np.where(self.forward, t[:, None], (reg.length - t)[:, None])
+        upwind = np.where(self.forward, (t - reg.t_edges[cell])[:, None],
+                          (reg.t_edges[cell + 1] - t)[:, None])
+        j_in = np.take_along_axis(part.j_in[reg.rows], row, axis=0)
+        theta = np.take_along_axis(part.theta[reg.rows], row, axis=0)
+        x = exp_block(self.rho, anchor) * (self.enc @ alpha)
+        x += exp_block(self.rho, upwind) * j_in
+        x += phi_block(self.rho, upwind) * theta
         return (x @ self.expand).real
 
 
-def _region(geometry: SlabGeometry, spectra, mesh: FineMesh, centres, quad, r: int):
-    cells = mesh.cells_of_region(r)
-    if cells.size == 0 or cells[-1] - cells[0] + 1 != cells.size:
-        raise ValidationError(f"region {r} must hold one contiguous run of source cells")
-    cells = slice(cells[0], cells[-1] + 1)
-    x_left = geometry.edges[r]
-    return _Region(spectra[geometry.materials[r]], x_left, geometry.edges[r + 1],
-                   mesh.edges[cells.start:cells.stop + 1] - x_left,
-                   centres[cells] - x_left, cells, quad)
+def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet):
+    """Regions and the groups they fall into, keyed by (material, width row).
+
+    A region whose cell widths spread by at most WIDTH_RTOL of its nominal
+    width L / m joins the first group of its material whose width agrees
+    with that nominal width to WIDTH_RTOL, or starts one; the others (graded
+    meshes) share one group per material with a row per cell.
+    """
+    members = {}
+    for r in range(geometry.n_regions):
+        cells = mesh.cells_of_region(r)
+        if cells.size == 0 or cells[-1] - cells[0] + 1 != cells.size:
+            raise ValidationError(f"region {r} must hold one contiguous run of source cells")
+        cells = slice(cells[0], cells[-1] + 1)
+        widths = mesh.widths[cells]
+        material = geometry.materials[r]
+        width = (geometry.edges[r + 1] - geometry.edges[r]) / widths.size
+        if np.ptp(widths) > WIDTH_RTOL * width:
+            width = None
+        else:
+            width = next((w for m, w in members if m == material and w is not None
+                          and abs(w - width) <= WIDTH_RTOL * w), width)
+        members.setdefault((material, width), []).append((r, cells))
+    groups, regions = [], [None] * geometry.n_regions
+    for (material, width), held in members.items():
+        index, cells = zip(*held)
+        group = _Group(spectra[material], quad, width, index, cells, geometry, mesh)
+        for r, c, start in zip(index, cells, group.starts):
+            x_left = geometry.edges[r]
+            regions[r] = _Region(len(groups), slice(start, start + c.stop - c.start), x_left,
+                                 geometry.edges[r + 1] - x_left,
+                                 mesh.edges[c.start:c.stop + 1] - x_left)
+        groups.append(group)
+    return tuple(regions), tuple(groups)
 
 
 def _singular(rcond: float) -> SingularSystemError:
@@ -371,14 +447,14 @@ def _incoming(bc):
 class FixedSourceOperator:
     """The source-independent part of the analytic fixed-source solve.
 
-    Built once per (geometry, spectra, mesh, quadrature): the per-region
-    block data and cell-centre factors, and the InterfaceFactor of the
-    global boundary/continuity system, checked once (SingularSystemError
-    below an estimated 1-norm rcond of 1e-14; rcond keeps the estimate).
-    spectra maps material name -> BlockSpectrum.  Nothing here changes
-    after construction; solve_fixed_source and fixed_source_solve apply it
-    to one source at a time, and flux reads a solution's angular flux at
-    the cell centres.
+    Built once per (geometry, spectra, mesh, quadrature): the per-group
+    block data and cell-centre factors, where to find each region in them,
+    and the InterfaceFactor of the global boundary/continuity system,
+    checked once (SingularSystemError below an estimated 1-norm rcond of
+    1e-14; rcond keeps the estimate).  spectra maps material name ->
+    BlockSpectrum.  Nothing here changes after construction;
+    solve_fixed_source and fixed_source_solve apply it to one source at a
+    time, and flux reads a solution's angular flux at the cell centres.
     """
 
     def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
@@ -386,45 +462,49 @@ class FixedSourceOperator:
         self.geometry = geometry
         self.mesh = mesh
         self.quad = quad
-        centres = mesh.centers
-        self.regions = tuple(_region(geometry, spectra, mesh, centres, quad, r)
-                             for r in range(geometry.n_regions))
-        self.ng = self.regions[0].spec.size
+        self.regions, self.groups = _groups(geometry, spectra, mesh, quad)
+        self.ng = self.groups[0].enc.shape[1]
         self.n_groups = self.ng // quad.n
+
+        def pg(reg, side):
+            return self.groups[reg.group].pg(reg.length, side)
+
         regs = self.regions
         self.factor = InterfaceFactor(
-            _bc_combination(geometry.bc_left, quad, "left", regs[0].pg("left")),
-            [(a.pg("right"), -b.pg("left")) for a, b in zip(regs[:-1], regs[1:])],
-            _bc_combination(geometry.bc_right, quad, "right", regs[-1].pg("right")))
+            _bc_combination(geometry.bc_left, quad, "left", pg(regs[0], "left")),
+            [(pg(a, "right"), -pg(b, "left")) for a, b in zip(regs[:-1], regs[1:])],
+            _bc_combination(geometry.bc_right, quad, "right", pg(regs[-1], "right")))
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
-        """Per-region projected source and particular solution."""
+        """Per-group projected source and particular solution."""
         self.mesh.require_same(source.mesh)
         shape = (self.mesh.n_cells, self.n_groups)
         if source.emission.shape != shape:
             raise ValidationError(
                 f"emission has shape {source.emission.shape}, expected (cells, G) = {shape}")
-        return [reg.particular(source.emission[reg.cells]) for reg in self.regions]
+        return [group.particular(source.emission) for group in self.groups]
 
     def system(self, particular) -> GlobalSystem:
         """Global system for one source, carrying the operator's factor."""
-        edges = [reg.edge_psi(part) for reg, part in zip(self.regions, particular)]
+        left = np.empty((len(self.regions), self.ng))
+        right = np.empty_like(left)
+        for group, part in zip(self.groups, particular):
+            left[group.regions], right[group.regions] = group.edge_psi(part)
         geo, quad = self.geometry, self.quad
-        left = _incoming(geo.bc_left) - _bc_combination(geo.bc_left, quad, "left", edges[0][0])
-        right = _incoming(geo.bc_right) - _bc_combination(
-            geo.bc_right, quad, "right", edges[-1][1])
-        interfaces = [b[0] - a[1] for a, b in zip(edges[:-1], edges[1:])]
-        return GlobalSystem(rhs=np.concatenate([left, *interfaces, right]),
-                            factor=self.factor)
+        return GlobalSystem(rhs=np.concatenate([
+            _incoming(geo.bc_left) - _bc_combination(geo.bc_left, quad, "left", left[0]),
+            (left[1:] - right[:-1]).ravel(),
+            _incoming(geo.bc_right) - _bc_combination(geo.bc_right, quad, "right", right[-1])]),
+            factor=self.factor)
 
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,
         particular) pair solve_fixed_source returns, from the stored
-        factors: one (cells, blocks) @ (blocks, N G) per region."""
+        factors: one (rows, blocks) @ (blocks, N G) per group."""
         psi = np.empty((self.mesh.n_cells, self.ng))
-        for reg, alpha, part in zip(self.regions, *solution):
-            psi[reg.cells] = (reg.at_centres(alpha, part) @ reg.expand).real
+        for group, part in zip(self.groups, solution[1]):
+            group.centres_into(solution[0], part, group.expand, psi)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
@@ -456,16 +536,17 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     points = np.atleast_1d(np.asarray(points, dtype=float))
     region = _locate_regions(operator.geometry, points)
     psi = np.zeros((points.size, operator.ng))
-    for r, (reg, alpha, part) in enumerate(zip(operator.regions, alphas, particular)):
+    for r, (reg, alpha) in enumerate(zip(operator.regions, alphas)):
+        group, part = operator.groups[reg.group], particular[reg.group]
         idx = np.nonzero(region == r)[0]
         for i in range(0, idx.size, EVAL_CHUNK):
             chunk = idx[i:i + EVAL_CHUNK]
-            psi[chunk] = reg.psi_at(alpha, part, points[chunk] - reg.x_left)
+            psi[chunk] = group.psi_at(reg, alpha, part, points[chunk] - reg.x_left)
     return FluxField.from_psi(points, psi, operator.quad)
 
 
 def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
-    """Per-region expansion coefficients (no evaluation) and the per-region
+    """Per-region expansion coefficients (no evaluation) and the per-group
     particular data; evaluate_flux takes the pair."""
     particular = operator.particular(source)
     return solve_alpha(operator.system(particular)), particular
@@ -476,6 +557,6 @@ def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
     the solution for evaluate_flux)."""
     solution = solve_fixed_source(operator, source)
     phi = np.empty((operator.mesh.n_cells, operator.n_groups))
-    for reg, alpha, part in zip(operator.regions, *solution):
-        phi[reg.cells] = (reg.at_centres(alpha, part) @ reg.expand_phi).real
+    for group, part in zip(operator.groups, solution[1]):
+        group.centres_into(solution[0], part, group.expand_phi, phi)
     return phi, solution

@@ -161,6 +161,9 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     t_loop = time.perf_counter()
     for outer in range(1, config.max_outer + 1):
         source = SourceField(mesh, _emission(production, chi, k, ke))
+        # drop the previous outer's solution before the next one is built,
+        # so the two never take memory side by side
+        solution = None
         if analytic:
             phi, solution = fixed_source_solve(operator, source)
         else:

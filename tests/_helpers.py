@@ -61,12 +61,16 @@ def graded_mesh(geometry, counts, ratio=1.15):
     return mesh_from_edges(np.concatenate(edges), geometry)
 
 
-def random_slab(rng, n_groups, n_regions, n_ordinates):
+def random_slab(rng, n_groups, n_regions, n_ordinates, n_materials=None):
     """Heterogeneous slab of random materials (scattering ratios 0.1-0.9,
     half of them fissile) with a random vacuum, reflective or incoming
-    condition at each end."""
+    condition at each end.  By default every region has its own material
+    and width; with n_materials (at least 2) the regions draw from a pool
+    of that many materials, never the one to their left, and their widths
+    from a pool of three, so regions apart share materials and some of
+    those share widths too."""
     materials = {}
-    for r in range(n_regions):
+    for r in range(n_regions if n_materials is None else n_materials):
         sigma_t = rng.uniform(0.3, 2.0, n_groups)
         sigma_s = rng.uniform(0.0, 1.0, (n_groups, n_groups))
         sigma_s *= (rng.uniform(0.1, 0.9, n_groups) * sigma_t / sigma_s.sum(axis=1))[:, None]
@@ -75,6 +79,14 @@ def random_slab(rng, n_groups, n_regions, n_ordinates):
         chi = rng.dirichlet(np.ones(n_groups)) if fissile else np.zeros(n_groups)
         materials[f"m{r}"] = MaterialXS(f"m{r}", sigma_t=sigma_t, sigma_s=sigma_s,
                                         nu_sigma_f=nu_sigma_f, chi=chi)
+    if n_materials is None:
+        names = tuple(materials)
+        widths = rng.uniform(0.3, 3.0, n_regions)
+    else:
+        names = []
+        for r in range(n_regions):
+            names.append(str(rng.choice([m for m in materials if names[-1:] != [m]])))
+        widths = rng.choice(rng.uniform(0.3, 3.0, 3), n_regions)
 
     def bc():
         kind = rng.choice(["vacuum", "reflective", "incoming"])
@@ -83,10 +95,10 @@ def random_slab(rng, n_groups, n_regions, n_ordinates):
                 rng.uniform(0.0, 1.0, n_groups * n_ordinates // 2))
         return BoundaryCondition(str(kind))
 
-    edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 3.0, n_regions))])
-    geometry = SlabGeometry(edges=edges, materials=tuple(materials),
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    geometry = SlabGeometry(edges=edges, materials=tuple(names),
                             bc_left=bc(), bc_right=bc())
-    return geometry, materials
+    return geometry, {name: m for name, m in materials.items() if name in names}
 
 
 def split_geometry(geometry, n_regions, seed, grid=0.5):
@@ -473,6 +485,42 @@ def recurrence_loop(a, b):
     out = np.column_stack([_recurrence(cols_a[:, k], cols_b[:, k], False)
                            for k in range(cols_b.shape[1])])
     return out.reshape(b.shape)
+
+
+class UnsegmentedScan:
+    """The blocked scan without segment starts: y[m] = a[m] y[m-1] + b[m]
+    from zero over all rows, a per row or one shared row.  A one-segment
+    FirstOrderScan must reproduce it bit for bit."""
+
+    def __init__(self, a, rows=None):
+        a = np.asarray(a)
+        rows = a.shape[0] if rows is None else rows
+        self.shape = (rows,) + a.shape[1:]
+        self.size = max(1, int(np.ceil(np.sqrt(rows))))
+        self.count = -(-rows // self.size)
+        blocked = self._blocks(a, a.dtype) if a.shape[0] == rows else \
+            np.broadcast_to(a, (self.size, 1) + a.shape[1:])
+        blocks = (self.size, self.count) + a.shape[1:]
+        self.a = np.broadcast_to(blocked, blocks)
+        self.prod = np.broadcast_to(np.cumprod(blocked, axis=0), blocks)
+
+    def _blocks(self, x, dtype):
+        out = np.zeros((self.size, self.count) + x.shape[1:], dtype=dtype)
+        full = x.shape[0] // self.size
+        out.swapaxes(0, 1)[:full] = x[:full * self.size].reshape(
+            (full, self.size) + x.shape[1:])
+        if full < self.count:
+            out[:x.shape[0] - full * self.size, full] = x[full * self.size:]
+        return out
+
+    def __call__(self, b):
+        y = self._blocks(np.asarray(b), np.result_type(self.a, b))
+        for j in range(1, self.size):
+            y[j] += self.a[j] * y[j - 1]
+        for i in range(1, self.count):
+            y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
+        y[:-1, 1:] += self.prod[:-1, 1:] * y[-1:, :-1]
+        return y.swapaxes(0, 1).reshape((-1,) + self.shape[1:])[:self.shape[0]]
 
 
 def _region_works(geometry, spectra, source, quad):

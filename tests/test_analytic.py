@@ -8,6 +8,7 @@ from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
                       oracle_fixed_source, power_keff, random_slab,
                       source_over_mu, split_geometry)
 from slab_sn.analytic import WIDTH_RTOL
+from slab_sn.recurrence import FirstOrderScan
 from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
                      FluxField, MaterialXS, MeshAlignmentError,
                      PointOutOfDomainError, SingularSystemError, SlabGeometry,
@@ -433,44 +434,73 @@ def max_rel_diff(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def random_slab_trial(rng, trial, n_regions, n_materials=None):
+    """Solve one random slab (graded mesh when trial % 4 >= 2, fission
+    folded in on odd trials) with the operator and with the dense oracle.
+    Returns the operator, the slab's spectra and the worst relative
+    differences of (psi at the centres and at random points against the
+    oracle, phi from the (blocks, G) expansion, FixedSourceOperator.flux)."""
+    n_groups = int(rng.integers(1, 5))
+    quad = gauss_legendre(int(rng.choice([2, 4, 8])))
+    geo, mats = random_slab(rng, n_groups, n_regions, quad.n, n_materials)
+    fission_scale = 0.0 if trial % 2 == 0 else float(rng.uniform(0.2, 1.0))
+    spectra = spectra_for(geo, mats, quad, fission_scale)
+    counts = rng.integers(1, 12, n_regions)
+    mesh = (graded_mesh(geo, counts) if trial % 4 >= 2
+            else build_fine_mesh(geo, int(counts.sum())))
+    source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)))
+    operator = FixedSourceOperator(geo, spectra, mesh, quad)
+    phi, solution = fixed_source_solve(operator, source)
+    centres = evaluate_flux(operator, solution, mesh.centers)
+    worst = max_rel_diff(centres.psi, oracle_fixed_source(geo, spectra, source, quad))
+    # the per-outer scalar flux comes from the (blocks, G) expansion
+    worst_phi = max_rel_diff(phi, FluxField.from_psi(mesh.centers, centres.psi, quad).phi)
+    # the centre flux read from the stored factors
+    flux = operator.flux(solution)
+    assert np.array_equal(flux.points, mesh.centers)
+    worst_centres = max(max_rel_diff(flux.psi, centres.psi),
+                        max_rel_diff(flux.phi, centres.phi))
+    points = np.concatenate([rng.uniform(geo.edges[0], geo.edges[-1], 20), geo.edges])
+    psi = evaluate_flux(operator, solution, points).psi
+    worst = max(worst, max_rel_diff(
+        psi, oracle_fixed_source(geo, spectra, source, quad, points)))
+    return operator, spectra, (worst, worst_phi, worst_centres)
+
+
 class TestOperatorEquivalence:
     """FixedSourceOperator against the per-source path it replaced."""
 
     def test_random_heterogeneous_slabs(self):
         rng = np.random.default_rng(20240127)
-        worst = worst_phi = worst_centres = 0.0
+        worst = np.zeros(3)
         for trial in range(40):
-            n_regions = int(rng.integers(1, 9))
-            n_groups = int(rng.integers(1, 5))
-            quad = gauss_legendre(int(rng.choice([2, 4, 8])))
-            geo, mats = random_slab(rng, n_groups, n_regions, quad.n)
-            fission_scale = 0.0 if trial % 2 == 0 else float(rng.uniform(0.2, 1.0))
-            spectra = spectra_for(geo, mats, quad, fission_scale)
-            counts = rng.integers(1, 12, n_regions)
-            mesh = (graded_mesh(geo, counts) if trial % 4 >= 2
-                    else build_fine_mesh(geo, int(counts.sum())))
-            source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)))
-            operator = FixedSourceOperator(geo, spectra, mesh, quad)
-            phi, solution = fixed_source_solve(operator, source)
-            centres = evaluate_flux(operator, solution, mesh.centers)
-            worst = max(worst, max_rel_diff(
-                centres.psi, oracle_fixed_source(geo, spectra, source, quad)))
-            # the per-outer scalar flux comes from the (blocks, G) expansion
-            worst_phi = max(worst_phi, max_rel_diff(
-                phi, FluxField.from_psi(mesh.centers, centres.psi, quad).phi))
-            # the centre flux read from the stored factors
-            flux = operator.flux(solution)
-            assert np.array_equal(flux.points, mesh.centers)
-            worst_centres = max(worst_centres, max_rel_diff(flux.psi, centres.psi),
-                                max_rel_diff(flux.phi, centres.phi))
-            points = np.concatenate([rng.uniform(geo.edges[0], geo.edges[-1], 20),
-                                     geo.edges])
-            psi = evaluate_flux(operator, solution, points).psi
-            worst = max(worst, max_rel_diff(
-                psi, oracle_fixed_source(geo, spectra, source, quad, points)))
-        assert worst <= 1e-12
-        assert worst_phi <= 1e-13
-        assert worst_centres <= 1e-13
+            _, _, errors = random_slab_trial(rng, trial, int(rng.integers(1, 9)))
+            worst = np.maximum(worst, errors)
+        assert worst[0] <= 1e-12
+        assert worst[1] <= 1e-13
+        assert worst[2] <= 1e-13
+
+    def test_random_slabs_sharing_materials(self):
+        # regions apart share a material, so groups hold several regions,
+        # on uniform meshes (a row per group) and graded ones (a row per cell)
+        rng = np.random.default_rng(20261018)
+        worst = np.zeros(3)
+        grouped, ends, pairs = {False: 0, True: 0}, set(), False
+        for trial in range(32):
+            operator, spectra, errors = random_slab_trial(
+                rng, trial, int(rng.integers(3, 9)), n_materials=int(rng.integers(2, 4)))
+            worst = np.maximum(worst, errors)
+            graded = trial % 4 >= 2
+            grouped[graded] += any(g.regions.size > 1 for g in operator.groups)
+            geo = operator.geometry
+            ends |= {geo.bc_left.kind, geo.bc_right.kind}
+            pairs |= trial % 2 == 1 and any(np.any(s.rates.imag != 0.0)
+                                            for s in spectra.values())
+        assert grouped[False] >= 8 and grouped[True] >= 8
+        assert {"reflective", "incoming"} <= ends and pairs
+        assert worst[0] <= 1e-12
+        assert worst[1] <= 1e-13
+        assert worst[2] <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_fine_pincell_mesh_takes_the_shared_path(self, pincell, graded):
@@ -488,13 +518,21 @@ class TestOperatorEquivalence:
 
 
 def factor_rows(operator):
-    """Rows of each region's width-only factors, checked to agree."""
+    """Rows of each group's width-only factors, checked to agree."""
     rows = []
-    for reg in operator.regions:
-        assert reg.half.shape == reg.phi_half.shape == reg.source_coef.shape
-        assert reg.hom.shape[0] == reg.cells.stop - reg.cells.start
-        rows.append(reg.half.shape[0])
+    for group in operator.groups:
+        assert group.half.shape == group.phi_half.shape == group.source_coef.shape
+        assert group.hom.shape[0] == group.cells.size
+        rows.append(group.half.shape[0])
     return rows
+
+
+def cells_per_material(geometry, mesh):
+    """Cell count of each material, in order of first appearance."""
+    counts = {}
+    for material, m in zip(geometry.materials, np.bincount(mesh.region_of_cell)):
+        counts[material] = counts.get(material, 0) + int(m)
+    return list(counts.values())
 
 
 def jittered_mesh(geometry, n_cells, jitter, rng):
@@ -508,16 +546,25 @@ def jittered_mesh(geometry, n_cells, jitter, rng):
 
 
 class TestWidthFactors:
-    """Width-only factors are kept once per region when its widths agree."""
+    """Width-only factors are kept once per group of regions of one material
+    whose widths agree."""
 
     @pytest.mark.parametrize("split, m", [(False, 70), (False, 700), (False, 20000),
-                                          (True, 700)])
+                                          (True, 700), (True, 20000)])
     def test_uniform_regions_hold_one_row(self, pincell, split, m):
         geo = split_geometry(pincell.geometry, 60, seed=1) if split else pincell.geometry
         quad = gauss_legendre(2)
         spectra = spectra_for(geo, pincell.materials, quad)
-        operator = FixedSourceOperator(geo, spectra, build_fine_mesh(geo, m), quad)
-        assert factor_rows(operator) == [1] * geo.n_regions
+        mesh = build_fine_mesh(geo, m)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        # one group per (material, cell width); at M = 20000 the two water
+        # regions hold 1429 and 1428 cells, so their widths differ
+        widths = np.diff(geo.edges) / np.bincount(mesh.region_of_cell)
+        pairs = set(zip(geo.materials, np.round(widths, 12)))
+        assert factor_rows(operator) == [1] * len(pairs)
+        assert len(pairs) == 2 if m <= 700 else len(pairs) > 2
+        assert sorted(np.concatenate([g.regions for g in operator.groups])) == \
+            list(range(geo.n_regions))
 
     def test_graded_regions_hold_one_row_per_cell(self, pincell):
         quad = gauss_legendre(2)
@@ -526,7 +573,7 @@ class TestWidthFactors:
         for mesh in (graded_mesh(geo, (5, 60, 5)),
                      graded_mesh(geo, (1429, 17142, 1429), ratio=1.0002)):
             operator = FixedSourceOperator(geo, spectra, mesh, quad)
-            assert factor_rows(operator) == list(np.bincount(mesh.region_of_cell))
+            assert factor_rows(operator) == cells_per_material(geo, mesh)
 
     @pytest.mark.parametrize("jitter", ["ulps", "above_threshold"])
     def test_jittered_widths_match_per_cell_oracle(self, pincell, jitter):
@@ -544,7 +591,7 @@ class TestWidthFactors:
         quad = gauss_legendre(4)
         spectra = spectra_for(geo, mats, quad)
         operator = FixedSourceOperator(geo, spectra, mesh, quad)
-        expected = [1] * 3 if grouped else list(np.bincount(mesh.region_of_cell))
+        expected = [1, 1] if grouped else cells_per_material(geo, mesh)
         assert factor_rows(operator) == expected
         k = power_keff(lambda src: fixed_source_solve(operator, src)[0], geo, mats, mesh, 50)
         k_oracle = power_keff(
@@ -586,6 +633,24 @@ class TestRegionCount:
         cut = power_iteration(split, pincell.materials, config)
         assert cut.iterations == whole.iterations
         assert cut.k_eff == pytest.approx(whole.k_eff, rel=1e-12, abs=0.0)
+
+    def test_one_scan_per_group_not_per_region(self, pincell, monkeypatch):
+        # split60's 60 regions fall into two groups (water, core): one
+        # fixed-source solve scans each group once
+        quad = gauss_legendre(6)
+        geo = split_geometry(pincell.geometry, 60, seed=1)
+        mesh = build_fine_mesh(geo, 700)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
+        assert len(operator.groups) == 2
+        calls = []
+        call = FirstOrderScan.__call__
+        monkeypatch.setattr(FirstOrderScan, "__call__",
+                            lambda scan, *args, **kwargs:
+                            calls.append(scan) or call(scan, *args, **kwargs))
+        fixed_source_solve(operator, pincell_chi_absx_source(replace(pincell, geometry=geo),
+                                                             mesh, quad))
+        assert len(calls) == 2
+        assert {id(scan) for scan in calls} == {id(g.march) for g in operator.groups}
 
     def test_heterogeneous_lattice_matches_dense_oracle(self, pincell):
         geo, mesh = pincell_lattice(pincell, np.random.default_rng(7))

@@ -1,10 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from _helpers import recurrence_loop
-from slab_sn import ValidationError
+import slab_sn.sweep
+from _helpers import UnsegmentedScan, recurrence_loop
+from slab_sn import ValidationError, power_iteration
 from slab_sn.recurrence import FirstOrderScan
 
 
@@ -63,14 +65,6 @@ class TestFirstOrderScan:
         a = coefficients(rng, "complex", (1, 64))
         m = 1429
 
-        def construction_peak(coef, rows):
-            tracemalloc.start()
-            try:
-                scan = FirstOrderScan(coef, rows)
-                return scan, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         scan, peak = construction_peak(a, m)
         running_product = scan.size * scan.count * a.nbytes
         assert peak < running_product / 10
@@ -87,3 +81,124 @@ class TestFirstOrderScan:
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
             FirstOrderScan(np.ones((3, 2)), 4)
+
+    @pytest.mark.parametrize("start", [-1, 4])
+    def test_rejects_segment_start_outside_rows(self, start):
+        with pytest.raises(ValidationError, match="segment starts"):
+            FirstOrderScan(np.ones((1, 2)), 4, [0, start])
+
+
+def construction_peak(coef, rows, starts=()):
+    """The scan and the peak memory traced while building it."""
+    tracemalloc.start()
+    try:
+        scan = FirstOrderScan(coef, rows, starts)
+        return scan, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# segment lengths; "mixed" adds fillers (30, 21) that put the 49- and the
+# 1429-row segments on the scan's 40-row block boundaries
+LAYOUTS = {"off": [1, 2, 7, 49, 50, 1429],
+           "reversed": [1429, 50, 49, 7, 2, 1],
+           "mixed": [1, 2, 7, 30, 49, 50, 21, 1429]}
+
+
+def segment_starts(lengths):
+    return np.cumsum([0] + lengths[:-1])
+
+
+class TestSegmentedScan:
+    """One call over many segments against one scan per segment."""
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("kind", ["random", "complex"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_separate_scans(self, layout, kind, shared):
+        rng = np.random.default_rng(11)
+        lengths = LAYOUTS[layout]
+        starts, rows = segment_starts(lengths), sum(lengths)
+        a = coefficients(rng, kind, (1 if shared else rows, 3, 2))
+        b = rng.standard_normal((rows, 3, 2))
+        if kind == "complex":
+            b = b + 1j * rng.standard_normal((rows, 3, 2))
+        scan = FirstOrderScan(a, rows, starts)
+        on_block = np.count_nonzero(starts[1:] % scan.size == 0)
+        assert on_block == (2 if layout == "mixed" else 0)
+        got = scan(b)
+        ref = np.concatenate([FirstOrderScan(a if shared else a[s:s + n], n)(b[s:s + n])
+                              for s, n in zip(starts, lengths)])
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_matches_loop_that_restarts(self):
+        rng = np.random.default_rng(12)
+        lengths = LAYOUTS["mixed"]
+        starts, rows = segment_starts(lengths), sum(lengths)
+        a = coefficients(rng, "complex", (rows, 4))
+        b = rng.standard_normal((rows, 4))
+        cut = a.copy()
+        cut[starts] = 0.0
+        got = FirstOrderScan(a, rows, starts)(b)
+        ref = recurrence_loop(cut, b)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_shared_row_keeps_no_per_row_coefficients(self):
+        rng = np.random.default_rng(13)
+        a = coefficients(rng, "complex", (1, 64))
+        lengths = LAYOUTS["mixed"]
+        rows = sum(lengths)
+        scan, peak = construction_peak(a, rows, segment_starts(lengths))
+        # no (rows, columns) array of a, of its running product or of a
+        # per-segment copy: the starts cost a (rows,) mask
+        assert peak < rows * a.nbytes / 10
+
+    def test_out_and_workspace_leave_results_unchanged(self):
+        rng = np.random.default_rng(14)
+        lengths = LAYOUTS["mixed"]
+        starts, rows = segment_starts(lengths), sum(lengths)
+        a = coefficients(rng, "complex", (1, 8))
+        b = rng.standard_normal((rows, 8)) + 1j * rng.standard_normal((rows, 8))
+        scan = FirstOrderScan(a, rows, starts)
+        ref = scan(b)
+        # b may sit in the second workspace buffer, y in a caller's array
+        work = scan.workspace(complex)
+        spare = scan.rows(work[1])
+        spare[...] = b
+        out = np.empty_like(ref)
+        assert scan(spare, out=out, work=work) is out
+        assert np.array_equal(out, ref)
+        # a later call in the same workspace leaves earlier results alone
+        scan(2.0 * b, work=work)
+        assert np.array_equal(out, ref) and np.array_equal(scan(b, work=work), ref)
+
+    def test_call_in_a_workspace_allocates_only_its_result(self):
+        rng = np.random.default_rng(15)
+        lengths = LAYOUTS["mixed"]
+        rows = sum(lengths)
+        scan = FirstOrderScan(coefficients(rng, "complex", (1, 64)), rows,
+                              segment_starts(lengths))
+        b = rng.standard_normal((rows, 64)) + 1j * rng.standard_normal((rows, 64))
+        work = scan.workspace(complex)
+        tracemalloc.start()
+        try:
+            result = scan(b, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the blocked iterate and the carry update stay in the workspace
+        assert peak < 1.2 * result.nbytes
+
+    def test_one_segment_sweep_is_bit_identical(self, pincell, monkeypatch):
+        # the sweep runs the whole slab as one segment: k, outer counts and
+        # sweep counts equal those of the scan without segment starts
+        config = replace(pincell.config, solver_kind="sweep", sn_order=4,
+                         fine_mesh_size=140)
+        segmented = power_iteration(pincell.geometry, pincell.materials, config)
+        monkeypatch.setattr(slab_sn.sweep, "FirstOrderScan", UnsegmentedScan)
+        plain = power_iteration(pincell.geometry, pincell.materials, config)
+        assert segmented.k_eff == plain.k_eff
+        assert segmented.iterations == plain.iterations
+        assert segmented.inner_sweeps == plain.inner_sweeps
+        assert np.array_equal(segmented.flux.psi, plain.flux.psi)
