@@ -11,9 +11,8 @@ only the source representation is discretized.
 
 import numpy as np
 
-from slab_sn import (BoundaryCondition, FixedSourceOperator, MaterialXS,
-                     SlabGeometry, SourceField, assemble_A, block_diagonalize,
-                     build_fine_mesh, evaluate_flux, gauss_legendre,
+from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry, SolverConfig,
+                     SourceField, build_operator, evaluate_flux,
                      solve_fixed_source)
 
 sigma_t, length, q = 1.3, 4.0, 0.75
@@ -24,14 +23,14 @@ geometry = SlabGeometry(edges=np.array([0.0, length]), materials=("absorber",),
                         bc_left=BoundaryCondition.vacuum(),
                         bc_right=BoundaryCondition.vacuum())
 
-quad = gauss_legendre(8)
-mesh = build_fine_mesh(geometry, 50)
+# the analytic operator at S8 on 50 source cells, built once; it holds the
+# quadrature and the mesh it was built on
+config = SolverConfig(sn_order=8, fine_mesh_size=50)
+operator, _ = build_operator(geometry, {"absorber": absorber}, config)
+quad, mesh = operator.quad, operator.mesh
 # emission density 2q per cm^3 puts q on each ordinate (the angular
 # measure on [-1, 1] has total weight 2)
 source = SourceField(mesh, np.full((50, 1), 2.0 * q))
-
-spectra = {"absorber": block_diagonalize(assemble_A(absorber, quad))}
-operator = FixedSourceOperator(geometry, spectra, mesh, quad)
 solution = solve_fixed_source(operator, source)
 
 xs = np.linspace(0.0, length, 201)

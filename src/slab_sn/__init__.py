@@ -5,11 +5,10 @@ sweeping baseline, and a power-iteration eigenvalue driver with optional
 Wielandt shift, plus a benchmark harness comparing the two solvers.
 """
 
-from .analytic import (FixedSourceOperator, GlobalSystem, evaluate_flux,
-                       fixed_source_solve, select_rows, solve_alpha,
-                       solve_fixed_source)
+from .analytic import (FixedSourceOperator, evaluate_flux, fixed_source_solve,
+                       solve_alpha, solve_fixed_source)
 from .bench import BenchmarkReport, default_cells, run_benchmark
-from .eigen import (EigenResult, fission_source, normalize, power_iteration,
+from .eigen import (EigenResult, build_operator, normalize, power_iteration,
                     update_keff)
 from .exceptions import (DefectiveMatrixError, ExponentOverflowError,
                          MaxInnerIterationsError, MaxOuterIterationsError,

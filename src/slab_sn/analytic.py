@@ -23,25 +23,25 @@ discrete-ordinates method) in O(R (N G)^3) time and O(R (N G)^2) memory:
 see InterfaceFactor.
 
 Only J and the right-hand side depend on the source.  A FixedSourceOperator
-is therefore built once per problem.  It gathers the regions into groups,
-one per material and row of width-only factors: regions whose cell widths
-agree to WIDTH_RTOL, as on build_fine_mesh meshes, share one row at their
-nominal width L / m, and the other regions of a material (graded meshes)
-share a group with one row per cell.  Each group holds, for its cells
-concatenated in slab order, the anchored block rates, the homogeneous
-factors at the cell centres (cells, blocks), the width-only factors (the
-half-cell step, its source integral and the recurrence's source
-multiplier) and the projection and expansion matrices; the operator adds
-the factored global system, checked once for singularity.  A source is an
-isotropic emission S (cells, G), S/2 on every ordinate, so applying the
-operator costs, per group and not per region: one (G, blocks) projection,
-one FirstOrderScan for J in which each region is a segment, the particular
-edge values read at the segment ends, and one (blocks, G) expansion of the
-scalar flux at the cell centres.  Between them the right-hand side is
-formed and solved with the factor (one forward pass and one block
-back-substitution).  FixedSourceOperator.flux gives Psi and phi at the
-cell centres from the same stored factors; evaluate_flux gives them at any
-points.
+is therefore built once per problem, by eigen.build_operator.  It gathers
+the regions into groups, one per material and row of width-only factors:
+regions whose cell widths agree to WIDTH_RTOL, as on build_fine_mesh
+meshes, share one row at their nominal width L / m, and the other regions
+of a material (graded meshes) share a group with one row per cell.  Each
+group holds, for its cells concatenated in slab order, the anchored block
+rates, the homogeneous factors at the cell centres (cells, blocks), the
+width-only factors (the half-cell step, its source integral and the
+recurrence's source multiplier) and the projection and expansion matrices;
+the operator adds the factored global system, checked once for singularity.
+A source is an isotropic emission S (cells, G), S/2 on every ordinate, so
+applying the operator costs, per group and not per region: one (G, blocks)
+projection, one FirstOrderScan for J in which each region is a segment, the
+particular edge values read at the segment ends, and one (blocks, G)
+expansion of the scalar flux at the cell centres.  Between them
+FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
+with the factor (one forward pass and one block back-substitution).
+FixedSourceOperator.flux gives Psi and phi at the cell centres from the
+same stored factors; evaluate_flux gives them at any points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -53,7 +53,6 @@ decaying rate rho (Re rho <= 0), and a cell's upwind edge is the one its
 recurrence enters through.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,32 +75,6 @@ RCOND_ITERATIONS = 5
 EVAL_CHUNK = 256
 
 
-@dataclass(frozen=True)
-class GlobalSystem:
-    """Boundary/continuity system M alpha = rhs for one source, M held as
-    its InterfaceFactor.  rhs rows run left boundary, interface 0 .. R-2,
-    right boundary."""
-
-    rhs: np.ndarray
-    factor: "InterfaceFactor"
-
-
-def select_rows(matrix: np.ndarray, quad: QuadratureSet, sign: str) -> np.ndarray:
-    """Rows of an (N G) x ... matrix whose ordinate matches the mu sign.
-
-    Row (g-1)N + n is kept iff sign(mu_n) matches; original order is
-    preserved.
-    """
-    if sign not in ("positive", "negative"):
-        raise ValidationError(f"sign must be 'positive' or 'negative', got {sign!r}")
-    n = quad.n
-    if matrix.shape[0] % n != 0:
-        raise ValidationError("matrix rows are not a multiple of the quadrature size")
-    g = matrix.shape[0] // n
-    mask = np.tile(quad.mu > 0.0 if sign == "positive" else quad.mu < 0.0, g)
-    return matrix[mask]
-
-
 def _pair_rows(quad: QuadratureSet, g: int):
     """Row indices (positive-mu row, mirrored negative-mu row) pairing
     ordinates of equal |mu|, group-major."""
@@ -115,12 +88,13 @@ def _pair_rows(quad: QuadratureSet, g: int):
 
 def _bc_combination(bc, quad: QuadratureSet, side: str, values: np.ndarray) -> np.ndarray:
     """The N G / 2 combinations of values' (N G) leading rows that one
-    boundary condition constrains: incoming ordinates, or incoming minus
-    mirrored outgoing for a reflective end."""
+    boundary condition constrains: incoming ordinates (group-major), or
+    incoming minus mirrored outgoing for a reflective end."""
+    g = values.shape[0] // quad.n
     if bc.kind == "reflective":
-        pos, neg = _pair_rows(quad, values.shape[0] // quad.n)
+        pos, neg = _pair_rows(quad, g)
         return values[pos] - values[neg]
-    return select_rows(values, quad, "positive" if side == "left" else "negative")
+    return values[np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)]
 
 
 class _Particular(NamedTuple):
@@ -234,13 +208,6 @@ class _Group:
         far = ~self.forward if side == "left" else self.forward
         scale = exp_block(self.rho, np.where(far, length, 0.0))
         return ((self.expand.T * scale[None, :]) @ self.enc).real
-
-    def edge_psi(self, part: _Particular):
-        """Particular angular flux (regions, N G) at every region's left and
-        right edges."""
-        nf = self.nf
-        return ((part.ends[:, nf:] @ self.expand[nf:]).real,
-                (part.ends[:, :nf] @ self.expand[:nf]).real)
 
     def centres_into(self, alphas: np.ndarray, part: _Particular, expand: np.ndarray,
                      out: np.ndarray):
@@ -485,18 +452,22 @@ class FixedSourceOperator:
                 f"emission has shape {source.emission.shape}, expected (cells, G) = {shape}")
         return [group.particular(source.emission) for group in self.groups]
 
-    def system(self, particular) -> GlobalSystem:
-        """Global system for one source, carrying the operator's factor."""
+    def rhs(self, particular) -> np.ndarray:
+        """Right-hand side of the global system for one source, rows left
+        boundary, interface 0 .. R-2, right boundary."""
         left = np.empty((len(self.regions), self.ng))
         right = np.empty_like(left)
+        # the particular angular flux at every region's edges: the backward
+        # blocks' march ends at the left edge, the forward blocks' at the right
         for group, part in zip(self.groups, particular):
-            left[group.regions], right[group.regions] = group.edge_psi(part)
+            nf = group.nf
+            left[group.regions] = (part.ends[:, nf:] @ group.expand[nf:]).real
+            right[group.regions] = (part.ends[:, :nf] @ group.expand[:nf]).real
         geo, quad = self.geometry, self.quad
-        return GlobalSystem(rhs=np.concatenate([
+        return np.concatenate([
             _incoming(geo.bc_left) - _bc_combination(geo.bc_left, quad, "left", left[0]),
             (left[1:] - right[:-1]).ravel(),
-            _incoming(geo.bc_right) - _bc_combination(geo.bc_right, quad, "right", right[-1])]),
-            factor=self.factor)
+            _incoming(geo.bc_right) - _bc_combination(geo.bc_right, quad, "right", right[-1])])
 
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,
@@ -508,9 +479,9 @@ class FixedSourceOperator:
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
-def solve_alpha(system: GlobalSystem) -> np.ndarray:
-    """One alpha per region, (R, N G), from the system's factor."""
-    return system.factor.solve(system.rhs)
+def solve_alpha(factor: InterfaceFactor, rhs: np.ndarray) -> np.ndarray:
+    """One alpha per region, (R, N G), solving the factored global system."""
+    return factor.solve(rhs)
 
 
 def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
@@ -549,7 +520,7 @@ def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
     """Per-region expansion coefficients (no evaluation) and the per-group
     particular data; evaluate_flux takes the pair."""
     particular = operator.particular(source)
-    return solve_alpha(operator.system(particular)), particular
+    return solve_alpha(operator.factor, operator.rhs(particular)), particular
 
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):

@@ -14,15 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from . import outputs
-from .analytic import FixedSourceOperator, solve_fixed_source
+from .analytic import solve_fixed_source
 from .bench import BenchCell, run_benchmark
-from .eigen import power_iteration
+from .eigen import build_operator, power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
-from .mesh import SourceField, build_fine_mesh
+from .mesh import SourceField
 from .model import gauss_legendre
 from .problem_io import load_problem
-from .spectral import assemble_A, block_diagonalize
-from .sweep import SweepOperator, source_iteration
+from .spectral import assemble_A
+from .sweep import sweep_fixed_source
 
 
 def _add_common(parser):
@@ -90,12 +90,17 @@ def _load(args):
     return problem
 
 
-def _transport_matrices(problem, quad, fission_scale):
-    return {name: assemble_A(problem.materials[name], quad, fission_scale)
-            for name in set(problem.geometry.materials)}
+def _dump_matrices(args, outdir, problem, quad, spectra, ke):
+    """--dump-matrices (analytic solver): A per material, rebuilt at fission
+    scale 1/k_e, with P and B from the spectra the solve built."""
+    if args.dump_matrices and spectra is not None:
+        scale = 0.0 if ke is None else 1.0 / ke
+        outputs.dump_matrices(outdir / "matrices",
+                              {name: assemble_A(problem.materials[name], quad, scale)
+                               for name in spectra}, spectra)
 
 
-def _fixed_source(args, problem, mesh, n_groups):
+def _fixed_source(args, mesh, n_groups):
     if args.source == "constant":
         emission = np.full((mesh.n_cells, n_groups), args.strength)
     elif args.source == "absx":
@@ -116,27 +121,20 @@ def cmd_fixed(args) -> int:
     geo, cfg = problem.geometry, problem.config
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    quad = gauss_legendre(cfg.sn_order)
-    mesh = build_fine_mesh(geo, cfg.fine_mesh_size)
-    n_groups = problem.materials[geo.materials[0]].n_groups
-    emission = _fixed_source(args, problem, mesh, n_groups)
-    source = SourceField(mesh, emission)
 
     t0 = time.perf_counter()
-    if cfg.solver_kind == "analytic":
-        # the fixed-source operator excludes fission
-        tms = _transport_matrices(problem, quad, 0.0)
-        spectra = {name: block_diagonalize(a) for name, a in tms.items()}
-        operator = FixedSourceOperator(geo, spectra, mesh, quad)
-        solution = solve_fixed_source(operator, source)
-        if args.dump_matrices:
-            outputs.dump_matrices(outdir / "matrices", tms, spectra)
+    # without a shift the fixed-source operator excludes fission
+    operator, spectra = build_operator(geo, problem.materials, cfg)
+    mesh, quad = operator.mesh, operator.quad
+    n_groups = problem.materials[geo.materials[0]].n_groups
+    source = SourceField(mesh, _fixed_source(args, mesh, n_groups))
+    if spectra is None:
+        flux = sweep_fixed_source(operator, source, cfg.flux_tolerance,
+                                  max_inner=cfg.max_inner)
     else:
-        operator = SweepOperator(geo, problem.materials, mesh, quad, cfg.sweep_scheme)
-        _, solution, _ = source_iteration(operator, emission, cfg.flux_tolerance,
-                                          max_inner=cfg.max_inner)
-    flux = operator.flux(solution)
+        flux = operator.flux(solve_fixed_source(operator, source))
     seconds = time.perf_counter() - t0
+    _dump_matrices(args, outdir, problem, quad, spectra, None)
 
     flux_csv = outdir / "flux.csv"
     outputs.write_flux_csv(flux_csv, flux, quad)
@@ -155,11 +153,7 @@ def cmd_eigen(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     result = power_iteration(problem.geometry, problem.materials, cfg)
     quad = gauss_legendre(cfg.sn_order)
-    if args.dump_matrices and result.spectra is not None:
-        # P and B come from the spectra the solve built; A is cheap to rebuild
-        scale = 0.0 if cfg.ke is None else 1.0 / cfg.ke
-        outputs.dump_matrices(outdir / "matrices",
-                              _transport_matrices(problem, quad, scale), result.spectra)
+    _dump_matrices(args, outdir, problem, quad, result.spectra, cfg.ke)
     flux_csv = outdir / "flux.csv"
     history_csv = outdir / "history.csv"
     outputs.write_flux_csv(flux_csv, result.flux, quad)

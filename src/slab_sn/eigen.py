@@ -11,7 +11,8 @@ and updates k from the ratio of successive production integrals; the angular
 flux is evaluated once, after convergence.  With a shift the chi nu-fission
 / k_e part of the production is folded into the transport operator itself:
 the analytic solver assembles its matrices with fission_scale = 1/k_e and
-the sweep solver adds it to the iterated scattering source.
+the sweep solver adds it to the iterated scattering source.  build_operator
+builds either operator from a problem and a SolverConfig.
 
 Convergence is declared when the L2 norm of the change in the renormalized
 fine-mesh scalar flux (per-group concatenated) drops below the tolerance.
@@ -78,17 +79,6 @@ def _emission(production, chi, k: float, ke: Optional[float]) -> np.ndarray:
     return prefactor * chi * production[:, None]
 
 
-def fission_source(flux: FluxField, geometry: SlabGeometry, materials,
-                   mesh: FineMesh, k: float, ke: Optional[float] = None) -> SourceField:
-    """Fission source built from fluxes evaluated on the source-mesh centers."""
-    if not k > 0.0:
-        raise ValidationError(f"k must be positive, got {k}")
-    production = np.sum(flux.phi * _per_cell(geometry, materials, mesh, "nu_sigma_f"),
-                        axis=1)
-    chi = _per_cell(geometry, materials, mesh, "chi")
-    return SourceField(mesh, _emission(production, chi, k, ke))
-
-
 def update_keff(prev_k: float, ke: Optional[float], integral_prev: float,
                 integral_new: float) -> float:
     """Eigenvalue update from the ratio of successive production integrals.
@@ -127,25 +117,33 @@ def _initial_production(geometry, materials, mesh, kind: str) -> np.ndarray:
     return np.where(mask, p, 0.0)
 
 
+def build_operator(geometry: SlabGeometry, materials, config: SolverConfig, *,
+                   ke: Optional[float] = None):
+    """(operator, spectra): the validated problem's fixed-source operator for
+    config.solver_kind, and the analytic one's BlockSpectrum per material
+    (None for the sweep).  ke folds chi nu-fission / k_e into the operator;
+    without it the operator excludes fission."""
+    validate_problem(geometry, materials, config)
+    quad = gauss_legendre(config.sn_order)
+    mesh = build_fine_mesh(geometry, config.fine_mesh_size)
+    if config.solver_kind != "analytic":
+        return SweepOperator(geometry, materials, mesh, quad, config.sweep_scheme, ke), None
+    fission_scale = 0.0 if ke is None else 1.0 / ke
+    spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
+               for name in set(geometry.materials)}
+    return FixedSourceOperator(geometry, spectra, mesh, quad), spectra
+
+
 def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> EigenResult:
     """Eigenvalue power iteration over the configured fixed-source solver."""
     t_setup = time.perf_counter()
-    validate_problem(geometry, materials, config)
-    if not any(materials[name].fissile for name in geometry.materials):
+    # an unknown material is left to build_operator's validation
+    if not any(name in materials and materials[name].fissile for name in geometry.materials):
         raise ValidationError("eigenvalue problem needs at least one fissile region")
-    quad = gauss_legendre(config.sn_order)
-    mesh = build_fine_mesh(geometry, config.fine_mesh_size)
     ke = config.ke
-    analytic = config.solver_kind == "analytic"
-    spectra = None
-    if analytic:
-        fission_scale = 0.0 if ke is None else 1.0 / ke
-        spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
-                   for name in set(geometry.materials)}
-        operator = FixedSourceOperator(geometry, spectra, mesh, quad)
-    else:
-        operator = SweepOperator(geometry, materials, mesh, quad,
-                                 config.sweep_scheme, ke)
+    operator, spectra = build_operator(geometry, materials, config, ke=ke)
+    mesh = operator.mesh
+    analytic = spectra is not None
     chi = _per_cell(geometry, materials, mesh, "chi")
     nu_sigma_f = _per_cell(geometry, materials, mesh, "nu_sigma_f")
     setup_seconds = time.perf_counter() - t_setup

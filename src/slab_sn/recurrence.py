@@ -38,7 +38,8 @@ class FirstOrderScan:
     A segment start acts as a zero coefficient, kept as a (rows,) mask
     rather than in a: the in-block pass puts b back at every start it
     overwrote, and a carry reaches a row only if no start lies between it
-    and its block's first row.
+    and its block's first row.  A scan with no start below a block's first
+    row (one segment, as the sweep's) skips that restore.
     """
 
     def __init__(self, a, rows=None, starts=()):
@@ -50,6 +51,8 @@ class FirstOrderScan:
         self.shape = (rows,) + a.shape[1:]
         self.size = max(1, int(np.ceil(np.sqrt(rows))))
         self.count = -(-rows // self.size)
+        # rows in whole blocks, and the rows of a last, partial block
+        self.full, self.tail = divmod(rows, self.size)
         blocks = (self.size, self.count) + a.shape[1:]
         blocked = self._blocks(a, np.empty(blocks, dtype=a.dtype)) if a.shape[0] == rows else \
             np.broadcast_to(a, (self.size, 1) + a.shape[1:])
@@ -79,15 +82,15 @@ class FirstOrderScan:
         rows_j, first = np.unique(self.restart_rows, return_index=True)
         self.restarts = {int(j): slice(lo, hi) for j, lo, hi in
                          zip(rows_j, first, np.append(first[1:], self.restart_rows.size))}
+        self.restarting = bool(self.restarts)
 
     def _blocks(self, x, out):
         """x in out (size, count, columns...) in block-inner layout,
         zero-padded to whole blocks."""
-        full = x.shape[0] // self.size
+        full, tail = self.full, self.tail
         out.swapaxes(0, 1)[:full] = x[:full * self.size].reshape(
             (full, self.size) + x.shape[1:])
-        if full < self.count:
-            tail = x.shape[0] - full * self.size
+        if tail:
             out[:tail, full] = x[full * self.size:]
             out[tail:, full] = 0
         return out
@@ -107,36 +110,31 @@ class FirstOrderScan:
         return buffer.reshape((-1,) + self.shape[1:])[:self.shape[0]]
 
     def __call__(self, b, out=None, work=None) -> np.ndarray:
-        """y for sources b, written into out (rows, columns...) when given,
-        computed in work (a workspace pair) when given.  b may be
-        rows(work[1]): a call reads b in full before it writes there."""
+        """y for sources b, written into out (rows, columns...), allocated
+        when None, and computed in work, a workspace pair, or in a fresh one
+        when None.  b may be rows(work[1]): a call reads b in full before it
+        writes there."""
         b = np.asarray(b)
         if b.shape != self.shape:
             raise ValidationError(f"b has shape {b.shape}, the coefficients {self.shape}")
-        if work is None:
-            # a fresh iterate, and the carry product a temporary
-            work = (np.empty((self.size, self.count) + self.shape[1:],
-                             dtype=np.result_type(self.a, b)), None)
-        y, spare = work
+        y, spare = self.workspace(np.result_type(self.a, b)) if work is None else work
         self._blocks(b, y)
-        held = y[self.restart_rows, self.restart_blocks]
+        held = y[self.restart_rows, self.restart_blocks] if self.restarting else None
         for j in range(1, self.size):
             y[j] += self.a[j] * y[j - 1]
-            cut = self.restarts.get(j)
-            if cut is not None:
+            if self.restarting and j in self.restarts:
+                cut = self.restarts[j]
                 y[j, self.restart_blocks[cut]] = held[cut]
         for i in self.chained:
             y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
-        carried = np.multiply(self.prod[:-1, 1:], y[-1:, :-1],
-                              out=None if spare is None else spare[:-1, 1:])
+        carried = np.multiply(self.prod[:-1, 1:], y[-1:, :-1], out=spare[:-1, 1:])
         np.add(y[:-1, 1:], carried, out=y[:-1, 1:], where=self.live)
         if out is None:
-            return y.swapaxes(0, 1).reshape((-1,) + self.shape[1:])[:self.shape[0]]
+            out = np.empty(self.shape, dtype=y.dtype)
         # the inverse of _blocks
-        rows = self.shape[0]
-        full = rows // self.size
+        full, tail = self.full, self.tail
         out[:full * self.size].reshape((full, self.size) + self.shape[1:])[...] = \
             y[:, :full].swapaxes(0, 1)
-        if full < self.count:
-            out[full * self.size:] = y[:rows - full * self.size, full]
+        if tail:
+            out[full * self.size:] = y[:tail, full]
         return out

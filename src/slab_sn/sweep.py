@@ -106,6 +106,8 @@ class SweepOperator:
         self.a0 = a[0]
         self.s = self.scan_order(s)
         self.march = FirstOrderScan(a)
+        # kept for every sweep's scan; each sweep's result is a fresh array
+        self.work = self.march.workspace(float)
 
         # incoming flux per (group, scan column): mu < 0 columns enter at the
         # right end, mu > 0 columns at the left end; a reflective end copies
@@ -137,7 +139,7 @@ class SweepOperator:
         f_in = np.where(self.reflect, out[:, ::-1], self.incoming)
         b = q * self.s
         b[0] += self.a0 * f_in
-        f = self.march(b)
+        f = self.march(b, work=self.work)
         if self.scheme == "step":
             return f, f[-1]
         avg = np.empty_like(f)

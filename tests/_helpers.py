@@ -11,7 +11,8 @@ from scipy.signal import lfilter
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
                      BlockSpectrum, SingularSystemError, SourceField,
                      ValidationError, mesh_from_edges)
-from slab_sn.analytic import _pair_rows, select_rows
+from slab_sn.analytic import _pair_rows
+from slab_sn.eigen import _emission, _per_cell
 from slab_sn.spectral import PHI_TAYLOR_CUT, _guard, exp_block, phi_block
 from slab_sn.model import SWEEP_SCHEMES
 
@@ -487,6 +488,33 @@ def recurrence_loop(a, b):
     return out.reshape(b.shape)
 
 
+def select_rows(matrix, quad, sign):
+    """Rows of an (N G) x ... matrix whose ordinate matches the mu sign.
+
+    Row (g-1)N + n is kept iff sign(mu_n) matches; original order is
+    preserved.
+    """
+    if sign not in ("positive", "negative"):
+        raise ValidationError(f"sign must be 'positive' or 'negative', got {sign!r}")
+    n = quad.n
+    if matrix.shape[0] % n != 0:
+        raise ValidationError("matrix rows are not a multiple of the quadrature size")
+    g = matrix.shape[0] // n
+    mask = np.tile(quad.mu > 0.0 if sign == "positive" else quad.mu < 0.0, g)
+    return matrix[mask]
+
+
+def fission_source(flux, geometry, materials, mesh, k, ke=None):
+    """Fission source built from fluxes evaluated on the source-mesh centers,
+    with the emission power_iteration forms between outer iterations."""
+    if not k > 0.0:
+        raise ValidationError(f"k must be positive, got {k}")
+    production = np.sum(flux.phi * _per_cell(geometry, materials, mesh, "nu_sigma_f"),
+                        axis=1)
+    chi = _per_cell(geometry, materials, mesh, "chi")
+    return SourceField(mesh, _emission(production, chi, k, ke))
+
+
 class UnsegmentedScan:
     """The blocked scan without segment starts: y[m] = a[m] y[m-1] + b[m]
     from zero over all rows, a per row or one shared row.  A one-segment
@@ -513,7 +541,11 @@ class UnsegmentedScan:
             out[:x.shape[0] - full * self.size, full] = x[full * self.size:]
         return out
 
-    def __call__(self, b):
+    def workspace(self, dtype):
+        # FirstOrderScan's call signature; the oracle allocates per call
+        return None
+
+    def __call__(self, b, work=None):
         y = self._blocks(np.asarray(b), np.result_type(self.a, b))
         for j in range(1, self.size):
             y[j] += self.a[j] * y[j - 1]

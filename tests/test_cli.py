@@ -142,10 +142,12 @@ class TestEigen:
         a = np.loadtxt(out / "matrices" / "A_core.csv", delimiter=",")
         assert a.shape == (4, 4)
 
-    @pytest.mark.parametrize("ke", [None, 1.3])
+    # fixed builds its operator without fission, as eigen does without a shift
+    @pytest.mark.parametrize("command, ke", [pytest.param("eigen", None, id="None"),
+                                             pytest.param("eigen", 1.3, id="1.3"),
+                                             pytest.param("fixed", None, id="fixed")])
     def test_dump_matrices_reuses_the_solve_spectra(self, pincell_file, pincell,
-                                                    tmp_path, monkeypatch, ke):
-        import slab_sn.cli
+                                                    tmp_path, monkeypatch, command, ke):
         import slab_sn.eigen
         from slab_sn import assemble_A, block_diagonalize, gauss_legendre
         calls = []
@@ -154,10 +156,9 @@ class TestEigen:
             calls.append(a.shape)
             return block_diagonalize(a)
 
-        for module in (slab_sn.eigen, slab_sn.cli):
-            monkeypatch.setattr(module, "block_diagonalize", counted)
+        monkeypatch.setattr(slab_sn.eigen, "block_diagonalize", counted)
         out = tmp_path / "run"
-        argv = ["eigen", str(pincell_file), "--sn", "4", "--out", str(out), "--dump-matrices"]
+        argv = [command, str(pincell_file), "--sn", "4", "--out", str(out), "--dump-matrices"]
         assert main(argv + ([] if ke is None else ["--ke", str(ke)])) == 0
         names = set(pincell.geometry.materials)
         assert len(calls) == len(names)
@@ -176,6 +177,27 @@ class TestEigen:
 
 
 class TestOverrides:
+    @pytest.mark.parametrize("solver", ["sweep", "analytic"])
+    @pytest.mark.parametrize("sn", ["2", "8"])
+    def test_fixed_validates_the_overridden_order(self, solver, sn, tmp_path, capsys):
+        # the file's incoming flux has N*G/2 = 2 entries, for S4 only
+        beam = Path(__file__).parent / "fixtures" / "valid" / "incoming_beam.ini"
+        out = tmp_path / "run"
+        assert main(["fixed", str(beam), "--sn", sn, "--solver", solver,
+                     "--out", str(out)]) == 2
+        assert "incoming flux must have length N*G/2" in capsys.readouterr().err
+        assert not (out / "flux.csv").exists()
+
+    def test_too_few_cells_reads_the_same_for_fixed_and_eigen(self, pincell_file,
+                                                              tmp_path, capsys):
+        errors = []
+        for command in ("fixed", "eigen"):
+            assert main([command, str(pincell_file), "--mesh", "2",
+                         "--out", str(tmp_path / command)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert "fine_mesh_size (2) must be >= number of regions (3)" in errors[0]
+        assert errors[0] == errors[1]
+
     @pytest.mark.parametrize("command", ["fixed", "eigen"])
     @pytest.mark.parametrize("flag", ["--sn", "--mesh", "--tolerance"])
     def test_zero_override_is_input_error(self, command, flag, pincell_file,

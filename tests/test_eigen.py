@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import one_group_material
+from _helpers import fission_source, one_group_material
 from slab_sn import (BoundaryCondition, FluxField, MaxOuterIterationsError,
                      NonpositiveIntegralError, ShiftAtEigenvalueError,
                      SlabGeometry, SolverConfig, ValidationError,
-                     ZeroFluxError, build_fine_mesh, fission_source,
+                     ZeroFluxError, build_fine_mesh,
                      gauss_legendre, normalize, power_iteration, update_keff)
 
 PCM = 1e-5
