@@ -22,8 +22,7 @@ from .model import (BoundaryCondition, MaterialXS, QuadratureSet,
                     SlabGeometry, SolverConfig, gauss_legendre,
                     validate_problem)
 from .problem_io import Problem, builtin_problem_path, load_problem, save_problem
-from .spectral import (BlockSpectrum, assemble_A, block_diagonalize, gamma,
-                       segment_integral)
+from .spectral import BlockSpectrum, assemble_A, block_diagonalize
 from .sweep import SweepOperator, source_iteration, sweep_fixed_source
 
 __version__ = "0.1.0"

@@ -215,7 +215,7 @@ class _Group:
         x = hom alpha + half j_in + phi_half theta at every cell centre,
         from the stored factors.  x is built in scan order in the
         workspace."""
-        x, term = (self.march.rows(w) for w in self.work)
+        x, term = (self.march.rows(w) for w in self.work[:2])
         np.multiply(self.half, part.j_in, out=x)
         x += np.multiply(self.phi_half, part.theta, out=term)
         # each region's enc @ alpha on its rows

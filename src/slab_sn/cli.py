@@ -90,11 +90,12 @@ def _load(args):
     return problem
 
 
-def _dump_matrices(args, outdir, problem, quad, spectra, ke):
+def _dump_matrices(args, outdir, problem, spectra, ke):
     """--dump-matrices (analytic solver): A per material, rebuilt at fission
     scale 1/k_e, with P and B from the spectra the solve built."""
     if args.dump_matrices and spectra is not None:
         scale = 0.0 if ke is None else 1.0 / ke
+        quad = gauss_legendre(problem.config.sn_order)
         outputs.dump_matrices(outdir / "matrices",
                               {name: assemble_A(problem.materials[name], quad, scale)
                                for name in spectra}, spectra)
@@ -125,7 +126,7 @@ def cmd_fixed(args) -> int:
     t0 = time.perf_counter()
     # without a shift the fixed-source operator excludes fission
     operator, spectra = build_operator(geo, problem.materials, cfg)
-    mesh, quad = operator.mesh, operator.quad
+    mesh = operator.mesh
     n_groups = problem.materials[geo.materials[0]].n_groups
     source = SourceField(mesh, _fixed_source(args, mesh, n_groups))
     if spectra is None:
@@ -134,10 +135,10 @@ def cmd_fixed(args) -> int:
     else:
         flux = operator.flux(solve_fixed_source(operator, source))
     seconds = time.perf_counter() - t0
-    _dump_matrices(args, outdir, problem, quad, spectra, None)
+    _dump_matrices(args, outdir, problem, spectra, None)
 
     flux_csv = outdir / "flux.csv"
-    outputs.write_flux_csv(flux_csv, flux, quad)
+    outputs.write_flux_csv(flux_csv, flux)
     summary = outputs.fixed_summary(
         solver_kind=cfg.solver_kind, sn_order=cfg.sn_order,
         mesh_size=mesh.n_cells, source_kind=args.source, seconds=seconds,
@@ -152,11 +153,10 @@ def cmd_eigen(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     result = power_iteration(problem.geometry, problem.materials, cfg)
-    quad = gauss_legendre(cfg.sn_order)
-    _dump_matrices(args, outdir, problem, quad, result.spectra, cfg.ke)
+    _dump_matrices(args, outdir, problem, result.spectra, cfg.ke)
     flux_csv = outdir / "flux.csv"
     history_csv = outdir / "history.csv"
-    outputs.write_flux_csv(flux_csv, result.flux, quad)
+    outputs.write_flux_csv(flux_csv, result.flux)
     outputs.write_history_csv(history_csv, result)
     summary = outputs.eigen_summary(result, {"flux_csv": flux_csv.name,
                                              "history_csv": history_csv.name})

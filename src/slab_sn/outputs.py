@@ -16,7 +16,6 @@ import numpy as np
 from .bench import BenchmarkReport
 from .eigen import EigenResult
 from .mesh import FluxField
-from .model import QuadratureSet
 
 
 def _r(value) -> str:
@@ -32,9 +31,9 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def write_flux_csv(path, flux: FluxField, quad: QuadratureSet) -> None:
-    n = quad.n
+def write_flux_csv(path, flux: FluxField) -> None:
     g = flux.n_groups
+    n = flux.psi.shape[1] // g
     rows = flux.points.size * g
     # an object table holds Python floats and int groups, whose reprs are
     # the pinned format; one tolist() feeds every line

@@ -31,9 +31,12 @@ class FirstOrderScan:
     once, a short pass carries each block's last value into the next, and
     one vectorized update adds the carried value times the running product
     of a to the rest of each block.  A call therefore costs O(sqrt(rows))
-    whole-array operations whatever the number of columns.  A shared row is
-    kept as a (block size, columns) power table broadcast over the blocks,
-    so it costs no per-row memory.
+    whole-array operations whatever the number of columns.  With a kept
+    workspace, each trip of either loop is two ufunc calls that allocate
+    nothing; they and the per-row carry update avoid broadcast and sliced
+    operands, which numpy would copy to a buffer.  A shared row is kept as
+    a (block size, columns) power table broadcast over the blocks, so it
+    costs no per-row memory.
 
     A segment start acts as a zero coefficient, kept as a (rows,) mask
     rather than in a: the in-block pass puts b back at every start it
@@ -54,12 +57,13 @@ class FirstOrderScan:
         # rows in whole blocks, and the rows of a last, partial block
         self.full, self.tail = divmod(rows, self.size)
         blocks = (self.size, self.count) + a.shape[1:]
-        blocked = self._blocks(a, np.empty(blocks, dtype=a.dtype)) if a.shape[0] == rows else \
+        blocked = self.blocks(a, np.empty(blocks, dtype=a.dtype)) if a.shape[0] == rows else \
             np.broadcast_to(a, (self.size, 1) + a.shape[1:])
         # running product of a inside each block
         prod = np.cumprod(blocked, axis=0)
         self.a = np.broadcast_to(blocked, blocks)
         self.prod = np.broadcast_to(prod, blocks)
+        self.shared = a.shape[0] != rows
 
         starts = np.asarray(starts, dtype=int)
         if np.any((starts < 0) | (starts >= rows)):
@@ -67,13 +71,14 @@ class FirstOrderScan:
         start = np.zeros(rows, dtype=bool)
         start[0] = True
         start[starts] = True
-        cut = self._blocks(start, np.empty((self.size, self.count), dtype=bool))
+        cut = self.blocks(start, np.empty((self.size, self.count), dtype=bool))
         # live[j, i]: block i's carry-in still reaches its row j
         live = ~np.logical_or.accumulate(cut, axis=0)
-        live = live.reshape(live.shape + (1,) * (a.ndim - 1))
         # blocks whose last row a carry reaches
-        self.chained = [int(i) for i in np.flatnonzero(live[-1].ravel()) if i > 0]
-        self.live = True if live[:-1, 1:].all() else live[:-1, 1:]
+        self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
+        # the carry update adds -0.0, which leaves every value as it is, to
+        # the rows no carry reaches, block 0's among them
+        self.dead = np.nonzero(~live[:-1])
         # the in-block pass restores b at the starts below a block's first
         # row; restarts maps such a row j to its slice of restart_rows and
         # restart_blocks
@@ -82,11 +87,10 @@ class FirstOrderScan:
         rows_j, first = np.unique(self.restart_rows, return_index=True)
         self.restarts = {int(j): slice(lo, hi) for j, lo, hi in
                          zip(rows_j, first, np.append(first[1:], self.restart_rows.size))}
-        self.restarting = bool(self.restarts)
 
-    def _blocks(self, x, out):
-        """x in out (size, count, columns...) in block-inner layout,
-        zero-padded to whole blocks."""
+    def blocks(self, x, out):
+        """Rows x (rows, ...) written to out (size, count, ...) in the
+        block-inner layout, zero-padded to whole blocks; returns out."""
         full, tail = self.full, self.tail
         out.swapaxes(0, 1)[:full] = x[:full * self.size].reshape(
             (full, self.size) + x.shape[1:])
@@ -96,44 +100,64 @@ class FirstOrderScan:
         return out
 
     def workspace(self, dtype):
-        """Buffers for calls with this dtype: the blocked iterate and the
-        carry update's product, each (size, count, columns...).  A caller
-        that passes the same pair to every call saves their allocation; an
-        allocator that returns large freed blocks to the system would fault
-        their pages in again on every call."""
+        """(y, spare, steps, carries) for calls with this dtype: two
+        (size, count, columns...) buffers and, for each trip of the in-block
+        pass and of the carry chain, the (coefficient, previous row, row,
+        temporary) views it works on.  A kept one is never allocated again."""
         shape = (self.size, self.count) + self.shape[1:]
-        return np.empty(shape, dtype=dtype), np.empty(shape, dtype=dtype)
+        # spare starts finite: the carry update multiplies all its rows
+        y, spare = np.empty(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+        a = [self.a[0].copy()] * self.size if self.shared else self.a
+        steps = [(a[j], y[j - 1], y[j], spare[0]) for j in range(1, self.size)]
+        carries = [(self.prod[-1, i], y[-1, i - 1], y[-1, i], spare[0, 0])
+                   for i in self.chained]
+        return y, spare, steps, carries
 
     def rows(self, buffer) -> np.ndarray:
         """The first rows of a workspace buffer as a (rows, columns...)
         array, free for a caller's use between calls."""
         return buffer.reshape((-1,) + self.shape[1:])[:self.shape[0]]
 
+    def in_place(self, work):
+        """Scan the sources written into work[0] there, padding rows too."""
+        y, spare, steps, carries = work
+        held = y[self.restart_rows, self.restart_blocks] if self.restarts else None
+        # out= passed by position: keywords cost a trip measurably more
+        for j, (a, prev, row, tmp) in enumerate(steps, 1):
+            np.add(row, np.multiply(a, prev, tmp), row)
+            if j in self.restarts:
+                cut = self.restarts[j]
+                y[j, self.restart_blocks[cut]] = held[cut]
+        for prod, prev, row, tmp in carries:
+            np.add(row, np.multiply(prod, prev, tmp), row)
+        carried = spare[:-1]
+        if self.shared:
+            np.copyto(carried, self.prod[:-1])
+            np.multiply(carried[:, 1:], y[-1:, :-1], out=carried[:, 1:])
+        else:
+            carried[:, 1:] = y[-1:, :-1]
+            np.multiply(self.prod[:-1], carried, out=carried)
+        carried[self.dead] = -0.0
+        np.add(y[:-1], carried, out=y[:-1])
+
     def __call__(self, b, out=None, work=None) -> np.ndarray:
         """y for sources b, written into out (rows, columns...), allocated
-        when None, and computed in work, a workspace pair, or in a fresh one
-        when None.  b may be rows(work[1]): a call reads b in full before it
+        when None, and computed in work, a workspace, or in a fresh one when
+        None.  b may be rows(work[1]): a call reads b in full before it
         writes there."""
         b = np.asarray(b)
         if b.shape != self.shape:
             raise ValidationError(f"b has shape {b.shape}, the coefficients {self.shape}")
-        y, spare = self.workspace(np.result_type(self.a, b)) if work is None else work
-        self._blocks(b, y)
-        held = y[self.restart_rows, self.restart_blocks] if self.restarting else None
-        for j in range(1, self.size):
-            y[j] += self.a[j] * y[j - 1]
-            if self.restarting and j in self.restarts:
-                cut = self.restarts[j]
-                y[j, self.restart_blocks[cut]] = held[cut]
-        for i in self.chained:
-            y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
-        carried = np.multiply(self.prod[:-1, 1:], y[-1:, :-1], out=spare[:-1, 1:])
-        np.add(y[:-1, 1:], carried, out=y[:-1, 1:], where=self.live)
-        if out is None:
-            out = np.empty(self.shape, dtype=y.dtype)
-        # the inverse of _blocks
+        work = self.workspace(np.result_type(self.a, b)) if work is None else work
+        y = self.blocks(b, work[0])
+        self.in_place(work)
+        return self.unblocks(y, np.empty(self.shape, y.dtype) if out is None else out)
+
+    def unblocks(self, y, out):
+        """The inverse of blocks: the rows of y (size, count, ...) written to
+        out (rows, ...); returns out."""
         full, tail = self.full, self.tail
-        out[:full * self.size].reshape((full, self.size) + self.shape[1:])[...] = \
+        out[:full * self.size].reshape((full, self.size) + y.shape[2:])[...] = \
             y[:, :full].swapaxes(0, 1)
         if tail:
             out[full * self.size:] = y[:tail, full]

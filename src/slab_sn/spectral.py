@@ -214,22 +214,3 @@ def _dense(spec: BlockSpectrum, values) -> np.ndarray:
     """Real matrix acting on the block scalars as multiplication by values
     (one per block): Re(E^H diag(values) E)."""
     return ((spec.encoding.conj().T * values) @ spec.encoding).real
-
-
-def gamma(spec: BlockSpectrum, x: float) -> np.ndarray:
-    """Dense Gamma(x) = exp(B x): e^{lam x} on real blocks and
-    e^{a x} [[cos bx, sin bx], [-sin bx, cos bx]] on complex pairs."""
-    return _dense(spec, exp_block(spec.rates.conj(), x))
-
-
-def segment_integral(spec: BlockSpectrum, x_a: float, x_b: float) -> np.ndarray:
-    """Dense integral of Gamma(-xi) d xi over [x_a, x_b], blockwise closed form.
-
-    Blocks with |lam| * (x_b - x_a) below 1e-8 switch to the series limit,
-    so zero eigenvalues (pure scatterers) integrate exactly to the width.
-    """
-    if x_b < x_a:
-        raise ValidationError(f"segment bounds out of order: [{x_a}, {x_b}]")
-    rate = -spec.rates.conj()
-    _guard(np.concatenate([rate.real * x_a, rate.real * x_b]))
-    return _dense(spec, exp_block(rate, x_a) * phi_block(rate, x_b - x_a))

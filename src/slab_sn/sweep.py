@@ -12,10 +12,11 @@ L2 norm of the scalar-flux change drops below the requested tolerance.
 
 Only the source changes between inner and outer iterations.  A
 SweepOperator is therefore built once per problem and holds the per-cell
-group transfer, the marching coefficients and the boundary handling;
-source_iteration applies it to one isotropic emission (cells, G) at a time,
-adding it to the scattering emission before half of the sum goes to every
-ordinate.
+group transfer, the marching coefficients, the boundary handling and the
+index maps of the scan's blocked layout.  source_iteration applies it to one
+isotropic emission (cells, G) at a time: each sweep gathers half the total
+emission onto every ordinate in that layout, scans and sums it there, and
+the angular flux leaves the layout once, after convergence.
 """
 
 from typing import Optional
@@ -29,7 +30,8 @@ from .recurrence import FirstOrderScan
 
 
 def _transfer_matrices(geometry, materials, ke):
-    """Per-region group transfer: scattering plus the shifted fission part."""
+    """Per-region group transfer: scattering plus the shifted fission part,
+    checked for isotropic scattering and a folded scattering ratio below one."""
     transfer = []
     for name in geometry.materials:
         mat = materials[name]
@@ -40,17 +42,13 @@ def _transfer_matrices(geometry, materials, ke):
         if ke is not None:
             t += np.outer(mat.chi, mat.nu_sigma_f) / ke
         transfer.append(t)
-    return transfer
-
-
-def _check_scattering_ratio(geometry, materials, transfer):
     for name, t in zip(geometry.materials, transfer):
-        mat = materials[name]
-        ratio = t.sum(axis=0) / mat.sigma_t
+        ratio = t.sum(axis=0) / materials[name].sigma_t
         if np.any(ratio >= 1.0):
             raise ValidationError(
                 f"material {name!r}: scattering ratio {ratio.max():.6f} >= 1, "
                 "source iteration would not converge")
+    return transfer
 
 
 class SweepOperator:
@@ -67,9 +65,10 @@ class SweepOperator:
     a = c / (c + sigma_t) and s = 1 / (c + sigma_t) for step, whose cell
     average is f_m; a = (2c - sigma_t) / (2c + sigma_t) and
     s = 2 / (2c + sigma_t) for diamond, whose cell average is the mean of the
-    two faces.  Per-cell arrays (cells, G, N) are kept in scan order, with
-    the mu < 0 columns in reversed cell order, so one FirstOrderScan marches
-    both directions through the whole slab at once.
+    two faces.  In scan order the mu < 0 columns of a (cells, G, N) array
+    run in reversed cell order, so one FirstOrderScan marches both
+    directions through the whole slab at once; s and the fluxes live in
+    that scan's blocked (size, count, G, N) layout, padding rows included.
     """
 
     def __init__(self, geometry: SlabGeometry, materials, mesh: FineMesh,
@@ -78,7 +77,6 @@ class SweepOperator:
         if scheme not in SWEEP_SCHEMES:
             raise ValidationError(f"unknown sweep scheme {scheme!r}")
         transfer = _transfer_matrices(geometry, materials, ke)
-        _check_scattering_ratio(geometry, materials, transfer)
         self.mesh = mesh
         self.quad = quad
         self.scheme = scheme
@@ -102,12 +100,21 @@ class SweepOperator:
             a, s = coef, 1.0 / denom
         else:
             a, s = 2.0 * coef - 1.0, 2.0 / denom
-        a = self.scan_order(a)
-        self.a0 = a[0]
-        self.s = self.scan_order(s)
-        self.march = FirstOrderScan(a)
-        # kept for every sweep's scan; each sweep's result is a fresh array
-        self.work = self.march.workspace(float)
+        self.march = march = FirstOrderScan(self.scan_order(a))
+        self.work = march.workspace(float)
+
+        # sources are gathered from half the emission: one zero, which the
+        # padding rows read, then (cells * G,) in cell order
+        m, g, n = self.shape
+        slot = np.arange(1, m * g + 1).reshape(m, g, 1).repeat(n, axis=2)
+        self.gather = march.blocks(self.scan_order(slot), np.empty(self.work[0].shape, int))
+        self.s = march.blocks(self.scan_order(s), np.empty(self.work[0].shape))
+        # the blocked row of each scan row, the last one's place, phi's halves
+        blocked = np.arange(march.size * march.count).reshape(march.size, -1)
+        blocked_row = march.unblocks(blocked, np.empty(m, dtype=int))
+        self.last = np.unravel_index(blocked_row[-1], blocked.shape)
+        rows = blocked_row[:, None] * g + np.arange(g)
+        self.neg, self.pos = 2 * rows[::-1], 2 * rows + 1
 
         # incoming flux per (group, scan column): mu < 0 columns enter at the
         # right end, mu > 0 columns at the left end; a reflective end copies
@@ -120,8 +127,8 @@ class SweepOperator:
             self.reflect[cols] = bc.kind == "reflective"
         # pure streaming: a single sweep is the exact solution
         self.streaming = not self.reflect.any() and not self.transfer.any()
-        for arr in (self.transfer, self.weights, self.a0, self.s, self.incoming,
-                    self.reflect):
+        for arr in (self.transfer, self.weights, self.s, self.incoming, self.reflect,
+                    self.gather, self.neg, self.pos):
             arr.setflags(write=False)
 
     def scan_order(self, x: np.ndarray) -> np.ndarray:
@@ -129,36 +136,39 @@ class SweepOperator:
         return np.concatenate([x[::-1, :, :self.half], x[:, :, self.half:]], axis=2)
 
     def sweep(self, q: np.ndarray, out: np.ndarray):
-        """One transport sweep with the total source q frozen.
+        """One transport sweep with the total source frozen.
 
-        q is (cells, G, N) in scan order; out holds the previous sweep's
-        outgoing face fluxes (G, N), which reflective ends copy back in.
-        Returns the cell-average fluxes in scan order and this sweep's
-        outgoing face fluxes: mu < 0 at the left end, mu > 0 at the right.
+        q is the source of every ordinate, half the isotropic emission:
+        one zero and then (cells * G,) in cell order.  out holds the
+        previous sweep's outgoing face fluxes (G, N), which reflective ends
+        copy back in, and receives this sweep's: mu < 0 at the left end,
+        mu > 0 at the right.  Returns the cell-average fluxes in the scan's
+        blocked layout, in a workspace buffer that the next sweep
+        overwrites, and the scalar flux (cells, G).
         """
+        f = np.take(q, self.gather, out=self.work[0], mode="clip")
+        f *= self.s
         f_in = np.where(self.reflect, out[:, ::-1], self.incoming)
-        b = q * self.s
-        b[0] += self.a0 * f_in
-        f = self.march(b, work=self.work)
-        if self.scheme == "step":
-            return f, f[-1]
-        avg = np.empty_like(f)
-        np.add(f[1:], f[:-1], out=avg[1:])
-        np.add(f[0], f_in, out=avg[0])
-        avg *= 0.5
-        return avg, f[-1]
-
-    def scalar_flux(self, psi: np.ndarray) -> np.ndarray:
-        """Scalar flux (cells, G) in cell order of scan-order fluxes psi."""
-        m, g, n = self.shape
-        halves = (psi.reshape(m * g, n) @ self.weights).reshape(m, g, 2)
-        return halves[::-1, :, 0] + halves[:, :, 1]
+        f[0, 0] += self.march.a[0, 0] * f_in
+        self.march.in_place(self.work)
+        out[...] = f[self.last]
+        psi = f
+        if self.scheme == "diamond":
+            # face means; a block's first row follows the previous block's last
+            psi = self.work[1]
+            np.add(f[1:], f[:-1], out=psi[1:])
+            np.add(f[0, 1:], f[-1, :-1], out=psi[0, 1:])
+            np.add(f[0, 0], f_in, out=psi[0, 0])
+            psi *= 0.5
+        halves = psi.reshape(-1, self.shape[2]) @ self.weights
+        return psi, halves.take(self.neg) + halves.take(self.pos)
 
     def flux(self, psi: np.ndarray) -> FluxField:
-        """Angular and scalar flux at the cell centres of scan-order fluxes psi."""
+        """Angular and scalar flux at the cell centres of fluxes psi in the
+        scan's blocked layout."""
         m, g, n = self.shape
-        return FluxField.from_psi(self.mesh.centers, self.scan_order(psi).reshape(m, g * n),
-                                  self.quad)
+        psi = self.scan_order(self.march.unblocks(psi, np.empty(self.shape)))
+        return FluxField.from_psi(self.mesh.centers, psi.reshape(m, g * n), self.quad)
 
 
 def source_iteration(operator: SweepOperator, emission: np.ndarray,
@@ -169,25 +179,27 @@ def source_iteration(operator: SweepOperator, emission: np.ndarray,
     scalar flux (M, G) the scattering source starts from.  With a Wielandt
     shift the operator folds the chi nu-fission / k_e production into the
     iterated source alongside scattering.  Returns (cell-average scalar flux
-    (M, G), the last sweep's scan-order angular fluxes for operator.flux,
-    number of sweeps).
+    (M, G), the last sweep's angular fluxes in the scan's blocked layout
+    for operator.flux, number of sweeps).
     """
     m, g, n = operator.shape
     if np.shape(emission) != (m, g):
         raise ValidationError(
             f"emission has shape {np.shape(emission)}, expected (cells, G) = {(m, g)}")
     phi = np.zeros((m, g)) if phi0 is None else phi0
+    q = np.zeros(m * g + 1)
+    source = q[1:].reshape(m, g)
     out = np.zeros((g, n))
     for it in range(1, max_inner + 1):
         # isotropic: every ordinate of a direction half sees half the emission
-        q = (emission + np.einsum("mg,mgh->mh", phi, operator.transfer)) / 2.0
-        halves = np.repeat(np.stack([q[::-1], q], axis=2), operator.half, axis=2)
-        psi, out = operator.sweep(halves, out)
-        phi_new = operator.scalar_flux(psi)
+        np.einsum("mg,mgh->mh", phi, operator.transfer, out=source)
+        source += emission
+        source /= 2.0
+        psi, phi_new = operator.sweep(q, out)
         change = np.linalg.norm(phi_new - phi)
         phi = phi_new
         if change < tolerance or operator.streaming:
-            return phi, psi, it
+            return phi, psi.copy(), it
     raise MaxInnerIterationsError(
         f"source iteration did not reach {tolerance} in {max_inner} sweeps "
         "(scattering ratio too close to 1?)")

@@ -13,8 +13,28 @@ from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
                      ValidationError, mesh_from_edges)
 from slab_sn.analytic import _pair_rows
 from slab_sn.eigen import _emission, _per_cell
-from slab_sn.spectral import PHI_TAYLOR_CUT, _guard, exp_block, phi_block
+from slab_sn.spectral import PHI_TAYLOR_CUT, _dense, _guard, exp_block, phi_block
 from slab_sn.model import SWEEP_SCHEMES
+from slab_sn.recurrence import FirstOrderScan
+
+
+def gamma(spec, x):
+    """Dense Gamma(x) = exp(B x): e^{lam x} on real blocks and
+    e^{a x} [[cos bx, sin bx], [-sin bx, cos bx]] on complex pairs."""
+    return _dense(spec, exp_block(spec.rates.conj(), x))
+
+
+def segment_integral(spec, x_a, x_b):
+    """Dense integral of Gamma(-xi) d xi over [x_a, x_b], blockwise closed form.
+
+    Blocks with |lam| * (x_b - x_a) below 1e-8 switch to the series limit,
+    so zero eigenvalues (pure scatterers) integrate exactly to the width.
+    """
+    if x_b < x_a:
+        raise ValidationError(f"segment bounds out of order: [{x_a}, {x_b}]")
+    rate = -spec.rates.conj()
+    _guard(np.concatenate([rate.real * x_a, rate.real * x_b]))
+    return _dense(spec, exp_block(rate, x_a) * phi_block(rate, x_b - x_a))
 
 
 def legendre_and_deriv(n, x):
@@ -515,44 +535,19 @@ def fission_source(flux, geometry, materials, mesh, k, ke=None):
     return SourceField(mesh, _emission(production, chi, k, ke))
 
 
-class UnsegmentedScan:
-    """The blocked scan without segment starts: y[m] = a[m] y[m-1] + b[m]
-    from zero over all rows, a per row or one shared row.  A one-segment
-    FirstOrderScan must reproduce it bit for bit."""
+class UnsegmentedScan(FirstOrderScan):
+    """FirstOrderScan's blocked layout and coefficients, scanned by a loop
+    that knows no segment starts: y[m] = a[m] y[m-1] + b[m] from zero over
+    all rows, a per row or one shared row.  A one-segment FirstOrderScan
+    must reproduce it bit for bit."""
 
-    def __init__(self, a, rows=None):
-        a = np.asarray(a)
-        rows = a.shape[0] if rows is None else rows
-        self.shape = (rows,) + a.shape[1:]
-        self.size = max(1, int(np.ceil(np.sqrt(rows))))
-        self.count = -(-rows // self.size)
-        blocked = self._blocks(a, a.dtype) if a.shape[0] == rows else \
-            np.broadcast_to(a, (self.size, 1) + a.shape[1:])
-        blocks = (self.size, self.count) + a.shape[1:]
-        self.a = np.broadcast_to(blocked, blocks)
-        self.prod = np.broadcast_to(np.cumprod(blocked, axis=0), blocks)
-
-    def _blocks(self, x, dtype):
-        out = np.zeros((self.size, self.count) + x.shape[1:], dtype=dtype)
-        full = x.shape[0] // self.size
-        out.swapaxes(0, 1)[:full] = x[:full * self.size].reshape(
-            (full, self.size) + x.shape[1:])
-        if full < self.count:
-            out[:x.shape[0] - full * self.size, full] = x[full * self.size:]
-        return out
-
-    def workspace(self, dtype):
-        # FirstOrderScan's call signature; the oracle allocates per call
-        return None
-
-    def __call__(self, b, work=None):
-        y = self._blocks(np.asarray(b), np.result_type(self.a, b))
+    def in_place(self, work):
+        y = work[0]
         for j in range(1, self.size):
             y[j] += self.a[j] * y[j - 1]
         for i in range(1, self.count):
             y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
         y[:-1, 1:] += self.prod[:-1, 1:] * y[-1:, :-1]
-        return y.swapaxes(0, 1).reshape((-1,) + self.shape[1:])[:self.shape[0]]
 
 
 def _region_works(geometry, spectra, source, quad):

@@ -20,14 +20,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from _helpers import (absorber_problem, absorber_psi, perturbed_materials,
-                      printed_entries, random_spectrum, source_over_mu)
+from _helpers import (absorber_problem, absorber_psi, gamma, perturbed_materials,
+                      printed_entries, random_spectrum, segment_integral,
+                      source_over_mu)
 from conftest import REFERENCE_KEFF
 from slab_sn import (BoundaryCondition, FixedSourceOperator, SlabGeometry,
                      SolverConfig, SourceField, assemble_A,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
-                     gamma, gauss_legendre, power_iteration, run_benchmark,
-                     segment_integral, solve_fixed_source)
+                     gauss_legendre, power_iteration, run_benchmark,
+                     solve_fixed_source)
 from slab_sn.bench import default_cells
 
 PCM = 1e-5

@@ -230,7 +230,7 @@ class TestFluxCsv:
         points[:3] = [-17.5, -0.0, 1.0 / 3.0]
         flux = FluxField(points=points, psi=values((p, g * n)), phi=values((p, g)))
         quad = gauss_legendre(n)
-        write_flux_csv(tmp_path / "got.csv", flux, quad)
+        write_flux_csv(tmp_path / "got.csv", flux)
         write_flux_csv_per_value(tmp_path / "ref.csv", flux, quad)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()

@@ -190,6 +190,30 @@ class TestSegmentedScan:
         # the blocked iterate and the carry update stay in the workspace
         assert peak < 1.2 * result.nbytes
 
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("segments", ["one", "several"])
+    def test_call_with_out_allocates_less_than_a_block_row(self, shared, segments):
+        # the workspace holds the views both loops step through: no trip
+        # of either allocates a row of products
+        rng = np.random.default_rng(16)
+        lengths = LAYOUTS["mixed"]
+        rows = sum(lengths)
+        starts = segment_starts(lengths) if segments == "several" else ()
+        a = coefficients(rng, "complex", (1 if shared else rows, 64))
+        scan = FirstOrderScan(a, rows, starts)
+        b = rng.standard_normal((rows, 64)) + 1j * rng.standard_normal((rows, 64))
+        ref = scan(b)
+        out = np.empty_like(ref)
+        work = scan.workspace(complex)
+        tracemalloc.start()
+        try:
+            scan(b, out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, ref)
+        assert peak < scan.count * 64 * out.itemsize
+
     def test_one_segment_sweep_is_bit_identical(self, pincell, monkeypatch):
         # the sweep runs the whole slab as one segment: k, outer counts and
         # sweep counts equal those of the scan without segment starts

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from _helpers import faddeev_leverrier, one_group_material, random_spectrum
+from _helpers import (faddeev_leverrier, gamma, one_group_material, random_spectrum,
+                      segment_integral)
 from slab_sn import (BlockSpectrum, DefectiveMatrixError,
                      ExponentOverflowError, MaterialXS, ValidationError,
-                     assemble_A, block_diagonalize, gamma, gauss_legendre,
-                     segment_integral)
+                     assemble_A, block_diagonalize, gauss_legendre)
 
 SQRT3 = np.sqrt(3.0)
 

@@ -12,6 +12,7 @@ from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
                      gauss_legendre, solve_fixed_source, source_iteration,
                      sweep_fixed_source)
+from slab_sn.recurrence import FirstOrderScan
 
 
 def simple_sweep_mesh(geometry, materials, n_cells, quad, q_value=0.0):
@@ -20,6 +21,49 @@ def simple_sweep_mesh(geometry, materials, n_cells, quad, q_value=0.0):
     g = materials[geometry.materials[0]].n_groups
     q = np.full((n_cells, g * quad.n), q_value)
     return mesh, cell_sigma_t(geometry, materials, mesh), q
+
+
+def scan_order_sweep(geometry, materials, mesh, quad, scheme, emission, out):
+    """One sweep the way the unblocked operator made it: half the emission
+    repeated over the ordinates in scan order (mu < 0 columns in reversed
+    cell order), times s, one FirstOrderScan over (cells, G, N) rows, and
+    the weighted halves summed to the scalar flux.  Returns the angular
+    flux (cells, G N) in cell order, the scalar flux (cells, G) and the
+    outgoing face fluxes (G, N)."""
+    h = quad.n // 2
+
+    def scan_order(x):
+        return np.concatenate([x[::-1, :, :h], x[:, :, h:]], axis=2)
+
+    def incoming(bc, outgoing):
+        if bc.kind == "reflective":
+            return outgoing[:, ::-1]
+        return np.reshape(bc.values, (-1, h)) if bc.kind == "incoming" else 0.0 * outgoing
+
+    face = 1.0 if scheme == "step" else 2.0
+    c = face * np.abs(quad.mu)[None, None, :] / mesh.widths[:, None, None]
+    denom = c + cell_sigma_t(geometry, materials, mesh)[:, :, None]
+    coef = c / denom
+    a, s = (coef, 1.0 / denom) if scheme == "step" else (2.0 * coef - 1.0, 2.0 / denom)
+    a, s = scan_order(a), scan_order(s)
+    q = emission / 2.0
+    b = np.repeat(np.stack([q[::-1], q], axis=2), h, axis=2) * s
+    f_in = np.concatenate([incoming(geometry.bc_right, out[:, h:]),
+                           incoming(geometry.bc_left, out[:, :h])], axis=1)
+    b[0] += a[0] * f_in
+    f = FirstOrderScan(a)(b)
+    psi = f
+    if scheme == "diamond":
+        psi = np.empty_like(f)
+        np.add(f[1:], f[:-1], out=psi[1:])
+        np.add(f[0], f_in, out=psi[0])
+        psi *= 0.5
+    weights = np.zeros((quad.n, 2))
+    weights[:h, 0], weights[h:, 1] = quad.weight[:h], quad.weight[h:]
+    m, g, n = f.shape
+    halves = (psi.reshape(m * g, n) @ weights).reshape(m, g, 2)
+    return (scan_order(psi).reshape(m, g * n), halves[::-1, :, 0] + halves[:, :, 1],
+            f[-1])
 
 
 class TestSweepOnce:
@@ -235,7 +279,9 @@ class TestFastPathConsistency:
         geo, mats = pincell.geometry, pincell.materials
         quad = gauss_legendre(n)
         mesh = graded_mesh(geo, (9, 50, 11)) if graded else build_fine_mesh(geo, 70)
-        q = rng.uniform(0.0, 1.0, size=(70, 2 * n))
+        emission = rng.uniform(0.0, 1.0, size=(70, 2))
+        # half the isotropic emission on every ordinate
+        q = np.repeat(emission / 2.0, n, axis=1)
         sigma_t = cell_sigma_t(geo, mats, mesh)
         inc_ref = (rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
 
@@ -252,16 +298,43 @@ class TestFastPathConsistency:
             out = np.zeros((2, n))
         geo = replace(geo, bc_left=ends[0], bc_right=ends[1])
         operator = SweepOperator(geo, mats, mesh, quad, scheme)
-        q_scan = operator.scan_order(q.reshape(70, 2, n))
         for _ in range(3 if bc == "reflective" else 1):
             ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref,
                                              scheme=scheme)
-            fast, out = operator.sweep(q_scan, out)
-            assert np.allclose(operator.scan_order(fast).reshape(70, 2 * n), ref,
-                               atol=1e-14)
+            fast, phi = operator.sweep(np.append(0.0, emission / 2.0), out)
+            assert np.allclose(operator.flux(fast).psi, ref, atol=1e-14)
+            assert np.allclose(phi, ref.reshape(70, 2, n) @ quad.weight, atol=1e-14)
             assert np.allclose(out[:, :n // 2].ravel(), ol_ref, atol=1e-14)
             assert np.allclose(out[:, n // 2:].ravel(), or_ref, atol=1e-14)
             inc_ref = (mirror(ol_ref), mirror(or_ref))
+
+    @pytest.mark.parametrize("cells", ["70", "49", "graded"])
+    @pytest.mark.parametrize("scheme", ["step", "diamond"])
+    @pytest.mark.parametrize("ends", [("vacuum", "vacuum"), ("reflective", "reflective"),
+                                      ("incoming", "reflective"), ("vacuum", "incoming")])
+    def test_blocked_sweep_is_bit_identical_to_scan_order(self, pincell, cells, scheme, ends):
+        # 70 uniform cells leave the scan's last block partial, 49 fill
+        # every block; three sweeps carry the outgoing flux into reflective
+        # ends
+        rng = np.random.default_rng(21)
+        quad = gauss_legendre(4)
+        geo = replace(pincell.geometry, **{
+            side: (BoundaryCondition.incoming(rng.uniform(0.0, 1.0, 4)) if kind == "incoming"
+                   else BoundaryCondition(kind))
+            for side, kind in zip(("bc_left", "bc_right"), ends)})
+        mesh = (graded_mesh(geo, (9, 50, 11)) if cells == "graded"
+                else build_fine_mesh(geo, int(cells)))
+        operator = SweepOperator(geo, pincell.materials, mesh, quad, scheme)
+        assert (mesh.n_cells % operator.march.size == 0) == (cells == "49")
+        emission = rng.uniform(0.0, 1.0, (mesh.n_cells, 2))
+        out, ref_out = np.zeros((2, 4)), np.zeros((2, 4))
+        for _ in range(3):
+            psi, phi = operator.sweep(np.append(0.0, emission / 2.0), out)
+            ref_psi, ref_phi, ref_out = scan_order_sweep(geo, pincell.materials, mesh, quad,
+                                                         scheme, emission, ref_out)
+            assert np.array_equal(operator.flux(psi).psi, ref_psi)
+            assert np.array_equal(phi, ref_phi)
+            assert np.array_equal(out, ref_out)
 
     def test_converged_flux_is_a_sweep_fixed_point(self, pincell, quad2):
         # one reference sweep of the converged total source must reproduce
