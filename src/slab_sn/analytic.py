@@ -485,7 +485,7 @@ def solve_alpha(factor: InterfaceFactor, rhs: np.ndarray) -> np.ndarray:
 
 
 def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
-    if np.any(points < geometry.edges[0]) or np.any(points > geometry.edges[-1]):
+    if not np.all((points >= geometry.edges[0]) & (points <= geometry.edges[-1])):
         raise PointOutOfDomainError(
             f"points outside [{geometry.edges[0]}, {geometry.edges[-1]}]")
     # a point exactly on an interface belongs to the region on its left

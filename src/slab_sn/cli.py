@@ -19,7 +19,7 @@ from .bench import BenchCell, run_benchmark
 from .eigen import build_operator, power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
 from .mesh import SourceField
-from .model import gauss_legendre
+from .model import SOLVER_KINDS, gauss_legendre
 from .problem_io import load_problem
 from .spectral import assemble_A
 from .sweep import sweep_fixed_source
@@ -49,12 +49,12 @@ def _build_parser():
                          help="emission density for constant/absx shapes")
     p_fixed.add_argument("--source-file",
                          help="CSV of per-cell, per-group emission densities")
-    p_fixed.add_argument("--solver", choices=("analytic", "sweep"),
+    p_fixed.add_argument("--solver", choices=SOLVER_KINDS,
                          help="override solver kind")
 
     p_eigen = sub.add_parser("eigen", help="run the power-iteration eigenvalue solve")
     _add_common(p_eigen)
-    p_eigen.add_argument("--solver", choices=("analytic", "sweep"),
+    p_eigen.add_argument("--solver", choices=SOLVER_KINDS,
                          help="override solver kind")
     shift = p_eigen.add_mutually_exclusive_group()
     shift.add_argument("--ke", type=float, help="Wielandt shift (omit for none)")
@@ -109,7 +109,10 @@ def _fixed_source(args, mesh, n_groups):
     else:
         if not args.source_file:
             raise ParseError("--source file needs --source-file")
-        emission = np.loadtxt(args.source_file, delimiter=",", ndmin=2)
+        try:
+            emission = np.loadtxt(args.source_file, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"--source-file {args.source_file}: {exc}") from None
         if emission.shape != (mesh.n_cells, n_groups):
             raise ValidationError(
                 f"source table must be {mesh.n_cells} cells x {n_groups} groups, "
@@ -167,12 +170,15 @@ def cmd_eigen(args) -> int:
 
 def cmd_bench(args) -> int:
     problem = load_problem(args.input)
+    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    try:
+        orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
+        kes = [None if tok.strip().lower() == "none" else float(tok)
+               for tok in args.kes.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ParseError(f"--orders/--kes: {exc}") from None
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
-    kes = [None if tok.strip().lower() == "none" else float(tok)
-           for tok in args.kes.split(",") if tok.strip()]
     cells = [BenchCell(solver_kind=s, sn_order=n, ke=ke)
              for s in solvers for n in orders for ke in kes]
     report = run_benchmark(problem, cells, baseline=args.baseline,

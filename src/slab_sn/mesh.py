@@ -27,7 +27,7 @@ class FineMesh:
         roc = _readonly(self.region_of_cell, dtype=int)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "region_of_cell", roc)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValidationError("mesh edges must be strictly increasing")
         if roc.size != edges.size - 1:
             raise ValidationError("region_of_cell must have one entry per cell")

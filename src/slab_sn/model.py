@@ -49,17 +49,17 @@ class QuadratureSet:
             raise ValidationError(f"quadrature size must be even and >= 2, got {n}")
         if w.size != n:
             raise ValidationError("mu and weight must have the same length")
-        if np.any(mu <= -1.0) or np.any(mu >= 1.0):
+        if not np.all((mu > -1.0) & (mu < 1.0)):
             raise ValidationError("ordinates must lie in (-1, 1)")
         if np.any(mu == 0.0):
             raise ValidationError("ordinates must be nonzero")
-        if np.any(np.diff(mu) <= 0.0):
+        if not np.all(np.diff(mu) > 0.0):
             raise ValidationError("ordinates must be strictly ascending")
-        if np.max(np.abs(mu + mu[::-1])) > 1e-12:
+        if not np.max(np.abs(mu + mu[::-1])) <= 1e-12:
             raise ValidationError("ordinates must be symmetric about zero")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValidationError("weights must be positive")
-        if abs(w.sum() - 2.0) > WEIGHT_SUM_TOL:
+        if not abs(w.sum() - 2.0) <= WEIGHT_SUM_TOL:
             raise ValidationError(f"weights must sum to 2, got {w.sum()!r}")
 
     @property

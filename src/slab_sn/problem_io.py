@@ -46,6 +46,20 @@ from .model import (BoundaryCondition, MaterialXS, SlabGeometry, SolverConfig,
 
 MATERIAL_PREFIX = "materials."
 
+# [solver] key -> (SolverConfig field, type); save_problem writes this order
+SOLVER_KEYS = {
+    "N": ("sn_order", int),
+    "M": ("fine_mesh_size", int),
+    "tolerance": ("flux_tolerance", float),
+    "max_outer": ("max_outer", int),
+    "ke": ("ke", float),
+    "solver_kind": ("solver_kind", str),
+    "normalization": ("normalization", str),
+    "initial_source": ("initial_source", str),
+    "max_inner": ("max_inner", int),
+    "sweep_scheme": ("sweep_scheme", str),
+}
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -56,15 +70,20 @@ class Problem:
     config: SolverConfig
 
 
-def _floats(section: str, key: str, text: str) -> np.ndarray:
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(tok) for tok in text.split()])
+
+
+def _convert(section: str, key: str, text: str, kind=_floats):
+    """kind(text), a ValueError becoming a ParseError that names the key."""
     try:
-        return np.array([float(tok) for tok in text.split()])
+        return kind(text)
     except ValueError as exc:
         raise ParseError(f"[{section}] {key}: {exc}") from None
 
 
 def _table(section: str, key: str, text: str) -> np.ndarray:
-    rows = [_floats(section, key, line) for line in text.strip().splitlines() if line.strip()]
+    rows = [_convert(section, key, line) for line in text.strip().splitlines() if line.strip()]
     if not rows:
         raise ParseError(f"[{section}] {key}: empty table")
     width = rows[0].size
@@ -91,47 +110,8 @@ def _boundary(section: str, key: str, text: str) -> BoundaryCondition:
     if kind == "incoming":
         if len(parts) == 1:
             raise ParseError(f"[{section}] {key}: incoming needs N*G/2 flux values")
-        return BoundaryCondition.incoming(_floats(section, key, " ".join(parts[1:])))
+        return BoundaryCondition.incoming(_convert(section, key, " ".join(parts[1:])))
     raise ParseError(f"[{section}] {key}: unknown boundary condition {kind!r}")
-
-
-def _solver_config(cp) -> SolverConfig:
-    sec = "solver"
-    kwargs = {"sn_order": _int(sec, "N", _require(cp, sec, "N"))}
-    simple = {
-        "M": ("fine_mesh_size", _int),
-        "tolerance": ("flux_tolerance", _float),
-        "max_outer": ("max_outer", _int),
-        "ke": ("ke", _float),
-        "solver_kind": ("solver_kind", str),
-        "normalization": ("normalization", str),
-        "initial_source": ("initial_source", str),
-        "max_inner": ("max_inner", _int),
-        "sweep_scheme": ("sweep_scheme", str),
-    }
-    for key, (field, conv) in simple.items():
-        if cp.has_option(sec, key):
-            raw = cp.get(sec, key)
-            kwargs[field] = conv(raw) if conv is str else conv(sec, key, raw)
-    known = {"N"} | set(simple)
-    for key in cp.options(sec):
-        if key not in {k.lower() for k in known}:
-            raise ParseError(f"[solver] unknown key {key!r}")
-    return SolverConfig(**kwargs)
-
-
-def _int(section: str, key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: {exc}") from None
-
-
-def _float(section: str, key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: {exc}") from None
 
 
 def load_problem(path) -> Problem:
@@ -161,10 +141,10 @@ def load_problem(path) -> Problem:
         name = section[len(MATERIAL_PREFIX):]
         kwargs = {
             "name": name,
-            "sigma_t": _floats(section, "sigma_t", _require(cp, section, "sigma_t")),
+            "sigma_t": _convert(section, "sigma_t", _require(cp, section, "sigma_t")),
             "sigma_s": _table(section, "sigma_s", _require(cp, section, "sigma_s")),
-            "nu_sigma_f": _floats(section, "nu_sigma_f", _require(cp, section, "nu_sigma_f")),
-            "chi": _floats(section, "chi", _require(cp, section, "chi")),
+            "nu_sigma_f": _convert(section, "nu_sigma_f", _require(cp, section, "nu_sigma_f")),
+            "chi": _convert(section, "chi", _require(cp, section, "chi")),
         }
         if cp.has_option(section, "scatter_kernel"):
             kwargs["scatter_kernel"] = _table(section, "scatter_kernel",
@@ -175,12 +155,18 @@ def load_problem(path) -> Problem:
 
     sec = "geometry"
     geometry = SlabGeometry(
-        edges=_floats(sec, "edges", _require(cp, sec, "edges")),
+        edges=_convert(sec, "edges", _require(cp, sec, "edges")),
         materials=tuple(_require(cp, sec, "materials").split()),
         bc_left=_boundary(sec, "bc_left", _require(cp, sec, "bc_left")),
         bc_right=_boundary(sec, "bc_right", _require(cp, sec, "bc_right")),
     )
-    config = _solver_config(cp)
+    _require(cp, "solver", "N")
+    kwargs = {field: _convert("solver", key, cp.get("solver", key), kind)
+              for key, (field, kind) in SOLVER_KEYS.items() if cp.has_option("solver", key)}
+    for key in cp.options("solver"):
+        if key not in {k.lower() for k in SOLVER_KEYS}:
+            raise ParseError(f"[solver] unknown key {key!r}")
+    config = SolverConfig(**kwargs)
     validate_problem(geometry, materials, config)
     return Problem(geometry=geometry, materials=materials, config=config)
 
@@ -211,18 +197,11 @@ def save_problem(path, problem: Problem) -> None:
         if mat.scatter_kernel is not None:
             lines.append("scatter_kernel =")
             lines += [f"    {_fmt(row)}" for row in mat.scatter_kernel]
-    lines += ["", "[solver]",
-              f"N = {cfg.sn_order}",
-              f"M = {cfg.fine_mesh_size}",
-              f"tolerance = {repr(cfg.flux_tolerance)}",
-              f"max_outer = {cfg.max_outer}"]
-    if cfg.ke is not None:
-        lines.append(f"ke = {repr(cfg.ke)}")
-    lines += [f"solver_kind = {cfg.solver_kind}",
-              f"normalization = {cfg.normalization}",
-              f"initial_source = {cfg.initial_source}",
-              f"max_inner = {cfg.max_inner}",
-              f"sweep_scheme = {cfg.sweep_scheme}"]
+    lines += ["", "[solver]"]
+    for key, (field, kind) in SOLVER_KEYS.items():
+        value = getattr(cfg, field)
+        if value is not None:
+            lines.append(f"{key} = {value if kind is str else repr(kind(value))}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -6,11 +6,11 @@ The analytic particular solution and the upwind sweep both march
 
 cell by cell, independently for every column (block or ordinate), with
 coefficients a that stay fixed while the sources b change.  The rows may be
-cut into segments, each of which restarts from zero at its first row
-(y_s = b_s): a segmented scan (Blelloch, Prefix sums and their
-applications, 1990).  The analytic solver runs every region of one material
-and cell width as one segment of a single scan; the sweep runs the whole
-slab as one segment.
+cut into segments, each of which restarts from zero at its first row, as
+if a_s were zero there (y_s = b_s): a segmented scan (Blelloch, Prefix sums
+and their applications, 1990).  The analytic solver runs every region of
+one material and cell width as one segment of a single scan; the sweep
+runs the whole slab as one segment.
 """
 
 import numpy as np
@@ -38,11 +38,11 @@ class FirstOrderScan:
     a (block size, columns) power table broadcast over the blocks, so it
     costs no per-row memory.
 
-    A segment start acts as a zero coefficient, kept as a (rows,) mask
-    rather than in a: the in-block pass puts b back at every start it
-    overwrote, and a carry reaches a row only if no start lies between it
-    and its block's first row.  A scan with no start below a block's first
-    row (one segment, as the sweep's) skips that restore.
+    A segment start is a zero coefficient: the in-block trip of a row that
+    holds starts below a block's first row multiplies by a private copy of
+    the row with zeros at those blocks.  A carry reaches a row only if no
+    start lies between it and its block's first row, a (size, count) mask,
+    since a shared row's power table cannot hold zeros for single blocks.
     """
 
     def __init__(self, a, rows=None, starts=()):
@@ -71,22 +71,14 @@ class FirstOrderScan:
         start = np.zeros(rows, dtype=bool)
         start[0] = True
         start[starts] = True
-        cut = self.blocks(start, np.empty((self.size, self.count), dtype=bool))
+        self.cut = self.blocks(start, np.empty((self.size, self.count), dtype=bool))
         # live[j, i]: block i's carry-in still reaches its row j
-        live = ~np.logical_or.accumulate(cut, axis=0)
+        live = ~np.logical_or.accumulate(self.cut, axis=0)
         # blocks whose last row a carry reaches
         self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
         # the carry update adds -0.0, which leaves every value as it is, to
         # the rows no carry reaches, block 0's among them
         self.dead = np.nonzero(~live[:-1])
-        # the in-block pass restores b at the starts below a block's first
-        # row; restarts maps such a row j to its slice of restart_rows and
-        # restart_blocks
-        self.restart_rows, self.restart_blocks = np.nonzero(cut[1:])
-        self.restart_rows += 1
-        rows_j, first = np.unique(self.restart_rows, return_index=True)
-        self.restarts = {int(j): slice(lo, hi) for j, lo, hi in
-                         zip(rows_j, first, np.append(first[1:], self.restart_rows.size))}
 
     def blocks(self, x, out):
         """Rows x (rows, ...) written to out (size, count, ...) in the
@@ -107,7 +99,10 @@ class FirstOrderScan:
         shape = (self.size, self.count) + self.shape[1:]
         # spare starts finite: the carry update multiplies all its rows
         y, spare = np.empty(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
-        a = [self.a[0].copy()] * self.size if self.shared else self.a
+        a = [self.a[0].copy()] * self.size if self.shared else list(self.a)
+        for j in np.flatnonzero(self.cut[1:].any(axis=1)) + 1:
+            a[j] = a[j].copy()
+            a[j][self.cut[j]] = 0
         steps = [(a[j], y[j - 1], y[j], spare[0]) for j in range(1, self.size)]
         carries = [(self.prod[-1, i], y[-1, i - 1], y[-1, i], spare[0, 0])
                    for i in self.chained]
@@ -121,13 +116,9 @@ class FirstOrderScan:
     def in_place(self, work):
         """Scan the sources written into work[0] there, padding rows too."""
         y, spare, steps, carries = work
-        held = y[self.restart_rows, self.restart_blocks] if self.restarts else None
         # out= passed by position: keywords cost a trip measurably more
-        for j, (a, prev, row, tmp) in enumerate(steps, 1):
+        for a, prev, row, tmp in steps:
             np.add(row, np.multiply(a, prev, tmp), row)
-            if j in self.restarts:
-                cut = self.restarts[j]
-                y[j, self.restart_blocks[cut]] = held[cut]
         for prod, prev, row, tmp in carries:
             np.add(row, np.multiply(prod, prev, tmp), row)
         carried = spare[:-1]

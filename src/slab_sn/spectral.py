@@ -21,7 +21,6 @@ from .exceptions import DefectiveMatrixError, ExponentOverflowError, ValidationE
 from .model import MaterialXS, QuadratureSet
 
 RESIDUAL_RTOL = 1e-10
-PAIR_MATCH_RTOL = 1e-8
 RCOND_MIN = 1e-13
 EXP_ARG_MAX = 700.0
 PHI_TAYLOR_CUT = 1e-8
@@ -113,7 +112,9 @@ class BlockSpectrum:
 def block_diagonalize(a) -> BlockSpectrum:
     """Real eigensystem of A with complex pairs folded into 2x2 blocks.
 
-    Blocks are ordered by (real part, |imaginary part|) so coefficients are
+    np.linalg.eig (LAPACK geev) returns a real matrix's complex pairs as
+    exact conjugates, so a pair takes the eigenvector of its b > 0 member.
+    Blocks are ordered by (real part, imaginary part) so coefficients are
     reproducible run to run.  Raises ValidationError unless A is square and
     finite, and DefectiveMatrixError when the eigenvector matrix is
     numerically singular (reciprocal condition below 1e-13) or the
@@ -125,41 +126,19 @@ def block_diagonalize(a) -> BlockSpectrum:
     if np.any(~np.isfinite(a)):
         raise ValidationError("transport matrix entries must be finite")
     w, v = np.linalg.eig(a)
-    if not np.iscomplexobj(w):
-        w = w.astype(complex)
-        v = v.astype(complex)
-    scale = max(np.max(np.abs(w)), 1.0)
-    used = np.zeros(w.size, dtype=bool)
-    items = []
-    for i in range(w.size):
-        if used[i]:
-            continue
-        lam = w[i]
-        if lam.imag == 0.0:
-            items.append((complex(lam.real), v[:, i].real[:, None]))
-            used[i] = True
-            continue
-        target = lam.conjugate()
-        candidates = [j for j in range(i + 1, w.size) if not used[j]]
-        if not candidates:
-            raise DefectiveMatrixError("unpaired complex eigenvalue")
-        j = min(candidates, key=lambda j: abs(w[j] - target))
-        if abs(w[j] - target) > PAIR_MATCH_RTOL * scale:
-            raise DefectiveMatrixError(
-                f"complex eigenvalue {lam} has no conjugate partner")
-        used[i] = used[j] = True
-        vec = v[:, i] if lam.imag > 0.0 else v[:, j]
-        items.append((complex(lam.real, abs(lam.imag)),
-                      np.column_stack([vec.real, vec.imag])))
-    items.sort(key=lambda it: (it[0].real, it[0].imag))
-    p = np.hstack([it[1] for it in items])
+    keep = np.flatnonzero(w.imag >= 0.0)
+    keep = keep[np.lexsort((w.imag[keep], w.real[keep]))]
+    pair = w.imag[keep] > 0.0
+    p = np.hstack([np.column_stack([v[:, i].real, v[:, i].imag]) if z else v[:, i].real[:, None]
+                   for i, z in zip(keep, pair)])
     sv = np.linalg.svd(p, compute_uv=False)
     rcond = sv[-1] / sv[0]
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise DefectiveMatrixError(
             f"eigenvector matrix is numerically singular (rcond={rcond:.3e}); "
             "the transport matrix is nearly defective, perturb k_e or split regions")
-    spec = BlockSpectrum(P=p, P_inv=np.linalg.inv(p), rates=[it[0] for it in items])
+    spec = BlockSpectrum(P=p, P_inv=np.linalg.inv(p),
+                         rates=np.where(pair, w[keep], w[keep].real))
     resid = np.linalg.norm(a @ p - p @ spec.B) / max(np.linalg.norm(a), np.finfo(float).tiny)
     if resid > RESIDUAL_RTOL:
         raise DefectiveMatrixError(f"block-diagonalization residual {resid:.3e} too large")

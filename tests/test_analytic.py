@@ -421,6 +421,21 @@ class TestErrors:
         with pytest.raises(MeshAlignmentError):
             mesh_from_edges(np.linspace(-17.5, 17.5, 8), pincell.geometry)
 
+    def test_fine_mesh_rejects_nan_edge(self):
+        with pytest.raises(ValidationError, match="increasing"):
+            FineMesh(edges=[0.0, np.nan, 2.0], region_of_cell=[0, 0])
+
+    def test_mesh_from_edges_rejects_nan_edge(self, pincell):
+        edges = np.array([-17.5, -15.0, np.nan, 15.0, 17.5])
+        with pytest.raises(ValidationError, match="increasing"):
+            mesh_from_edges(edges, pincell.geometry)
+
+    def test_nan_point_out_of_domain(self):
+        geo, mats = absorber_problem()
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 2, 8, 1.0)
+        with pytest.raises(PointOutOfDomainError):
+            evaluate_flux(operator, solution, [0.5, np.nan])
+
     def test_mesh_from_edges_accepts_aligned(self, pincell):
         edges = np.concatenate([np.linspace(-17.5, -15.0, 3),
                                 np.linspace(-15.0, 15.0, 31)[1:],

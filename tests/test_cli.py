@@ -96,6 +96,15 @@ class TestFixed:
                    "--source-file", str(table), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_numeric_source_table_is_input_error(self, absorber_file, tmp_path,
+                                                       capsys):
+        table = tmp_path / "src.csv"
+        table.write_text("1.0\nabc\n")
+        rc = main(["fixed", str(absorber_file), "--source", "file",
+                   "--source-file", str(table), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "input error: --source-file" in capsys.readouterr().err
+
 
 class TestEigen:
     def test_pincell_run_and_schemas(self, pincell_file, tmp_path):
@@ -261,6 +270,15 @@ class TestBench:
         report = json.loads((out / "report.json").read_text())
         assert report["baseline"] is None
         assert all("time_ratio_vs_baseline" not in c for c in report["cells"])
+
+    @pytest.mark.parametrize("flag, value", [("--orders", "2,x"), ("--kes", "abc")])
+    def test_non_numeric_list_is_input_error(self, pincell_file, tmp_path, capsys,
+                                             flag, value):
+        out = tmp_path / "bench"
+        rc = main(["bench", str(pincell_file), flag, value, "--out", str(out)])
+        assert rc == 2
+        assert "input error: --orders/--kes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_partial_failure_reported(self, tmp_path, pincell):
         from slab_sn import save_problem

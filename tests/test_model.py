@@ -58,6 +58,14 @@ class TestQuadratureSetInvariants:
         with pytest.raises(ValidationError, match="sum to 2"):
             QuadratureSet(mu=[-0.5, 0.5], weight=[1.0, 1.1])
 
+    def test_rejects_nan_ordinates(self):
+        with pytest.raises(ValidationError, match="ordinates"):
+            QuadratureSet(mu=[np.nan, np.nan], weight=[1.0, 1.0])
+
+    def test_rejects_nan_weights(self):
+        with pytest.raises(ValidationError, match="weights"):
+            QuadratureSet(mu=[-0.5, 0.5], weight=[np.nan, np.nan])
+
     def test_rejects_odd_size(self):
         with pytest.raises(ValidationError):
             QuadratureSet(mu=[-0.5, 0.2, 0.5], weight=[0.6, 0.8, 0.6])

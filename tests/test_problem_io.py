@@ -1,10 +1,12 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slab_sn import (ParseError, TransportError, ValidationError,
+from slab_sn import (ParseError, SolverConfig, TransportError, ValidationError,
                      builtin_problem_path, load_problem, save_problem)
+from slab_sn.problem_io import SOLVER_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -94,6 +96,25 @@ class TestCorpus:
 
     def test_corpus_is_populated(self):
         assert len(VALID) >= 4 and len(INVALID) >= 10
+
+
+class TestSolverKeys:
+    def test_table_names_every_config_field_once(self):
+        named = sorted(field for field, _ in SOLVER_KEYS.values())
+        assert named == sorted(f.name for f in fields(SolverConfig))
+
+    def test_every_field_off_its_default_round_trips(self, pincell, tmp_path):
+        config = SolverConfig(sn_order=6, fine_mesh_size=333, flux_tolerance=2.5e-7,
+                              max_outer=77, ke=1.25, solver_kind="sweep",
+                              normalization="none", initial_source="flat",
+                              max_inner=1234, sweep_scheme="diamond")
+        default = SolverConfig(sn_order=16)
+        assert all(getattr(config, f.name) != getattr(default, f.name)
+                   for f in fields(SolverConfig))
+        problem = replace(pincell, config=config)
+        path = tmp_path / "every_field.ini"
+        save_problem(path, problem)
+        assert load_problem(path).config == config
 
 
 class TestErrorContext:

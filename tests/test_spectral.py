@@ -135,6 +135,22 @@ class TestBlockDiagonalize:
         keys = [(z.real, z.imag) for z in s1.rates]
         assert keys == sorted(keys)
 
+    def test_lapack_returns_exact_conjugate_pairs(self, pincell):
+        # block_diagonalize relies on geev's order: every complex pair as
+        # exact conjugates, adjacent, the b > 0 member first
+        quad = gauss_legendre(16)
+        rng = np.random.default_rng(13)
+        mats = [assemble_A(pincell.materials["core"], quad, 1.0 / 1.3)]
+        mats += [rng.standard_normal((n, n)) for n in (5, 9, 16)]
+        for a in mats:
+            w, v = np.linalg.eig(a)
+            first = np.flatnonzero(w.imag > 0.0)
+            assert first.size and np.array_equal(np.flatnonzero(w.imag < 0.0), first + 1)
+            assert np.array_equal(w[first + 1], w[first].conj())
+            assert np.array_equal(v[:, first + 1], v[:, first].conj())
+            spec = block_diagonalize(a)
+            assert np.array_equal(np.sort_complex(spec.eigenvalues), np.sort_complex(w))
+
     def test_random_well_conditioned(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 17))
