@@ -26,7 +26,7 @@ geometry = SlabGeometry(edges=np.array([0.0, length]), materials=("absorber",),
 # the analytic operator at S8 on 50 source cells, built once; it holds the
 # quadrature and the mesh it was built on
 config = SolverConfig(sn_order=8, fine_mesh_size=50)
-operator, _ = build_operator(geometry, {"absorber": absorber}, config)
+operator = build_operator(geometry, {"absorber": absorber}, config)
 quad, mesh = operator.quad, operator.mesh
 # emission density 2q per cm^3 puts q on each ordinate (the angular
 # measure on [-1, 1] has total weight 2)

@@ -9,13 +9,12 @@ so it is both slower and less accurate: its k_eff sits several hundred
 pcm below the analytic value, which only discretizes the source.
 """
 
-from slab_sn import builtin_problem_path, load_problem, run_benchmark
-from slab_sn.bench import BenchCell
+from slab_sn import builtin_problem_path, default_cells, load_problem, run_benchmark
 
 problem = load_problem(builtin_problem_path("pincell_reflector"))
 
 orders = (2, 4, 8, 16)
-cells = [BenchCell(kind, n) for kind in ("analytic", "sweep") for n in orders]
+cells = default_cells(problem, orders, solvers=("analytic", "sweep"))
 report = run_benchmark(problem, cells, baseline="analytic_S16",
                        problem_name="pincell_reflector")
 

@@ -7,7 +7,7 @@ Wielandt shift, plus a benchmark harness comparing the two solvers.
 
 from .analytic import (FixedSourceOperator, evaluate_flux, fixed_source_solve,
                        solve_alpha, solve_fixed_source)
-from .bench import BenchmarkReport, default_cells, run_benchmark
+from .bench import BenchmarkReport, cell_name, default_cells, run_benchmark
 from .eigen import (EigenResult, build_operator, normalize, power_iteration,
                     update_keff)
 from .exceptions import (DefectiveMatrixError, ExponentOverflowError,

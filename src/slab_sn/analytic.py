@@ -418,7 +418,7 @@ class FixedSourceOperator:
     block data and cell-centre factors, where to find each region in them,
     and the InterfaceFactor of the global boundary/continuity system,
     checked once (SingularSystemError below an estimated 1-norm rcond of
-    1e-14; rcond keeps the estimate).  spectra maps material name ->
+    1e-14; rcond keeps the estimate).  spectra (kept) maps material name ->
     BlockSpectrum.  Nothing here changes after construction;
     solve_fixed_source and fixed_source_solve apply it to one source at a
     time, and flux reads a solution's angular flux at the cell centres.
@@ -429,6 +429,7 @@ class FixedSourceOperator:
         self.geometry = geometry
         self.mesh = mesh
         self.quad = quad
+        self.spectra = spectra
         self.regions, self.groups = _groups(geometry, spectra, mesh, quad)
         self.ng = self.groups[0].enc.shape[1]
         self.n_groups = self.ng // quad.n

@@ -1,6 +1,7 @@
 """Benchmark harness: the analytic-vs-sweep matrix on one problem.
 
-Every cell of the matrix (solver kind, S_N order, optional shift) runs the
+Every cell of the matrix is a validated SolverConfig: the problem's own, with
+solver kind, S_N order and optional shift replaced, so each cell runs the
 same eigenvalue problem at the same tolerance and mesh.  Each cell gets one
 untimed warm-up iteration before the measured run so one-time setup costs
 (allocations, library warm-up) stay out of the per-iteration numbers;
@@ -11,24 +12,10 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .eigen import power_iteration
 from .exceptions import TransportError
-from .model import SolverConfig
+from .model import SolverConfig, validate_problem
 from .problem_io import Problem
-
-
-@dataclass(frozen=True)
-class BenchCell:
-    solver_kind: str
-    sn_order: int
-    ke: Optional[float] = None
-
-    @property
-    def name(self) -> str:
-        tag = f"{self.solver_kind}_S{self.sn_order}"
-        return tag if self.ke is None else f"{tag}_ke{self.ke:g}"
 
 
 @dataclass
@@ -61,14 +48,23 @@ class BenchmarkReport:
         }
 
 
-def default_cells(orders=(2, 4, 8, 16), solvers=("analytic", "sweep"), kes=(None,)):
-    return [BenchCell(solver_kind=s, sn_order=n, ke=ke)
-            for s in solvers for n in orders for ke in kes]
+def default_cells(problem: Problem, orders=(2, 4, 8, 16), solvers=("analytic", "sweep"),
+                  kes=(None,)) -> list:
+    """The problem's SolverConfig at each (solver kind, S_N order, shift),
+    each checked against the problem before anything runs."""
+    cells = [replace(problem.config, solver_kind=s, sn_order=n, ke=ke)
+             for s in solvers for n in orders for ke in kes]
+    for config in cells:
+        validate_problem(problem.geometry, problem.materials, config)
+    return cells
 
 
-def _run_cell(problem: Problem, cell: BenchCell) -> dict:
-    config = replace(problem.config, solver_kind=cell.solver_kind,
-                     sn_order=cell.sn_order, ke=cell.ke)
+def cell_name(config: SolverConfig) -> str:
+    tag = f"{config.solver_kind}_S{config.sn_order}"
+    return tag if config.ke is None else f"{tag}_ke{config.ke:g}"
+
+
+def _run_cell(problem: Problem, config: SolverConfig) -> dict:
     try:
         power_iteration(problem.geometry, problem.materials,
                         replace(config, max_outer=1))
@@ -78,10 +74,10 @@ def _run_cell(problem: Problem, cell: BenchCell) -> dict:
     result = power_iteration(problem.geometry, problem.materials, config)
     total = time.perf_counter() - t0
     return {
-        "name": cell.name,
-        "solver_kind": cell.solver_kind,
-        "sn_order": cell.sn_order,
-        "ke": cell.ke,
+        "name": cell_name(config),
+        "solver_kind": config.solver_kind,
+        "sn_order": config.sn_order,
+        "ke": config.ke,
         "k_eff": result.k_eff,
         "iterations": result.iterations,
         "inner_sweeps": result.inner_sweeps,
@@ -104,13 +100,13 @@ def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
     the baseline cell is absent or failed) no ratios are reported.
     """
     if cells is None:
-        cells = default_cells()
+        cells = default_cells(problem)
     results, failed = [], []
-    for cell in cells:
+    for config in cells:
         try:
-            results.append(_run_cell(problem, cell))
+            results.append(_run_cell(problem, config))
         except TransportError as exc:
-            failed.append({"name": cell.name, "error": f"{type(exc).__name__}: {exc}"})
+            failed.append({"name": cell_name(config), "error": f"{type(exc).__name__}: {exc}"})
 
     names = [c["name"] for c in results]
     base = baseline if baseline in names and len(results) > 1 else None

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import outputs
 from .analytic import solve_fixed_source
-from .bench import BenchCell, run_benchmark
+from .bench import default_cells, run_benchmark
 from .eigen import build_operator, power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
 from .mesh import SourceField
@@ -90,15 +90,16 @@ def _load(args):
     return problem
 
 
-def _dump_matrices(args, outdir, problem, spectra, ke):
+def _dump_matrices(args, outdir, materials, config, solved):
     """--dump-matrices (analytic solver): A per material, rebuilt at fission
-    scale 1/k_e, with P and B from the spectra the solve built."""
-    if args.dump_matrices and spectra is not None:
-        scale = 0.0 if ke is None else 1.0 / ke
-        quad = gauss_legendre(problem.config.sn_order)
+    scale 1/k_e, with P and B from the spectra of the solve (the operator or
+    the result)."""
+    if args.dump_matrices and config.solver_kind == "analytic":
+        scale = 0.0 if config.ke is None else 1.0 / config.ke
+        quad = gauss_legendre(config.sn_order)
         outputs.dump_matrices(outdir / "matrices",
-                              {name: assemble_A(problem.materials[name], quad, scale)
-                               for name in spectra}, spectra)
+                              {name: assemble_A(materials[name], quad, scale)
+                               for name in solved.spectra}, solved.spectra)
 
 
 def _fixed_source(args, mesh, n_groups):
@@ -122,30 +123,29 @@ def _fixed_source(args, mesh, n_groups):
 
 def cmd_fixed(args) -> int:
     problem = _load(args)
-    geo, cfg = problem.geometry, problem.config
+    geo = problem.geometry
+    # without a shift the fixed-source operator excludes fission
+    cfg = replace(problem.config, ke=None)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    # without a shift the fixed-source operator excludes fission
-    operator, spectra = build_operator(geo, problem.materials, cfg)
+    operator = build_operator(geo, problem.materials, cfg)
     mesh = operator.mesh
     n_groups = problem.materials[geo.materials[0]].n_groups
     source = SourceField(mesh, _fixed_source(args, mesh, n_groups))
-    if spectra is None:
+    if cfg.solver_kind == "sweep":
         flux = sweep_fixed_source(operator, source, cfg.flux_tolerance,
                                   max_inner=cfg.max_inner)
     else:
         flux = operator.flux(solve_fixed_source(operator, source))
     seconds = time.perf_counter() - t0
-    _dump_matrices(args, outdir, problem, spectra, None)
+    _dump_matrices(args, outdir, problem.materials, cfg, operator)
 
     flux_csv = outdir / "flux.csv"
     outputs.write_flux_csv(flux_csv, flux)
-    summary = outputs.fixed_summary(
-        solver_kind=cfg.solver_kind, sn_order=cfg.sn_order,
-        mesh_size=mesh.n_cells, source_kind=args.source, seconds=seconds,
-        outputs={"flux_csv": flux_csv.name})
+    summary = outputs.fixed_summary(cfg, source_kind=args.source, seconds=seconds,
+                                    outputs={"flux_csv": flux_csv.name})
     outputs.write_json(outdir / "summary.json", summary)
     return 0
 
@@ -156,7 +156,7 @@ def cmd_eigen(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     result = power_iteration(problem.geometry, problem.materials, cfg)
-    _dump_matrices(args, outdir, problem, result.spectra, cfg.ke)
+    _dump_matrices(args, outdir, problem.materials, cfg, result)
     flux_csv = outdir / "flux.csv"
     history_csv = outdir / "history.csv"
     outputs.write_flux_csv(flux_csv, result.flux)
@@ -177,10 +177,9 @@ def cmd_bench(args) -> int:
                for tok in args.kes.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParseError(f"--orders/--kes: {exc}") from None
+    cells = default_cells(problem, orders, solvers, kes)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    cells = [BenchCell(solver_kind=s, sn_order=n, ke=ke)
-             for s in solvers for n in orders for ke in kes]
     report = run_benchmark(problem, cells, baseline=args.baseline,
                            problem_name=Path(args.input).stem)
     outputs.write_bench_report(outdir / "report.json", report)

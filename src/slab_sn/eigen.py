@@ -12,7 +12,8 @@ flux is evaluated once, after convergence.  With a shift the chi nu-fission
 / k_e part of the production is folded into the transport operator itself:
 the analytic solver assembles its matrices with fission_scale = 1/k_e and
 the sweep solver adds it to the iterated scattering source.  build_operator
-builds either operator from a problem and a SolverConfig.
+builds either operator from a problem and a SolverConfig, and the result
+carries that config as the one description of the run.
 
 Convergence is declared when the L2 norm of the change in the renormalized
 fine-mesh scalar flux (per-group concatenated) drops below the tolerance.
@@ -41,8 +42,9 @@ class EigenResult:
 
     history_seconds is cumulative wall time of the iteration loop; one-time
     setup (mesh build, the solver's fixed-source operator, per-cell fission
-    tables) is reported separately in timing["setup_seconds"].  spectra holds
-    the analytic operator's BlockSpectrum per material (None for the sweep).
+    tables) is reported separately in timing["setup_seconds"].  config is
+    the SolverConfig that ran; spectra holds the analytic operator's
+    BlockSpectrum per material (None for the sweep).
     """
 
     k_eff: float
@@ -52,11 +54,7 @@ class EigenResult:
     history_norm: np.ndarray
     history_seconds: np.ndarray
     timing: dict
-    solver_kind: str
-    sn_order: int
-    ke: Optional[float]
-    tolerance: float
-    mesh_size: int
+    config: SolverConfig
     inner_sweeps: int = 0
     spectra: Optional[dict] = None
 
@@ -87,15 +85,15 @@ def update_keff(prev_k: float, ke: Optional[float], integral_prev: float,
     applied to the shifted-operator eigenvalue, 1/k - 1/k_e, which reduces
     to the unshifted formula as k_e -> infinity.
     """
+    below = "" if ke is None else f"; k_e = {ke!r} is below the eigenvalue and must be raised"
     for label, val in (("previous", integral_prev), ("new", integral_new)):
         if not np.isfinite(val) or val <= 0.0:
-            raise NonpositiveIntegralError(f"{label} fission integral is {val!r}")
+            raise NonpositiveIntegralError(f"{label} fission integral is {val!r}{below}")
     if ke is None:
         return prev_k * integral_new / integral_prev
     inv = 1.0 / ke + (1.0 / prev_k - 1.0 / ke) * (integral_prev / integral_new)
     if inv <= 0.0:
-        raise NonpositiveIntegralError(
-            f"shifted eigenvalue update produced 1/k = {inv!r}; k_e is below the eigenvalue")
+        raise NonpositiveIntegralError(f"shifted eigenvalue update produced 1/k = {inv!r}{below}")
     return 1.0 / inv
 
 
@@ -117,21 +115,19 @@ def _initial_production(geometry, materials, mesh, kind: str) -> np.ndarray:
     return np.where(mask, p, 0.0)
 
 
-def build_operator(geometry: SlabGeometry, materials, config: SolverConfig, *,
-                   ke: Optional[float] = None):
-    """(operator, spectra): the validated problem's fixed-source operator for
-    config.solver_kind, and the analytic one's BlockSpectrum per material
-    (None for the sweep).  ke folds chi nu-fission / k_e into the operator;
-    without it the operator excludes fission."""
+def build_operator(geometry: SlabGeometry, materials, config: SolverConfig):
+    """The validated problem's fixed-source operator for config.solver_kind.
+    A shift config.ke folds chi nu-fission / k_e into the operator; without
+    one the operator excludes fission."""
     validate_problem(geometry, materials, config)
     quad = gauss_legendre(config.sn_order)
     mesh = build_fine_mesh(geometry, config.fine_mesh_size)
-    if config.solver_kind != "analytic":
-        return SweepOperator(geometry, materials, mesh, quad, config.sweep_scheme, ke), None
-    fission_scale = 0.0 if ke is None else 1.0 / ke
+    if config.solver_kind == "sweep":
+        return SweepOperator(geometry, materials, mesh, quad, config.sweep_scheme, config.ke)
+    fission_scale = 0.0 if config.ke is None else 1.0 / config.ke
     spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
                for name in set(geometry.materials)}
-    return FixedSourceOperator(geometry, spectra, mesh, quad), spectra
+    return FixedSourceOperator(geometry, spectra, mesh, quad)
 
 
 def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> EigenResult:
@@ -141,9 +137,9 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     if not any(name in materials and materials[name].fissile for name in geometry.materials):
         raise ValidationError("eigenvalue problem needs at least one fissile region")
     ke = config.ke
-    operator, spectra = build_operator(geometry, materials, config, ke=ke)
+    operator = build_operator(geometry, materials, config)
     mesh = operator.mesh
-    analytic = spectra is not None
+    analytic = config.solver_kind == "analytic"
     chi = _per_cell(geometry, materials, mesh, "chi")
     nu_sigma_f = _per_cell(geometry, materials, mesh, "nu_sigma_f")
     setup_seconds = time.perf_counter() - t_setup
@@ -204,11 +200,7 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
         history_seconds=np.array(history_seconds),
         timing={"setup_seconds": setup_seconds,
                 "iteration_seconds": history_seconds[-1]},
-        solver_kind=config.solver_kind,
-        sn_order=config.sn_order,
-        ke=ke,
-        tolerance=tol,
-        mesh_size=mesh.n_cells,
+        config=config,
         inner_sweeps=inner_total,
-        spectra=spectra,
+        spectra=operator.spectra if analytic else None,
     )

@@ -239,16 +239,21 @@ class SolverConfig:
     sweep_scheme: str = "step"
 
     def __post_init__(self):
+        for key in ("sn_order", "fine_mesh_size", "max_outer", "max_inner"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         if self.sn_order % 2 != 0 or not 2 <= self.sn_order <= 64:
             raise ValidationError(f"sn_order must be even and in [2, 64], got {self.sn_order}")
         if self.fine_mesh_size < 1:
             raise ValidationError("fine_mesh_size must be >= 1")
-        if not self.flux_tolerance > 0.0:
-            raise ValidationError("flux_tolerance must be > 0")
+        if not 0.0 < self.flux_tolerance < np.inf:
+            raise ValidationError(f"flux_tolerance must be finite and > 0, got {self.flux_tolerance}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValidationError("iteration limits must be >= 1")
-        if self.ke is not None and not self.ke > 0.0:
-            raise ValidationError(f"ke must be > 0, got {self.ke}")
+        if self.ke is not None and not 0.0 < self.ke < np.inf:
+            raise ValidationError(f"ke must be finite and > 0, got {self.ke}")
         if self.solver_kind not in SOLVER_KINDS:
             raise ValidationError(f"unknown solver_kind {self.solver_kind!r}")
         if self.normalization not in NORMALIZATIONS:

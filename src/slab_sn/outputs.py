@@ -16,6 +16,7 @@ import numpy as np
 from .bench import BenchmarkReport
 from .eigen import EigenResult
 from .mesh import FluxField
+from .model import SolverConfig
 
 
 def _r(value) -> str:
@@ -59,28 +60,29 @@ def write_history_csv(path, result: EigenResult) -> None:
 
 
 def eigen_summary(result: EigenResult, outputs: dict) -> dict:
+    config = result.config
     return {
         "schema": "slab-sn-eigen-summary/1",
         "k_eff": result.k_eff,
         "iterations": result.iterations,
-        "tolerance": result.tolerance,
-        "solver_kind": result.solver_kind,
-        "sn_order": result.sn_order,
-        "ke": result.ke,
-        "mesh_size": result.mesh_size,
+        "tolerance": config.flux_tolerance,
+        "solver_kind": config.solver_kind,
+        "sn_order": config.sn_order,
+        "ke": config.ke,
+        "mesh_size": config.fine_mesh_size,
         "inner_sweeps": result.inner_sweeps,
         "timing": dict(result.timing),
         "outputs": outputs,
     }
 
 
-def fixed_summary(*, solver_kind: str, sn_order: int, mesh_size: int,
-                  source_kind: str, seconds: float, outputs: dict) -> dict:
+def fixed_summary(config: SolverConfig, *, source_kind: str, seconds: float,
+                  outputs: dict) -> dict:
     return {
         "schema": "slab-sn-fixed-summary/1",
-        "solver_kind": solver_kind,
-        "sn_order": sn_order,
-        "mesh_size": mesh_size,
+        "solver_kind": config.solver_kind,
+        "sn_order": config.sn_order,
+        "mesh_size": config.fine_mesh_size,
         "source": source_kind,
         "seconds": seconds,
         "outputs": outputs,

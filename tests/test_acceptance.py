@@ -59,7 +59,7 @@ def shifted_result(pincell):
 @pytest.fixture(scope="module")
 def bench_data(pincell):
     t0 = time.perf_counter()
-    rep = run_benchmark(pincell, default_cells(), baseline="analytic_S16",
+    rep = run_benchmark(pincell, default_cells(pincell), baseline="analytic_S16",
                         problem_name="pincell_reflector")
     return rep, time.perf_counter() - t0
 

@@ -96,6 +96,28 @@ class TestFixed:
                    "--source-file", str(table), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_absx_source_is_the_file_table_of_abs_x(self, absorber_file, tmp_path):
+        from slab_sn import build_fine_mesh, load_problem
+        centers = build_fine_mesh(load_problem(absorber_file).geometry, 40).centers
+        table = tmp_path / "src.csv"
+        np.savetxt(table, 2.0 * np.abs(centers)[:, None], delimiter=",", fmt="%.17g")
+        runs = {}
+        for name, flags in (("absx", ["--source", "absx", "--strength", "2.0"]),
+                            ("file", ["--source", "file", "--source-file", str(table)])):
+            out = tmp_path / name
+            assert main(["fixed", str(absorber_file), *flags, "--out", str(out)]) == 0
+            runs[name] = read_flux_csv(out / "flux.csv")
+        assert json.loads((tmp_path / "absx" / "summary.json").read_text())["source"] == "absx"
+        assert float(runs["absx"][-1]["phi"]) > float(runs["absx"][0]["phi"]) > 0.0
+        assert runs["absx"] == runs["file"]
+
+    def test_file_source_needs_a_file(self, absorber_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["fixed", str(absorber_file), "--source", "file", "--out", str(out)])
+        assert rc == 2
+        assert "input error: --source file needs --source-file" in capsys.readouterr().err
+        assert not (out / "flux.csv").exists()
+
     def test_non_numeric_source_table_is_input_error(self, absorber_file, tmp_path,
                                                        capsys):
         table = tmp_path / "src.csv"
@@ -184,6 +206,33 @@ class TestEigen:
         rc = main(["eigen", str(absorber_file), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_solver_failure_exits_1(self, tmp_path, pincell, capsys):
+        from dataclasses import replace
+        from slab_sn import save_problem
+        path = tmp_path / "two_outers.ini"
+        save_problem(path, replace(pincell, config=replace(pincell.config, max_outer=2)))
+        out = tmp_path / "run"
+        assert main(["eigen", str(path), "--sn", "2", "--out", str(out)]) == 1
+        assert "solver error: MaxOuterIterationsError" in capsys.readouterr().err
+        assert not (out / "flux.csv").exists()
+
+    def test_shift_below_k_exits_1_naming_the_remedy(self, pincell_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["eigen", str(pincell_file), "--sn", "2", "--ke", "1.2",
+                     "--out", str(out)]) == 1
+        assert "k_e = 1.2 is below the eigenvalue and must be raised" in capsys.readouterr().err
+        assert not (out / "flux.csv").exists()
+
+    def test_no_ke_clears_the_file_shift(self, tmp_path):
+        shifted = Path(__file__).parent / "fixtures" / "valid" / "shifted_core.ini"
+        summaries = {}
+        for name, flags in (("file", []), ("cleared", ["--no-ke"])):
+            out = tmp_path / name
+            assert main(["eigen", str(shifted), *flags, "--out", str(out)]) == 0
+            summaries[name] = json.loads((out / "summary.json").read_text())
+        assert summaries["file"]["ke"] == 1.41
+        assert summaries["cleared"]["ke"] is None
+
 
 class TestOverrides:
     @pytest.mark.parametrize("solver", ["sweep", "analytic"])
@@ -215,6 +264,13 @@ class TestOverrides:
         assert main([command, str(pincell_file), flag, "0", "--out", str(out)]) == 2
         assert "input error" in capsys.readouterr().err
         assert not (out / "flux.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--tolerance", "--ke"])
+    def test_infinite_override_is_input_error(self, flag, pincell_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["eigen", str(pincell_file), flag, "inf", "--out", str(out)]) == 2
+        assert "must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shift_and_no_shift_are_exclusive(self, pincell_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -278,6 +334,17 @@ class TestBench:
         rc = main(["bench", str(pincell_file), flag, value, "--out", str(out)])
         assert rc == 2
         assert "input error: --orders/--kes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--solvers", "foo", "--orders", "2"], "unknown solver_kind 'foo'"),
+        (["--orders", "3"], "sn_order must be even and in [2, 64], got 3"),
+    ])
+    def test_bad_cell_value_is_input_error(self, pincell_file, tmp_path, capsys,
+                                           flags, error):
+        out = tmp_path / "bench"
+        assert main(["bench", str(pincell_file), *flags, "--out", str(out)]) == 2
+        assert f"input error: {error}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_partial_failure_reported(self, tmp_path, pincell):

@@ -1,7 +1,7 @@
 """Every quick demo runs to completion against the package in src/.
 
-Demo 05 is left out: it only calls run_benchmark(default_cells()), which
-acceptance criteria 03 and 05 already run, and takes about 18 s.
+Demo 05 is left out: it only calls run_benchmark(default_cells(problem)),
+which acceptance criteria 03 and 05 already run, and takes about 18 s.
 """
 
 import os

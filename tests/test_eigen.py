@@ -82,6 +82,18 @@ class TestUpdateKeff:
         with pytest.raises(NonpositiveIntegralError):
             update_keff(1.0, None, prev, new)
 
+    @pytest.mark.parametrize("k,prev,new", [(1.0, 1.0, -2.0), (1.5, 1.0, 0.1)])
+    def test_shift_below_k_names_the_remedy(self, k, prev, new):
+        # a negative integral, or a 1/k update through zero
+        with pytest.raises(NonpositiveIntegralError,
+                           match="k_e = 1.2 is below the eigenvalue and must be raised"):
+            update_keff(k, 1.2, prev, new)
+
+    def test_unshifted_error_names_no_shift(self):
+        with pytest.raises(NonpositiveIntegralError) as exc:
+            update_keff(1.0, None, 1.0, -2.0)
+        assert "k_e" not in str(exc.value)
+
 
 class TestNormalize:
     def geometry(self):
@@ -122,10 +134,10 @@ class TestPowerIteration:
     def test_pincell_s2_regression(self, pincell):
         res = self.run(pincell)
         assert res.k_eff == pytest.approx(1.2475935, abs=5e-6)
-        assert res.history_norm[-1] < res.tolerance
+        assert res.history_norm[-1] < res.config.flux_tolerance
         assert res.iterations == len(res.history_k)
         # normalized: summed group integrals of the scalar flux equal one
-        mesh = build_fine_mesh(pincell.geometry, res.mesh_size)
+        mesh = build_fine_mesh(pincell.geometry, res.config.fine_mesh_size)
         total = np.sum(res.flux.phi * mesh.widths[:, None])
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -157,9 +169,14 @@ class TestPowerIteration:
         on = self.run(pincell)
         off = self.run(pincell, normalization="none")
         assert on.k_eff == pytest.approx(off.k_eff, abs=1e-12)
-        mesh = build_fine_mesh(pincell.geometry, off.mesh_size)
+        mesh = build_fine_mesh(pincell.geometry, off.config.fine_mesh_size)
         total = np.sum(off.flux.phi * mesh.widths[:, None])
         assert abs(total - 1.0) > 1e-6
+
+    def test_shift_below_k_names_the_remedy(self, pincell):
+        # k = 1.2476 at S2: a shift at 1.2 turns the fission integral negative
+        with pytest.raises(NonpositiveIntegralError, match="k_e = 1.2 is below the eigenvalue"):
+            self.run(pincell, ke=1.2)
 
     def test_max_outer_raises(self, pincell):
         with pytest.raises(MaxOuterIterationsError):
@@ -175,7 +192,7 @@ class TestPowerIteration:
         cfg = replace(pincell.config, sn_order=2, solver_kind="sweep",
                       flux_tolerance=2e-4)
         res = power_iteration(pincell.geometry, pincell.materials, cfg)
-        assert res.solver_kind == "sweep"
+        assert res.config == cfg
         assert res.inner_sweeps > res.iterations
         # loose tolerance, loose band around the converged sweep value
         assert res.k_eff == pytest.approx(1.2431, abs=2e-3)

@@ -1,0 +1,35 @@
+import numpy as np
+import pytest
+
+from slab_sn import (FineMesh, FluxField, MeshAlignmentError, SlabGeometry,
+                     SourceField, ValidationError, build_fine_mesh, mesh_from_edges)
+
+SLAB = SlabGeometry(edges=[0.0, 1.0, 2.0, 3.0], materials=("a", "b", "a"))
+MESH = build_fine_mesh(SLAB, 6)
+
+# one bad input per typed check: (constructor, error type, message fragment)
+MESH_ERRORS = {
+    "cells_per_region": (lambda: FineMesh(edges=[0.0, 1.0, 2.0], region_of_cell=[0]),
+                         ValidationError, "one entry per cell"),
+    "too_few_cells": (lambda: build_fine_mesh(SLAB, 2),
+                      ValidationError, "need at least 3 cells for 3 regions, got 2"),
+    "short_cover": (lambda: mesh_from_edges([0.0, 1.0, 2.0], SLAB),
+                    MeshAlignmentError, "cover the slab exactly"),
+    "emission_shape": (lambda: SourceField(MESH, np.ones(6)),
+                       ValidationError, "emission must be (n_cells, G)"),
+    "emission_nan": (lambda: SourceField(MESH, np.full((6, 1), np.nan)),
+                     ValidationError, "emission must be finite"),
+    "flux_rows": (lambda: FluxField(points=[0.0, 1.0], psi=np.ones((3, 2)),
+                                    phi=np.ones((2, 1))),
+                  ValidationError, "one row per point"),
+    "flux_inf": (lambda: FluxField(points=[0.0], psi=[[np.inf, 0.0]], phi=[[1.0]]),
+                 ValidationError, "flux values must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", MESH_ERRORS)
+def test_typed_input_errors(case):
+    build, error, fragment = MESH_ERRORS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert fragment in str(exc.value)

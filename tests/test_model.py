@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _helpers import gauss_legendre_newton
+from _helpers import gauss_legendre_newton, one_group_material
 from slab_sn import (BoundaryCondition, MaterialXS, QuadratureSet,
                      SlabGeometry, SolverConfig, ValidationError,
                      gauss_legendre, validate_problem)
@@ -146,7 +146,92 @@ class TestSolverConfig:
         with pytest.raises(ValidationError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"flux_tolerance": np.inf}, "flux_tolerance must be finite"),
+        ({"flux_tolerance": np.nan}, "flux_tolerance must be finite"),
+        ({"ke": np.inf}, "ke must be finite"),
+        ({"ke": np.nan}, "ke must be finite"),
+        ({"fine_mesh_size": 700.5}, "fine_mesh_size must be an integer"),
+        ({"max_outer": 30.0}, "max_outer must be an integer"),
+        ({"max_inner": "50"}, "max_inner must be an integer"),
+        ({"sn_order": 4.0}, "sn_order must be an integer"),
+    ])
+    def test_rejects_values_it_cannot_run(self, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            SolverConfig(**{"sn_order": 8, **kwargs})
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = SolverConfig(sn_order=np.int64(4), fine_mesh_size=np.int32(70),
+                           max_outer=np.uint16(9), max_inner=np.int8(5))
+        assert (cfg.sn_order, cfg.fine_mesh_size, cfg.max_outer, cfg.max_inner) == (4, 70, 9, 5)
+        assert all(type(v) is int for v in (cfg.sn_order, cfg.fine_mesh_size,
+                                             cfg.max_outer, cfg.max_inner))
+
     def test_mesh_must_cover_regions(self, pincell):
         cfg = SolverConfig(sn_order=2, fine_mesh_size=2)
         with pytest.raises(ValidationError, match="fine_mesh_size"):
             validate_problem(pincell.geometry, pincell.materials, cfg)
+
+
+def _geometry(materials=("m",), **kw):
+    return SlabGeometry(edges=np.arange(len(materials) + 1.0), materials=materials, **kw)
+
+
+def _material(**kw):
+    base = {"sigma_t": [1.0], "sigma_s": [[0.5]], "nu_sigma_f": [0.0], "chi": [0.0]}
+    return MaterialXS("m", **{**base, **kw})
+
+
+# one bad input per typed check: (constructor, error type, message fragment)
+MODEL_ERRORS = {
+    "weight_length": (lambda: QuadratureSet(mu=[-0.5, 0.5], weight=[2.0]),
+                      ValidationError, "same length"),
+    "order_not_integer": (lambda: gauss_legendre(2.0),
+                          ValidationError, "quadrature order must be an integer"),
+    "no_groups": (lambda: _material(sigma_t=[], sigma_s=np.zeros((0, 0)),
+                                    nu_sigma_f=[], chi=[]),
+                  ValidationError, "needs at least one group"),
+    "fission_length": (lambda: _material(nu_sigma_f=[0.0, 0.0]),
+                       ValidationError, "nu_sigma_f and chi must have length 1"),
+    "non_fissile_chi": (lambda: _material(chi=[0.5]),
+                        ValidationError, "chi must be all zero or sum to 1"),
+    "kernel_shape": (lambda: _material(scatter_kernel=np.ones((2, 3))),
+                     ValidationError, "scatter_kernel must be square"),
+    "kernel_nan": (lambda: _material(scatter_kernel=np.full((2, 2), np.nan)),
+                   ValidationError, "scatter_kernel entries must be finite"),
+    "incoming_no_values": (lambda: BoundaryCondition("incoming"),
+                           ValidationError, "needs a value vector"),
+    "incoming_empty": (lambda: BoundaryCondition.incoming([]),
+                       ValidationError, "nonempty vector"),
+    "vacuum_values": (lambda: BoundaryCondition("vacuum", [1.0]),
+                      ValidationError, "vacuum boundary condition takes no values"),
+    "one_edge": (lambda: SlabGeometry(edges=[0.0], materials=()),
+                 ValidationError, "at least two edges"),
+    "infinite_edge": (lambda: SlabGeometry(edges=[0.0, np.inf], materials=("m",)),
+                      ValidationError, "edges must be finite"),
+    "bc_not_a_condition": (lambda: _geometry(bc_left="vacuum"),
+                           ValidationError, "must be BoundaryCondition values"),
+    "zero_iterations": (lambda: SolverConfig(sn_order=2, max_outer=0),
+                        ValidationError, "iteration limits must be >= 1"),
+    "initial_source": (lambda: SolverConfig(sn_order=2, initial_source="cosine"),
+                       ValidationError, "unknown initial_source 'cosine'"),
+    "group_counts": (lambda: validate_problem(
+        _geometry(("a", "b")),
+        {"a": one_group_material("a"),
+         "b": MaterialXS("b", sigma_t=[1.0, 1.0], sigma_s=np.zeros((2, 2)),
+                         nu_sigma_f=[0.0, 0.0], chi=[0.0, 0.0])},
+        SolverConfig(sn_order=2, fine_mesh_size=4)),
+        ValidationError, "share one group count, got [1, 2]"),
+    "kernel_order": (lambda: validate_problem(
+        _geometry(), {"m": _material(scatter_kernel=np.full((2, 2), 0.25))},
+        SolverConfig(sn_order=4, fine_mesh_size=4)),
+        ValidationError, "scatter_kernel is 2x2, expected 4x4"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_ERRORS)
+def test_typed_input_errors(case):
+    build, error, fragment = MODEL_ERRORS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert fragment in str(exc.value)

@@ -135,6 +135,40 @@ class TestErrorContext:
             load_problem(FIXTURES / "invalid" / "unknown_solver_key.ini")
 
 
+# one bad edit of a valid file per typed check: (old, new), error type and
+# message fragment; bytes replace the whole file
+ABSORBER = (FIXTURES / "valid" / "absorber.ini").read_text()
+PROBLEM_IO_ERRORS = {
+    "empty_table": (("sigma_s =\n    0.0", "sigma_s ="), ParseError,
+                    "[materials.abs] sigma_s: empty table"),
+    "missing_key": (("sigma_t = 1.0\n", ""), ParseError,
+                    "[materials.abs] missing required key 'sigma_t'"),
+    "empty_boundary": (("bc_left = vacuum", "bc_left ="), ParseError,
+                       "[geometry] bc_left: empty boundary condition"),
+    "vacuum_values": (("bc_left = vacuum", "bc_left = vacuum 1.0"), ParseError,
+                      "[geometry] bc_left: vacuum takes no values"),
+    "undecodable": (b"[geometry]\nedges = 0.0 4.0 \xff\xfe\n", ParseError, "codec"),
+    "no_materials": (("[materials.abs]", "[notes]"), ParseError,
+                     "no [materials.<name>] sections"),
+    "infinite_tolerance": (("M = 40", "M = 40\ntolerance = inf"), ValidationError,
+                           "flux_tolerance must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", PROBLEM_IO_ERRORS)
+def test_typed_input_errors(case, tmp_path):
+    edit, error, fragment = PROBLEM_IO_ERRORS[case]
+    path = tmp_path / "bad.ini"
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    else:
+        assert edit[0] in ABSORBER
+        path.write_text(ABSORBER.replace(*edit))
+    with pytest.raises(error) as exc:
+        load_problem(path)
+    assert fragment in str(exc.value)
+
+
 def test_builtin_problem_path_unknown():
     with pytest.raises(ParseError, match="no built-in"):
         builtin_problem_path("warp_core")

@@ -256,3 +256,30 @@ class TestSegmentIntegral:
         width = 0.5e-8
         got = segment_integral(spec, 1.0, 1.0 + width)
         assert np.allclose(np.diag(got), width, rtol=1e-6)
+
+
+# one bad input per typed check: (constructor, error type, message fragment)
+KERNEL_MATERIAL = MaterialXS("k", sigma_t=[1.0], sigma_s=[[0.5]], nu_sigma_f=[0.0],
+                             chi=[0.0], scatter_kernel=np.full((2, 2), 0.25))
+SPECTRAL_ERRORS = {
+    "fission_scale": (lambda: assemble_A(one_group_material(), gauss_legendre(2), -1.0),
+                      ValidationError, "fission_scale must be finite and >= 0"),
+    "kernel_order": (lambda: assemble_A(KERNEL_MATERIAL, gauss_legendre(4)),
+                     ValidationError, "scatter_kernel is 2, expected 4"),
+    "blocks_short": (lambda: BlockSpectrum(P=np.eye(2), P_inv=np.eye(2), rates=[-1.0]),
+                     ValidationError, "blocks must tile all columns of P"),
+    "negative_pair": (lambda: BlockSpectrum(P=np.eye(2), P_inv=np.eye(2), rates=[-1.0 - 1.0j]),
+                      ValidationError, "blocks must tile all columns of P"),
+    "not_square": (lambda: block_diagonalize(np.ones((2, 3))),
+                   ValidationError, "transport matrix must be square"),
+    "not_finite": (lambda: block_diagonalize(np.full((2, 2), np.nan)),
+                   ValidationError, "transport matrix entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_ERRORS)
+def test_typed_input_errors(case):
+    build, error, fragment = SPECTRAL_ERRORS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert fragment in str(exc.value)

@@ -387,3 +387,31 @@ class TestFastPathConsistency:
             worst = max(worst, np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
         assert kinds == {"vacuum", "reflective", "incoming"}
         assert worst <= 1e-12
+
+
+def _sweep_operator(materials=None, scheme="step", ke=None):
+    geo, mats = absorber_problem()
+    quad = gauss_legendre(2)
+    return SweepOperator(geo, materials or mats, build_fine_mesh(geo, 8), quad, scheme, ke)
+
+
+# one bad input per typed check: (constructor, error type, message fragment)
+SWEEP_ERRORS = {
+    "scheme": (lambda: _sweep_operator(scheme="upwind"),
+               ValidationError, "unknown sweep scheme 'upwind'"),
+    "kernel": (lambda: _sweep_operator({"abs": replace(
+        one_group_material("abs"), scatter_kernel=np.full((2, 2), 0.25))}),
+        ValidationError, "isotropic scattering only"),
+    "ratio": (lambda: _sweep_operator({"abs": one_group_material("abs", sigma_s=1.0)}),
+              ValidationError, "scattering ratio 1.000000 >= 1"),
+    "emission_shape": (lambda: source_iteration(_sweep_operator(), np.ones((8, 2)), 1e-8),
+                       ValidationError, "expected (cells, G) = (8, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_ERRORS)
+def test_typed_input_errors(case):
+    build, error, fragment = SWEEP_ERRORS[case]
+    with pytest.raises(error) as exc:
+        build()
+    assert fragment in str(exc.value)
