@@ -105,31 +105,24 @@ class _Particular(NamedTuple):
     ends: np.ndarray    # (regions, blocks) particular solution where each region's march ends
 
 
-class _Region(NamedTuple):
-    """Where one region's data sit: its group and rows there, and its
-    local coordinates t = x - x_left."""
-
-    group: int
-    rows: slice
-    x_left: float
-    length: float
-    t_edges: np.ndarray
-
-
 class _Group:
     """Source-independent data of the regions of one material that share one
     row of width-only factors (blocks in scan order).
 
     The regions' cells are concatenated in slab order; each region is one
-    segment of the group's FirstOrderScan.  The forward blocks run in cell
-    order and the backward blocks in each region's reversed cell order, so
-    both restart at the same rows and a region's rows hold the layout a
-    region of its own would have.
+    segment of the group's FirstOrderScan and keeps its left edge x_left,
+    its length and its mesh edges t_edges at t = x - x_left.  The forward
+    blocks run in cell order and the backward blocks in each region's
+    reversed cell order, so both restart at the same rows and a region's
+    rows hold the layout a region of its own would have.
     """
 
     def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
                  cells, geometry: SlabGeometry, mesh: FineMesh):
         self.regions = np.asarray(regions)
+        self.x_left = geometry.edges[self.regions]
+        self.length = geometry.edges[self.regions + 1] - self.x_left
+        self.t_edges = [mesh.edges[c.start:c.stop + 1] - x for c, x in zip(cells, self.x_left)]
         counts = np.array([c.stop - c.start for c in cells])
         offsets = np.concatenate([[0], np.cumsum(counts)])
         # each region's rows run from starts to (exclusive) ends
@@ -162,9 +155,8 @@ class _Group:
         # per cell when width is None.  The recurrence's full-cell step and
         # source multipliers are half**2 (kept in the scan) and
         # source_coef = (1 + half) phi_half
-        x_left = geometry.edges[self.regions]
-        length = (geometry.edges[self.regions + 1] - x_left)[self.segment]
-        t = mesh.centers[self.cells] - x_left[self.segment]
+        length = self.length[self.segment]
+        t = mesh.centers[self.cells] - self.x_left[self.segment]
         anchor = np.where(self.forward, t[:, None], (length - t)[self.back, None])
         fwd = np.full(1, width) if width is not None else mesh.widths[self.cells]
         bwd = fwd if width is not None else fwd[self.back]
@@ -173,10 +165,10 @@ class _Group:
         self.half = exp_block(self.rho, upwind)
         self.phi_half = phi_block(self.rho, upwind)
         self.source_coef = (1.0 + self.half) * self.phi_half
-        for arr in (self.regions, self.starts, self.ends, self.segment, self.cells,
-                    self.back, self.forward, self.rho, self.enc, self.expand,
-                    self.expand_phi, self.project, self.hom, self.half, self.phi_half,
-                    self.source_coef):
+        for arr in (self.regions, self.x_left, self.length, self.starts, self.ends,
+                    self.segment, self.cells, self.back, self.forward, self.rho, self.enc,
+                    self.expand, self.expand_phi, self.project, self.hom, self.half,
+                    self.phi_half, self.source_coef):
             arr.setflags(write=False)
         self.march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
         # kept for every outer iteration's scan, and between scans the
@@ -202,11 +194,11 @@ class _Group:
         j[self.starts] = 0.0
         return _Particular(theta, j[:-1], ends)
 
-    def pg(self, length: float, side: str) -> np.ndarray:
-        """P @ Gtilde at the left or right edge of a region of this length,
-        in the real block basis."""
+    def pg(self, i: int, side: str) -> np.ndarray:
+        """P @ Gtilde at the left or right edge of the group's region i, in
+        the real block basis."""
         far = ~self.forward if side == "left" else self.forward
-        scale = exp_block(self.rho, np.where(far, length, 0.0))
+        scale = exp_block(self.rho, np.where(far, self.length[i], 0.0))
         return ((self.expand.T * scale[None, :]) @ self.enc).real
 
     def centres_into(self, alphas: np.ndarray, part: _Particular, expand: np.ndarray,
@@ -229,18 +221,19 @@ class _Group:
         values += (x[:, :nf] @ expand[:nf]).real
         out[self.cells] = values
 
-    def psi_at(self, reg: _Region, alpha: np.ndarray, part: _Particular,
+    def psi_at(self, i: int, alpha: np.ndarray, part: _Particular,
                t: np.ndarray) -> np.ndarray:
-        """Psi (points, N G) at local coordinates t, each in [0, L], of one
-        of the group's regions."""
-        m = reg.t_edges.size - 1
-        cell = np.clip(np.searchsorted(reg.t_edges[1:], t, side="left"), 0, m - 1)
+        """Psi (points, N G) at local coordinates t, each in [0, L], of the
+        group's region i."""
+        t_edges, rows = self.t_edges[i], slice(self.starts[i], self.ends[i])
+        m = t_edges.size - 1
+        cell = np.clip(np.searchsorted(t_edges[1:], t, side="left"), 0, m - 1)
         row = np.where(self.forward, cell[:, None], m - 1 - cell[:, None])
-        anchor = np.where(self.forward, t[:, None], (reg.length - t)[:, None])
-        upwind = np.where(self.forward, (t - reg.t_edges[cell])[:, None],
-                          (reg.t_edges[cell + 1] - t)[:, None])
-        j_in = np.take_along_axis(part.j_in[reg.rows], row, axis=0)
-        theta = np.take_along_axis(part.theta[reg.rows], row, axis=0)
+        anchor = np.where(self.forward, t[:, None], (self.length[i] - t)[:, None])
+        upwind = np.where(self.forward, (t - t_edges[cell])[:, None],
+                          (t_edges[cell + 1] - t)[:, None])
+        j_in = np.take_along_axis(part.j_in[rows], row, axis=0)
+        theta = np.take_along_axis(part.theta[rows], row, axis=0)
         x = exp_block(self.rho, anchor) * (self.enc @ alpha)
         x += exp_block(self.rho, upwind) * j_in
         x += phi_block(self.rho, upwind) * theta
@@ -248,12 +241,15 @@ class _Group:
 
 
 def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet):
-    """Regions and the groups they fall into, keyed by (material, width row).
+    """The (group, index there) of every region, and the groups, keyed by
+    (material, width row).
 
-    A region whose cell widths spread by at most WIDTH_RTOL of its nominal
-    width L / m joins the first group of its material whose width agrees
-    with that nominal width to WIDTH_RTOL, or starts one; the others (graded
-    meshes) share one group per material with a row per cell.
+    Every region must hold one contiguous run of cells, and then the mesh
+    must fit the geometry (FineMesh.require_fit).  A region whose cell
+    widths spread by at most WIDTH_RTOL of its nominal width L / m joins the
+    first group of its material whose width agrees with that nominal width
+    to WIDTH_RTOL, or starts one; the others (graded meshes) share one group
+    per material with a row per cell.
     """
     members = {}
     for r in range(geometry.n_regions):
@@ -270,16 +266,13 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
             width = next((w for m, w in members if m == material and w is not None
                           and abs(w - width) <= WIDTH_RTOL * w), width)
         members.setdefault((material, width), []).append((r, cells))
+    mesh.require_fit(geometry)
     groups, regions = [], [None] * geometry.n_regions
     for (material, width), held in members.items():
         index, cells = zip(*held)
-        group = _Group(spectra[material], quad, width, index, cells, geometry, mesh)
-        for r, c, start in zip(index, cells, group.starts):
-            x_left = geometry.edges[r]
-            regions[r] = _Region(len(groups), slice(start, start + c.stop - c.start), x_left,
-                                 geometry.edges[r + 1] - x_left,
-                                 mesh.edges[c.start:c.stop + 1] - x_left)
-        groups.append(group)
+        for i, r in enumerate(index):
+            regions[r] = (len(groups), i)
+        groups.append(_Group(spectra[material], quad, width, index, cells, geometry, mesh))
     return tuple(regions), tuple(groups)
 
 
@@ -414,11 +407,12 @@ def _incoming(bc):
 class FixedSourceOperator:
     """The source-independent part of the analytic fixed-source solve.
 
-    Built once per (geometry, spectra, mesh, quadrature): the per-group
-    block data and cell-centre factors, where to find each region in them,
-    and the InterfaceFactor of the global boundary/continuity system,
-    checked once (SingularSystemError below an estimated 1-norm rcond of
-    1e-14; rcond keeps the estimate).  spectra (kept) maps material name ->
+    Built once per (geometry, spectra, mesh, quadrature), on a mesh that
+    fits the geometry: the per-group block data and cell-centre factors,
+    regions[r] = (group, index) of region r there, and the InterfaceFactor
+    of the global boundary/continuity system, checked once
+    (SingularSystemError below an estimated 1-norm rcond of 1e-14; rcond
+    keeps the estimate).  spectra (kept) maps material name ->
     BlockSpectrum.  Nothing here changes after construction;
     solve_fixed_source and fixed_source_solve apply it to one source at a
     time, and flux reads a solution's angular flux at the cell centres.
@@ -434,14 +428,15 @@ class FixedSourceOperator:
         self.ng = self.groups[0].enc.shape[1]
         self.n_groups = self.ng // quad.n
 
-        def pg(reg, side):
-            return self.groups[reg.group].pg(reg.length, side)
+        def pg(r, side):
+            group, i = self.regions[r]
+            return self.groups[group].pg(i, side)
 
-        regs = self.regions
+        last = geometry.n_regions - 1
         self.factor = InterfaceFactor(
-            _bc_combination(geometry.bc_left, quad, "left", pg(regs[0], "left")),
-            [(pg(a, "right"), -pg(b, "left")) for a, b in zip(regs[:-1], regs[1:])],
-            _bc_combination(geometry.bc_right, quad, "right", pg(regs[-1], "right")))
+            _bc_combination(geometry.bc_left, quad, "left", pg(0, "left")),
+            [(pg(r, "right"), -pg(r + 1, "left")) for r in range(last)],
+            _bc_combination(geometry.bc_right, quad, "right", pg(last, "right")))
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
@@ -508,12 +503,12 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     points = np.atleast_1d(np.asarray(points, dtype=float))
     region = _locate_regions(operator.geometry, points)
     psi = np.zeros((points.size, operator.ng))
-    for r, (reg, alpha) in enumerate(zip(operator.regions, alphas)):
-        group, part = operator.groups[reg.group], particular[reg.group]
+    for r, ((g, i), alpha) in enumerate(zip(operator.regions, alphas)):
+        group = operator.groups[g]
         idx = np.nonzero(region == r)[0]
-        for i in range(0, idx.size, EVAL_CHUNK):
-            chunk = idx[i:i + EVAL_CHUNK]
-            psi[chunk] = group.psi_at(reg, alpha, part, points[chunk] - reg.x_left)
+        for k in range(0, idx.size, EVAL_CHUNK):
+            chunk = idx[k:k + EVAL_CHUNK]
+            psi[chunk] = group.psi_at(i, alpha, particular[g], points[chunk] - group.x_left[i])
     return FluxField.from_psi(points, psi, operator.quad)
 
 

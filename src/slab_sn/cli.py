@@ -8,7 +8,7 @@ the partial report is still written).
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from .bench import default_cells, run_benchmark
 from .eigen import build_operator, power_iteration
 from .exceptions import ParseError, TransportError, ValidationError
 from .mesh import SourceField
-from .model import SOLVER_KINDS, gauss_legendre
+from .model import SOLVER_KINDS, SolverConfig, gauss_legendre
 from .problem_io import load_problem
 from .spectral import assemble_A
 from .sweep import sweep_fixed_source
@@ -28,9 +28,14 @@ from .sweep import sweep_fixed_source
 def _add_common(parser):
     parser.add_argument("input", help="problem file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--sn", type=int, help="override S_N order")
-    parser.add_argument("--mesh", type=int, help="override fine mesh size")
-    parser.add_argument("--tolerance", type=float, help="override flux tolerance")
+    # dest is the SolverConfig field each flag overrides
+    parser.add_argument("--sn", type=int, dest="sn_order", help="override S_N order")
+    parser.add_argument("--mesh", type=int, dest="fine_mesh_size",
+                        help="override fine mesh size")
+    parser.add_argument("--tolerance", type=float, dest="flux_tolerance",
+                        help="override flux tolerance")
+    parser.add_argument("--solver", choices=SOLVER_KINDS, dest="solver_kind",
+                        help="override solver kind")
     parser.add_argument("--dump-matrices", action="store_true",
                         help="dump A, P, B per material to CSV (analytic only)")
 
@@ -49,13 +54,9 @@ def _build_parser():
                          help="emission density for constant/absx shapes")
     p_fixed.add_argument("--source-file",
                          help="CSV of per-cell, per-group emission densities")
-    p_fixed.add_argument("--solver", choices=SOLVER_KINDS,
-                         help="override solver kind")
 
     p_eigen = sub.add_parser("eigen", help="run the power-iteration eigenvalue solve")
     _add_common(p_eigen)
-    p_eigen.add_argument("--solver", choices=SOLVER_KINDS,
-                         help="override solver kind")
     shift = p_eigen.add_mutually_exclusive_group()
     shift.add_argument("--ke", type=float, help="Wielandt shift (omit for none)")
     shift.add_argument("--no-ke", action="store_true",
@@ -77,17 +78,12 @@ def _build_parser():
 
 def _load(args):
     problem = load_problem(args.input)
-    config = problem.config
     # compared against None, so that a zero override reaches validation
-    flags = {"sn": "sn_order", "mesh": "fine_mesh_size", "tolerance": "flux_tolerance",
-             "solver": "solver_kind", "ke": "ke"}
-    over = {field: getattr(args, flag) for flag, field in flags.items()
-            if getattr(args, flag, None) is not None}
+    over = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
+            if getattr(args, f.name, None) is not None}
     if getattr(args, "no_ke", False):
         over["ke"] = None
-    if over:
-        problem = replace(problem, config=replace(config, **over))
-    return problem
+    return replace(problem, config=replace(problem.config, **over))
 
 
 def _dump_matrices(args, outdir, materials, config, solved):

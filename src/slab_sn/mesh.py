@@ -15,8 +15,8 @@ ALIGN_RTOL = 1e-9
 class FineMesh:
     """Fine mesh carrying the piecewise-constant source representation.
 
-    Every region interface coincides with a mesh edge, so each cell lies
-    inside exactly one region.
+    Cell m lies inside region region_of_cell[m]; require_fit checks this
+    against a geometry, so every region interface is a mesh edge.
     """
 
     edges: np.ndarray
@@ -53,6 +53,22 @@ class FineMesh:
         if other is not self and not np.array_equal(other.edges, self.edges):
             raise ValidationError("source mesh differs from the operator's mesh")
 
+    def require_fit(self, geometry: SlabGeometry) -> None:
+        """Raise MeshAlignmentError unless every cell names a region of
+        geometry and lies inside it, and the mesh covers the slab, all to
+        ALIGN_RTOL of the slab width."""
+        roc, x = self.region_of_cell, geometry.edges
+        if roc.min() < 0 or roc.max() >= geometry.n_regions:
+            raise MeshAlignmentError(f"cells must name regions 0 .. {geometry.n_regions - 1}")
+        tol = ALIGN_RTOL * (x[-1] - x[0])
+        if abs(self.edges[0] - x[0]) > tol or abs(self.edges[-1] - x[-1]) > tol:
+            raise MeshAlignmentError("mesh must cover the slab exactly")
+        outside = (self.edges[:-1] < x[roc] - tol) | (self.edges[1:] > x[roc + 1] + tol)
+        if outside.any():
+            m = np.argmax(outside)
+            raise MeshAlignmentError(f"cell {m} is not inside its region {roc[m]}: "
+                                     "every region interface must be a mesh edge")
+
 
 def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
     """Uniform-per-region mesh with exactly n_cells cells total.
@@ -68,7 +84,8 @@ def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
     quota = n_cells * widths / widths.sum()
     counts = np.maximum(np.floor(quota).astype(int), 1)
     while counts.sum() > n_cells:
-        counts[np.argmax(counts - quota)] -= 1
+        # never below the one cell every region keeps
+        counts[np.argmax(np.where(counts > 1, counts - quota, -np.inf))] -= 1
     # hand leftover cells to the regions shortest-changed by flooring
     order = np.argsort(-(quota - counts))
     for i in range(n_cells - counts.sum()):
@@ -84,19 +101,14 @@ def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
 
 
 def mesh_from_edges(edges, geometry: SlabGeometry) -> FineMesh:
-    """Mesh over explicit edges; raises MeshAlignmentError if any region
-    interface does not coincide with a mesh edge."""
+    """Mesh over explicit edges; raises MeshAlignmentError unless it covers
+    the slab and every region interface is a mesh edge."""
     edges = np.asarray(edges, dtype=float)
-    scale = geometry.edges[-1] - geometry.edges[0]
-    if abs(edges[0] - geometry.edges[0]) > ALIGN_RTOL * scale or \
-       abs(edges[-1] - geometry.edges[-1]) > ALIGN_RTOL * scale:
-        raise MeshAlignmentError("mesh must cover the slab exactly")
-    for x in geometry.edges[1:-1]:
-        if np.min(np.abs(edges - x)) > ALIGN_RTOL * scale:
-            raise MeshAlignmentError(f"region interface at {x} is not a mesh edge")
     centers = 0.5 * (edges[:-1] + edges[1:])
     region_of_cell = np.searchsorted(geometry.edges[1:-1], centers, side="right")
-    return FineMesh(edges=edges, region_of_cell=region_of_cell)
+    mesh = FineMesh(edges=edges, region_of_cell=region_of_cell)
+    mesh.require_fit(geometry)
+    return mesh
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ A problem is one INI-style text file with three kinds of sections::
     sweep_scheme = step               # step | diamond
 
 Values are whitespace-separated floats; multi-row tables use indented
-continuation lines.  Serialization writes floats with repr so a
-serialize -> parse round trip reproduces every value bit-exactly.
+continuation lines.  Each section is read and written through its key
+table, so an unknown key or section is a ParseError.  Floats are written
+with repr, so a save -> load round trip reproduces every value bit-exactly.
 """
 
 import configparser
@@ -46,20 +47,6 @@ from .model import (BoundaryCondition, MaterialXS, SlabGeometry, SolverConfig,
 
 MATERIAL_PREFIX = "materials."
 
-# [solver] key -> (SolverConfig field, type); save_problem writes this order
-SOLVER_KEYS = {
-    "N": ("sn_order", int),
-    "M": ("fine_mesh_size", int),
-    "tolerance": ("flux_tolerance", float),
-    "max_outer": ("max_outer", int),
-    "ke": ("ke", float),
-    "solver_kind": ("solver_kind", str),
-    "normalization": ("normalization", str),
-    "initial_source": ("initial_source", str),
-    "max_inner": ("max_inner", int),
-    "sweep_scheme": ("sweep_scheme", str),
-}
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -74,44 +61,88 @@ def _floats(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split()])
 
 
-def _convert(section: str, key: str, text: str, kind=_floats):
-    """kind(text), a ValueError becoming a ParseError that names the key."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ParseError(f"[{section}] {key}: {exc}") from None
+def _fmt(values) -> str:
+    return " ".join(repr(float(v)) for v in np.atleast_1d(values))
 
 
-def _table(section: str, key: str, text: str) -> np.ndarray:
-    rows = [_convert(section, key, line) for line in text.strip().splitlines() if line.strip()]
+def _table(text: str) -> np.ndarray:
+    rows = [_floats(line) for line in text.strip().splitlines() if line.strip()]
     if not rows:
-        raise ParseError(f"[{section}] {key}: empty table")
-    width = rows[0].size
-    if any(r.size != width for r in rows):
-        raise ParseError(f"[{section}] {key}: ragged table rows")
+        raise ValueError("empty table")
+    if any(r.size != rows[0].size for r in rows):
+        raise ValueError("ragged table rows")
     return np.vstack(rows)
 
 
-def _require(cp, section: str, key: str) -> str:
-    if not cp.has_option(section, key):
-        raise ParseError(f"[{section}] missing required key {key!r}")
-    return cp.get(section, key)
+def _fmt_table(table) -> str:
+    return "".join(f"\n    {_fmt(row)}" for row in table)
 
 
-def _boundary(section: str, key: str, text: str) -> BoundaryCondition:
-    parts = text.split()
-    if not parts:
-        raise ParseError(f"[{section}] {key}: empty boundary condition")
-    kind = parts[0]
+def _boundary(text: str) -> BoundaryCondition:
+    kind, *values = text.split() or [None]
+    if kind is None:
+        raise ValueError("empty boundary condition")
     if kind in ("vacuum", "reflective"):
-        if len(parts) > 1:
-            raise ParseError(f"[{section}] {key}: {kind} takes no values")
+        if values:
+            raise ValueError(f"{kind} takes no values")
         return BoundaryCondition(kind)
     if kind == "incoming":
-        if len(parts) == 1:
-            raise ParseError(f"[{section}] {key}: incoming needs N*G/2 flux values")
-        return BoundaryCondition.incoming(_convert(section, key, " ".join(parts[1:])))
-    raise ParseError(f"[{section}] {key}: unknown boundary condition {kind!r}")
+        if not values:
+            raise ValueError("incoming needs N*G/2 flux values")
+        return BoundaryCondition.incoming(_floats(" ".join(values)))
+    raise ValueError(f"unknown boundary condition {kind!r}")
+
+
+def _fmt_boundary(bc: BoundaryCondition) -> str:
+    return bc.kind if bc.values is None else f"{bc.kind} {_fmt(bc.values)}"
+
+
+# each section's keys, in the order save_problem writes them: key ->
+# (dataclass field, parser of the text (a ValueError names the key), writer
+# of the value, required)
+GEOMETRY_KEYS = {
+    "edges": ("edges", _floats, _fmt, True),
+    "materials": ("materials", str.split, " ".join, True),
+    "bc_left": ("bc_left", _boundary, _fmt_boundary, True),
+    "bc_right": ("bc_right", _boundary, _fmt_boundary, True),
+}
+MATERIAL_KEYS = {
+    "sigma_t": ("sigma_t", _floats, _fmt, True),
+    "sigma_s": ("sigma_s", _table, _fmt_table, True),
+    "nu_sigma_f": ("nu_sigma_f", _floats, _fmt, True),
+    "chi": ("chi", _floats, _fmt, True),
+    "scatter_kernel": ("scatter_kernel", _table, _fmt_table, False),
+}
+SOLVER_KEYS = {
+    "N": ("sn_order", int, repr, True),
+    "M": ("fine_mesh_size", int, repr, False),
+    "tolerance": ("flux_tolerance", float, _fmt, False),
+    "max_outer": ("max_outer", int, repr, False),
+    "ke": ("ke", float, _fmt, False),
+    "solver_kind": ("solver_kind", str, str, False),
+    "normalization": ("normalization", str, str, False),
+    "initial_source": ("initial_source", str, str, False),
+    "max_inner": ("max_inner", int, repr, False),
+    "sweep_scheme": ("sweep_scheme", str, str, False),
+}
+
+
+def _read(cp, section: str, keys: dict) -> dict:
+    """The section's values by field name, through its key table."""
+    for key in cp.options(section):     # lower-cased by configparser
+        if key not in {k.lower() for k in keys}:
+            raise ParseError(f"[{section}] unknown key {key!r}")
+    values = {}
+    for key, (field, parse, _, required) in keys.items():
+        if not cp.has_option(section, key):
+            if required:
+                raise ParseError(f"[{section}] missing required key {key!r}")
+            continue
+        try:
+            values[field] = parse(cp.get(section, key))
+        except ValueError as exc:
+            raise ParseError(f"[{section}] {key}: {exc}") from None
+    return values
 
 
 def load_problem(path) -> Problem:
@@ -133,76 +164,33 @@ def load_problem(path) -> Problem:
     for section in ("geometry", "solver"):
         if not cp.has_section(section):
             raise ParseError(f"{path}: missing [{section}] section")
-
-    materials = {}
-    for section in cp.sections():
-        if not section.startswith(MATERIAL_PREFIX):
-            continue
-        name = section[len(MATERIAL_PREFIX):]
-        kwargs = {
-            "name": name,
-            "sigma_t": _convert(section, "sigma_t", _require(cp, section, "sigma_t")),
-            "sigma_s": _table(section, "sigma_s", _require(cp, section, "sigma_s")),
-            "nu_sigma_f": _convert(section, "nu_sigma_f", _require(cp, section, "nu_sigma_f")),
-            "chi": _convert(section, "chi", _require(cp, section, "chi")),
-        }
-        if cp.has_option(section, "scatter_kernel"):
-            kwargs["scatter_kernel"] = _table(section, "scatter_kernel",
-                                              cp.get(section, "scatter_kernel"))
-        materials[name] = MaterialXS(**kwargs)
-    if not materials:
+    names = [s[len(MATERIAL_PREFIX):] for s in cp.sections() if s.startswith(MATERIAL_PREFIX)]
+    if not names:
         raise ParseError(f"{path}: no [materials.<name>] sections")
-
-    sec = "geometry"
-    geometry = SlabGeometry(
-        edges=_convert(sec, "edges", _require(cp, sec, "edges")),
-        materials=tuple(_require(cp, sec, "materials").split()),
-        bc_left=_boundary(sec, "bc_left", _require(cp, sec, "bc_left")),
-        bc_right=_boundary(sec, "bc_right", _require(cp, sec, "bc_right")),
-    )
-    _require(cp, "solver", "N")
-    kwargs = {field: _convert("solver", key, cp.get("solver", key), kind)
-              for key, (field, kind) in SOLVER_KEYS.items() if cp.has_option("solver", key)}
-    for key in cp.options("solver"):
-        if key not in {k.lower() for k in SOLVER_KEYS}:
-            raise ParseError(f"[solver] unknown key {key!r}")
-    config = SolverConfig(**kwargs)
+    for section in cp.sections():
+        if section not in ("geometry", "solver") and not section.startswith(MATERIAL_PREFIX):
+            raise ParseError(f"{path}: unknown section [{section}]")
+    materials = {name: MaterialXS(name, **_read(cp, MATERIAL_PREFIX + name, MATERIAL_KEYS))
+                 for name in names}
+    geometry = SlabGeometry(**_read(cp, "geometry", GEOMETRY_KEYS))
+    config = SolverConfig(**_read(cp, "solver", SOLVER_KEYS))
     validate_problem(geometry, materials, config)
     return Problem(geometry=geometry, materials=materials, config=config)
 
 
-def _fmt(values) -> str:
-    return " ".join(repr(float(v)) for v in np.atleast_1d(values))
-
-
 def save_problem(path, problem: Problem) -> None:
     """Serialize a problem; parsing the output reproduces it exactly."""
-    geo, cfg = problem.geometry, problem.config
-    lines = ["[geometry]",
-             f"edges = {_fmt(geo.edges)}",
-             f"materials = {' '.join(geo.materials)}"]
-    for key, bc in (("bc_left", geo.bc_left), ("bc_right", geo.bc_right)):
-        if bc.kind == "incoming":
-            lines.append(f"{key} = incoming {_fmt(bc.values)}")
-        else:
-            lines.append(f"{key} = {bc.kind}")
-    for name in sorted(problem.materials):
-        mat = problem.materials[name]
-        lines += ["", f"[{MATERIAL_PREFIX}{name}]",
-                  f"sigma_t = {_fmt(mat.sigma_t)}",
-                  "sigma_s ="]
-        lines += [f"    {_fmt(row)}" for row in mat.sigma_s]
-        lines += [f"nu_sigma_f = {_fmt(mat.nu_sigma_f)}",
-                  f"chi = {_fmt(mat.chi)}"]
-        if mat.scatter_kernel is not None:
-            lines.append("scatter_kernel =")
-            lines += [f"    {_fmt(row)}" for row in mat.scatter_kernel]
-    lines += ["", "[solver]"]
-    for key, (field, kind) in SOLVER_KEYS.items():
-        value = getattr(cfg, field)
-        if value is not None:
-            lines.append(f"{key} = {value if kind is str else repr(kind(value))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    mats = problem.materials
+    sections = [("geometry", GEOMETRY_KEYS, problem.geometry),
+                *((MATERIAL_PREFIX + name, MATERIAL_KEYS, mats[name]) for name in sorted(mats)),
+                ("solver", SOLVER_KEYS, problem.config)]
+    lines = []
+    for section, keys, obj in sections:
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {write(getattr(obj, field))}"
+                  for key, (field, _, write, _) in keys.items() if getattr(obj, field) is not None]
+    # a table's rows start on the line after its key, which ends in "="
+    Path(path).write_text("\n".join(lines[1:]).replace(" \n", "\n") + "\n")
 
 
 def builtin_problem_path(name: str) -> Path:

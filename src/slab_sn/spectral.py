@@ -104,10 +104,6 @@ class BlockSpectrum:
     def B(self) -> np.ndarray:
         return _dense(self, self.rates.conj())
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.concatenate([self.rates, self.rates[self.rates.imag > 0.0].conj()])
-
 
 def block_diagonalize(a) -> BlockSpectrum:
     """Real eigensystem of A with complex pairs folded into 2x2 blocks.

@@ -76,6 +76,7 @@ class SweepOperator:
                  ke: Optional[float] = None):
         if scheme not in SWEEP_SCHEMES:
             raise ValidationError(f"unknown sweep scheme {scheme!r}")
+        mesh.require_fit(geometry)
         transfer = _transfer_matrices(geometry, materials, ke)
         self.mesh = mesh
         self.quad = quad

@@ -37,6 +37,12 @@ def segment_integral(spec, x_a, x_b):
     return _dense(spec, exp_block(rate, x_a) * phi_block(rate, x_b - x_a))
 
 
+def eigenvalues(spec):
+    """Every eigenvalue of A: each block's rate, and the conjugate of
+    each complex pair's."""
+    return np.concatenate([spec.rates, spec.rates[spec.rates.imag > 0.0].conj()])
+
+
 def legendre_and_deriv(n, x):
     """P_n(x) and P_n'(x) via the three-term recurrence."""
     p0, p1 = 1.0, x

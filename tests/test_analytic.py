@@ -417,6 +417,30 @@ class TestErrors:
         with pytest.raises(ValidationError, match="contiguous"):
             FixedSourceOperator(geo, spectra_for(geo, mats, quad2), mesh, quad2)
 
+    # hand-built meshes that do not fit the 1-region slab [0, 4]: a cell
+    # that names no region, and two that reach past the slab's ends
+    @pytest.mark.parametrize("kind", ["analytic", "sweep"])
+    @pytest.mark.parametrize("edges, region_of_cell", [([0.0, 1.0, 2.0], [0, 1]),
+                                                       ([0.0, 2.0, 4.0, 6.0], [0, 0, 0]),
+                                                       ([-3.0, 1.0, 2.0], [0, 0])],
+                             ids=["no_region", "past_right", "past_left"])
+    def test_operators_reject_mesh_that_does_not_fit(self, quad2, kind, edges, region_of_cell):
+        mats = {"a": one_group_material("a", sigma_t=1.0, sigma_s=0.5)}
+        geo = SlabGeometry(edges=np.array([0.0, 4.0]), materials=("a",))
+        mesh = FineMesh(edges=edges, region_of_cell=region_of_cell)
+        with pytest.raises(MeshAlignmentError):
+            if kind == "analytic":
+                FixedSourceOperator(geo, spectra_for(geo, mats, quad2), mesh, quad2)
+            else:
+                SweepOperator(geo, mats, mesh, quad2)
+
+    @pytest.mark.parametrize("n_cells", [3, 70, 700, 20000])
+    def test_built_meshes_fit(self, pincell, n_cells):
+        # at 3 cells the pincell's reflectors keep one cell each
+        mesh = build_fine_mesh(pincell.geometry, n_cells)
+        mesh.require_fit(pincell.geometry)
+        assert np.array_equal(np.unique(mesh.region_of_cell), [0, 1, 2])
+
     def test_mesh_alignment(self, pincell):
         with pytest.raises(MeshAlignmentError):
             mesh_from_edges(np.linspace(-17.5, 17.5, 8), pincell.geometry)

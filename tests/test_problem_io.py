@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slab_sn import (ParseError, SolverConfig, TransportError, ValidationError,
-                     builtin_problem_path, load_problem, save_problem)
-from slab_sn.problem_io import SOLVER_KEYS
+from slab_sn import (BoundaryCondition, MaterialXS, ParseError, SlabGeometry, SolverConfig,
+                     TransportError, ValidationError, builtin_problem_path, load_problem,
+                     save_problem)
+from slab_sn.problem_io import GEOMETRY_KEYS, MATERIAL_KEYS, SOLVER_KEYS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,8 +101,12 @@ class TestCorpus:
 
 class TestSolverKeys:
     def test_table_names_every_config_field_once(self):
-        named = sorted(field for field, _ in SOLVER_KEYS.values())
-        assert named == sorted(f.name for f in fields(SolverConfig))
+        # every section's table names each field of its dataclass once; a
+        # material's name is its section's
+        for keys, cls in ((GEOMETRY_KEYS, SlabGeometry), (MATERIAL_KEYS, MaterialXS),
+                          (SOLVER_KEYS, SolverConfig)):
+            named = sorted(field for field, *_ in keys.values())
+            assert named == sorted(f.name for f in fields(cls) if f.name != "name"), cls
 
     def test_every_field_off_its_default_round_trips(self, pincell, tmp_path):
         config = SolverConfig(sn_order=6, fine_mesh_size=333, flux_tolerance=2.5e-7,
@@ -115,6 +120,26 @@ class TestSolverKeys:
         path = tmp_path / "every_field.ini"
         save_problem(path, problem)
         assert load_problem(path).config == config
+
+    def test_every_optional_key_round_trips_byte_identical(self, pincell, tmp_path):
+        # incoming ends, a scatter_kernel and every solver field off its default
+        config = SolverConfig(sn_order=2, fine_mesh_size=333, flux_tolerance=2.5e-7,
+                              max_outer=77, ke=1.25, solver_kind="sweep",
+                              normalization="none", initial_source="flat",
+                              max_inner=1234, sweep_scheme="diamond")
+        core = pincell.materials["core"]
+        kernel = np.arange(16.0).reshape(4, 4) / 7.0
+        geometry = replace(pincell.geometry,
+                           bc_left=BoundaryCondition.incoming([0.1, 1.0 / 3.0]),
+                           bc_right=BoundaryCondition.incoming([2.5, 0.0]))
+        problem = replace(pincell, geometry=geometry, config=config,
+                          materials={**pincell.materials,
+                                     "core": replace(core, scatter_kernel=kernel)})
+        first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+        save_problem(first, problem)
+        save_problem(second, load_problem(first))
+        assert "scatter_kernel =\n    " in first.read_text()
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestErrorContext:
@@ -134,6 +159,15 @@ class TestErrorContext:
         with pytest.raises(ParseError, match="turbo"):
             load_problem(FIXTURES / "invalid" / "unknown_solver_key.ini")
 
+    def test_misspelled_optional_key_rejected(self, tmp_path):
+        # a misspelled scatter_kernel would otherwise leave scattering isotropic
+        text = (FIXTURES / "valid" / "kernel_table.ini").read_text()
+        path = tmp_path / "kernal.ini"
+        path.write_text(text.replace("scatter_kernel =", "scatter_kernal ="))
+        with pytest.raises(ParseError) as exc:
+            load_problem(path)
+        assert "[materials.aniso] unknown key 'scatter_kernal'" in str(exc.value)
+
 
 # one bad edit of a valid file per typed check: (old, new), error type and
 # message fragment; bytes replace the whole file
@@ -152,6 +186,14 @@ PROBLEM_IO_ERRORS = {
                      "no [materials.<name>] sections"),
     "infinite_tolerance": (("M = 40", "M = 40\ntolerance = inf"), ValidationError,
                            "flux_tolerance must be finite"),
+    "unknown_geometry_key": (("bc_left = vacuum", "bc_left = vacuum\nbc_centre = vacuum"),
+                             ParseError, "[geometry] unknown key 'bc_centre'"),
+    "unknown_material_key": (("sigma_t = 1.0", "sigma_t = 1.0\nsigma_a = 1.0"), ParseError,
+                             "[materials.abs] unknown key 'sigma_a'"),
+    "unknown_solver_key": (("M = 40", "M = 40\ntolerence = 1e-8"), ParseError,
+                           "[solver] unknown key 'tolerence'"),
+    "unknown_section": (("[materials.abs]", "[materails.abs]\nsigma_t = 1.0\n\n[materials.abs]"),
+                        ParseError, "unknown section [materails.abs]"),
 }
 
 
