@@ -23,6 +23,6 @@ from .model import (BoundaryCondition, MaterialXS, QuadratureSet,
                     validate_problem)
 from .problem_io import Problem, builtin_problem_path, load_problem, save_problem
 from .spectral import BlockSpectrum, assemble_A, block_diagonalize
-from .sweep import SweepOperator, source_iteration, sweep_fixed_source
+from .sweep import SweepOperator, source_iteration
 
 __version__ = "0.1.0"

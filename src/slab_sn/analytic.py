@@ -33,11 +33,12 @@ rates, the homogeneous factors at the cell centres (cells, blocks), the
 width-only factors (the half-cell step, its source integral and the
 recurrence's source multiplier) and the projection and expansion matrices;
 the operator adds the factored global system, checked once for singularity.
-A source is an isotropic emission S (cells, G), S/2 on every ordinate, so
-applying the operator costs, per group and not per region: one (G, blocks)
-projection, one FirstOrderScan for J in which each region is a segment, the
-particular edge values read at the segment ends, and one (blocks, G)
-expansion of the scalar flux at the cell centres.  Between them
+A source is a SourceField on the operator's mesh, an isotropic emission
+S (cells, G) with S/2 on every ordinate, so applying the operator costs,
+per group and not per region: one (G, blocks) projection, one
+FirstOrderScan for J in which each region is a segment, the particular
+edge values read at the segment ends, and one (blocks, G) expansion of the
+scalar flux at the cell centres.  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor (one forward pass and one block back-substitution).
 FixedSourceOperator.flux gives Psi and phi at the cell centres from the
@@ -440,12 +441,9 @@ class FixedSourceOperator:
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
-        """Per-group projected source and particular solution."""
-        self.mesh.require_same(source.mesh)
-        shape = (self.mesh.n_cells, self.n_groups)
-        if source.emission.shape != shape:
-            raise ValidationError(
-                f"emission has shape {source.emission.shape}, expected (cells, G) = {shape}")
+        """Per-group projected source and particular solution of a source
+        that SourceField.require_on accepts for this operator."""
+        source.require_on(self.mesh, self.n_groups)
         return [group.particular(source.emission) for group in self.groups]
 
     def rhs(self, particular) -> np.ndarray:

@@ -22,7 +22,7 @@ from .mesh import SourceField
 from .model import SOLVER_KINDS, SolverConfig, gauss_legendre
 from .problem_io import load_problem
 from .spectral import assemble_A
-from .sweep import sweep_fixed_source
+from .sweep import source_iteration
 
 
 def _add_common(parser):
@@ -98,7 +98,7 @@ def _dump_matrices(args, outdir, materials, config, solved):
                                for name in solved.spectra}, solved.spectra)
 
 
-def _fixed_source(args, mesh, n_groups):
+def _fixed_source(args, mesh, n_groups) -> SourceField:
     if args.source == "constant":
         emission = np.full((mesh.n_cells, n_groups), args.strength)
     elif args.source == "absx":
@@ -110,11 +110,7 @@ def _fixed_source(args, mesh, n_groups):
             emission = np.loadtxt(args.source_file, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ParseError(f"--source-file {args.source_file}: {exc}") from None
-        if emission.shape != (mesh.n_cells, n_groups):
-            raise ValidationError(
-                f"source table must be {mesh.n_cells} cells x {n_groups} groups, "
-                f"got {emission.shape}")
-    return emission
+    return SourceField(mesh, emission)
 
 
 def cmd_fixed(args) -> int:
@@ -122,20 +118,21 @@ def cmd_fixed(args) -> int:
     geo = problem.geometry
     # without a shift the fixed-source operator excludes fission
     cfg = replace(problem.config, ke=None)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     operator = build_operator(geo, problem.materials, cfg)
-    mesh = operator.mesh
     n_groups = problem.materials[geo.materials[0]].n_groups
-    source = SourceField(mesh, _fixed_source(args, mesh, n_groups))
+    source = _fixed_source(args, operator.mesh, n_groups)
     if cfg.solver_kind == "sweep":
-        flux = sweep_fixed_source(operator, source, cfg.flux_tolerance,
-                                  max_inner=cfg.max_inner)
+        solution = source_iteration(operator, source, cfg.flux_tolerance,
+                                    max_inner=cfg.max_inner)[1]
     else:
-        flux = operator.flux(solve_fixed_source(operator, source))
+        solution = solve_fixed_source(operator, source)
+    flux = operator.flux(solution)
     seconds = time.perf_counter() - t0
+    # created only now, so that an input error leaves no output directory
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     _dump_matrices(args, outdir, problem.materials, cfg, operator)
 
     flux_csv = outdir / "flux.csv"
@@ -149,9 +146,9 @@ def cmd_fixed(args) -> int:
 def cmd_eigen(args) -> int:
     problem = _load(args)
     cfg = problem.config
+    result = power_iteration(problem.geometry, problem.materials, cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = power_iteration(problem.geometry, problem.materials, cfg)
     _dump_matrices(args, outdir, problem.materials, cfg, result)
     flux_csv = outdir / "flux.csv"
     history_csv = outdir / "history.csv"

@@ -123,7 +123,7 @@ def build_operator(geometry: SlabGeometry, materials, config: SolverConfig):
     quad = gauss_legendre(config.sn_order)
     mesh = build_fine_mesh(geometry, config.fine_mesh_size)
     if config.solver_kind == "sweep":
-        return SweepOperator(geometry, materials, mesh, quad, config.sweep_scheme, config.ke)
+        return SweepOperator(geometry, materials, mesh, quad, config.ke)
     fission_scale = 0.0 if config.ke is None else 1.0 / config.ke
     spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
                for name in set(geometry.materials)}
@@ -162,8 +162,7 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
             phi, solution = fixed_source_solve(operator, source)
         else:
             phi, solution, sweeps = source_iteration(
-                operator, source.emission, tol / 2.0, phi0=phi,
-                max_inner=config.max_inner)
+                operator, source, tol / 2.0, phi0=phi, max_inner=config.max_inner)
             inner_total += sweeps
 
         production = np.sum(phi * nu_sigma_f, axis=1)

@@ -1,5 +1,6 @@
-"""Fine source mesh, piecewise-constant isotropic source fields, and flux
-fields."""
+"""Fine source mesh, piecewise-constant isotropic source fields (checked
+against a solver's mesh and group count by SourceField.require_on), and
+flux fields."""
 
 from dataclasses import dataclass
 
@@ -46,12 +47,6 @@ class FineMesh:
 
     def cells_of_region(self, r: int) -> np.ndarray:
         return np.nonzero(self.region_of_cell == r)[0]
-
-    def require_same(self, other: "FineMesh") -> None:
-        """Raise ValidationError unless other has this mesh's cell edges
-        (a source built on other cannot be solved on this mesh)."""
-        if other is not self and not np.array_equal(other.edges, self.edges):
-            raise ValidationError("source mesh differs from the operator's mesh")
 
     def require_fit(self, geometry: SlabGeometry) -> None:
         """Raise MeshAlignmentError unless every cell names a region of
@@ -123,9 +118,20 @@ class SourceField:
         emission = _readonly(self.emission)
         object.__setattr__(self, "emission", emission)
         if emission.ndim != 2 or emission.shape[0] != self.mesh.n_cells:
-            raise ValidationError("emission must be (n_cells, G)")
+            raise ValidationError(f"emission must be (n_cells, G) = "
+                                  f"({self.mesh.n_cells}, G), got {emission.shape}")
         if np.any(~np.isfinite(emission)):
             raise ValidationError("emission must be finite")
+
+    def require_on(self, mesh: FineMesh, n_groups: int) -> None:
+        """Raise ValidationError unless this source lies on mesh's cell
+        edges with n_groups groups."""
+        if self.mesh is not mesh and not np.array_equal(self.mesh.edges, mesh.edges):
+            raise ValidationError("source mesh differs from the operator's mesh")
+        shape = (mesh.n_cells, n_groups)
+        if self.emission.shape != shape:
+            raise ValidationError(
+                f"emission has shape {self.emission.shape}, expected (cells, G) = {shape}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ BC_KINDS = ("vacuum", "incoming", "reflective")
 SOLVER_KINDS = ("analytic", "sweep")
 NORMALIZATIONS = ("total_scalar_flux_one", "none")
 INITIAL_SOURCES = ("absx", "flat")
-SWEEP_SCHEMES = ("step", "diamond")
 
 
 def _readonly(a, dtype=float):
@@ -236,7 +235,6 @@ class SolverConfig:
     normalization: str = "total_scalar_flux_one"
     initial_source: str = "absx"
     max_inner: int = 5000
-    sweep_scheme: str = "step"
 
     def __post_init__(self):
         for key in ("sn_order", "fine_mesh_size", "max_outer", "max_inner"):
@@ -260,8 +258,6 @@ class SolverConfig:
             raise ValidationError(f"unknown normalization {self.normalization!r}")
         if self.initial_source not in INITIAL_SOURCES:
             raise ValidationError(f"unknown initial_source {self.initial_source!r}")
-        if self.sweep_scheme not in SWEEP_SCHEMES:
-            raise ValidationError(f"unknown sweep_scheme {self.sweep_scheme!r}")
 
 
 def validate_problem(geometry: SlabGeometry, materials: dict, config: SolverConfig) -> int:

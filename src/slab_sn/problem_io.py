@@ -26,7 +26,6 @@ A problem is one INI-style text file with three kinds of sections::
     normalization = total_scalar_flux_one   # or none
     initial_source = absx             # absx | flat
     max_inner = 5000                  # sweep inner iteration budget
-    sweep_scheme = step               # step | diamond
 
 Values are whitespace-separated floats; multi-row tables use indented
 continuation lines.  Each section is read and written through its key
@@ -123,7 +122,6 @@ SOLVER_KEYS = {
     "normalization": ("normalization", str, str, False),
     "initial_source": ("initial_source", str, str, False),
     "max_inner": ("max_inner", int, repr, False),
-    "sweep_scheme": ("sweep_scheme", str, str, False),
 }
 
 

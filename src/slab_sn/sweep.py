@@ -1,20 +1,19 @@
 """Traditional sweeping S_N baseline on the fine mesh.
 
-Cell-average fluxes with the step (flat-flux upwind) closure by default:
-marching in the flow direction, the cell-average flux is
+Cell-average fluxes with the step (flat-flux upwind) closure, the
+comparison baseline: marching in the flow direction, the cell-average flux is
 
     psi_c = (|mu| / dx * psi_in + q) / (|mu| / dx + sigma_t)
 
-and the outgoing face flux equals psi_c.  A diamond-difference closure
-(psi_out = 2 psi_c - psi_in) is available for sensitivity studies but is
-not the comparison baseline.  The scattering source is iterated until the
-L2 norm of the scalar-flux change drops below the requested tolerance.
+and the outgoing face flux equals psi_c.  The scattering source is iterated
+until the L2 norm of the scalar-flux change drops below the requested
+tolerance.
 
 Only the source changes between inner and outer iterations.  A
 SweepOperator is therefore built once per problem and holds the per-cell
 group transfer, the marching coefficients, the boundary handling and the
 index maps of the scan's blocked layout.  source_iteration applies it to one
-isotropic emission (cells, G) at a time: each sweep gathers half the total
+SourceField on its mesh at a time: each sweep gathers half the total
 emission onto every ordinate in that layout, scans and sums it there, and
 the angular flux leaves the layout once, after convergence.
 """
@@ -25,7 +24,7 @@ import numpy as np
 
 from .exceptions import MaxInnerIterationsError, ValidationError
 from .mesh import FineMesh, FluxField, SourceField
-from .model import SWEEP_SCHEMES, QuadratureSet, SlabGeometry
+from .model import QuadratureSet, SlabGeometry
 from .recurrence import FirstOrderScan
 
 
@@ -54,33 +53,27 @@ def _transfer_matrices(geometry, materials, ke):
 class SweepOperator:
     """The source-independent part of the sweep fixed-source solve.
 
-    Built once per (geometry, materials, mesh, quadrature, scheme, shift):
+    Built once per (geometry, materials, mesh, quadrature, shift):
     it checks that every material scatters isotropically with a folded
     scattering ratio below one, and holds the per-cell group transfer
     (scattering plus chi nu-fission / k_e under a shift), the marching
     coefficients and the fixed part of the boundary fluxes.
 
     Marching in the flow direction, every (group, ordinate) column follows
-    the face-flux recurrence f_m = a_m f_{m-1} + s_m q_m with c = |mu| / dx:
-    a = c / (c + sigma_t) and s = 1 / (c + sigma_t) for step, whose cell
-    average is f_m; a = (2c - sigma_t) / (2c + sigma_t) and
-    s = 2 / (2c + sigma_t) for diamond, whose cell average is the mean of the
-    two faces.  In scan order the mu < 0 columns of a (cells, G, N) array
+    the face-flux recurrence f_m = a_m f_{m-1} + s_m q_m with c = |mu| / dx,
+    a = c / (c + sigma_t) and s = 1 / (c + sigma_t); the step closure's cell
+    average is f_m.  In scan order the mu < 0 columns of a (cells, G, N) array
     run in reversed cell order, so one FirstOrderScan marches both
     directions through the whole slab at once; s and the fluxes live in
     that scan's blocked (size, count, G, N) layout, padding rows included.
     """
 
     def __init__(self, geometry: SlabGeometry, materials, mesh: FineMesh,
-                 quad: QuadratureSet, scheme: str = "step",
-                 ke: Optional[float] = None):
-        if scheme not in SWEEP_SCHEMES:
-            raise ValidationError(f"unknown sweep scheme {scheme!r}")
+                 quad: QuadratureSet, ke: Optional[float] = None):
         mesh.require_fit(geometry)
         transfer = _transfer_matrices(geometry, materials, ke)
         self.mesh = mesh
         self.quad = quad
-        self.scheme = scheme
         self.half = h = quad.n // 2
         sigma_t = np.vstack([materials[name].sigma_t
                              for name in geometry.materials])[mesh.region_of_cell]
@@ -93,14 +86,9 @@ class SweepOperator:
         self.weights[:h, 0] = quad.weight[:h]
         self.weights[h:, 1] = quad.weight[h:]
 
-        face = 1.0 if scheme == "step" else 2.0
-        c = face * np.abs(quad.mu)[None, None, :] / mesh.widths[:, None, None]
+        c = np.abs(quad.mu)[None, None, :] / mesh.widths[:, None, None]
         denom = c + sigma_t[:, :, None]
-        coef = c / denom
-        if scheme == "step":
-            a, s = coef, 1.0 / denom
-        else:
-            a, s = 2.0 * coef - 1.0, 2.0 / denom
+        a, s = c / denom, 1.0 / denom
         self.march = march = FirstOrderScan(self.scan_order(a))
         self.work = march.workspace(float)
 
@@ -153,16 +141,8 @@ class SweepOperator:
         f[0, 0] += self.march.a[0, 0] * f_in
         self.march.in_place(self.work)
         out[...] = f[self.last]
-        psi = f
-        if self.scheme == "diamond":
-            # face means; a block's first row follows the previous block's last
-            psi = self.work[1]
-            np.add(f[1:], f[:-1], out=psi[1:])
-            np.add(f[0, 1:], f[-1, :-1], out=psi[0, 1:])
-            np.add(f[0, 0], f_in, out=psi[0, 0])
-            psi *= 0.5
-        halves = psi.reshape(-1, self.shape[2]) @ self.weights
-        return psi, halves.take(self.neg) + halves.take(self.pos)
+        halves = f.reshape(-1, self.shape[2]) @ self.weights
+        return f, halves.take(self.neg) + halves.take(self.pos)
 
     def flux(self, psi: np.ndarray) -> FluxField:
         """Angular and scalar flux at the cell centres of fluxes psi in the
@@ -172,30 +152,28 @@ class SweepOperator:
         return FluxField.from_psi(self.mesh.centers, psi.reshape(m, g * n), self.quad)
 
 
-def source_iteration(operator: SweepOperator, emission: np.ndarray,
+def source_iteration(operator: SweepOperator, source: SourceField,
                      tolerance: float, *, phi0=None, max_inner: int = 5000):
     """Iterate sweeps on the scattering source until the scalar flux settles.
 
-    emission is the isotropic fixed source (M, G); phi0, when given, is the
-    scalar flux (M, G) the scattering source starts from.  With a Wielandt
-    shift the operator folds the chi nu-fission / k_e production into the
-    iterated source alongside scattering.  Returns (cell-average scalar flux
-    (M, G), the last sweep's angular fluxes in the scan's blocked layout
-    for operator.flux, number of sweeps).
+    source is the isotropic fixed source on the operator's mesh; phi0, when
+    given, is the scalar flux (M, G) the scattering source starts from.
+    With a Wielandt shift the operator folds the chi nu-fission / k_e
+    production into the iterated source alongside scattering.  Returns
+    (cell-average scalar flux (M, G), the last sweep's angular fluxes in the
+    scan's blocked layout for operator.flux, number of sweeps).
     """
     m, g, n = operator.shape
-    if np.shape(emission) != (m, g):
-        raise ValidationError(
-            f"emission has shape {np.shape(emission)}, expected (cells, G) = {(m, g)}")
+    source.require_on(operator.mesh, g)
     phi = np.zeros((m, g)) if phi0 is None else phi0
     q = np.zeros(m * g + 1)
-    source = q[1:].reshape(m, g)
+    total = q[1:].reshape(m, g)
     out = np.zeros((g, n))
     for it in range(1, max_inner + 1):
         # isotropic: every ordinate of a direction half sees half the emission
-        np.einsum("mg,mgh->mh", phi, operator.transfer, out=source)
-        source += emission
-        source /= 2.0
+        np.einsum("mg,mgh->mh", phi, operator.transfer, out=total)
+        total += source.emission
+        total /= 2.0
         psi, phi_new = operator.sweep(q, out)
         change = np.linalg.norm(phi_new - phi)
         phi = phi_new
@@ -204,11 +182,3 @@ def source_iteration(operator: SweepOperator, emission: np.ndarray,
     raise MaxInnerIterationsError(
         f"source iteration did not reach {tolerance} in {max_inner} sweeps "
         "(scattering ratio too close to 1?)")
-
-
-def sweep_fixed_source(operator: SweepOperator, source: SourceField,
-                       tolerance: float, *, max_inner: int = 5000) -> FluxField:
-    """Converged sweep solution as a FluxField at the cell centers."""
-    operator.mesh.require_same(source.mesh)
-    _, psi, _ = source_iteration(operator, source.emission, tolerance, max_inner=max_inner)
-    return operator.flux(psi)

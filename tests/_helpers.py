@@ -14,7 +14,6 @@ from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
 from slab_sn.analytic import _pair_rows
 from slab_sn.eigen import _emission, _per_cell
 from slab_sn.spectral import PHI_TAYLOR_CUT, _dense, _guard, exp_block, phi_block
-from slab_sn.model import SWEEP_SCHEMES
 from slab_sn.recurrence import FirstOrderScan
 
 
@@ -258,9 +257,13 @@ def cell_sigma_t(geometry, materials, mesh):
                       for name in geometry.materials])[mesh.region_of_cell]
 
 
+SWEEP_SCHEMES = ("step", "diamond")
+
+
 def sweep_once(mesh, sigma_t, q, quad, incoming_left, incoming_right, scheme="step"):
     """One transport sweep with the per-cell sigma_t (M, G) and the total
-    source q (M, N*G) frozen.
+    source q (M, N*G) frozen, with the step closure of SweepOperator or the
+    second-order diamond closure the tests keep as an oracle.
 
     incoming_left holds the boundary angular flux for the mu > 0 ordinates
     (group-major, ascending mu); incoming_right for mu < 0.  Returns the
@@ -304,7 +307,7 @@ def sweep_once(mesh, sigma_t, q, quad, incoming_left, incoming_right, scheme="st
 
 
 def oracle_source_iteration(geometry, materials, mesh, quad, emission,
-                            tolerance, phi0=None, ke=None, scheme="step"):
+                            tolerance, phi0=None, ke=None):
     """Source iteration one sweep_once at a time, the scattering (and,
     under a shift, chi nu-fission / ke) source updated region by region.
     The isotropic emission (M, G) puts half of itself on every ordinate.
@@ -339,7 +342,7 @@ def oracle_source_iteration(geometry, materials, mesh, quad, emission,
         q_total = q_external + np.repeat(scat / 2.0, n, axis=1)
         flux, out_left, out_right = sweep_once(
             mesh, sigma_t, q_total, quad, incoming(geometry.bc_left, out_left),
-            incoming(geometry.bc_right, out_right), scheme)
+            incoming(geometry.bc_right, out_right))
         phi_new = flux.reshape(m_cells, g, n) @ quad.weight
         change = np.linalg.norm(phi_new - phi)
         phi = phi_new

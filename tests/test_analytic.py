@@ -12,11 +12,11 @@ from slab_sn.recurrence import FirstOrderScan
 from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
                      FluxField, MaterialXS, MeshAlignmentError,
                      PointOutOfDomainError, SingularSystemError, SlabGeometry,
-                     SourceField, SweepOperator, ValidationError,
-                     assemble_A, block_diagonalize, build_fine_mesh,
+                     SolverConfig, SourceField, SweepOperator, ValidationError,
+                     assemble_A, block_diagonalize, build_fine_mesh, build_operator,
                      evaluate_flux, fixed_source_solve, gauss_legendre,
                      mesh_from_edges, power_iteration,
-                     solve_fixed_source, sweep_fixed_source)
+                     solve_fixed_source, source_iteration)
 
 
 def spectra_for(geometry, materials, quad, fission_scale=0.0):
@@ -326,6 +326,39 @@ class TestTransportConsistency:
         assert np.max(np.abs(combined - split)) <= 1e-10 * scale
 
 
+class TestPureScatterer:
+    """Sigma_s = Sigma_t: nothing is absorbed, so the beam entering at the
+    left leaves through the ends alone."""
+
+    @staticmethod
+    def setup(bc_right):
+        mats = {"scat": one_group_material("scat", sigma_t=1.0, sigma_s=1.0)}
+        geo = SlabGeometry(edges=np.array([0.0, 2.0]), materials=("scat",),
+                           bc_left=BoundaryCondition.incoming(np.ones(2)), bc_right=bc_right)
+        return geo, mats
+
+    @pytest.mark.parametrize("bc_right", ["vacuum", "reflective"])
+    def test_inflow_leaves_through_the_ends(self, bc_right):
+        geo, mats = self.setup(BoundaryCondition(bc_right))
+        quad, _, operator, solution = analytic_setup(geo, mats, 4, 20, 0.0)
+        psi = evaluate_flux(operator, solution, [0.0, 2.0]).psi
+        assert np.all(np.isfinite(psi))
+        current = quad.weight * np.abs(quad.mu)
+        inflow = current[2:].sum()
+        out_left, out_right = psi[0, :2] @ current[:2], psi[1, 2:] @ current[2:]
+        if bc_right == "vacuum":
+            assert out_left + out_right == pytest.approx(inflow, rel=1e-13)
+        else:
+            assert out_left == pytest.approx(inflow, rel=1e-13)
+            assert out_right == pytest.approx(psi[1, :2] @ current[:2], rel=1e-13)
+
+    def test_sweep_refuses_it(self):
+        geo, mats = self.setup(BoundaryCondition.vacuum())
+        config = SolverConfig(sn_order=4, fine_mesh_size=20, solver_kind="sweep")
+        with pytest.raises(ValidationError, match="scattering ratio 1.000000 >= 1"):
+            build_operator(geo, mats, config)
+
+
 def mirror_setup(rng):
     """An asymmetric two-region beam-driven problem and its mirror image."""
     beam = np.array([1.0, 0.5])
@@ -401,14 +434,14 @@ class TestErrors:
             fixed_source_solve(operator, source)
         sweep = SweepOperator(pincell.geometry, pincell.materials, mesh, quad2)
         with pytest.raises(ValidationError, match="mesh"):
-            sweep_fixed_source(sweep, source, 1e-8)
+            source_iteration(sweep, source, 1e-8)
         # six groups on the operator's mesh, against two
         wrong_groups = SourceField(mesh, np.ones((70, 6)))
         expected = r"expected \(cells, G\) = \(70, 2\)"
         with pytest.raises(ValidationError, match=expected):
             fixed_source_solve(operator, wrong_groups)
         with pytest.raises(ValidationError, match=expected):
-            sweep_fixed_source(sweep, wrong_groups, 1e-8)
+            source_iteration(sweep, wrong_groups, 1e-8)
 
     def test_operator_rejects_interleaved_regions(self, quad2):
         mats = {"a": one_group_material("a", sigma_t=1.0)}

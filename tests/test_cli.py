@@ -89,12 +89,21 @@ class TestFixed:
                    "--strength", "2.0", "--out", str(out)])
         assert rc == 0
 
-    def test_bad_source_table_shape(self, absorber_file, tmp_path):
+    @pytest.mark.parametrize("solver", ["analytic", "sweep"])
+    @pytest.mark.parametrize("shape, expected", [
+        ((7, 1), "emission must be (n_cells, G) = (40, G), got (7, 1)"),
+        ((40, 3), "emission has shape (40, 3), expected (cells, G) = (40, 1)"),
+    ], ids=["rows", "groups"])
+    def test_bad_source_table_shape(self, absorber_file, tmp_path, capsys, solver,
+                                    shape, expected):
+        # SourceField checks the row count, the solver's require_on the groups
         table = tmp_path / "src.csv"
-        np.savetxt(table, np.ones((7, 1)), delimiter=",")
-        rc = main(["fixed", str(absorber_file), "--source", "file",
+        np.savetxt(table, np.ones(shape), delimiter=",")
+        rc = main(["fixed", str(absorber_file), "--source", "file", "--solver", solver,
                    "--source-file", str(table), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert f"input error: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_absx_source_is_the_file_table_of_abs_x(self, absorber_file, tmp_path):
         from slab_sn import build_fine_mesh, load_problem
@@ -253,6 +262,8 @@ class TestOverrides:
             assert main([command, str(pincell_file), "--mesh", "2",
                          "--out", str(tmp_path / command)]) == 2
             errors.append(capsys.readouterr().err)
+            # an input error leaves no output directory
+            assert not (tmp_path / command).exists()
         assert "fine_mesh_size (2) must be >= number of regions (3)" in errors[0]
         assert errors[0] == errors[1]
 

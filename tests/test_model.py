@@ -140,7 +140,6 @@ class TestSolverConfig:
         {"sn_order": 3}, {"sn_order": 8, "flux_tolerance": 0.0},
         {"sn_order": 8, "ke": -1.0}, {"sn_order": 8, "solver_kind": "magic"},
         {"sn_order": 8, "fine_mesh_size": 0}, {"sn_order": 8, "normalization": "max"},
-        {"sn_order": 8, "sweep_scheme": "upstream"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):

@@ -112,7 +112,7 @@ class TestSolverKeys:
         config = SolverConfig(sn_order=6, fine_mesh_size=333, flux_tolerance=2.5e-7,
                               max_outer=77, ke=1.25, solver_kind="sweep",
                               normalization="none", initial_source="flat",
-                              max_inner=1234, sweep_scheme="diamond")
+                              max_inner=1234)
         default = SolverConfig(sn_order=16)
         assert all(getattr(config, f.name) != getattr(default, f.name)
                    for f in fields(SolverConfig))
@@ -126,7 +126,7 @@ class TestSolverKeys:
         config = SolverConfig(sn_order=2, fine_mesh_size=333, flux_tolerance=2.5e-7,
                               max_outer=77, ke=1.25, solver_kind="sweep",
                               normalization="none", initial_source="flat",
-                              max_inner=1234, sweep_scheme="diamond")
+                              max_inner=1234)
         core = pincell.materials["core"]
         kernel = np.arange(16.0).reshape(4, 4) / 7.0
         geometry = replace(pincell.geometry,
@@ -192,6 +192,9 @@ PROBLEM_IO_ERRORS = {
                              "[materials.abs] unknown key 'sigma_a'"),
     "unknown_solver_key": (("M = 40", "M = 40\ntolerence = 1e-8"), ParseError,
                            "[solver] unknown key 'tolerence'"),
+    # the diamond closure is gone: a file asking for it must not run step
+    "removed_sweep_scheme": (("M = 40", "M = 40\nsweep_scheme = diamond"), ParseError,
+                             "[solver] unknown key 'sweep_scheme'"),
     "unknown_section": (("[materials.abs]", "[materails.abs]\nsigma_t = 1.0\n\n[materials.abs]"),
                         ParseError, "unknown section [materails.abs]"),
 }

@@ -10,8 +10,7 @@ from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
                      MaxInnerIterationsError, SlabGeometry, SourceField,
                      SweepOperator, ValidationError, assemble_A,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
-                     gauss_legendre, solve_fixed_source, source_iteration,
-                     sweep_fixed_source)
+                     gauss_legendre, solve_fixed_source, source_iteration)
 from slab_sn.recurrence import FirstOrderScan
 
 
@@ -23,11 +22,17 @@ def simple_sweep_mesh(geometry, materials, n_cells, quad, q_value=0.0):
     return mesh, cell_sigma_t(geometry, materials, mesh), q
 
 
+def constant(mesh, value, n_groups=1):
+    """A SourceField of one emission density on every cell and group."""
+    return SourceField(mesh, np.full((mesh.n_cells, n_groups), value))
+
+
 def scan_order_sweep(geometry, materials, mesh, quad, scheme, emission, out):
     """One sweep the way the unblocked operator made it: half the emission
     repeated over the ordinates in scan order (mu < 0 columns in reversed
     cell order), times s, one FirstOrderScan over (cells, G, N) rows, and
-    the weighted halves summed to the scalar flux.  Returns the angular
+    the weighted halves summed to the scalar flux; scheme "diamond" takes
+    the face means as the cell averages.  Returns the angular
     flux (cells, G N) in cell order, the scalar flux (cells, G) and the
     outgoing face fluxes (G, N)."""
     h = quad.n // 2
@@ -138,7 +143,7 @@ class TestSourceIteration:
         geo, mats = absorber_problem(sigma_t=1.0, length=2.0)
         mesh = build_fine_mesh(geo, 10)
         operator = SweepOperator(geo, mats, mesh, quad2)
-        _, psi, sweeps = source_iteration(operator, np.full((10, 1), 0.6), 1e-8)
+        _, psi, sweeps = source_iteration(operator, constant(mesh, 0.6), 1e-8)
         assert sweeps == 1
         assert np.all(operator.flux(psi).psi[:, 1] > 0.0)
 
@@ -149,7 +154,7 @@ class TestSourceIteration:
             geo = SlabGeometry(edges=np.array([0.0, 6.0]), materials=("s",))
             mesh = build_fine_mesh(geo, 60)
             operator = SweepOperator(geo, {"s": mats["s"]}, mesh, quad2)
-            _, _, sweeps = source_iteration(operator, np.full((60, 1), 2.0), 1e-7)
+            _, _, sweeps = source_iteration(operator, constant(mesh, 2.0), 1e-7)
             counts.append(sweeps)
         assert counts[0] < counts[1] < counts[2]
 
@@ -181,7 +186,7 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 2.5]), materials=("reflector",))
         mesh = build_fine_mesh(geo, 50)
         operator = SweepOperator(geo, {"reflector": refl}, mesh, quad2)
-        phi, psi, sweeps = source_iteration(operator, np.full((50, 2), 2.0), 1e-7)
+        phi, psi, sweeps = source_iteration(operator, constant(mesh, 2.0, 2), 1e-7)
         assert sweeps > 1 and np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
 
     def test_max_inner_iterations(self, quad2):
@@ -189,7 +194,7 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 40.0]), materials=("s",))
         mesh = build_fine_mesh(geo, 40)
         with pytest.raises(MaxInnerIterationsError):
-            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.full((40, 1), 2.0),
+            source_iteration(SweepOperator(geo, mats, mesh, quad2), constant(mesh, 2.0),
                              1e-12, max_inner=5)
 
     def test_rejects_scattering_ratio_of_one(self, quad2):
@@ -197,18 +202,18 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 1.0]), materials=("s",))
         mesh = build_fine_mesh(geo, 4)
         with pytest.raises(ValidationError, match="ratio"):
-            source_iteration(SweepOperator(geo, mats, mesh, quad2), np.full((4, 1), 2.0), 1e-6)
+            source_iteration(SweepOperator(geo, mats, mesh, quad2), constant(mesh, 2.0), 1e-6)
 
     def test_shift_folds_fission_into_source(self, pincell, quad2):
         # a weak shift keeps every folded scattering ratio below one
         core = pincell.materials["core"]
         geo = SlabGeometry(edges=np.array([0.0, 5.0]), materials=("core",))
         mesh = build_fine_mesh(geo, 25)
-        emission = np.full((25, 2), 0.4)
+        source = constant(mesh, 0.4, 2)
         flux_plain, _, _ = source_iteration(
-            SweepOperator(geo, {"core": core}, mesh, quad2), emission, 1e-9)
+            SweepOperator(geo, {"core": core}, mesh, quad2), source, 1e-9)
         flux_shift, _, _ = source_iteration(
-            SweepOperator(geo, {"core": core}, mesh, quad2, ke=5.0), emission, 1e-9)
+            SweepOperator(geo, {"core": core}, mesh, quad2, ke=5.0), source, 1e-9)
         # folded fission production must increase the flux
         assert flux_shift.sum() > flux_plain.sum()
 
@@ -220,7 +225,7 @@ class TestSourceIteration:
         mesh = build_fine_mesh(geo, 25)
         with pytest.raises(ValidationError, match="ratio"):
             source_iteration(SweepOperator(geo, {"core": core}, mesh, quad2, ke=1.3),
-                             np.full((25, 2), 0.4), 1e-9)
+                             constant(mesh, 0.4, 2), 1e-9)
 
     def test_reflective_half_slab_matches_full(self, quad4):
         mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=0.6)}
@@ -231,15 +236,16 @@ class TestSourceIteration:
         mesh_h = build_fine_mesh(half, 32)
         op_f = SweepOperator(full, mats, mesh_f, quad4)
         op_h = SweepOperator(half, mats, mesh_h, quad4)
-        flux_f = op_f.flux(source_iteration(op_f, np.full((64, 1), 1.0), 1e-11)[1]).psi
-        flux_h = op_h.flux(source_iteration(op_h, np.full((32, 1), 1.0), 1e-11)[1]).psi
+        flux_f = op_f.flux(source_iteration(op_f, constant(mesh_f, 1.0), 1e-11)[1]).psi
+        flux_h = op_h.flux(source_iteration(op_h, constant(mesh_h, 1.0), 1e-11)[1]).psi
         assert np.allclose(flux_h, flux_f[32:], atol=1e-8 * flux_f.max())
 
 
 class TestCrossSolver:
     def test_matches_analytic_on_refined_mesh(self, pincell):
-        # the first eigenvalue iteration's source, solved both ways; the
-        # second-order sweep variant serves as the independent oracle
+        # the first eigenvalue iteration's source, solved both ways; source
+        # iteration on the second-order diamond closure serves as the
+        # independent oracle
         geo, mats = pincell.geometry, pincell.materials
         quad = gauss_legendre(2)
 
@@ -256,24 +262,31 @@ class TestCrossSolver:
         solution = solve_fixed_source(operator, src_a)
 
         mesh_s = build_fine_mesh(geo, 700)
-        flux_s = sweep_fixed_source(SweepOperator(geo, mats, mesh_s, quad, "diamond"),
-                                    chi_absx(mesh_s), 1e-9)
+        emission = chi_absx(mesh_s).emission
+        scatter = np.stack([mats[n].sigma_s for n in geo.materials])[mesh_s.region_of_cell]
+        phi, out = np.zeros_like(emission), np.zeros((2, 2))
+        for _ in range(5000):
+            total = emission + np.einsum("mg,mgh->mh", phi, scatter)
+            _, phi_new, out = scan_order_sweep(geo, mats, mesh_s, quad, "diamond", total, out)
+            change = np.linalg.norm(phi_new - phi)
+            phi = phi_new
+            if change < 1e-9:
+                break
+        else:
+            raise AssertionError("diamond source iteration did not converge")
         phi_a = evaluate_flux(operator, solution, mesh_s.centers).phi
         mask = phi_a > 1e-3 * phi_a.max()
-        rel = np.abs(flux_s.phi - phi_a)[mask] / phi_a[mask]
+        rel = np.abs(phi - phi_a)[mask] / phi_a[mask]
         assert rel.max() < 0.005
 
 
 class TestFastPathConsistency:
-    @pytest.mark.parametrize("n,scheme,bc,graded", [
-        pytest.param(2, "step", "vacuum", False, id="2-step"),
-        pytest.param(8, "step", "vacuum", False, id="8-step"),
-        pytest.param(4, "diamond", "vacuum", False, id="4-diamond"),
-        pytest.param(4, "step", "reflective", True, id="4-step-reflective-graded"),
-        pytest.param(4, "diamond", "reflective", True, id="4-diamond-reflective-graded"),
-        pytest.param(8, "diamond", "vacuum", True, id="8-diamond-graded"),
+    @pytest.mark.parametrize("n,bc,graded", [
+        pytest.param(2, "vacuum", False, id="2-step"),
+        pytest.param(8, "vacuum", False, id="8-step"),
+        pytest.param(4, "reflective", True, id="4-step-reflective-graded"),
     ])
-    def test_planned_sweep_equals_reference(self, pincell, rng, n, scheme, bc, graded):
+    def test_planned_sweep_equals_reference(self, pincell, rng, n, bc, graded):
         # with reflective ends, three lagged sweeps feed each sweep's
         # mirrored outgoing flux back in, as source_iteration does
         geo, mats = pincell.geometry, pincell.materials
@@ -297,10 +310,9 @@ class TestFastPathConsistency:
             ends = tuple(BoundaryCondition.incoming(inc) for inc in inc_ref)
             out = np.zeros((2, n))
         geo = replace(geo, bc_left=ends[0], bc_right=ends[1])
-        operator = SweepOperator(geo, mats, mesh, quad, scheme)
+        operator = SweepOperator(geo, mats, mesh, quad)
         for _ in range(3 if bc == "reflective" else 1):
-            ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref,
-                                             scheme=scheme)
+            ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref)
             fast, phi = operator.sweep(np.append(0.0, emission / 2.0), out)
             assert np.allclose(operator.flux(fast).psi, ref, atol=1e-14)
             assert np.allclose(phi, ref.reshape(70, 2, n) @ quad.weight, atol=1e-14)
@@ -309,10 +321,9 @@ class TestFastPathConsistency:
             inc_ref = (mirror(ol_ref), mirror(or_ref))
 
     @pytest.mark.parametrize("cells", ["70", "49", "graded"])
-    @pytest.mark.parametrize("scheme", ["step", "diamond"])
     @pytest.mark.parametrize("ends", [("vacuum", "vacuum"), ("reflective", "reflective"),
                                       ("incoming", "reflective"), ("vacuum", "incoming")])
-    def test_blocked_sweep_is_bit_identical_to_scan_order(self, pincell, cells, scheme, ends):
+    def test_blocked_sweep_is_bit_identical_to_scan_order(self, pincell, cells, ends):
         # 70 uniform cells leave the scan's last block partial, 49 fill
         # every block; three sweeps carry the outgoing flux into reflective
         # ends
@@ -324,14 +335,14 @@ class TestFastPathConsistency:
             for side, kind in zip(("bc_left", "bc_right"), ends)})
         mesh = (graded_mesh(geo, (9, 50, 11)) if cells == "graded"
                 else build_fine_mesh(geo, int(cells)))
-        operator = SweepOperator(geo, pincell.materials, mesh, quad, scheme)
+        operator = SweepOperator(geo, pincell.materials, mesh, quad)
         assert (mesh.n_cells % operator.march.size == 0) == (cells == "49")
         emission = rng.uniform(0.0, 1.0, (mesh.n_cells, 2))
         out, ref_out = np.zeros((2, 4)), np.zeros((2, 4))
         for _ in range(3):
             psi, phi = operator.sweep(np.append(0.0, emission / 2.0), out)
             ref_psi, ref_phi, ref_out = scan_order_sweep(geo, pincell.materials, mesh, quad,
-                                                         scheme, emission, ref_out)
+                                                         "step", emission, ref_out)
             assert np.array_equal(operator.flux(psi).psi, ref_psi)
             assert np.array_equal(phi, ref_phi)
             assert np.array_equal(out, ref_out)
@@ -343,7 +354,7 @@ class TestFastPathConsistency:
         mesh = build_fine_mesh(geo, 70)
         q_ext = np.full((70, 4), 0.1)
         operator = SweepOperator(geo, mats, mesh, quad2)
-        _, psi, _ = source_iteration(operator, np.full((70, 2), 0.2), 1e-12)
+        _, psi, _ = source_iteration(operator, constant(mesh, 0.2, 2), 1e-12)
         flux = operator.flux(psi).psi
         phi = flux.reshape(70, 2, 2) @ quad2.weight
         scat = np.empty((70, 2))
@@ -366,7 +377,6 @@ class TestFastPathConsistency:
             quad = gauss_legendre(int(rng.choice([2, 4, 8])))
             geo, mats = random_slab(rng, n_groups, int(rng.integers(1, 7)), quad.n)
             kinds |= {geo.bc_left.kind, geo.bc_right.kind}
-            scheme = ("step", "diamond")[trial % 2]
             ke = None
             if trial % 4 >= 2:
                 # k_e that keeps every folded ratio at or below 0.92 (1 without fission)
@@ -378,34 +388,37 @@ class TestFastPathConsistency:
             shape = (mesh.n_cells, n_groups)
             emission = rng.uniform(0.0, 1.0, shape)
             phi0 = rng.uniform(0.0, 1.0, shape) if trial % 5 == 0 else None
-            operator = SweepOperator(geo, mats, mesh, quad, scheme, ke)
-            _, psi, sweeps = source_iteration(operator, emission, 1e-10, phi0=phi0)
+            operator = SweepOperator(geo, mats, mesh, quad, ke)
+            _, psi, sweeps = source_iteration(operator, SourceField(mesh, emission), 1e-10,
+                                              phi0=phi0)
             psi = operator.flux(psi).psi
             ref, ref_sweeps = oracle_source_iteration(geo, mats, mesh, quad, emission,
-                                                      1e-10, phi0=phi0, ke=ke, scheme=scheme)
+                                                      1e-10, phi0=phi0, ke=ke)
             assert sweeps == ref_sweeps, trial
             worst = max(worst, np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
         assert kinds == {"vacuum", "reflective", "incoming"}
         assert worst <= 1e-12
 
 
-def _sweep_operator(materials=None, scheme="step", ke=None):
+def _sweep_operator(materials=None, ke=None):
     geo, mats = absorber_problem()
     quad = gauss_legendre(2)
-    return SweepOperator(geo, materials or mats, build_fine_mesh(geo, 8), quad, scheme, ke)
+    return SweepOperator(geo, materials or mats, build_fine_mesh(geo, 8), quad, ke)
+
+
+def _iterate_two_groups():
+    operator = _sweep_operator()
+    return source_iteration(operator, constant(operator.mesh, 1.0, 2), 1e-8)
 
 
 # one bad input per typed check: (constructor, error type, message fragment)
 SWEEP_ERRORS = {
-    "scheme": (lambda: _sweep_operator(scheme="upwind"),
-               ValidationError, "unknown sweep scheme 'upwind'"),
     "kernel": (lambda: _sweep_operator({"abs": replace(
         one_group_material("abs"), scatter_kernel=np.full((2, 2), 0.25))}),
         ValidationError, "isotropic scattering only"),
     "ratio": (lambda: _sweep_operator({"abs": one_group_material("abs", sigma_s=1.0)}),
               ValidationError, "scattering ratio 1.000000 >= 1"),
-    "emission_shape": (lambda: source_iteration(_sweep_operator(), np.ones((8, 2)), 1e-8),
-                       ValidationError, "expected (cells, G) = (8, 1)"),
+    "emission_shape": (_iterate_two_groups, ValidationError, "expected (cells, G) = (8, 1)"),
 }
 
 
