@@ -17,6 +17,11 @@ MESH_ERRORS = {
                     MeshAlignmentError, "cover the slab exactly"),
     "emission_shape": (lambda: SourceField(MESH, np.ones(6)),
                        ValidationError, "emission must be (n_cells, G)"),
+    "source_on_other_mesh": (lambda: SourceField(MESH, np.ones((6, 1))).require_on(
+        build_fine_mesh(SLAB, 9), 1),
+        ValidationError, "source mesh differs from the operator's mesh"),
+    "source_groups": (lambda: SourceField(MESH, np.ones((6, 2))).require_on(MESH, 3),
+                      ValidationError, "emission has shape (6, 2), expected (cells, G) = (6, 3)"),
     "emission_nan": (lambda: SourceField(MESH, np.full((6, 1), np.nan)),
                      ValidationError, "emission must be finite"),
     "flux_rows": (lambda: FluxField(points=[0.0, 1.0], psi=np.ones((3, 2)),

@@ -284,7 +284,9 @@ class TestFastPathConsistency:
     @pytest.mark.parametrize("n,bc,graded", [
         pytest.param(2, "vacuum", False, id="2-step"),
         pytest.param(8, "vacuum", False, id="8-step"),
+        pytest.param(4, "vacuum", False, id="4-step"),
         pytest.param(4, "reflective", True, id="4-step-reflective-graded"),
+        pytest.param(8, "vacuum", True, id="8-step-graded"),
     ])
     def test_planned_sweep_equals_reference(self, pincell, rng, n, bc, graded):
         # with reflective ends, three lagged sweeps feed each sweep's
@@ -346,6 +348,45 @@ class TestFastPathConsistency:
             assert np.array_equal(operator.flux(psi).psi, ref_psi)
             assert np.array_equal(phi, ref_phi)
             assert np.array_equal(out, ref_out)
+
+    @pytest.mark.parametrize("cells", ["70", "49", "graded"])
+    @pytest.mark.parametrize("ends", [("vacuum", "vacuum"), ("reflective", "reflective"),
+                                      ("incoming", "reflective"), ("vacuum", "incoming")])
+    def test_diamond_oracles_agree(self, pincell, cells, ends):
+        # the scan-order diamond sweep that TestCrossSolver iterates against
+        # the cell-by-cell diamond sweep of sweep_once; three sweeps carry
+        # the outgoing flux into reflective ends
+        rng = np.random.default_rng(21)
+        quad = gauss_legendre(4)
+        geo = replace(pincell.geometry, **{
+            side: (BoundaryCondition.incoming(rng.uniform(0.0, 1.0, 4)) if kind == "incoming"
+                   else BoundaryCondition(kind))
+            for side, kind in zip(("bc_left", "bc_right"), ends)})
+        mesh = (graded_mesh(geo, (9, 50, 11)) if cells == "graded"
+                else build_fine_mesh(geo, int(cells)))
+        sigma_t = cell_sigma_t(geo, pincell.materials, mesh)
+        emission = rng.uniform(0.0, 1.0, (mesh.n_cells, 2))
+        q = np.repeat(emission / 2.0, 4, axis=1)
+
+        def incoming(bc, outgoing):
+            if bc.kind == "reflective":
+                return outgoing.reshape(2, 2)[:, ::-1].ravel()
+            return bc.values if bc.kind == "incoming" else np.zeros(4)
+
+        out = np.zeros((2, 4))
+        ref_left, ref_right = np.zeros(4), np.zeros(4)
+        for _ in range(3):
+            psi, phi, out = scan_order_sweep(geo, pincell.materials, mesh, quad, "diamond",
+                                             emission, out)
+            ref, ref_left, ref_right = sweep_once(
+                mesh, sigma_t, q, quad, incoming(geo.bc_left, ref_left),
+                incoming(geo.bc_right, ref_right), scheme="diamond")
+            scale = np.max(np.abs(ref))
+            assert np.allclose(psi, ref, rtol=0.0, atol=1e-13 * scale)
+            assert np.allclose(phi, ref.reshape(-1, 2, 4) @ quad.weight, rtol=0.0,
+                               atol=1e-13 * scale)
+            assert np.allclose(out[:, :2].ravel(), ref_left, rtol=0.0, atol=1e-13 * scale)
+            assert np.allclose(out[:, 2:].ravel(), ref_right, rtol=0.0, atol=1e-13 * scale)
 
     def test_converged_flux_is_a_sweep_fixed_point(self, pincell, quad2):
         # one reference sweep of the converged total source must reproduce
@@ -419,6 +460,9 @@ SWEEP_ERRORS = {
     "ratio": (lambda: _sweep_operator({"abs": one_group_material("abs", sigma_s=1.0)}),
               ValidationError, "scattering ratio 1.000000 >= 1"),
     "emission_shape": (_iterate_two_groups, ValidationError, "expected (cells, G) = (8, 1)"),
+    "source_mesh": (lambda: source_iteration(_sweep_operator(), SourceField(
+        build_fine_mesh(absorber_problem()[0], 9), np.ones((9, 1))), 1e-8),
+        ValidationError, "source mesh differs from the operator's mesh"),
 }
 
 
