@@ -105,14 +105,13 @@ def normalize(flux: FluxField, mesh: FineMesh) -> FluxField:
     return flux.scaled(1.0 / total)
 
 
-def _initial_production(geometry, materials, mesh, kind: str) -> np.ndarray:
+def _initial_production(geometry, materials, mesh) -> np.ndarray:
+    """|x| on the fissile cells; one there when |x| vanishes on all of them
+    (say a one-cell fissile region centred at x = 0)."""
     fissile = np.array([materials[name].fissile for name in geometry.materials])
     mask = fissile[mesh.region_of_cell]
-    if kind == "flat":
-        p = np.ones(mesh.n_cells)
-    else:
-        p = np.abs(mesh.centers)
-    return np.where(mask, p, 0.0)
+    production = np.where(mask, np.abs(mesh.centers), 0.0)
+    return production if production.any() else mask.astype(float)
 
 
 def build_operator(geometry: SlabGeometry, materials, config: SolverConfig):
@@ -144,7 +143,7 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     nu_sigma_f = _per_cell(geometry, materials, mesh, "nu_sigma_f")
     setup_seconds = time.perf_counter() - t_setup
 
-    production = _initial_production(geometry, materials, mesh, config.initial_source)
+    production = _initial_production(geometry, materials, mesh)
     integral_prev = float(np.sum(production * mesh.widths))
     k = 1.0
     tol = config.flux_tolerance
@@ -187,13 +186,10 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
             f"power iteration did not reach {tol} in {config.max_outer} outer "
             f"iterations (last change {history_norm[-1]:.3e})")
 
-    flux = operator.flux(solution)
-    if config.normalization == "total_scalar_flux_one":
-        flux = normalize(flux, mesh)
     return EigenResult(
         k_eff=k,
         iterations=outer,
-        flux=flux,
+        flux=normalize(operator.flux(solution), mesh),
         history_k=np.array(history_k),
         history_norm=np.array(history_norm),
         history_seconds=np.array(history_seconds),

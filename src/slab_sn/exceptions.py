@@ -20,8 +20,8 @@ class DefectiveMatrixError(TransportError):
 class ExponentOverflowError(TransportError):
     """Matrix-exponential argument exceeds the overflow guard.
 
-    Signals a region too optically thick for direct evaluation; split the
-    region into thinner ones.
+    Raised only by direct exp_block / phi_block calls: the solvers anchor
+    every block so that its exponents stay at or below zero.
     """
 
 

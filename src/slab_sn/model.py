@@ -16,8 +16,6 @@ CHI_SUM_TOL = 1e-12
 
 BC_KINDS = ("vacuum", "incoming", "reflective")
 SOLVER_KINDS = ("analytic", "sweep")
-NORMALIZATIONS = ("total_scalar_flux_one", "none")
-INITIAL_SOURCES = ("absx", "flat")
 
 
 def _readonly(a, dtype=float):
@@ -232,8 +230,6 @@ class SolverConfig:
     max_outer: int = 200
     ke: Optional[float] = None
     solver_kind: str = "analytic"
-    normalization: str = "total_scalar_flux_one"
-    initial_source: str = "absx"
     max_inner: int = 5000
 
     def __post_init__(self):
@@ -254,10 +250,6 @@ class SolverConfig:
             raise ValidationError(f"ke must be finite and > 0, got {self.ke}")
         if self.solver_kind not in SOLVER_KINDS:
             raise ValidationError(f"unknown solver_kind {self.solver_kind!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
-        if self.initial_source not in INITIAL_SOURCES:
-            raise ValidationError(f"unknown initial_source {self.initial_source!r}")
 
 
 def validate_problem(geometry: SlabGeometry, materials: dict, config: SolverConfig) -> int:

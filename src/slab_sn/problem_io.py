@@ -23,8 +23,6 @@ A problem is one INI-style text file with three kinds of sections::
     max_outer = 200
     solver_kind = analytic            # analytic | sweep
     ke = 1.3                          # optional Wielandt shift
-    normalization = total_scalar_flux_one   # or none
-    initial_source = absx             # absx | flat
     max_inner = 5000                  # sweep inner iteration budget
 
 Values are whitespace-separated floats; multi-row tables use indented
@@ -119,8 +117,6 @@ SOLVER_KEYS = {
     "max_outer": ("max_outer", int, repr, False),
     "ke": ("ke", float, _fmt, False),
     "solver_kind": ("solver_kind", str, str, False),
-    "normalization": ("normalization", str, str, False),
-    "initial_source": ("initial_source", str, str, False),
     "max_inner": ("max_inner", int, repr, False),
 }
 

@@ -7,7 +7,9 @@ from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
                       absorber_psi, graded_mesh, one_group_material,
                       oracle_fixed_source, power_keff, random_slab, select_rows,
                       source_over_mu, split_geometry)
+from slab_sn import spectral
 from slab_sn.analytic import WIDTH_RTOL
+from slab_sn.spectral import EXP_ARG_MAX, PHI_TAYLOR_CUT
 from slab_sn.recurrence import FirstOrderScan
 from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
                      FluxField, MaterialXS, MeshAlignmentError,
@@ -357,6 +359,79 @@ class TestPureScatterer:
         config = SolverConfig(sn_order=4, fine_mesh_size=20, solver_kind="sweep")
         with pytest.raises(ValidationError, match="scattering ratio 1.000000 >= 1"):
             build_operator(geo, mats, config)
+
+
+class TestSeriesLimit:
+    """Sigma_s = (1 - eps) Sigma_t: as eps falls the smallest |rate| dx / 2
+    crosses PHI_TAYLOR_CUT, and the half-cell integrals switch to their
+    series form inside the solve."""
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-13, 3e-14, 1e-14, 0.0])
+    def test_beam_balances_across_the_cut(self, eps):
+        mats = {"scat": one_group_material("scat", sigma_t=1.0, sigma_s=1.0 - eps)}
+        geo = SlabGeometry(edges=np.array([0.0, 2.0]), materials=("scat",),
+                           bc_left=BoundaryCondition.incoming(np.ones(2)),
+                           bc_right=BoundaryCondition.vacuum())
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 4, 20, 0.0)
+        # 8.7e-8 at eps = 1e-12 down to 9.8e-10 at eps = 0: the series form
+        # runs from eps = 1e-14 on
+        smallest = np.min(np.abs(operator.groups[0].rho)) * mesh.widths[0] / 2.0
+        assert (smallest < PHI_TAYLOR_CUT) == (eps <= 1e-14)
+        flux = operator.flux(solution)
+        psi = evaluate_flux(operator, solution, [0.0, 2.0]).psi
+        assert np.all(np.isfinite(flux.psi)) and np.all(np.isfinite(psi))
+        current = quad.weight * np.abs(quad.mu)
+        inflow = current[2:].sum()
+        outflow = psi[0, :2] @ current[:2] + psi[1, 2:] @ current[2:]
+        absorbed = eps * np.sum(flux.phi[:, 0] * mesh.widths)
+        # measured at most 9.0e-10 (eps = 1e-14)
+        assert abs(outflow + absorbed - inflow) <= 1e-8 * inflow
+
+
+class TestThickCells:
+    def test_anchoring_keeps_every_exponent_nonpositive(self, pincell, monkeypatch):
+        # S64 at M = 4: the core's two 15 cm cells have |Re rate| dx of about
+        # 1243, far above EXP_ARG_MAX, and still never reach the guard
+        config = replace(pincell.config, sn_order=64, fine_mesh_size=4)
+        operator = build_operator(pincell.geometry, pincell.materials, config)
+        thickest = max(np.max(np.abs(g.rho.real)) * np.max(operator.mesh.widths[g.cells])
+                       for g in operator.groups)
+        assert thickest > EXP_ARG_MAX
+        seen = []
+
+        def recording(args):
+            if args.size:
+                seen.append(np.max(args))
+            guard(args)
+
+        guard = spectral._guard
+        monkeypatch.setattr(spectral, "_guard", recording)
+        res = power_iteration(pincell.geometry, pincell.materials, config)
+        assert seen and max(seen) <= 0.0
+        assert res.k_eff == pytest.approx(1.267749321647703, rel=1e-10)
+        assert res.iterations == 2
+        assert np.all(np.isfinite(res.flux.psi))
+
+
+class TestOneCellRegion:
+    """The pincell core split at -14.95 cm: a 0.05 cm core sliver of one
+    source cell beside the rest of the core."""
+
+    @pytest.mark.parametrize("m, sizes", [(700, [100, 600]), (701, [100, 1, 600])])
+    def test_sliver_keeps_the_three_region_k(self, pincell, m, sizes):
+        # at M = 700 the sliver's cell has the core's width and joins its
+        # group; at M = 701 it does not, and is a group of its own
+        geometry = replace(pincell.geometry,
+                           edges=np.array([-17.5, -15.0, -14.95, 15.0, 17.5]),
+                           materials=("reflector", "core", "core", "reflector"))
+        config = replace(pincell.config, sn_order=16, fine_mesh_size=m)
+        operator = build_operator(geometry, pincell.materials, config)
+        assert [g.cells.size for g in operator.groups] == sizes
+        k = power_iteration(geometry, pincell.materials, config).k_eff
+        k3 = power_iteration(pincell.geometry, pincell.materials,
+                             replace(config, fine_mesh_size=700)).k_eff
+        # measured 1.249740335571135 (M = 700) and 1.249740338285186 (M = 701)
+        assert k == pytest.approx(k3, rel=1e-8)
 
 
 def mirror_setup(rng):

@@ -163,6 +163,23 @@ class TestEigen:
             outs.append((out / "flux.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_cell_per_region_runs(self, pincell_file, tmp_path):
+        # the core's only cell is centred at x = 0, where |x| vanishes
+        out = tmp_path / "m3"
+        assert main(["eigen", str(pincell_file), "--mesh", "3", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["k_eff"] == pytest.approx(1.3524434921525474, rel=1e-10)
+        assert summary["iterations"] == 2
+
+    def test_removed_solver_key_exits_2(self, pincell_file, tmp_path, capsys):
+        path = tmp_path / "flat.ini"
+        path.write_text(pincell_file.read_text().replace(
+            "[solver]", "[solver]\ninitial_source = flat"))
+        out = tmp_path / "run"
+        assert main(["eigen", str(path), "--out", str(out)]) == 2
+        assert "[solver] unknown key 'initial_source'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shift_flag(self, pincell_file, tmp_path):
         out = tmp_path / "run"
         rc = main(["eigen", str(pincell_file), "--sn", "2", "--ke", "1.3",

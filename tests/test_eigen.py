@@ -9,6 +9,7 @@ from slab_sn import (BoundaryCondition, FluxField, MaxOuterIterationsError,
                      SlabGeometry, SolverConfig, ValidationError,
                      ZeroFluxError, build_fine_mesh,
                      gauss_legendre, normalize, power_iteration, update_keff)
+from slab_sn.eigen import _initial_production
 
 PCM = 1e-5
 
@@ -160,18 +161,26 @@ class TestPowerIteration:
         ratios = norms[-4:] / norms[-5:-1]
         assert np.all(ratios < 0.9)
 
-    def test_initialization_independence(self, pincell):
-        k_absx = self.run(pincell, initial_source="absx").k_eff
-        k_flat = self.run(pincell, initial_source="flat").k_eff
-        assert abs(k_absx - k_flat) < 1.0 * PCM
+    def test_start_is_absx_on_the_fissile_cells(self, pincell):
+        mesh = build_fine_mesh(pincell.geometry, 700)
+        start = _initial_production(pincell.geometry, pincell.materials, mesh)
+        core = mesh.region_of_cell == 1
+        assert np.array_equal(start, np.where(core, np.abs(mesh.centers), 0.0))
 
-    def test_normalization_off_keeps_k(self, pincell):
-        on = self.run(pincell)
-        off = self.run(pincell, normalization="none")
-        assert on.k_eff == pytest.approx(off.k_eff, abs=1e-12)
-        mesh = build_fine_mesh(pincell.geometry, off.config.fine_mesh_size)
-        total = np.sum(off.flux.phi * mesh.widths[:, None])
-        assert abs(total - 1.0) > 1e-6
+    @pytest.mark.parametrize("solver_kind, k", [("analytic", 1.3524434921525474),
+                                                ("sweep", 0.9937856959177384)])
+    def test_one_cell_core_at_zero_starts_flat(self, pincell, solver_kind, k):
+        # M = 3: one cell per region, so |x| is zero on the only core cell
+        # and the start is one there
+        config = replace(pincell.config, fine_mesh_size=3, solver_kind=solver_kind)
+        mesh = build_fine_mesh(pincell.geometry, 3)
+        start = _initial_production(pincell.geometry, pincell.materials, mesh)
+        assert np.array_equal(start, [0.0, 1.0, 0.0])
+        res = power_iteration(pincell.geometry, pincell.materials, config)
+        assert res.k_eff == pytest.approx(k, rel=1e-10)
+        assert res.iterations == 2
+        assert np.all(np.isfinite(res.flux.psi))
+        assert np.sum(res.flux.phi * mesh.widths[:, None]) == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_below_k_names_the_remedy(self, pincell):
         # k = 1.2476 at S2: a shift at 1.2 turns the fission integral negative

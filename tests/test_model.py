@@ -139,7 +139,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"sn_order": 3}, {"sn_order": 8, "flux_tolerance": 0.0},
         {"sn_order": 8, "ke": -1.0}, {"sn_order": 8, "solver_kind": "magic"},
-        {"sn_order": 8, "fine_mesh_size": 0}, {"sn_order": 8, "normalization": "max"},
+        {"sn_order": 8, "fine_mesh_size": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
@@ -212,8 +212,6 @@ MODEL_ERRORS = {
                            ValidationError, "must be BoundaryCondition values"),
     "zero_iterations": (lambda: SolverConfig(sn_order=2, max_outer=0),
                         ValidationError, "iteration limits must be >= 1"),
-    "initial_source": (lambda: SolverConfig(sn_order=2, initial_source="cosine"),
-                       ValidationError, "unknown initial_source 'cosine'"),
     "group_counts": (lambda: validate_problem(
         _geometry(("a", "b")),
         {"a": one_group_material("a"),

@@ -111,7 +111,6 @@ class TestSolverKeys:
     def test_every_field_off_its_default_round_trips(self, pincell, tmp_path):
         config = SolverConfig(sn_order=6, fine_mesh_size=333, flux_tolerance=2.5e-7,
                               max_outer=77, ke=1.25, solver_kind="sweep",
-                              normalization="none", initial_source="flat",
                               max_inner=1234)
         default = SolverConfig(sn_order=16)
         assert all(getattr(config, f.name) != getattr(default, f.name)
@@ -125,7 +124,6 @@ class TestSolverKeys:
         # incoming ends, a scatter_kernel and every solver field off its default
         config = SolverConfig(sn_order=2, fine_mesh_size=333, flux_tolerance=2.5e-7,
                               max_outer=77, ke=1.25, solver_kind="sweep",
-                              normalization="none", initial_source="flat",
                               max_inner=1234)
         core = pincell.materials["core"]
         kernel = np.arange(16.0).reshape(4, 4) / 7.0
@@ -195,6 +193,11 @@ PROBLEM_IO_ERRORS = {
     # the diamond closure is gone: a file asking for it must not run step
     "removed_sweep_scheme": (("M = 40", "M = 40\nsweep_scheme = diamond"), ParseError,
                              "[solver] unknown key 'sweep_scheme'"),
+    # the start guess and the flux scale come from the slab, not from a knob
+    "removed_initial_source": (("M = 40", "M = 40\ninitial_source = flat"), ParseError,
+                               "[solver] unknown key 'initial_source'"),
+    "removed_normalization": (("M = 40", "M = 40\nnormalization = none"), ParseError,
+                              "[solver] unknown key 'normalization'"),
     "unknown_section": (("[materials.abs]", "[materails.abs]\nsigma_t = 1.0\n\n[materials.abs]"),
                         ParseError, "unknown section [materails.abs]"),
 }
