@@ -58,8 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (PointOutOfDomainError, SingularSystemError,
-                         ValidationError)
+from .exceptions import PointOutOfDomainError, SingularSystemError
 from .mesh import FineMesh, FluxField, SourceField
 from .model import QuadratureSet, SlabGeometry
 from .recurrence import FirstOrderScan
@@ -119,18 +118,19 @@ class _Group:
     """
 
     def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
-                 cells, geometry: SlabGeometry, mesh: FineMesh):
+                 geometry: SlabGeometry, mesh: FineMesh):
         self.regions = np.asarray(regions)
         self.x_left = geometry.edges[self.regions]
         self.length = geometry.edges[self.regions + 1] - self.x_left
-        self.t_edges = [mesh.edges[c.start:c.stop + 1] - x for c, x in zip(cells, self.x_left)]
-        counts = np.array([c.stop - c.start for c in cells])
+        first, stop = mesh.offsets[self.regions], mesh.offsets[self.regions + 1]
+        self.t_edges = [mesh.edges[a:b + 1] - x for a, b, x in zip(first, stop, self.x_left)]
+        counts = stop - first
         offsets = np.concatenate([[0], np.cumsum(counts)])
         # each region's rows run from starts to (exclusive) ends
         self.starts, self.ends = offsets[:-1], offsets[1:]
         # segment[m]: the group's region that row m belongs to
         self.segment = np.repeat(np.arange(counts.size), counts)
-        self.cells = np.concatenate([np.arange(c.start, c.stop) for c in cells])
+        self.cells = np.concatenate([mesh.cells_of_region(r) for r in self.regions])
         # back[m]: the row of cells that scan row m of the backward blocks
         # holds (each region reversed in place, so back is its own inverse)
         self.back = np.concatenate([np.arange(hi - 1, lo - 1, -1)
@@ -245,20 +245,16 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
     """The (group, index there) of every region, and the groups, keyed by
     (material, width row).
 
-    Every region must hold one contiguous run of cells, and then the mesh
-    must fit the geometry (FineMesh.require_fit).  A region whose cell
-    widths spread by at most WIDTH_RTOL of its nominal width L / m joins the
-    first group of its material whose width agrees with that nominal width
-    to WIDTH_RTOL, or starts one; the others (graded meshes) share one group
-    per material with a row per cell.
+    The mesh must fit the geometry (FineMesh.require_fit).  A region whose
+    cell widths spread by at most WIDTH_RTOL of its nominal width L / m
+    joins the first group of its material whose width agrees with that
+    nominal width to WIDTH_RTOL, or starts one; the others (graded meshes)
+    share one group per material with a row per cell.
     """
+    mesh.require_fit(geometry)
     members = {}
     for r in range(geometry.n_regions):
-        cells = mesh.cells_of_region(r)
-        if cells.size == 0 or cells[-1] - cells[0] + 1 != cells.size:
-            raise ValidationError(f"region {r} must hold one contiguous run of source cells")
-        cells = slice(cells[0], cells[-1] + 1)
-        widths = mesh.widths[cells]
+        widths = mesh.widths[slice(*mesh.offsets[r:r + 2])]
         material = geometry.materials[r]
         width = (geometry.edges[r + 1] - geometry.edges[r]) / widths.size
         if np.ptp(widths) > WIDTH_RTOL * width:
@@ -266,14 +262,12 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
         else:
             width = next((w for m, w in members if m == material and w is not None
                           and abs(w - width) <= WIDTH_RTOL * w), width)
-        members.setdefault((material, width), []).append((r, cells))
-    mesh.require_fit(geometry)
+        members.setdefault((material, width), []).append(r)
     groups, regions = [], [None] * geometry.n_regions
-    for (material, width), held in members.items():
-        index, cells = zip(*held)
+    for (material, width), index in members.items():
         for i, r in enumerate(index):
             regions[r] = (len(groups), i)
-        groups.append(_Group(spectra[material], quad, width, index, cells, geometry, mesh))
+        groups.append(_Group(spectra[material], quad, width, index, geometry, mesh))
     return tuple(regions), tuple(groups)
 
 

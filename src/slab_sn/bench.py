@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .eigen import power_iteration
-from .exceptions import TransportError
+from .exceptions import TransportError, ValidationError
 from .model import SolverConfig, validate_problem
 from .problem_io import Problem
 
@@ -50,12 +50,17 @@ class BenchmarkReport:
 
 def default_cells(problem: Problem, orders=(2, 4, 8, 16), solvers=("analytic", "sweep"),
                   kes=(None,)) -> list:
-    """The problem's SolverConfig at each (solver kind, S_N order, shift),
-    each checked against the problem before anything runs."""
+    """One or more uniquely named cells: the problem's SolverConfig at each
+    (solver kind, S_N order, shift), each checked before anything runs."""
     cells = [replace(problem.config, solver_kind=s, sn_order=n, ke=ke)
              for s in solvers for n in orders for ke in kes]
-    for config in cells:
+    if not cells:
+        raise ValidationError("the benchmark matrix is empty")
+    names = [cell_name(config) for config in cells]
+    for i, config in enumerate(cells):
         validate_problem(problem.geometry, problem.materials, config)
+        if names[i] in names[:i]:
+            raise ValidationError(f"benchmark cell {names[i]} appears twice")
     return cells
 
 
@@ -108,19 +113,16 @@ def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
         except TransportError as exc:
             failed.append({"name": cell_name(config), "error": f"{type(exc).__name__}: {exc}"})
 
-    names = [c["name"] for c in results]
-    base = baseline if baseline in names and len(results) > 1 else None
+    base = {c["name"]: c for c in results}.get(baseline) if len(results) > 1 else None
     if base is not None:
-        base_total = next(c["total_seconds"] for c in results if c["name"] == base)
-        base_per_iter = next(c["seconds_per_iteration"] for c in results if c["name"] == base)
         for c in results:
-            c["time_ratio_vs_baseline"] = c["total_seconds"] / base_total
-            c["time_in_baseline_iteration_units"] = c["total_seconds"] / base_per_iter
+            c["time_ratio_vs_baseline"] = c["total_seconds"] / base["total_seconds"]
+            c["time_in_baseline_iteration_units"] = c["total_seconds"] / base["seconds_per_iteration"]
     return BenchmarkReport(
         problem_name=problem_name,
         tolerance=problem.config.flux_tolerance,
         mesh_size=problem.config.fine_mesh_size,
-        baseline=base,
+        baseline=None if base is None else baseline,
         cells=results,
         failed=failed,
     )

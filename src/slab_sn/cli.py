@@ -77,6 +77,9 @@ def _build_parser():
 
 
 def _load(args):
+    out = Path(args.out)
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise ParseError(f"--out {out}: a file stands where a directory must be")
     problem = load_problem(args.input)
     # compared against None, so that a zero override reaches validation
     over = {f.name: getattr(args, f.name) for f in fields(SolverConfig)
@@ -162,7 +165,7 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    problem = load_problem(args.input)
+    problem = _load(args)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]

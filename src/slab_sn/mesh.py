@@ -16,8 +16,8 @@ ALIGN_RTOL = 1e-9
 class FineMesh:
     """Fine mesh carrying the piecewise-constant source representation.
 
-    Cell m lies inside region region_of_cell[m]; require_fit checks this
-    against a geometry, so every region interface is a mesh edge.
+    Region r is the run of cells offsets[r] .. offsets[r + 1] - 1 (a
+    non-decreasing region_of_cell); require_fit checks the runs on a geometry.
     """
 
     edges: np.ndarray
@@ -30,8 +30,13 @@ class FineMesh:
         object.__setattr__(self, "region_of_cell", roc)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValidationError("mesh edges must be strictly increasing")
-        if roc.size != edges.size - 1:
+        if roc.shape != (edges.size - 1,):
             raise ValidationError("region_of_cell must have one entry per cell")
+        if roc[0] < 0 or np.any(np.diff(roc) < 0):
+            raise ValidationError("region_of_cell must be >= 0 and non-decreasing: each "
+                                  "region one contiguous run of cells")
+        object.__setattr__(self, "offsets", _readonly(
+            np.searchsorted(roc, np.arange(roc[-1] + 2)), dtype=int))
 
     @property
     def n_cells(self) -> int:
@@ -46,23 +51,21 @@ class FineMesh:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def cells_of_region(self, r: int) -> np.ndarray:
-        return np.nonzero(self.region_of_cell == r)[0]
+        return np.arange(self.offsets[r], self.offsets[r + 1])
 
     def require_fit(self, geometry: SlabGeometry) -> None:
-        """Raise MeshAlignmentError unless every cell names a region of
-        geometry and lies inside it, and the mesh covers the slab, all to
-        ALIGN_RTOL of the slab width."""
-        roc, x = self.region_of_cell, geometry.edges
-        if roc.min() < 0 or roc.max() >= geometry.n_regions:
-            raise MeshAlignmentError(f"cells must name regions 0 .. {geometry.n_regions - 1}")
+        """Raise MeshAlignmentError unless the mesh covers the slab, every
+        region of geometry holds at least one cell, and each region's end
+        edges are its interfaces, all to ALIGN_RTOL of the slab width."""
+        x, offsets = geometry.edges, self.offsets
         tol = ALIGN_RTOL * (x[-1] - x[0])
         if abs(self.edges[0] - x[0]) > tol or abs(self.edges[-1] - x[-1]) > tol:
             raise MeshAlignmentError("mesh must cover the slab exactly")
-        outside = (self.edges[:-1] < x[roc] - tol) | (self.edges[1:] > x[roc + 1] + tol)
-        if outside.any():
-            m = np.argmax(outside)
-            raise MeshAlignmentError(f"cell {m} is not inside its region {roc[m]}: "
-                                     "every region interface must be a mesh edge")
+        if offsets.size != x.size or np.any(np.diff(offsets) == 0):
+            raise MeshAlignmentError(f"each of the {geometry.n_regions} regions needs a cell, "
+                                     f"got cells per region {np.diff(offsets).tolist()}")
+        if np.any(np.abs(self.edges[offsets] - x) > tol):
+            raise MeshAlignmentError("every region interface must be a mesh edge")
 
 
 def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
@@ -85,14 +88,10 @@ def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
     order = np.argsort(-(quota - counts))
     for i in range(n_cells - counts.sum()):
         counts[order[i % r]] += 1
-    edges = [geometry.edges[0]]
-    region_of_cell = []
-    for i in range(r):
-        sub = np.linspace(geometry.edges[i], geometry.edges[i + 1], counts[i] + 1)
-        edges.extend(sub[1:])
-        region_of_cell.extend([i] * counts[i])
-    edges[-1] = geometry.edges[-1]
-    return FineMesh(edges=np.array(edges), region_of_cell=np.array(region_of_cell))
+    x = geometry.edges
+    edges = np.concatenate([x[:1], *(np.linspace(x[i], x[i + 1], counts[i] + 1)[1:]
+                                      for i in range(r))])
+    return FineMesh(edges=edges, region_of_cell=np.repeat(np.arange(r), counts))
 
 
 def mesh_from_edges(edges, geometry: SlabGeometry) -> FineMesh:

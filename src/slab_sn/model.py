@@ -159,7 +159,7 @@ class BoundaryCondition:
 
     def __post_init__(self):
         if self.kind not in BC_KINDS:
-            raise ValidationError(f"unknown boundary condition {self.kind!r}")
+            raise ValidationError(f"unknown boundary condition {self.kind!r}; expected {' | '.join(BC_KINDS)}")
         if self.kind == "incoming":
             if self.values is None:
                 raise ValidationError("incoming boundary condition needs a value vector")

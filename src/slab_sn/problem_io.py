@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ParseError
+from .exceptions import ParseError, ValidationError
 from .model import (BoundaryCondition, MaterialXS, SlabGeometry, SolverConfig,
                     validate_problem)
 
@@ -76,18 +76,8 @@ def _fmt_table(table) -> str:
 
 
 def _boundary(text: str) -> BoundaryCondition:
-    kind, *values = text.split() or [None]
-    if kind is None:
-        raise ValueError("empty boundary condition")
-    if kind in ("vacuum", "reflective"):
-        if values:
-            raise ValueError(f"{kind} takes no values")
-        return BoundaryCondition(kind)
-    if kind == "incoming":
-        if not values:
-            raise ValueError("incoming needs N*G/2 flux values")
-        return BoundaryCondition.incoming(_floats(" ".join(values)))
-    raise ValueError(f"unknown boundary condition {kind!r}")
+    kind, *values = text.split(None, 1) or [""]
+    return BoundaryCondition(kind, _floats(values[0]) if values else None)
 
 
 def _fmt_boundary(bc: BoundaryCondition) -> str:
@@ -95,8 +85,8 @@ def _fmt_boundary(bc: BoundaryCondition) -> str:
 
 
 # each section's keys, in the order save_problem writes them: key ->
-# (dataclass field, parser of the text (a ValueError names the key), writer
-# of the value, required)
+# (dataclass field, parser of the text (a ValueError or ValidationError
+# names the key), writer of the value, required)
 GEOMETRY_KEYS = {
     "edges": ("edges", _floats, _fmt, True),
     "materials": ("materials", str.split, " ".join, True),
@@ -134,7 +124,7 @@ def _read(cp, section: str, keys: dict) -> dict:
             continue
         try:
             values[field] = parse(cp.get(section, key))
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ParseError(f"[{section}] {key}: {exc}") from None
     return values
 

@@ -519,24 +519,33 @@ class TestErrors:
             source_iteration(sweep, wrong_groups, 1e-8)
 
     def test_operator_rejects_interleaved_regions(self, quad2):
-        mats = {"a": one_group_material("a", sigma_t=1.0)}
-        geo = SlabGeometry(edges=np.array([0.0, 1.0, 2.0]), materials=("a", "a"))
-        mesh = FineMesh(edges=np.linspace(0.0, 2.0, 5), region_of_cell=[0, 1, 0, 1])
+        # FineMesh owns the region-map rule, so no operator sees this mesh
         with pytest.raises(ValidationError, match="contiguous"):
-            FixedSourceOperator(geo, spectra_for(geo, mats, quad2), mesh, quad2)
+            FineMesh(edges=np.linspace(0.0, 2.0, 5), region_of_cell=[0, 1, 0, 1])
 
-    # hand-built meshes that do not fit the 1-region slab [0, 4]: a cell
-    # that names no region, and two that reach past the slab's ends
+    # hand-built meshes that do not fit their slab, each refused by both
+    # operators with one typed error: on [0, 4] a cell that names no region,
+    # two that reach past the slab's ends and one short of its right end;
+    # on two regions [0, 1, 2] an interleaved region map and a region that
+    # ends off its interface; on [0, 1, 1 + 1e-10, 2] a middle region, thinner
+    # than the fit tolerance, that holds no cell
     @pytest.mark.parametrize("kind", ["analytic", "sweep"])
-    @pytest.mark.parametrize("edges, region_of_cell", [([0.0, 1.0, 2.0], [0, 1]),
-                                                       ([0.0, 2.0, 4.0, 6.0], [0, 0, 0]),
-                                                       ([-3.0, 1.0, 2.0], [0, 0])],
-                             ids=["no_region", "past_right", "past_left"])
-    def test_operators_reject_mesh_that_does_not_fit(self, quad2, kind, edges, region_of_cell):
+    @pytest.mark.parametrize("slab, edges, region_of_cell, error", [
+        ([0.0, 4.0], [0.0, 1.0, 2.0], [0, 1], MeshAlignmentError),
+        ([0.0, 4.0], [0.0, 2.0, 4.0, 6.0], [0, 0, 0], MeshAlignmentError),
+        ([0.0, 4.0], [-3.0, 1.0, 2.0], [0, 0], MeshAlignmentError),
+        ([0.0, 4.0], [0.0, 1.0, 3.0], [0, 0], MeshAlignmentError),
+        ([0.0, 1.0, 2.0], np.linspace(0.0, 2.0, 5), [0, 1, 0, 1], ValidationError),
+        ([0.0, 1.0, 2.0], [0.0, 0.6, 1.2, 2.0], [0, 0, 1], MeshAlignmentError),
+        ([0.0, 1.0, 1.0 + 1e-10, 2.0], [0.0, 1.0, 2.0], [0, 2], MeshAlignmentError),
+    ], ids=["no_region", "past_right", "past_left", "short_right", "interleaved",
+            "interface_off_edge", "empty_region"])
+    def test_operators_reject_mesh_that_does_not_fit(self, quad2, kind, slab, edges,
+                                                     region_of_cell, error):
         mats = {"a": one_group_material("a", sigma_t=1.0, sigma_s=0.5)}
-        geo = SlabGeometry(edges=np.array([0.0, 4.0]), materials=("a",))
-        mesh = FineMesh(edges=edges, region_of_cell=region_of_cell)
-        with pytest.raises(MeshAlignmentError):
+        geo = SlabGeometry(edges=np.array(slab), materials=("a",) * (len(slab) - 1))
+        with pytest.raises(error):
+            mesh = FineMesh(edges=edges, region_of_cell=region_of_cell)
             if kind == "analytic":
                 FixedSourceOperator(geo, spectra_for(geo, mats, quad2), mesh, quad2)
             else:

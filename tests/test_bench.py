@@ -27,6 +27,8 @@ class TestCells:
         ({"orders": (3,)}, "sn_order must be even"),
         ({"orders": (2.0,)}, "sn_order must be an integer"),
         ({"kes": (float("inf"),)}, "ke must be finite"),
+        ({"orders": ()}, "the benchmark matrix is empty"),
+        ({"kes": (1.3, 1.30)}, "benchmark cell analytic_S2_ke1.3 appears twice"),
     ])
     def test_bad_cell_values_raise_before_any_run(self, pincell, over, match):
         with pytest.raises(ValidationError, match=match):

@@ -9,7 +9,7 @@ import pytest
 from jsonschema import validate
 
 from _helpers import absorber_psi, write_flux_csv_per_value
-from slab_sn import FluxField, gauss_legendre
+from slab_sn import FluxField, cli, gauss_legendre
 from slab_sn.cli import main
 from slab_sn.outputs import load_schema, write_flux_csv
 
@@ -308,6 +308,22 @@ class TestOverrides:
         assert "not allowed with" in capsys.readouterr().err
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["fixed", "eigen", "bench"])
+    @pytest.mark.parametrize("out", ["taken", "taken/run"])
+    def test_existing_file_is_input_error_before_any_solve(self, command, out, pincell_file,
+                                                           tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --out was checked")
+
+        for name in ("build_operator", "power_iteration", "run_benchmark"):
+            monkeypatch.setattr(cli, name, no_solve)
+        (tmp_path / "taken").write_text("keep")
+        assert main([command, str(pincell_file), "--out", str(tmp_path / out)]) == 2
+        assert "a file stands where a directory must be" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "keep"
+
+
 class TestFluxCsv:
     @pytest.mark.parametrize("n, g", [(2, 1), (16, 2)])
     def test_bytes_match_per_value_writer(self, tmp_path, n, g):
@@ -367,6 +383,12 @@ class TestBench:
     @pytest.mark.parametrize("flags, error", [
         (["--solvers", "foo", "--orders", "2"], "unknown solver_kind 'foo'"),
         (["--orders", "3"], "sn_order must be even and in [2, 64], got 3"),
+        # an empty matrix, or one whose cells share a name, has nothing to
+        # report or reports one cell under another's name
+        (["--orders", ""], "the benchmark matrix is empty"),
+        (["--solvers", ","], "the benchmark matrix is empty"),
+        (["--orders", "2,2"], "benchmark cell analytic_S2 appears twice"),
+        (["--kes", "1.3,1.30"], "benchmark cell analytic_S2_ke1.3 appears twice"),
     ])
     def test_bad_cell_value_is_input_error(self, pincell_file, tmp_path, capsys,
                                            flags, error):

@@ -176,9 +176,10 @@ PROBLEM_IO_ERRORS = {
     "missing_key": (("sigma_t = 1.0\n", ""), ParseError,
                     "[materials.abs] missing required key 'sigma_t'"),
     "empty_boundary": (("bc_left = vacuum", "bc_left ="), ParseError,
-                       "[geometry] bc_left: empty boundary condition"),
+                       "[geometry] bc_left: unknown boundary condition ''; "
+                       "expected vacuum | incoming | reflective"),
     "vacuum_values": (("bc_left = vacuum", "bc_left = vacuum 1.0"), ParseError,
-                      "[geometry] bc_left: vacuum takes no values"),
+                      "[geometry] bc_left: vacuum boundary condition takes no values"),
     "undecodable": (b"[geometry]\nedges = 0.0 4.0 \xff\xfe\n", ParseError, "codec"),
     "no_materials": (("[materials.abs]", "[notes]"), ParseError,
                      "no [materials.<name>] sections"),

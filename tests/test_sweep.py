@@ -241,6 +241,53 @@ class TestSourceIteration:
         assert np.allclose(flux_h, flux_f[32:], atol=1e-8 * flux_f.max())
 
 
+class TestNearCritical:
+    """A scattering ratio 1 - eps, from scattering alone or with fission
+    folded in under a shift (sigma_s = nu sigma_f = 0.5, k_e = 0.5 / (0.5 - eps)):
+    one group, sigma_t = 1, a unit source in a 2 cm slab, S4, M = 20."""
+
+    @staticmethod
+    def solve(quad, eps, ends, folded):
+        """(phi, flux, sweeps, absorption rate over the slab)."""
+        if folded:
+            mat = one_group_material("m", sigma_t=1.0, sigma_s=0.5, nu_sigma_f=0.5)
+            ke = 0.5 / (0.5 - eps)
+        else:
+            mat, ke = one_group_material("m", sigma_t=1.0, sigma_s=1.0 - eps), None
+        bc = BoundaryCondition(ends)
+        geo = SlabGeometry(edges=np.array([0.0, 2.0]), materials=("m",),
+                           bc_left=bc, bc_right=bc)
+        mesh = build_fine_mesh(geo, 20)
+        operator = SweepOperator(geo, {"m": mat}, mesh, quad, ke)
+        phi, psi, sweeps = source_iteration(operator, constant(mesh, 1.0), 1e-8)
+        assert np.all(np.isfinite(phi))
+        return phi, operator.flux(psi), sweeps, eps * phi[:, 0] @ mesh.widths
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["scattering", "folded"])
+    def test_vacuum_ends_balance(self, quad4, folded):
+        phi, flux, sweeps, absorbed = self.solve(quad4, 1e-6, "vacuum", folded)
+        # the step closure's outgoing face flux is the end cell's average
+        current = np.abs(quad4.mu) * quad4.weight
+        leakage = flux.psi[0, :2] @ current[:2] + flux.psi[-1, 2:] @ current[2:]
+        assert sweeps == 78
+        # measured 1.9e-9 of the source
+        assert abs(absorbed + leakage - 2.0) < 1e-8 * 2.0
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["scattering", "folded"])
+    def test_reflective_ends_reach_the_infinite_medium(self, quad4, folded):
+        phi, _, sweeps, absorbed = self.solve(quad4, 1e-2, "reflective", folded)
+        assert sweeps == 2473
+        # phi = 1 / eps and absorption = source, each measured to 2.8e-9
+        assert np.allclose(phi, 100.0, rtol=1e-8, atol=0.0)
+        assert abs(absorbed - 2.0) < 1e-8 * 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("folded", [False, True], ids=["scattering", "folded"])
+    def test_closer_to_one_runs_out_of_sweeps(self, quad4, folded):
+        with pytest.raises(MaxInnerIterationsError, match="scattering ratio too close to 1"):
+            self.solve(quad4, 1e-3, "reflective", folded)
+
+
 class TestCrossSolver:
     def test_matches_analytic_on_refined_mesh(self, pincell):
         # the first eigenvalue iteration's source, solved both ways; source
