@@ -32,7 +32,8 @@ group holds, for its cells concatenated in slab order, the anchored block
 rates, the homogeneous factors at the cell centres (cells, blocks), the
 width-only factors (the half-cell step, its source integral and the
 recurrence's source multiplier) and the projection and expansion matrices;
-the operator adds the factored global system, checked once for singularity.
+the operator adds the factored global system, built from each group's edge
+blocks in one product per side and checked once for singularity.
 A source is a SourceField on the operator's mesh, an isotropic emission
 S (cells, G) with S/2 on every ordinate, so applying the operator costs,
 per group and not per region: one (G, blocks) projection, one
@@ -40,7 +41,8 @@ FirstOrderScan for J in which each region is a segment, the particular
 edge values read at the segment ends, and one (blocks, G) expansion of the
 scalar flux at the cell centres.  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
-with the factor (one forward pass and one block back-substitution).
+with the factor: one forward pass and one block back-substitution, two
+numpy calls a region column on views made once.
 FixedSourceOperator.flux gives Psi and phi at the cell centres from the
 same stored factors; evaluate_flux gives them at any points.
 
@@ -111,7 +113,7 @@ class _Group:
 
     The regions' cells are concatenated in slab order; each region is one
     segment of the group's FirstOrderScan and keeps its left edge x_left,
-    its length and its mesh edges t_edges at t = x - x_left.  The forward
+    its length and its first mesh cell, first.  The forward
     blocks run in cell order and the backward blocks in each region's
     reversed cell order, so both restart at the same rows and a region's
     rows hold the layout a region of its own would have.
@@ -122,19 +124,19 @@ class _Group:
         self.regions = np.asarray(regions)
         self.x_left = geometry.edges[self.regions]
         self.length = geometry.edges[self.regions + 1] - self.x_left
-        first, stop = mesh.offsets[self.regions], mesh.offsets[self.regions + 1]
-        self.t_edges = [mesh.edges[a:b + 1] - x for a, b, x in zip(first, stop, self.x_left)]
-        counts = stop - first
+        # region i's cells are mesh cells first[i] .. and its rows run from
+        # starts[i] to (exclusive) ends[i]
+        self.mesh_edges, self.first = mesh.edges, mesh.offsets[self.regions]
+        counts = mesh.offsets[self.regions + 1] - self.first
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        # each region's rows run from starts to (exclusive) ends
         self.starts, self.ends = offsets[:-1], offsets[1:]
         # segment[m]: the group's region that row m belongs to
         self.segment = np.repeat(np.arange(counts.size), counts)
-        self.cells = np.concatenate([mesh.cells_of_region(r) for r in self.regions])
+        rows = np.arange(offsets[-1])
+        self.cells = (self.first - self.starts)[self.segment] + rows
         # back[m]: the row of cells that scan row m of the backward blocks
         # holds (each region reversed in place, so back is its own inverse)
-        self.back = np.concatenate([np.arange(hi - 1, lo - 1, -1)
-                                    for lo, hi in zip(offsets[:-1], offsets[1:])])
+        self.back = (self.starts + self.ends - 1)[self.segment] - rows
         order = np.argsort(spec.rates.real > 0.0, kind="stable")
         rate = spec.rates.conj()[order]
         self.forward = rate.real <= 0.0
@@ -166,7 +168,7 @@ class _Group:
         self.half = exp_block(self.rho, upwind)
         self.phi_half = phi_block(self.rho, upwind)
         self.source_coef = (1.0 + self.half) * self.phi_half
-        for arr in (self.regions, self.x_left, self.length, self.starts, self.ends,
+        for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
                     self.segment, self.cells, self.back, self.forward, self.rho, self.enc,
                     self.expand, self.expand_phi, self.project, self.hom, self.half,
                     self.phi_half, self.source_coef):
@@ -195,12 +197,12 @@ class _Group:
         j[self.starts] = 0.0
         return _Particular(theta, j[:-1], ends)
 
-    def pg(self, i: int, side: str) -> np.ndarray:
-        """P @ Gtilde at the left or right edge of the group's region i, in
-        the real block basis."""
+    def edge_blocks(self, side: str) -> np.ndarray:
+        """P @ Gtilde at the left or right edge of each of the group's
+        regions, (regions, N G, N G) in the real block basis."""
         far = ~self.forward if side == "left" else self.forward
-        scale = exp_block(self.rho, np.where(far, self.length[i], 0.0))
-        return ((self.expand.T * scale[None, :]) @ self.enc).real
+        scale = exp_block(self.rho, np.where(far, self.length[:, None], 0.0))
+        return ((self.expand.T * scale[:, None, :]) @ self.enc).real
 
     def centres_into(self, alphas: np.ndarray, part: _Particular, expand: np.ndarray,
                      out: np.ndarray):
@@ -226,8 +228,9 @@ class _Group:
                t: np.ndarray) -> np.ndarray:
         """Psi (points, N G) at local coordinates t, each in [0, L], of the
         group's region i."""
-        t_edges, rows = self.t_edges[i], slice(self.starts[i], self.ends[i])
-        m = t_edges.size - 1
+        rows = slice(self.starts[i], self.ends[i])
+        m = rows.stop - rows.start
+        t_edges = self.mesh_edges[self.first[i]:self.first[i] + m + 1] - self.x_left[i]
         cell = np.clip(np.searchsorted(t_edges[1:], t, side="left"), 0, m - 1)
         row = np.where(self.forward, cell[:, None], m - 1 - cell[:, None])
         anchor = np.where(self.forward, t[:, None], (self.length[i] - t)[:, None])
@@ -252,12 +255,13 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
     share one group per material with a row per cell.
     """
     mesh.require_fit(geometry)
+    widths, first = mesh.widths, mesh.offsets[:-1]
+    nominal = np.diff(geometry.edges) / np.diff(mesh.offsets)
+    uneven = np.maximum.reduceat(widths, first) - np.minimum.reduceat(widths, first) \
+        > WIDTH_RTOL * nominal
     members = {}
-    for r in range(geometry.n_regions):
-        widths = mesh.widths[slice(*mesh.offsets[r:r + 2])]
-        material = geometry.materials[r]
-        width = (geometry.edges[r + 1] - geometry.edges[r]) / widths.size
-        if np.ptp(widths) > WIDTH_RTOL * width:
+    for r, (material, width) in enumerate(zip(geometry.materials, nominal.tolist())):
+        if uneven[r]:
             width = None
         else:
             width = next((w for m, w in members if m == material and w is not None
@@ -312,11 +316,12 @@ class InterfaceFactor:
     """Orthogonal block elimination of the boundary/continuity system.
 
     Built from the left boundary rows (h, n) on alpha_0, the R-1 interface
-    pairs (rows on alpha_k, rows on alpha_k+1), each (n, n), and the right
-    boundary rows (h, n) on alpha_R-1, with h = n / 2.  Column k's panel is
-    the h rows carried from column k-1 (the left boundary for k = 0) over
-    interface k; its complete QR leaves n pivot rows
-    R_k alpha_k + C_k alpha_k+1 and h rows carried to column k+1.  The last
+    pairs stacked as on_k (R-1, n, n), rows on alpha_k, and on_next
+    (R-1, n, n), rows on alpha_k+1, and the right boundary rows (h, n) on
+    alpha_R-1, with h = n / 2.  Column k's panel is the h rows carried from
+    column k-1 (the left boundary for k = 0) over interface k; its complete
+    QR leaves n pivot rows R_k alpha_k + C_k alpha_k+1 and h rows carried to
+    column k+1, both from one product Q_k^T[:, h:] on_next[k].  The last
     panel, carried rows over the right boundary, is square.  Per column the
     factor keeps
 
@@ -325,36 +330,64 @@ class InterfaceFactor:
 
     and last = R^-1 Q^T of the final panel, so a solve is one forward pass
     through the steps and one block back-substitution
-    alpha_k = y_k - coupling[k] alpha_k+1.  rcond is the Hager/Higham
-    estimate of the reciprocal 1-norm condition number of M; below
-    SOLVE_RCOND_MIN the build raises SingularSystemError.
+    alpha_k = y_k - coupling[k] alpha_k+1.  Both passes, and those of
+    solve_transposed, run on buffers and per-column views made at build,
+    two numpy calls a column, so a solve allocates only its result (and a
+    factor serves one caller at a time).  Each product takes the operands
+    of the plain loop, so BLAS runs the same gemv: np.dot where the matrix
+    is contiguous (C or F order), at less call overhead than np.matmul,
+    and np.matmul for the forward pass's strided column block, which
+    np.dot would copy.  rcond is the Hager/Higham estimate of the
+    reciprocal 1-norm condition number of M; below SOLVE_RCOND_MIN the
+    build raises SingularSystemError.
     """
 
-    def __init__(self, left: np.ndarray, interfaces, right: np.ndarray):
+    def __init__(self, left: np.ndarray, on_k: np.ndarray, on_next: np.ndarray,
+                 right: np.ndarray):
         h, n = left.shape
-        self.n_regions = len(interfaces) + 1
-        self.step = np.empty((self.n_regions - 1, h + n, h + n))
-        self.coupling = np.empty((self.n_regions - 1, n, n))
-        column_sums = np.zeros((self.n_regions, n))
+        m = self.n_regions = on_k.shape[0] + 1
+        self.step = np.empty((m - 1, h + n, h + n))
+        self.coupling = np.empty((m - 1, n, n))
+        column_sums = np.zeros((m, n))
+        column_sums[:-1] += np.abs(on_k).sum(axis=1)
+        column_sums[1:] += np.abs(on_next).sum(axis=1)
         column_sums[0] += np.abs(left).sum(axis=0)
         column_sums[-1] += np.abs(right).sum(axis=0)
-        carried = left
-        for k, (on_k, on_next) in enumerate(interfaces):
-            column_sums[k] += np.abs(on_k).sum(axis=0)
-            column_sums[k + 1] += np.abs(on_next).sum(axis=0)
-            q, r = np.linalg.qr(np.vstack([carried, on_k]), mode="complete")
+        # the rows carried from the previous column over the next interface
+        panel = np.empty((h + n, n))
+        panel[:h] = left
+        for k in range(m - 1):
+            panel[h:] = on_k[k]
+            q, r = np.linalg.qr(panel, mode="complete")
             r_inv = _inverse(r[:n])
-            c = q[h:].T @ on_next
-            self.step[k, :n] = r_inv @ q[:, :n].T
+            c = q[h:].T @ on_next[k]
+            np.matmul(r_inv, q[:, :n].T, out=self.step[k, :n])
             self.step[k, n:] = q[:, n:].T
-            self.coupling[k] = r_inv @ c[:n]
-            carried = c[n:]
-        q, r = np.linalg.qr(np.vstack([carried, right]))
+            np.matmul(r_inv, c[:n], out=self.coupling[k])
+            panel[:h] = c[n:]
+        panel[h:n] = right
+        q, r = np.linalg.qr(panel[:n])
         self.last = _inverse(r) @ q.T
         for arr in (self.step, self.coupling, self.last):
             arr.setflags(write=False)
+        # solve: y[k n:k n + h] holds the rows carried into column k, which
+        # its sum replaces by alpha_k and the rows carried on.  Transposed:
+        # w[k] holds b's row k, then the rows carried into step k, whose
+        # product lands at x[k n:k n + h + n]; its carried part is copied
+        # beside w[k - 1] (column 0's into the spare end of w's last row)
+        y, w, x = np.empty(m * n), np.empty((m, n + h)), np.empty(m * n)
+        self._y, self._w, self._x, self._tmp = y, w, x, np.empty(h + n)
+        self._pre = np.empty((m - 1, h + n))
+        self._forward = [(self.step[k, :, :h], y[k * n:k * n + h], self._pre[k],
+                          y[k * n:k * n + h + n]) for k in range(m - 1)]
+        rows = y.reshape(m, n)
+        self._back = [(self.coupling[k], rows[k + 1], rows[k]) for k in range(m - 2, -1, -1)]
+        self._back_t = [(self.coupling[k - 1].T, w[k - 1, :n], w[k, :n]) for k in range(1, m)]
+        self._steps_t = [(self.last.T, w[m - 1, :n], x[-n:], x[-n:-h], w[m - 2, n:])] + [
+            (self.step[k].T, w[k], x[k * n:k * n + h + n], x[k * n:k * n + h], w[k - 1, n:])
+            for k in range(m - 2, -1, -1)]
         self.rcond = _rcond_estimate(column_sums.max(), self.solve,
-                                     self.solve_transposed, self.n_regions * n)
+                                     self.solve_transposed, m * n)
         if not self.rcond >= SOLVE_RCOND_MIN:
             raise _singular(self.rcond)
 
@@ -362,37 +395,31 @@ class InterfaceFactor:
         """alpha (R, n) with M alpha = rhs, rhs in row order."""
         n = self.last.shape[0]
         h = n // 2
+        y, tmp = self._y, self._tmp
         # the interface rows' share of every step, all columns at once
-        pre = (self.step[:, :, h:] @ rhs[h:-h].reshape(-1, n, 1))[:, :, 0]
-        y = np.empty((self.n_regions, n))
-        carried = rhs[:h]
-        for k in range(self.n_regions - 1):
-            t = self.step[k, :, :h] @ carried + pre[k]
-            y[k] = t[:n]
-            carried = t[n:]
-        y[-1] = self.last @ np.concatenate([carried, rhs[-h:]])
-        for k in range(self.n_regions - 2, -1, -1):
-            y[k] -= self.coupling[k] @ y[k + 1]
-        return y
+        np.matmul(self.step[:, :, h:], rhs[h:-h].reshape(-1, n, 1), self._pre[:, :, None])
+        y[:h] = rhs[:h]
+        for matrix, previous, pre, row in self._forward:
+            np.add(np.matmul(matrix, previous, tmp), pre, row)
+        y[-h:] = rhs[-h:]
+        tmp = tmp[:n]
+        y[-n:] = np.dot(self.last, y[-n:], tmp)
+        for matrix, previous, row in self._back:
+            np.subtract(row, np.dot(matrix, previous, tmp), row)
+        return y.reshape(self.n_regions, n).copy()
 
     def solve_transposed(self, b: np.ndarray) -> np.ndarray:
         """x in row order with M^T x = b, b (R n) in alpha order: the
         transposes of solve's steps in reverse order."""
         n = self.last.shape[0]
-        h = n // 2
-        w = b.reshape(self.n_regions, n).copy()
-        for k in range(1, self.n_regions):
-            w[k] -= self.coupling[k - 1].T @ w[k - 1]
-        x = np.empty(b.size)
-        t = self.last.T @ w[-1]
-        x[-h:] = t[h:]
-        carried = t[:h]
-        for k in range(self.n_regions - 2, -1, -1):
-            t = self.step[k].T @ np.concatenate([w[k], carried])
-            x[h + k * n:h + (k + 1) * n] = t[h:]
-            carried = t[:h]
-        x[:h] = carried
-        return x
+        self._w[:, :n] = b.reshape(self.n_regions, n)
+        tmp = self._tmp[:n]
+        for matrix, previous, row in self._back_t:
+            np.subtract(row, np.dot(matrix, previous, tmp), row)
+        for matrix, vector, out, carried, beside in self._steps_t:
+            np.dot(matrix, vector, out)
+            np.copyto(beside, carried)
+        return self._x.copy()
 
 
 def _incoming(bc):
@@ -423,15 +450,15 @@ class FixedSourceOperator:
         self.ng = self.groups[0].enc.shape[1]
         self.n_groups = self.ng // quad.n
 
-        def pg(r, side):
-            group, i = self.regions[r]
-            return self.groups[group].pg(i, side)
-
-        last = geometry.n_regions - 1
+        # P @ Gtilde at every region's left and right edge
+        left = np.empty((geometry.n_regions, self.ng, self.ng))
+        right = np.empty_like(left)
+        for group in self.groups:
+            left[group.regions] = group.edge_blocks("left")
+            right[group.regions] = group.edge_blocks("right")
         self.factor = InterfaceFactor(
-            _bc_combination(geometry.bc_left, quad, "left", pg(0, "left")),
-            [(pg(r, "right"), -pg(r + 1, "left")) for r in range(last)],
-            _bc_combination(geometry.bc_right, quad, "right", pg(last, "right")))
+            _bc_combination(geometry.bc_left, quad, "left", left[0]), right[:-1], -left[1:],
+            _bc_combination(geometry.bc_right, quad, "right", right[-1]))
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):

@@ -50,18 +50,10 @@ class BenchmarkReport:
 
 def default_cells(problem: Problem, orders=(2, 4, 8, 16), solvers=("analytic", "sweep"),
                   kes=(None,)) -> list:
-    """One or more uniquely named cells: the problem's SolverConfig at each
-    (solver kind, S_N order, shift), each checked before anything runs."""
-    cells = [replace(problem.config, solver_kind=s, sn_order=n, ke=ke)
-             for s in solvers for n in orders for ke in kes]
-    if not cells:
-        raise ValidationError("the benchmark matrix is empty")
-    names = [cell_name(config) for config in cells]
-    for i, config in enumerate(cells):
-        validate_problem(problem.geometry, problem.materials, config)
-        if names[i] in names[:i]:
-            raise ValidationError(f"benchmark cell {names[i]} appears twice")
-    return cells
+    """The problem's SolverConfig at each (solver kind, S_N order, shift);
+    run_benchmark checks them."""
+    return [replace(problem.config, solver_kind=s, sn_order=n, ke=ke)
+            for s in solvers for n in orders for ke in kes]
 
 
 def cell_name(config: SolverConfig) -> str:
@@ -98,7 +90,9 @@ def _run_cell(problem: Problem, config: SolverConfig) -> dict:
 
 def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
                   problem_name: str = "problem") -> BenchmarkReport:
-    """Run every cell; failures are recorded, not raised.
+    """Run every cell; failures are recorded, not raised.  Before any cell
+    runs, an empty matrix, a cell that does not fit the problem or two cells
+    of one name raise ValidationError.
 
     Time ratios are total cell wall time over baseline wall time, so values
     above one mean slower than the baseline.  With a single cell (or when
@@ -106,6 +100,13 @@ def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
     """
     if cells is None:
         cells = default_cells(problem)
+    if not cells:
+        raise ValidationError("the benchmark matrix is empty")
+    names = [cell_name(config) for config in cells]
+    for i, config in enumerate(cells):
+        validate_problem(problem.geometry, problem.materials, config)
+        if names[i] in names[:i]:
+            raise ValidationError(f"benchmark cell {names[i]} appears twice")
     results, failed = [], []
     for config in cells:
         try:

@@ -173,11 +173,11 @@ def cmd_bench(args) -> int:
                for tok in args.kes.split(",") if tok.strip()]
     except ValueError as exc:
         raise ParseError(f"--orders/--kes: {exc}") from None
-    cells = default_cells(problem, orders, solvers, kes)
+    report = run_benchmark(problem, default_cells(problem, orders, solvers, kes),
+                           baseline=args.baseline, problem_name=Path(args.input).stem)
+    # created only now, so that a bad cell leaves no output directory
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    report = run_benchmark(problem, cells, baseline=args.baseline,
-                           problem_name=Path(args.input).stem)
     outputs.write_bench_report(outdir / "report.json", report)
     outputs.write_bench_csv(outdir / "convergence.csv", report)
     for cell in report.cells:

@@ -11,7 +11,7 @@ from scipy.signal import lfilter
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
                      BlockSpectrum, SingularSystemError, SourceField,
                      ValidationError, mesh_from_edges)
-from slab_sn.analytic import _pair_rows
+from slab_sn.analytic import _bc_combination, _inverse, _pair_rows, _rcond_estimate
 from slab_sn.eigen import _emission, _per_cell
 from slab_sn.spectral import PHI_TAYLOR_CUT, _dense, _guard, exp_block, phi_block
 from slab_sn.recurrence import FirstOrderScan
@@ -652,6 +652,95 @@ def oracle_fixed_source(geometry, spectra, source, quad, points=None):
         if idx.size:
             psi[idx] = work.evaluate(alpha, points[idx] - work.x_left).T
     return psi
+
+
+def loop_edge_block(group, i, side):
+    """P @ Gtilde at the left or right edge of the group's region i, in the
+    real block basis, one region at a time: the per-region form of
+    _Group.edge_blocks."""
+    far = ~group.forward if side == "left" else group.forward
+    scale = exp_block(group.rho, np.where(far, group.length[i], 0.0))
+    return ((group.expand.T * scale[None, :]) @ group.enc).real
+
+
+def loop_factor(operator):
+    """InterfaceFactor's step, coupling, last and 1-norm of M built the way
+    the per-region loop built them: from loop_edge_block's blocks, an
+    (interface rows on alpha_k, rows on alpha_k+1) pair per interface, and
+    a panel stacked afresh for every column."""
+    def pg(r, side):
+        group, i = operator.regions[r]
+        return loop_edge_block(operator.groups[group], i, side)
+
+    geo, quad, last = operator.geometry, operator.quad, operator.geometry.n_regions - 1
+    left = _bc_combination(geo.bc_left, quad, "left", pg(0, "left"))
+    right = _bc_combination(geo.bc_right, quad, "right", pg(last, "right"))
+    interfaces = [(pg(r, "right"), -pg(r + 1, "left")) for r in range(last)]
+    h, n = left.shape
+    step = np.empty((last, h + n, h + n))
+    coupling = np.empty((last, n, n))
+    column_sums = np.zeros((last + 1, n))
+    column_sums[0] += np.abs(left).sum(axis=0)
+    column_sums[-1] += np.abs(right).sum(axis=0)
+    carried = left
+    for k, (on_k, on_next) in enumerate(interfaces):
+        column_sums[k] += np.abs(on_k).sum(axis=0)
+        column_sums[k + 1] += np.abs(on_next).sum(axis=0)
+        q, r = np.linalg.qr(np.vstack([carried, on_k]), mode="complete")
+        r_inv = _inverse(r[:n])
+        c = q[h:].T @ on_next
+        step[k, :n] = r_inv @ q[:, :n].T
+        step[k, n:] = q[:, n:].T
+        coupling[k] = r_inv @ c[:n]
+        carried = c[n:]
+    q, r = np.linalg.qr(np.vstack([carried, right]))
+    return step, coupling, _inverse(r) @ q.T, column_sums.max()
+
+
+def loop_solve(factor, rhs):
+    """InterfaceFactor.solve as a loop over the region columns with fresh
+    temporaries: alpha (R, n) with M alpha = rhs."""
+    n = factor.last.shape[0]
+    h = n // 2
+    pre = (factor.step[:, :, h:] @ rhs[h:-h].reshape(-1, n, 1))[:, :, 0]
+    y = np.empty((factor.n_regions, n))
+    carried = rhs[:h]
+    for k in range(factor.n_regions - 1):
+        t = factor.step[k, :, :h] @ carried + pre[k]
+        y[k] = t[:n]
+        carried = t[n:]
+    y[-1] = factor.last @ np.concatenate([carried, rhs[-h:]])
+    for k in range(factor.n_regions - 2, -1, -1):
+        y[k] -= factor.coupling[k] @ y[k + 1]
+    return y
+
+
+def loop_solve_transposed(factor, b):
+    """InterfaceFactor.solve_transposed as a loop with fresh temporaries:
+    x in row order with M^T x = b."""
+    n = factor.last.shape[0]
+    h = n // 2
+    w = b.reshape(factor.n_regions, n).copy()
+    for k in range(1, factor.n_regions):
+        w[k] -= factor.coupling[k - 1].T @ w[k - 1]
+    x = np.empty(b.size)
+    t = factor.last.T @ w[-1]
+    x[-h:] = t[h:]
+    carried = t[:h]
+    for k in range(factor.n_regions - 2, -1, -1):
+        t = factor.step[k].T @ np.concatenate([w[k], carried])
+        x[h + k * n:h + (k + 1) * n] = t[h:]
+        carried = t[:h]
+    x[:h] = carried
+    return x
+
+
+def loop_rcond(factor, norm):
+    """The factor's condition estimate with loop_solve and
+    loop_solve_transposed in place of its own solves."""
+    return _rcond_estimate(norm, lambda v: loop_solve(factor, v),
+                           lambda v: loop_solve_transposed(factor, v),
+                           factor.n_regions * factor.last.shape[0])
 
 
 def power_keff(solve_phi, geometry, materials, mesh, outers):

@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
-                      absorber_psi, graded_mesh, one_group_material,
-                      oracle_fixed_source, power_keff, random_slab, select_rows,
-                      source_over_mu, split_geometry)
+                      absorber_psi, graded_mesh, loop_edge_block, loop_factor,
+                      loop_rcond, loop_solve, loop_solve_transposed,
+                      one_group_material, oracle_fixed_source, power_keff,
+                      random_slab, select_rows, source_over_mu, split_geometry)
 from slab_sn import spectral
-from slab_sn.analytic import WIDTH_RTOL
+from slab_sn.analytic import WIDTH_RTOL, solve_alpha
 from slab_sn.spectral import EXP_ARG_MAX, PHI_TAYLOR_CUT
 from slab_sn.recurrence import FirstOrderScan
 from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
@@ -590,6 +592,36 @@ def max_rel_diff(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def assert_factor_matches_loops(operator, source, seed):
+    """The stacked edge blocks, the factor's arrays, its rcond, alpha for
+    source and the solves with M and M^T of a vector drawn from seed
+    equal, bit for bit, what the per-region loops they replaced give
+    (tests/_helpers.py)."""
+    for group in operator.groups:
+        for side in ("left", "right"):
+            stacked = group.edge_blocks(side)
+            assert stacked.shape[0] == group.regions.size
+            for i, block in enumerate(stacked):
+                assert np.array_equal(block, loop_edge_block(group, i, side))
+    factor = operator.factor
+    step, coupling, last, norm = loop_factor(operator)
+    assert np.array_equal(factor.step, step)
+    assert np.array_equal(factor.coupling, coupling)
+    assert np.array_equal(factor.last, last)
+    assert operator.rcond == loop_rcond(factor, norm)
+    rhs = operator.rhs(operator.particular(source))
+    assert np.array_equal(solve_alpha(factor, rhs), loop_solve(factor, rhs))
+    b = np.random.default_rng(seed).standard_normal(rhs.size)
+    alpha, x = factor.solve(b), factor.solve_transposed(b)
+    assert np.array_equal(alpha, loop_solve(factor, b))
+    assert np.array_equal(x, loop_solve_transposed(factor, b))
+    # every call returns a fresh array: a later solve leaves these alone
+    factor.solve(-b)
+    factor.solve_transposed(-b)
+    assert np.array_equal(alpha, loop_solve(factor, b))
+    assert np.array_equal(x, loop_solve_transposed(factor, b))
+
+
 def random_slab_trial(rng, trial, n_regions, n_materials=None):
     """Solve one random slab (graded mesh when trial % 4 >= 2, fission
     folded in on odd trials) with the operator and with the dense oracle.
@@ -606,6 +638,7 @@ def random_slab_trial(rng, trial, n_regions, n_materials=None):
             else build_fine_mesh(geo, int(counts.sum())))
     source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)))
     operator = FixedSourceOperator(geo, spectra, mesh, quad)
+    assert_factor_matches_loops(operator, source, trial)
     phi, solution = fixed_source_solve(operator, source)
     centres = evaluate_flux(operator, solution, mesh.centers)
     worst = max_rel_diff(centres.psi, oracle_fixed_source(geo, spectra, source, quad))
@@ -820,6 +853,46 @@ class TestRegionCount:
         assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12
         # geometry, mesh and source are mirror-symmetric about x = 0
         assert max_rel_diff(phi[::-1], phi) <= 1e-10
+
+    @pytest.mark.parametrize("ke", [None, 1.3])
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_split_matches_the_loops(self, pincell, seed, n, ke):
+        quad = gauss_legendre(n)
+        geo = split_geometry(pincell.geometry, 60, seed=seed)
+        mesh = build_fine_mesh(geo, 700)
+        spectra = spectra_for(geo, pincell.materials, quad, 0.0 if ke is None else 1.0 / ke)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        assert operator.factor.n_regions == 60
+        source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
+        assert_factor_matches_loops(operator, source, seed)
+
+    def test_lattice_matches_the_loops(self, pincell):
+        geo, mesh = pincell_lattice(pincell, np.random.default_rng(7))
+        quad = gauss_legendre(8)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad),
+                                       mesh, quad)
+        source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
+        assert_factor_matches_loops(operator, source, 7)
+
+    def test_solve_allocates_only_its_result(self, pincell):
+        # the forward pass, the interface rows' share and the
+        # back-substitution stay in the factor's buffers
+        quad = gauss_legendre(6)
+        geo = split_geometry(pincell.geometry, 60, seed=1)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad),
+                                       build_fine_mesh(geo, 700), quad)
+        factor = operator.factor
+        rhs = np.random.default_rng(1).standard_normal(60 * operator.ng)
+        expected = loop_solve(factor, rhs)
+        tracemalloc.start()
+        try:
+            alpha = factor.solve(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(alpha, expected)
+        assert peak < 2 * alpha.nbytes
 
     def test_factor_memory_grows_linearly_in_region_count(self, pincell):
         quad = gauss_legendre(8)

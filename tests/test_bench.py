@@ -2,8 +2,17 @@ from dataclasses import replace
 
 import pytest
 
+import slab_sn.bench
 from slab_sn import SolverConfig, ValidationError, run_benchmark
 from slab_sn.bench import cell_name, default_cells
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """The benchmark's solver replaced by one that fails the test."""
+    def solve(*args, **kwargs):
+        pytest.fail("a cell ran before the matrix was checked")
+    monkeypatch.setattr(slab_sn.bench, "power_iteration", solve)
 
 
 class TestCells:
@@ -30,14 +39,19 @@ class TestCells:
         ({"orders": ()}, "the benchmark matrix is empty"),
         ({"kes": (1.3, 1.30)}, "benchmark cell analytic_S2_ke1.3 appears twice"),
     ])
-    def test_bad_cell_values_raise_before_any_run(self, pincell, over, match):
+    def test_bad_cell_values_raise_before_any_run(self, pincell, over, match, no_solve):
         with pytest.raises(ValidationError, match=match):
-            default_cells(pincell, **over)
+            run_benchmark(pincell, default_cells(pincell, **over))
 
-    def test_cells_are_checked_against_the_problem(self, pincell):
+    def test_cells_are_checked_against_the_problem(self, pincell, no_solve):
         too_coarse = replace(pincell, config=replace(pincell.config, fine_mesh_size=2))
         with pytest.raises(ValidationError, match="number of regions"):
-            default_cells(too_coarse, orders=(2,))
+            run_benchmark(too_coarse, default_cells(too_coarse, orders=(2,)))
+
+    def test_hand_built_cells_are_checked_before_any_run(self, pincell, no_solve):
+        cell = replace(pincell.config, solver_kind="analytic", sn_order=2, ke=None)
+        with pytest.raises(ValidationError, match="benchmark cell analytic_S2 appears twice"):
+            run_benchmark(pincell, [cell, cell], baseline="analytic_S2")
 
 
 class TestRunBenchmark:
