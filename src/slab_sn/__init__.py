@@ -9,7 +9,7 @@ from .analytic import (FixedSourceOperator, evaluate_flux, fixed_source_solve,
                        solve_alpha, solve_fixed_source)
 from .bench import BenchmarkReport, cell_name, default_cells, run_benchmark
 from .eigen import (EigenResult, build_operator, normalize, power_iteration,
-                    update_keff)
+                    solve_source, update_keff)
 from .exceptions import (DefectiveMatrixError, ExponentOverflowError,
                          MaxInnerIterationsError, MaxOuterIterationsError,
                          MeshAlignmentError, NonpositiveIntegralError,

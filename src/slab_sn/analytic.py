@@ -28,12 +28,13 @@ the regions into groups, one per material and row of width-only factors:
 regions whose cell widths agree to WIDTH_RTOL, as on build_fine_mesh
 meshes, share one row at their nominal width L / m, and the other regions
 of a material (graded meshes) share a group with one row per cell.  Each
-group holds, for its cells concatenated in slab order, the anchored block
-rates, the homogeneous factors at the cell centres (cells, blocks), the
-width-only factors (the half-cell step, its source integral and the
-recurrence's source multiplier) and the projection and expansion matrices;
-the operator adds the factored global system, built from each group's edge
-blocks in one product per side and checked once for singularity.
+group holds its regions and, for their cells concatenated in slab order,
+the anchored block rates, the homogeneous factors at the cell centres
+(cells, blocks), the width-only factors (the half-cell step, its source
+integral and the recurrence's source multiplier) and the projection and
+expansion matrices; the operator adds the factored global system, built
+from each group's edge blocks in one product per side, checked once for
+singularity.
 A source is a SourceField on the operator's mesh, an isotropic emission
 S (cells, G) with S/2 on every ordinate, so applying the operator costs,
 per group and not per region: one (G, blocks) projection, one
@@ -245,8 +246,7 @@ class _Group:
 
 
 def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet):
-    """The (group, index there) of every region, and the groups, keyed by
-    (material, width row).
+    """The groups, one per (material, width row), each holding its regions.
 
     The mesh must fit the geometry (FineMesh.require_fit).  A region whose
     cell widths spread by at most WIDTH_RTOL of its nominal width L / m
@@ -267,12 +267,8 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
             width = next((w for m, w in members if m == material and w is not None
                           and abs(w - width) <= WIDTH_RTOL * w), width)
         members.setdefault((material, width), []).append(r)
-    groups, regions = [], [None] * geometry.n_regions
-    for (material, width), index in members.items():
-        for i, r in enumerate(index):
-            regions[r] = (len(groups), i)
-        groups.append(_Group(spectra[material], quad, width, index, geometry, mesh))
-    return tuple(regions), tuple(groups)
+    return tuple(_Group(spectra[material], quad, width, index, geometry, mesh)
+                 for (material, width), index in members.items())
 
 
 def _singular(rcond: float) -> SingularSystemError:
@@ -430,14 +426,13 @@ class FixedSourceOperator:
     """The source-independent part of the analytic fixed-source solve.
 
     Built once per (geometry, spectra, mesh, quadrature), on a mesh that
-    fits the geometry: the per-group block data and cell-centre factors,
-    regions[r] = (group, index) of region r there, and the InterfaceFactor
-    of the global boundary/continuity system, checked once
-    (SingularSystemError below an estimated 1-norm rcond of 1e-14; rcond
-    keeps the estimate).  spectra (kept) maps material name ->
-    BlockSpectrum.  Nothing here changes after construction;
-    solve_fixed_source and fixed_source_solve apply it to one source at a
-    time, and flux reads a solution's angular flux at the cell centres.
+    fits the geometry: the groups, each with its regions, block data and
+    cell-centre factors, and the InterfaceFactor of the global
+    boundary/continuity system, checked once (SingularSystemError below an
+    estimated 1-norm rcond of 1e-14; rcond keeps the estimate).  spectra
+    (kept) maps material name -> BlockSpectrum.  Nothing here changes
+    after construction; solve_fixed_source and fixed_source_solve apply it
+    to one source at a time, and flux reads the cell-centre angular flux.
     """
 
     def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
@@ -446,7 +441,7 @@ class FixedSourceOperator:
         self.mesh = mesh
         self.quad = quad
         self.spectra = spectra
-        self.regions, self.groups = _groups(geometry, spectra, mesh, quad)
+        self.groups = _groups(geometry, spectra, mesh, quad)
         self.ng = self.groups[0].enc.shape[1]
         self.n_groups = self.ng // quad.n
 
@@ -470,7 +465,7 @@ class FixedSourceOperator:
     def rhs(self, particular) -> np.ndarray:
         """Right-hand side of the global system for one source, rows left
         boundary, interface 0 .. R-2, right boundary."""
-        left = np.empty((len(self.regions), self.ng))
+        left = np.empty((self.geometry.n_regions, self.ng))
         right = np.empty_like(left)
         # the particular angular flux at every region's edges: the backward
         # blocks' march ends at the left edge, the forward blocks' at the right
@@ -522,12 +517,12 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     points = np.atleast_1d(np.asarray(points, dtype=float))
     region = _locate_regions(operator.geometry, points)
     psi = np.zeros((points.size, operator.ng))
-    for r, ((g, i), alpha) in enumerate(zip(operator.regions, alphas)):
-        group = operator.groups[g]
-        idx = np.nonzero(region == r)[0]
-        for k in range(0, idx.size, EVAL_CHUNK):
-            chunk = idx[k:k + EVAL_CHUNK]
-            psi[chunk] = group.psi_at(i, alpha, particular[g], points[chunk] - group.x_left[i])
+    for group, part in zip(operator.groups, particular):
+        for i, r in enumerate(group.regions):
+            idx = np.nonzero(region == r)[0]
+            for k in range(0, idx.size, EVAL_CHUNK):
+                chunk = idx[k:k + EVAL_CHUNK]
+                psi[chunk] = group.psi_at(i, alphas[r], part, points[chunk] - group.x_left[i])
     return FluxField.from_psi(points, psi, operator.quad)
 
 

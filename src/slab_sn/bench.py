@@ -88,18 +88,17 @@ def _run_cell(problem: Problem, config: SolverConfig) -> dict:
     }
 
 
-def run_benchmark(problem: Problem, cells=None, baseline: str = "analytic_S16",
+def run_benchmark(problem: Problem, cells, baseline: str = "analytic_S16",
                   problem_name: str = "problem") -> BenchmarkReport:
-    """Run every cell; failures are recorded, not raised.  Before any cell
-    runs, an empty matrix, a cell that does not fit the problem or two cells
-    of one name raise ValidationError.
+    """Run every cell (SolverConfigs, as from default_cells); failures are
+    recorded, not raised.  Before any cell runs, an empty matrix, a cell
+    that does not fit the problem or two cells of one name raise
+    ValidationError.
 
     Time ratios are total cell wall time over baseline wall time, so values
     above one mean slower than the baseline.  With a single cell (or when
     the baseline cell is absent or failed) no ratios are reported.
     """
-    if cells is None:
-        cells = default_cells(problem)
     if not cells:
         raise ValidationError("the benchmark matrix is empty")
     names = [cell_name(config) for config in cells]

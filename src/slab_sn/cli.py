@@ -14,15 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from . import outputs
-from .analytic import solve_fixed_source
 from .bench import default_cells, run_benchmark
-from .eigen import build_operator, power_iteration
+from .eigen import build_operator, power_iteration, solve_source
 from .exceptions import ParseError, TransportError, ValidationError
 from .mesh import SourceField
 from .model import SOLVER_KINDS, SolverConfig, gauss_legendre
 from .problem_io import load_problem
 from .spectral import assemble_A
-from .sweep import source_iteration
 
 
 def _add_common(parser):
@@ -124,14 +122,8 @@ def cmd_fixed(args) -> int:
 
     t0 = time.perf_counter()
     operator = build_operator(geo, problem.materials, cfg)
-    n_groups = problem.materials[geo.materials[0]].n_groups
-    source = _fixed_source(args, operator.mesh, n_groups)
-    if cfg.solver_kind == "sweep":
-        solution = source_iteration(operator, source, cfg.flux_tolerance,
-                                    max_inner=cfg.max_inner)[1]
-    else:
-        solution = solve_fixed_source(operator, source)
-    flux = operator.flux(solution)
+    source = _fixed_source(args, operator.mesh, problem.materials[geo.materials[0]].n_groups)
+    flux = operator.flux(solve_source(operator, source, cfg, cfg.flux_tolerance)[1])
     seconds = time.perf_counter() - t0
     # created only now, so that an input error leaves no output directory
     outdir = Path(args.out)
@@ -178,7 +170,7 @@ def cmd_bench(args) -> int:
     # created only now, so that a bad cell leaves no output directory
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs.write_bench_report(outdir / "report.json", report)
+    outputs.write_json(outdir / "report.json", report.to_json_dict())
     outputs.write_bench_csv(outdir / "convergence.csv", report)
     for cell in report.cells:
         print(f"{cell['name']}: k={cell['k_eff']:.6f} iters={cell['iterations']} "

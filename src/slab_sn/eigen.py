@@ -12,8 +12,9 @@ flux is evaluated once, after convergence.  With a shift the chi nu-fission
 / k_e part of the production is folded into the transport operator itself:
 the analytic solver assembles its matrices with fission_scale = 1/k_e and
 the sweep solver adds it to the iterated scattering source.  build_operator
-builds either operator from a problem and a SolverConfig, and the result
-carries that config as the one description of the run.
+builds either operator from a problem and a SolverConfig, which the result
+carries as the one description of the run; solve_source alone picks the
+solver call for config.solver_kind, here and in `slab-sn fixed`.
 
 Convergence is declared when the L2 norm of the change in the renormalized
 fine-mesh scalar flux (per-group concatenated) drops below the tolerance.
@@ -105,11 +106,10 @@ def normalize(flux: FluxField, mesh: FineMesh) -> FluxField:
     return flux.scaled(1.0 / total)
 
 
-def _initial_production(geometry, materials, mesh) -> np.ndarray:
-    """|x| on the fissile cells; one there when |x| vanishes on all of them
-    (say a one-cell fissile region centred at x = 0)."""
-    fissile = np.array([materials[name].fissile for name in geometry.materials])
-    mask = fissile[mesh.region_of_cell]
+def _initial_production(mesh: FineMesh, nu_sigma_f: np.ndarray) -> np.ndarray:
+    """|x| on the cells with some nu_sigma_f (cells, G) entry > 0; one there when
+    |x| vanishes on all of them (say a one-cell fissile region at x = 0)."""
+    mask = np.any(nu_sigma_f > 0.0, axis=1)
     production = np.where(mask, np.abs(mesh.centers), 0.0)
     return production if production.any() else mask.astype(float)
 
@@ -129,6 +129,17 @@ def build_operator(geometry: SlabGeometry, materials, config: SolverConfig):
     return FixedSourceOperator(geometry, spectra, mesh, quad)
 
 
+def solve_source(operator, source: SourceField, config: SolverConfig, tolerance: float,
+                 phi0=None):
+    """One fixed-source solve with config's operator: (scalar flux (cells, G),
+    the solution operator.flux reads, sweeps).  tolerance, the start flux
+    phi0 and config.max_inner serve the sweep's source iteration only."""
+    if config.solver_kind == "sweep":
+        return source_iteration(operator, source, tolerance, phi0=phi0,
+                                max_inner=config.max_inner)
+    return (*fixed_source_solve(operator, source), 0)
+
+
 def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> EigenResult:
     """Eigenvalue power iteration over the configured fixed-source solver."""
     t_setup = time.perf_counter()
@@ -138,12 +149,11 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     ke = config.ke
     operator = build_operator(geometry, materials, config)
     mesh = operator.mesh
-    analytic = config.solver_kind == "analytic"
     chi = _per_cell(geometry, materials, mesh, "chi")
     nu_sigma_f = _per_cell(geometry, materials, mesh, "nu_sigma_f")
     setup_seconds = time.perf_counter() - t_setup
 
-    production = _initial_production(geometry, materials, mesh)
+    production = _initial_production(mesh, nu_sigma_f)
     integral_prev = float(np.sum(production * mesh.widths))
     k = 1.0
     tol = config.flux_tolerance
@@ -157,12 +167,8 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
         # drop the previous outer's solution before the next one is built,
         # so the two never take memory side by side
         solution = None
-        if analytic:
-            phi, solution = fixed_source_solve(operator, source)
-        else:
-            phi, solution, sweeps = source_iteration(
-                operator, source, tol / 2.0, phi0=phi, max_inner=config.max_inner)
-            inner_total += sweeps
+        phi, solution, sweeps = solve_source(operator, source, config, tol / 2.0, phi0=phi)
+        inner_total += sweeps
 
         production = np.sum(phi * nu_sigma_f, axis=1)
         integral_new = float(np.sum(production * mesh.widths))
@@ -197,5 +203,5 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
                 "iteration_seconds": history_seconds[-1]},
         config=config,
         inner_sweeps=inner_total,
-        spectra=operator.spectra if analytic else None,
+        spectra=operator.spectra if config.solver_kind == "analytic" else None,
     )

@@ -50,9 +50,6 @@ class FineMesh:
     def centers(self) -> np.ndarray:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
-    def cells_of_region(self, r: int) -> np.ndarray:
-        return np.arange(self.offsets[r], self.offsets[r + 1])
-
     def require_fit(self, geometry: SlabGeometry) -> None:
         """Raise MeshAlignmentError unless the mesh covers the slab, every
         region of geometry holds at least one cell, and each region's end
@@ -75,9 +72,8 @@ def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
     remainder, at least one per region), so interfaces land exactly on
     mesh edges.
     """
+    geometry.require_cells(n_cells)
     r = geometry.n_regions
-    if n_cells < r:
-        raise ValidationError(f"need at least {r} cells for {r} regions, got {n_cells}")
     widths = geometry.widths
     quota = n_cells * widths / widths.sum()
     counts = np.maximum(np.floor(quota).astype(int), 1)

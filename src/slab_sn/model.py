@@ -64,18 +64,20 @@ class QuadratureSet:
         return self.mu.size
 
 
+def require_sn_order(n) -> int:
+    """n as an int, or ValidationError unless it is even (no mu = 0) and in [2, 64]."""
+    if not isinstance(n, (int, np.integer)) or n % 2 != 0 or not 2 <= n <= 64:
+        raise ValidationError(f"sn_order must be an even integer in [2, 64], got {n!r}")
+    return int(n)
+
+
 def gauss_legendre(n: int) -> QuadratureSet:
-    """Gauss-Legendre quadrature with n nodes on (-1, 1).
+    """Gauss-Legendre quadrature with n nodes on (-1, 1), n an S_N order.
 
     Nodes are the roots of the Legendre polynomial P_n, so the rule
-    integrates polynomials up to degree 2n - 1 exactly.  n must be even
-    (ordinates may not include mu = 0) and between 2 and 64.
+    integrates polynomials up to degree 2n - 1 exactly.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"quadrature order must be an integer, got {n!r}")
-    if n < 2 or n > 64 or n % 2 != 0:
-        raise ValidationError(f"quadrature order must be even and in [2, 64], got {n}")
-    mu, w = np.polynomial.legendre.leggauss(int(n))
+    mu, w = np.polynomial.legendre.leggauss(require_sn_order(n))
     # leggauss is symmetric only to round-off; enforce exact symmetry so the
     # reflective-pairing index map is bit-clean.
     mu = 0.5 * (mu - mu[::-1])
@@ -143,6 +145,13 @@ class MaterialXS:
     @property
     def fissile(self) -> bool:
         return bool(np.any(self.nu_sigma_f > 0.0))
+
+    def require_kernel_order(self, ng: int) -> None:
+        """Raise ValidationError unless a scatter_kernel, if given, is (N G, N G)."""
+        k = self.scatter_kernel
+        if k is not None and k.shape[0] != ng:
+            raise ValidationError(f"material {self.name!r}: scatter_kernel is "
+                                  f"{k.shape[0]}x{k.shape[0]}, expected {ng}x{ng}")
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,12 @@ class SlabGeometry:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
+    def require_cells(self, n_cells: int) -> None:
+        """Raise ValidationError unless n_cells cells can give every region one."""
+        if n_cells < self.n_regions:
+            raise ValidationError(
+                f"fine_mesh_size ({n_cells}) must be >= number of regions ({self.n_regions})")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -233,13 +248,12 @@ class SolverConfig:
     max_inner: int = 5000
 
     def __post_init__(self):
-        for key in ("sn_order", "fine_mesh_size", "max_outer", "max_inner"):
+        object.__setattr__(self, "sn_order", require_sn_order(self.sn_order))
+        for key in ("fine_mesh_size", "max_outer", "max_inner"):
             value = getattr(self, key)
             if not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{key} must be an integer, got {value!r}")
             object.__setattr__(self, key, int(value))
-        if self.sn_order % 2 != 0 or not 2 <= self.sn_order <= 64:
-            raise ValidationError(f"sn_order must be even and in [2, 64], got {self.sn_order}")
         if self.fine_mesh_size < 1:
             raise ValidationError("fine_mesh_size must be >= 1")
         if not 0.0 < self.flux_tolerance < np.inf:
@@ -252,8 +266,8 @@ class SolverConfig:
             raise ValidationError(f"unknown solver_kind {self.solver_kind!r}")
 
 
-def validate_problem(geometry: SlabGeometry, materials: dict, config: SolverConfig) -> int:
-    """Cross-object checks; returns the shared group count G."""
+def validate_problem(geometry: SlabGeometry, materials: dict, config: SolverConfig) -> None:
+    """Cross-object checks of a problem and a config."""
     groups = set()
     for name in geometry.materials:
         if name not in materials:
@@ -261,18 +275,11 @@ def validate_problem(geometry: SlabGeometry, materials: dict, config: SolverConf
         groups.add(materials[name].n_groups)
     if len(groups) != 1:
         raise ValidationError(f"all materials must share one group count, got {sorted(groups)}")
-    g = groups.pop()
-    ng = g * config.sn_order
+    ng = groups.pop() * config.sn_order
     for side, bc in (("bc_left", geometry.bc_left), ("bc_right", geometry.bc_right)):
         if bc.kind == "incoming" and bc.values.size != ng // 2:
             raise ValidationError(
                 f"{side}: incoming flux must have length N*G/2 = {ng // 2}, got {bc.values.size}")
-    if config.fine_mesh_size < geometry.n_regions:
-        raise ValidationError(
-            f"fine_mesh_size ({config.fine_mesh_size}) must be >= number of regions ({geometry.n_regions})")
+    geometry.require_cells(config.fine_mesh_size)
     for name in geometry.materials:
-        kern = materials[name].scatter_kernel
-        if kern is not None and kern.shape[0] != ng:
-            raise ValidationError(
-                f"material {name!r}: scatter_kernel is {kern.shape[0]}x{kern.shape[0]}, expected {ng}x{ng}")
-    return g
+        materials[name].require_kernel_order(ng)

@@ -95,10 +95,6 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_bench_report(path, report: BenchmarkReport) -> None:
-    write_json(path, report.to_json_dict())
-
-
 def write_bench_csv(path, report: BenchmarkReport) -> None:
     """Convergence trajectories for every cell: norm vs iteration and vs time."""
     with open(path, "w", newline="") as fh:

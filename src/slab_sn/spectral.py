@@ -44,11 +44,8 @@ def assemble_A(material: MaterialXS, quad: QuadratureSet,
     g = material.n_groups
     n = quad.n
     ng = g * n
+    material.require_kernel_order(ng)
     if material.scatter_kernel is not None:
-        if material.scatter_kernel.shape[0] != ng:
-            raise ValidationError(
-                f"material {material.name!r}: scatter_kernel is "
-                f"{material.scatter_kernel.shape[0]}, expected {ng}")
         kernel = material.scatter_kernel.copy()
     else:
         kernel = np.kron(material.sigma_s.T, np.ones((n, n))) / 2.0

@@ -337,7 +337,7 @@ def oracle_source_iteration(geometry, materials, mesh, quad, emission,
     for sweeps in range(1, 100000):
         scat = np.empty((m_cells, g))
         for r, t in enumerate(transfer):
-            cells = mesh.cells_of_region(r)
+            cells = np.arange(*mesh.offsets[r:r + 2])
             scat[cells] = phi[cells] @ t.T
         q_total = q_external + np.repeat(scat / 2.0, n, axis=1)
         flux, out_left, out_right = sweep_once(
@@ -564,7 +564,7 @@ def _region_works(geometry, spectra, source, quad):
     mesh = source.mesh
     works = []
     for r in range(geometry.n_regions):
-        cells = mesh.cells_of_region(r)
+        cells = np.arange(*mesh.offsets[r:r + 2])
         if cells.size == 0:
             raise ValidationError(f"region {r} has no source cells")
         x_left = geometry.edges[r]
@@ -641,7 +641,7 @@ def oracle_fixed_source(geometry, spectra, source, quad, points=None):
     if points is None:
         psi = np.zeros((mesh.n_cells, works[0].spec.size))
         for r, (alpha, work) in enumerate(zip(alphas, works)):
-            cells = mesh.cells_of_region(r)
+            cells = np.arange(*mesh.offsets[r:r + 2])
             psi[cells] = work.evaluate(alpha, mesh.centers[cells] - work.x_left).T
         return psi
     points = np.asarray(points, dtype=float)
@@ -668,9 +668,11 @@ def loop_factor(operator):
     the per-region loop built them: from loop_edge_block's blocks, an
     (interface rows on alpha_k, rows on alpha_k+1) pair per interface, and
     a panel stacked afresh for every column."""
+    regions = {r: (group, i) for group in operator.groups for i, r in enumerate(group.regions)}
+
     def pg(r, side):
-        group, i = operator.regions[r]
-        return loop_edge_block(operator.groups[group], i, side)
+        group, i = regions[r]
+        return loop_edge_block(group, i, side)
 
     geo, quad, last = operator.geometry, operator.quad, operator.geometry.n_regions - 1
     left = _bc_combination(geo.bc_left, quad, "left", pg(0, "left"))

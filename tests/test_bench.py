@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import slab_sn.bench
-from slab_sn import SolverConfig, ValidationError, run_benchmark
+from slab_sn import BenchmarkReport, SolverConfig, ValidationError, run_benchmark
 from slab_sn.bench import cell_name, default_cells
 
 
@@ -33,8 +33,8 @@ class TestCells:
 
     @pytest.mark.parametrize("over, match", [
         ({"solvers": ("foo",)}, "unknown solver_kind 'foo'"),
-        ({"orders": (3,)}, "sn_order must be even"),
-        ({"orders": (2.0,)}, "sn_order must be an integer"),
+        ({"orders": (3,)}, "sn_order must be an even integer"),
+        ({"orders": (2.0,)}, "sn_order must be an even integer"),
         ({"kes": (float("inf"),)}, "ke must be finite"),
         ({"orders": ()}, "the benchmark matrix is empty"),
         ({"kes": (1.3, 1.30)}, "benchmark cell analytic_S2_ke1.3 appears twice"),
@@ -72,6 +72,13 @@ class TestRunBenchmark:
                                baseline="analytic_S2")
         assert report.baseline is None
         assert "time_ratio_vs_baseline" not in report.cells[0]
+
+    def test_unknown_cell_name_raises_key_error(self):
+        report = BenchmarkReport(problem_name="p", tolerance=1e-6, mesh_size=700,
+                                 baseline=None, cells=[{"name": "analytic_S2"}], failed=[])
+        assert report.cell("analytic_S2") == {"name": "analytic_S2"}
+        with pytest.raises(KeyError, match="analytic_S4"):
+            report.cell("analytic_S4")
 
     def test_failed_cells_collected(self, pincell):
         crippled = replace(pincell, config=replace(pincell.config, max_outer=2))

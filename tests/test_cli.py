@@ -63,6 +63,21 @@ class TestFixed:
         summary = json.loads((out / "summary.json").read_text())
         validate(summary, load_schema("fixed_summary"))
 
+    @pytest.mark.parametrize("solver", ["analytic", "sweep"])
+    def test_one_source_solve(self, pincell_file, tmp_path, solver, monkeypatch):
+        kinds = []
+        original = cli.solve_source
+
+        def counted(operator, source, config, *args, **kwargs):
+            kinds.append(config.solver_kind)
+            return original(operator, source, config, *args, **kwargs)
+
+        # the name cmd_fixed looks up: eigen.solve_source as cli imports it
+        monkeypatch.setattr(cli, "solve_source", counted)
+        assert main(["fixed", str(pincell_file), "--solver", solver, "--sn", "4",
+                     "--mesh", "70", "--out", str(tmp_path / "run")]) == 0
+        assert kinds == [solver]
+
     def test_zero_source_zero_flux(self, absorber_file, tmp_path):
         out = tmp_path / "run"
         rc = main(["fixed", str(absorber_file), "--source", "constant",
@@ -382,7 +397,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flags, error", [
         (["--solvers", "foo", "--orders", "2"], "unknown solver_kind 'foo'"),
-        (["--orders", "3"], "sn_order must be even and in [2, 64], got 3"),
+        (["--orders", "3"], "sn_order must be an even integer in [2, 64], got 3"),
         # an empty matrix, or one whose cells share a name, has nothing to
         # report or reports one cell under another's name
         (["--orders", ""], "the benchmark matrix is empty"),

@@ -9,7 +9,7 @@ from slab_sn import (BoundaryCondition, FluxField, MaxOuterIterationsError,
                      SlabGeometry, SolverConfig, ValidationError,
                      ZeroFluxError, build_fine_mesh,
                      gauss_legendre, normalize, power_iteration, update_keff)
-from slab_sn.eigen import _initial_production
+from slab_sn.eigen import _initial_production, _per_cell
 
 PCM = 1e-5
 
@@ -24,16 +24,16 @@ class TestFissionSource:
         mesh = build_fine_mesh(pincell.geometry, 70)
         flux = flat_flux(mesh)
         src = fission_source(flux, pincell.geometry, pincell.materials, mesh, k=1.0)
-        refl = np.concatenate([mesh.cells_of_region(0), mesh.cells_of_region(2)])
+        refl = np.concatenate([np.arange(*mesh.offsets[0:2]), np.arange(*mesh.offsets[2:4])])
         assert np.all(src.emission[refl] == 0.0)
-        assert np.any(src.emission[mesh.cells_of_region(1)] > 0.0)
+        assert np.any(src.emission[np.arange(*mesh.offsets[1:3])] > 0.0)
 
     def test_unshifted_source_is_half_production_over_k(self, pincell):
         mesh = build_fine_mesh(pincell.geometry, 70)
         flux = flat_flux(mesh)
         core = pincell.materials["core"]
         src = fission_source(flux, pincell.geometry, pincell.materials, mesh, k=1.0)
-        cells = mesh.cells_of_region(1)
+        cells = np.arange(*mesh.offsets[1:3])
         production = core.nu_sigma_f @ flux.phi[cells[0]]
         # chi = (1, 0): all emission in the fast group, half of it on each ordinate
         assert src.emission[cells[0], 0] == pytest.approx(production, rel=1e-14)
@@ -163,7 +163,8 @@ class TestPowerIteration:
 
     def test_start_is_absx_on_the_fissile_cells(self, pincell):
         mesh = build_fine_mesh(pincell.geometry, 700)
-        start = _initial_production(pincell.geometry, pincell.materials, mesh)
+        start = _initial_production(
+            mesh, _per_cell(pincell.geometry, pincell.materials, mesh, "nu_sigma_f"))
         core = mesh.region_of_cell == 1
         assert np.array_equal(start, np.where(core, np.abs(mesh.centers), 0.0))
 
@@ -174,7 +175,8 @@ class TestPowerIteration:
         # and the start is one there
         config = replace(pincell.config, fine_mesh_size=3, solver_kind=solver_kind)
         mesh = build_fine_mesh(pincell.geometry, 3)
-        start = _initial_production(pincell.geometry, pincell.materials, mesh)
+        start = _initial_production(
+            mesh, _per_cell(pincell.geometry, pincell.materials, mesh, "nu_sigma_f"))
         assert np.array_equal(start, [0.0, 1.0, 0.0])
         res = power_iteration(pincell.geometry, pincell.materials, config)
         assert res.k_eff == pytest.approx(k, rel=1e-10)
@@ -245,6 +247,21 @@ class TestPowerIteration:
         with pytest.raises(ValidationError, match="ratio"):
             self.run(pincell, solver_kind="sweep", ke=1.3)
         assert calls["source_iteration"] == 0
+
+    @pytest.mark.parametrize("solver_kind", ["analytic", "sweep"])
+    def test_one_source_solve_per_outer_iteration(self, pincell, solver_kind, monkeypatch):
+        import slab_sn.eigen as eigen
+        kinds = []
+        original = eigen.solve_source
+
+        def counted(operator, source, config, *args, **kwargs):
+            kinds.append(config.solver_kind)
+            return original(operator, source, config, *args, **kwargs)
+
+        monkeypatch.setattr(eigen, "solve_source", counted)
+        cfg = replace(pincell.config, sn_order=4, fine_mesh_size=70, solver_kind=solver_kind)
+        res = power_iteration(pincell.geometry, pincell.materials, cfg)
+        assert kinds == [solver_kind] * res.iterations
 
 
 class TestInfiniteMediumLimit:

@@ -12,7 +12,7 @@ MESH_ERRORS = {
     "cells_per_region": (lambda: FineMesh(edges=[0.0, 1.0, 2.0], region_of_cell=[0]),
                          ValidationError, "one entry per cell"),
     "too_few_cells": (lambda: build_fine_mesh(SLAB, 2),
-                      ValidationError, "need at least 3 cells for 3 regions, got 2"),
+                      ValidationError, "fine_mesh_size (2) must be >= number of regions (3)"),
     "short_cover": (lambda: mesh_from_edges([0.0, 1.0, 2.0], SLAB),
                     MeshAlignmentError, "cover the slab exactly"),
     "emission_shape": (lambda: SourceField(MESH, np.ones(6)),

@@ -153,7 +153,7 @@ class TestSolverConfig:
         ({"fine_mesh_size": 700.5}, "fine_mesh_size must be an integer"),
         ({"max_outer": 30.0}, "max_outer must be an integer"),
         ({"max_inner": "50"}, "max_inner must be an integer"),
-        ({"sn_order": 4.0}, "sn_order must be an integer"),
+        ({"sn_order": 4.0}, "sn_order must be an even integer"),
     ])
     def test_rejects_values_it_cannot_run(self, kwargs, match):
         with pytest.raises(ValidationError, match=match):
@@ -186,7 +186,7 @@ MODEL_ERRORS = {
     "weight_length": (lambda: QuadratureSet(mu=[-0.5, 0.5], weight=[2.0]),
                       ValidationError, "same length"),
     "order_not_integer": (lambda: gauss_legendre(2.0),
-                          ValidationError, "quadrature order must be an integer"),
+                          ValidationError, "sn_order must be an even integer"),
     "no_groups": (lambda: _material(sigma_t=[], sigma_s=np.zeros((0, 0)),
                                     nu_sigma_f=[], chi=[]),
                   ValidationError, "needs at least one group"),

@@ -265,7 +265,7 @@ SPECTRAL_ERRORS = {
     "fission_scale": (lambda: assemble_A(one_group_material(), gauss_legendre(2), -1.0),
                       ValidationError, "fission_scale must be finite and >= 0"),
     "kernel_order": (lambda: assemble_A(KERNEL_MATERIAL, gauss_legendre(4)),
-                     ValidationError, "scatter_kernel is 2, expected 4"),
+                     ValidationError, "scatter_kernel is 2x2, expected 4x4"),
     "blocks_short": (lambda: BlockSpectrum(P=np.eye(2), P_inv=np.eye(2), rates=[-1.0]),
                      ValidationError, "blocks must tile all columns of P"),
     "negative_pair": (lambda: BlockSpectrum(P=np.eye(2), P_inv=np.eye(2), rates=[-1.0 - 1.0j]),

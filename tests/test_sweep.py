@@ -447,7 +447,7 @@ class TestFastPathConsistency:
         phi = flux.reshape(70, 2, 2) @ quad2.weight
         scat = np.empty((70, 2))
         for r in range(geo.n_regions):
-            cells = mesh.cells_of_region(r)
+            cells = np.arange(*mesh.offsets[r:r + 2])
             t = mats[geo.materials[r]].sigma_s.T
             scat[cells] = phi[cells] @ t.T
         q_total = q_ext + np.repeat(scat / 2.0, 2, axis=1)
