@@ -37,15 +37,18 @@ from each group's edge blocks in one product per side, checked once for
 singularity.
 A source is a SourceField on the operator's mesh, an isotropic emission
 S (cells, G) with S/2 on every ordinate, so applying the operator costs,
-per group and not per region: one (G, blocks) projection, one
-FirstOrderScan for J in which each region is a segment, the particular
-edge values read at the segment ends, and one (blocks, G) expansion of the
-scalar flux at the cell centres.  Between them
+per group and not per region, with no (rows, blocks) array formed: one
+product gathering the emission into the blocked workspace of one
+FirstOrderScan for J (each region a segment), the scan in place there,
+the particular edge values read at the segment ends, and three products
+with G columns for the scalar flux at the cell centres (J's term, hom
+alpha, and the source term straight from the emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor: one forward pass and one block back-substitution, two
-numpy calls a region column on views made once.
-FixedSourceOperator.flux gives Psi and phi at the cell centres from the
-same stored factors; evaluate_flux gives them at any points.
+numpy calls a region column on views made once.  A solution keeps the
+emission and the segment ends; FixedSourceOperator.flux marches each group
+once more for Psi and phi at the cell centres, and evaluate_flux gives
+them at any points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -101,11 +104,15 @@ def _bc_combination(bc, quad: QuadratureSet, side: str, values: np.ndarray) -> n
 
 
 class _Particular(NamedTuple):
-    """Source-dependent data of one group, per row in scan order."""
+    """What one group's march starts from and where it ends."""
 
-    theta: np.ndarray   # (rows, blocks) source over mu, signed along the march
-    j_in: np.ndarray    # (rows, blocks) particular solution at each cell's upwind edge
-    ends: np.ndarray    # (regions, blocks) particular solution where each region's march ends
+    emission: np.ndarray  # (cells, G) the emission of the whole mesh
+    ends: np.ndarray      # (regions, blocks) particular solution where each region's march ends
+
+
+def _real_part(matrix: np.ndarray) -> np.ndarray:
+    """R with x.view(float) @ R = Re(x @ matrix) for complex x."""
+    return np.stack([matrix.real, -matrix.imag], axis=1).reshape(-1, matrix.shape[1])
 
 
 class _Group:
@@ -118,6 +125,11 @@ class _Group:
     blocks run in cell order and the backward blocks in each region's
     reversed cell order, so both restart at the same rows and a region's
     rows hold the layout a region of its own would have.
+
+    J lives in the scan's blocked workspace, from the gathered sources to
+    the centre values.  One row of width-only factors is folded into the
+    matrices of those products; a row per cell (graded meshes) is kept in
+    the blocked layout, per_row, and applied as one multiply before them.
     """
 
     def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
@@ -158,7 +170,7 @@ class _Group:
         # its integral phi_half at one row of the shared width, or at one row
         # per cell when width is None.  The recurrence's full-cell step and
         # source multipliers are half**2 (kept in the scan) and
-        # source_coef = (1 + half) phi_half
+        # (1 + half) phi_half
         length = self.length[self.segment]
         t = mesh.centers[self.cells] - self.x_left[self.segment]
         anchor = np.where(self.forward, t[:, None], (length - t)[self.back, None])
@@ -168,35 +180,70 @@ class _Group:
         self.hom = exp_block(self.rho, anchor)
         self.half = exp_block(self.rho, upwind)
         self.phi_half = phi_block(self.rho, upwind)
-        self.source_coef = (1.0 + self.half) * self.phi_half
+        source_coef = (1.0 + self.half) * self.phi_half
+        self.march = march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
+        # kept for every outer iteration's scan, whose J it holds until the
+        # next; its spare buffer is the room in which centre values are built
+        self.work = march.workspace(complex)
+        y = self.work[0]
+        # blocked[m]: scan row m's row of the flattened blocked workspace;
+        # previous[m] the row before it, J at row m's upwind edge
+        self.blocked = march.unblocks(np.arange(y[..., 0].size).reshape(y.shape[:2]),
+                                      np.empty(rows.size, dtype=int))
+        self.previous, self.last = np.roll(self.blocked, 1), self.blocked[self.ends - 1]
+        # the emission's flat index for every blocked row: the G values of
+        # the forward blocks' cell, then those of the backward blocks'
+        flat = self.cells[:, None] * g + np.arange(g)
+        self.gather = march.blocks(np.hstack([flat, flat[self.back]]),
+                                   np.empty(y.shape[:2] + (2 * g,), dtype=int))
+        self.emitted = np.empty(self.gather.shape)
+        # source_map takes the gathered emission to the march's sources as
+        # real pairs; a row per cell multiplies them by source_coef, and the
+        # centre terms by half (one row on, for J's shift) and phi_half
+        self.halves = np.stack([self.forward, ~self.forward])
+        project = (self.halves[:, None, :] * self.project).reshape(2 * g, -1)
+        if width is None:
+            half_next = np.concatenate([self.half[1:], self.half[-1:]])
+            self.per_row = tuple(march.blocks(a, np.empty(y.shape, dtype=complex))
+                                 for a in (source_coef, half_next, self.phi_half))
+        else:
+            project = project * source_coef
+            self.per_row = None
+        self.source_map = project.view(float)
         for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
                     self.segment, self.cells, self.back, self.forward, self.rho, self.enc,
                     self.expand, self.expand_phi, self.project, self.hom, self.half,
-                    self.phi_half, self.source_coef):
+                    self.phi_half, self.blocked, self.previous, self.last, self.gather,
+                    self.halves, self.source_map, *(self.per_row or ())):
             arr.setflags(write=False)
-        self.march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
-        # kept for every outer iteration's scan, and between scans the
-        # room in which the source and the centre values are built
-        self.work = self.march.workspace(complex)
+        self.phi_folds = self.folds(self.expand_phi)
+
+    def _sources_into(self, emission: np.ndarray, out: np.ndarray):
+        """out (the blocked layout) = the gathered emission @ source_map."""
+        np.take(emission, self.gather, out=self.emitted, mode="clip")
+        np.matmul(self.emitted.reshape(-1, self.gather.shape[2]), self.source_map,
+                  out=out.reshape(-1, self.rho.size).view(float))
 
     def particular(self, emission: np.ndarray) -> _Particular:
-        """Project the group's share of the (cells, G) emission and march J
-        across every region at once."""
-        nf = self.nf
-        # theta and J share one allocation, so that the next outer
-        # iteration's can take its place; j[m + 1] is J after scan row m,
-        # and once the segment ends are read j[:-1] becomes J at every row's
-        # upwind edge, zero at the starts
-        theta, j = np.empty((2, self.cells.size + 1, self.rho.size), dtype=complex)
-        theta = theta[:-1]
-        own = emission[self.cells]
-        np.matmul(own, self.project[:, :nf], out=theta[:, :nf])
-        np.matmul(own[self.back], self.project[:, nf:], out=theta[:, nf:])
-        b = np.multiply(self.source_coef, theta, out=self.march.rows(self.work[1]))
-        self.march(b, out=j[1:], work=self.work)
-        ends = j[self.ends]
-        j[self.starts] = 0.0
-        return _Particular(theta, j[:-1], ends)
+        """March J across every region at once from the group's share of the
+        (cells, G) emission, in the workspace, where it stays until the
+        next march."""
+        y = self.work[0]
+        self._sources_into(emission, y)
+        if self.per_row is not None:
+            y *= self.per_row[0]
+        self.march.in_place(self.work)
+        return _Particular(emission, y.reshape(-1, self.rho.size)[self.last])
+
+    def folds(self, expand: np.ndarray):
+        """centres_into's matrices to Re(x @ expand): theta's from the
+        emission (None for a row per cell), then J's and hom alpha's from
+        the real view of the blocks to the forward and backward halves."""
+        split = (self.halves.T[:, :, None] * expand[:, None, :]).reshape(self.rho.size, -1)
+        if self.per_row is not None:
+            return None, _real_part(split), _real_part(split)
+        theta = ((self.project * self.phi_half) @ expand).real
+        return theta, _real_part(self.half.T * split), _real_part(split)
 
     def edge_blocks(self, side: str) -> np.ndarray:
         """P @ Gtilde at the left or right edge of each of the group's
@@ -205,43 +252,52 @@ class _Group:
         scale = exp_block(self.rho, np.where(far, self.length[:, None], 0.0))
         return ((self.expand.T * scale[:, None, :]) @ self.enc).real
 
-    def centres_into(self, alphas: np.ndarray, part: _Particular, expand: np.ndarray,
-                     out: np.ndarray):
+    def centres_into(self, alphas: np.ndarray, emission: np.ndarray, folds, out: np.ndarray):
         """out[cells] = Re(x @ expand) for the block scalars
         x = hom alpha + half j_in + phi_half theta at every cell centre,
-        from the stored factors.  x is built in scan order in the
-        workspace."""
-        x, term = (self.march.rows(w) for w in self.work[:2])
-        np.multiply(self.half, part.j_in, out=x)
-        x += np.multiply(self.phi_half, part.theta, out=term)
-        # each region's enc @ alpha on its rows
-        np.take(alphas[self.regions] @ self.enc.T, self.segment, axis=0, out=term)
-        term *= self.hom
-        x += term
-        nf = self.nf
-        # the backward half's rows return to cell order by a gather of the
-        # real result, before the forward half's product is formed
-        values = (x[:, nf:] @ expand[nf:]).real[self.back]
-        values += (x[:, :nf] @ expand[:nf]).real
-        out[self.cells] = values
+        folds = self.folds(expand), from the march of emission that the
+        workspace holds: J's term from the blocked iterate, one row down
+        and zero at the segment starts, hom alpha's from the spare rows."""
+        theta, j_fold, fold = folds
+        y, spare = self.work[:2]
+        b = self.rho.size
+        if self.per_row is not None:
+            y = np.multiply(y, self.per_row[1], out=spare)
+        values = (y.reshape(-1, b).view(float) @ j_fold).take(self.previous, axis=0)
+        values[self.starts] = 0.0
+        if self.per_row is not None:
+            self._sources_into(emission, spare)
+            spare *= self.per_row[2]
+            values += (spare.reshape(-1, b).view(float) @ fold)[self.blocked]
+        x = self.march.rows(spare)
+        np.take(alphas[self.regions] @ self.enc.T, self.segment, axis=0, out=x, mode="clip")
+        x *= self.hom
+        values += x.view(float) @ fold
+        k = values.shape[1] // 2
+        # the backward half's rows return to cell order by a gather
+        centre = values[:, :k] + values[self.back, k:]
+        if theta is not None:
+            centre += emission[self.cells] @ theta
+        out[self.cells] = centre
 
-    def psi_at(self, i: int, alpha: np.ndarray, part: _Particular,
+    def psi_at(self, i: int, alpha: np.ndarray, emission: np.ndarray,
                t: np.ndarray) -> np.ndarray:
         """Psi (points, N G) at local coordinates t, each in [0, L], of the
-        group's region i."""
-        rows = slice(self.starts[i], self.ends[i])
-        m = rows.stop - rows.start
+        group's region i, from the march of emission that the workspace
+        holds."""
+        m = self.ends[i] - self.starts[i]
         t_edges = self.mesh_edges[self.first[i]:self.first[i] + m + 1] - self.x_left[i]
         cell = np.clip(np.searchsorted(t_edges[1:], t, side="left"), 0, m - 1)
         row = np.where(self.forward, cell[:, None], m - 1 - cell[:, None])
         anchor = np.where(self.forward, t[:, None], (self.length[i] - t)[:, None])
         upwind = np.where(self.forward, (t - t_edges[cell])[:, None],
                           (t_edges[cell + 1] - t)[:, None])
-        j_in = np.take_along_axis(part.j_in[rows], row, axis=0)
-        theta = np.take_along_axis(part.theta[rows], row, axis=0)
+        y = self.work[0].reshape(-1, self.rho.size)
+        j_in = np.take_along_axis(y, self.previous[self.starts[i] + row], axis=0)
+        j_in[row == 0] = 0.0
         x = exp_block(self.rho, anchor) * (self.enc @ alpha)
         x += exp_block(self.rho, upwind) * j_in
-        x += phi_block(self.rho, upwind) * theta
+        x += phi_block(self.rho, upwind) * (emission[self.first[i] + cell] @ self.project)
         return (x @ self.expand).real
 
 
@@ -482,10 +538,13 @@ class FixedSourceOperator:
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,
         particular) pair solve_fixed_source returns, from the stored
-        factors: one (rows, blocks) @ (blocks, N G) per group."""
+        factors: each group marches its emission once more, and its terms
+        reach Psi through products with N G columns."""
+        alphas, particular = solution
         psi = np.empty((self.mesh.n_cells, self.ng))
-        for group, part in zip(self.groups, solution[1]):
-            group.centres_into(solution[0], part, group.expand, psi)
+        for group, part in zip(self.groups, particular):
+            group.particular(part.emission)
+            group.centres_into(alphas, part.emission, group.folds(group.expand), psi)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
@@ -518,11 +577,13 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     region = _locate_regions(operator.geometry, points)
     psi = np.zeros((points.size, operator.ng))
     for group, part in zip(operator.groups, particular):
+        group.particular(part.emission)
         for i, r in enumerate(group.regions):
             idx = np.nonzero(region == r)[0]
             for k in range(0, idx.size, EVAL_CHUNK):
                 chunk = idx[k:k + EVAL_CHUNK]
-                psi[chunk] = group.psi_at(i, alphas[r], part, points[chunk] - group.x_left[i])
+                psi[chunk] = group.psi_at(i, alphas[r], part.emission,
+                                          points[chunk] - group.x_left[i])
     return FluxField.from_psi(points, psi, operator.quad)
 
 
@@ -535,9 +596,10 @@ def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
     """Fixed-source solve: (scalar flux (cells, G) at the source-cell centres,
-    the solution for evaluate_flux)."""
+    the solution for evaluate_flux).  The flux is read from each group's
+    march, which its workspace holds until the group's next one."""
     solution = solve_fixed_source(operator, source)
     phi = np.empty((operator.mesh.n_cells, operator.n_groups))
-    for group, part in zip(operator.groups, solution[1]):
-        group.centres_into(solution[0], part, group.expand_phi, phi)
+    for group in operator.groups:
+        group.centres_into(solution[0], source.emission, group.phi_folds, phi)
     return phi, solution

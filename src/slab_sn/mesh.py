@@ -84,10 +84,16 @@ def build_fine_mesh(geometry: SlabGeometry, n_cells: int) -> FineMesh:
     order = np.argsort(-(quota - counts))
     for i in range(n_cells - counts.sum()):
         counts[order[i % r]] += 1
+    # every region's np.linspace(x[i], x[i + 1], counts[i] + 1)[1:] at once,
+    # bit for bit: edge j of region i is j * step[i] + x[i], its last pinned
+    # to x[i + 1]
     x = geometry.edges
-    edges = np.concatenate([x[:1], *(np.linspace(x[i], x[i + 1], counts[i] + 1)[1:]
-                                      for i in range(r))])
-    return FineMesh(edges=edges, region_of_cell=np.repeat(np.arange(r), counts))
+    region = np.repeat(np.arange(r), counts)
+    ends = np.cumsum(counts)
+    j = np.arange(1, n_cells + 1) - (ends - counts)[region]
+    edges = j * (np.diff(x) / counts)[region] + x[region]
+    edges[ends - 1] = x[1:]
+    return FineMesh(edges=np.concatenate([x[:1], edges]), region_of_cell=region)
 
 
 def mesh_from_edges(edges, geometry: SlabGeometry) -> FineMesh:

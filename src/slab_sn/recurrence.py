@@ -24,14 +24,16 @@ class FirstOrderScan:
     a holds one coefficient per row and column, or one row that every row
     shares (a cell axis of length 1, rows then giving the row count), and is
     fixed at construction, as are the segment starts (row indices; row 0
-    always starts one).  Each call takes b of shape (rows, columns...), real
-    or complex.  The rows are cut into about sqrt(rows) blocks of about
+    always starts one).  A caller writes the sources b, real or complex,
+    into a workspace in the blocked layout below (blocks copies rows there,
+    unblocks copies them back) and scans them there with in_place.  The
+    rows are cut into about sqrt(rows) blocks of about
     sqrt(rows) rows, stored block-inner so that row j of every block is one
     contiguous slab.  One pass runs the recurrence inside every block at
     once, a short pass carries each block's last value into the next, and
     one vectorized update adds the carried value times the running product
-    of a to the rest of each block.  A call therefore costs O(sqrt(rows))
-    whole-array operations whatever the number of columns.  With a kept
+    of a to the rest of each block.  A scan therefore costs O(sqrt(rows))
+    whole-array operations whatever the number of columns.  In a kept
     workspace, each trip of either loop is two ufunc calls that allocate
     nothing; they and the per-row carry update avoid broadcast and sliced
     operands, which numpy would copy to a buffer.  A shared row is kept as
@@ -130,19 +132,6 @@ class FirstOrderScan:
             np.multiply(self.prod[:-1], carried, out=carried)
         carried[self.dead] = -0.0
         np.add(y[:-1], carried, out=y[:-1])
-
-    def __call__(self, b, out=None, work=None) -> np.ndarray:
-        """y for sources b, written into out (rows, columns...), allocated
-        when None, and computed in work, a workspace, or in a fresh one when
-        None.  b may be rows(work[1]): a call reads b in full before it
-        writes there."""
-        b = np.asarray(b)
-        if b.shape != self.shape:
-            raise ValidationError(f"b has shape {b.shape}, the coefficients {self.shape}")
-        work = self.workspace(np.result_type(self.a, b)) if work is None else work
-        y = self.blocks(b, work[0])
-        self.in_place(work)
-        return self.unblocks(y, np.empty(self.shape, y.dtype) if out is None else out)
 
     def unblocks(self, y, out):
         """The inverse of blocks: the rows of y (size, count, ...) written to

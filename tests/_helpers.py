@@ -127,6 +127,14 @@ def random_slab(rng, n_groups, n_regions, n_ordinates, n_materials=None):
     return geometry, {name: m for name, m in materials.items() if name in names}
 
 
+def linspace_mesh_edges(geometry, counts):
+    """Mesh edges with counts[i] equal cells in region i, one np.linspace
+    per region."""
+    x = geometry.edges
+    return np.concatenate([x[:1], *(np.linspace(x[i], x[i + 1], counts[i] + 1)[1:]
+                                    for i in range(geometry.n_regions))])
+
+
 def split_geometry(geometry, n_regions, seed, grid=0.5):
     """geometry cut into n_regions homogeneous regions: its own material
     interfaces are kept and the other interior edges are drawn without
@@ -557,6 +565,93 @@ class UnsegmentedScan(FirstOrderScan):
         for i in range(1, self.count):
             y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
         y[:-1, 1:] += self.prod[:-1, 1:] * y[-1:, :-1]
+
+
+def scan(march, b, out=None, work=None):
+    """march's recurrence on rows: the sources b (rows, columns...) copied
+    into the blocked layout of work (a fresh workspace when None), scanned
+    there with in_place and copied back into out (allocated when None).
+    b may be rows(work[1]): blocks reads b in full before in_place writes
+    there."""
+    work = march.workspace(np.result_type(march.a, b)) if work is None else work
+    y = march.blocks(np.asarray(b), work[0])
+    march.in_place(work)
+    return march.unblocks(y, np.empty(march.shape, y.dtype) if out is None else out)
+
+
+# The analytic cell-centre path in rows: theta and J formed as (rows,
+# blocks) arrays in scan order and combined at every centre with the
+# group's width-only factors unfolded.  The operator's blocked path with
+# folded factors must match it to round-off.
+
+
+class RowsParticular(NamedTuple):
+    theta: np.ndarray   # (rows, blocks) source over mu, signed along the march
+    j_in: np.ndarray    # (rows, blocks) particular solution at each cell's upwind edge
+    ends: np.ndarray    # (regions, blocks) particular solution where each region's march ends
+
+
+def rows_particular(group, emission):
+    """Project the group's share of the emission and march J in rows."""
+    nf = group.nf
+    theta, j = np.empty((2, group.cells.size + 1, group.rho.size), dtype=complex)
+    theta = theta[:-1]
+    own = emission[group.cells]
+    np.matmul(own, group.project[:, :nf], out=theta[:, :nf])
+    np.matmul(own[group.back], group.project[:, nf:], out=theta[:, nf:])
+    # j[m + 1] is J after scan row m; j[:-1] is J at every row's upwind edge
+    scan(group.march, (1.0 + group.half) * group.phi_half * theta, out=j[1:])
+    ends = j[group.ends]
+    j[group.starts] = 0.0
+    return RowsParticular(theta, j[:-1], ends)
+
+
+def rows_centres_into(group, alphas, part, expand, out):
+    """out[cells] = Re(x @ expand), x = hom alpha + half j_in + phi_half
+    theta at every cell centre."""
+    x = group.half * part.j_in + group.phi_half * part.theta
+    x += np.take(alphas[group.regions] @ group.enc.T, group.segment, axis=0) * group.hom
+    nf = group.nf
+    values = (x[:, nf:] @ expand[nf:]).real[group.back]
+    values += (x[:, :nf] @ expand[:nf]).real
+    out[group.cells] = values
+
+
+def rows_psi_at(group, i, alpha, part, t):
+    """Psi (points, N G) at local coordinates t of the group's region i."""
+    rows = slice(group.starts[i], group.ends[i])
+    m = rows.stop - rows.start
+    t_edges = group.mesh_edges[group.first[i]:group.first[i] + m + 1] - group.x_left[i]
+    cell = np.clip(np.searchsorted(t_edges[1:], t, side="left"), 0, m - 1)
+    row = np.where(group.forward, cell[:, None], m - 1 - cell[:, None])
+    anchor = np.where(group.forward, t[:, None], (group.length[i] - t)[:, None])
+    upwind = np.where(group.forward, (t - t_edges[cell])[:, None],
+                      (t_edges[cell + 1] - t)[:, None])
+    j_in = np.take_along_axis(part.j_in[rows], row, axis=0)
+    theta = np.take_along_axis(part.theta[rows], row, axis=0)
+    x = exp_block(group.rho, anchor) * (group.enc @ alpha)
+    x += exp_block(group.rho, upwind) * j_in
+    x += phi_block(group.rho, upwind) * theta
+    return (x @ group.expand).real
+
+
+def rows_fixed_source(operator, source, points):
+    """(phi and psi at the cell centres, psi at points) of one fixed-source
+    solve on the operator's groups and factor by the rows path."""
+    parts = [rows_particular(group, source.emission) for group in operator.groups]
+    alphas = operator.factor.solve(operator.rhs(parts))
+    phi = np.empty((operator.mesh.n_cells, operator.n_groups))
+    psi = np.empty((operator.mesh.n_cells, operator.ng))
+    region = np.searchsorted(operator.geometry.edges[1:], points, side="left")
+    at_points = np.empty((points.size, operator.ng))
+    for group, part in zip(operator.groups, parts):
+        rows_centres_into(group, alphas, part, group.expand_phi, phi)
+        rows_centres_into(group, alphas, part, group.expand, psi)
+        for i, r in enumerate(group.regions):
+            idx = np.nonzero(region == r)[0]
+            at_points[idx] = rows_psi_at(group, i, alphas[r], part,
+                                         points[idx] - group.x_left[i])
+    return phi, psi, at_points
 
 
 def _region_works(geometry, spectra, source, quad):

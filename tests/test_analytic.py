@@ -8,7 +8,8 @@ from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
                       absorber_psi, graded_mesh, loop_edge_block, loop_factor,
                       loop_rcond, loop_solve, loop_solve_transposed,
                       one_group_material, oracle_fixed_source, power_keff,
-                      random_slab, select_rows, source_over_mu, split_geometry)
+                      random_slab, rows_fixed_source, select_rows, source_over_mu,
+                      split_geometry)
 from slab_sn import spectral
 from slab_sn.analytic import WIDTH_RTOL, solve_alpha
 from slab_sn.spectral import EXP_ARG_MAX, PHI_TAYLOR_CUT
@@ -627,7 +628,8 @@ def random_slab_trial(rng, trial, n_regions, n_materials=None):
     folded in on odd trials) with the operator and with the dense oracle.
     Returns the operator, the slab's spectra and the worst relative
     differences of (psi at the centres and at random points against the
-    oracle, phi from the (blocks, G) expansion, FixedSourceOperator.flux)."""
+    oracle, phi from the (blocks, G) expansion, FixedSourceOperator.flux,
+    the rows path)."""
     n_groups = int(rng.integers(1, 5))
     quad = gauss_legendre(int(rng.choice([2, 4, 8])))
     geo, mats = random_slab(rng, n_groups, n_regions, quad.n, n_materials)
@@ -653,7 +655,26 @@ def random_slab_trial(rng, trial, n_regions, n_materials=None):
     psi = evaluate_flux(operator, solution, points).psi
     worst = max(worst, max_rel_diff(
         psi, oracle_fixed_source(geo, spectra, source, quad, points)))
-    return operator, spectra, (worst, worst_phi, worst_centres)
+    worst_rows = rows_path_error(operator, source, rng)
+    return operator, spectra, (worst, worst_phi, worst_centres, worst_rows)
+
+
+def rows_path_error(operator, source, rng, outers=3):
+    """Worst relative difference between the operator's blocked path and
+    the rows path it replaced (tests/_helpers.py): phi of outers solves,
+    each from the previous one's phi, and then the first solve's psi from
+    operator.flux and from evaluate_flux at off-centre points."""
+    mesh = operator.mesh
+    points = mesh.centers + rng.uniform(-0.45, 0.45, mesh.n_cells) * mesh.widths
+    phi_ref, psi_ref, points_ref = rows_fixed_source(operator, source, points)
+    phi, solution = fixed_source_solve(operator, source)
+    worst = max_rel_diff(phi, phi_ref)
+    for _ in range(outers - 1):
+        source = SourceField(mesh, np.abs(phi) / np.max(np.abs(phi)))
+        phi = fixed_source_solve(operator, source)[0]
+        worst = max(worst, max_rel_diff(phi, rows_fixed_source(operator, source, points)[0]))
+    return max(worst, max_rel_diff(operator.flux(solution).psi, psi_ref),
+               max_rel_diff(evaluate_flux(operator, solution, points).psi, points_ref))
 
 
 class TestOperatorEquivalence:
@@ -661,19 +682,20 @@ class TestOperatorEquivalence:
 
     def test_random_heterogeneous_slabs(self):
         rng = np.random.default_rng(20240127)
-        worst = np.zeros(3)
+        worst = np.zeros(4)
         for trial in range(40):
             _, _, errors = random_slab_trial(rng, trial, int(rng.integers(1, 9)))
             worst = np.maximum(worst, errors)
         assert worst[0] <= 1e-12
         assert worst[1] <= 1e-13
         assert worst[2] <= 1e-13
+        assert worst[3] <= 1e-13
 
     def test_random_slabs_sharing_materials(self):
         # regions apart share a material, so groups hold several regions,
         # on uniform meshes (a row per group) and graded ones (a row per cell)
         rng = np.random.default_rng(20261018)
-        worst = np.zeros(3)
+        worst = np.zeros(4)
         grouped, ends, pairs = {False: 0, True: 0}, set(), False
         for trial in range(32):
             operator, spectra, errors = random_slab_trial(
@@ -690,6 +712,7 @@ class TestOperatorEquivalence:
         assert worst[0] <= 1e-12
         assert worst[1] <= 1e-13
         assert worst[2] <= 1e-13
+        assert worst[3] <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_fine_pincell_mesh_takes_the_shared_path(self, pincell, graded):
@@ -706,11 +729,37 @@ class TestOperatorEquivalence:
         assert max_rel_diff(psi, oracle_fixed_source(geo, spectra, source, quad)) <= 1e-12
 
 
+class TestOuterMemory:
+    def test_fixed_source_solve_forms_no_rows_by_blocks_array(self, pincell):
+        # the march, the centre flux and the segment ends stay in each
+        # group's workspace: a warm solve allocates far less than one
+        # (rows, blocks) complex array of the core group (a path that forms
+        # theta and J takes two, 17 MB together, at S16 and M = 20000)
+        quad = gauss_legendre(16)
+        geo = pincell.geometry
+        mesh = build_fine_mesh(geo, 20000)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad, 1.0 / 1.3),
+                                       mesh, quad)
+        source = pincell_chi_absx_source(pincell, mesh, quad)
+        core = max(operator.groups, key=lambda group: group.cells.size)
+        rows_by_blocks = core.cells.size * core.rho.size * np.dtype(complex).itemsize
+        assert rows_by_blocks > 8e6
+        phi, _ = fixed_source_solve(operator, source)
+        tracemalloc.start()
+        try:
+            warm, _ = fixed_source_solve(operator, source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(warm, phi)
+        assert peak < rows_by_blocks / 4
+
+
 def factor_rows(operator):
     """Rows of each group's width-only factors, checked to agree."""
     rows = []
     for group in operator.groups:
-        assert group.half.shape == group.phi_half.shape == group.source_coef.shape
+        assert group.half.shape == group.phi_half.shape
         assert group.hom.shape[0] == group.cells.size
         rows.append(group.half.shape[0])
     return rows
@@ -825,17 +874,16 @@ class TestRegionCount:
 
     def test_one_scan_per_group_not_per_region(self, pincell, monkeypatch):
         # split60's 60 regions fall into two groups (water, core): one
-        # fixed-source solve scans each group once
+        # fixed-source solve scans each group once, in its workspace
         quad = gauss_legendre(6)
         geo = split_geometry(pincell.geometry, 60, seed=1)
         mesh = build_fine_mesh(geo, 700)
         operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
         assert len(operator.groups) == 2
         calls = []
-        call = FirstOrderScan.__call__
-        monkeypatch.setattr(FirstOrderScan, "__call__",
-                            lambda scan, *args, **kwargs:
-                            calls.append(scan) or call(scan, *args, **kwargs))
+        call = FirstOrderScan.in_place
+        monkeypatch.setattr(FirstOrderScan, "in_place",
+                            lambda scan, work: calls.append(scan) or call(scan, work))
         fixed_source_solve(operator, pincell_chi_absx_source(replace(pincell, geometry=geo),
                                                              mesh, quad))
         assert len(calls) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import linspace_mesh_edges, random_slab, split_geometry
 from slab_sn import (FineMesh, FluxField, MeshAlignmentError, SlabGeometry,
                      SourceField, ValidationError, build_fine_mesh, mesh_from_edges)
 
@@ -38,3 +39,22 @@ def test_typed_input_errors(case):
     with pytest.raises(error) as exc:
         build()
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("n_cells", [None, 700, 5000, 20000])
+def test_edges_equal_per_region_linspace(pincell, split, n_cells):
+    # None: one cell per region (M = 3 on the pincell, 60 on its split)
+    geometry = split_geometry(pincell.geometry, 60, seed=1) if split else pincell.geometry
+    mesh = build_fine_mesh(geometry, n_cells or geometry.n_regions)
+    counts = np.diff(mesh.offsets)
+    assert n_cells or np.all(counts == 1)
+    assert np.array_equal(mesh.edges, linspace_mesh_edges(geometry, counts))
+
+
+def test_edges_equal_per_region_linspace_on_random_slabs():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        geometry, _ = random_slab(rng, 1, int(rng.integers(1, 9)), 2)
+        mesh = build_fine_mesh(geometry, int(rng.integers(geometry.n_regions, 200)))
+        assert np.array_equal(mesh.edges, linspace_mesh_edges(geometry, np.diff(mesh.offsets)))

@@ -5,7 +5,7 @@ import pytest
 
 from _helpers import (absorber_problem, cell_sigma_t, graded_mesh,
                       one_group_material, oracle_source_iteration, random_slab,
-                      sweep_once)
+                      scan, sweep_once)
 from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
                      MaxInnerIterationsError, SlabGeometry, SourceField,
                      SweepOperator, ValidationError, assemble_A,
@@ -56,7 +56,7 @@ def scan_order_sweep(geometry, materials, mesh, quad, scheme, emission, out):
     f_in = np.concatenate([incoming(geometry.bc_right, out[:, h:]),
                            incoming(geometry.bc_left, out[:, :h])], axis=1)
     b[0] += a[0] * f_in
-    f = FirstOrderScan(a)(b)
+    f = scan(FirstOrderScan(a), b)
     psi = f
     if scheme == "diamond":
         psi = np.empty_like(f)
