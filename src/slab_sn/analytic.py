@@ -46,9 +46,9 @@ alpha, and the source term straight from the emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor: one forward pass and one block back-substitution, two
 numpy calls a region column on views made once.  A solution keeps the
-emission and the segment ends; FixedSourceOperator.flux marches each group
-once more for Psi and phi at the cell centres, and evaluate_flux gives
-them at any points.
+emission: FixedSourceOperator.flux marches each group once more from it
+for Psi and phi at the cell centres, and evaluate_flux gives them at any
+points.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -59,8 +59,6 @@ cell order.  Both kinds then march forward in one recurrence with the
 decaying rate rho (Re rho <= 0), and a cell's upwind edge is the one its
 recurrence enters through.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,13 +99,6 @@ def _bc_combination(bc, quad: QuadratureSet, side: str, values: np.ndarray) -> n
         pos, neg = _pair_rows(quad, g)
         return values[pos] - values[neg]
     return values[np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)]
-
-
-class _Particular(NamedTuple):
-    """What one group's march starts from and where it ends."""
-
-    emission: np.ndarray  # (cells, G) the emission of the whole mesh
-    ends: np.ndarray      # (regions, blocks) particular solution where each region's march ends
 
 
 def _real_part(matrix: np.ndarray) -> np.ndarray:
@@ -185,17 +176,13 @@ class _Group:
         # kept for every outer iteration's scan, whose J it holds until the
         # next; its spare buffer is the room in which centre values are built
         self.work = march.workspace(complex)
-        y = self.work[0]
-        # blocked[m]: scan row m's row of the flattened blocked workspace;
-        # previous[m] the row before it, J at row m's upwind edge
-        self.blocked = march.unblocks(np.arange(y[..., 0].size).reshape(y.shape[:2]),
-                                      np.empty(rows.size, dtype=int))
-        self.previous, self.last = np.roll(self.blocked, 1), self.blocked[self.ends - 1]
+        # previous[m]: the flattened workspace row before scan row m's, which
+        # holds J at row m's upwind edge
+        self.previous = np.roll(march.index, 1)
         # the emission's flat index for every blocked row: the G values of
         # the forward blocks' cell, then those of the backward blocks'
         flat = self.cells[:, None] * g + np.arange(g)
-        self.gather = march.blocks(np.hstack([flat, flat[self.back]]),
-                                   np.empty(y.shape[:2] + (2 * g,), dtype=int))
+        self.gather = march.blocks(np.hstack([flat, flat[self.back]]))
         self.emitted = np.empty(self.gather.shape)
         # source_map takes the gathered emission to the march's sources as
         # real pairs; a row per cell multiplies them by source_coef, and the
@@ -204,8 +191,7 @@ class _Group:
         project = (self.halves[:, None, :] * self.project).reshape(2 * g, -1)
         if width is None:
             half_next = np.concatenate([self.half[1:], self.half[-1:]])
-            self.per_row = tuple(march.blocks(a, np.empty(y.shape, dtype=complex))
-                                 for a in (source_coef, half_next, self.phi_half))
+            self.per_row = tuple(march.blocks(a) for a in (source_coef, half_next, self.phi_half))
         else:
             project = project * source_coef
             self.per_row = None
@@ -213,7 +199,7 @@ class _Group:
         for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
                     self.segment, self.cells, self.back, self.forward, self.rho, self.enc,
                     self.expand, self.expand_phi, self.project, self.hom, self.half,
-                    self.phi_half, self.blocked, self.previous, self.last, self.gather,
+                    self.phi_half, self.previous, self.gather,
                     self.halves, self.source_map, *(self.per_row or ())):
             arr.setflags(write=False)
         self.phi_folds = self.folds(self.expand_phi)
@@ -224,16 +210,16 @@ class _Group:
         np.matmul(self.emitted.reshape(-1, self.gather.shape[2]), self.source_map,
                   out=out.reshape(-1, self.rho.size).view(float))
 
-    def particular(self, emission: np.ndarray) -> _Particular:
-        """March J across every region at once from the group's share of the
-        (cells, G) emission, in the workspace, where it stays until the
-        next march."""
+    def particular(self, emission: np.ndarray) -> np.ndarray:
+        """J where each region's march ends, (regions, blocks), marched across
+        every region at once from the group's share of the (cells, G)
+        emission in the workspace, where it stays until the next march."""
         y = self.work[0]
         self._sources_into(emission, y)
         if self.per_row is not None:
             y *= self.per_row[0]
         self.march.in_place(self.work)
-        return _Particular(emission, y.reshape(-1, self.rho.size)[self.last])
+        return y.reshape(-1, self.rho.size)[self.march.last]
 
     def folds(self, expand: np.ndarray):
         """centres_into's matrices to Re(x @ expand): theta's from the
@@ -268,7 +254,7 @@ class _Group:
         if self.per_row is not None:
             self._sources_into(emission, spare)
             spare *= self.per_row[2]
-            values += (spare.reshape(-1, b).view(float) @ fold)[self.blocked]
+            values += (spare.reshape(-1, b).view(float) @ fold)[self.march.index]
         x = self.march.rows(spare)
         np.take(alphas[self.regions] @ self.enc.T, self.segment, axis=0, out=x, mode="clip")
         x *= self.hom
@@ -513,22 +499,22 @@ class FixedSourceOperator:
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
-        """Per-group projected source and particular solution of a source
-        that SourceField.require_on accepts for this operator."""
+        """Each group's J where its regions' marches end, (regions, blocks),
+        for a source that SourceField.require_on accepts for this operator."""
         source.require_on(self.mesh, self.n_groups)
         return [group.particular(source.emission) for group in self.groups]
 
-    def rhs(self, particular) -> np.ndarray:
-        """Right-hand side of the global system for one source, rows left
-        boundary, interface 0 .. R-2, right boundary."""
+    def rhs(self, ends) -> np.ndarray:
+        """Right-hand side of the global system from the groups' march ends
+        (particular), rows left boundary, interface 0 .. R-2, right boundary."""
         left = np.empty((self.geometry.n_regions, self.ng))
         right = np.empty_like(left)
         # the particular angular flux at every region's edges: the backward
         # blocks' march ends at the left edge, the forward blocks' at the right
-        for group, part in zip(self.groups, particular):
+        for group, end in zip(self.groups, ends):
             nf = group.nf
-            left[group.regions] = (part.ends[:, nf:] @ group.expand[nf:]).real
-            right[group.regions] = (part.ends[:, :nf] @ group.expand[:nf]).real
+            left[group.regions] = (end[:, nf:] @ group.expand[nf:]).real
+            right[group.regions] = (end[:, :nf] @ group.expand[:nf]).real
         geo, quad = self.geometry, self.quad
         return np.concatenate([
             _incoming(geo.bc_left) - _bc_combination(geo.bc_left, quad, "left", left[0]),
@@ -537,14 +523,14 @@ class FixedSourceOperator:
 
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,
-        particular) pair solve_fixed_source returns, from the stored
-        factors: each group marches its emission once more, and its terms
+        emission) pair solve_fixed_source returns, from the stored
+        factors: each group marches the emission once more, and its terms
         reach Psi through products with N G columns."""
-        alphas, particular = solution
+        alphas, emission = solution
         psi = np.empty((self.mesh.n_cells, self.ng))
-        for group, part in zip(self.groups, particular):
-            group.particular(part.emission)
-            group.centres_into(alphas, part.emission, group.folds(group.expand), psi)
+        for group in self.groups:
+            group.particular(emission)
+            group.centres_into(alphas, emission, group.folds(group.expand), psi)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
@@ -564,34 +550,35 @@ def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
 def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     """Angular and scalar flux at arbitrary points inside the slab.
 
-    solution is the (alphas, particular) pair solve_fixed_source returns for
-    this operator.  Points on a region interface are evaluated from the
-    left region; continuity of the solution makes the choice immaterial to
-    within the solver tolerance.  Every point's factors are computed
-    afresh, in chunks of EVAL_CHUNK points, which bounds the (points,
-    blocks) temporaries; at the cell centres FixedSourceOperator.flux reads
-    the stored factors instead.
+    solution is the (alphas, emission) pair solve_fixed_source returns for
+    this operator; each group marches the emission once more.  Points on a
+    region interface are evaluated from the left region; continuity of the
+    solution makes the choice immaterial to within the solver tolerance.
+    Every point's factors are computed afresh, in chunks of EVAL_CHUNK
+    points, which bounds the (points, blocks) temporaries; at the cell
+    centres FixedSourceOperator.flux reads the stored factors instead.
     """
-    alphas, particular = solution
+    alphas, emission = solution
     points = np.atleast_1d(np.asarray(points, dtype=float))
     region = _locate_regions(operator.geometry, points)
     psi = np.zeros((points.size, operator.ng))
-    for group, part in zip(operator.groups, particular):
-        group.particular(part.emission)
+    for group in operator.groups:
+        group.particular(emission)
         for i, r in enumerate(group.regions):
             idx = np.nonzero(region == r)[0]
             for k in range(0, idx.size, EVAL_CHUNK):
                 chunk = idx[k:k + EVAL_CHUNK]
-                psi[chunk] = group.psi_at(i, alphas[r], part.emission,
+                psi[chunk] = group.psi_at(i, alphas[r], emission,
                                           points[chunk] - group.x_left[i])
     return FluxField.from_psi(points, psi, operator.quad)
 
 
 def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
-    """Per-region expansion coefficients (no evaluation) and the per-group
-    particular data; evaluate_flux takes the pair."""
-    particular = operator.particular(source)
-    return solve_alpha(operator.factor, operator.rhs(particular)), particular
+    """Per-region expansion coefficients (no evaluation) and the source's
+    emission: the (alphas, emission) pair that evaluate_flux and
+    FixedSourceOperator.flux take."""
+    rhs = operator.rhs(operator.particular(source))
+    return solve_alpha(operator.factor, rhs), source.emission
 
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):

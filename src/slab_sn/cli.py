@@ -15,12 +15,11 @@ import numpy as np
 
 from . import outputs
 from .bench import default_cells, run_benchmark
-from .eigen import build_operator, power_iteration, solve_source
+from .eigen import build_operator, power_iteration, solve_source, transport_matrices
 from .exceptions import ParseError, TransportError, ValidationError
 from .mesh import SourceField
-from .model import SOLVER_KINDS, SolverConfig, gauss_legendre
+from .model import SOLVER_KINDS, SolverConfig
 from .problem_io import load_problem
-from .spectral import assemble_A
 
 
 def _add_common(parser):
@@ -88,15 +87,12 @@ def _load(args):
 
 
 def _dump_matrices(args, outdir, materials, config, solved):
-    """--dump-matrices (analytic solver): A per material, rebuilt at fission
-    scale 1/k_e, with P and B from the spectra of the solve (the operator or
-    the result)."""
+    """--dump-matrices (analytic solver): A per material, rebuilt as the
+    operator built it, with P and B from the spectra of the solve (the
+    operator or the result)."""
     if args.dump_matrices and config.solver_kind == "analytic":
-        scale = 0.0 if config.ke is None else 1.0 / config.ke
-        quad = gauss_legendre(config.sn_order)
-        outputs.dump_matrices(outdir / "matrices",
-                              {name: assemble_A(materials[name], quad, scale)
-                               for name in solved.spectra}, solved.spectra)
+        _, matrices = transport_matrices(materials, solved.spectra, config)
+        outputs.dump_matrices(outdir / "matrices", matrices, solved.spectra)
 
 
 def _fixed_source(args, mesh, n_groups) -> SourceField:

@@ -114,18 +114,25 @@ def _initial_production(mesh: FineMesh, nu_sigma_f: np.ndarray) -> np.ndarray:
     return production if production.any() else mask.astype(float)
 
 
+def transport_matrices(materials, names, config: SolverConfig):
+    """(quadrature, {name: A}) for the named materials at config.sn_order,
+    A assembled at fission scale 1/k_e under a shift config.ke and 0
+    without one."""
+    quad = gauss_legendre(config.sn_order)
+    fission_scale = 0.0 if config.ke is None else 1.0 / config.ke
+    return quad, {name: assemble_A(materials[name], quad, fission_scale) for name in names}
+
+
 def build_operator(geometry: SlabGeometry, materials, config: SolverConfig):
     """The validated problem's fixed-source operator for config.solver_kind.
     A shift config.ke folds chi nu-fission / k_e into the operator; without
     one the operator excludes fission."""
     validate_problem(geometry, materials, config)
-    quad = gauss_legendre(config.sn_order)
     mesh = build_fine_mesh(geometry, config.fine_mesh_size)
     if config.solver_kind == "sweep":
-        return SweepOperator(geometry, materials, mesh, quad, config.ke)
-    fission_scale = 0.0 if config.ke is None else 1.0 / config.ke
-    spectra = {name: block_diagonalize(assemble_A(materials[name], quad, fission_scale))
-               for name in set(geometry.materials)}
+        return SweepOperator(geometry, materials, mesh, gauss_legendre(config.sn_order), config.ke)
+    quad, matrices = transport_matrices(materials, set(geometry.materials), config)
+    spectra = {name: block_diagonalize(a) for name, a in matrices.items()}
     return FixedSourceOperator(geometry, spectra, mesh, quad)
 
 

@@ -25,20 +25,22 @@ class FirstOrderScan:
     shares (a cell axis of length 1, rows then giving the row count), and is
     fixed at construction, as are the segment starts (row indices; row 0
     always starts one).  A caller writes the sources b, real or complex,
-    into a workspace in the blocked layout below (blocks copies rows there,
-    unblocks copies them back) and scans them there with in_place.  The
-    rows are cut into about sqrt(rows) blocks of about
+    into a workspace in the blocked layout below and scans them there with
+    in_place.  The rows are cut into about sqrt(rows) blocks of about
     sqrt(rows) rows, stored block-inner so that row j of every block is one
-    contiguous slab.  One pass runs the recurrence inside every block at
-    once, a short pass carries each block's last value into the next, and
-    one vectorized update adds the carried value times the running product
-    of a to the rest of each block.  A scan therefore costs O(sqrt(rows))
-    whole-array operations whatever the number of columns.  In a kept
-    workspace, each trip of either loop is two ufunc calls that allocate
-    nothing; they and the per-row carry update avoid broadcast and sliced
-    operands, which numpy would copy to a buffer.  A shared row is kept as
-    a (block size, columns) power table broadcast over the blocks, so it
-    costs no per-row memory.
+    contiguous slab: index[m] is row m's row in a workspace buffer
+    flattened to (size * count, columns...), through which blocks and
+    unblocks copy rows, and last holds each segment's last row there.  One
+    pass runs the recurrence inside every block at once, a short pass
+    carries each block's last value into the next, and one vectorized
+    update adds the carried value times the running product of a to the
+    rest of each block.  A scan therefore costs O(sqrt(rows)) whole-array
+    operations whatever the number of columns.  In a kept workspace, each
+    trip of either loop is two ufunc calls that allocate nothing; they and
+    the per-row carry update avoid broadcast and sliced operands, which
+    numpy would copy to a buffer.  A shared row is kept as a (block size,
+    columns) power table broadcast over the blocks, so it costs no per-row
+    memory.
 
     A segment start is a zero coefficient: the in-block trip of a row that
     holds starts below a block's first row multiplies by a private copy of
@@ -56,10 +58,10 @@ class FirstOrderScan:
         self.shape = (rows,) + a.shape[1:]
         self.size = max(1, int(np.ceil(np.sqrt(rows))))
         self.count = -(-rows // self.size)
-        # rows in whole blocks, and the rows of a last, partial block
-        self.full, self.tail = divmod(rows, self.size)
+        row = np.arange(rows)
+        self.index = row % self.size * self.count + row // self.size
         blocks = (self.size, self.count) + a.shape[1:]
-        blocked = self.blocks(a, np.empty(blocks, dtype=a.dtype)) if a.shape[0] == rows else \
+        blocked = self.blocks(a) if a.shape[0] == rows else \
             np.broadcast_to(a, (self.size, 1) + a.shape[1:])
         # running product of a inside each block
         prod = np.cumprod(blocked, axis=0)
@@ -73,7 +75,11 @@ class FirstOrderScan:
         start = np.zeros(rows, dtype=bool)
         start[0] = True
         start[starts] = True
-        self.cut = self.blocks(start, np.empty((self.size, self.count), dtype=bool))
+        # a segment's last row is the one before the next start
+        self.last = self.index[np.flatnonzero(np.append(start[1:], True))]
+        self.index.setflags(write=False)
+        self.last.setflags(write=False)
+        self.cut = self.blocks(start)
         # live[j, i]: block i's carry-in still reaches its row j
         live = ~np.logical_or.accumulate(self.cut, axis=0)
         # blocks whose last row a carry reaches
@@ -82,15 +88,11 @@ class FirstOrderScan:
         # the rows no carry reaches, block 0's among them
         self.dead = np.nonzero(~live[:-1])
 
-    def blocks(self, x, out):
-        """Rows x (rows, ...) written to out (size, count, ...) in the
-        block-inner layout, zero-padded to whole blocks; returns out."""
-        full, tail = self.full, self.tail
-        out.swapaxes(0, 1)[:full] = x[:full * self.size].reshape(
-            (full, self.size) + x.shape[1:])
-        if tail:
-            out[:tail, full] = x[full * self.size:]
-            out[tail:, full] = 0
+    def blocks(self, x) -> np.ndarray:
+        """Rows x (rows, ...) in the block-inner layout (size, count, ...),
+        zero-padded to whole blocks."""
+        out = np.zeros((self.size, self.count) + x.shape[1:], dtype=x.dtype)
+        out.reshape((-1,) + x.shape[1:])[self.index] = x
         return out
 
     def workspace(self, dtype):
@@ -133,12 +135,6 @@ class FirstOrderScan:
         carried[self.dead] = -0.0
         np.add(y[:-1], carried, out=y[:-1])
 
-    def unblocks(self, y, out):
-        """The inverse of blocks: the rows of y (size, count, ...) written to
-        out (rows, ...); returns out."""
-        full, tail = self.full, self.tail
-        out[:full * self.size].reshape((full, self.size) + y.shape[2:])[...] = \
-            y[:, :full].swapaxes(0, 1)
-        if tail:
-            out[full * self.size:] = y[:tail, full]
-        return out
+    def unblocks(self, y) -> np.ndarray:
+        """The inverse of blocks: the rows (rows, ...) of y (size, count, ...)."""
+        return y.reshape((-1,) + y.shape[2:])[self.index]

@@ -159,15 +159,6 @@ def exp_block(rate, x):
     return np.exp(w)
 
 
-def _expm1_complex(w):
-    """e^w - 1 for complex w without cancellation near w = 0."""
-    u = w.real
-    v = w.imag
-    real = np.cos(v) * np.expm1(u) - 2.0 * np.sin(v / 2.0) ** 2
-    imag = np.exp(u) * np.sin(v)
-    return real + 1j * imag
-
-
 def phi_block(rate, dt):
     """Integral of e^{rate u} du over [0, dt] (dt may be negative) for block
     scalars."""
@@ -178,7 +169,7 @@ def phi_block(rate, dt):
     small = np.abs(w) < PHI_TAYLOR_CUT
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(small, dt * (1.0 + 0.5 * w),
-                       _expm1_complex(w) / np.where(small, 1.0, rate))
+                       np.expm1(w) / np.where(small, 1.0, rate))
     return out
 
 

@@ -88,21 +88,20 @@ class SweepOperator:
 
         c = np.abs(quad.mu)[None, None, :] / mesh.widths[:, None, None]
         denom = c + sigma_t[:, :, None]
-        a, s = c / denom, 1.0 / denom
-        self.march = march = FirstOrderScan(self.scan_order(a))
+        a, s = self.scan_order(c / denom), 1.0 / denom
+        self.march = march = FirstOrderScan(a)
         self.work = march.workspace(float)
+        # the first scan row's coefficient carries the incoming flux in
+        self.enter = a[0].copy()
 
         # sources are gathered from half the emission: one zero, which the
         # padding rows read, then (cells * G,) in cell order
         m, g, n = self.shape
         slot = np.arange(1, m * g + 1).reshape(m, g, 1).repeat(n, axis=2)
-        self.gather = march.blocks(self.scan_order(slot), np.empty(self.work[0].shape, int))
-        self.s = march.blocks(self.scan_order(s), np.empty(self.work[0].shape))
-        # the blocked row of each scan row, the last one's place, phi's halves
-        blocked = np.arange(march.size * march.count).reshape(march.size, -1)
-        blocked_row = march.unblocks(blocked, np.empty(m, dtype=int))
-        self.last = np.unravel_index(blocked_row[-1], blocked.shape)
-        rows = blocked_row[:, None] * g + np.arange(g)
+        self.gather = march.blocks(self.scan_order(slot))
+        self.s = march.blocks(self.scan_order(s))
+        # phi's halves: the weighted sums of every scan row's groups
+        rows = march.index[:, None] * g + np.arange(g)
         self.neg, self.pos = 2 * rows[::-1], 2 * rows + 1
 
         # incoming flux per (group, scan column): mu < 0 columns enter at the
@@ -116,7 +115,7 @@ class SweepOperator:
             self.reflect[cols] = bc.kind == "reflective"
         # pure streaming: a single sweep is the exact solution
         self.streaming = not self.reflect.any() and not self.transfer.any()
-        for arr in (self.transfer, self.weights, self.s, self.incoming, self.reflect,
+        for arr in (self.transfer, self.weights, self.enter, self.s, self.incoming, self.reflect,
                     self.gather, self.neg, self.pos):
             arr.setflags(write=False)
 
@@ -138,18 +137,17 @@ class SweepOperator:
         f = np.take(q, self.gather, out=self.work[0], mode="clip")
         f *= self.s
         f_in = np.where(self.reflect, out[:, ::-1], self.incoming)
-        f[0, 0] += self.march.a[0, 0] * f_in
+        f[0, 0] += self.enter * f_in
         self.march.in_place(self.work)
-        out[...] = f[self.last]
+        out[...] = f.reshape((-1,) + out.shape)[self.march.last[0]]
         halves = f.reshape(-1, self.shape[2]) @ self.weights
         return f, halves.take(self.neg) + halves.take(self.pos)
 
     def flux(self, psi: np.ndarray) -> FluxField:
         """Angular and scalar flux at the cell centres of fluxes psi in the
         scan's blocked layout."""
-        m, g, n = self.shape
-        psi = self.scan_order(self.march.unblocks(psi, np.empty(self.shape)))
-        return FluxField.from_psi(self.mesh.centers, psi.reshape(m, g * n), self.quad)
+        psi = self.scan_order(self.march.unblocks(psi))
+        return FluxField.from_psi(self.mesh.centers, psi.reshape(self.shape[0], -1), self.quad)
 
 
 def source_iteration(operator: SweepOperator, source: SourceField,

@@ -568,15 +568,21 @@ class UnsegmentedScan(FirstOrderScan):
 
 
 def scan(march, b, out=None, work=None):
-    """march's recurrence on rows: the sources b (rows, columns...) copied
-    into the blocked layout of work (a fresh workspace when None), scanned
-    there with in_place and copied back into out (allocated when None).
-    b may be rows(work[1]): blocks reads b in full before in_place writes
+    """march's recurrence on rows: the sources b (rows, columns...) written
+    through march.index into the blocked layout of work (a fresh workspace
+    when None), padding rows zero, scanned there with in_place and read
+    back through index into out (allocated when None), with no temporaries.
+    b may be rows(work[1]): it is read in full before in_place writes
     there."""
     work = march.workspace(np.result_type(march.a, b)) if work is None else work
-    y = march.blocks(np.asarray(b), work[0])
+    y = work[0]
+    flat = y.reshape((-1,) + march.shape[1:])
+    y.fill(0)
+    flat[march.index] = b
     march.in_place(work)
-    return march.unblocks(y, np.empty(march.shape, y.dtype) if out is None else out)
+    out = np.empty(march.shape, y.dtype) if out is None else out
+    # mode="raise" would buffer out; index holds valid rows only
+    return np.take(flat, march.index, axis=0, out=out, mode="clip")
 
 
 # The analytic cell-centre path in rows: theta and J formed as (rows,
@@ -639,7 +645,7 @@ def rows_fixed_source(operator, source, points):
     """(phi and psi at the cell centres, psi at points) of one fixed-source
     solve on the operator's groups and factor by the rows path."""
     parts = [rows_particular(group, source.emission) for group in operator.groups]
-    alphas = operator.factor.solve(operator.rhs(parts))
+    alphas = operator.factor.solve(operator.rhs([part.ends for part in parts]))
     phi = np.empty((operator.mesh.n_cells, operator.n_groups))
     psi = np.empty((operator.mesh.n_cells, operator.ng))
     region = np.searchsorted(operator.geometry.edges[1:], points, side="left")

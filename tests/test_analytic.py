@@ -889,6 +889,26 @@ class TestRegionCount:
         assert len(calls) == 2
         assert {id(scan) for scan in calls} == {id(g.march) for g in operator.groups}
 
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_solution_is_alphas_and_emission(self, pincell, graded):
+        # a solution keeps the alphas and the source's emission only: the
+        # flux read from it after the operator has solved another source
+        # equals, bit for bit, the flux read right after its own solve
+        quad = gauss_legendre(6)
+        geo = split_geometry(pincell.geometry, 60, seed=1)
+        mesh = graded_mesh(geo, np.full(60, 12)) if graded else build_fine_mesh(geo, 700)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
+        source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
+        solution = solve_fixed_source(operator, source)
+        alphas, emission = solution
+        assert alphas.shape == (geo.n_regions, operator.ng) and emission is source.emission
+        points = np.linspace(geo.edges[0], geo.edges[-1], 101)
+        flux, at_points = operator.flux(solution), evaluate_flux(operator, solution, points)
+        rng = np.random.default_rng(3)
+        fixed_source_solve(operator, SourceField(mesh, rng.uniform(0.0, 1.0, emission.shape)))
+        assert np.array_equal(operator.flux(solution).psi, flux.psi)
+        assert np.array_equal(evaluate_flux(operator, solution, points).psi, at_points.psi)
+
     def test_heterogeneous_lattice_matches_dense_oracle(self, pincell):
         geo, mesh = pincell_lattice(pincell, np.random.default_rng(7))
         assert geo.n_regions == 60

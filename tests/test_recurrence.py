@@ -82,6 +82,39 @@ class TestFirstOrderScan:
             FirstOrderScan(np.ones((1, 2)), 4, [0, start])
 
 
+class TestBlockedLayout:
+    """The layout contract that callers read instead of rebuilding it:
+    index, last, blocks and unblocks."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("rows", [1, 2, 16, 17, 700, 1429])
+    def test_layout_contract(self, rows, shared):
+        rng = np.random.default_rng(rows)
+        starts = np.unique(rng.integers(0, rows, rng.integers(0, 8)))
+        a = coefficients(rng, "complex", (1 if shared else rows, 3))
+        march = FirstOrderScan(a, rows, starts)
+        flat = march.size * march.count
+        # index: each scan row's row in the flattened workspace, a
+        # permutation of rows into size * count rows
+        m = np.arange(rows)
+        assert np.array_equal(march.index, m % march.size * march.count + m // march.size)
+        assert np.unique(march.index).size == rows
+        assert march.index.min() >= 0 and march.index.max() < flat
+        x = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        y = march.blocks(x)
+        assert y.shape == (march.size, march.count, 3) and y.dtype == x.dtype
+        assert march.unblocks(y).tobytes() == x.tobytes()
+        # the padding rows of a last, partial block are zero
+        padding = np.setdiff1d(np.arange(flat), march.index)
+        assert padding.size == flat - rows
+        assert np.all(y.reshape(flat, 3)[padding] == 0)
+        # last: the flattened row of each segment's last row, the one
+        # before the next start
+        first = np.union1d(starts, [0])
+        assert np.array_equal(march.last, march.index[np.append(first[1:], rows) - 1])
+        assert not (march.index.flags.writeable or march.last.flags.writeable)
+
+
 def construction_peak(coef, rows, starts=()):
     """The scan and the peak memory traced while building it."""
     tracemalloc.start()
