@@ -11,6 +11,12 @@ if a_s were zero there (y_s = b_s): a segmented scan (Blelloch, Prefix sums
 and their applications, 1990).  The analytic solver runs every region of
 one material and cell width as one segment of a single scan; the sweep
 runs the whole slab as one segment.
+
+The scan works on blocks of rows.  With per-row coefficients (the sweep,
+graded analytic groups) it carries the block ends by doubling (Hillis &
+Steele, Data parallel algorithms, 1986) over blocks of
+ceil(sqrt(rows / log2(rows))) rows; with one shared row (uniform analytic
+groups) it carries them serially over blocks of ceil(sqrt(rows)) rows.
 """
 
 import numpy as np
@@ -26,27 +32,36 @@ class FirstOrderScan:
     fixed at construction, as are the segment starts (row indices; row 0
     always starts one).  A caller writes the sources b, real or complex,
     into a workspace in the blocked layout below and scans them there with
-    in_place.  The rows are cut into about sqrt(rows) blocks of about
-    sqrt(rows) rows, stored block-inner so that row j of every block is one
-    contiguous slab: index[m] is row m's row in a workspace buffer
-    flattened to (size * count, columns...), through which blocks and
-    unblocks copy rows, and last holds each segment's last row there.  One
-    pass runs the recurrence inside every block at once, a short pass
-    carries each block's last value into the next, and one vectorized
-    update adds the carried value times the running product of a to the
-    rest of each block.  A scan therefore costs O(sqrt(rows)) whole-array
-    operations whatever the number of columns.  In a kept workspace, each
-    trip of either loop is two ufunc calls that allocate nothing; they and
+    in_place.  The rows are cut into count blocks of size rows, stored
+    block-inner so that row j of every block is one contiguous slab:
+    index[m] is row m's row in a workspace buffer flattened to (size *
+    count, columns...), through which blocks and unblocks copy rows, and
+    last holds each segment's last row there.  One pass runs the recurrence
+    inside every block at once, a chain carries each block's last value
+    into the blocks after it, and one vectorized update adds the carried
+    value times the running product of a to the rest of each block.
+
+    The chain depends on a.  A shared row carries the block ends serially,
+    trip i adding block i - 1's end times the block total to block i's,
+    over blocks of ceil(sqrt(rows)) rows; its running product is a (block
+    size, columns) power table broadcast over the blocks, so it costs no
+    per-row memory.  Per-row coefficients carry them by doubling: trip t
+    adds to every block end the end 2**t blocks back times tables[t], the
+    product of the block totals between them, ceil(log2(count)) trips in
+    all.  Their blocks of ceil(sqrt(rows / log2(rows))) rows balance the
+    in-block trips against those.  Either way a scan costs O(sqrt(rows))
+    whole-array operations whatever the number of columns.  In a kept
+    workspace, each trip is two ufunc calls that allocate nothing; they and
     the per-row carry update avoid broadcast and sliced operands, which
-    numpy would copy to a buffer.  A shared row is kept as a (block size,
-    columns) power table broadcast over the blocks, so it costs no per-row
-    memory.
+    numpy would copy to a buffer.
 
     A segment start is a zero coefficient: the in-block trip of a row that
     holds starts below a block's first row multiplies by a private copy of
-    the row with zeros at those blocks.  A carry reaches a row only if no
-    start lies between it and its block's first row, a (size, count) mask,
-    since a shared row's power table cannot hold zeros for single blocks.
+    the row with zeros at those blocks, and the serial chain skips, and
+    the doubling tables zero, the total of a block that holds a start.  A
+    carry reaches a row only if no start lies between it and its block's
+    first row, a (size, count) mask, since a shared row's power table
+    cannot hold zeros for single blocks.
     """
 
     def __init__(self, a, rows=None, starts=()):
@@ -56,7 +71,11 @@ class FirstOrderScan:
             raise ValidationError(
                 f"coefficients have {a.shape[0]} rows, expected 1 or {rows}")
         self.shape = (rows,) + a.shape[1:]
-        self.size = max(1, int(np.ceil(np.sqrt(rows))))
+        self.shared = a.shape[0] != rows
+        # the in-block trips balance the chain's: count - 1 serial trips for
+        # a shared row, ceil(log2(count)) doubling trips per row
+        depth = 1.0 if self.shared else max(1.0, np.log2(rows))
+        self.size = max(1, int(np.ceil(np.sqrt(rows / depth))))
         self.count = -(-rows // self.size)
         row = np.arange(rows)
         self.index = row % self.size * self.count + row // self.size
@@ -67,7 +86,6 @@ class FirstOrderScan:
         prod = np.cumprod(blocked, axis=0)
         self.a = np.broadcast_to(blocked, blocks)
         self.prod = np.broadcast_to(prod, blocks)
-        self.shared = a.shape[0] != rows
 
         starts = np.asarray(starts, dtype=int)
         if np.any((starts < 0) | (starts >= rows)):
@@ -82,11 +100,20 @@ class FirstOrderScan:
         self.cut = self.blocks(start)
         # live[j, i]: block i's carry-in still reaches its row j
         live = ~np.logical_or.accumulate(self.cut, axis=0)
-        # blocks whose last row a carry reaches
-        self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
         # the carry update adds -0.0, which leaves every value as it is, to
         # the rows no carry reaches, block 0's among them
         self.dead = np.nonzero(~live[:-1])
+        if self.shared:
+            # blocks whose last row a carry reaches
+            self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
+        else:
+            # tables[t][i - 2**t]: the product of the block totals of blocks
+            # i - 2**t + 1 .. i, zero if a segment starts in any of them
+            total = np.where(live[-1].reshape((-1,) + (1,) * (a.ndim - 1)), prod[-1], 0)
+            self.tables, k, t = [], 1, total[1:]
+            while k < self.count:
+                self.tables.append(t)
+                t, k = t[k:] * t[:-k], 2 * k
 
     def blocks(self, x) -> np.ndarray:
         """Rows x (rows, ...) in the block-inner layout (size, count, ...),
@@ -96,10 +123,10 @@ class FirstOrderScan:
         return out
 
     def workspace(self, dtype):
-        """(y, spare, steps, carries) for calls with this dtype: two
-        (size, count, columns...) buffers and, for each trip of the in-block
-        pass and of the carry chain, the (coefficient, previous row, row,
-        temporary) views it works on.  A kept one is never allocated again."""
+        """(y, spare, trips) for calls with this dtype: two (size, count,
+        columns...) buffers and, for each trip of the in-block pass and of
+        the carry chain, the (coefficient, previous, row, temporary) views it
+        works on.  A kept one is never allocated again."""
         shape = (self.size, self.count) + self.shape[1:]
         # spare starts finite: the carry update multiplies all its rows
         y, spare = np.empty(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
@@ -107,10 +134,14 @@ class FirstOrderScan:
         for j in np.flatnonzero(self.cut[1:].any(axis=1)) + 1:
             a[j] = a[j].copy()
             a[j][self.cut[j]] = 0
-        steps = [(a[j], y[j - 1], y[j], spare[0]) for j in range(1, self.size)]
-        carries = [(self.prod[-1, i], y[-1, i - 1], y[-1, i], spare[0, 0])
-                   for i in self.chained]
-        return y, spare, steps, carries
+        trips = [(a[j], y[j - 1], y[j], spare[0]) for j in range(1, self.size)]
+        if self.shared:
+            trips += [(self.prod[-1, i], y[-1, i - 1], y[-1, i], spare[0, 0])
+                      for i in self.chained]
+        else:
+            trips += [(t, y[-1, :len(t)], y[-1, self.count - len(t):], spare[0, :len(t)])
+                      for t in self.tables]
+        return y, spare, trips
 
     def rows(self, buffer) -> np.ndarray:
         """The first rows of a workspace buffer as a (rows, columns...)
@@ -119,12 +150,10 @@ class FirstOrderScan:
 
     def in_place(self, work):
         """Scan the sources written into work[0] there, padding rows too."""
-        y, spare, steps, carries = work
+        y, spare, trips = work
         # out= passed by position: keywords cost a trip measurably more
-        for a, prev, row, tmp in steps:
+        for a, prev, row, tmp in trips:
             np.add(row, np.multiply(a, prev, tmp), row)
-        for prod, prev, row, tmp in carries:
-            np.add(row, np.multiply(prod, prev, tmp), row)
         carried = spare[:-1]
         if self.shared:
             np.copyto(carried, self.prod[:-1])

@@ -55,7 +55,7 @@ class SweepOperator:
 
     Built once per (geometry, materials, mesh, quadrature, shift):
     it checks that every material scatters isotropically with a folded
-    scattering ratio below one, and holds the per-cell group transfer
+    scattering ratio below one, and holds half the per-cell group transfer
     (scattering plus chi nu-fission / k_e under a shift), the marching
     coefficients and the fixed part of the boundary fluxes.
 
@@ -78,9 +78,10 @@ class SweepOperator:
         sigma_t = np.vstack([materials[name].sigma_t
                              for name in geometry.materials])[mesh.region_of_cell]
         self.shape = (mesh.n_cells, sigma_t.shape[1], quad.n)
-        # phi[m] @ transfer[m]: cell m's scattering (plus folded fission)
-        # emission density per group
-        self.transfer = np.stack([t.T for t in transfer])[mesh.region_of_cell]
+        # phi[m] @ transfer[m]: half cell m's scattering (plus folded
+        # fission) emission density per group, the share of every ordinate
+        # of a direction half under isotropic emission
+        self.transfer = np.stack([t.T / 2.0 for t in transfer])[mesh.region_of_cell]
         # quadrature weights of the mu < 0 and the mu > 0 columns
         self.weights = np.zeros((quad.n, 2))
         self.weights[:h, 0] = quad.weight[:h]
@@ -113,6 +114,8 @@ class SweepOperator:
             if bc.kind == "incoming":
                 self.incoming[:, cols] = np.reshape(bc.values, (-1, h))
             self.reflect[cols] = bc.kind == "reflective"
+        # vacuum at both ends: no flux enters the first scan row
+        self.inflow = geometry.bc_left.kind != "vacuum" or geometry.bc_right.kind != "vacuum"
         # pure streaming: a single sweep is the exact solution
         self.streaming = not self.reflect.any() and not self.transfer.any()
         for arr in (self.transfer, self.weights, self.enter, self.s, self.incoming, self.reflect,
@@ -136,8 +139,8 @@ class SweepOperator:
         """
         f = np.take(q, self.gather, out=self.work[0], mode="clip")
         f *= self.s
-        f_in = np.where(self.reflect, out[:, ::-1], self.incoming)
-        f[0, 0] += self.enter * f_in
+        if self.inflow:
+            f[0, 0] += self.enter * np.where(self.reflect, out[:, ::-1], self.incoming)
         self.march.in_place(self.work)
         out[...] = f.reshape((-1,) + out.shape)[self.march.last[0]]
         halves = f.reshape(-1, self.shape[2]) @ self.weights
@@ -167,11 +170,12 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     q = np.zeros(m * g + 1)
     total = q[1:].reshape(m, g)
     out = np.zeros((g, n))
+    # isotropic: every ordinate of a direction half sees half the emission,
+    # as operator.transfer holds half the scattering
+    emission = source.emission / 2.0
     for it in range(1, max_inner + 1):
-        # isotropic: every ordinate of a direction half sees half the emission
         np.einsum("mg,mgh->mh", phi, operator.transfer, out=total)
-        total += source.emission
-        total /= 2.0
+        total += emission
         psi, phi_new = operator.sweep(q, out)
         change = np.linalg.norm(phi_new - phi)
         phi = phi_new

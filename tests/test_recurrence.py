@@ -23,8 +23,10 @@ def coefficients(rng, kind, shape):
 
 
 class TestFirstOrderScan:
+    # per-row block counts 1, 1, 2, 3, 8, 6, 16, 17 and 78: the doubling
+    # chain at one block, two, a power of two and one more than that
     @pytest.mark.parametrize("kind", ["zero", "one", "tiny", "complex", "random"])
-    @pytest.mark.parametrize("m", [1, 2, 5, 16, 17, 700])
+    @pytest.mark.parametrize("m", [1, 2, 4, 5, 16, 17, 64, 65, 700])
     def test_matches_loop(self, kind, m):
         rng = np.random.default_rng(7)
         a = coefficients(rng, kind, (m, 3, 2))
@@ -71,6 +73,21 @@ class TestFirstOrderScan:
         # per-row coefficients do need the (size, count, columns) product
         _, peak = construction_peak(np.repeat(a, m, axis=0), m)
         assert peak >= running_product
+
+    def test_per_row_doubling_tables_stay_small(self):
+        rng = np.random.default_rng(10)
+        a = coefficients(rng, "complex", (1429, 64))
+        march, peak = construction_peak(a, a.shape[0])
+        running_product = march.size * march.count * 64 * a.itemsize
+        # ceil(log2(count)) tables of at most count rows of columns: under
+        # half a running product, where one table per row would take
+        # log2(rows) whole ones
+        tables = sum(t.nbytes for t in march.tables)
+        assert len(march.tables) == np.ceil(np.log2(march.count))
+        assert tables < running_product / 2
+        # the blocked coefficients and their running product, the tables,
+        # and index maps of a few rows' worth
+        assert peak < 2 * running_product + tables + running_product / 20
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
@@ -125,11 +142,12 @@ def construction_peak(coef, rows, starts=()):
         tracemalloc.stop()
 
 
-# segment lengths; "mixed" adds fillers (30, 21) that put the 49- and the
-# 1429-row segments on the scan's 40-row block boundaries
+# segment lengths; "mixed" adds fillers (263, 272) that start the 49- and
+# the 1429-row segments at rows 322 and 644, on block boundaries of both
+# block-size rules: 46-row blocks for a shared row, 14-row ones per row
 LAYOUTS = {"off": [1, 2, 7, 49, 50, 1429],
            "reversed": [1429, 50, 49, 7, 2, 1],
-           "mixed": [1, 2, 7, 30, 49, 50, 21, 1429]}
+           "mixed": [1, 2, 7, 263, 49, 50, 272, 1429]}
 
 
 def segment_starts(lengths):
@@ -170,6 +188,29 @@ class TestSegmentedScan:
         got = scan(FirstOrderScan(a, rows, starts), b)
         ref = recurrence_loop(cut, b)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    # (rows, block count, starts) for per-row coefficients: every case with
+    # more than one block has starts on block boundaries and off them
+    @pytest.mark.parametrize("rows, count, starts", [
+        (2, 1, [1]), (4, 2, [2, 3]), (64, 16, [4, 13, 32, 33, 60]), (65, 17, [8, 17, 30, 64])])
+    @pytest.mark.parametrize("kind", ["zero", "tiny", "complex", "holes"])
+    def test_doubling_chain_matches_loop_that_restarts(self, rows, count, starts, kind):
+        # zero and tiny coefficients make zero or underflowing block
+        # totals; "holes" zeroes one row in five, so that totals vanish
+        # inside segments too
+        rng = np.random.default_rng(rows)
+        a = coefficients(rng, "random" if kind == "holes" else kind, (rows, 4))
+        if kind == "holes":
+            a[::5] = 0.0
+        b = rng.standard_normal((rows, 4))
+        march = FirstOrderScan(a, rows, starts)
+        assert not march.shared and march.count == count
+        on_block = np.asarray(starts) % march.size == 0
+        assert on_block.any() == (count > 1) and not on_block.all()
+        cut = a.copy()
+        cut[starts] = 0.0
+        ref = recurrence_loop(cut, b)
+        assert np.max(np.abs(scan(march, b) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_shared_row_keeps_no_per_row_coefficients(self):
         rng = np.random.default_rng(13)
