@@ -114,8 +114,8 @@ class SweepOperator:
             if bc.kind == "incoming":
                 self.incoming[:, cols] = np.reshape(bc.values, (-1, h))
             self.reflect[cols] = bc.kind == "reflective"
-        # vacuum at both ends: no flux enters the first scan row
-        self.inflow = geometry.bc_left.kind != "vacuum" or geometry.bc_right.kind != "vacuum"
+        # no end reflects or lets flux in: none enters the first scan row
+        self.inflow = self.reflect.any() or self.incoming.any()
         # pure streaming: a single sweep is the exact solution
         self.streaming = not self.reflect.any() and not self.transfer.any()
         for arr in (self.transfer, self.weights, self.enter, self.s, self.incoming, self.reflect,

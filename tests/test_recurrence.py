@@ -74,20 +74,33 @@ class TestFirstOrderScan:
         _, peak = construction_peak(np.repeat(a, m, axis=0), m)
         assert peak >= running_product
 
-    def test_per_row_doubling_tables_stay_small(self):
+    # 32 complex columns, the widest rows that double: the tables' share
+    # of a running product peaks near a hundred rows
+    @pytest.mark.parametrize("rows, share", [(64, 0.8), (100, 0.95), (1429, 0.5)])
+    def test_per_row_doubling_tables_stay_small(self, rows, share):
+        rng = np.random.default_rng(10)
+        a = coefficients(rng, "complex", (rows, 32))
+        march, peak = construction_peak(a, rows)
+        running_product = march.size * march.count * a[0].nbytes
+        # ceil(log2(count)) tables of at most count rows: about
+        # (log2(count) - 1) / size running products, where one table per
+        # row would take log2(rows) whole ones
+        tables = sum(t.nbytes for t in march.tables)
+        assert march.doubling and len(march.tables) == np.ceil(np.log2(march.count))
+        assert tables < share * running_product
+        # the blocked coefficients and their running product, the tables,
+        # and four (rows,) index maps and a few small arrays
+        assert peak < 2 * running_product + tables + 4 * march.index.nbytes + 8192
+
+    def test_wide_per_row_scan_keeps_no_tables(self):
+        # rows of 64 complex columns carry serially: the blocked
+        # coefficients and their running product, and the index maps
         rng = np.random.default_rng(10)
         a = coefficients(rng, "complex", (1429, 64))
         march, peak = construction_peak(a, a.shape[0])
-        running_product = march.size * march.count * 64 * a.itemsize
-        # ceil(log2(count)) tables of at most count rows of columns: under
-        # half a running product, where one table per row would take
-        # log2(rows) whole ones
-        tables = sum(t.nbytes for t in march.tables)
-        assert len(march.tables) == np.ceil(np.log2(march.count))
-        assert tables < running_product / 2
-        # the blocked coefficients and their running product, the tables,
-        # and index maps of a few rows' worth
-        assert peak < 2 * running_product + tables + running_product / 20
+        running_product = march.size * march.count * a[0].nbytes
+        assert not march.doubling and not hasattr(march, "tables")
+        assert peak < 2 * running_product + 4 * march.index.nbytes + 8192
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
@@ -142,9 +155,37 @@ def construction_peak(coef, rows, starts=()):
         tracemalloc.stop()
 
 
+def call_with_out_peak(shared, columns, segments):
+    """The peak memory traced while a kept workspace scans complex
+    coefficients over LAYOUTS["mixed"] into a caller's array, under 40 KB
+    only if no trip allocates a row of products: every scan here has a
+    block row of at least 40 KB."""
+    rng = np.random.default_rng(16)
+    lengths = LAYOUTS["mixed"]
+    rows = sum(lengths)
+    starts = segment_starts(lengths) if segments == "several" else ()
+    a = coefficients(rng, "complex", (1 if shared else rows, columns))
+    march = FirstOrderScan(a, rows, starts)
+    assert march.doubling == (columns == 32)
+    assert march.count * a[0].nbytes >= 40 * 64 * 16
+    b = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
+    ref = scan(march, b)
+    out = np.empty_like(ref)
+    work = march.workspace(complex)
+    tracemalloc.start()
+    try:
+        scan(march, b, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, ref)
+    return peak
+
+
 # segment lengths; "mixed" adds fillers (263, 272) that start the 49- and
 # the 1429-row segments at rows 322 and 644, on block boundaries of both
-# block-size rules: 46-row blocks for a shared row, 14-row ones per row
+# block-size rules: 46-row blocks for the serial chain, 14-row ones for
+# the doubling chain
 LAYOUTS = {"off": [1, 2, 7, 49, 50, 1429],
            "reversed": [1429, 50, 49, 7, 2, 1],
            "mixed": [1, 2, 7, 263, 49, 50, 272, 1429]}
@@ -204,7 +245,7 @@ class TestSegmentedScan:
             a[::5] = 0.0
         b = rng.standard_normal((rows, 4))
         march = FirstOrderScan(a, rows, starts)
-        assert not march.shared and march.count == count
+        assert march.doubling and march.count == count
         on_block = np.asarray(starts) % march.size == 0
         assert on_block.any() == (count > 1) and not on_block.all()
         cut = a.copy()
@@ -263,24 +304,12 @@ class TestSegmentedScan:
     def test_call_with_out_allocates_less_than_a_block_row(self, shared, segments):
         # the workspace holds the views both loops step through: no trip
         # of either allocates a row of products
-        rng = np.random.default_rng(16)
-        lengths = LAYOUTS["mixed"]
-        rows = sum(lengths)
-        starts = segment_starts(lengths) if segments == "several" else ()
-        a = coefficients(rng, "complex", (1 if shared else rows, 64))
-        march = FirstOrderScan(a, rows, starts)
-        b = rng.standard_normal((rows, 64)) + 1j * rng.standard_normal((rows, 64))
-        ref = scan(march, b)
-        out = np.empty_like(ref)
-        work = march.workspace(complex)
-        tracemalloc.start()
-        try:
-            scan(march, b, out=out, work=work)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(out, ref)
-        assert peak < march.count * 64 * out.itemsize
+        assert call_with_out_peak(shared, 64, segments) < 40 * 64 * 16
+
+    @pytest.mark.parametrize("segments", ["one", "several"])
+    def test_doubling_call_with_out_allocates_less_than_a_block_row(self, segments):
+        # nor does a doubling trip, over rows of 32 complex columns
+        assert call_with_out_peak(False, 32, segments) < 40 * 64 * 16
 
     def test_one_segment_sweep_is_bit_identical(self, pincell, monkeypatch):
         # the sweep runs the whole slab as one segment: k, outer counts and
