@@ -90,15 +90,20 @@ def _pair_rows(quad: QuadratureSet, g: int):
     return pos_rows, neg_rows
 
 
-def _bc_combination(bc, quad: QuadratureSet, side: str, values: np.ndarray) -> np.ndarray:
-    """The N G / 2 combinations of values' (N G) leading rows that one
-    boundary condition constrains: incoming ordinates (group-major), or
-    incoming minus mirrored outgoing for a reflective end."""
-    g = values.shape[0] // quad.n
+def _bc_rows(bc, quad: QuadratureSet, side: str, g: int):
+    """(rows, mirrored rows) of the N G boundary values that one boundary
+    condition constrains: the incoming ordinates (group-major) and None,
+    or for a reflective end the incoming and the mirrored outgoing ones."""
     if bc.kind == "reflective":
-        pos, neg = _pair_rows(quad, g)
-        return values[pos] - values[neg]
-    return values[np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)]
+        return _pair_rows(quad, g)
+    return np.flatnonzero(np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)), None
+
+
+def _bc_combination(rows, values: np.ndarray) -> np.ndarray:
+    """The N G / 2 combinations of values' leading rows that _bc_rows'
+    rows select: incoming, or incoming minus mirrored outgoing."""
+    rows, mirrored = rows
+    return values[rows] if mirrored is None else values[rows] - values[mirrored]
 
 
 def _real_part(matrix: np.ndarray) -> np.ndarray:
@@ -493,9 +498,12 @@ class FixedSourceOperator:
         for group in self.groups:
             left[group.regions] = group.edge_blocks("left")
             right[group.regions] = group.edge_blocks("right")
+        # each end's boundary rows, for the factor and every rhs
+        self.bc_rows = (_bc_rows(geometry.bc_left, quad, "left", self.n_groups),
+                        _bc_rows(geometry.bc_right, quad, "right", self.n_groups))
         self.factor = InterfaceFactor(
-            _bc_combination(geometry.bc_left, quad, "left", left[0]), right[:-1], -left[1:],
-            _bc_combination(geometry.bc_right, quad, "right", right[-1]))
+            _bc_combination(self.bc_rows[0], left[0]), right[:-1], -left[1:],
+            _bc_combination(self.bc_rows[1], right[-1]))
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
@@ -515,11 +523,11 @@ class FixedSourceOperator:
             nf = group.nf
             left[group.regions] = (end[:, nf:] @ group.expand[nf:]).real
             right[group.regions] = (end[:, :nf] @ group.expand[:nf]).real
-        geo, quad = self.geometry, self.quad
+        geo = self.geometry
         return np.concatenate([
-            _incoming(geo.bc_left) - _bc_combination(geo.bc_left, quad, "left", left[0]),
+            _incoming(geo.bc_left) - _bc_combination(self.bc_rows[0], left[0]),
             (left[1:] - right[:-1]).ravel(),
-            _incoming(geo.bc_right) - _bc_combination(geo.bc_right, quad, "right", right[-1])])
+            _incoming(geo.bc_right) - _bc_combination(self.bc_rows[1], right[-1])])
 
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,

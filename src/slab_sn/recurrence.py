@@ -112,8 +112,10 @@ class FirstOrderScan:
         # live[j, i]: block i's carry-in still reaches its row j
         live = ~np.logical_or.accumulate(self.cut, axis=0)
         # the carry update adds -0.0, which leaves every value as it is, to
-        # the rows no carry reaches, block 0's among them
-        self.dead = np.nonzero(~live[:-1])
+        # the rows no carry reaches: block 0's, and in later blocks those at
+        # and behind an interior segment start (None when there are none)
+        row, block = np.nonzero(~live[:-1, 1:])
+        self.dead = (row, block + 1) if row.size else None
         if self.doubling:
             # tables[t][i - 2**t]: the product of the block totals of blocks
             # i - 2**t + 1 .. i, zero if a segment starts in any of them
@@ -172,7 +174,9 @@ class FirstOrderScan:
         else:
             carried[:, 1:] = y[-1:, :-1]
             np.multiply(self.prod[:-1], carried, out=carried)
-        carried[self.dead] = -0.0
+        carried[:, 0] = -0.0
+        if self.dead is not None:
+            carried[self.dead] = -0.0
         np.add(y[:-1], carried, out=y[:-1])
 
     def unblocks(self, y) -> np.ndarray:

@@ -13,11 +13,14 @@ Only the source changes between inner and outer iterations.  A
 SweepOperator is therefore built once per problem and holds the per-cell
 group transfer, the marching coefficients, the boundary handling and the
 index maps of the scan's blocked layout.  source_iteration applies it to one
-SourceField on its mesh at a time: each sweep gathers half the total
-emission onto every ordinate in that layout, scans and sums it there, and
-the angular flux leaves the layout once, after convergence.
+SourceField on its mesh at a time, with the scalar flux and the source
+group-major (G, cells): each sweep gathers half the total emission once per
+scan row, group and direction into that layout, spreads it over the
+direction's ordinates, scans and sums it there, and the angular flux leaves
+the layout once, after convergence.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -50,6 +53,21 @@ def _transfer_matrices(geometry, materials, ke):
     return transfer
 
 
+def _lanes(g):
+    """The even and the odd groups, each in the order that a sum over the
+    groups adds them to round as np.einsum("mg,mgh->mh") did on per-cell
+    transfer blocks with a contiguous g axis: numpy's dot kernel on two
+    128-bit lanes (its x86-64 baseline) gives each lane the groups of its
+    parity, takes blocks of eight back to front in pairs and the rest front
+    to back, and adds the odd lane to the even one last."""
+    order, j = [], 0
+    while g - j >= 8:
+        order += [j + k + i for k in (6, 4, 2, 0) for i in (0, 1)]
+        j += 8
+    order += range(j, g)
+    return [i for i in order if i % 2 == 0], [i for i in order if i % 2]
+
+
 class SweepOperator:
     """The source-independent part of the sweep fixed-source solve.
 
@@ -66,6 +84,9 @@ class SweepOperator:
     run in reversed cell order, so one FirstOrderScan marches both
     directions through the whole slab at once; s and the fluxes live in
     that scan's blocked (size, count, G, N) layout, padding rows included.
+    The source, isotropic, is the same on every ordinate of a direction
+    half: a sweep gathers it once per (scan row, group, direction) and
+    spreads it over the ordinates with one product by a 0/1 matrix.
     """
 
     def __init__(self, geometry: SlabGeometry, materials, mesh: FineMesh,
@@ -77,15 +98,20 @@ class SweepOperator:
         self.half = h = quad.n // 2
         sigma_t = np.vstack([materials[name].sigma_t
                              for name in geometry.materials])[mesh.region_of_cell]
-        self.shape = (mesh.n_cells, sigma_t.shape[1], quad.n)
-        # phi[m] @ transfer[m]: half cell m's scattering (plus folded
-        # fission) emission density per group, the share of every ordinate
-        # of a direction half under isotropic emission
-        self.transfer = np.stack([t.T / 2.0 for t in transfer])[mesh.region_of_cell]
+        self.shape = m, g, n = (mesh.n_cells, sigma_t.shape[1], quad.n)
+        # transfer[j, i, m]: the share of group j of cell m's scalar flux in
+        # half the cell's scattering (plus folded fission) emission density
+        # of group i, the source of every ordinate of a direction half under
+        # isotropic emission
+        self.transfer = np.stack([t.T / 2.0 for t in transfer])[
+            mesh.region_of_cell].transpose(1, 2, 0).copy()
         # quadrature weights of the mu < 0 and the mu > 0 columns
-        self.weights = np.zeros((quad.n, 2))
+        self.weights = np.zeros((n, 2))
         self.weights[:h, 0] = quad.weight[:h]
         self.weights[h:, 1] = quad.weight[h:]
+        # spread[d]: ones on the ordinates of direction half d
+        self.spread = np.zeros((2, n))
+        self.spread[0, :h] = self.spread[1, h:] = 1.0
 
         c = np.abs(quad.mu)[None, None, :] / mesh.widths[:, None, None]
         denom = c + sigma_t[:, :, None]
@@ -94,16 +120,20 @@ class SweepOperator:
         self.work = march.workspace(float)
         # the first scan row's coefficient carries the incoming flux in
         self.enter = a[0].copy()
+        self.s = march.blocks(self.scan_order(s))
 
         # sources are gathered from half the emission: one zero, which the
-        # padding rows read, then (cells * G,) in cell order
-        m, g, n = self.shape
-        slot = np.arange(1, m * g + 1).reshape(m, g, 1).repeat(n, axis=2)
-        self.gather = march.blocks(self.scan_order(slot))
-        self.s = march.blocks(self.scan_order(s))
-        # phi's halves: the weighted sums of every scan row's groups
+        # padding rows read, then (G, cells) group-major; direction half 0
+        # (mu < 0) runs in reversed cell order
+        slot = 1 + np.arange(g)[:, None] * m + np.arange(m)
+        self.gather = march.blocks(np.stack([slot[:, ::-1].T, slot.T], axis=2))
+        self.sources = np.empty((self.gather.size // 2, 2))
+        # phi's halves (G, cells): the weighted sums of every scan row's
+        # groups, mu < 0 in sides[0] and mu > 0 in sides[1]
         rows = march.index[:, None] * g + np.arange(g)
-        self.neg, self.pos = 2 * rows[::-1], 2 * rows + 1
+        self.sides = np.ascontiguousarray([2 * rows[::-1].T, 2 * rows.T + 1])
+        self.halves = np.empty((self.sources.shape[0], 2))
+        self.pair = np.empty(self.sides.shape)
 
         # incoming flux per (group, scan column): mu < 0 columns enter at the
         # right end, mu > 0 columns at the left end; a reflective end copies
@@ -118,33 +148,40 @@ class SweepOperator:
         self.inflow = self.reflect.any() or self.incoming.any()
         # pure streaming: a single sweep is the exact solution
         self.streaming = not self.reflect.any() and not self.transfer.any()
-        for arr in (self.transfer, self.weights, self.enter, self.s, self.incoming, self.reflect,
-                    self.gather, self.neg, self.pos):
+        # gather and sides stay writeable: take copies a read-only index
+        # array on every call
+        for arr in (self.transfer, self.weights, self.spread, self.enter, self.s,
+                    self.incoming, self.reflect):
             arr.setflags(write=False)
 
     def scan_order(self, x: np.ndarray) -> np.ndarray:
         """Swap a (cells, G, N) array between cell and scan order."""
         return np.concatenate([x[::-1, :, :self.half], x[:, :, self.half:]], axis=2)
 
-    def sweep(self, q: np.ndarray, out: np.ndarray):
+    def sweep(self, q: np.ndarray, out: np.ndarray, phi: np.ndarray):
         """One transport sweep with the total source frozen.
 
         q is the source of every ordinate, half the isotropic emission:
-        one zero and then (cells * G,) in cell order.  out holds the
-        previous sweep's outgoing face fluxes (G, N), which reflective ends
-        copy back in, and receives this sweep's: mu < 0 at the left end,
-        mu > 0 at the right.  Returns the cell-average fluxes in the scan's
-        blocked layout, in a workspace buffer that the next sweep
-        overwrites, and the scalar flux (cells, G).
+        one zero and then (G, cells) group-major.  out holds the previous
+        sweep's outgoing face fluxes (G, N), which reflective ends copy back
+        in, and receives this sweep's: mu < 0 at the left end, mu > 0 at the
+        right.  phi receives the scalar flux (G, cells).  Returns the
+        cell-average fluxes in the scan's blocked layout, in a workspace
+        buffer that the next sweep overwrites.
         """
-        f = np.take(q, self.gather, out=self.work[0], mode="clip")
+        f = self.work[0]
+        columns = f.reshape(-1, self.shape[2])
+        q.take(self.gather, out=self.sources.reshape(self.gather.shape), mode="clip")
+        np.matmul(self.sources, self.spread, out=columns)
         f *= self.s
         if self.inflow:
             f[0, 0] += self.enter * np.where(self.reflect, out[:, ::-1], self.incoming)
         self.march.in_place(self.work)
         out[...] = f.reshape((-1,) + out.shape)[self.march.last[0]]
-        halves = f.reshape(-1, self.shape[2]) @ self.weights
-        return f, halves.take(self.neg) + halves.take(self.pos)
+        np.matmul(columns, self.weights, out=self.halves)
+        self.halves.take(self.sides, out=self.pair, mode="clip")
+        np.add(self.pair[0], self.pair[1], out=phi)
+        return f
 
     def flux(self, psi: np.ndarray) -> FluxField:
         """Angular and scalar flux at the cell centres of fluxes psi in the
@@ -166,21 +203,35 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     """
     m, g, n = operator.shape
     source.require_on(operator.mesh, g)
-    phi = np.zeros((m, g)) if phi0 is None else phi0
-    q = np.zeros(m * g + 1)
-    total = q[1:].reshape(m, g)
+    # group-major (G, cells) from here on: phi and the next sweep's phi;
+    # terms[j], group j's share of the transfer, holds the change after a
+    # sweep
+    phi, phi_new = np.zeros((2, g, m))
+    if phi0 is not None:
+        phi[...] = phi0.T
+    terms = np.empty((g, g, m))
+    change = terms[0].reshape(-1)
+    q = np.zeros(g * m + 1)
+    total = q[1:].reshape(g, m)
+    # each lane's terms add up in its first one, then the lanes in total
+    even, odd = _lanes(g)
+    sums = [(terms[lane[0]], terms[j], terms[lane[0]]) for lane in (even, odd) for j in lane[1:]]
+    sums.append((terms[even[0]], terms[odd[0]] if odd else 0.0, total))
     out = np.zeros((g, n))
     # isotropic: every ordinate of a direction half sees half the emission,
     # as operator.transfer holds half the scattering
-    emission = source.emission / 2.0
+    emission = np.ascontiguousarray(source.emission.T) / 2.0
     for it in range(1, max_inner + 1):
-        np.einsum("mg,mgh->mh", phi, operator.transfer, out=total)
+        np.multiply(phi[:, None], operator.transfer, out=terms)
+        for a, b, into in sums:
+            np.add(a, b, into)
         total += emission
-        psi, phi_new = operator.sweep(q, out)
-        change = np.linalg.norm(phi_new - phi)
-        phi = phi_new
-        if change < tolerance or operator.streaming:
-            return phi, psi.copy(), it
+        psi = operator.sweep(q, out, phi_new)
+        np.subtract(phi_new, phi, out=terms[0])
+        phi, phi_new = phi_new, phi
+        # the L2 norm as np.linalg.norm takes it
+        if math.sqrt(change.dot(change)) < tolerance or operator.streaming:
+            return phi.T.copy(), psi.copy(), it
     raise MaxInnerIterationsError(
         f"source iteration did not reach {tolerance} in {max_inner} sweeps "
         "(scattering ratio too close to 1?)")

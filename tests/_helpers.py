@@ -11,7 +11,7 @@ from scipy.signal import lfilter
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
                      BlockSpectrum, SingularSystemError, SourceField,
                      ValidationError, mesh_from_edges)
-from slab_sn.analytic import _bc_combination, _inverse, _pair_rows, _rcond_estimate
+from slab_sn.analytic import _inverse, _pair_rows, _rcond_estimate
 from slab_sn.eigen import _emission, _per_cell
 from slab_sn.spectral import PHI_TAYLOR_CUT, _dense, _guard, exp_block, phi_block
 from slab_sn.recurrence import FirstOrderScan
@@ -312,6 +312,57 @@ def sweep_once(mesh, sigma_t, q, quad, incoming_left, incoming_right, scheme="st
     out_left = psi_in.ravel()
 
     return flux.reshape(m_cells, g * n), out_left, out_right
+
+
+def per_ordinate_source_iteration(operator, geometry, materials, source, tolerance,
+                                  phi0=None, ke=None):
+    """Source iteration the way the per-ordinate loop ran it, on operator's
+    scan, s and boundary data: the (cells, G, G) transfer contracted with
+    np.einsum, half the total emission gathered onto every (scan row,
+    group, ordinate) of the blocked layout, the scalar flux (cells, G)
+    summed from the weighted direction halves and the change measured by
+    np.linalg.norm.  Returns (scalar flux (M, G), angular fluxes in the
+    blocked layout, number of sweeps), as source_iteration does."""
+    m, g, n = operator.shape
+    march, h = operator.march, n // 2
+    transfer = []
+    for name in geometry.materials:
+        mat = materials[name]
+        t = mat.sigma_s.T.copy()
+        if ke is not None:
+            t += np.outer(mat.chi, mat.nu_sigma_f) / ke
+        transfer.append(t.T / 2.0)
+    transfer = np.stack(transfer)[operator.mesh.region_of_cell]
+    weights = np.zeros((n, 2))
+    weights[:h, 0] = operator.quad.weight[:h]
+    weights[h:, 1] = operator.quad.weight[h:]
+    # one zero, which the padding rows read, then (cells * G,) in cell order
+    slot = np.arange(1, m * g + 1).reshape(m, g, 1).repeat(n, axis=2)
+    gather = march.blocks(operator.scan_order(slot))
+    rows = march.index[:, None] * g + np.arange(g)
+    neg, pos = 2 * rows[::-1], 2 * rows + 1
+    work = march.workspace(float)
+    phi = np.zeros((m, g)) if phi0 is None else phi0
+    q = np.zeros(m * g + 1)
+    total = q[1:].reshape(m, g)
+    out = np.zeros((g, n))
+    emission = source.emission / 2.0
+    for sweeps in range(1, 100000):
+        np.einsum("mg,mgh->mh", phi, transfer, out=total)
+        total += emission
+        f = np.take(q, gather, out=work[0], mode="clip")
+        f *= operator.s
+        if operator.inflow:
+            f[0, 0] += operator.enter * np.where(operator.reflect, out[:, ::-1], operator.incoming)
+        march.in_place(work)
+        out[...] = f.reshape((-1,) + out.shape)[march.last[0]]
+        halves = f.reshape(-1, n) @ weights
+        phi_new = halves.take(neg) + halves.take(pos)
+        change = np.linalg.norm(phi_new - phi)
+        phi = phi_new
+        if change < tolerance or operator.streaming:
+            return phi, f.copy(), sweeps
+    raise AssertionError("per-ordinate source iteration did not converge")
 
 
 def oracle_source_iteration(geometry, materials, mesh, quad, emission,
@@ -772,6 +823,18 @@ def loop_edge_block(group, i, side):
     return ((group.expand.T * scale[None, :]) @ group.enc).real
 
 
+def bc_combination(bc, quad, side, values):
+    """The N G / 2 combinations of values' (N G) leading rows that one
+    boundary condition constrains, selected by a mask: incoming ordinates
+    (group-major), or incoming minus mirrored outgoing for a reflective
+    end."""
+    g = values.shape[0] // quad.n
+    if bc.kind == "reflective":
+        pos, neg = _pair_rows(quad, g)
+        return values[pos] - values[neg]
+    return values[np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)]
+
+
 def loop_factor(operator):
     """InterfaceFactor's step, coupling, last and 1-norm of M built the way
     the per-region loop built them: from loop_edge_block's blocks, an
@@ -784,8 +847,8 @@ def loop_factor(operator):
         return loop_edge_block(group, i, side)
 
     geo, quad, last = operator.geometry, operator.quad, operator.geometry.n_regions - 1
-    left = _bc_combination(geo.bc_left, quad, "left", pg(0, "left"))
-    right = _bc_combination(geo.bc_right, quad, "right", pg(last, "right"))
+    left = bc_combination(geo.bc_left, quad, "left", pg(0, "left"))
+    right = bc_combination(geo.bc_right, quad, "right", pg(last, "right"))
     interfaces = [(pg(r, "right"), -pg(r + 1, "left")) for r in range(last)]
     h, n = left.shape
     step = np.empty((last, h + n, h + n))

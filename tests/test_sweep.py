@@ -1,16 +1,18 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _helpers import (absorber_problem, cell_sigma_t, graded_mesh,
-                      one_group_material, oracle_source_iteration, random_slab,
-                      scan, sweep_once)
+                      one_group_material, oracle_source_iteration,
+                      per_ordinate_source_iteration, random_slab, scan, sweep_once)
 from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
                      MaxInnerIterationsError, SlabGeometry, SourceField,
                      SweepOperator, ValidationError, assemble_A,
                      block_diagonalize, build_fine_mesh, evaluate_flux,
-                     gauss_legendre, solve_fixed_source, source_iteration)
+                     gauss_legendre, power_iteration, solve_fixed_source,
+                     source_iteration)
 from slab_sn.recurrence import FirstOrderScan
 
 
@@ -360,9 +362,10 @@ class TestFastPathConsistency:
             out = np.zeros((2, n))
         geo = replace(geo, bc_left=ends[0], bc_right=ends[1])
         operator = SweepOperator(geo, mats, mesh, quad)
+        phi = np.empty((70, 2))
         for _ in range(3 if bc == "reflective" else 1):
             ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref)
-            fast, phi = operator.sweep(np.append(0.0, emission / 2.0), out)
+            fast = operator.sweep(np.append(0.0, emission.T / 2.0), out, phi.T)
             assert np.allclose(operator.flux(fast).psi, ref, atol=1e-14)
             assert np.allclose(phi, ref.reshape(70, 2, n) @ quad.weight, atol=1e-14)
             assert np.allclose(out[:, :n // 2].ravel(), ol_ref, atol=1e-14)
@@ -389,8 +392,9 @@ class TestFastPathConsistency:
         assert mesh.n_cells % operator.march.size == {"70": 2, "49": 1, "48": 0, "graded": 2}[cells]
         emission = rng.uniform(0.0, 1.0, (mesh.n_cells, 2))
         out, ref_out = np.zeros((2, 4)), np.zeros((2, 4))
+        phi = np.empty((mesh.n_cells, 2))
         for _ in range(3):
-            psi, phi = operator.sweep(np.append(0.0, emission / 2.0), out)
+            psi = operator.sweep(np.append(0.0, emission.T / 2.0), out, phi.T)
             ref_psi, ref_phi, ref_out = scan_order_sweep(geo, pincell.materials, mesh, quad,
                                                          "step", emission, ref_out)
             assert np.array_equal(operator.flux(psi).psi, ref_psi)
@@ -487,6 +491,77 @@ class TestFastPathConsistency:
             worst = max(worst, np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
         assert kinds == {"vacuum", "reflective", "incoming"}
         assert worst <= 1e-12
+
+
+class TestGroupMajorSource:
+    """source_iteration's group-major source path against the per-ordinate
+    loop it replaced: same sweeps, same bits."""
+
+    ENDS = [("vacuum", "vacuum"), ("reflective", "vacuum"), ("incoming", "reflective"),
+            ("vacuum", "incoming"), ("reflective", "reflective")]
+
+    # nine groups take einsum's blocked order for eight of them
+    @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
+    @pytest.mark.parametrize("n_groups", [2, 3, 4, 9])
+    def test_bit_identical_to_per_ordinate_loop(self, n_groups, graded):
+        rng = np.random.default_rng(2400 + 10 * n_groups + graded)
+        for ends in self.ENDS:
+            for shifted in (False, True):
+                quad = gauss_legendre(int(rng.choice([2, 4, 8])))
+                geo, mats = random_slab(rng, n_groups, int(rng.integers(1, 5)), quad.n)
+                geo = replace(geo, **{
+                    side: (BoundaryCondition.incoming(rng.uniform(0.0, 1.0, n_groups * quad.n // 2))
+                           if kind == "incoming" else BoundaryCondition(kind))
+                    for side, kind in zip(("bc_left", "bc_right"), ends)})
+                # k_e that keeps every folded ratio at or below 0.92 (1 without fission)
+                ke = 1.25 * max(np.max(m.nu_sigma_f / (m.sigma_t - m.sigma_s.sum(axis=1)))
+                                for m in mats.values()) or 1.0 if shifted else None
+                counts = rng.integers(2, 12, geo.n_regions)
+                mesh = (graded_mesh(geo, counts) if graded
+                        else build_fine_mesh(geo, int(counts.sum())))
+                source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)))
+                phi0 = rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)) if shifted else None
+                operator = SweepOperator(geo, mats, mesh, quad, ke)
+                phi, psi, sweeps = source_iteration(operator, source, 1e-10, phi0=phi0)
+                ref_phi, ref_psi, ref_sweeps = per_ordinate_source_iteration(
+                    operator, geo, mats, source, 1e-10, phi0=phi0, ke=ke)
+                case = (ends, shifted)
+                assert sweeps == ref_sweeps, case
+                assert np.array_equal(phi, ref_phi), case
+                assert np.array_equal(psi, ref_psi), case
+                assert np.array_equal(operator.flux(psi).psi, operator.flux(ref_psi).psi), case
+
+    def test_sweep_benchmark_counts(self, pincell):
+        # the step-sweep baseline at S8, M = 700: outer and sweep counts of
+        # unaccelerated source iteration, and k
+        config = replace(pincell.config, solver_kind="sweep", sn_order=8, fine_mesh_size=700)
+        result = power_iteration(pincell.geometry, pincell.materials, config)
+        assert result.iterations == 21
+        assert result.inner_sweeps == 7311
+        assert result.k_eff == pytest.approx(1.245843313327492, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_warm_sweeps_keep_no_per_ordinate_temporary(self, pincell, order):
+        # 500 sweeps short of a zero tolerance, so no psi is returned: a
+        # (rows, G, N) array would be N (cells, G) arrays or more
+        mesh = build_fine_mesh(pincell.geometry, 700)
+        operator = SweepOperator(pincell.geometry, pincell.materials, mesh, gauss_legendre(order))
+        source = constant(mesh, 1.0, 2)
+
+        def sweeps():
+            with pytest.raises(MaxInnerIterationsError):
+                source_iteration(operator, source, 0.0, max_inner=500)
+
+        sweeps()
+        tracemalloc.start()
+        try:
+            sweeps()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 8.3 (cells, G) arrays: the call's six and numpy's buffer
+        # for the broadcast transfer product
+        assert peak < 10 * mesh.n_cells * 2 * 8
 
 
 def _sweep_operator(materials=None, ke=None):
