@@ -201,11 +201,12 @@ class _Group:
             project = project * source_coef
             self.per_row = None
         self.source_map = project.view(float)
+        # gather, previous and segment stay writeable: take copies a
+        # read-only index array on every call
         for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
-                    self.segment, self.cells, self.back, self.forward, self.rho, self.enc,
+                    self.cells, self.back, self.forward, self.rho, self.enc,
                     self.expand, self.expand_phi, self.project, self.hom, self.half,
-                    self.phi_half, self.previous, self.gather,
-                    self.halves, self.source_map, *(self.per_row or ())):
+                    self.phi_half, self.halves, self.source_map, *(self.per_row or ())):
             arr.setflags(write=False)
         self.phi_folds = self.folds(self.expand_phi)
 

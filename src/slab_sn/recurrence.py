@@ -12,24 +12,16 @@ and their applications, 1990).  The analytic solver runs every region of
 one material and cell width as one segment of a single scan; the sweep
 runs the whole slab as one segment.
 
-The scan works on blocks of rows.  With per-row coefficients of at most
-DOUBLING_ROW_BYTES a row (the sweep, graded analytic groups of few
-columns) it carries the block ends by doubling (Hillis & Steele, Data
-parallel algorithms, 1986) over blocks of ceil(sqrt(rows / log2(rows)))
-rows; otherwise (one shared row, or wider rows) it carries them serially
-over blocks of ceil(sqrt(rows)) rows.
+The scan works on blocks of rows, and the coefficients' layout picks how
+it carries the block ends: per-row coefficients (the sweep, graded
+analytic groups) by doubling (Hillis & Steele, Data parallel algorithms,
+1986) over blocks of ceil(sqrt(rows / log2(rows))) rows, one shared row
+serially over blocks of ceil(sqrt(rows)) rows.
 """
 
 import numpy as np
 
 from .exceptions import ValidationError
-
-# The doubling chain saves calls but adds about log2(count) block ends of
-# work to each.  Timed per-row real and complex scans of 64 to 2858 rows
-# (numpy 2.4, one Xeon core) ran up to 42% faster with it at rows of up to
-# 512 bytes and no slower beyond noise; at 1024 and 2048 bytes they ran from
-# 16% faster to 15% slower.
-DOUBLING_ROW_BYTES = 512
 
 
 class FirstOrderScan:
@@ -49,18 +41,17 @@ class FirstOrderScan:
     into the blocks after it, and one vectorized update adds the carried
     value times the running product of a to the rest of each block.
 
-    The chain depends on a.  The serial chain carries the block ends one
-    block at a time, trip i adding block i - 1's end times the block total
-    to block i's, over blocks of ceil(sqrt(rows)) rows.  A shared row takes
-    it: its running product is a (block size, columns) power table
-    broadcast over the blocks, so it costs no per-row memory.  So do
-    per-row coefficients whose rows exceed DOUBLING_ROW_BYTES.  Smaller
-    per-row ones (doubling) carry them by doubling: trip t adds to every
-    block end the end 2**t blocks back times tables[t], the product of the
-    block totals between them, ceil(log2(count)) trips in all.  Their
-    blocks of ceil(sqrt(rows / log2(rows))) rows balance the in-block trips
-    against those.  Either way a scan costs O(sqrt(rows)) whole-array
-    operations whatever the number of columns.  In a kept
+    The layout of a picks the chain.  One shared row carries the block
+    ends serially, one block at a time, trip i adding block i - 1's end
+    times the block total to block i's, over blocks of ceil(sqrt(rows))
+    rows: its running product is a (block size, columns) power table
+    broadcast over the blocks, so it costs no per-row memory.  Per-row
+    coefficients carry them by doubling: trip t adds to every block end the
+    end 2**t blocks back times tables[t], the product of the block totals
+    between them, ceil(log2(count)) trips in all.  Their blocks of
+    ceil(sqrt(rows / log2(rows))) rows balance the in-block trips against
+    those.  Either way a scan costs O(sqrt(rows)) whole-array operations
+    whatever the number of columns.  In a kept
     workspace, each trip is two ufunc calls that allocate nothing; they and
     the per-row carry update avoid broadcast and sliced operands, which
     numpy would copy to a buffer.
@@ -82,10 +73,9 @@ class FirstOrderScan:
                 f"coefficients have {a.shape[0]} rows, expected 1 or {rows}")
         self.shape = (rows,) + a.shape[1:]
         self.shared = a.shape[0] != rows
-        self.doubling = not self.shared and a[0].nbytes <= DOUBLING_ROW_BYTES
         # the in-block trips balance the chain's: count - 1 serial trips or
         # ceil(log2(count)) doubling ones
-        depth = max(1.0, np.log2(rows)) if self.doubling else 1.0
+        depth = 1.0 if self.shared else max(1.0, np.log2(rows))
         self.size = max(1, int(np.ceil(np.sqrt(rows / depth))))
         self.count = -(-rows // self.size)
         row = np.arange(rows)
@@ -116,7 +106,10 @@ class FirstOrderScan:
         # and behind an interior segment start (None when there are none)
         row, block = np.nonzero(~live[:-1, 1:])
         self.dead = (row, block + 1) if row.size else None
-        if self.doubling:
+        if self.shared:
+            # blocks whose last row a carry reaches
+            self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
+        else:
             # tables[t][i - 2**t]: the product of the block totals of blocks
             # i - 2**t + 1 .. i, zero if a segment starts in any of them
             total = np.where(live[-1].reshape((-1,) + (1,) * (a.ndim - 1)), prod[-1], 0)
@@ -124,9 +117,6 @@ class FirstOrderScan:
             while k < self.count:
                 self.tables.append(t)
                 t, k = t[k:] * t[:-k], 2 * k
-        else:
-            # blocks whose last row a carry reaches
-            self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
 
     def blocks(self, x) -> np.ndarray:
         """Rows x (rows, ...) in the block-inner layout (size, count, ...),
@@ -148,12 +138,12 @@ class FirstOrderScan:
             a[j] = a[j].copy()
             a[j][self.cut[j]] = 0
         trips = [(a[j], y[j - 1], y[j], spare[0]) for j in range(1, self.size)]
-        if self.doubling:
-            trips += [(t, y[-1, :len(t)], y[-1, self.count - len(t):], spare[0, :len(t)])
-                      for t in self.tables]
-        else:
+        if self.shared:
             trips += [(self.prod[-1, i], y[-1, i - 1], y[-1, i], spare[0, 0])
                       for i in self.chained]
+        else:
+            trips += [(t, y[-1, :len(t)], y[-1, self.count - len(t):], spare[0, :len(t)])
+                      for t in self.tables]
         return y, spare, trips
 
     def rows(self, buffer) -> np.ndarray:

@@ -607,22 +607,23 @@ class UnsegmentedScan(FirstOrderScan):
     """FirstOrderScan's blocked layout and coefficients, scanned by a loop
     that knows no segment starts: y[m] = a[m] y[m-1] + b[m] from zero over
     all rows, a per row or one shared row.  Its chain carries the block ends
-    by doubling where the scan's does (doubling) and one block at a time
-    otherwise.  A one-segment FirstOrderScan must reproduce it bit for bit."""
+    one block at a time for a shared row and by doubling for per-row
+    coefficients, as the scan's does.  A one-segment FirstOrderScan must
+    reproduce it bit for bit."""
 
     def in_place(self, work):
         y = work[0]
         for j in range(1, self.size):
             y[j] += self.a[j] * y[j - 1]
-        if self.doubling:
+        if self.shared:
+            for i in range(1, self.count):
+                y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
+        else:
             # step k adds the end k blocks back times the totals between
             total, k = self.prod[-1, 1:], 1
             while k < self.count:
                 y[-1, k:] += total * y[-1, :-k]
                 total, k = total[k:] * total[:-k], 2 * k
-        else:
-            for i in range(1, self.count):
-                y[-1, i] += self.prod[-1, i] * y[-1, i - 1]
         y[:-1, 1:] += self.prod[:-1, 1:] * y[-1:, :-1]
 
 

@@ -623,15 +623,15 @@ def assert_factor_matches_loops(operator, source, seed):
     assert np.array_equal(x, loop_solve_transposed(factor, b))
 
 
-def random_slab_trial(rng, trial, n_regions, n_materials=None):
+def random_slab_trial(rng, trial, n_regions, n_materials=None, n_groups=None, order=None):
     """Solve one random slab (graded mesh when trial % 4 >= 2, fission
-    folded in on odd trials) with the operator and with the dense oracle.
-    Returns the operator, the slab's spectra and the worst relative
-    differences of (psi at the centres and at random points against the
-    oracle, phi from the (blocks, G) expansion, FixedSourceOperator.flux,
-    the rows path)."""
-    n_groups = int(rng.integers(1, 5))
-    quad = gauss_legendre(int(rng.choice([2, 4, 8])))
+    folded in on odd trials; 1-4 groups and S2, S4 or S8 unless given) with
+    the operator and with the dense oracle.  Returns the operator, the
+    slab's spectra and the worst relative differences of (psi at the
+    centres and at random points against the oracle, phi from the (blocks,
+    G) expansion, FixedSourceOperator.flux, the rows path)."""
+    n_groups = int(rng.integers(1, 5)) if n_groups is None else n_groups
+    quad = gauss_legendre(int(rng.choice([2, 4, 8])) if order is None else order)
     geo, mats = random_slab(rng, n_groups, n_regions, quad.n, n_materials)
     fission_scale = 0.0 if trial % 2 == 0 else float(rng.uniform(0.2, 1.0))
     spectra = spectra_for(geo, mats, quad, fission_scale)
@@ -714,6 +714,22 @@ class TestOperatorEquivalence:
         assert worst[2] <= 1e-13
         assert worst[3] <= 1e-13
 
+    @pytest.mark.parametrize("order, n_groups", [(16, 3), (8, 5)])
+    def test_wide_graded_groups(self, order, n_groups):
+        # graded groups of N G > 32 complex columns, wider than the random
+        # trials' draws reach, scan a row per cell of over 512 bytes
+        rng = np.random.default_rng(order * n_groups)
+        worst, wide = np.zeros(4), 0
+        for trial in (2, 3, 6, 7):
+            operator, _, errors = random_slab_trial(rng, trial, 3, n_groups=n_groups, order=order)
+            worst = np.maximum(worst, errors)
+            wide += sum(g.per_row is not None and g.march.count > 1 for g in operator.groups)
+        assert operator.groups[0].rho.size == order * n_groups and wide >= 4
+        assert worst[0] <= 1e-12
+        assert worst[1] <= 1e-13
+        assert worst[2] <= 1e-13
+        assert worst[3] <= 1e-13
+
     @pytest.mark.parametrize("graded", [False, True])
     def test_fine_pincell_mesh_takes_the_shared_path(self, pincell, graded):
         # M = 20000 cells whose widths agree only to ~1e-12 once sent the old
@@ -753,6 +769,23 @@ class TestOuterMemory:
             tracemalloc.stop()
         assert np.array_equal(warm, phi)
         assert peak < rows_by_blocks / 4
+
+    def test_emission_gather_copies_no_index(self, pincell):
+        # take copies a read-only index array on every call: 3.6 KB for a
+        # pincell S16 group's gather
+        quad = gauss_legendre(16)
+        geo = pincell.geometry
+        mesh = build_fine_mesh(geo, 700)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
+        emission = np.ones((mesh.n_cells, 2))
+        for group in operator.groups:
+            tracemalloc.start()
+            try:
+                np.take(emission, group.gather, out=group.emitted, mode="clip")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert group.gather.nbytes > 1024 and peak < 1024
 
 
 def factor_rows(operator):

@@ -74,33 +74,25 @@ class TestFirstOrderScan:
         _, peak = construction_peak(np.repeat(a, m, axis=0), m)
         assert peak >= running_product
 
-    # 32 complex columns, the widest rows that double: the tables' share
-    # of a running product peaks near a hundred rows
-    @pytest.mark.parametrize("rows, share", [(64, 0.8), (100, 0.95), (1429, 0.5)])
-    def test_per_row_doubling_tables_stay_small(self, rows, share):
+    # rows of 32 and of 64 complex columns ("wide"): the tables' share of a
+    # running product peaks near a hundred rows
+    @pytest.mark.parametrize("rows, share, columns", [
+        pytest.param(rows, share, columns, id=f"{rows}-{share}" + ("-wide" if columns > 32 else ""))
+        for columns in (32, 64) for rows, share in [(64, 0.8), (100, 0.95), (1429, 0.5)]])
+    def test_per_row_doubling_tables_stay_small(self, rows, share, columns):
         rng = np.random.default_rng(10)
-        a = coefficients(rng, "complex", (rows, 32))
+        a = coefficients(rng, "complex", (rows, columns))
         march, peak = construction_peak(a, rows)
         running_product = march.size * march.count * a[0].nbytes
         # ceil(log2(count)) tables of at most count rows: about
         # (log2(count) - 1) / size running products, where one table per
         # row would take log2(rows) whole ones
         tables = sum(t.nbytes for t in march.tables)
-        assert march.doubling and len(march.tables) == np.ceil(np.log2(march.count))
+        assert not march.shared and len(march.tables) == np.ceil(np.log2(march.count))
         assert tables < share * running_product
         # the blocked coefficients and their running product, the tables,
         # and four (rows,) index maps and a few small arrays
         assert peak < 2 * running_product + tables + 4 * march.index.nbytes + 8192
-
-    def test_wide_per_row_scan_keeps_no_tables(self):
-        # rows of 64 complex columns carry serially: the blocked
-        # coefficients and their running product, and the index maps
-        rng = np.random.default_rng(10)
-        a = coefficients(rng, "complex", (1429, 64))
-        march, peak = construction_peak(a, a.shape[0])
-        running_product = march.size * march.count * a[0].nbytes
-        assert not march.doubling and not hasattr(march, "tables")
-        assert peak < 2 * running_product + 4 * march.index.nbytes + 8192
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError, match="rows"):
@@ -166,7 +158,7 @@ def call_with_out_peak(shared, columns, segments):
     starts = segment_starts(lengths) if segments == "several" else ()
     a = coefficients(rng, "complex", (1 if shared else rows, columns))
     march = FirstOrderScan(a, rows, starts)
-    assert march.doubling == (columns == 32)
+    assert march.shared == shared
     assert march.count * a[0].nbytes >= 40 * 64 * 16
     b = rng.standard_normal((rows, columns)) + 1j * rng.standard_normal((rows, columns))
     ref = scan(march, b)
@@ -245,7 +237,7 @@ class TestSegmentedScan:
             a[::5] = 0.0
         b = rng.standard_normal((rows, 4))
         march = FirstOrderScan(a, rows, starts)
-        assert march.doubling and march.count == count
+        assert not march.shared and march.count == count
         on_block = np.asarray(starts) % march.size == 0
         assert on_block.any() == (count > 1) and not on_block.all()
         cut = a.copy()
@@ -308,18 +300,21 @@ class TestSegmentedScan:
 
     @pytest.mark.parametrize("segments", ["one", "several"])
     def test_doubling_call_with_out_allocates_less_than_a_block_row(self, segments):
-        # nor does a doubling trip, over rows of 32 complex columns
+        # nor over narrower per-row rows, of 32 complex columns
         assert call_with_out_peak(False, 32, segments) < 40 * 64 * 16
 
     def test_one_segment_sweep_is_bit_identical(self, pincell, monkeypatch):
         # the sweep runs the whole slab as one segment: k, outer counts and
-        # sweep counts equal those of the scan without segment starts
-        config = replace(pincell.config, solver_kind="sweep", sn_order=4,
-                         fine_mesh_size=140)
-        segmented = power_iteration(pincell.geometry, pincell.materials, config)
-        monkeypatch.setattr(slab_sn.sweep, "FirstOrderScan", UnsegmentedScan)
-        plain = power_iteration(pincell.geometry, pincell.materials, config)
-        assert segmented.k_eff == plain.k_eff
-        assert segmented.iterations == plain.iterations
-        assert segmented.inner_sweeps == plain.inner_sweeps
-        assert np.array_equal(segmented.flux.psi, plain.flux.psi)
+        # sweep counts equal those of the scan without segment starts, at
+        # S4 (rows of 64 bytes) and S64 (1024 bytes)
+        for order in (4, 64):
+            config = replace(pincell.config, solver_kind="sweep", sn_order=order,
+                             fine_mesh_size=140)
+            segmented = power_iteration(pincell.geometry, pincell.materials, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(slab_sn.sweep, "FirstOrderScan", UnsegmentedScan)
+                plain = power_iteration(pincell.geometry, pincell.materials, config)
+            assert segmented.k_eff == plain.k_eff
+            assert segmented.iterations == plain.iterations
+            assert segmented.inner_sweeps == plain.inner_sweeps
+            assert np.array_equal(segmented.flux.psi, plain.flux.psi)
