@@ -53,21 +53,6 @@ def _transfer_matrices(geometry, materials, ke):
     return transfer
 
 
-def _lanes(g):
-    """The even and the odd groups, each in the order that a sum over the
-    groups adds them to round as np.einsum("mg,mgh->mh") did on per-cell
-    transfer blocks with a contiguous g axis: numpy's dot kernel on two
-    128-bit lanes (its x86-64 baseline) gives each lane the groups of its
-    parity, takes blocks of eight back to front in pairs and the rest front
-    to back, and adds the odd lane to the even one last."""
-    order, j = [], 0
-    while g - j >= 8:
-        order += [j + k + i for k in (6, 4, 2, 0) for i in (0, 1)]
-        j += 8
-    order += range(j, g)
-    return [i for i in order if i % 2 == 0], [i for i in order if i % 2]
-
-
 class SweepOperator:
     """The source-independent part of the sweep fixed-source solve.
 
@@ -204,30 +189,27 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     m, g, n = operator.shape
     source.require_on(operator.mesh, g)
     # group-major (G, cells) from here on: phi and the next sweep's phi;
-    # terms[j], group j's share of the transfer, holds the change after a
-    # sweep
+    # terms[j], group j's share of the transfer, add up front to back in
+    # the first, which holds the change after a sweep
     phi, phi_new = np.zeros((2, g, m))
     if phi0 is not None:
         phi[...] = phi0.T
     terms = np.empty((g, g, m))
-    change = terms[0].reshape(-1)
+    first, *rest = terms
+    change = first.reshape(-1)
     q = np.zeros(g * m + 1)
     total = q[1:].reshape(g, m)
-    # each lane's terms add up in its first one, then the lanes in total
-    even, odd = _lanes(g)
-    sums = [(terms[lane[0]], terms[j], terms[lane[0]]) for lane in (even, odd) for j in lane[1:]]
-    sums.append((terms[even[0]], terms[odd[0]] if odd else 0.0, total))
     out = np.zeros((g, n))
     # isotropic: every ordinate of a direction half sees half the emission,
     # as operator.transfer holds half the scattering
     emission = np.ascontiguousarray(source.emission.T) / 2.0
     for it in range(1, max_inner + 1):
         np.multiply(phi[:, None], operator.transfer, out=terms)
-        for a, b, into in sums:
-            np.add(a, b, into)
-        total += emission
+        for term in rest:
+            first += term
+        np.add(first, emission, out=total)
         psi = operator.sweep(q, out, phi_new)
-        np.subtract(phi_new, phi, out=terms[0])
+        np.subtract(phi_new, phi, out=first)
         phi, phi_new = phi_new, phi
         # the L2 norm as np.linalg.norm takes it
         if math.sqrt(change.dot(change)) < tolerance or operator.streaming:

@@ -317,12 +317,13 @@ def sweep_once(mesh, sigma_t, q, quad, incoming_left, incoming_right, scheme="st
 def per_ordinate_source_iteration(operator, geometry, materials, source, tolerance,
                                   phi0=None, ke=None):
     """Source iteration the way the per-ordinate loop ran it, on operator's
-    scan, s and boundary data: the (cells, G, G) transfer contracted with
-    np.einsum, half the total emission gathered onto every (scan row,
-    group, ordinate) of the blocked layout, the scalar flux (cells, G)
-    summed from the weighted direction halves and the change measured by
-    np.linalg.norm.  Returns (scalar flux (M, G), angular fluxes in the
-    blocked layout, number of sweeps), as source_iteration does."""
+    scan, s and boundary data: the (cells, G, G) transfer contracted by
+    adding the groups' products front to back, half the total emission
+    gathered onto every (scan row, group, ordinate) of the blocked layout,
+    the scalar flux (cells, G) summed from the weighted direction halves and
+    the change measured by np.linalg.norm.  Returns (scalar flux (M, G),
+    angular fluxes in the blocked layout, number of sweeps), as
+    source_iteration does."""
     m, g, n = operator.shape
     march, h = operator.march, n // 2
     transfer = []
@@ -348,7 +349,9 @@ def per_ordinate_source_iteration(operator, geometry, materials, source, toleran
     out = np.zeros((g, n))
     emission = source.emission / 2.0
     for sweeps in range(1, 100000):
-        np.einsum("mg,mgh->mh", phi, transfer, out=total)
+        total[...] = phi[:, 0, None] * transfer[:, 0]
+        for j in range(1, g):
+            total += phi[:, j, None] * transfer[:, j]
         total += emission
         f = np.take(q, gather, out=work[0], mode="clip")
         f *= operator.s

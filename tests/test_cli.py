@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from jsonschema import validate
 
 from _helpers import absorber_psi, write_flux_csv_per_value
-from slab_sn import FluxField, cli, gauss_legendre
+from slab_sn import FluxField, cli, gauss_legendre, outputs
 from slab_sn.cli import main
 from slab_sn.outputs import load_schema, write_flux_csv
 
@@ -340,10 +341,9 @@ class TestOutPath:
 
 
 class TestFluxCsv:
-    @pytest.mark.parametrize("n, g", [(2, 1), (16, 2)])
-    def test_bytes_match_per_value_writer(self, tmp_path, n, g):
+    @staticmethod
+    def flux(p, g, n):
         rng = np.random.default_rng(5)
-        p = 400
 
         def values(shape):
             out = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30.0, 30.0, shape)
@@ -352,13 +352,101 @@ class TestFluxCsv:
 
         points = np.sort(rng.uniform(-17.5, 17.5, p))
         points[:3] = [-17.5, -0.0, 1.0 / 3.0]
-        flux = FluxField(points=points, psi=values((p, g * n)), phi=values((p, g)))
+        return FluxField(points=points, psi=values((p, g * n)), phi=values((p, g)))
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        """The list that each os.fork call appends to."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    def force_parts(self, monkeypatch, parts):
+        """Split every table into `parts` parts; returns count_forks' list."""
+        monkeypatch.setattr(outputs, "_usable_cores", lambda: parts)
+        monkeypatch.setattr(outputs, "PART_VALUES", 1)
+        return self.count_forks(monkeypatch)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n, g", [(2, 1), (16, 2)])
+    def test_bytes_match_per_value_writer(self, tmp_path, n, g):
+        p = 400
+        flux = self.flux(p, g, n)
         quad = gauss_legendre(n)
         write_flux_csv(tmp_path / "got.csv", flux)
         write_flux_csv_per_value(tmp_path / "ref.csv", flux, quad)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
         assert got.count(b"\r\n") == p * g + 1
+
+    # two and three parts, and more parts than the table's 8 rows
+    @pytest.mark.parametrize("p, g, parts", [(400, 2, 2), (400, 1, 3), (4, 2, 11)])
+    def test_parts_match_per_value_writer(self, tmp_path, monkeypatch, p, g, parts):
+        forks = self.force_parts(monkeypatch, parts)
+        flux = self.flux(p, g, 16)
+        write_flux_csv(tmp_path / "got.csv", flux)
+        write_flux_csv_per_value(tmp_path / "ref.csv", flux, gauss_legendre(16))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(forks) == parts - 1
+        self.assert_no_child()
+
+    def test_table_below_part_values_makes_no_fork(self, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(outputs, "_usable_cores", lambda: 64)
+        monkeypatch.setattr(os, "fork", fork)
+        flux = self.flux(400, 2, 16)      # 15,200 values
+        assert flux.phi.size * 19 < outputs.PART_VALUES
+        write_flux_csv(tmp_path / "got.csv", flux)
+        write_flux_csv_per_value(tmp_path / "ref.csv", flux, gauss_legendre(16))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_failing_worker_raises_and_is_reaped(self, tmp_path, monkeypatch):
+        self.force_parts(monkeypatch, 3)
+        lines = outputs._lines
+
+        def fail_in_workers(flux, start, stop):
+            if start > 0:
+                raise MemoryError
+            return lines(flux, start, stop)
+
+        monkeypatch.setattr(outputs, "_lines", fail_in_workers)
+        with pytest.raises(OSError, match="part 1 of 3"):
+            write_flux_csv(tmp_path / "got.csv", self.flux(400, 2, 16))
+        self.assert_no_child()
+
+    def test_failing_parent_part_propagates_and_reaps(self, tmp_path, monkeypatch):
+        forks = self.force_parts(monkeypatch, 3)
+        lines = outputs._lines
+
+        def fail_in_parent(flux, start, stop):
+            if start == 0:
+                raise KeyError("parent part")
+            return lines(flux, start, stop)
+
+        monkeypatch.setattr(outputs, "_lines", fail_in_parent)
+        with pytest.raises(KeyError, match="parent part"):
+            write_flux_csv(tmp_path / "got.csv", self.flux(4000, 2, 16))
+        assert len(forks) == 2
+        self.assert_no_child()
+
+    def test_cli_eigen_in_parts_leaves_no_child(self, pincell_file, tmp_path, monkeypatch):
+        # 2 x 4000 rows of 19 values: two parts on two cores
+        monkeypatch.setattr(outputs, "_usable_cores", lambda: 2)
+        forks = self.count_forks(monkeypatch)
+        for out in ("one", "two"):
+            assert main(["eigen", str(pincell_file), "--sn", "16", "--mesh", "4000",
+                         "--out", str(tmp_path / out)]) == 0
+            monkeypatch.setattr(outputs, "_usable_cores", lambda: 1)
+        assert len(forks) == 1
+        self.assert_no_child()
+        assert ((tmp_path / "one" / "flux.csv").read_bytes()
+                == (tmp_path / "two" / "flux.csv").read_bytes())
 
 
 class TestBench:

@@ -500,7 +500,8 @@ class TestGroupMajorSource:
     ENDS = [("vacuum", "vacuum"), ("reflective", "vacuum"), ("incoming", "reflective"),
             ("vacuum", "incoming"), ("reflective", "reflective")]
 
-    # nine groups take einsum's blocked order for eight of them
+    # both paths add the groups front to back, so every group count,
+    # nine included, matches bit for bit
     @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "graded"])
     @pytest.mark.parametrize("n_groups", [2, 3, 4, 9])
     def test_bit_identical_to_per_ordinate_loop(self, n_groups, graded):
