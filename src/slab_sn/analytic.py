@@ -44,8 +44,9 @@ the particular edge values read at the segment ends, and three products
 with G columns for the scalar flux at the cell centres (J's term, hom
 alpha, and the source term straight from the emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
-with the factor: one forward pass and one block back-substitution, two
-numpy calls a region column on views made once.  A solution keeps the
+with the factor: one forward pass and one block back-substitution in
+place on one kept buffer, one contiguous product a region column in each,
+on views made once.  A solution keeps the
 emission: FixedSourceOperator.flux marches each group once more from it
 for Psi and phi at the cell centres, and evaluate_flux gives them at any
 points.
@@ -374,16 +375,17 @@ class InterfaceFactor:
 
     and last = R^-1 Q^T of the final panel, so a solve is one forward pass
     through the steps and one block back-substitution
-    alpha_k = y_k - coupling[k] alpha_k+1.  Both passes, and those of
-    solve_transposed, run on buffers and per-column views made at build,
-    two numpy calls a column, so a solve allocates only its result (and a
-    factor serves one caller at a time).  Each product takes the operands
-    of the plain loop, so BLAS runs the same gemv: np.dot where the matrix
-    is contiguous (C or F order), at less call overhead than np.matmul,
-    and np.matmul for the forward pass's strided column block, which
-    np.dot would copy.  rcond is the Hager/Higham estimate of the
-    reciprocal 1-norm condition number of M; below SOLVE_RCOND_MIN the
-    build raises SingularSystemError.
+    alpha_k = y_k - coupling[k] alpha_k+1.  Both run in place on one kept
+    buffer y holding rhs: its slice y[k n:k n + h + n] is the rows carried
+    into column k followed by interface k's rows, and step[k]'s product
+    overwrites it with alpha_k's rows and the rows carried on.
+    solve_transposed is the mirror image: it copies b into y and runs the
+    transposed coupling blocks, last and steps back over the same views.
+    Every product is one np.dot on contiguous operands, so a solve
+    allocates only its result (and a factor serves one caller at a time).
+    rcond is the Hager/Higham estimate of the reciprocal 1-norm condition
+    number of M; below SOLVE_RCOND_MIN the build raises
+    SingularSystemError.
     """
 
     def __init__(self, left: np.ndarray, on_k: np.ndarray, on_next: np.ndarray,
@@ -414,22 +416,16 @@ class InterfaceFactor:
         self.last = _inverse(r) @ q.T
         for arr in (self.step, self.coupling, self.last):
             arr.setflags(write=False)
-        # solve: y[k n:k n + h] holds the rows carried into column k, which
-        # its sum replaces by alpha_k and the rows carried on.  Transposed:
-        # w[k] holds b's row k, then the rows carried into step k, whose
-        # product lands at x[k n:k n + h + n]; its carried part is copied
-        # beside w[k - 1] (column 0's into the spare end of w's last row)
-        y, w, x = np.empty(m * n), np.empty((m, n + h)), np.empty(m * n)
-        self._y, self._w, self._x, self._tmp = y, w, x, np.empty(h + n)
-        self._pre = np.empty((m - 1, h + n))
-        self._forward = [(self.step[k, :, :h], y[k * n:k * n + h], self._pre[k],
-                          y[k * n:k * n + h + n]) for k in range(m - 1)]
+        y = self._y = np.empty(m * n)
+        tmp = np.empty(h + n)
         rows = y.reshape(m, n)
-        self._back = [(self.coupling[k], rows[k + 1], rows[k]) for k in range(m - 2, -1, -1)]
-        self._back_t = [(self.coupling[k - 1].T, w[k - 1, :n], w[k, :n]) for k in range(1, m)]
-        self._steps_t = [(self.last.T, w[m - 1, :n], x[-n:], x[-n:-h], w[m - 2, n:])] + [
-            (self.step[k].T, w[k], x[k * n:k * n + h + n], x[k * n:k * n + h], w[k - 1, n:])
-            for k in range(m - 2, -1, -1)]
+        self._steps = [(self.step[k], y[k * n:k * n + h + n], tmp) for k in range(m - 1)]
+        self._steps.append((self.last, y[-n:], tmp[:n]))
+        self._back = [(self.coupling[k], rows[k + 1], rows[k], tmp[:n])
+                      for k in range(m - 2, -1, -1)]
+        self._steps_t = [(a.T, part, out) for a, part, out in reversed(self._steps)]
+        self._back_t = [(a.T, row, previous, out)
+                        for a, previous, row, out in reversed(self._back)]
         self.rcond = _rcond_estimate(column_sums.max(), self.solve,
                                      self.solve_transposed, m * n)
         if not self.rcond >= SOLVE_RCOND_MIN:
@@ -437,33 +433,22 @@ class InterfaceFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """alpha (R, n) with M alpha = rhs, rhs in row order."""
-        n = self.last.shape[0]
-        h = n // 2
-        y, tmp = self._y, self._tmp
-        # the interface rows' share of every step, all columns at once
-        np.matmul(self.step[:, :, h:], rhs[h:-h].reshape(-1, n, 1), self._pre[:, :, None])
-        y[:h] = rhs[:h]
-        for matrix, previous, pre, row in self._forward:
-            np.add(np.matmul(matrix, previous, tmp), pre, row)
-        y[-h:] = rhs[-h:]
-        tmp = tmp[:n]
-        y[-n:] = np.dot(self.last, y[-n:], tmp)
-        for matrix, previous, row in self._back:
-            np.subtract(row, np.dot(matrix, previous, tmp), row)
-        return y.reshape(self.n_regions, n).copy()
+        np.copyto(self._y, rhs)
+        for matrix, part, out in self._steps:
+            np.copyto(part, np.dot(matrix, part, out))
+        for matrix, previous, row, out in self._back:
+            np.subtract(row, np.dot(matrix, previous, out), row)
+        return self._y.reshape(self.n_regions, -1).copy()
 
     def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """x in row order with M^T x = b, b (R n) in alpha order: the
-        transposes of solve's steps in reverse order."""
-        n = self.last.shape[0]
-        self._w[:, :n] = b.reshape(self.n_regions, n)
-        tmp = self._tmp[:n]
-        for matrix, previous, row in self._back_t:
-            np.subtract(row, np.dot(matrix, previous, tmp), row)
-        for matrix, vector, out, carried, beside in self._steps_t:
-            np.dot(matrix, vector, out)
-            np.copyto(beside, carried)
-        return self._x.copy()
+        """x in row order with M^T x = b, b (R n) in alpha order: solve's
+        passes transposed, in reverse order."""
+        np.copyto(self._y, b.reshape(-1))
+        for matrix, previous, row, out in self._back_t:
+            np.subtract(row, np.dot(matrix, previous, out), row)
+        for matrix, part, out in self._steps_t:
+            np.copyto(part, np.dot(matrix, part, out))
+        return self._y.copy()
 
 
 def _incoming(bc):

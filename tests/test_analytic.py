@@ -977,23 +977,25 @@ class TestRegionCount:
         assert_factor_matches_loops(operator, source, 7)
 
     def test_solve_allocates_only_its_result(self, pincell):
-        # the forward pass, the interface rows' share and the
-        # back-substitution stay in the factor's buffers
+        # both passes of either solve run in place on the factor's one
+        # kept buffer, so a call allocates its result and nothing else
         quad = gauss_legendre(6)
         geo = split_geometry(pincell.geometry, 60, seed=1)
         operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad),
                                        build_fine_mesh(geo, 700), quad)
         factor = operator.factor
         rhs = np.random.default_rng(1).standard_normal(60 * operator.ng)
-        expected = loop_solve(factor, rhs)
-        tracemalloc.start()
-        try:
-            alpha = factor.solve(rhs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(alpha, expected)
-        assert peak < 2 * alpha.nbytes
+        for solve, loop in ((factor.solve, loop_solve),
+                            (factor.solve_transposed, loop_solve_transposed)):
+            expected = loop(factor, rhs)
+            tracemalloc.start()
+            try:
+                result = solve(rhs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(result, expected)
+            assert peak < 2 * result.nbytes
 
     def test_factor_memory_grows_linearly_in_region_count(self, pincell):
         quad = gauss_legendre(8)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import fission_source, one_group_material
+from _helpers import (assert_within_roundoff, fission_source, one_group_material,
+                      split_geometry)
 from slab_sn import (BoundaryCondition, FluxField, MaxOuterIterationsError,
                      NonpositiveIntegralError, ShiftAtEigenvalueError,
                      SlabGeometry, SolverConfig, ValidationError,
@@ -262,6 +263,35 @@ class TestPowerIteration:
         cfg = replace(pincell.config, sn_order=4, fine_mesh_size=70, solver_kind=solver_kind)
         res = power_iteration(pincell.geometry, pincell.materials, cfg)
         assert kinds == [solver_kind] * res.iterations
+
+
+# the analytic half of the digest set (tests/_helpers.py): (case, split60
+# seed or None for the pincell, config changes, k at one BLAS thread, outer
+# count), recorded before the interface solve's per-column form; the S8
+# sweep is pinned by test_sweep_benchmark_counts
+DIGEST_SET = [
+    ("S2", None, dict(sn_order=2), 1.2475934712112022, 21),
+    ("S16", None, dict(sn_order=16), 1.2497403355711365, 22),
+    ("S64", None, dict(sn_order=64), 1.2497485202535177, 22),
+    ("S2-ke", None, dict(sn_order=2, ke=1.3), 1.2475944564688932, 6),
+    ("S16-ke", None, dict(sn_order=16, ke=1.3), 1.2497414857834392, 6),
+    ("S64-ke", None, dict(sn_order=64, ke=1.3), 1.2497497346759625, 6),
+    ("split60-1", 1, dict(sn_order=6), 1.2496812253467933, 22),
+    ("split60-2", 2, dict(sn_order=6), 1.2496812253467937, 22),
+    ("split60-3", 3, dict(sn_order=6), 1.2496812253467946, 22),
+    ("finemesh", None, dict(sn_order=16, fine_mesh_size=20000, ke=1.3), 1.249741520459386, 6),
+]
+
+
+class TestDigestSet:
+    @pytest.mark.parametrize("seed, over, k, outers", [case[1:] for case in DIGEST_SET],
+                             ids=[case[0] for case in DIGEST_SET])
+    def test_k_and_outer_counts_within_roundoff(self, pincell, seed, over, k, outers):
+        geometry = (pincell.geometry if seed is None
+                    else split_geometry(pincell.geometry, 60, seed))
+        res = power_iteration(geometry, pincell.materials, replace(pincell.config, **over))
+        assert res.iterations == outers
+        assert_within_roundoff(res.k_eff, k)
 
 
 class TestInfiniteMediumLimit:
