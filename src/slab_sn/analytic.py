@@ -14,8 +14,9 @@ numbers around e^(lambda L), which for thick regions at high S_N order is
 far beyond double precision.
 
 The alpha coefficients of all regions solve one (N G R) x (N G R) linear
-system M: N G / 2 rows per boundary condition and N G rows of angular-flux
-continuity per interior interface.  Each interface row touches only the
+system M: N G / 2 rows per slab end, its conditions E psi = f on the
+angular flux at that edge (_end), and N G rows of angular-flux continuity
+per interior interface.  Each interface row touches only the
 two regions beside it, so with the rows ordered left boundary, interface
 0 .. R-2, right boundary, one QR per region column eliminates M into block
 upper-bidiagonal form (interface elimination, as in the analytical
@@ -49,7 +50,7 @@ place on one kept buffer, one contiguous product a region column in each,
 on views made once.  A solution keeps the
 emission: FixedSourceOperator.flux marches each group once more from it
 for Psi and phi at the cell centres, and evaluate_flux gives them at any
-points.
+points, each group's points in one call per EVAL_CHUNK.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -63,7 +64,7 @@ recurrence enters through.
 
 import numpy as np
 
-from .exceptions import PointOutOfDomainError, SingularSystemError
+from .exceptions import PointOutOfDomainError, SingularSystemError, ValidationError
 from .mesh import FineMesh, FluxField, SourceField
 from .model import QuadratureSet, SlabGeometry
 from .recurrence import FirstOrderScan
@@ -80,31 +81,20 @@ RCOND_ITERATIONS = 5
 EVAL_CHUNK = 256
 
 
-def _pair_rows(quad: QuadratureSet, g: int):
-    """Row indices (positive-mu row, mirrored negative-mu row) pairing
-    ordinates of equal |mu|, group-major."""
-    n = quad.n
-    pos = np.arange(n // 2, n)
-    neg = n - 1 - pos
-    pos_rows = (np.arange(g)[:, None] * n + pos[None, :]).ravel()
-    neg_rows = (np.arange(g)[:, None] * n + neg[None, :]).ravel()
-    return pos_rows, neg_rows
-
-
-def _bc_rows(bc, quad: QuadratureSet, side: str, g: int):
-    """(rows, mirrored rows) of the N G boundary values that one boundary
-    condition constrains: the incoming ordinates (group-major) and None,
-    or for a reflective end the incoming and the mirrored outgoing ones."""
+def _end(bc, quad: QuadratureSet, side: str, g: int):
+    """(E, f): one slab end's N G / 2 conditions E psi = f on the
+    group-major angular flux psi (N G) at that edge.  A vacuum or incoming
+    end fixes each entering ordinate (mu > 0 on the left, mu < 0 on the
+    right), group-major in ascending mu as incoming values run, to f, the
+    values or zeros; a reflective end asks psi(mu) - psi(-mu) = 0 for each
+    mu > 0, at either end."""
+    eye = np.eye(quad.n * g)
+    f = bc.values if bc.kind == "incoming" else np.zeros(eye.shape[0] // 2)
     if bc.kind == "reflective":
-        return _pair_rows(quad, g)
-    return np.flatnonzero(np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)), None
-
-
-def _bc_combination(rows, values: np.ndarray) -> np.ndarray:
-    """The N G / 2 combinations of values' leading rows that _bc_rows'
-    rows select: incoming, or incoming minus mirrored outgoing."""
-    rows, mirrored = rows
-    return values[rows] if mirrored is None else values[rows] - values[mirrored]
+        # ordinates run in ascending mu, so -mu mirrors mu within its group
+        positive = np.tile(quad.mu > 0.0, g)
+        return eye[positive] - eye.reshape(g, quad.n, -1)[:, ::-1].reshape(eye.shape)[positive], f
+    return eye[np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)], f
 
 
 def _real_part(matrix: np.ndarray) -> np.ndarray:
@@ -273,24 +263,25 @@ class _Group:
             centre += emission[self.cells] @ theta
         out[self.cells] = centre
 
-    def psi_at(self, i: int, alpha: np.ndarray, emission: np.ndarray,
-               t: np.ndarray) -> np.ndarray:
-        """Psi (points, N G) at local coordinates t, each in [0, L], of the
-        group's region i, from the march of emission that the workspace
-        holds."""
-        m = self.ends[i] - self.starts[i]
-        t_edges = self.mesh_edges[self.first[i]:self.first[i] + m + 1] - self.x_left[i]
-        cell = np.clip(np.searchsorted(t_edges[1:], t, side="left"), 0, m - 1)
-        row = np.where(self.forward, cell[:, None], m - 1 - cell[:, None])
-        anchor = np.where(self.forward, t[:, None], (self.length[i] - t)[:, None])
-        upwind = np.where(self.forward, (t - t_edges[cell])[:, None],
-                          (t_edges[cell + 1] - t)[:, None])
+    def psi_at(self, alphas: np.ndarray, emission: np.ndarray, cell: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+        """Psi (points, N G) at points x of the group's regions, each in the
+        mesh cell given by cell, a cell of its region, from the march of
+        emission that the workspace holds."""
+        segment = np.searchsorted(self.first, cell, side="right") - 1
+        x_left, start = self.x_left[segment], self.starts[segment]
+        t = x - x_left
+        row = start + cell - self.first[segment]
+        row = np.where(self.forward, row[:, None], self.back[row][:, None])
+        anchor = np.where(self.forward, t[:, None], (self.length[segment] - t)[:, None])
+        upwind = np.where(self.forward, (t - (self.mesh_edges[cell] - x_left))[:, None],
+                          ((self.mesh_edges[cell + 1] - x_left) - t)[:, None])
         y = self.work[0].reshape(-1, self.rho.size)
-        j_in = np.take_along_axis(y, self.previous[self.starts[i] + row], axis=0)
-        j_in[row == 0] = 0.0
-        x = exp_block(self.rho, anchor) * (self.enc @ alpha)
+        j_in = np.take_along_axis(y, self.previous[row], axis=0)
+        j_in[row == start[:, None]] = 0.0
+        x = exp_block(self.rho, anchor) * (alphas[self.regions[segment]] @ self.enc.T)
         x += exp_block(self.rho, upwind) * j_in
-        x += phi_block(self.rho, upwind) * (emission[self.first[i] + cell] @ self.project)
+        x += phi_block(self.rho, upwind) * (emission[cell] @ self.project)
         return (x @ self.expand).real
 
 
@@ -451,10 +442,6 @@ class InterfaceFactor:
         return self._y.copy()
 
 
-def _incoming(bc):
-    return bc.values if bc.kind == "incoming" else 0.0
-
-
 class FixedSourceOperator:
     """The source-independent part of the analytic fixed-source solve.
 
@@ -484,12 +471,12 @@ class FixedSourceOperator:
         for group in self.groups:
             left[group.regions] = group.edge_blocks("left")
             right[group.regions] = group.edge_blocks("right")
-        # each end's boundary rows, for the factor and every rhs
-        self.bc_rows = (_bc_rows(geometry.bc_left, quad, "left", self.n_groups),
-                        _bc_rows(geometry.bc_right, quad, "right", self.n_groups))
-        self.factor = InterfaceFactor(
-            _bc_combination(self.bc_rows[0], left[0]), right[:-1], -left[1:],
-            _bc_combination(self.bc_rows[1], right[-1]))
+        # each end's conditions (E, f), for the factor and every rhs
+        self.bcs = (_end(geometry.bc_left, quad, "left", self.n_groups),
+                    _end(geometry.bc_right, quad, "right", self.n_groups))
+        (e_left, _), (e_right, _) = self.bcs
+        self.factor = InterfaceFactor(e_left @ left[0], right[:-1], -left[1:],
+                                      e_right @ right[-1])
         self.rcond = self.factor.rcond
 
     def particular(self, source: SourceField):
@@ -509,11 +496,9 @@ class FixedSourceOperator:
             nf = group.nf
             left[group.regions] = (end[:, nf:] @ group.expand[nf:]).real
             right[group.regions] = (end[:, :nf] @ group.expand[:nf]).real
-        geo = self.geometry
-        return np.concatenate([
-            _incoming(geo.bc_left) - _bc_combination(self.bc_rows[0], left[0]),
-            (left[1:] - right[:-1]).ravel(),
-            _incoming(geo.bc_right) - _bc_combination(self.bc_rows[1], right[-1])])
+        (e_left, f_left), (e_right, f_right) = self.bcs
+        return np.concatenate([f_left - e_left @ left[0], (left[1:] - right[:-1]).ravel(),
+                               f_right - e_right @ right[-1]])
 
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,
@@ -533,37 +518,36 @@ def solve_alpha(factor: InterfaceFactor, rhs: np.ndarray) -> np.ndarray:
     return factor.solve(rhs)
 
 
-def _locate_regions(geometry: SlabGeometry, points: np.ndarray) -> np.ndarray:
-    if not np.all((points >= geometry.edges[0]) & (points <= geometry.edges[-1])):
-        raise PointOutOfDomainError(
-            f"points outside [{geometry.edges[0]}, {geometry.edges[-1]}]")
-    # a point exactly on an interface belongs to the region on its left
-    return np.searchsorted(geometry.edges[1:], points, side="left")
-
-
 def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     """Angular and scalar flux at arbitrary points inside the slab.
 
     solution is the (alphas, emission) pair solve_fixed_source returns for
-    this operator; each group marches the emission once more.  Points on a
-    region interface are evaluated from the left region; continuity of the
-    solution makes the choice immaterial to within the solver tolerance.
-    Every point's factors are computed afresh, in chunks of EVAL_CHUNK
-    points, which bounds the (points, blocks) temporaries; at the cell
-    centres FixedSourceOperator.flux reads the stored factors instead.
+    this operator; points is a scalar or a 1-D sequence.  A point on a
+    region interface is evaluated in the region on its left (continuity
+    makes the choice immaterial to within the solver tolerance), in the
+    cell of that region whose closed span holds it, the left one on a cell
+    edge.  Each group marches the emission once more and computes its
+    points' factors afresh, EVAL_CHUNK points a call, which bounds the
+    (points, blocks) temporaries; FixedSourceOperator.flux reads the
+    stored factors at the cell centres instead.
     """
     alphas, emission = solution
     points = np.atleast_1d(np.asarray(points, dtype=float))
-    region = _locate_regions(operator.geometry, points)
-    psi = np.zeros((points.size, operator.ng))
+    if points.ndim != 1:
+        raise ValidationError(f"points must be a scalar or a 1-D sequence, not shape {points.shape}")
+    edges, offsets = operator.geometry.edges, operator.mesh.offsets
+    if not np.all((points >= edges[0]) & (points <= edges[-1])):
+        raise PointOutOfDomainError(f"points outside [{edges[0]}, {edges[-1]}]")
+    region = np.searchsorted(edges[1:], points, side="left")
+    cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
+                   offsets[region], offsets[region + 1] - 1)
+    psi = np.empty((points.size, operator.ng))
     for group in operator.groups:
         group.particular(emission)
-        for i, r in enumerate(group.regions):
-            idx = np.nonzero(region == r)[0]
-            for k in range(0, idx.size, EVAL_CHUNK):
-                chunk = idx[k:k + EVAL_CHUNK]
-                psi[chunk] = group.psi_at(i, alphas[r], emission,
-                                          points[chunk] - group.x_left[i])
+        idx = np.flatnonzero(np.isin(region, group.regions))
+        for k in range(0, idx.size, EVAL_CHUNK):
+            chunk = idx[k:k + EVAL_CHUNK]
+            psi[chunk] = group.psi_at(alphas, emission, cell[chunk], points[chunk])
     return FluxField.from_psi(points, psi, operator.quad)
 
 

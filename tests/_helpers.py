@@ -28,7 +28,7 @@ from scipy.signal import lfilter
 from slab_sn import (BoundaryCondition, MaterialXS, SlabGeometry,
                      BlockSpectrum, SingularSystemError, SourceField,
                      ValidationError, mesh_from_edges)
-from slab_sn.analytic import _inverse, _pair_rows, _rcond_estimate
+from slab_sn.analytic import _inverse, _rcond_estimate
 from slab_sn.eigen import _emission, _per_cell
 from slab_sn.spectral import PHI_TAYLOR_CUT, _dense, _guard, exp_block, phi_block
 from slab_sn.recurrence import FirstOrderScan
@@ -775,7 +775,7 @@ def _boundary_rows(work, bc, quad, side):
     psi_part = work.spec.P @ work.edge_particular(side)
     g = work.spec.size // quad.n
     if bc.kind == "reflective":
-        pos, neg = _pair_rows(quad, g)
+        pos, neg = mirrored_pairs(quad, g)
         rows = pg[pos] - pg[neg]
         rhs = -(psi_part[pos] - psi_part[neg])
         return rows, rhs
@@ -855,6 +855,21 @@ def loop_edge_block(group, i, side):
     return ((group.expand.T * scale[None, :]) @ group.enc).real
 
 
+def mirrored_pairs(quad, g):
+    """(rows of mu > 0, rows of -mu) of the group-major angular flux: each
+    ordinate with mu > 0, group by group in ordinate order, matched with
+    the ordinate of its group whose mu is its negative."""
+    pos, neg = [], []
+    for group in range(g):
+        for i, mu in enumerate(quad.mu):
+            if mu > 0.0:
+                j = [j for j, other in enumerate(quad.mu) if other == -mu]
+                assert len(j) == 1
+                pos.append(group * quad.n + i)
+                neg.append(group * quad.n + j[0])
+    return np.array(pos), np.array(neg)
+
+
 def bc_combination(bc, quad, side, values):
     """The N G / 2 combinations of values' (N G) leading rows that one
     boundary condition constrains, selected by a mask: incoming ordinates
@@ -862,7 +877,7 @@ def bc_combination(bc, quad, side, values):
     end."""
     g = values.shape[0] // quad.n
     if bc.kind == "reflective":
-        pos, neg = _pair_rows(quad, g)
+        pos, neg = mirrored_pairs(quad, g)
         return values[pos] - values[neg]
     return values[np.tile(quad.mu > 0.0 if side == "left" else quad.mu < 0.0, g)]
 

@@ -11,7 +11,7 @@ from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
                       random_slab, rows_fixed_source, select_rows, source_over_mu,
                       split_geometry)
 from slab_sn import spectral
-from slab_sn.analytic import WIDTH_RTOL, solve_alpha
+from slab_sn.analytic import WIDTH_RTOL, _Group, solve_alpha
 from slab_sn.spectral import EXP_ARG_MAX, PHI_TAYLOR_CUT
 from slab_sn.recurrence import FirstOrderScan
 from slab_sn import (BlockSpectrum, BoundaryCondition, FineMesh, FixedSourceOperator,
@@ -226,6 +226,39 @@ class TestClosedForms:
         expected = beam[None, :] * np.exp(-sigma_t * xs[:, None] / mu_pos[None, :])
         assert np.max(np.abs(psi[:, 0, 2:] - expected)) < 1e-12
         assert np.max(np.abs(psi[:, 0, :2])) < 1e-14
+
+    @pytest.mark.parametrize("reflective_right", [False, True])
+    def test_two_group_absorbers_with_beams_at_both_ends(self, reflective_right):
+        # two regions of different two-group pure absorbers and a distinct
+        # incoming value on every (group, entering ordinate) of each end,
+        # group-major in ascending mu: psi is each beam times the product of
+        # the attenuations along its path; a reflective right end sends the
+        # left beam back attenuated
+        sigma = {"a": np.array([0.9, 0.4]), "b": np.array([0.25, 1.1])}
+        mats = {name: MaterialXS(name=name, sigma_t=s, sigma_s=np.zeros((2, 2)),
+                                 nu_sigma_f=np.zeros(2), chi=np.zeros(2))
+                for name, s in sigma.items()}
+        left_beam = np.array([0.8, 1.2, 0.5, 1.7])     # mu > 0
+        right_beam = np.array([0.3, 1.4, 0.9, 0.6])    # mu < 0
+        geo = SlabGeometry(edges=np.array([0.0, 1.3, 3.0]), materials=("a", "b"),
+                           bc_left=BoundaryCondition.incoming(left_beam),
+                           bc_right=BoundaryCondition.reflective() if reflective_right
+                           else BoundaryCondition.incoming(right_beam))
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 4, 12, 0.0)
+        xs = np.concatenate([np.linspace(0.0, 3.0, 31), [1.3 - 1e-7, 1.3, 1.3 + 1e-7]])
+        psi = evaluate_flux(operator, solution, xs).psi.reshape(xs.size, 2, 4)
+        # optical depth (points, G) from the left end, and the slab's
+        tau = (np.minimum(xs, 1.3)[:, None] * sigma["a"]
+               + np.maximum(xs - 1.3, 0.0)[:, None] * sigma["b"])
+        depth = 1.3 * sigma["a"] + 1.7 * sigma["b"]
+        mu = quad.mu[2:]
+        forward = left_beam.reshape(2, 2) * np.exp(-tau[:, :, None] / mu)
+        # entering at the right end, (G, mu < 0 ascending)
+        back_in = (left_beam.reshape(2, 2) * np.exp(-depth[:, None] / mu))[:, ::-1] \
+            if reflective_right else right_beam.reshape(2, 2)
+        backward = back_in * np.exp(-(depth - tau)[:, :, None] / mu[::-1])
+        expected = np.concatenate([backward, forward], axis=2)
+        assert np.max(np.abs(psi - expected)) <= 1e-12 * np.max(np.abs(psi))
 
     def test_scalar_flux_consistent_with_weights(self, pincell):
         quad, mesh, operator, solution = analytic_setup(
@@ -496,6 +529,14 @@ class TestErrors:
         quad, mesh, operator, solution = analytic_setup(geo, mats, 2, 8, 1.0)
         with pytest.raises(PointOutOfDomainError):
             evaluate_flux(operator, solution, [-0.5])
+
+    def test_points_of_wrong_shape(self):
+        geo, mats = absorber_problem()
+        quad, mesh, operator, solution = analytic_setup(geo, mats, 2, 8, 1.0)
+        with pytest.raises(ValidationError, match=r"shape \(1, 2\)"):
+            evaluate_flux(operator, solution, [[0.0, 1.0]])
+        # a scalar is one point
+        assert evaluate_flux(operator, solution, 1.0).psi.shape == (1, 2)
 
     def test_operator_rejects_source_on_another_mesh(self, pincell, quad2):
         spectra = spectra_for(pincell.geometry, pincell.materials, quad2)
@@ -921,6 +962,27 @@ class TestRegionCount:
                                                              mesh, quad))
         assert len(calls) == 2
         assert {id(scan) for scan in calls} == {id(g.march) for g in operator.groups}
+
+    def test_points_evaluated_once_per_group(self, pincell, monkeypatch):
+        # evaluate_flux takes each group's points in one call (101 points,
+        # fewer than EVAL_CHUNK), not one call per region, and matches the
+        # per-region rows path at interface and off-grid points
+        quad = gauss_legendre(6)
+        geo = split_geometry(pincell.geometry, 60, seed=1)
+        mesh = build_fine_mesh(geo, 700)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
+        source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
+        rng = np.random.default_rng(5)
+        points = np.concatenate([geo.edges, rng.uniform(geo.edges[0], geo.edges[-1], 40)])
+        assert points.size == 101
+        calls = []
+        psi_at = _Group.psi_at
+        monkeypatch.setattr(_Group, "psi_at",
+                            lambda group, *args: calls.append(group) or psi_at(group, *args))
+        psi = evaluate_flux(operator, solve_fixed_source(operator, source), points).psi
+        assert len(calls) == len(operator.groups)
+        assert {id(group) for group in calls} == {id(group) for group in operator.groups}
+        assert max_rel_diff(psi, rows_fixed_source(operator, source, points)[2]) <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_solution_is_alphas_and_emission(self, pincell, graded):
