@@ -47,10 +47,9 @@ alpha, and the source term straight from the emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor: one forward pass and one block back-substitution in
 place on one kept buffer, one contiguous product a region column in each,
-on views made once.  A solution keeps the
-emission: FixedSourceOperator.flux marches each group once more from it
-for Psi and phi at the cell centres, and evaluate_flux gives them at any
-points, each group's points in one call per EVAL_CHUNK.
+on views made once.  A solution is the pair (alphas, source): flux and
+evaluate_flux march it again through particular, which checks it, for Psi
+and phi at the cell centres and at any points (EVAL_CHUNK a call).
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -502,14 +501,14 @@ class FixedSourceOperator:
 
     def flux(self, solution) -> FluxField:
         """Angular and scalar flux at the cell centres for the (alphas,
-        emission) pair solve_fixed_source returns, from the stored
-        factors: each group marches the emission once more, and its terms
+        source) pair solve_fixed_source returns, from the stored factors:
+        the source marches once more (particular), and each group's terms
         reach Psi through products with N G columns."""
-        alphas, emission = solution
+        alphas, source = solution
+        self.particular(source)
         psi = np.empty((self.mesh.n_cells, self.ng))
         for group in self.groups:
-            group.particular(emission)
-            group.centres_into(alphas, emission, group.folds(group.expand), psi)
+            group.centres_into(alphas, source.emission, group.folds(group.expand), psi)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
@@ -521,17 +520,17 @@ def solve_alpha(factor: InterfaceFactor, rhs: np.ndarray) -> np.ndarray:
 def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     """Angular and scalar flux at arbitrary points inside the slab.
 
-    solution is the (alphas, emission) pair solve_fixed_source returns for
+    solution is the (alphas, source) pair solve_fixed_source returns for
     this operator; points is a scalar or a 1-D sequence.  A point on a
     region interface is evaluated in the region on its left (continuity
     makes the choice immaterial to within the solver tolerance), in the
     cell of that region whose closed span holds it, the left one on a cell
-    edge.  Each group marches the emission once more and computes its
-    points' factors afresh, EVAL_CHUNK points a call, which bounds the
-    (points, blocks) temporaries; FixedSourceOperator.flux reads the
-    stored factors at the cell centres instead.
+    edge.  The source marches once more (particular), and each group
+    computes its points' factors afresh, EVAL_CHUNK points a call, which
+    bounds the (points, blocks) temporaries; FixedSourceOperator.flux reads
+    the stored factors at the cell centres instead.
     """
-    alphas, emission = solution
+    alphas, source = solution
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if points.ndim != 1:
         raise ValidationError(f"points must be a scalar or a 1-D sequence, not shape {points.shape}")
@@ -541,22 +540,22 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     region = np.searchsorted(edges[1:], points, side="left")
     cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
                    offsets[region], offsets[region + 1] - 1)
+    operator.particular(source)
     psi = np.empty((points.size, operator.ng))
     for group in operator.groups:
-        group.particular(emission)
         idx = np.flatnonzero(np.isin(region, group.regions))
         for k in range(0, idx.size, EVAL_CHUNK):
             chunk = idx[k:k + EVAL_CHUNK]
-            psi[chunk] = group.psi_at(alphas, emission, cell[chunk], points[chunk])
+            psi[chunk] = group.psi_at(alphas, source.emission, cell[chunk], points[chunk])
     return FluxField.from_psi(points, psi, operator.quad)
 
 
 def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
-    """Per-region expansion coefficients (no evaluation) and the source's
-    emission: the (alphas, emission) pair that evaluate_flux and
+    """Per-region expansion coefficients (no evaluation) and the source:
+    the (alphas, source) pair that evaluate_flux and
     FixedSourceOperator.flux take."""
     rhs = operator.rhs(operator.particular(source))
-    return solve_alpha(operator.factor, rhs), source.emission
+    return solve_alpha(operator.factor, rhs), source
 
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):

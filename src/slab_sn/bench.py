@@ -58,7 +58,7 @@ def default_cells(problem: Problem, orders=(2, 4, 8, 16), solvers=("analytic", "
 
 def cell_name(config: SolverConfig) -> str:
     tag = f"{config.solver_kind}_S{config.sn_order}"
-    return tag if config.ke is None else f"{tag}_ke{config.ke:g}"
+    return tag if config.ke is None else f"{tag}_ke{config.ke!r}"
 
 
 def _run_cell(problem: Problem, config: SolverConfig) -> dict:

@@ -83,14 +83,17 @@ def _load(args):
             if getattr(args, f.name, None) is not None}
     if getattr(args, "no_ke", False):
         over["ke"] = None
-    return replace(problem, config=replace(problem.config, **over))
+    config = replace(problem.config, **over)
+    if getattr(args, "dump_matrices", False) and config.solver_kind != "analytic":
+        raise ParseError("--dump-matrices takes the analytic solver only")
+    return replace(problem, config=config)
 
 
 def _dump_matrices(args, outdir, materials, config, solved):
-    """--dump-matrices (analytic solver): A per material, rebuilt as the
-    operator built it, with P and B from the spectra of the solve (the
-    operator or the result)."""
-    if args.dump_matrices and config.solver_kind == "analytic":
+    """--dump-matrices (analytic solver, as _load checks): A per material,
+    rebuilt as the operator built it, with P and B from the spectra of the
+    solve (the operator or the result)."""
+    if args.dump_matrices:
         _, matrices = transport_matrices(materials, solved.spectra, config)
         outputs.dump_matrices(outdir / "matrices", matrices, solved.spectra)
 

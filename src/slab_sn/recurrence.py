@@ -170,5 +170,7 @@ class FirstOrderScan:
         np.add(y[:-1], carried, out=y[:-1])
 
     def unblocks(self, y) -> np.ndarray:
-        """The inverse of blocks: the rows (rows, ...) of y (size, count, ...)."""
+        """The inverse of blocks: the rows of y (size, count, columns...)."""
+        if np.shape(y) != (shape := (self.size, self.count) + self.shape[1:]):
+            raise ValidationError(f"blocked array has shape {np.shape(y)}, expected {shape}")
         return y.reshape((-1,) + y.shape[2:])[self.index]

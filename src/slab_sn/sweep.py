@@ -32,10 +32,10 @@ from .recurrence import FirstOrderScan
 
 
 def _transfer_matrices(geometry, materials, ke):
-    """Per-region group transfer: scattering plus the shifted fission part,
-    checked for isotropic scattering and a folded scattering ratio below one."""
-    transfer = []
-    for name in geometry.materials:
+    """Group transfer by material name: scattering plus the shifted fission
+    part, checked for isotropic scattering and a folded scattering ratio below one."""
+    transfer = {}
+    for name in dict.fromkeys(geometry.materials):
         mat = materials[name]
         if mat.scatter_kernel is not None:
             raise ValidationError(
@@ -43,13 +43,12 @@ def _transfer_matrices(geometry, materials, ke):
         t = mat.sigma_s.T.copy()          # t[g, g'] = sigma_s g' -> g
         if ke is not None:
             t += np.outer(mat.chi, mat.nu_sigma_f) / ke
-        transfer.append(t)
-    for name, t in zip(geometry.materials, transfer):
-        ratio = t.sum(axis=0) / materials[name].sigma_t
+        ratio = t.sum(axis=0) / mat.sigma_t
         if np.any(ratio >= 1.0):
             raise ValidationError(
                 f"material {name!r}: scattering ratio {ratio.max():.6f} >= 1, "
                 "source iteration would not converge")
+        transfer[name] = t
     return transfer
 
 
@@ -88,36 +87,33 @@ class SweepOperator:
         # half the cell's scattering (plus folded fission) emission density
         # of group i, the source of every ordinate of a direction half under
         # isotropic emission
-        self.transfer = np.stack([t.T / 2.0 for t in transfer])[
+        self.transfer = np.stack([transfer[name].T / 2.0 for name in geometry.materials])[
             mesh.region_of_cell].transpose(1, 2, 0).copy()
         # quadrature weights of the mu < 0 and the mu > 0 columns
         self.weights = np.zeros((n, 2))
         self.weights[:h, 0] = quad.weight[:h]
         self.weights[h:, 1] = quad.weight[h:]
-        # spread[d]: ones on the ordinates of direction half d
-        self.spread = np.zeros((2, n))
-        self.spread[0, :h] = self.spread[1, h:] = 1.0
+        # spread[d]: 1 on direction half d's (positive) weights, C-ordered for a fast matmul
+        self.spread = np.ascontiguousarray(self.weights.T > 0.0, dtype=float)
 
         c = np.abs(quad.mu)[None, None, :] / mesh.widths[:, None, None]
         denom = c + sigma_t[:, :, None]
         a, s = self.scan_order(c / denom), 1.0 / denom
         self.march = march = FirstOrderScan(a)
         self.work = march.workspace(float)
-        # the first scan row's coefficient carries the incoming flux in
-        self.enter = a[0].copy()
         self.s = march.blocks(self.scan_order(s))
 
-        # sources are gathered from half the emission: one zero, which the
-        # padding rows read, then (G, cells) group-major; direction half 0
-        # (mu < 0) runs in reversed cell order
-        slot = 1 + np.arange(g)[:, None] * m + np.arange(m)
+        # sources are gathered from half the emission, (G, cells) group-major,
+        # and the padding rows, which no carry reads, gather cell 0's;
+        # direction half 0 (mu < 0) runs in reversed cell order
+        slot = np.arange(g)[:, None] * m + np.arange(m)
         self.gather = march.blocks(np.stack([slot[:, ::-1].T, slot.T], axis=2))
-        self.sources = np.empty((self.gather.size // 2, 2))
-        # phi's halves (G, cells): the weighted sums of every scan row's
-        # groups, mu < 0 in sides[0] and mu > 0 in sides[1]
+        # per (scan row, group) and direction half: the gathered source, then
+        # the weighted sum of the fluxes, of which sides picks phi's halves
+        # (G, cells), mu < 0 in sides[0] and mu > 0 in sides[1]
+        self.halves = np.empty((self.gather.size // 2, 2))
         rows = march.index[:, None] * g + np.arange(g)
         self.sides = np.ascontiguousarray([2 * rows[::-1].T, 2 * rows.T + 1])
-        self.halves = np.empty((self.sources.shape[0], 2))
         self.pair = np.empty(self.sides.shape)
 
         # incoming flux per (group, scan column): mu < 0 columns enter at the
@@ -135,7 +131,7 @@ class SweepOperator:
         self.streaming = not self.reflect.any() and not self.transfer.any()
         # gather and sides stay writeable: take copies a read-only index
         # array on every call
-        for arr in (self.transfer, self.weights, self.spread, self.enter, self.s,
+        for arr in (self.transfer, self.weights, self.spread, self.s,
                     self.incoming, self.reflect):
             arr.setflags(write=False)
 
@@ -146,21 +142,22 @@ class SweepOperator:
     def sweep(self, q: np.ndarray, out: np.ndarray, phi: np.ndarray):
         """One transport sweep with the total source frozen.
 
-        q is the source of every ordinate, half the isotropic emission:
-        one zero and then (G, cells) group-major.  out holds the previous
-        sweep's outgoing face fluxes (G, N), which reflective ends copy back
-        in, and receives this sweep's: mu < 0 at the left end, mu > 0 at the
-        right.  phi receives the scalar flux (G, cells).  Returns the
-        cell-average fluxes in the scan's blocked layout, in a workspace
-        buffer that the next sweep overwrites.
+        q is the source of every ordinate, half the isotropic emission,
+        (G, cells) group-major.  out holds the previous sweep's outgoing face
+        fluxes (G, N), which reflective ends copy back in, and receives this
+        sweep's: mu < 0 at the left end, mu > 0 at the right.  phi receives
+        the scalar flux (G, cells).  Returns the cell-average fluxes in the
+        scan's blocked layout, in a workspace buffer that the next sweep
+        overwrites.
         """
         f = self.work[0]
         columns = f.reshape(-1, self.shape[2])
-        q.take(self.gather, out=self.sources.reshape(self.gather.shape), mode="clip")
-        np.matmul(self.sources, self.spread, out=columns)
+        q.take(self.gather, out=self.halves.reshape(self.gather.shape), mode="clip")
+        np.matmul(self.halves, self.spread, out=columns)
         f *= self.s
         if self.inflow:
-            f[0, 0] += self.enter * np.where(self.reflect, out[:, ::-1], self.incoming)
+            # the first scan row's coefficient carries the incoming flux in
+            f[0, 0] += self.march.a[0, 0] * np.where(self.reflect, out[:, ::-1], self.incoming)
         self.march.in_place(self.work)
         out[...] = f.reshape((-1,) + out.shape)[self.march.last[0]]
         np.matmul(columns, self.weights, out=self.halves)
@@ -170,7 +167,7 @@ class SweepOperator:
 
     def flux(self, psi: np.ndarray) -> FluxField:
         """Angular and scalar flux at the cell centres of fluxes psi in the
-        scan's blocked layout."""
+        scan's blocked layout (ValidationError for any other shape)."""
         psi = self.scan_order(self.march.unblocks(psi))
         return FluxField.from_psi(self.mesh.centers, psi.reshape(self.shape[0], -1), self.quad)
 
@@ -190,15 +187,13 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     source.require_on(operator.mesh, g)
     # group-major (G, cells) from here on: phi and the next sweep's phi;
     # terms[j], group j's share of the transfer, add up front to back in
-    # the first, which holds the change after a sweep
+    # the first, the sweep's source once the emission joins, then the change
     phi, phi_new = np.zeros((2, g, m))
     if phi0 is not None:
         phi[...] = phi0.T
     terms = np.empty((g, g, m))
     first, *rest = terms
     change = first.reshape(-1)
-    q = np.zeros(g * m + 1)
-    total = q[1:].reshape(g, m)
     out = np.zeros((g, n))
     # isotropic: every ordinate of a direction half sees half the emission,
     # as operator.transfer holds half the scattering
@@ -207,8 +202,8 @@ def source_iteration(operator: SweepOperator, source: SourceField,
         np.multiply(phi[:, None], operator.transfer, out=terms)
         for term in rest:
             first += term
-        np.add(first, emission, out=total)
-        psi = operator.sweep(q, out, phi_new)
+        first += emission
+        psi = operator.sweep(first, out, phi_new)
         np.subtract(phi_new, phi, out=first)
         phi, phi_new = phi_new, phi
         # the L2 norm as np.linalg.norm takes it

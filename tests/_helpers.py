@@ -365,15 +365,14 @@ def per_ordinate_source_iteration(operator, geometry, materials, source, toleran
     weights = np.zeros((n, 2))
     weights[:h, 0] = operator.quad.weight[:h]
     weights[h:, 1] = operator.quad.weight[h:]
-    # one zero, which the padding rows read, then (cells * G,) in cell order
-    slot = np.arange(1, m * g + 1).reshape(m, g, 1).repeat(n, axis=2)
+    # (cells * G,) in cell order; the padding rows read cell 0's
+    slot = np.arange(m * g).reshape(m, g, 1).repeat(n, axis=2)
     gather = march.blocks(operator.scan_order(slot))
     rows = march.index[:, None] * g + np.arange(g)
     neg, pos = 2 * rows[::-1], 2 * rows + 1
     work = march.workspace(float)
     phi = np.zeros((m, g)) if phi0 is None else phi0
-    q = np.zeros(m * g + 1)
-    total = q[1:].reshape(m, g)
+    total = np.empty((m, g))
     out = np.zeros((g, n))
     emission = source.emission / 2.0
     for sweeps in range(1, 100000):
@@ -381,10 +380,10 @@ def per_ordinate_source_iteration(operator, geometry, materials, source, toleran
         for j in range(1, g):
             total += phi[:, j, None] * transfer[:, j]
         total += emission
-        f = np.take(q, gather, out=work[0], mode="clip")
+        f = np.take(total, gather, out=work[0], mode="clip")
         f *= operator.s
         if operator.inflow:
-            f[0, 0] += operator.enter * np.where(operator.reflect, out[:, ::-1], operator.incoming)
+            f[0, 0] += march.a[0, 0] * np.where(operator.reflect, out[:, ::-1], operator.incoming)
         march.in_place(work)
         out[...] = f.reshape((-1,) + out.shape)[march.last[0]]
         halves = f.reshape(-1, n) @ weights

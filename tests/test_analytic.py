@@ -562,6 +562,29 @@ class TestErrors:
         with pytest.raises(ValidationError, match=expected):
             source_iteration(sweep, wrong_groups, 1e-8)
 
+    @pytest.mark.parametrize("other", ["140", "graded"])
+    def test_reads_reject_solution_on_another_mesh(self, pincell, other):
+        # flux and evaluate_flux check a solution's source as the solve
+        # does: the uniform 70-cell operator refuses a 140-cell or a graded
+        # 70-cell solution, whose alphas have its shape
+        quad = gauss_legendre(8)
+        geo = pincell.geometry
+        spectra = spectra_for(geo, pincell.materials, quad)
+        mesh = build_fine_mesh(geo, 70)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        other_mesh = (build_fine_mesh(geo, 140) if other == "140"
+                      else graded_mesh(geo, np.bincount(mesh.region_of_cell)))
+        solver = FixedSourceOperator(geo, spectra, other_mesh, quad)
+        emission = np.abs(other_mesh.centers)[:, None] * np.ones((1, 2))
+        solution = solve_fixed_source(solver, SourceField(other_mesh, emission))
+        points = np.linspace(geo.edges[0], geo.edges[-1], 11)
+        assert solver.flux(solution).psi.shape == (other_mesh.n_cells, operator.ng)
+        assert evaluate_flux(solver, solution, points).psi.shape == (11, operator.ng)
+        with pytest.raises(ValidationError, match="source mesh differs"):
+            operator.flux(solution)
+        with pytest.raises(ValidationError, match="source mesh differs"):
+            evaluate_flux(operator, solution, points)
+
     def test_operator_rejects_interleaved_regions(self, quad2):
         # FineMesh owns the region-map rule, so no operator sees this mesh
         with pytest.raises(ValidationError, match="contiguous"):
@@ -985,18 +1008,18 @@ class TestRegionCount:
         assert max_rel_diff(psi, rows_fixed_source(operator, source, points)[2]) <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
-    def test_solution_is_alphas_and_emission(self, pincell, graded):
-        # a solution keeps the alphas and the source's emission only: the
-        # flux read from it after the operator has solved another source
-        # equals, bit for bit, the flux read right after its own solve
+    def test_solution_is_alphas_and_source(self, pincell, graded):
+        # a solution keeps the alphas and the source only: the flux read
+        # from it after the operator has solved another source equals, bit
+        # for bit, the flux read right after its own solve
         quad = gauss_legendre(6)
         geo = split_geometry(pincell.geometry, 60, seed=1)
         mesh = graded_mesh(geo, np.full(60, 12)) if graded else build_fine_mesh(geo, 700)
         operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
         source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
         solution = solve_fixed_source(operator, source)
-        alphas, emission = solution
-        assert alphas.shape == (geo.n_regions, operator.ng) and emission is source.emission
+        alphas, emission = solution[0], source.emission
+        assert alphas.shape == (geo.n_regions, operator.ng) and solution[1] is source
         points = np.linspace(geo.edges[0], geo.edges[-1], 101)
         flux, at_points = operator.flux(solution), evaluate_flux(operator, solution, points)
         rng = np.random.default_rng(3)

@@ -31,6 +31,15 @@ class TestCells:
         assert cell_name(SolverConfig(sn_order=4, solver_kind="sweep",
                                       ke=1.3)) == "sweep_S4_ke1.3"
 
+    def test_cells_a_relative_shift_apart_keep_distinct_names(self, pincell, no_solve):
+        # shifts a relative 1e-6 and 1e-10 above k_inf, as a study near the
+        # eigenvalue runs them: each cell is named by its exact shift
+        k_inf = 1.3860485466490722
+        kes = (k_inf, k_inf * (1 + 1e-6), k_inf * (1 + 1e-10))
+        names = [cell_name(c) for c in default_cells(pincell, (2,), ("analytic",), kes)]
+        assert names == [f"analytic_S2_ke{ke!r}" for ke in kes]
+        assert len(set(names)) == 3
+
     @pytest.mark.parametrize("over, match", [
         ({"solvers": ("foo",)}, "unknown solver_kind 'foo'"),
         ({"orders": (3,)}, "sn_order must be an even integer"),

@@ -215,6 +215,23 @@ class TestEigen:
         a = np.loadtxt(out / "matrices" / "A_core.csv", delimiter=",")
         assert a.shape == (4, 4)
 
+    @pytest.mark.parametrize("command", ["eigen", "fixed"])
+    def test_dump_matrices_with_the_sweep_exits_2(self, pincell_file, tmp_path, capsys,
+                                                  monkeypatch, command):
+        # the sweep builds no matrices: an input error found before the solve
+        import slab_sn.cli
+
+        def solve(*args, **kwargs):
+            pytest.fail("solved before --dump-matrices was checked")
+        monkeypatch.setattr(slab_sn.cli, "build_operator", solve)
+        monkeypatch.setattr(slab_sn.cli, "power_iteration", solve)
+        out = tmp_path / "run"
+        argv = [command, str(pincell_file), "--sn", "2", "--solver", "sweep",
+                "--out", str(out), "--dump-matrices"]
+        assert main(argv) == 2
+        assert "--dump-matrices takes the analytic solver only" in capsys.readouterr().err
+        assert not out.exists()
+
     # fixed builds its operator without fission, as eigen does without a shift
     @pytest.mark.parametrize("command, ke", [pytest.param("eigen", None, id="None"),
                                              pytest.param("eigen", 1.3, id="1.3"),

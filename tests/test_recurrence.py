@@ -136,6 +136,51 @@ class TestBlockedLayout:
         assert np.array_equal(march.last, march.index[np.append(first[1:], rows) - 1])
         assert not (march.index.flags.writeable or march.last.flags.writeable)
 
+    @pytest.mark.parametrize("shape", [(4, 17, 3), (4, 18, 2), (72, 3), (4, 18, 3, 1)])
+    def test_unblocks_rejects_another_blocked_shape(self, shape):
+        march = FirstOrderScan(np.ones((70, 3)))
+        assert march.blocks(np.ones((70, 3))).shape == (4, 18, 3)
+        with pytest.raises(ValidationError, match=r"expected \(4, 18, 3\)"):
+            march.unblocks(np.zeros(shape))
+
+    # (rows, shared): a last, partial block in every layout
+    @pytest.mark.parametrize("rows, shared", [(70, False), (49, False), (1429, False),
+                                              (70, True), (50, True), (1429, True)])
+    @pytest.mark.parametrize("segments", [False, True])
+    @pytest.mark.parametrize("kind", ["random", "complex"])
+    def test_padding_sources_reach_no_real_row(self, rows, shared, segments, kind):
+        # the padding rows sit at the end of the last block, whose end no
+        # carry reads: whatever finite sources they hold, every real row
+        # scans bit for bit as with zeros there.  Both operators gather a
+        # real cell's source onto them instead of keeping a zero
+        rng = np.random.default_rng(rows)
+        starts = np.unique(rng.integers(1, rows, 6)) if segments else ()
+        a = coefficients(rng, kind, (1 if shared else rows, 3))
+        march = FirstOrderScan(a, rows, starts)
+        flat = march.size * march.count
+        padding = np.setdiff1d(np.arange(flat), march.index)
+        # all in the last block, past its real rows
+        last = (march.count - 1) * march.size
+        assert padding.size > 0 and np.array_equal(
+            padding, np.arange(rows - last, march.size) * march.count + march.count - 1)
+        b = rng.standard_normal((rows, 3))
+        if kind == "complex":
+            b = b + 1j * rng.standard_normal((rows, 3))
+        work = march.workspace(b.dtype)
+        y = work[0].reshape(flat, 3)
+        results = []
+        for fill in range(4):
+            pad = rng.uniform(-1.0, 1.0, (padding.size, 3)) * 10.0 ** rng.uniform(
+                -300.0, 300.0, (padding.size, 3))
+            pad[0, :2] = 1e300, -1e300
+            if kind == "complex":
+                pad = pad + 1j * pad[::-1]
+            y[march.index] = b
+            y[padding] = 0.0 if fill == 0 else pad
+            march.in_place(work)
+            results.append(y[march.index].tobytes())
+        assert results[1:] == results[:1] * 3
+
 
 def construction_peak(coef, rows, starts=()):
     """The scan and the peak memory traced while building it."""

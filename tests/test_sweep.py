@@ -365,7 +365,7 @@ class TestFastPathConsistency:
         phi = np.empty((70, 2))
         for _ in range(3 if bc == "reflective" else 1):
             ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref)
-            fast = operator.sweep(np.append(0.0, emission.T / 2.0), out, phi.T)
+            fast = operator.sweep(emission.T / 2.0, out, phi.T)
             assert np.allclose(operator.flux(fast).psi, ref, atol=1e-14)
             assert np.allclose(phi, ref.reshape(70, 2, n) @ quad.weight, atol=1e-14)
             assert np.allclose(out[:, :n // 2].ravel(), ol_ref, atol=1e-14)
@@ -394,7 +394,7 @@ class TestFastPathConsistency:
         out, ref_out = np.zeros((2, 4)), np.zeros((2, 4))
         phi = np.empty((mesh.n_cells, 2))
         for _ in range(3):
-            psi = operator.sweep(np.append(0.0, emission.T / 2.0), out, phi.T)
+            psi = operator.sweep(emission.T / 2.0, out, phi.T)
             ref_psi, ref_phi, ref_out = scan_order_sweep(geo, pincell.materials, mesh, quad,
                                                          "step", emission, ref_out)
             assert np.array_equal(operator.flux(psi).psi, ref_psi)
@@ -560,7 +560,7 @@ class TestGroupMajorSource:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 8.3 (cells, G) arrays: the call's six and numpy's buffer
+        # measured 7.2 (cells, G) arrays: the call's five and numpy's buffer
         # for the broadcast transfer product
         assert peak < 10 * mesh.n_cells * 2 * 8
 
@@ -576,6 +576,14 @@ def _iterate_two_groups():
     return source_iteration(operator, constant(operator.mesh, 1.0, 2), 1e-8)
 
 
+def _read_psi_of_another_size():
+    # the 9-cell operator's blocked psi, (2, 5, 1, 2), read by the 8-cell one
+    geo, mats = absorber_problem()
+    other = SweepOperator(geo, mats, build_fine_mesh(geo, 9), gauss_legendre(2))
+    psi = source_iteration(other, constant(other.mesh, 1.0), 1e-8)[1]
+    return _sweep_operator().flux(psi)
+
+
 # one bad input per typed check: (constructor, error type, message fragment)
 SWEEP_ERRORS = {
     "kernel": (lambda: _sweep_operator({"abs": replace(
@@ -587,6 +595,8 @@ SWEEP_ERRORS = {
     "source_mesh": (lambda: source_iteration(_sweep_operator(), SourceField(
         build_fine_mesh(absorber_problem()[0], 9), np.ones((9, 1))), 1e-8),
         ValidationError, "source mesh differs from the operator's mesh"),
+    "psi_shape": (_read_psi_of_another_size, ValidationError,
+                  "blocked array has shape (2, 5, 1, 2), expected (2, 4, 1, 2)"),
 }
 
 
