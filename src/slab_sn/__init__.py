@@ -16,8 +16,8 @@ from .exceptions import (DefectiveMatrixError, ExponentOverflowError,
                          ParseError, PointOutOfDomainError,
                          ShiftAtEigenvalueError, SingularSystemError,
                          TransportError, ValidationError, ZeroFluxError)
-from .mesh import (FineMesh, FluxField, SourceField, build_fine_mesh,
-                   mesh_from_edges)
+from .mesh import (FineMesh, FluxField, Solution, SourceField,
+                   build_fine_mesh, mesh_from_edges)
 from .model import (BoundaryCondition, MaterialXS, QuadratureSet,
                     SlabGeometry, SolverConfig, gauss_legendre,
                     validate_problem)

@@ -47,9 +47,9 @@ alpha, and the source term straight from the emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor: one forward pass and one block back-substitution in
 place on one kept buffer, one contiguous product a region column in each,
-on views made once.  A solution is the pair (alphas, source): flux and
-evaluate_flux march it again through particular, which checks it, for Psi
-and phi at the cell centres and at any points (EVAL_CHUNK a call).
+on views made once.  A Solution (operator, alphas, source) is read only by
+its operator: flux and evaluate_flux march its source again through
+particular, for Psi and phi at the cell centres or EVAL_CHUNK points a call.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -64,7 +64,7 @@ recurrence enters through.
 import numpy as np
 
 from .exceptions import PointOutOfDomainError, SingularSystemError, ValidationError
-from .mesh import FineMesh, FluxField, SourceField
+from .mesh import FineMesh, FluxField, Solution, SourceField
 from .model import QuadratureSet, SlabGeometry
 from .recurrence import FirstOrderScan
 from .spectral import BlockSpectrum, exp_block, phi_block
@@ -499,16 +499,17 @@ class FixedSourceOperator:
         return np.concatenate([f_left - e_left @ left[0], (left[1:] - right[:-1]).ravel(),
                                f_right - e_right @ right[-1]])
 
-    def flux(self, solution) -> FluxField:
-        """Angular and scalar flux at the cell centres for the (alphas,
-        source) pair solve_fixed_source returns, from the stored factors:
-        the source marches once more (particular), and each group's terms
-        reach Psi through products with N G columns."""
-        alphas, source = solution
-        self.particular(source)
+    def flux(self, solution: Solution) -> FluxField:
+        """Angular and scalar flux at the cell centres for a Solution this
+        operator solved (ValidationError for any other), from the stored
+        factors: the source marches once more (particular), and each group's
+        terms reach Psi through products with N G columns."""
+        solution.require_from(self)
+        alphas, emission = solution.coefficients, solution.source.emission
+        self.particular(solution.source)
         psi = np.empty((self.mesh.n_cells, self.ng))
         for group in self.groups:
-            group.centres_into(alphas, source.emission, group.folds(group.expand), psi)
+            group.centres_into(alphas, emission, group.folds(group.expand), psi)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad)
 
 
@@ -517,11 +518,11 @@ def solve_alpha(factor: InterfaceFactor, rhs: np.ndarray) -> np.ndarray:
     return factor.solve(rhs)
 
 
-def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
+def evaluate_flux(operator: FixedSourceOperator, solution: Solution, points) -> FluxField:
     """Angular and scalar flux at arbitrary points inside the slab.
 
-    solution is the (alphas, source) pair solve_fixed_source returns for
-    this operator; points is a scalar or a 1-D sequence.  A point on a
+    solution is a Solution this operator solved (ValidationError for any
+    other); points is a scalar or a 1-D sequence.  A point on a
     region interface is evaluated in the region on its left (continuity
     makes the choice immaterial to within the solver tolerance), in the
     cell of that region whose closed span holds it, the left one on a cell
@@ -530,7 +531,8 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     bounds the (points, blocks) temporaries; FixedSourceOperator.flux reads
     the stored factors at the cell centres instead.
     """
-    alphas, source = solution
+    solution.require_from(operator)
+    alphas, emission = solution.coefficients, solution.source.emission
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if points.ndim != 1:
         raise ValidationError(f"points must be a scalar or a 1-D sequence, not shape {points.shape}")
@@ -540,30 +542,29 @@ def evaluate_flux(operator: FixedSourceOperator, solution, points) -> FluxField:
     region = np.searchsorted(edges[1:], points, side="left")
     cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
                    offsets[region], offsets[region + 1] - 1)
-    operator.particular(source)
+    operator.particular(solution.source)
     psi = np.empty((points.size, operator.ng))
     for group in operator.groups:
         idx = np.flatnonzero(np.isin(region, group.regions))
         for k in range(0, idx.size, EVAL_CHUNK):
             chunk = idx[k:k + EVAL_CHUNK]
-            psi[chunk] = group.psi_at(alphas, source.emission, cell[chunk], points[chunk])
+            psi[chunk] = group.psi_at(alphas, emission, cell[chunk], points[chunk])
     return FluxField.from_psi(points, psi, operator.quad)
 
 
-def solve_fixed_source(operator: FixedSourceOperator, source: SourceField):
-    """Per-region expansion coefficients (no evaluation) and the source:
-    the (alphas, source) pair that evaluate_flux and
-    FixedSourceOperator.flux take."""
+def solve_fixed_source(operator: FixedSourceOperator, source: SourceField) -> Solution:
+    """The Solution (no evaluation) that evaluate_flux and
+    FixedSourceOperator.flux read: one alpha per region and the source."""
     rhs = operator.rhs(operator.particular(source))
-    return solve_alpha(operator.factor, rhs), source
+    return Solution(operator, solve_alpha(operator.factor, rhs), source)
 
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
     """Fixed-source solve: (scalar flux (cells, G) at the source-cell centres,
-    the solution for evaluate_flux).  The flux is read from each group's
+    the Solution for flux and evaluate_flux).  The flux is read from each group's
     march, which its workspace holds until the group's next one."""
     solution = solve_fixed_source(operator, source)
     phi = np.empty((operator.mesh.n_cells, operator.n_groups))
     for group in operator.groups:
-        group.centres_into(solution[0], source.emission, group.phi_folds, phi)
+        group.centres_into(solution.coefficients, source.emission, group.phi_folds, phi)
     return phi, solution

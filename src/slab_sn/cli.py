@@ -122,7 +122,8 @@ def cmd_fixed(args) -> int:
     t0 = time.perf_counter()
     operator = build_operator(geo, problem.materials, cfg)
     source = _fixed_source(args, operator.mesh, problem.materials[geo.materials[0]].n_groups)
-    flux = operator.flux(solve_source(operator, source, cfg, cfg.flux_tolerance)[1])
+    _, solution = solve_source(operator, source, cfg, cfg.flux_tolerance)
+    flux = operator.flux(solution)
     seconds = time.perf_counter() - t0
     # created only now, so that an input error leaves no output directory
     outdir = Path(args.out)
@@ -132,6 +133,7 @@ def cmd_fixed(args) -> int:
     flux_csv = outdir / "flux.csv"
     outputs.write_flux_csv(flux_csv, flux)
     summary = outputs.fixed_summary(cfg, source_kind=args.source, seconds=seconds,
+                                    inner_sweeps=solution.sweeps,
                                     outputs={"flux_csv": flux_csv.name})
     outputs.write_json(outdir / "summary.json", summary)
     return 0

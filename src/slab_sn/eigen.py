@@ -139,12 +139,12 @@ def build_operator(geometry: SlabGeometry, materials, config: SolverConfig):
 def solve_source(operator, source: SourceField, config: SolverConfig, tolerance: float,
                  phi0=None):
     """One fixed-source solve with config's operator: (scalar flux (cells, G),
-    the solution operator.flux reads, sweeps).  tolerance, the start flux
-    phi0 and config.max_inner serve the sweep's source iteration only."""
+    the Solution, sweep count included).  tolerance, the start flux phi0
+    and config.max_inner serve the sweep's source iteration only."""
     if config.solver_kind == "sweep":
         return source_iteration(operator, source, tolerance, phi0=phi0,
                                 max_inner=config.max_inner)
-    return (*fixed_source_solve(operator, source), 0)
+    return fixed_source_solve(operator, source)
 
 
 def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> EigenResult:
@@ -174,8 +174,8 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
         # drop the previous outer's solution before the next one is built,
         # so the two never take memory side by side
         solution = None
-        phi, solution, sweeps = solve_source(operator, source, config, tol / 2.0, phi0=phi)
-        inner_total += sweeps
+        phi, solution = solve_source(operator, source, config, tol / 2.0, phi0=phi)
+        inner_total += solution.sweeps
 
         production = np.sum(phi * nu_sigma_f, axis=1)
         integral_new = float(np.sum(production * mesh.widths))

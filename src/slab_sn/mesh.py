@@ -1,6 +1,6 @@
 """Fine source mesh, piecewise-constant isotropic source fields (checked
-against a solver's mesh and group count by SourceField.require_on), and
-flux fields."""
+against a solver's mesh and group count by SourceField.require_on), the
+Solution of a solve, bound to its operator, and flux fields."""
 
 from dataclasses import dataclass
 
@@ -133,6 +133,23 @@ class SourceField:
         if self.emission.shape != shape:
             raise ValidationError(
                 f"emission has shape {self.emission.shape}, expected (cells, G) = {shape}")
+
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """A fixed-source solve's answer, read only by operator, which solved
+    it: coefficients (the analytic alphas (R, N G), or the sweep's blocked
+    angular fluxes), the source and the sweep count (0 for the analytic
+    solver).  Compared by identity: a generated == would compare arrays."""
+
+    operator: object
+    coefficients: np.ndarray
+    source: SourceField
+    sweeps: int = 0
+
+    def require_from(self, operator) -> None:
+        if self.operator is not operator:
+            raise ValidationError("solution is from another operator")
 
 
 @dataclass(frozen=True)

@@ -129,14 +129,16 @@ def eigen_summary(result: EigenResult, outputs: dict) -> dict:
 
 
 def fixed_summary(config: SolverConfig, *, source_kind: str, seconds: float,
-                  outputs: dict) -> dict:
+                  inner_sweeps: int, outputs: dict) -> dict:
     return {
-        "schema": "slab-sn-fixed-summary/1",
+        "schema": "slab-sn-fixed-summary/2",
+        "tolerance": config.flux_tolerance,
         "solver_kind": config.solver_kind,
         "sn_order": config.sn_order,
         "mesh_size": config.fine_mesh_size,
         "source": source_kind,
         "seconds": seconds,
+        "inner_sweeps": inner_sweeps,
         "outputs": outputs,
     }
 

@@ -16,8 +16,8 @@ index maps of the scan's blocked layout.  source_iteration applies it to one
 SourceField on its mesh at a time, with the scalar flux and the source
 group-major (G, cells): each sweep gathers half the total emission once per
 scan row, group and direction into that layout, spreads it over the
-direction's ordinates, scans and sums it there, and the angular flux leaves
-the layout once, after convergence.
+direction's ordinates, scans and sums it there; the angular flux leaves
+the layout once, after convergence, when the operator reads its Solution.
 """
 
 import math
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import MaxInnerIterationsError, ValidationError
-from .mesh import FineMesh, FluxField, SourceField
+from .mesh import FineMesh, FluxField, Solution, SourceField
 from .model import QuadratureSet, SlabGeometry
 from .recurrence import FirstOrderScan
 
@@ -165,10 +165,11 @@ class SweepOperator:
         np.add(self.pair[0], self.pair[1], out=phi)
         return f
 
-    def flux(self, psi: np.ndarray) -> FluxField:
-        """Angular and scalar flux at the cell centres of fluxes psi in the
-        scan's blocked layout (ValidationError for any other shape)."""
-        psi = self.scan_order(self.march.unblocks(psi))
+    def flux(self, solution: Solution) -> FluxField:
+        """Angular and scalar flux at the cell centres of a Solution this
+        operator solved (ValidationError for another's, or another shape)."""
+        solution.require_from(self)
+        psi = self.scan_order(self.march.unblocks(solution.coefficients))
         return FluxField.from_psi(self.mesh.centers, psi.reshape(self.shape[0], -1), self.quad)
 
 
@@ -177,11 +178,11 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     """Iterate sweeps on the scattering source until the scalar flux settles.
 
     source is the isotropic fixed source on the operator's mesh; phi0, when
-    given, is the scalar flux (M, G) the scattering source starts from.
-    With a Wielandt shift the operator folds the chi nu-fission / k_e
+    given, is the finite scalar flux (M, G) the scattering source starts
+    from.  With a Wielandt shift the operator folds the chi nu-fission / k_e
     production into the iterated source alongside scattering.  Returns
-    (cell-average scalar flux (M, G), the last sweep's angular fluxes in the
-    scan's blocked layout for operator.flux, number of sweeps).
+    (cell-average scalar flux (M, G), the Solution: the last sweep's blocked
+    angular fluxes, the source and the number of sweeps).
     """
     m, g, n = operator.shape
     source.require_on(operator.mesh, g)
@@ -190,7 +191,10 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     # the first, the sweep's source once the emission joins, then the change
     phi, phi_new = np.zeros((2, g, m))
     if phi0 is not None:
-        phi[...] = phi0.T
+        if np.shape(phi0) != (m, g) or not np.all(np.isfinite(phi0)):
+            raise ValidationError(f"phi0 must be finite with shape (cells, G) = {(m, g)}, "
+                                  f"got shape {np.shape(phi0)}")
+        phi[...] = np.transpose(phi0)
     terms = np.empty((g, g, m))
     first, *rest = terms
     change = first.reshape(-1)
@@ -208,7 +212,7 @@ def source_iteration(operator: SweepOperator, source: SourceField,
         phi, phi_new = phi_new, phi
         # the L2 norm as np.linalg.norm takes it
         if math.sqrt(change.dot(change)) < tolerance or operator.streaming:
-            return phi.T.copy(), psi.copy(), it
+            return phi.T.copy(), Solution(operator, psi.copy(), source, it)
     raise MaxInnerIterationsError(
         f"source iteration did not reach {tolerance} in {max_inner} sweeps "
         "(scattering ratio too close to 1?)")

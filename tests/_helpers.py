@@ -350,8 +350,9 @@ def per_ordinate_source_iteration(operator, geometry, materials, source, toleran
     gathered onto every (scan row, group, ordinate) of the blocked layout,
     the scalar flux (cells, G) summed from the weighted direction halves and
     the change measured by np.linalg.norm.  Returns (scalar flux (M, G),
-    angular fluxes in the blocked layout, number of sweeps), as
-    source_iteration does."""
+    angular fluxes in the blocked layout, number of sweeps): what
+    source_iteration returns as phi and a Solution's coefficients and
+    sweeps."""
     m, g, n = operator.shape
     march, h = operator.march, n // 2
     transfer = []

@@ -64,7 +64,7 @@ class TestGlobalSystem:
     def test_zero_source_gives_zero_alpha(self):
         geo, mats = absorber_problem(sigma_t=0.9, length=3.0)
         quad, mesh, operator, solution = analytic_setup(geo, mats, 4, 12, 0.0)
-        for alpha in solution[0]:
+        for alpha in solution.coefficients:
             assert np.allclose(alpha, 0.0, atol=1e-14)
         flux = evaluate_flux(operator, solution, [0.3, 1.5, 2.9])
         assert np.allclose(flux.psi, 0.0, atol=1e-14)
@@ -580,9 +580,32 @@ class TestErrors:
         points = np.linspace(geo.edges[0], geo.edges[-1], 11)
         assert solver.flux(solution).psi.shape == (other_mesh.n_cells, operator.ng)
         assert evaluate_flux(solver, solution, points).psi.shape == (11, operator.ng)
-        with pytest.raises(ValidationError, match="source mesh differs"):
+        with pytest.raises(ValidationError, match="another operator"):
             operator.flux(solution)
-        with pytest.raises(ValidationError, match="source mesh differs"):
+        with pytest.raises(ValidationError, match="another operator"):
+            evaluate_flux(operator, solution, points)
+
+    def test_reads_reject_solution_on_the_same_edges(self, pincell):
+        # a split60 solution on the 3-region operator's own 70 mesh edges
+        # passes its source check, and its (60, N G) alphas would index
+        # through the operator's regions: only the solution's operator
+        # tells the two apart
+        quad = gauss_legendre(4)
+        mesh = build_fine_mesh(pincell.geometry, 70)
+        operator = FixedSourceOperator(
+            pincell.geometry, spectra_for(pincell.geometry, pincell.materials, quad), mesh, quad)
+        split = split_geometry(pincell.geometry, 60, seed=1)
+        split_mesh = mesh_from_edges(mesh.edges, split)
+        solver = FixedSourceOperator(split, spectra_for(split, pincell.materials, quad),
+                                     split_mesh, quad)
+        emission = np.abs(split_mesh.centers)[:, None] * np.ones((1, 2))
+        solution = solve_fixed_source(solver, SourceField(split_mesh, emission))
+        solution.source.require_on(operator.mesh, operator.n_groups)
+        assert solution.coefficients.shape == (60, operator.ng)
+        points = np.linspace(split.edges[0], split.edges[-1], 11)
+        with pytest.raises(ValidationError, match="another operator"):
+            operator.flux(solution)
+        with pytest.raises(ValidationError, match="another operator"):
             evaluate_flux(operator, solution, points)
 
     def test_operator_rejects_interleaved_regions(self, quad2):
@@ -1008,24 +1031,37 @@ class TestRegionCount:
         assert max_rel_diff(psi, rows_fixed_source(operator, source, points)[2]) <= 1e-13
 
     @pytest.mark.parametrize("graded", [False, True])
-    def test_solution_is_alphas_and_source(self, pincell, graded):
-        # a solution keeps the alphas and the source only: the flux read
-        # from it after the operator has solved another source equals, bit
-        # for bit, the flux read right after its own solve
+    @pytest.mark.parametrize("kind", ["analytic", "sweep"])
+    def test_solution_outlives_the_next_solve(self, pincell, kind, graded):
+        # a solution keeps its operator, coefficients (alphas, or the
+        # sweep's blocked psi) and source: the flux read from it after the
+        # operator has solved another source equals, bit for bit, the flux
+        # read right after its own solve
         quad = gauss_legendre(6)
         geo = split_geometry(pincell.geometry, 60, seed=1)
         mesh = graded_mesh(geo, np.full(60, 12)) if graded else build_fine_mesh(geo, 700)
-        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
         source = pincell_chi_absx_source(replace(pincell, geometry=geo), mesh, quad)
-        solution = solve_fixed_source(operator, source)
-        alphas, emission = solution[0], source.emission
-        assert alphas.shape == (geo.n_regions, operator.ng) and solution[1] is source
-        points = np.linspace(geo.edges[0], geo.edges[-1], 101)
-        flux, at_points = operator.flux(solution), evaluate_flux(operator, solution, points)
         rng = np.random.default_rng(3)
-        fixed_source_solve(operator, SourceField(mesh, rng.uniform(0.0, 1.0, emission.shape)))
+        other = SourceField(mesh, rng.uniform(0.0, 1.0, source.emission.shape))
+        points = np.linspace(geo.edges[0], geo.edges[-1], 101)
+        if kind == "sweep":
+            operator = SweepOperator(geo, pincell.materials, mesh, quad)
+            solution = source_iteration(operator, source, 1e-8)[1]
+            shape = operator.work[0].shape
+            flux = operator.flux(solution)
+            source_iteration(operator, other, 1e-8)
+        else:
+            operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad),
+                                           mesh, quad)
+            solution = solve_fixed_source(operator, source)
+            shape = (geo.n_regions, operator.ng)
+            flux, at_points = operator.flux(solution), evaluate_flux(operator, solution, points)
+            fixed_source_solve(operator, other)
+            assert np.array_equal(evaluate_flux(operator, solution, points).psi, at_points.psi)
+        assert solution.operator is operator and solution.source is source
+        assert solution.coefficients.shape == shape
+        assert (solution.sweeps > 0) == (kind == "sweep")
         assert np.array_equal(operator.flux(solution).psi, flux.psi)
-        assert np.array_equal(evaluate_flux(operator, solution, points).psi, at_points.psi)
 
     def test_heterogeneous_lattice_matches_dense_oracle(self, pincell):
         geo, mesh = pincell_lattice(pincell, np.random.default_rng(7))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
 from _helpers import absorber_psi, write_flux_csv_per_value
 from slab_sn import FluxField, cli, gauss_legendre, outputs
@@ -66,18 +66,30 @@ class TestFixed:
 
     @pytest.mark.parametrize("solver", ["analytic", "sweep"])
     def test_one_source_solve(self, pincell_file, tmp_path, solver, monkeypatch):
-        kinds = []
+        runs = []
         original = cli.solve_source
 
         def counted(operator, source, config, *args, **kwargs):
-            kinds.append(config.solver_kind)
-            return original(operator, source, config, *args, **kwargs)
+            phi, solution = original(operator, source, config, *args, **kwargs)
+            runs.append((config, solution.sweeps))
+            return phi, solution
 
         # the name cmd_fixed looks up: eigen.solve_source as cli imports it
         monkeypatch.setattr(cli, "solve_source", counted)
         assert main(["fixed", str(pincell_file), "--solver", solver, "--sn", "4",
                      "--mesh", "70", "--out", str(tmp_path / "run")]) == 0
-        assert kinds == [solver]
+        [(config, sweeps)] = runs
+        assert config.solver_kind == solver and (sweeps > 0) == (solver == "sweep")
+        # the summary records how the solve ran, as the eigen summary does
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        validate(summary, load_schema("fixed_summary"))
+        assert summary["schema"] == "slab-sn-fixed-summary/2"
+        assert summary["inner_sweeps"] == sweeps
+        assert summary["tolerance"] == config.flux_tolerance
+        for key in ("inner_sweeps", "tolerance"):
+            with pytest.raises(ValidationError):
+                validate({k: v for k, v in summary.items() if k != key},
+                         load_schema("fixed_summary"))
 
     def test_zero_source_zero_flux(self, absorber_file, tmp_path):
         out = tmp_path / "run"

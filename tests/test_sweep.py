@@ -8,11 +8,11 @@ from _helpers import (absorber_problem, cell_sigma_t, graded_mesh,
                       one_group_material, oracle_source_iteration,
                       per_ordinate_source_iteration, random_slab, scan, sweep_once)
 from slab_sn import (BoundaryCondition, FineMesh, FixedSourceOperator,
-                     MaxInnerIterationsError, SlabGeometry, SourceField,
+                     MaxInnerIterationsError, SlabGeometry, Solution, SourceField,
                      SweepOperator, ValidationError, assemble_A,
-                     block_diagonalize, build_fine_mesh, evaluate_flux,
-                     gauss_legendre, power_iteration, solve_fixed_source,
-                     source_iteration)
+                     block_diagonalize, build_fine_mesh, builtin_problem_path,
+                     evaluate_flux, gauss_legendre, load_problem, power_iteration,
+                     solve_fixed_source, source_iteration)
 from slab_sn.recurrence import FirstOrderScan
 
 
@@ -27,6 +27,12 @@ def simple_sweep_mesh(geometry, materials, n_cells, quad, q_value=0.0):
 def constant(mesh, value, n_groups=1):
     """A SourceField of one emission density on every cell and group."""
     return SourceField(mesh, np.full((mesh.n_cells, n_groups), value))
+
+
+def read_sweep(operator, psi, emission):
+    """operator.flux of the bare blocked psi that operator.sweep returns,
+    hand-built into a Solution of operator with its emission."""
+    return operator.flux(Solution(operator, psi, SourceField(operator.mesh, emission)))
 
 
 def scan_order_sweep(geometry, materials, mesh, quad, scheme, emission, out):
@@ -145,9 +151,9 @@ class TestSourceIteration:
         geo, mats = absorber_problem(sigma_t=1.0, length=2.0)
         mesh = build_fine_mesh(geo, 10)
         operator = SweepOperator(geo, mats, mesh, quad2)
-        _, psi, sweeps = source_iteration(operator, constant(mesh, 0.6), 1e-8)
-        assert sweeps == 1
-        assert np.all(operator.flux(psi).psi[:, 1] > 0.0)
+        _, solution = source_iteration(operator, constant(mesh, 0.6), 1e-8)
+        assert solution.sweeps == 1
+        assert np.all(operator.flux(solution).psi[:, 1] > 0.0)
 
     def test_iterations_grow_with_scattering_ratio(self, quad2):
         counts = []
@@ -156,8 +162,7 @@ class TestSourceIteration:
             geo = SlabGeometry(edges=np.array([0.0, 6.0]), materials=("s",))
             mesh = build_fine_mesh(geo, 60)
             operator = SweepOperator(geo, {"s": mats["s"]}, mesh, quad2)
-            _, _, sweeps = source_iteration(operator, constant(mesh, 2.0), 1e-7)
-            counts.append(sweeps)
+            counts.append(source_iteration(operator, constant(mesh, 2.0), 1e-7)[1].sweeps)
         assert counts[0] < counts[1] < counts[2]
 
     def test_contraction_rate_tracks_scattering_ratio(self, quad2):
@@ -188,8 +193,9 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 2.5]), materials=("reflector",))
         mesh = build_fine_mesh(geo, 50)
         operator = SweepOperator(geo, {"reflector": refl}, mesh, quad2)
-        phi, psi, sweeps = source_iteration(operator, constant(mesh, 2.0, 2), 1e-7)
-        assert sweeps > 1 and np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
+        phi, solution = source_iteration(operator, constant(mesh, 2.0, 2), 1e-7)
+        assert solution.sweeps > 1 and np.all(np.isfinite(phi))
+        assert np.all(np.isfinite(solution.coefficients))
 
     def test_max_inner_iterations(self, quad2):
         mats = {"s": one_group_material("s", sigma_t=1.0, sigma_s=0.999)}
@@ -212,9 +218,9 @@ class TestSourceIteration:
         geo = SlabGeometry(edges=np.array([0.0, 5.0]), materials=("core",))
         mesh = build_fine_mesh(geo, 25)
         source = constant(mesh, 0.4, 2)
-        flux_plain, _, _ = source_iteration(
+        flux_plain, _ = source_iteration(
             SweepOperator(geo, {"core": core}, mesh, quad2), source, 1e-9)
-        flux_shift, _, _ = source_iteration(
+        flux_shift, _ = source_iteration(
             SweepOperator(geo, {"core": core}, mesh, quad2, ke=5.0), source, 1e-9)
         # folded fission production must increase the flux
         assert flux_shift.sum() > flux_plain.sum()
@@ -261,9 +267,9 @@ class TestNearCritical:
                            bc_left=bc, bc_right=bc)
         mesh = build_fine_mesh(geo, 20)
         operator = SweepOperator(geo, {"m": mat}, mesh, quad, ke)
-        phi, psi, sweeps = source_iteration(operator, constant(mesh, 1.0), 1e-8)
+        phi, solution = source_iteration(operator, constant(mesh, 1.0), 1e-8)
         assert np.all(np.isfinite(phi))
-        return phi, operator.flux(psi), sweeps, eps * phi[:, 0] @ mesh.widths
+        return phi, operator.flux(solution), solution.sweeps, eps * phi[:, 0] @ mesh.widths
 
     @pytest.mark.parametrize("folded", [False, True], ids=["scattering", "folded"])
     def test_vacuum_ends_balance(self, quad4, folded):
@@ -366,7 +372,7 @@ class TestFastPathConsistency:
         for _ in range(3 if bc == "reflective" else 1):
             ref, ol_ref, or_ref = sweep_once(mesh, sigma_t, q, quad, *inc_ref)
             fast = operator.sweep(emission.T / 2.0, out, phi.T)
-            assert np.allclose(operator.flux(fast).psi, ref, atol=1e-14)
+            assert np.allclose(read_sweep(operator, fast, emission).psi, ref, atol=1e-14)
             assert np.allclose(phi, ref.reshape(70, 2, n) @ quad.weight, atol=1e-14)
             assert np.allclose(out[:, :n // 2].ravel(), ol_ref, atol=1e-14)
             assert np.allclose(out[:, n // 2:].ravel(), or_ref, atol=1e-14)
@@ -397,7 +403,7 @@ class TestFastPathConsistency:
             psi = operator.sweep(emission.T / 2.0, out, phi.T)
             ref_psi, ref_phi, ref_out = scan_order_sweep(geo, pincell.materials, mesh, quad,
                                                          "step", emission, ref_out)
-            assert np.array_equal(operator.flux(psi).psi, ref_psi)
+            assert np.array_equal(read_sweep(operator, psi, emission).psi, ref_psi)
             assert np.array_equal(phi, ref_phi)
             assert np.array_equal(out, ref_out)
 
@@ -447,8 +453,7 @@ class TestFastPathConsistency:
         mesh = build_fine_mesh(geo, 70)
         q_ext = np.full((70, 4), 0.1)
         operator = SweepOperator(geo, mats, mesh, quad2)
-        _, psi, _ = source_iteration(operator, constant(mesh, 0.2, 2), 1e-12)
-        flux = operator.flux(psi).psi
+        flux = operator.flux(source_iteration(operator, constant(mesh, 0.2, 2), 1e-12)[1]).psi
         phi = flux.reshape(70, 2, 2) @ quad2.weight
         scat = np.empty((70, 2))
         for r in range(geo.n_regions):
@@ -482,12 +487,12 @@ class TestFastPathConsistency:
             emission = rng.uniform(0.0, 1.0, shape)
             phi0 = rng.uniform(0.0, 1.0, shape) if trial % 5 == 0 else None
             operator = SweepOperator(geo, mats, mesh, quad, ke)
-            _, psi, sweeps = source_iteration(operator, SourceField(mesh, emission), 1e-10,
-                                              phi0=phi0)
-            psi = operator.flux(psi).psi
+            _, solution = source_iteration(operator, SourceField(mesh, emission), 1e-10,
+                                           phi0=phi0)
+            psi = operator.flux(solution).psi
             ref, ref_sweeps = oracle_source_iteration(geo, mats, mesh, quad, emission,
                                                       1e-10, phi0=phi0, ke=ke)
-            assert sweeps == ref_sweeps, trial
+            assert solution.sweeps == ref_sweeps, trial
             worst = max(worst, np.max(np.abs(psi - ref)) / np.max(np.abs(ref)))
         assert kinds == {"vacuum", "reflective", "incoming"}
         assert worst <= 1e-12
@@ -523,14 +528,15 @@ class TestGroupMajorSource:
                 source = SourceField(mesh, rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)))
                 phi0 = rng.uniform(0.0, 1.0, (mesh.n_cells, n_groups)) if shifted else None
                 operator = SweepOperator(geo, mats, mesh, quad, ke)
-                phi, psi, sweeps = source_iteration(operator, source, 1e-10, phi0=phi0)
+                phi, solution = source_iteration(operator, source, 1e-10, phi0=phi0)
                 ref_phi, ref_psi, ref_sweeps = per_ordinate_source_iteration(
                     operator, geo, mats, source, 1e-10, phi0=phi0, ke=ke)
                 case = (ends, shifted)
-                assert sweeps == ref_sweeps, case
+                assert solution.sweeps == ref_sweeps, case
                 assert np.array_equal(phi, ref_phi), case
-                assert np.array_equal(psi, ref_psi), case
-                assert np.array_equal(operator.flux(psi).psi, operator.flux(ref_psi).psi), case
+                assert np.array_equal(solution.coefficients, ref_psi), case
+                ref = read_sweep(operator, ref_psi, source.emission)
+                assert np.array_equal(operator.flux(solution).psi, ref.psi), case
 
     def test_sweep_benchmark_counts(self, pincell):
         # the step-sweep baseline at S8, M = 700: outer and sweep counts of
@@ -576,12 +582,31 @@ def _iterate_two_groups():
     return source_iteration(operator, constant(operator.mesh, 1.0, 2), 1e-8)
 
 
+def _iterate_from(phi0):
+    operator = _sweep_operator()
+    return source_iteration(operator, constant(operator.mesh, 1.0), 1e-8, phi0=phi0)
+
+
 def _read_psi_of_another_size():
-    # the 9-cell operator's blocked psi, (2, 5, 1, 2), read by the 8-cell one
+    # the 9-cell operator's blocked psi, (2, 5, 1, 2), hand-built into a
+    # Solution of the 8-cell one, which reads it
     geo, mats = absorber_problem()
     other = SweepOperator(geo, mats, build_fine_mesh(geo, 9), gauss_legendre(2))
-    psi = source_iteration(other, constant(other.mesh, 1.0), 1e-8)[1]
-    return _sweep_operator().flux(psi)
+    psi = source_iteration(other, constant(other.mesh, 1.0), 1e-8)[1].coefficients
+    operator = _sweep_operator()
+    return operator.flux(Solution(operator, psi, constant(operator.mesh, 1.0)))
+
+
+def _read_solution_of_another_operator():
+    # 69 and 70 pincell cells both block to (4, 18, G, N): only the
+    # solution's operator tells them apart
+    problem = load_problem(builtin_problem_path("pincell_reflector"))
+    geo, mats, quad = problem.geometry, problem.materials, gauss_legendre(2)
+    other = SweepOperator(geo, mats, build_fine_mesh(geo, 69), quad)
+    operator = SweepOperator(geo, mats, build_fine_mesh(geo, 70), quad)
+    solution = source_iteration(other, constant(other.mesh, 1.0, 2), 1e-6)[1]
+    assert solution.coefficients.shape == operator.work[0].shape
+    return operator.flux(solution)
 
 
 # one bad input per typed check: (constructor, error type, message fragment)
@@ -597,6 +622,16 @@ SWEEP_ERRORS = {
         ValidationError, "source mesh differs from the operator's mesh"),
     "psi_shape": (_read_psi_of_another_size, ValidationError,
                   "blocked array has shape (2, 5, 1, 2), expected (2, 4, 1, 2)"),
+    "another_operator": (_read_solution_of_another_operator, ValidationError,
+                         "solution is from another operator"),
+    # numpy broadcast the first start flux silently and refused the
+    # second with an untyped ValueError
+    "phi0_shape": (lambda: _iterate_from(np.ones(8)), ValidationError,
+                   "phi0 must be finite with shape (cells, G) = (8, 1), got shape (8,)"),
+    "phi0_transposed": (lambda: _iterate_from(np.ones((1, 8))), ValidationError,
+                        "shape (cells, G) = (8, 1), got shape (1, 8)"),
+    "phi0_nan": (lambda: _iterate_from(np.full((8, 1), np.nan)), ValidationError,
+                 "phi0 must be finite"),
 }
 
 
