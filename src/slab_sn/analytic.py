@@ -43,13 +43,15 @@ product gathering the emission into the blocked workspace of one
 FirstOrderScan for J (each region a segment), the scan in place there,
 the particular edge values read at the segment ends, and three products
 with G columns for the scalar flux at the cell centres (J's term, hom
-alpha, and the source term straight from the emission).  Between them
+alpha a chunk of rows at a time, and the source term straight from the
+emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor: one forward pass and one block back-substitution in
 place on one kept buffer, one contiguous product a region column in each,
 on views made once.  A Solution (operator, alphas, source) is read only by
-its operator: flux and evaluate_flux march its source again through
-particular, for Psi and phi at the cell centres or EVAL_CHUNK points a call.
+its operator, from the march of its source, which the operator records
+and marches again only after marching another: flux at the cell centres
+a chunk of rows at a time, and evaluate_flux at EVAL_CHUNK points a call.
 
 Every block is handled as one complex scalar, taken with the encoding
 from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
@@ -113,9 +115,11 @@ class _Group:
     rows hold the layout a region of its own would have.
 
     J lives in the scan's blocked workspace, from the gathered sources to
-    the centre values.  One row of width-only factors is folded into the
-    matrices of those products; a row per cell (graded meshes) is kept in
-    the blocked layout, per_row, and applied as one multiply before them.
+    the centre values, which its scratch builds a chunk of rows at a time.
+    One row of width-only factors is folded into the matrices of the
+    scalar flux's products; a row per cell (graded meshes) multiplies the
+    march's sources in the blocked layout, per_row, and its terms before
+    the products with the expansion (scalars_into).
     """
 
     def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
@@ -169,7 +173,7 @@ class _Group:
         source_coef = (1.0 + self.half) * self.phi_half
         self.march = march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
         # kept for every outer iteration's scan, whose J it holds until the
-        # next; its spare buffer is the room in which centre values are built
+        # next; its scratch is the room in which centre values are built
         self.work = march.workspace(complex)
         # previous[m]: the flattened workspace row before scan row m's, which
         # holds J at row m's upwind edge
@@ -179,53 +183,47 @@ class _Group:
         flat = self.cells[:, None] * g + np.arange(g)
         self.gather = march.blocks(np.hstack([flat, flat[self.back]]))
         self.emitted = np.empty(self.gather.shape)
-        # source_map takes the gathered emission to the march's sources as
-        # real pairs; a row per cell multiplies them by source_coef, and the
-        # centre terms by half (one row on, for J's shift) and phi_half
+        # emitted_map takes a gathered emission row to its block sources and
+        # source_map to the march's, both as real pairs; a row per cell
+        # keeps source_coef in the blocked layout, per_row, instead
         self.halves = np.stack([self.forward, ~self.forward])
         project = (self.halves[:, None, :] * self.project).reshape(2 * g, -1)
-        if width is None:
-            half_next = np.concatenate([self.half[1:], self.half[-1:]])
-            self.per_row = tuple(march.blocks(a) for a in (source_coef, half_next, self.phi_half))
-        else:
-            project = project * source_coef
-            self.per_row = None
-        self.source_map = project.view(float)
+        self.emitted_map = project.view(float)
+        self.per_row = march.blocks(source_coef) if width is None else None
+        self.source_map = (project * (1.0 if width is None else source_coef)).view(float)
+        # Re(x @ expand) and Re(x @ expand_phi) from each direction half's
+        # block scalars (scalars_into)
+        self.psi_maps, self.phi_maps = ((_real_part(e[:self.nf]), _real_part(e[self.nf:]))
+                                        for e in (self.expand, self.expand_phi))
+        # folds, a shared row's matrices to Re(x @ expand_phi) in
+        # centres_into: theta's from the emission, then J's and hom alpha's
+        # from the real view of the blocks to the forward and backward halves
+        split = (self.halves.T[:, :, None] * self.expand_phi[:, None, :]).reshape(self.rho.size, -1)
+        self.folds = () if width is None else (
+            ((self.project * self.phi_half) @ self.expand_phi).real,
+            _real_part(self.half.T * split), _real_part(split))
         # gather, previous and segment stay writeable: take copies a
         # read-only index array on every call
         for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
                     self.cells, self.back, self.forward, self.rho, self.enc,
                     self.expand, self.expand_phi, self.project, self.hom, self.half,
-                    self.phi_half, self.halves, self.source_map, *(self.per_row or ())):
+                    self.phi_half, self.halves, self.emitted_map, self.source_map,
+                    *self.psi_maps, *self.phi_maps, *self.folds):
             arr.setflags(write=False)
-        self.phi_folds = self.folds(self.expand_phi)
-
-    def _sources_into(self, emission: np.ndarray, out: np.ndarray):
-        """out (the blocked layout) = the gathered emission @ source_map."""
-        np.take(emission, self.gather, out=self.emitted, mode="clip")
-        np.matmul(self.emitted.reshape(-1, self.gather.shape[2]), self.source_map,
-                  out=out.reshape(-1, self.rho.size).view(float))
 
     def particular(self, emission: np.ndarray) -> np.ndarray:
         """J where each region's march ends, (regions, blocks), marched across
         every region at once from the group's share of the (cells, G)
-        emission in the workspace, where it stays until the next march."""
+        emission in the workspace, where it stays until the next march, as
+        the gathered emission stays in emitted."""
         y = self.work[0]
-        self._sources_into(emission, y)
+        np.take(emission, self.gather, out=self.emitted, mode="clip")
+        np.matmul(self.emitted.reshape(-1, self.gather.shape[2]), self.source_map,
+                  out=y.reshape(-1, self.rho.size).view(float))
         if self.per_row is not None:
-            y *= self.per_row[0]
+            y *= self.per_row
         self.march.in_place(self.work)
         return y.reshape(-1, self.rho.size)[self.march.last]
-
-    def folds(self, expand: np.ndarray):
-        """centres_into's matrices to Re(x @ expand): theta's from the
-        emission (None for a row per cell), then J's and hom alpha's from
-        the real view of the blocks to the forward and backward halves."""
-        split = (self.halves.T[:, :, None] * expand[:, None, :]).reshape(self.rho.size, -1)
-        if self.per_row is not None:
-            return None, _real_part(split), _real_part(split)
-        theta = ((self.project * self.phi_half) @ expand).real
-        return theta, _real_part(self.half.T * split), _real_part(split)
 
     def edge_blocks(self, side: str) -> np.ndarray:
         """P @ Gtilde at the left or right edge of each of the group's
@@ -234,33 +232,65 @@ class _Group:
         scale = exp_block(self.rho, np.where(far, self.length[:, None], 0.0))
         return ((self.expand.T * scale[:, None, :]) @ self.enc).real
 
-    def centres_into(self, alphas: np.ndarray, emission: np.ndarray, folds, out: np.ndarray):
-        """out[cells] = Re(x @ expand) for the block scalars
-        x = hom alpha + half j_in + phi_half theta at every cell centre,
-        folds = self.folds(expand), from the march of emission that the
-        workspace holds: J's term from the blocked iterate, one row down
-        and zero at the segment starts, hom alpha's from the spare rows."""
-        theta, j_fold, fold = folds
-        y, spare = self.work[:2]
-        b = self.rho.size
+    def centres_into(self, alphas: np.ndarray, emission: np.ndarray, out: np.ndarray):
+        """out[cells] = Re(x @ expand_phi), the scalar flux, for the block
+        scalars x = hom alpha + half j_in + phi_half theta at every cell
+        centre, from the march of emission that the workspace holds: for
+        a shared row each term through folds, J's from the blocked iterate,
+        one row down and zero at the segment starts, hom alpha's a chunk of
+        rows at a time in the scratch; a row per cell adds to out, zero
+        there, through scalars_into."""
         if self.per_row is not None:
-            y = np.multiply(y, self.per_row[1], out=spare)
-        values = (y.reshape(-1, b).view(float) @ j_fold).take(self.previous, axis=0)
+            return self.scalars_into(alphas, out, self.phi_maps)
+        theta, j_fold, fold = self.folds
+        y, scratch = (buffer.reshape(-1, self.rho.size) for buffer in self.work[:2])
+        values = (y.view(float) @ j_fold).take(self.previous, axis=0)
         values[self.starts] = 0.0
-        if self.per_row is not None:
-            self._sources_into(emission, spare)
-            spare *= self.per_row[2]
-            values += (spare.reshape(-1, b).view(float) @ fold)[self.march.index]
-        x = self.march.rows(spare)
-        np.take(alphas[self.regions] @ self.enc.T, self.segment, axis=0, out=x, mode="clip")
-        x *= self.hom
-        values += x.view(float) @ fold
+        coefficients = alphas[self.regions] @ self.enc.T
+        for r in range(0, self.cells.size, len(scratch)):
+            chunk = slice(r, r + len(scratch))
+            x = scratch[:len(self.segment[chunk])]
+            np.take(coefficients, self.segment[chunk], axis=0, out=x, mode="clip")
+            x *= self.hom[chunk]
+            values[chunk] += x.view(float) @ fold
         k = values.shape[1] // 2
         # the backward half's rows return to cell order by a gather
         centre = values[:, :k] + values[self.back, k:]
-        if theta is not None:
-            centre += emission[self.cells] @ theta
+        centre += emission[self.cells] @ theta
         out[self.cells] = centre
+
+    def scalars_into(self, alphas: np.ndarray, out: np.ndarray, maps):
+        """out[cells] += Re(x @ expand) for maps = psi_maps (expand_phi for
+        phi_maps) and the block scalars x = hom alpha + half j_in + phi_half
+        (emission @ project) at every cell centre, from the march that the
+        workspace holds: x a chunk of rows at a time in the scratch, then
+        one product per direction half, added to the forward blocks' cells
+        and, through back, the backward blocks'."""
+        b = self.rho.size
+        y, scratch = (buffer.reshape(-1, b) for buffer in self.work[:2])
+        emitted = self.emitted.reshape(-1, self.emitted.shape[2])
+        coefficients = alphas[self.regions] @ self.enc.T
+        opens = np.zeros(self.cells.size, dtype=bool)
+        opens[self.starts] = True
+        # x takes half the scratch's rows and its terms as many more, so a
+        # chunk's temporaries stay within the scratch's size
+        rows = scratch[:max(1, len(scratch) // 2)]
+        term = np.empty_like(rows)
+        for r in range(0, self.cells.size, len(rows)):
+            chunk = slice(r, r + len(rows))
+            x = rows[:len(self.segment[chunk])]
+            t = term[:len(x)]
+            np.take(coefficients, self.segment[chunk], axis=0, out=x, mode="clip")
+            x *= self.hom[chunk]
+            np.take(y, self.previous[chunk], axis=0, out=t, mode="clip")
+            t[opens[chunk]] = 0.0
+            t *= self.half if self.per_row is None else self.half[chunk]
+            x += t
+            np.matmul(emitted[self.march.index[chunk]], self.emitted_map, out=t.view(float))
+            t *= self.phi_half if self.per_row is None else self.phi_half[chunk]
+            x += t
+            out[self.cells[chunk]] += x[:, :self.nf].view(float) @ maps[0]
+            out[self.cells[self.back[chunk]]] += x[:, self.nf:].view(float) @ maps[1]
 
     def psi_at(self, alphas: np.ndarray, emission: np.ndarray, cell: np.ndarray,
                x: np.ndarray) -> np.ndarray:
@@ -477,12 +507,26 @@ class FixedSourceOperator:
         self.factor = InterfaceFactor(e_left @ left[0], right[:-1], -left[1:],
                                       e_right @ right[-1])
         self.rcond = self.factor.rcond
+        # the SourceField whose march every group's workspace holds
+        self.marched = None
 
     def particular(self, source: SourceField):
         """Each group's J where its regions' marches end, (regions, blocks),
-        for a source that SourceField.require_on accepts for this operator."""
+        for a source that SourceField.require_on accepts for this operator;
+        marched names source once every group has marched it."""
         source.require_on(self.mesh, self.n_groups)
-        return [group.particular(source.emission) for group in self.groups]
+        self.marched = None
+        ends = [group.particular(source.emission) for group in self.groups]
+        self.marched = source
+        return ends
+
+    def _hold(self, solution: Solution):
+        """Check that this operator solved solution (ValidationError if not)
+        and leave its source's march in every group's workspace, marching
+        it again only when the last march was of another source."""
+        solution.require_from(self)
+        if self.marched is not solution.source:
+            self.particular(solution.source)
 
     def rhs(self, ends) -> np.ndarray:
         """Right-hand side of the global system from the groups' march ends
@@ -499,18 +543,18 @@ class FixedSourceOperator:
         return np.concatenate([f_left - e_left @ left[0], (left[1:] - right[:-1]).ravel(),
                                f_right - e_right @ right[-1]])
 
-    def flux(self, solution: Solution) -> FluxField:
+    def flux(self, solution: Solution, normalized: bool = False) -> FluxField:
         """Angular and scalar flux at the cell centres for a Solution this
         operator solved (ValidationError for any other), from the stored
-        factors: the source marches once more (particular), and each group's
-        terms reach Psi through products with N G columns."""
-        solution.require_from(self)
-        alphas, emission = solution.coefficients, solution.source.emission
-        self.particular(solution.source)
-        psi = np.empty((self.mesh.n_cells, self.ng))
+        factors and the march of its source (_hold), through one product
+        with N G columns per group, direction half and chunk of rows; with
+        normalized, scaled as FluxField.from_psi does with the mesh widths."""
+        self._hold(solution)
+        psi = np.zeros((self.mesh.n_cells, self.ng))
         for group in self.groups:
-            group.centres_into(alphas, emission, group.folds(group.expand), psi)
-        return FluxField.from_psi(self.mesh.centers, psi, self.quad)
+            group.scalars_into(solution.coefficients, psi, group.psi_maps)
+        return FluxField.from_psi(self.mesh.centers, psi, self.quad,
+                                  self.mesh.widths if normalized else None)
 
 
 def solve_alpha(factor: InterfaceFactor, rhs: np.ndarray) -> np.ndarray:
@@ -526,12 +570,12 @@ def evaluate_flux(operator: FixedSourceOperator, solution: Solution, points) -> 
     region interface is evaluated in the region on its left (continuity
     makes the choice immaterial to within the solver tolerance), in the
     cell of that region whose closed span holds it, the left one on a cell
-    edge.  The source marches once more (particular), and each group
-    computes its points' factors afresh, EVAL_CHUNK points a call, which
-    bounds the (points, blocks) temporaries; FixedSourceOperator.flux reads
-    the stored factors at the cell centres instead.
+    edge.  It reads the march of the solution's source (_hold), and each
+    group computes its points' factors afresh, EVAL_CHUNK points a call,
+    which bounds the (points, blocks) temporaries; FixedSourceOperator.flux
+    reads the stored factors at the cell centres instead.
     """
-    solution.require_from(operator)
+    operator._hold(solution)
     alphas, emission = solution.coefficients, solution.source.emission
     points = np.atleast_1d(np.asarray(points, dtype=float))
     if points.ndim != 1:
@@ -542,7 +586,6 @@ def evaluate_flux(operator: FixedSourceOperator, solution: Solution, points) -> 
     region = np.searchsorted(edges[1:], points, side="left")
     cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
                    offsets[region], offsets[region + 1] - 1)
-    operator.particular(solution.source)
     psi = np.empty((points.size, operator.ng))
     for group in operator.groups:
         idx = np.flatnonzero(np.isin(region, group.regions))
@@ -564,7 +607,7 @@ def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
     the Solution for flux and evaluate_flux).  The flux is read from each group's
     march, which its workspace holds until the group's next one."""
     solution = solve_fixed_source(operator, source)
-    phi = np.empty((operator.mesh.n_cells, operator.n_groups))
+    phi = np.zeros((operator.mesh.n_cells, operator.n_groups))
     for group in operator.groups:
-        group.centres_into(solution.coefficients, source.emission, group.phi_folds, phi)
+        group.centres_into(solution.coefficients, source.emission, phi)
     return phi, solution

@@ -99,6 +99,8 @@ def _dump_matrices(args, outdir, materials, config, solved):
 
 
 def _fixed_source(args, mesh, n_groups) -> SourceField:
+    if args.source_file and args.source != "file":
+        raise ParseError("--source-file needs --source file")
     if args.source == "constant":
         emission = np.full((mesh.n_cells, n_groups), args.strength)
     elif args.source == "absx":

@@ -29,7 +29,7 @@ import numpy as np
 from .analytic import FixedSourceOperator, fixed_source_solve
 from .exceptions import (MaxOuterIterationsError, NonpositiveIntegralError,
                          ShiftAtEigenvalueError, ValidationError, ZeroFluxError)
-from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh
+from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh, unit_scale
 from .model import SlabGeometry, SolverConfig, gauss_legendre, validate_problem
 from .spectral import assemble_A, block_diagonalize
 from .sweep import SweepOperator, source_iteration
@@ -100,10 +100,7 @@ def update_keff(prev_k: float, ke: Optional[float], integral_prev: float,
 
 def normalize(flux: FluxField, mesh: FineMesh) -> FluxField:
     """Scale so the summed group integrals of the scalar flux equal one."""
-    total = float(np.sum(flux.phi * mesh.widths[:, None]))
-    if not np.isfinite(total) or total == 0.0:
-        raise ZeroFluxError("flux integrates to zero; cannot normalize")
-    return flux.scaled(1.0 / total)
+    return flux.scaled(unit_scale(flux.phi, mesh.widths))
 
 
 def _initial_production(mesh: FineMesh, nu_sigma_f: np.ndarray) -> np.ndarray:
@@ -202,7 +199,7 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
     return EigenResult(
         k_eff=k,
         iterations=outer,
-        flux=normalize(operator.flux(solution), mesh),
+        flux=operator.flux(solution, normalized=True),
         history_k=np.array(history_k),
         history_norm=np.array(history_norm),
         history_seconds=np.array(history_seconds),

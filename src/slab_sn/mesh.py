@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MeshAlignmentError, ValidationError
+from .exceptions import MeshAlignmentError, ValidationError, ZeroFluxError
 from .model import QuadratureSet, SlabGeometry, _readonly
 
 ALIGN_RTOL = 1e-9
@@ -154,7 +154,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class FluxField:
-    """Angular and scalar fluxes sampled at a set of points."""
+    """Angular and scalar fluxes sampled at a set of points; the
+    constructor copies the arrays it is given."""
 
     points: np.ndarray
     psi: np.ndarray
@@ -163,18 +164,33 @@ class FluxField:
     def __post_init__(self):
         for key in ("points", "psi", "phi"):
             object.__setattr__(self, key, _readonly(getattr(self, key)))
+        self._check()
+
+    def _check(self):
         if self.psi.shape[0] != self.points.size or self.phi.shape[0] != self.points.size:
             raise ValidationError("psi and phi must have one row per point")
-        if np.any(~np.isfinite(self.psi)) or np.any(~np.isfinite(self.phi)):
+        if not (np.isfinite(self.psi).all() and np.isfinite(self.phi).all()):
             raise ValidationError("flux values must be finite")
 
     @classmethod
-    def from_psi(cls, points, psi: np.ndarray, quad: QuadratureSet) -> "FluxField":
-        points = np.asarray(points, dtype=float)
-        n = quad.n
-        g = psi.shape[1] // n
-        phi = psi.reshape(points.size, g, n) @ quad.weight
-        return cls(points=points, psi=psi, phi=phi)
+    def from_psi(cls, points, psi: np.ndarray, quad: QuadratureSet,
+                 widths=None) -> "FluxField":
+        """The field of the angular flux psi (points, N G), which it takes
+        without a copy and makes read-only.  Given the cell widths (points,),
+        psi and phi are first scaled in place so that the summed group
+        integrals of phi equal one (ZeroFluxError when they vanish)."""
+        psi, n = np.asarray(psi, dtype=float), quad.n
+        phi = psi.reshape(np.size(points), psi.shape[1] // n, n) @ quad.weight
+        if widths is not None:
+            scale = unit_scale(phi, widths)
+            psi *= scale
+            phi *= scale
+        flux = cls.__new__(cls)
+        for key, value in (("points", _readonly(points)), ("psi", psi), ("phi", phi)):
+            value.setflags(write=False)
+            object.__setattr__(flux, key, value)
+        flux._check()
+        return flux
 
     @property
     def n_groups(self) -> int:
@@ -182,3 +198,12 @@ class FluxField:
 
     def scaled(self, factor: float) -> "FluxField":
         return FluxField(points=self.points, psi=self.psi * factor, phi=self.phi * factor)
+
+
+def unit_scale(phi: np.ndarray, widths: np.ndarray) -> float:
+    """1 / the summed group integrals of phi (cells, G) over the cell widths;
+    ZeroFluxError when they vanish or are not finite."""
+    total = float(np.sum(phi * widths[:, None]))
+    if not np.isfinite(total) or total == 0.0:
+        raise ZeroFluxError("flux integrates to zero; cannot normalize")
+    return 1.0 / total

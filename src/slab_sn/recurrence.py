@@ -16,12 +16,18 @@ The scan works on blocks of rows, and the coefficients' layout picks how
 it carries the block ends: per-row coefficients (the sweep, graded
 analytic groups) by doubling (Hillis & Steele, Data parallel algorithms,
 1986) over blocks of ceil(sqrt(rows / log2(rows))) rows, one shared row
-serially over blocks of ceil(sqrt(rows)) rows.
+serially over blocks of ceil(sqrt(rows)) rows.  Beside the blocked
+iterate, a workspace keeps a scratch of at most SCAN_CHUNK rows.
 """
 
 import numpy as np
 
 from .exceptions import ValidationError
+
+# rows of a workspace's scratch, in whole block rows, at least one: a scan
+# of at most this many rows (the sweep, the pincell and split60 groups at
+# M = 700) keeps a whole second buffer and carries in one chunk
+SCAN_CHUNK = 3072
 
 
 class FirstOrderScan:
@@ -39,7 +45,8 @@ class FirstOrderScan:
     last holds each segment's last row there.  One pass runs the recurrence
     inside every block at once, a chain carries each block's last value
     into the blocks after it, and one vectorized update adds the carried
-    value times the running product of a to the rest of each block.
+    value times the running product of a to the rest of each block, chunk
+    block rows at a time.
 
     The layout of a picks the chain.  One shared row carries the block
     ends serially, one block at a time, trip i adding block i - 1's end
@@ -80,6 +87,8 @@ class FirstOrderScan:
         self.count = -(-rows // self.size)
         row = np.arange(rows)
         self.index = row % self.size * self.count + row // self.size
+        # block rows in a workspace's scratch
+        self.chunk = max(1, min(self.size, SCAN_CHUNK // self.count))
         blocks = (self.size, self.count) + a.shape[1:]
         blocked = self.blocks(a) if a.shape[0] == rows else \
             np.broadcast_to(a, (self.size, 1) + a.shape[1:])
@@ -103,9 +112,10 @@ class FirstOrderScan:
         live = ~np.logical_or.accumulate(self.cut, axis=0)
         # the carry update adds -0.0, which leaves every value as it is, to
         # the rows no carry reaches: block 0's, and in later blocks those at
-        # and behind an interior segment start (None when there are none)
-        row, block = np.nonzero(~live[:-1, 1:])
-        self.dead = (row, block + 1) if row.size else None
+        # and behind an interior segment start (a mask, None for none)
+        dead = ~live[:-1]
+        dead[:, 0] = False
+        self.dead = dead if dead.any() else None
         if self.shared:
             # blocks whose last row a carry reaches
             self.chained = [int(i) for i in np.flatnonzero(live[-1]) if i > 0]
@@ -126,48 +136,51 @@ class FirstOrderScan:
         return out
 
     def workspace(self, dtype):
-        """(y, spare, trips) for calls with this dtype: two (size, count,
-        columns...) buffers and, for each trip of the in-block pass and of
-        the carry chain, the (coefficient, previous, row, temporary) views it
-        works on.  A kept one is never allocated again."""
+        """(y, scratch, trips, carries) for calls with this dtype: the
+        iterate y (size, count, columns...), a scratch of chunk block rows,
+        for each trip of the in-block pass and of the carry chain the
+        (coefficient, previous, row, temporary) views it works on, and for
+        each chunk of the carry update its (carried, running product, rows,
+        dead rows or None) views.  A kept one is never allocated again."""
         shape = (self.size, self.count) + self.shape[1:]
-        # spare starts finite: the carry update multiplies all its rows
-        y, spare = np.empty(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+        # scratch starts finite: the carry update multiplies all its rows
+        y = np.empty(shape, dtype=dtype)
+        scratch = np.zeros((self.chunk,) + shape[1:], dtype=dtype)
         a = [self.a[0].copy()] * self.size if self.shared else list(self.a)
         for j in np.flatnonzero(self.cut[1:].any(axis=1)) + 1:
             a[j] = a[j].copy()
             a[j][self.cut[j]] = 0
-        trips = [(a[j], y[j - 1], y[j], spare[0]) for j in range(1, self.size)]
+        trips = [(a[j], y[j - 1], y[j], scratch[0]) for j in range(1, self.size)]
         if self.shared:
-            trips += [(self.prod[-1, i], y[-1, i - 1], y[-1, i], spare[0, 0])
+            trips += [(self.prod[-1, i], y[-1, i - 1], y[-1, i], scratch[0, 0])
                       for i in self.chained]
         else:
-            trips += [(t, y[-1, :len(t)], y[-1, self.count - len(t):], spare[0, :len(t)])
+            trips += [(t, y[-1, :len(t)], y[-1, self.count - len(t):], scratch[0, :len(t)])
                       for t in self.tables]
-        return y, spare, trips
-
-    def rows(self, buffer) -> np.ndarray:
-        """The first rows of a workspace buffer as a (rows, columns...)
-        array, free for a caller's use between calls."""
-        return buffer.reshape((-1,) + self.shape[1:])[:self.shape[0]]
+        carries = []
+        for j in range(0, self.size - 1, self.chunk):
+            k = min(j + self.chunk, self.size - 1)
+            dead = None if self.dead is None else np.nonzero(self.dead[j:k])
+            carries.append((scratch[:k - j], self.prod[j:k], y[j:k], dead))
+        return y, scratch, trips, carries
 
     def in_place(self, work):
         """Scan the sources written into work[0] there, padding rows too."""
-        y, spare, trips = work
+        y, _, trips, carries = work
         # out= passed by position: keywords cost a trip measurably more
         for a, prev, row, tmp in trips:
             np.add(row, np.multiply(a, prev, tmp), row)
-        carried = spare[:-1]
-        if self.shared:
-            np.copyto(carried, self.prod[:-1])
-            np.multiply(carried[:, 1:], y[-1:, :-1], out=carried[:, 1:])
-        else:
-            carried[:, 1:] = y[-1:, :-1]
-            np.multiply(self.prod[:-1], carried, out=carried)
-        carried[:, 0] = -0.0
-        if self.dead is not None:
-            carried[self.dead] = -0.0
-        np.add(y[:-1], carried, out=y[:-1])
+        for carried, prod, rows, dead in carries:
+            if self.shared:
+                np.copyto(carried, prod)
+                np.multiply(carried[:, 1:], y[-1:, :-1], out=carried[:, 1:])
+            else:
+                carried[:, 1:] = y[-1:, :-1]
+                np.multiply(prod, carried, out=carried)
+            carried[:, 0] = -0.0
+            if dead is not None:
+                carried[dead] = -0.0
+            np.add(rows, carried, out=rows)
 
     def unblocks(self, y) -> np.ndarray:
         """The inverse of blocks: the rows of y (size, count, columns...)."""

@@ -165,12 +165,15 @@ class SweepOperator:
         np.add(self.pair[0], self.pair[1], out=phi)
         return f
 
-    def flux(self, solution: Solution) -> FluxField:
+    def flux(self, solution: Solution, normalized: bool = False) -> FluxField:
         """Angular and scalar flux at the cell centres of a Solution this
-        operator solved (ValidationError for another's, or another shape)."""
+        operator solved (ValidationError for another's, or another shape);
+        with normalized, scaled as FluxField.from_psi does with the mesh
+        widths."""
         solution.require_from(self)
         psi = self.scan_order(self.march.unblocks(solution.coefficients))
-        return FluxField.from_psi(self.mesh.centers, psi.reshape(self.shape[0], -1), self.quad)
+        return FluxField.from_psi(self.mesh.centers, psi.reshape(self.shape[0], -1), self.quad,
+                                  self.mesh.widths if normalized else None)
 
 
 def source_iteration(operator: SweepOperator, source: SourceField,

@@ -663,8 +663,8 @@ def scan(march, b, out=None, work=None):
     through march.index into the blocked layout of work (a fresh workspace
     when None), padding rows zero, scanned there with in_place and read
     back through index into out (allocated when None), with no temporaries.
-    b may be rows(work[1]): it is read in full before in_place writes
-    there."""
+    b may be rows of the scratch work[1]: it is read in full before
+    in_place writes there."""
     work = march.workspace(np.result_type(march.a, b)) if work is None else work
     y = work[0]
     flat = y.reshape((-1,) + march.shape[1:])

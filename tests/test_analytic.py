@@ -833,20 +833,25 @@ class TestOperatorEquivalence:
 
 
 class TestOuterMemory:
-    def test_fixed_source_solve_forms_no_rows_by_blocks_array(self, pincell):
-        # the march, the centre flux and the segment ends stay in each
-        # group's workspace: a warm solve allocates far less than one
-        # (rows, blocks) complex array of the core group (a path that forms
-        # theta and J takes two, 17 MB together, at S16 and M = 20000)
+    def finemesh_operator(self, pincell):
+        """The S16, M = 20000, k_e = 1.3 operator, its pincell source, and
+        the bytes of one (rows, blocks) complex array of its core group."""
         quad = gauss_legendre(16)
         geo = pincell.geometry
         mesh = build_fine_mesh(geo, 20000)
         operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad, 1.0 / 1.3),
                                        mesh, quad)
-        source = pincell_chi_absx_source(pincell, mesh, quad)
         core = max(operator.groups, key=lambda group: group.cells.size)
         rows_by_blocks = core.cells.size * core.rho.size * np.dtype(complex).itemsize
         assert rows_by_blocks > 8e6
+        return operator, pincell_chi_absx_source(pincell, mesh, quad), rows_by_blocks
+
+    def test_fixed_source_solve_forms_no_rows_by_blocks_array(self, pincell):
+        # the march, the centre flux and the segment ends stay in each
+        # group's workspace: a warm solve allocates far less than one
+        # (rows, blocks) complex array of the core group (a path that forms
+        # theta and J takes two, 17 MB together, at S16 and M = 20000)
+        operator, source, rows_by_blocks = self.finemesh_operator(pincell)
         phi, _ = fixed_source_solve(operator, source)
         tracemalloc.start()
         try:
@@ -856,6 +861,50 @@ class TestOuterMemory:
             tracemalloc.stop()
         assert np.array_equal(warm, phi)
         assert peak < rows_by_blocks / 4
+
+    def test_flux_allocates_about_what_it_returns(self, pincell):
+        # the read after a solve marches nothing again and builds Psi a
+        # chunk of rows at a time: beyond the (cells, N G) array it returns,
+        # it allocates at most a quarter of one (rows, blocks) array
+        operator, source, rows_by_blocks = self.finemesh_operator(pincell)
+        _, solution = fixed_source_solve(operator, source)
+        tracemalloc.start()
+        try:
+            flux = operator.flux(solution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= flux.psi.nbytes + rows_by_blocks / 4
+
+    def test_scan_scratch_is_bounded(self, pincell):
+        # the core group's workspace keeps its iterate and a scratch of at
+        # most SCAN_CHUNK rows, not a second (rows, blocks) buffer
+        operator, _, rows_by_blocks = self.finemesh_operator(pincell)
+        core = max(operator.groups, key=lambda group: group.cells.size)
+        assert core.work[0].nbytes >= rows_by_blocks
+        tracemalloc.start()
+        try:
+            work = core.march.workspace(complex)
+            kept = tracemalloc.get_traced_memory()[1] - work[0].nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= rows_by_blocks / 4
+        assert core.work[1].shape[1:] == work[1].shape[1:] == core.work[0].shape[1:]
+
+    def test_eigen_flux_is_the_array_flux_wrote(self, pincell, monkeypatch):
+        # power iteration normalizes the one Psi that the operator's flux
+        # wrote, in place, and keeps it
+        written = []
+        flux = FixedSourceOperator.flux
+        monkeypatch.setattr(FixedSourceOperator, "flux", lambda operator, *args, **kwargs:
+                            written.append(flux(operator, *args, **kwargs)) or written[-1])
+        config = replace(pincell.config, solver_kind="analytic", sn_order=16,
+                         fine_mesh_size=20000, ke=1.3)
+        result = power_iteration(pincell.geometry, pincell.materials, config)
+        assert len(written) == 1 and result.flux.psi is written[0].psi
+        assert not result.flux.psi.flags.writeable
+        widths = build_fine_mesh(pincell.geometry, 20000).widths
+        assert np.sum(result.flux.phi * widths[:, None]) == pytest.approx(1.0, rel=1e-14)
 
     def test_emission_gather_copies_no_index(self, pincell):
         # take copies a read-only index array on every call: 3.6 KB for a
@@ -1032,11 +1081,15 @@ class TestRegionCount:
 
     @pytest.mark.parametrize("graded", [False, True])
     @pytest.mark.parametrize("kind", ["analytic", "sweep"])
-    def test_solution_outlives_the_next_solve(self, pincell, kind, graded):
+    def test_solution_outlives_the_next_solve(self, pincell, kind, graded, monkeypatch):
         # a solution keeps its operator, coefficients (alphas, or the
         # sweep's blocked psi) and source: the flux read from it after the
         # operator has solved another source equals, bit for bit, the flux
-        # read right after its own solve
+        # read right after its own solve, which marches nothing again
+        calls = []
+        call = FirstOrderScan.in_place
+        monkeypatch.setattr(FirstOrderScan, "in_place",
+                            lambda scan, work: calls.append(scan) or call(scan, work))
         quad = gauss_legendre(6)
         geo = split_geometry(pincell.geometry, 60, seed=1)
         mesh = graded_mesh(geo, np.full(60, 12)) if graded else build_fine_mesh(geo, 700)
@@ -1055,13 +1108,50 @@ class TestRegionCount:
                                            mesh, quad)
             solution = solve_fixed_source(operator, source)
             shape = (geo.n_regions, operator.ng)
+            marches = len(calls)
             flux, at_points = operator.flux(solution), evaluate_flux(operator, solution, points)
+            assert len(calls) == marches
             fixed_source_solve(operator, other)
             assert np.array_equal(evaluate_flux(operator, solution, points).psi, at_points.psi)
         assert solution.operator is operator and solution.source is source
         assert solution.coefficients.shape == shape
         assert (solution.sweeps > 0) == (kind == "sweep")
         assert np.array_equal(operator.flux(solution).psi, flux.psi)
+        # an eigenvalue run scans once a group and outer (a sweep once a
+        # sweep): its final flux reads the last outer's march
+        config = replace(pincell.config, solver_kind=kind, sn_order=4, fine_mesh_size=70)
+        calls.clear()
+        result = power_iteration(pincell.geometry, pincell.materials, config)
+        # the analytic operator's two groups, water and core
+        assert len({id(scan) for scan in calls}) == (1 if kind == "sweep" else 2)
+        assert len(calls) == (result.inner_sweeps if kind == "sweep" else 2 * result.iterations)
+
+    def test_interrupted_march_leaves_no_record(self, pincell, monkeypatch):
+        # a march that raises after the first group has scanned another
+        # source leaves no record of a source, so the next read marches the
+        # solution's source again
+        quad = gauss_legendre(4)
+        geo = pincell.geometry
+        mesh = build_fine_mesh(geo, 70)
+        operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad), mesh, quad)
+        source = pincell_chi_absx_source(pincell, mesh, quad)
+        solution = solve_fixed_source(operator, source)
+        flux = operator.flux(solution)
+        other = SourceField(mesh, np.random.default_rng(4).uniform(0.0, 1.0, (70, 2)))
+        call = FirstOrderScan.in_place
+
+        def interrupted(scan, work):
+            call(scan, work)
+            if scan is operator.groups[0].march:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(FirstOrderScan, "in_place", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fixed_source_solve(operator, other)
+        monkeypatch.setattr(FirstOrderScan, "in_place", call)
+        assert operator.marched is None
+        assert np.array_equal(operator.flux(solution).psi, flux.psi)
+        assert operator.marched is source
 
     def test_heterogeneous_lattice_matches_dense_oracle(self, pincell):
         geo, mesh = pincell_lattice(pincell, np.random.default_rng(7))

@@ -155,6 +155,16 @@ class TestFixed:
         assert "input error: --source file needs --source-file" in capsys.readouterr().err
         assert not (out / "flux.csv").exists()
 
+    @pytest.mark.parametrize("shape", [[], ["--source", "absx"]])
+    def test_source_file_needs_file_source(self, absorber_file, tmp_path, capsys, shape):
+        # a table given with another source shape is not silently ignored
+        out = tmp_path / "o"
+        rc = main(["fixed", str(absorber_file), *shape, "--source-file",
+                   str(tmp_path / "missing.csv"), "--out", str(out)])
+        assert rc == 2
+        assert "input error: --source-file needs --source file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_source_table_is_input_error(self, absorber_file, tmp_path,
                                                        capsys):
         table = tmp_path / "src.csv"

@@ -3,7 +3,8 @@ import pytest
 
 from _helpers import linspace_mesh_edges, random_slab, split_geometry
 from slab_sn import (FineMesh, FluxField, MeshAlignmentError, SlabGeometry,
-                     SourceField, ValidationError, build_fine_mesh, mesh_from_edges)
+                     SourceField, ValidationError, ZeroFluxError, build_fine_mesh,
+                     gauss_legendre, mesh_from_edges)
 
 SLAB = SlabGeometry(edges=[0.0, 1.0, 2.0, 3.0], materials=("a", "b", "a"))
 MESH = build_fine_mesh(SLAB, 6)
@@ -39,6 +40,22 @@ def test_typed_input_errors(case):
     with pytest.raises(error) as exc:
         build()
     assert fragment in str(exc.value)
+
+
+def test_flux_constructor_copies_and_from_psi_takes_psi():
+    quad = gauss_legendre(2)
+    points, psi, phi = np.array([0.0, 1.0]), np.full((2, 2), 3.0), np.ones((2, 1))
+    copied = FluxField(points=points, psi=psi, phi=phi)
+    assert not np.shares_memory(copied.psi, psi) and not copied.psi.flags.writeable
+    assert psi.flags.writeable
+    # from_psi keeps psi itself, read-only, and scales it in place to a
+    # unit integral when given the widths; the points are copied
+    taken = FluxField.from_psi(points, psi, quad, np.array([0.5, 0.5]))
+    assert taken.psi is psi and not psi.flags.writeable and points.flags.writeable
+    assert np.sum(taken.phi * 0.5) == pytest.approx(1.0, rel=1e-15)
+    assert np.array_equal(taken.psi, np.full((2, 2), 0.5))
+    with pytest.raises(ZeroFluxError):
+        FluxField.from_psi(points, np.zeros((2, 2)), quad, np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("split", [False, True])

@@ -6,7 +6,7 @@ import pytest
 
 import slab_sn.sweep
 from _helpers import UnsegmentedScan, recurrence_loop, scan
-from slab_sn import ValidationError, power_iteration
+from slab_sn import ValidationError, power_iteration, recurrence
 from slab_sn.recurrence import FirstOrderScan
 
 
@@ -267,6 +267,25 @@ class TestSegmentedScan:
         ref = recurrence_loop(cut, b)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_chunked_carry_update_is_bit_identical(self, shared, monkeypatch):
+        # a scan of more than SCAN_CHUNK rows carries through its scratch a
+        # chunk of block rows at a time, with segment starts in several
+        # chunks: the same bits as one chunk through a whole second buffer
+        rng = np.random.default_rng(16)
+        lengths = LAYOUTS["mixed"] * 6
+        starts, rows = segment_starts(lengths), sum(lengths)
+        a = coefficients(rng, "complex", (1 if shared else rows, 2))
+        b = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+        march = FirstOrderScan(a, rows, starts)
+        carries = march.workspace(complex)[3]
+        assert len(carries) > 2
+        assert sum(dead is not None and dead[0].size > 0 for *_, dead in carries) > 2
+        monkeypatch.setattr(recurrence, "SCAN_CHUNK", 10 * rows)
+        whole = FirstOrderScan(a, rows, starts)
+        assert len(whole.workspace(complex)[3]) == 1
+        assert np.array_equal(scan(march, b), scan(whole, b))
+
     # (rows, block count, starts) for per-row coefficients: every case with
     # more than one block has starts on block boundaries and off them
     @pytest.mark.parametrize("rows, count, starts", [
@@ -308,9 +327,10 @@ class TestSegmentedScan:
         b = rng.standard_normal((rows, 8)) + 1j * rng.standard_normal((rows, 8))
         march = FirstOrderScan(a, rows, starts)
         ref = scan(march, b)
-        # b may sit in the second workspace buffer, y in a caller's array
+        # b may sit in the workspace's scratch, whole at these 2073 rows, y
+        # in a caller's array
         work = march.workspace(complex)
-        spare = march.rows(work[1])
+        spare = work[1].reshape(-1, 8)[:rows]
         spare[...] = b
         out = np.empty_like(ref)
         assert scan(march, spare, out=out, work=work) is out
