@@ -30,12 +30,12 @@ regions whose cell widths agree to WIDTH_RTOL, as on build_fine_mesh
 meshes, share one row at their nominal width L / m, and the other regions
 of a material (graded meshes) share a group with one row per cell.  Each
 group holds its regions and, for their cells concatenated in slab order,
-the anchored block rates, the homogeneous factors at the cell centres
-(cells, blocks), the width-only factors (the half-cell step, its source
-integral and the recurrence's source multiplier) and the projection and
-expansion matrices; the operator adds the factored global system, built
-from each group's edge blocks in one product per side, checked once for
-singularity.
+the anchored block rates, the homogeneous factors at the cell centres as
+two power tables (of about sqrt(cells) rows at a shared width), the
+width-only factors (the half-cell step, its source integral and the
+recurrence's source multiplier) and the projection and expansion matrices;
+the operator adds the factored global system, built from each group's edge
+blocks in one product per side, checked once for singularity.
 A source is a SourceField on the operator's mesh, an isotropic emission
 S (cells, G) with S/2 on every ordinate, so applying the operator costs,
 per group and not per region, with no (rows, blocks) array formed: one
@@ -43,8 +43,8 @@ product gathering the emission into the blocked workspace of one
 FirstOrderScan for J (each region a segment), the scan in place there,
 the particular edge values read at the segment ends, and three products
 with G columns for the scalar flux at the cell centres (J's term, hom
-alpha a chunk of rows at a time, and the source term straight from the
-emission).  Between them
+alpha's over the power tables' rows, gathered to the cells, and the
+source term straight from the emission).  Between them
 FixedSourceOperator.rhs forms the right-hand side and solve_alpha solves it
 with the factor: one forward pass and one block back-substitution in
 place on one kept buffer, one contiguous product a region column in each,
@@ -119,7 +119,9 @@ class _Group:
     One row of width-only factors is folded into the matrices of the
     scalar flux's products; a row per cell (graded meshes) multiplies the
     march's sources in the blocked layout, per_row, and its terms before
-    the products with the expansion (scalars_into).
+    the products with the expansion (scalars_into).  The homogeneous
+    factor at row m is p[i] q[k], two power tables of about sqrt(rows) rows
+    at a shared width, read through pick: no (rows, blocks) table is kept.
     """
 
     def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
@@ -134,12 +136,12 @@ class _Group:
         offsets = np.concatenate([[0], np.cumsum(counts)])
         self.starts, self.ends = offsets[:-1], offsets[1:]
         # segment[m]: the group's region that row m belongs to
-        self.segment = np.repeat(np.arange(counts.size), counts)
+        segment = np.repeat(np.arange(counts.size), counts)
         rows = np.arange(offsets[-1])
-        self.cells = (self.first - self.starts)[self.segment] + rows
+        self.cells = (self.first - self.starts)[segment] + rows
         # back[m]: the row of cells that scan row m of the backward blocks
         # holds (each region reversed in place, so back is its own inverse)
-        self.back = (self.starts + self.ends - 1)[self.segment] - rows
+        self.back = (self.starts + self.ends - 1)[segment] - rows
         order = np.argsort(spec.rates.real > 0.0, kind="stable")
         rate = spec.rates.conj()[order]
         self.forward = rate.real <= 0.0
@@ -156,18 +158,34 @@ class _Group:
         sign = np.where(self.forward, 1.0, -1.0)
         per_group = (spec.P_inv.reshape(-1, g, quad.n) / quad.mu).sum(axis=2) / 2.0
         self.project = per_group.T @ (self.enc.T * sign)
-        # cell-centre factors: hom per cell; the half-cell step half and
-        # its integral phi_half at one row of the shared width, or at one row
-        # per cell when width is None.  The recurrence's full-cell step and
-        # source multipliers are half**2 (kept in the scan) and
-        # (1 + half) phi_half
-        length = self.length[self.segment]
-        t = mesh.centers[self.cells] - self.x_left[self.segment]
-        anchor = np.where(self.forward, t[:, None], (length - t)[self.back, None])
+        # cell-centre factors: the half-cell step half and its integral
+        # phi_half at one row of the shared width, or at one row per cell
+        # when width is None.  The recurrence's full-cell step and source
+        # multipliers are half**2 (kept in the scan) and (1 + half) phi_half
         fwd = np.full(1, width) if width is not None else mesh.widths[self.cells]
         bwd = fwd if width is not None else fwd[self.back]
         upwind = np.where(self.forward, fwd[:, None], bwd[:, None]) / 2.0
-        self.hom = exp_block(self.rho, anchor)
+        # the homogeneous factor exp(rho anchor) at row m is p[i] q[k], (k,
+        # i) = divmod(l, span) of its local row l.  At a shared width both
+        # kinds of block anchor row l of a segment at (l + 1/2) width, so p
+        # and q are powers of one factor, span = ceil(sqrt(longest segment))
+        # rows each; a row per cell keeps its anchors in p (l = m, span =
+        # rows) and q is one row of ones
+        if width is None:
+            t = mesh.centers[self.cells] - self.x_left[segment]
+            span, local = rows.size, rows
+            anchor = np.where(self.forward, t[:, None], (self.length[segment] - t)[self.back, None])
+        else:
+            span = int(np.ceil(np.sqrt(counts.max())))
+            local, anchor = rows - self.starts[segment], ((np.arange(span) + 0.5) * width)[:, None]
+        k, i = np.divmod(local, span)
+        self.p = exp_block(self.rho, anchor)
+        self.q = exp_block(self.rho, np.arange(k.max() + 1)[:, None] * (span * fwd[0]))
+        # each (segment, k) pair that occurs is a row of _coefficients, and
+        # pick[m] = pair[m] span + i
+        keys, pair = np.unique(segment * len(self.q) + k, return_inverse=True)
+        self.pair_segment, self.pair_k = np.divmod(keys, len(self.q))
+        self.pick = pair * span + i
         self.half = exp_block(self.rho, upwind)
         self.phi_half = phi_block(self.rho, upwind)
         source_coef = (1.0 + self.half) * self.phi_half
@@ -196,18 +214,21 @@ class _Group:
         self.psi_maps, self.phi_maps = ((_real_part(e[:self.nf]), _real_part(e[self.nf:]))
                                         for e in (self.expand, self.expand_phi))
         # folds, a shared row's matrices to Re(x @ expand_phi) in
-        # centres_into: theta's from the emission, then J's and hom alpha's
-        # from the real view of the blocks to the forward and backward halves
+        # centres_into, split to the forward and backward halves: theta's
+        # from the emission, J's from the real view of the blocks, and hom
+        # alpha's from the real view of a row of _coefficients to every p
+        # row at once, Re(c p[i] split) for each i in turn
         split = (self.halves.T[:, :, None] * self.expand_phi[:, None, :]).reshape(self.rho.size, -1)
         self.folds = () if width is None else (
             ((self.project * self.phi_half) @ self.expand_phi).real,
-            _real_part(self.half.T * split), _real_part(split))
-        # gather, previous and segment stay writeable: take copies a
+            _real_part(self.half.T * split),
+            _real_part((self.p.T[:, :, None] * split[:, None, :]).reshape(self.rho.size, -1)))
+        # gather, previous and pick stay writeable: take copies a
         # read-only index array on every call
         for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
-                    self.cells, self.back, self.forward, self.rho, self.enc,
-                    self.expand, self.expand_phi, self.project, self.hom, self.half,
-                    self.phi_half, self.halves, self.emitted_map, self.source_map,
+                    self.cells, self.back, self.forward, self.rho, self.enc, self.expand,
+                    self.expand_phi, self.project, self.p, self.q, self.pair_segment, self.pair_k,
+                    self.half, self.phi_half, self.halves, self.emitted_map, self.source_map,
                     *self.psi_maps, *self.phi_maps, *self.folds):
             arr.setflags(write=False)
 
@@ -232,27 +253,40 @@ class _Group:
         scale = exp_block(self.rho, np.where(far, self.length[:, None], 0.0))
         return ((self.expand.T * scale[:, None, :]) @ self.enc).real
 
+    def _coefficients(self, alphas: np.ndarray) -> np.ndarray:
+        """c_s q[k] (pairs, blocks), c_s region s's alpha as block scalars:
+        row m's hom alpha is p[i] times row pair, (pair, i) = divmod(pick[m],
+        len(p))."""
+        c = alphas[self.regions] @ self.enc.T
+        return c[self.pair_segment] * self.q[self.pair_k]
+
+    def _add_hom(self, alphas: np.ndarray, fold: np.ndarray, values: np.ndarray):
+        """values += hom alpha's share of each half's phi at every row: one
+        product with fold for every (pair, p row), gathered through pick
+        into the scan scratch, as many rows as it holds at a time."""
+        hom = (self._coefficients(alphas).view(float) @ fold).reshape(-1, values.shape[1])
+        scratch = self.work[1].reshape(-1).view(float)
+        n = scratch.size // values.shape[1]
+        for r in range(0, len(values), n):
+            part = values[r:r + n]
+            part += np.take(hom, self.pick[r:r + n], axis=0, mode="clip",
+                            out=scratch[:part.size].reshape(part.shape))
+
     def centres_into(self, alphas: np.ndarray, emission: np.ndarray, out: np.ndarray):
         """out[cells] = Re(x @ expand_phi), the scalar flux, for the block
         scalars x = hom alpha + half j_in + phi_half theta at every cell
         centre, from the march of emission that the workspace holds: for
         a shared row each term through folds, J's from the blocked iterate,
-        one row down and zero at the segment starts, hom alpha's a chunk of
-        rows at a time in the scratch; a row per cell adds to out, zero
-        there, through scalars_into."""
+        one row down and zero at the segment starts, and hom alpha's for
+        every (pair, p row) at once (_add_hom); a row per cell adds to out,
+        zero there, through scalars_into."""
         if self.per_row is not None:
             return self.scalars_into(alphas, out, self.phi_maps)
-        theta, j_fold, fold = self.folds
-        y, scratch = (buffer.reshape(-1, self.rho.size) for buffer in self.work[:2])
+        theta, j_fold, hom_fold = self.folds
+        y = self.work[0].reshape(-1, self.rho.size)
         values = (y.view(float) @ j_fold).take(self.previous, axis=0)
         values[self.starts] = 0.0
-        coefficients = alphas[self.regions] @ self.enc.T
-        for r in range(0, self.cells.size, len(scratch)):
-            chunk = slice(r, r + len(scratch))
-            x = scratch[:len(self.segment[chunk])]
-            np.take(coefficients, self.segment[chunk], axis=0, out=x, mode="clip")
-            x *= self.hom[chunk]
-            values[chunk] += x.view(float) @ fold
+        self._add_hom(alphas, hom_fold, values)
         k = values.shape[1] // 2
         # the backward half's rows return to cell order by a gather
         centre = values[:, :k] + values[self.back, k:]
@@ -263,13 +297,14 @@ class _Group:
         """out[cells] += Re(x @ expand) for maps = psi_maps (expand_phi for
         phi_maps) and the block scalars x = hom alpha + half j_in + phi_half
         (emission @ project) at every cell centre, from the march that the
-        workspace holds: x a chunk of rows at a time in the scratch, then
-        one product per direction half, added to the forward blocks' cells
-        and, through back, the backward blocks'."""
+        workspace holds: x a chunk of rows at a time in the scratch, hom
+        alpha's term p[i] times the row of _coefficients that pick names,
+        then one product per direction half, added to the forward blocks'
+        cells and, through back, the backward blocks'."""
         b = self.rho.size
         y, scratch = (buffer.reshape(-1, b) for buffer in self.work[:2])
         emitted = self.emitted.reshape(-1, self.emitted.shape[2])
-        coefficients = alphas[self.regions] @ self.enc.T
+        coefficients = self._coefficients(alphas)
         opens = np.zeros(self.cells.size, dtype=bool)
         opens[self.starts] = True
         # x takes half the scratch's rows and its terms as many more, so a
@@ -278,10 +313,11 @@ class _Group:
         term = np.empty_like(rows)
         for r in range(0, self.cells.size, len(rows)):
             chunk = slice(r, r + len(rows))
-            x = rows[:len(self.segment[chunk])]
+            pair, i = np.divmod(self.pick[chunk], len(self.p))
+            x = rows[:len(i)]
             t = term[:len(x)]
-            np.take(coefficients, self.segment[chunk], axis=0, out=x, mode="clip")
-            x *= self.hom[chunk]
+            np.take(coefficients, pair, axis=0, out=x, mode="clip")
+            x *= np.take(self.p, i, axis=0, out=t, mode="clip")
             np.take(y, self.previous[chunk], axis=0, out=t, mode="clip")
             t[opens[chunk]] = 0.0
             t *= self.half if self.per_row is None else self.half[chunk]

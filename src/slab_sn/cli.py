@@ -47,8 +47,8 @@ def _build_parser():
     _add_common(p_fixed)
     p_fixed.add_argument("--source", choices=("constant", "absx", "file"),
                          default="constant", help="source shape")
-    p_fixed.add_argument("--strength", type=float, default=1.0,
-                         help="emission density for constant/absx shapes")
+    p_fixed.add_argument("--strength", type=float,
+                         help="emission density for constant/absx shapes (default 1.0)")
     p_fixed.add_argument("--source-file",
                          help="CSV of per-cell, per-group emission densities")
 
@@ -101,10 +101,13 @@ def _dump_matrices(args, outdir, materials, config, solved):
 def _fixed_source(args, mesh, n_groups) -> SourceField:
     if args.source_file and args.source != "file":
         raise ParseError("--source-file needs --source file")
+    if args.strength is not None and args.source == "file":
+        raise ParseError("--strength applies to the constant and absx sources")
+    strength = 1.0 if args.strength is None else args.strength
     if args.source == "constant":
-        emission = np.full((mesh.n_cells, n_groups), args.strength)
+        emission = np.full((mesh.n_cells, n_groups), strength)
     elif args.source == "absx":
-        emission = args.strength * np.abs(mesh.centers)[:, None] * np.ones((1, n_groups))
+        emission = strength * np.abs(mesh.centers)[:, None] * np.ones((1, n_groups))
     else:
         if not args.source_file:
             raise ParseError("--source file needs --source-file")

@@ -43,7 +43,8 @@ class EigenResult:
 
     history_seconds is cumulative wall time of the iteration loop; one-time
     setup (mesh build, the solver's fixed-source operator, per-cell fission
-    tables) is reported separately in timing["setup_seconds"].  config is
+    tables) is reported separately in timing["setup_seconds"], and the
+    final read of the angular flux in timing["flux_seconds"].  config is
     the SolverConfig that ran; spectra holds the analytic operator's
     BlockSpectrum per material (None for the sweep).
     """
@@ -196,15 +197,18 @@ def power_iteration(geometry: SlabGeometry, materials, config: SolverConfig) -> 
             f"power iteration did not reach {tol} in {config.max_outer} outer "
             f"iterations (last change {history_norm[-1]:.3e})")
 
+    t_flux = time.perf_counter()
+    flux = operator.flux(solution, normalized=True)
     return EigenResult(
         k_eff=k,
         iterations=outer,
-        flux=operator.flux(solution, normalized=True),
+        flux=flux,
         history_k=np.array(history_k),
         history_norm=np.array(history_norm),
         history_seconds=np.array(history_seconds),
         timing={"setup_seconds": setup_seconds,
-                "iteration_seconds": history_seconds[-1]},
+                "iteration_seconds": history_seconds[-1],
+                "flux_seconds": time.perf_counter() - t_flux},
         config=config,
         inner_sweeps=inner_total,
         spectra=operator.spectra if config.solver_kind == "analytic" else None,

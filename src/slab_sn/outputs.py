@@ -114,7 +114,7 @@ def write_history_csv(path, result: EigenResult) -> None:
 def eigen_summary(result: EigenResult, outputs: dict) -> dict:
     config = result.config
     return {
-        "schema": "slab-sn-eigen-summary/1",
+        "schema": "slab-sn-eigen-summary/2",
         "k_eff": result.k_eff,
         "iterations": result.iterations,
         "tolerance": config.flux_tolerance,

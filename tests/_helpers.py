@@ -703,11 +703,23 @@ def rows_particular(group, emission):
     return RowsParticular(theta, j[:-1], ends)
 
 
-def rows_centres_into(group, alphas, part, expand, out):
+def rows_hom(group, centers):
+    """exp(rho anchor) (rows, blocks) at the group's cell centres, taken from
+    centers (the mesh's) per row: t from each region's left edge for the
+    forward blocks, length - t in each region's reversed cell order for the
+    backward blocks."""
+    segment = np.repeat(np.arange(group.starts.size), group.ends - group.starts)
+    t = centers[group.cells] - group.x_left[segment]
+    backward = (group.length[segment] - t)[group.back]
+    return exp_block(group.rho, np.where(group.forward, t[:, None], backward[:, None]))
+
+
+def rows_centres_into(group, alphas, part, expand, centers, out):
     """out[cells] = Re(x @ expand), x = hom alpha + half j_in + phi_half
-    theta at every cell centre."""
+    theta at every cell centre, hom from rows_hom."""
+    segment = np.repeat(np.arange(group.starts.size), group.ends - group.starts)
     x = group.half * part.j_in + group.phi_half * part.theta
-    x += np.take(alphas[group.regions] @ group.enc.T, group.segment, axis=0) * group.hom
+    x += (alphas[group.regions] @ group.enc.T)[segment] * rows_hom(group, centers)
     nf = group.nf
     values = (x[:, nf:] @ expand[nf:]).real[group.back]
     values += (x[:, :nf] @ expand[:nf]).real
@@ -742,8 +754,8 @@ def rows_fixed_source(operator, source, points):
     region = np.searchsorted(operator.geometry.edges[1:], points, side="left")
     at_points = np.empty((points.size, operator.ng))
     for group, part in zip(operator.groups, parts):
-        rows_centres_into(group, alphas, part, group.expand_phi, phi)
-        rows_centres_into(group, alphas, part, group.expand, psi)
+        rows_centres_into(group, alphas, part, group.expand_phi, operator.mesh.centers, phi)
+        rows_centres_into(group, alphas, part, group.expand, operator.mesh.centers, psi)
         for i, r in enumerate(group.regions):
             idx = np.nonzero(region == r)[0]
             at_points[idx] = rows_psi_at(group, i, alphas[r], part,

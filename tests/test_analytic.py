@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,9 @@ from _helpers import (_assemble, _region_works, _solve_alpha, absorber_problem,
                       absorber_psi, graded_mesh, loop_edge_block, loop_factor,
                       loop_rcond, loop_solve, loop_solve_transposed,
                       one_group_material, oracle_fixed_source, power_keff,
-                      random_slab, rows_fixed_source, select_rows, source_over_mu,
+                      random_slab, rows_fixed_source, rows_hom, select_rows, source_over_mu,
                       split_geometry)
-from slab_sn import spectral
+from slab_sn import recurrence, spectral
 from slab_sn.analytic import WIDTH_RTOL, _Group, solve_alpha
 from slab_sn.spectral import EXP_ARG_MAX, PHI_TAYLOR_CUT
 from slab_sn.recurrence import FirstOrderScan
@@ -801,6 +802,22 @@ class TestOperatorEquivalence:
         assert worst[2] <= 1e-13
         assert worst[3] <= 1e-13
 
+    def test_hom_terms_gathered_in_several_passes(self, pincell, monkeypatch):
+        # a scan scratch smaller than the core's hom terms gathers them in
+        # several passes, with the scalar flux of the one-pass operator
+        quad = gauss_legendre(4)
+        geo, mesh = pincell.geometry, build_fine_mesh(pincell.geometry, 700)
+        spectra = spectra_for(geo, pincell.materials, quad)
+        source = pincell_chi_absx_source(pincell, mesh, quad)
+        whole, _ = fixed_source_solve(FixedSourceOperator(geo, spectra, mesh, quad), source)
+        monkeypatch.setattr(recurrence, "SCAN_CHUNK", 16)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        core = max(operator.groups, key=lambda group: group.cells.size)
+        # the scratch's floats hold under a third of the (rows, 2 G) terms
+        assert 3 * 2 * core.work[1].size < core.cells.size * 2 * operator.n_groups
+        phi, _ = fixed_source_solve(operator, source)
+        assert np.array_equal(phi, whole)
+
     @pytest.mark.parametrize("order, n_groups", [(16, 3), (8, 5)])
     def test_wide_graded_groups(self, order, n_groups):
         # graded groups of N G > 32 complex columns, wider than the random
@@ -891,6 +908,23 @@ class TestOuterMemory:
         assert kept <= rows_by_blocks / 4
         assert core.work[1].shape[1:] == work[1].shape[1:] == core.work[0].shape[1:]
 
+    def test_shared_group_keeps_no_per_cell_table(self, pincell):
+        # the homogeneous factors are two power tables of about sqrt(rows)
+        # rows: beyond the scan workspace (work and the gathered emission
+        # in emitted), its integer index arrays and the mesh's edges, the
+        # core group keeps no array with a row per cell and at most an
+        # eighth of one (rows, blocks) array in all, where one (rows,
+        # blocks) table was kept
+        operator, _, rows_by_blocks = self.finemesh_operator(pincell)
+        core = max(operator.groups, key=lambda group: group.cells.size)
+        assert core.per_row is None and core.mesh_edges is operator.mesh.edges
+        kept = [a for name, value in vars(core).items()
+                if name not in ("work", "emitted", "mesh_edges")
+                for a in (value if isinstance(value, tuple) else (value,))
+                if isinstance(a, np.ndarray) and a.dtype.kind in "fc"]
+        assert all(len(a) < core.cells.size for a in kept)
+        assert sum(a.nbytes for a in kept) <= rows_by_blocks / 8
+
     def test_eigen_flux_is_the_array_flux_wrote(self, pincell, monkeypatch):
         # power iteration normalizes the one Psi that the operator's flux
         # wrote, in place, and keeps it
@@ -929,7 +963,13 @@ def factor_rows(operator):
     rows = []
     for group in operator.groups:
         assert group.half.shape == group.phi_half.shape
-        assert group.hom.shape[0] == group.cells.size
+        # the homogeneous factors: a shared row's p and q hold about
+        # sqrt(rows) rows each, a row per cell's p one row per cell
+        if group.half.shape[0] == 1:
+            bound = np.ceil(np.sqrt(group.cells.size)) + 1
+            assert len(group.p) <= bound and len(group.q) <= bound
+        else:
+            assert len(group.p) == group.cells.size and len(group.q) == 1
         rows.append(group.half.shape[0])
     return rows
 
@@ -1006,6 +1046,34 @@ class TestWidthFactors:
                 mesh.centers, oracle_fixed_source(geo, spectra, src, quad), quad).phi,
             geo, mats, mesh, 50)
         assert k == pytest.approx(k_oracle, rel=1e-12, abs=0.0)
+
+
+class TestHomogeneousFactors:
+    def test_power_tables_give_exp_at_the_centres(self, pincell):
+        # one group of five core regions of 1, 2, 1428, 1429 and 17143
+        # cells of one width, shifted so that complex pairs occur: p[i]
+        # q[k] at every row equals the per-row exp(rho anchor) at the mesh
+        # centres, also where q underflows to zero, with no warning.  The
+        # width is a power of two, so that the centres and the anchors
+        # taken from them are exact
+        counts = np.array([1, 2, 1428, 1429, 17143])
+        width = 2.0 ** -8
+        edges = np.concatenate([[0.0], np.cumsum(counts) * width])
+        geo = replace(pincell.geometry, edges=edges, materials=("core",) * counts.size)
+        mesh = mesh_from_edges(np.arange(counts.sum() + 1) * width, geo)
+        quad = gauss_legendre(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            operator = FixedSourceOperator(
+                geo, spectra_for(geo, pincell.materials, quad, 1.0 / 1.3), mesh, quad)
+            [group] = operator.groups
+            pair, i = np.divmod(group.pick, len(group.p))
+            hom = group.p[i] * group.q[group.pair_k[pair]]
+            expected = rows_hom(group, mesh.centers)
+        assert list(group.ends - group.starts) == list(counts)
+        assert np.any(group.rho.imag != 0.0) and np.any(group.q == 0.0)
+        assert len(group.p) == len(group.q) == 131
+        assert np.max(np.abs(hom - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def pincell_lattice(pincell, rng, n_pins=20):

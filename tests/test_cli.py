@@ -165,6 +165,18 @@ class TestFixed:
         assert "input error: --source-file needs --source file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_strength_needs_constant_or_absx_source(self, absorber_file, tmp_path, capsys):
+        # a strength given with a source table is not silently ignored
+        table = tmp_path / "src.csv"
+        table.write_text("1.0\n")
+        out = tmp_path / "o"
+        rc = main(["fixed", str(absorber_file), "--source", "file", "--source-file",
+                   str(table), "--strength", "5", "--out", str(out)])
+        assert rc == 2
+        assert ("input error: --strength applies to the constant and absx sources"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_numeric_source_table_is_input_error(self, absorber_file, tmp_path,
                                                        capsys):
         table = tmp_path / "src.csv"
@@ -182,6 +194,8 @@ class TestEigen:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         validate(summary, load_schema("eigen_summary"))
+        assert summary["schema"] == "slab-sn-eigen-summary/2"
+        assert summary["timing"]["flux_seconds"] >= 0.0
         assert summary["k_eff"] == pytest.approx(1.2475935, abs=1e-5)
         assert summary["sn_order"] == 2
         with open(out / "history.csv") as fh:

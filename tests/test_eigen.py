@@ -213,6 +213,7 @@ class TestPowerIteration:
         res = self.run(pincell)
         assert np.all(np.diff(res.history_seconds) >= 0.0)
         assert res.timing["setup_seconds"] >= 0.0
+        assert res.timing["flux_seconds"] >= 0.0
 
 
     def test_each_solve_builds_one_operator_and_checks_sweep_inputs_first(
