@@ -63,6 +63,8 @@ decaying rate rho (Re rho <= 0), and a cell's upwind edge is the one its
 recurrence enters through.
 """
 
+import threading
+
 import numpy as np
 
 from .exceptions import PointOutOfDomainError, SingularSystemError, ValidationError
@@ -300,17 +302,19 @@ class _Group:
         workspace holds: x a chunk of rows at a time in the scratch, hom
         alpha's term p[i] times the row of _coefficients that pick names,
         then one product per direction half, added to the forward blocks'
-        cells and, through back, the backward blocks'."""
-        b = self.rho.size
-        y, scratch = (buffer.reshape(-1, b) for buffer in self.work[:2])
+        cells and, in reverse, the backward blocks', one slice of out per
+        region piece of the chunk."""
+        y, scratch = (buffer.reshape(-1, self.rho.size) for buffer in self.work[:2])
         emitted = self.emitted.reshape(-1, self.emitted.shape[2])
         coefficients = self._coefficients(alphas)
         opens = np.zeros(self.cells.size, dtype=bool)
         opens[self.starts] = True
+        segments = list(zip(self.starts.tolist(), self.ends.tolist(), self.first.tolist()))
         # x takes half the scratch's rows and its terms as many more, so a
         # chunk's temporaries stay within the scratch's size
         rows = scratch[:max(1, len(scratch) // 2)]
         term = np.empty_like(rows)
+        part = np.empty((len(rows), out.shape[1]))
         for r in range(0, self.cells.size, len(rows)):
             chunk = slice(r, r + len(rows))
             pair, i = np.divmod(self.pick[chunk], len(self.p))
@@ -325,8 +329,16 @@ class _Group:
             np.matmul(emitted[self.march.index[chunk]], self.emitted_map, out=t.view(float))
             t *= self.phi_half if self.per_row is None else self.phi_half[chunk]
             x += t
-            out[self.cells[chunk]] += x[:, :self.nf].view(float) @ maps[0]
-            out[self.cells[self.back[chunk]]] += x[:, self.nf:].view(float) @ maps[1]
+            # row start + l of a region of n rows is cell first + l for the
+            # forward blocks and first + n - 1 - l for the backward
+            for backward, blocks in enumerate((x[:, :self.nf], x[:, self.nf:])):
+                values = np.matmul(blocks.view(float), maps[backward], out=part[:len(x)])
+                for start, end, first in segments:
+                    lo, hi = max(start, r), min(end, r + len(x))
+                    if lo < hi:
+                        cells = (out[first + end - hi:first + end - lo][::-1] if backward
+                                 else out[first + lo - start:first + hi - start])
+                        cells += values[lo - r:hi - r]
 
     def psi_at(self, alphas: np.ndarray, emission: np.ndarray, cell: np.ndarray,
                x: np.ndarray) -> np.ndarray:
@@ -515,9 +527,12 @@ class FixedSourceOperator:
     cell-centre factors, and the InterfaceFactor of the global
     boundary/continuity system, checked once (SingularSystemError below an
     estimated 1-norm rcond of 1e-14; rcond keeps the estimate).  spectra
-    (kept) maps material name -> BlockSpectrum.  Nothing here changes
-    after construction; solve_fixed_source and fixed_source_solve apply it
-    to one source at a time, and flux reads the cell-centre angular flux.
+    (kept) maps material name -> BlockSpectrum.  solve_fixed_source and
+    fixed_source_solve apply it to one source at a time, and flux reads the
+    cell-centre angular flux.  Every solve and read writes state that the
+    operator keeps (each group's workspace and gathered emission, marched
+    and the factor's buffer), so each runs under the operator's lock, an
+    RLock: calls from other threads wait their turn.
     """
 
     def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
@@ -545,6 +560,7 @@ class FixedSourceOperator:
         self.rcond = self.factor.rcond
         # the SourceField whose march every group's workspace holds
         self.marched = None
+        self.lock = threading.RLock()
 
     def particular(self, source: SourceField):
         """Each group's J where its regions' marches end, (regions, blocks),
@@ -585,10 +601,11 @@ class FixedSourceOperator:
         factors and the march of its source (_hold), through one product
         with N G columns per group, direction half and chunk of rows; with
         normalized, scaled as FluxField.from_psi does with the mesh widths."""
-        self._hold(solution)
-        psi = np.zeros((self.mesh.n_cells, self.ng))
-        for group in self.groups:
-            group.scalars_into(solution.coefficients, psi, group.psi_maps)
+        with self.lock:
+            self._hold(solution)
+            psi = np.zeros((self.mesh.n_cells, self.ng))
+            for group in self.groups:
+                group.scalars_into(solution.coefficients, psi, group.psi_maps)
         return FluxField.from_psi(self.mesh.centers, psi, self.quad,
                                   self.mesh.widths if normalized else None)
 
@@ -611,39 +628,43 @@ def evaluate_flux(operator: FixedSourceOperator, solution: Solution, points) -> 
     which bounds the (points, blocks) temporaries; FixedSourceOperator.flux
     reads the stored factors at the cell centres instead.
     """
-    operator._hold(solution)
-    alphas, emission = solution.coefficients, solution.source.emission
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    if points.ndim != 1:
-        raise ValidationError(f"points must be a scalar or a 1-D sequence, not shape {points.shape}")
-    edges, offsets = operator.geometry.edges, operator.mesh.offsets
-    if not np.all((points >= edges[0]) & (points <= edges[-1])):
-        raise PointOutOfDomainError(f"points outside [{edges[0]}, {edges[-1]}]")
-    region = np.searchsorted(edges[1:], points, side="left")
-    cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
-                   offsets[region], offsets[region + 1] - 1)
-    psi = np.empty((points.size, operator.ng))
-    for group in operator.groups:
-        idx = np.flatnonzero(np.isin(region, group.regions))
-        for k in range(0, idx.size, EVAL_CHUNK):
-            chunk = idx[k:k + EVAL_CHUNK]
-            psi[chunk] = group.psi_at(alphas, emission, cell[chunk], points[chunk])
+    with operator.lock:
+        operator._hold(solution)
+        alphas, emission = solution.coefficients, solution.source.emission
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        if points.ndim != 1:
+            raise ValidationError(f"points must be a scalar or a 1-D sequence, not shape {points.shape}")
+        edges, offsets = operator.geometry.edges, operator.mesh.offsets
+        if not np.all((points >= edges[0]) & (points <= edges[-1])):
+            raise PointOutOfDomainError(f"points outside [{edges[0]}, {edges[-1]}]")
+        region = np.searchsorted(edges[1:], points, side="left")
+        cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
+                       offsets[region], offsets[region + 1] - 1)
+        psi = np.empty((points.size, operator.ng))
+        for group in operator.groups:
+            idx = np.flatnonzero(np.isin(region, group.regions))
+            for k in range(0, idx.size, EVAL_CHUNK):
+                chunk = idx[k:k + EVAL_CHUNK]
+                psi[chunk] = group.psi_at(alphas, emission, cell[chunk], points[chunk])
     return FluxField.from_psi(points, psi, operator.quad)
 
 
 def solve_fixed_source(operator: FixedSourceOperator, source: SourceField) -> Solution:
     """The Solution (no evaluation) that evaluate_flux and
     FixedSourceOperator.flux read: one alpha per region and the source."""
-    rhs = operator.rhs(operator.particular(source))
-    return Solution(operator, solve_alpha(operator.factor, rhs), source)
+    with operator.lock:
+        rhs = operator.rhs(operator.particular(source))
+        return Solution(operator, solve_alpha(operator.factor, rhs), source)
 
 
 def fixed_source_solve(operator: FixedSourceOperator, source: SourceField):
     """Fixed-source solve: (scalar flux (cells, G) at the source-cell centres,
     the Solution for flux and evaluate_flux).  The flux is read from each group's
     march, which its workspace holds until the group's next one."""
-    solution = solve_fixed_source(operator, source)
     phi = np.zeros((operator.mesh.n_cells, operator.n_groups))
-    for group in operator.groups:
-        group.centres_into(solution.coefficients, source.emission, phi)
+    # the march and the reads of it under one hold
+    with operator.lock:
+        solution = solve_fixed_source(operator, source)
+        for group in operator.groups:
+            group.centres_into(solution.coefficients, source.emission, phi)
     return phi, solution

@@ -135,11 +135,12 @@ def cmd_fixed(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_matrices(args, outdir, problem.materials, cfg, operator)
 
-    flux_csv = outdir / "flux.csv"
-    outputs.write_flux_csv(flux_csv, flux)
+    flux_csv, psi_npy = outdir / "flux.csv", outdir / "psi.npy"
+    outputs.write_flux_csv(flux_csv, flux, psi_npy)
     summary = outputs.fixed_summary(cfg, source_kind=args.source, seconds=seconds,
                                     inner_sweeps=solution.sweeps,
-                                    outputs={"flux_csv": flux_csv.name})
+                                    outputs={"flux_csv": flux_csv.name,
+                                             "psi_npy": psi_npy.name})
     outputs.write_json(outdir / "summary.json", summary)
     return 0
 
@@ -151,11 +152,12 @@ def cmd_eigen(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_matrices(args, outdir, problem.materials, cfg, result)
-    flux_csv = outdir / "flux.csv"
+    flux_csv, psi_npy = outdir / "flux.csv", outdir / "psi.npy"
     history_csv = outdir / "history.csv"
-    outputs.write_flux_csv(flux_csv, result.flux)
+    outputs.write_flux_csv(flux_csv, result.flux, psi_npy)
     outputs.write_history_csv(history_csv, result)
     summary = outputs.eigen_summary(result, {"flux_csv": flux_csv.name,
+                                             "psi_npy": psi_npy.name,
                                              "history_csv": history_csv.name})
     outputs.write_json(outdir / "summary.json", summary)
     print(f"k_eff = {result.k_eff:.6f} after {result.iterations} outer iterations")

@@ -1,16 +1,15 @@
-"""CSV/JSON emitters; formats are pinned by schema files shipped in-repo.
+"""CSV/JSON/npy emitters; formats are pinned by schema files shipped in-repo.
 
-Flux CSV column order (bit-exact): x, group, psi_1 .. psi_N (ordinates in
-ascending-mu order), phi.  One row per (point, group), points outermost.
-Floats are written with repr, so re-parsing reproduces them exactly; lines
-end in \r\n.  A large table is formatted in row ranges on the usable cores,
-one forked worker per range after the first: the bytes stay the same.
+Flux CSV column order (bit-exact): x, group, phi.  One row per (point,
+group), points outermost.  Floats are written with repr, so re-parsing
+reproduces them exactly; lines end in \r\n.  The angular flux goes beside
+it to a .npy file (np.save, bit-exact): FluxField.psi, float64 (points,
+N G), column g N + i - 1 holding group g + 1 at ordinate i in ascending-mu
+order, rows in the CSV's point order.
 """
 
 import csv
 import json
-import os
-import shutil
 from importlib import resources
 from pathlib import Path
 
@@ -35,70 +34,20 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-# the fewest values that a forked part holds.  repr costs about 0.9 us a
-# value and a fork a few ms: in a 100 MB process two parts took 35.4 ms
-# against one's 26.9 at 26,600 values, and 59.9 against 63.7 at 53,200
-PART_VALUES = 65536
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on; 1 where os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _lines(flux: FluxField, start: int, stop: int) -> bytes:
-    """Rows start .. stop - 1 of the flux table as CSV lines."""
-    g, row = flux.n_groups, np.arange(start, stop)
-    n = flux.psi.shape[1] // g
+def write_flux_csv(path, flux: FluxField, psi_path) -> None:
+    """The flux CSV at path and the angular flux, np.save'd, at psi_path."""
+    g = flux.n_groups
     # an object table holds Python floats and int groups, whose reprs are
     # the pinned format; one tolist() feeds every line
-    table = np.empty((row.size, n + 3), dtype=object)
-    table[:, 0] = flux.points[row // g]
-    table[:, 1] = row % g + 1
-    table[:, 2:-1] = flux.psi.reshape(-1, n)[start:stop]
-    table[:, -1] = flux.phi.reshape(-1)[start:stop]
-    return "".join([",".join(map(repr, r)) + "\r\n" for r in table.tolist()]).encode()
-
-
-def write_flux_csv(path, flux: FluxField) -> None:
-    rows, n = flux.phi.size, flux.psi.shape[1] // flux.n_groups
-    parts = max(1, min(_usable_cores(), rows * (n + 3) // PART_VALUES))
-    bounds = [rows * i // parts for i in range(parts + 1)]
-    header = ",".join(["x", "group"] + [f"psi_{i}" for i in range(1, n + 1)] + ["phi"])
-    pids, pipes = [], []
-    try:
-        # fork first, before any table exists.  A worker runs only Python
-        # formatting, no BLAS or stdio whose locks another thread may hold; it
-        # closes every read end, so that the parent's close stops it, and
-        # exits 1 on any exception
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            with open(w, "wb") as out:
-                if (pid := os.fork()) == 0:
-                    try:
-                        for pipe in pipes:
-                            pipe.close()
-                        out.write(_lines(flux, start, stop))
-                        out.flush()
-                    except BaseException:
-                        os._exit(1)
-                    os._exit(0)
-            pids.append(pid)
-        with open(path, "wb") as fh:
-            fh.write((header + "\r\n").encode() + _lines(flux, 0, bounds[1]))
-            for pipe in pipes:
-                shutil.copyfileobj(pipe, fh)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        failed = [part for part, pid in enumerate(pids, 1) if os.waitpid(pid, 0)[1]]
-    if failed:
-        raise OSError(f"{path}: the worker on flux CSV part {failed[0]} of {parts} failed")
+    table = np.empty((flux.phi.size, 3), dtype=object)
+    table[:, 0] = np.repeat(flux.points, g)
+    table[:, 1] = np.tile(np.arange(1, g + 1), flux.points.size)
+    table[:, 2] = flux.phi.reshape(-1)
+    with open(path, "wb") as fh:
+        fh.write("".join(["x,group,phi\r\n"] + [",".join(map(repr, r)) + "\r\n"
+                                                  for r in table.tolist()]).encode())
+    with open(psi_path, "wb") as fh:
+        np.save(fh, flux.psi)
 
 
 def write_history_csv(path, result: EigenResult) -> None:
@@ -114,7 +63,7 @@ def write_history_csv(path, result: EigenResult) -> None:
 def eigen_summary(result: EigenResult, outputs: dict) -> dict:
     config = result.config
     return {
-        "schema": "slab-sn-eigen-summary/2",
+        "schema": "slab-sn-eigen-summary/3",
         "k_eff": result.k_eff,
         "iterations": result.iterations,
         "tolerance": config.flux_tolerance,
@@ -131,7 +80,7 @@ def eigen_summary(result: EigenResult, outputs: dict) -> dict:
 def fixed_summary(config: SolverConfig, *, source_kind: str, seconds: float,
                   inner_sweeps: int, outputs: dict) -> dict:
     return {
-        "schema": "slab-sn-fixed-summary/2",
+        "schema": "slab-sn-fixed-summary/3",
         "tolerance": config.flux_tolerance,
         "solver_kind": config.solver_kind,
         "sn_order": config.sn_order,

@@ -21,6 +21,7 @@ the layout once, after convergence, when the operator reads its Solution.
 """
 
 import math
+import threading
 from typing import Optional
 
 import numpy as np
@@ -71,6 +72,10 @@ class SweepOperator:
     The source, isotropic, is the same on every ordinate of a direction
     half: a sweep gathers it once per (scan row, group, direction) and
     spreads it over the ordinates with one product by a 0/1 matrix.
+
+    Every sweep writes state that the operator keeps (the workspace, halves
+    and pair), so source_iteration and flux run under the operator's lock,
+    an RLock: calls from other threads wait their turn.
     """
 
     def __init__(self, geometry: SlabGeometry, materials, mesh: FineMesh,
@@ -129,6 +134,7 @@ class SweepOperator:
         self.inflow = self.reflect.any() or self.incoming.any()
         # pure streaming: a single sweep is the exact solution
         self.streaming = not self.reflect.any() and not self.transfer.any()
+        self.lock = threading.RLock()
         # gather and sides stay writeable: take copies a read-only index
         # array on every call
         for arr in (self.transfer, self.weights, self.spread, self.s,
@@ -170,8 +176,9 @@ class SweepOperator:
         operator solved (ValidationError for another's, or another shape);
         with normalized, scaled as FluxField.from_psi does with the mesh
         widths."""
-        solution.require_from(self)
-        psi = self.scan_order(self.march.unblocks(solution.coefficients))
+        with self.lock:
+            solution.require_from(self)
+            psi = self.scan_order(self.march.unblocks(solution.coefficients))
         return FluxField.from_psi(self.mesh.centers, psi.reshape(self.shape[0], -1), self.quad,
                                   self.mesh.widths if normalized else None)
 
@@ -187,35 +194,36 @@ def source_iteration(operator: SweepOperator, source: SourceField,
     (cell-average scalar flux (M, G), the Solution: the last sweep's blocked
     angular fluxes, the source and the number of sweeps).
     """
-    m, g, n = operator.shape
-    source.require_on(operator.mesh, g)
-    # group-major (G, cells) from here on: phi and the next sweep's phi;
-    # terms[j], group j's share of the transfer, add up front to back in
-    # the first, the sweep's source once the emission joins, then the change
-    phi, phi_new = np.zeros((2, g, m))
-    if phi0 is not None:
-        if np.shape(phi0) != (m, g) or not np.all(np.isfinite(phi0)):
-            raise ValidationError(f"phi0 must be finite with shape (cells, G) = {(m, g)}, "
-                                  f"got shape {np.shape(phi0)}")
-        phi[...] = np.transpose(phi0)
-    terms = np.empty((g, g, m))
-    first, *rest = terms
-    change = first.reshape(-1)
-    out = np.zeros((g, n))
-    # isotropic: every ordinate of a direction half sees half the emission,
-    # as operator.transfer holds half the scattering
-    emission = np.ascontiguousarray(source.emission.T) / 2.0
-    for it in range(1, max_inner + 1):
-        np.multiply(phi[:, None], operator.transfer, out=terms)
-        for term in rest:
-            first += term
-        first += emission
-        psi = operator.sweep(first, out, phi_new)
-        np.subtract(phi_new, phi, out=first)
-        phi, phi_new = phi_new, phi
-        # the L2 norm as np.linalg.norm takes it
-        if math.sqrt(change.dot(change)) < tolerance or operator.streaming:
-            return phi.T.copy(), Solution(operator, psi.copy(), source, it)
-    raise MaxInnerIterationsError(
-        f"source iteration did not reach {tolerance} in {max_inner} sweeps "
-        "(scattering ratio too close to 1?)")
+    with operator.lock:
+        m, g, n = operator.shape
+        source.require_on(operator.mesh, g)
+        # group-major (G, cells) from here on: phi and the next sweep's phi;
+        # terms[j], group j's share of the transfer, add up front to back in
+        # the first, the sweep's source once the emission joins, then the change
+        phi, phi_new = np.zeros((2, g, m))
+        if phi0 is not None:
+            if np.shape(phi0) != (m, g) or not np.all(np.isfinite(phi0)):
+                raise ValidationError(f"phi0 must be finite with shape (cells, G) = {(m, g)}, "
+                                      f"got shape {np.shape(phi0)}")
+            phi[...] = np.transpose(phi0)
+        terms = np.empty((g, g, m))
+        first, *rest = terms
+        change = first.reshape(-1)
+        out = np.zeros((g, n))
+        # isotropic: every ordinate of a direction half sees half the emission,
+        # as operator.transfer holds half the scattering
+        emission = np.ascontiguousarray(source.emission.T) / 2.0
+        for it in range(1, max_inner + 1):
+            np.multiply(phi[:, None], operator.transfer, out=terms)
+            for term in rest:
+                first += term
+            first += emission
+            psi = operator.sweep(first, out, phi_new)
+            np.subtract(phi_new, phi, out=first)
+            phi, phi_new = phi_new, phi
+            # the L2 norm as np.linalg.norm takes it
+            if math.sqrt(change.dot(change)) < tolerance or operator.streaming:
+                return phi.T.copy(), Solution(operator, psi.copy(), source, it)
+        raise MaxInnerIterationsError(
+            f"source iteration did not reach {tolerance} in {max_inner} sweeps "
+            "(scattering ratio too close to 1?)")

@@ -996,16 +996,12 @@ def power_keff(solve_phi, geometry, materials, mesh, outers):
     return k
 
 
-def write_flux_csv_per_value(path, flux, quad):
+def write_flux_csv_per_value(path, flux):
     """Reference flux CSV writer: csv.writer, one repr(float) per value."""
-    n = quad.n
-    g = flux.n_groups
-    psi = flux.psi.reshape(flux.points.size, g, n)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "group"] + [f"psi_{i}" for i in range(1, n + 1)] + ["phi"])
+        writer.writerow(["x", "group", "phi"])
         for p in range(flux.points.size):
-            for gg in range(g):
-                writer.writerow([repr(float(flux.points[p])), gg + 1]
-                                + [repr(float(v)) for v in psi[p, gg]]
-                                + [repr(float(flux.phi[p, gg]))])
+            for gg in range(flux.n_groups):
+                writer.writerow([repr(float(flux.points[p])), gg + 1,
+                                 repr(float(flux.phi[p, gg]))])

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 from jsonschema import ValidationError, validate
 
 from _helpers import absorber_psi, write_flux_csv_per_value
-from slab_sn import FluxField, cli, gauss_legendre, outputs
+from slab_sn import FluxField, cli, gauss_legendre
 from slab_sn.cli import main
 from slab_sn.outputs import load_schema, write_flux_csv
 
@@ -55,12 +54,14 @@ class TestFixed:
         assert rc == 0
         rows = read_flux_csv(out / "flux.csv")
         assert len(rows) == 40  # one group, 40 cells
+        psi = np.load(out / "psi.npy")
+        assert psi.shape == (40, 4)
         mu = np.polynomial.legendre.leggauss(4)[0]
-        for row in rows[::7]:
+        for p, row in list(enumerate(rows))[::7]:
             x = float(row["x"])
-            for i, m in enumerate(mu, start=1):
+            for i, m in enumerate(mu):
                 expected = absorber_psi(x, m, 1.3, 1.0, 4.0)
-                assert float(row[f"psi_{i}"]) == pytest.approx(expected, abs=1e-10)
+                assert psi[p, i] == pytest.approx(expected, abs=1e-10)
         summary = json.loads((out / "summary.json").read_text())
         validate(summary, load_schema("fixed_summary"))
 
@@ -83,7 +84,9 @@ class TestFixed:
         # the summary records how the solve ran, as the eigen summary does
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         validate(summary, load_schema("fixed_summary"))
-        assert summary["schema"] == "slab-sn-fixed-summary/2"
+        assert summary["schema"] == "slab-sn-fixed-summary/3"
+        assert summary["outputs"] == {"flux_csv": "flux.csv", "psi_npy": "psi.npy"}
+        assert np.load(tmp_path / "run" / "psi.npy").shape == (70, 4 * 2)
         assert summary["inner_sweeps"] == sweeps
         assert summary["tolerance"] == config.flux_tolerance
         for key in ("inner_sweeps", "tolerance"):
@@ -194,7 +197,9 @@ class TestEigen:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         validate(summary, load_schema("eigen_summary"))
-        assert summary["schema"] == "slab-sn-eigen-summary/2"
+        assert summary["schema"] == "slab-sn-eigen-summary/3"
+        assert summary["outputs"] == {"flux_csv": "flux.csv", "psi_npy": "psi.npy",
+                                      "history_csv": "history.csv"}
         assert summary["timing"]["flux_seconds"] >= 0.0
         assert summary["k_eff"] == pytest.approx(1.2475935, abs=1e-5)
         assert summary["sn_order"] == 2
@@ -203,8 +208,9 @@ class TestEigen:
         assert header == load_schema("history_csv")["columns"]
         with open(out / "flux.csv") as fh:
             header = fh.readline().strip().split(",")
-        spec = load_schema("flux_csv")
-        assert header == spec["prefix"] + [f"psi_{i}" for i in (1, 2)] + spec["suffix"]
+        assert header == load_schema("flux_csv")["columns"] == ["x", "group", "phi"]
+        psi = np.load(out / "psi.npy")
+        assert psi.dtype == np.float64 and psi.shape == (summary["mesh_size"], 2 * 2)
 
     def test_reruns_are_bit_identical(self, pincell_file, tmp_path):
         outs = []
@@ -212,7 +218,7 @@ class TestEigen:
             out = tmp_path / name
             assert main(["eigen", str(pincell_file), "--sn", "2",
                          "--out", str(out)]) == 0
-            outs.append((out / "flux.csv").read_bytes())
+            outs.append([(out / name).read_bytes() for name in ("flux.csv", "psi.npy")])
         assert outs[0] == outs[1]
 
     def test_one_cell_per_region_runs(self, pincell_file, tmp_path):
@@ -407,99 +413,36 @@ class TestFluxCsv:
         points[:3] = [-17.5, -0.0, 1.0 / 3.0]
         return FluxField(points=points, psi=values((p, g * n)), phi=values((p, g)))
 
-    @staticmethod
-    def count_forks(monkeypatch):
-        """The list that each os.fork call appends to."""
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        return forks
-
-    def force_parts(self, monkeypatch, parts):
-        """Split every table into `parts` parts; returns count_forks' list."""
-        monkeypatch.setattr(outputs, "_usable_cores", lambda: parts)
-        monkeypatch.setattr(outputs, "PART_VALUES", 1)
-        return self.count_forks(monkeypatch)
-
-    @staticmethod
-    def assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("n, g", [(2, 1), (16, 2)])
     def test_bytes_match_per_value_writer(self, tmp_path, n, g):
         p = 400
         flux = self.flux(p, g, n)
-        quad = gauss_legendre(n)
-        write_flux_csv(tmp_path / "got.csv", flux)
-        write_flux_csv_per_value(tmp_path / "ref.csv", flux, quad)
+        write_flux_csv(tmp_path / "got.csv", flux, tmp_path / "psi.npy")
+        write_flux_csv_per_value(tmp_path / "ref.csv", flux)
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
         assert got.count(b"\r\n") == p * g + 1
+        # the angular flux round-trips exactly through psi.npy
+        psi = np.load(tmp_path / "psi.npy")
+        assert psi.dtype == np.float64 and psi.shape == (p, g * n)
+        assert np.array_equal(psi, flux.psi)
+        # signed zeros kept: equal bits, not only equal values
+        assert psi.tobytes() == np.ascontiguousarray(flux.psi).tobytes()
+        assert np.signbit(psi.flat[0]) and psi.flat[0] == 0.0
 
-    # two and three parts, and more parts than the table's 8 rows
-    @pytest.mark.parametrize("p, g, parts", [(400, 2, 2), (400, 1, 3), (4, 2, 11)])
-    def test_parts_match_per_value_writer(self, tmp_path, monkeypatch, p, g, parts):
-        forks = self.force_parts(monkeypatch, parts)
-        flux = self.flux(p, g, 16)
-        write_flux_csv(tmp_path / "got.csv", flux)
-        write_flux_csv_per_value(tmp_path / "ref.csv", flux, gauss_legendre(16))
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert len(forks) == parts - 1
-        self.assert_no_child()
-
-    def test_table_below_part_values_makes_no_fork(self, tmp_path, monkeypatch):
-        def fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(outputs, "_usable_cores", lambda: 64)
-        monkeypatch.setattr(os, "fork", fork)
-        flux = self.flux(400, 2, 16)      # 15,200 values
-        assert flux.phi.size * 19 < outputs.PART_VALUES
-        write_flux_csv(tmp_path / "got.csv", flux)
-        write_flux_csv_per_value(tmp_path / "ref.csv", flux, gauss_legendre(16))
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    def test_failing_worker_raises_and_is_reaped(self, tmp_path, monkeypatch):
-        self.force_parts(monkeypatch, 3)
-        lines = outputs._lines
-
-        def fail_in_workers(flux, start, stop):
-            if start > 0:
-                raise MemoryError
-            return lines(flux, start, stop)
-
-        monkeypatch.setattr(outputs, "_lines", fail_in_workers)
-        with pytest.raises(OSError, match="part 1 of 3"):
-            write_flux_csv(tmp_path / "got.csv", self.flux(400, 2, 16))
-        self.assert_no_child()
-
-    def test_failing_parent_part_propagates_and_reaps(self, tmp_path, monkeypatch):
-        forks = self.force_parts(monkeypatch, 3)
-        lines = outputs._lines
-
-        def fail_in_parent(flux, start, stop):
-            if start == 0:
-                raise KeyError("parent part")
-            return lines(flux, start, stop)
-
-        monkeypatch.setattr(outputs, "_lines", fail_in_parent)
-        with pytest.raises(KeyError, match="parent part"):
-            write_flux_csv(tmp_path / "got.csv", self.flux(4000, 2, 16))
-        assert len(forks) == 2
-        self.assert_no_child()
-
-    def test_cli_eigen_in_parts_leaves_no_child(self, pincell_file, tmp_path, monkeypatch):
-        # 2 x 4000 rows of 19 values: two parts on two cores
-        monkeypatch.setattr(outputs, "_usable_cores", lambda: 2)
-        forks = self.count_forks(monkeypatch)
-        for out in ("one", "two"):
-            assert main(["eigen", str(pincell_file), "--sn", "16", "--mesh", "4000",
-                         "--out", str(tmp_path / out)]) == 0
-            monkeypatch.setattr(outputs, "_usable_cores", lambda: 1)
-        assert len(forks) == 1
-        self.assert_no_child()
-        assert ((tmp_path / "one" / "flux.csv").read_bytes()
-                == (tmp_path / "two" / "flux.csv").read_bytes())
+    def test_psi_npy_is_the_ordinate_columns_in_point_order(self, pincell_file, tmp_path):
+        # column g N + i - 1 is group g + 1 at ordinate i in ascending mu:
+        # phi recomputed from psi.npy with the weights is the CSV's phi
+        out = tmp_path / "run"
+        assert main(["eigen", str(pincell_file), "--sn", "4", "--mesh", "70",
+                     "--out", str(out)]) == 0
+        rows = read_flux_csv(out / "flux.csv")
+        psi = np.load(out / "psi.npy")
+        assert psi.shape == (70, 2 * 4)
+        phi = psi.reshape(70, 2, 4) @ gauss_legendre(4).weight
+        csv_phi = np.array([float(r["phi"]) for r in rows])
+        assert np.abs(phi.reshape(-1) - csv_phi).max() <= 1e-12 * csv_phi.max()
+        assert [int(r["group"]) for r in rows] == [1, 2] * 70
 
 
 class TestBench:

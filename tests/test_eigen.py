@@ -1,3 +1,6 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +13,9 @@ from slab_sn import (BoundaryCondition, FluxField, MaxOuterIterationsError,
                      SlabGeometry, SolverConfig, ValidationError,
                      ZeroFluxError, build_fine_mesh,
                      gauss_legendre, normalize, power_iteration, update_keff)
-from slab_sn.eigen import _initial_production, _per_cell
+from slab_sn import SourceField, evaluate_flux
+from slab_sn.eigen import _initial_production, _per_cell, build_operator, solve_source
+from slab_sn.recurrence import FirstOrderScan
 
 PCM = 1e-5
 
@@ -306,3 +311,76 @@ class TestInfiniteMediumLimit:
         cfg = SolverConfig(sn_order=4, fine_mesh_size=100, ke=1.41, max_outer=400)
         res = power_iteration(geo, {"core": core}, cfg)
         assert abs(res.k_eff - k_inf) < 2.0 * PCM
+
+
+class TestOneCallerAtATime:
+    """Threads on one operator get the answers of serial calls."""
+
+    @pytest.mark.parametrize("solver", ["analytic", "sweep"])
+    def test_two_threads_get_the_serial_answers(self, pincell, monkeypatch, solver):
+        # every march waits on a barrier once it has scanned the operator's
+        # workspace, so that unguarded calls from two threads meet there and
+        # the first to arrive reads on from the other's scan; guarded ones
+        # wait for the operator's lock instead, and the first wait's timeout
+        # breaks the barrier, so that they cannot deadlock
+        config = replace(pincell.config, sn_order=4, fine_mesh_size=70, solver_kind=solver)
+        operator = build_operator(pincell.geometry, pincell.materials, config)
+        mesh = operator.mesh
+        sources = [SourceField(mesh, np.ones((mesh.n_cells, 2))),
+                   SourceField(mesh, np.abs(mesh.centers)[:, None] * [1.0, 0.5])]
+
+        def run(source):
+            phi, solution = solve_source(operator, source, config, config.flux_tolerance)
+            answer = [phi, operator.flux(solution).psi]
+            if solver == "analytic":
+                answer.append(evaluate_flux(operator, solution, mesh.edges).psi)
+            return answer
+
+        serial = [run(source) for source in sources]
+        barrier, scan = threading.Barrier(2, timeout=0.5), FirstOrderScan.in_place
+
+        def scan_then_wait(*args, **kwargs):
+            scan(*args, **kwargs)
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+
+        monkeypatch.setattr(FirstOrderScan, "in_place", scan_then_wait)
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(run, sources, timeout=60))
+        for got, ref in zip(threaded, serial):
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+        # a guarded call met the barrier alone
+        assert barrier.broken
+
+    @pytest.mark.parametrize("solver", ["analytic", "sweep"])
+    def test_more_threads_than_cores_get_the_serial_answers(self, pincell, solver):
+        # four threads, each solving and reading its own source ten times,
+        # switching as often as the interpreter lets them
+        config = replace(pincell.config, sn_order=4, fine_mesh_size=70, solver_kind=solver)
+        operator = build_operator(pincell.geometry, pincell.materials, config)
+        centers = operator.mesh.centers
+        sources = [SourceField(operator.mesh, np.abs(centers - c)[:, None] * [1.0, 0.5])
+                   for c in (-9.0, -3.0, 3.0, 9.0)]
+
+        def run(source):
+            answers = []
+            for _ in range(10):
+                phi, solution = solve_source(operator, source, config, config.flux_tolerance)
+                answers.append([phi, operator.flux(solution).psi])
+            return answers
+
+        serial = [run(source)[0] for source in sources]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(run, sources, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for runs, ref in zip(threaded, serial):
+            for answer in runs:
+                for a, b in zip(answer, ref):
+                    assert np.array_equal(a, b)
