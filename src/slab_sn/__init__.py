@@ -8,8 +8,8 @@ Wielandt shift, plus a benchmark harness comparing the two solvers.
 from .analytic import (FixedSourceOperator, evaluate_flux, fixed_source_solve,
                        solve_alpha, solve_fixed_source)
 from .bench import BenchmarkReport, cell_name, default_cells, run_benchmark
-from .eigen import (EigenResult, build_operator, normalize, power_iteration,
-                    solve_source, update_keff)
+from .eigen import (EigenResult, build_operator, power_iteration, solve_source,
+                    update_keff)
 from .exceptions import (DefectiveMatrixError, ExponentOverflowError,
                          MaxInnerIterationsError, MaxOuterIterationsError,
                          MeshAlignmentError, NonpositiveIntegralError,

@@ -84,16 +84,16 @@ RCOND_ITERATIONS = 5
 EVAL_CHUNK = 256
 
 
-def _end(bc, quad: QuadratureSet, side: str, g: int):
+def _end(kind: str, f: np.ndarray, quad: QuadratureSet, side: str):
     """(E, f): one slab end's N G / 2 conditions E psi = f on the
-    group-major angular flux psi (N G) at that edge.  A vacuum or incoming
-    end fixes each entering ordinate (mu > 0 on the left, mu < 0 on the
-    right), group-major in ascending mu as incoming values run, to f, the
-    values or zeros; a reflective end asks psi(mu) - psi(-mu) = 0 for each
-    mu > 0, at either end."""
-    eye = np.eye(quad.n * g)
-    f = bc.values if bc.kind == "incoming" else np.zeros(eye.shape[0] // 2)
-    if bc.kind == "reflective":
+    group-major angular flux psi (N G) at that edge, f the end's entering
+    fluxes (SlabGeometry.entering).  A vacuum or incoming end fixes each
+    entering ordinate (mu > 0 on the left, mu < 0 on the right),
+    group-major in ascending mu, to f; a reflective end asks
+    psi(mu) - psi(-mu) = 0 for each mu > 0, at either end."""
+    eye = np.eye(2 * f.size)
+    g = eye.shape[0] // quad.n
+    if kind == "reflective":
         # ordinates run in ascending mu, so -mu mirrors mu within its group
         positive = np.tile(quad.mu > 0.0, g)
         return eye[positive] - eye.reshape(g, quad.n, -1)[:, ::-1].reshape(eye.shape)[positive], f
@@ -527,22 +527,31 @@ class FixedSourceOperator:
     cell-centre factors, and the InterfaceFactor of the global
     boundary/continuity system, checked once (SingularSystemError below an
     estimated 1-norm rcond of 1e-14; rcond keeps the estimate).  spectra
-    (kept) maps material name -> BlockSpectrum.  solve_fixed_source and
-    fixed_source_solve apply it to one source at a time, and flux reads the
-    cell-centre angular flux.  Every solve and read writes state that the
-    operator keeps (each group's workspace and gathered emission, marched
-    and the factor's buffer), so each runs under the operator's lock, an
-    RLock: calls from other threads wait their turn.
+    (kept) maps each region material to a BlockSpectrum of one size, a
+    multiple of quad.n, and the ends come from SlabGeometry.entering
+    (ValidationError otherwise).  G is read off that size, so the spectra
+    must come from assemble_A(material, quad, ...) at this quad: S8 spectra
+    under S4 build and solve as twice the groups, with no error.
+    solve_fixed_source and fixed_source_solve apply it to one source at a
+    time, and flux reads the cell-centre angular flux.  Every solve and
+    read writes state that the operator keeps (each group's workspace and
+    gathered emission, marched and the factor's buffer), so each runs under
+    the operator's lock, an RLock: calls from other threads wait their turn.
     """
 
     def __init__(self, geometry: SlabGeometry, spectra, mesh: FineMesh,
                  quad: QuadratureSet):
+        missing = sorted(set(geometry.materials).difference(spectra))
+        sizes = sorted({spectra[name].size for name in geometry.materials if name in spectra})
+        if missing or len(sizes) != 1 or sizes[0] % quad.n:
+            raise ValidationError(f"spectra must give every region material one size, a multiple "
+                                  f"of N = {quad.n}: missing {missing}, sizes {sizes}")
         self.geometry = geometry
         self.mesh = mesh
         self.quad = quad
         self.spectra = spectra
         self.groups = _groups(geometry, spectra, mesh, quad)
-        self.ng = self.groups[0].enc.shape[1]
+        self.ng = sizes[0]
         self.n_groups = self.ng // quad.n
 
         # P @ Gtilde at every region's left and right edge
@@ -552,8 +561,9 @@ class FixedSourceOperator:
             left[group.regions] = group.edge_blocks("left")
             right[group.regions] = group.edge_blocks("right")
         # each end's conditions (E, f), for the factor and every rhs
-        self.bcs = (_end(geometry.bc_left, quad, "left", self.n_groups),
-                    _end(geometry.bc_right, quad, "right", self.n_groups))
+        f_left, f_right = geometry.entering(self.ng // 2)
+        self.bcs = (_end(geometry.bc_left.kind, f_left, quad, "left"),
+                    _end(geometry.bc_right.kind, f_right, quad, "right"))
         (e_left, _), (e_right, _) = self.bcs
         self.factor = InterfaceFactor(e_left @ left[0], right[:-1], -left[1:],
                                       e_right @ right[-1])

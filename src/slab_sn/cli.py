@@ -89,13 +89,19 @@ def _load(args):
     return replace(problem, config=config)
 
 
-def _dump_matrices(args, outdir, materials, config, solved):
-    """--dump-matrices (analytic solver, as _load checks): A per material,
-    rebuilt as the operator built it, with P and B from the spectra of the
-    solve (the operator or the result)."""
+def _write_run(args, materials, config, solved, flux):
+    """Make --out, only now so that an input error leaves none, and write
+    in it the --dump-matrices CSVs (A per material as the operator built it,
+    P and B from solved's spectra), flux.csv and psi.npy: returns (the
+    directory, {summary key: file name})."""
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     if args.dump_matrices:
         _, matrices = transport_matrices(materials, solved.spectra, config)
         outputs.dump_matrices(outdir / "matrices", matrices, solved.spectra)
+    names = {"flux_csv": "flux.csv", "psi_npy": "psi.npy"}
+    outputs.write_flux_csv(outdir / names["flux_csv"], flux, outdir / names["psi_npy"])
+    return outdir, names
 
 
 def _fixed_source(args, mesh, n_groups) -> SourceField:
@@ -130,17 +136,9 @@ def cmd_fixed(args) -> int:
     _, solution = solve_source(operator, source, cfg, cfg.flux_tolerance)
     flux = operator.flux(solution)
     seconds = time.perf_counter() - t0
-    # created only now, so that an input error leaves no output directory
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _dump_matrices(args, outdir, problem.materials, cfg, operator)
-
-    flux_csv, psi_npy = outdir / "flux.csv", outdir / "psi.npy"
-    outputs.write_flux_csv(flux_csv, flux, psi_npy)
+    outdir, names = _write_run(args, problem.materials, cfg, operator, flux)
     summary = outputs.fixed_summary(cfg, source_kind=args.source, seconds=seconds,
-                                    inner_sweeps=solution.sweeps,
-                                    outputs={"flux_csv": flux_csv.name,
-                                             "psi_npy": psi_npy.name})
+                                    inner_sweeps=solution.sweeps, outputs=names)
     outputs.write_json(outdir / "summary.json", summary)
     return 0
 
@@ -149,17 +147,10 @@ def cmd_eigen(args) -> int:
     problem = _load(args)
     cfg = problem.config
     result = power_iteration(problem.geometry, problem.materials, cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _dump_matrices(args, outdir, problem.materials, cfg, result)
-    flux_csv, psi_npy = outdir / "flux.csv", outdir / "psi.npy"
-    history_csv = outdir / "history.csv"
-    outputs.write_flux_csv(flux_csv, result.flux, psi_npy)
-    outputs.write_history_csv(history_csv, result)
-    summary = outputs.eigen_summary(result, {"flux_csv": flux_csv.name,
-                                             "psi_npy": psi_npy.name,
-                                             "history_csv": history_csv.name})
-    outputs.write_json(outdir / "summary.json", summary)
+    outdir, names = _write_run(args, problem.materials, cfg, result, result.flux)
+    names["history_csv"] = "history.csv"
+    outputs.write_history_csv(outdir / names["history_csv"], result)
+    outputs.write_json(outdir / "summary.json", outputs.eigen_summary(result, names))
     print(f"k_eff = {result.k_eff:.6f} after {result.iterations} outer iterations")
     return 0
 

@@ -29,7 +29,7 @@ import numpy as np
 from .analytic import FixedSourceOperator, fixed_source_solve
 from .exceptions import (MaxOuterIterationsError, NonpositiveIntegralError,
                          ShiftAtEigenvalueError, ValidationError, ZeroFluxError)
-from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh, unit_scale
+from .mesh import FineMesh, FluxField, SourceField, build_fine_mesh
 from .model import SlabGeometry, SolverConfig, gauss_legendre, validate_problem
 from .spectral import assemble_A, block_diagonalize
 from .sweep import SweepOperator, source_iteration
@@ -97,11 +97,6 @@ def update_keff(prev_k: float, ke: Optional[float], integral_prev: float,
     if inv <= 0.0:
         raise NonpositiveIntegralError(f"shifted eigenvalue update produced 1/k = {inv!r}{below}")
     return 1.0 / inv
-
-
-def normalize(flux: FluxField, mesh: FineMesh) -> FluxField:
-    """Scale so the summed group integrals of the scalar flux equal one."""
-    return flux.scaled(unit_scale(flux.phi, mesh.widths))
 
 
 def _initial_production(mesh: FineMesh, nu_sigma_f: np.ndarray) -> np.ndarray:

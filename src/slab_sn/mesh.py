@@ -178,11 +178,15 @@ class FluxField:
         """The field of the angular flux psi (points, N G), which it takes
         without a copy and makes read-only.  Given the cell widths (points,),
         psi and phi are first scaled in place so that the summed group
-        integrals of phi equal one (ZeroFluxError when they vanish)."""
+        integrals of phi equal one, the package's one flux normalization
+        (ZeroFluxError when they vanish or are not finite)."""
         psi, n = np.asarray(psi, dtype=float), quad.n
         phi = psi.reshape(np.size(points), psi.shape[1] // n, n) @ quad.weight
         if widths is not None:
-            scale = unit_scale(phi, widths)
+            total = float(np.sum(phi * widths[:, None]))
+            if not np.isfinite(total) or total == 0.0:
+                raise ZeroFluxError("flux integrates to zero; cannot normalize")
+            scale = 1.0 / total
             psi *= scale
             phi *= scale
         flux = cls.__new__(cls)
@@ -199,11 +203,3 @@ class FluxField:
     def scaled(self, factor: float) -> "FluxField":
         return FluxField(points=self.points, psi=self.psi * factor, phi=self.phi * factor)
 
-
-def unit_scale(phi: np.ndarray, widths: np.ndarray) -> float:
-    """1 / the summed group integrals of phi (cells, G) over the cell widths;
-    ZeroFluxError when they vanish or are not finite."""
-    total = float(np.sum(phi * widths[:, None]))
-    if not np.isfinite(total) or total == 0.0:
-        raise ZeroFluxError("flux integrates to zero; cannot normalize")
-    return 1.0 / total

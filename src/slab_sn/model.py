@@ -228,6 +228,18 @@ class SlabGeometry:
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
 
+    def entering(self, n: int) -> tuple:
+        """(left, right): each end's n = N G / 2 entering angular fluxes,
+        group-major in ascending mu, an incoming end's values and zeros for
+        the other kinds; ValidationError unless each incoming end holds n."""
+        ends = []
+        for side, bc in (("bc_left", self.bc_left), ("bc_right", self.bc_right)):
+            if bc.kind == "incoming" and bc.values.size != n:
+                raise ValidationError(
+                    f"{side}: incoming flux must have length N*G/2 = {n}, got {bc.values.size}")
+            ends.append(bc.values if bc.kind == "incoming" else np.zeros(n))
+        return tuple(ends)
+
     def require_cells(self, n_cells: int) -> None:
         """Raise ValidationError unless n_cells cells can give every region one."""
         if n_cells < self.n_regions:
@@ -276,10 +288,7 @@ def validate_problem(geometry: SlabGeometry, materials: dict, config: SolverConf
     if len(groups) != 1:
         raise ValidationError(f"all materials must share one group count, got {sorted(groups)}")
     ng = groups.pop() * config.sn_order
-    for side, bc in (("bc_left", geometry.bc_left), ("bc_right", geometry.bc_right)):
-        if bc.kind == "incoming" and bc.values.size != ng // 2:
-            raise ValidationError(
-                f"{side}: incoming flux must have length N*G/2 = {ng // 2}, got {bc.values.size}")
+    geometry.entering(ng // 2)
     geometry.require_cells(config.fine_mesh_size)
     for name in geometry.materials:
         materials[name].require_kernel_order(ng)

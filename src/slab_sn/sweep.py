@@ -121,15 +121,13 @@ class SweepOperator:
         self.sides = np.ascontiguousarray([2 * rows[::-1].T, 2 * rows.T + 1])
         self.pair = np.empty(self.sides.shape)
 
-        # incoming flux per (group, scan column): mu < 0 columns enter at the
-        # right end, mu > 0 columns at the left end; a reflective end copies
-        # the mirrored ordinate's outgoing flux of the previous sweep
-        self.incoming = np.zeros(self.shape[1:])
-        self.reflect = np.zeros(quad.n, dtype=bool)
-        for cols, bc in ((slice(0, h), geometry.bc_right), (slice(h, None), geometry.bc_left)):
-            if bc.kind == "incoming":
-                self.incoming[:, cols] = np.reshape(bc.values, (-1, h))
-            self.reflect[cols] = bc.kind == "reflective"
+        # the ends' entering flux per (group, scan column): mu < 0 columns
+        # enter at the right end, mu > 0 columns at the left end; a reflective
+        # end copies the mirrored ordinate's outgoing flux of the previous sweep
+        left, right = geometry.entering(g * h)
+        self.incoming = np.hstack([right.reshape(g, h), left.reshape(g, h)])
+        self.reflect = np.repeat([geometry.bc_right.kind == "reflective",
+                                  geometry.bc_left.kind == "reflective"], h)
         # no end reflects or lets flux in: none enters the first scan row
         self.inflow = self.reflect.any() or self.incoming.any()
         # pure streaming: a single sweep is the exact solution

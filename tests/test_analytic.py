@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -199,6 +200,50 @@ class TestInterfaceFactor:
         exact = oracle_rcond(geo, spectra, mesh, quad)
         assert operator.rcond <= 1e-10
         assert exact / 3.0 <= operator.rcond <= 3.0 * exact
+
+
+class TestHandBuiltOperators:
+    """An operator built by hand, not through build_operator's validation,
+    still refuses the slab ends and spectra it cannot read."""
+
+    @staticmethod
+    def build(solver, geometry, materials, quad, spectra=None):
+        mesh = build_fine_mesh(geometry, 70)
+        if solver == "sweep":
+            return SweepOperator(geometry, materials, mesh, quad)
+        spectra = spectra or spectra_for(geometry, materials, quad)
+        return FixedSourceOperator(geometry, spectra, mesh, quad)
+
+    @pytest.mark.parametrize("solver", ["analytic", "sweep"])
+    @pytest.mark.parametrize("side", ["bc_left", "bc_right"])
+    # 1, N G / 4 and N G / 2 - 1 values at S8 with two groups
+    @pytest.mark.parametrize("count", [1, 4, 7])
+    def test_wrong_length_incoming_end_raises(self, pincell, solver, side, count):
+        geo = replace(pincell.geometry, **{side: BoundaryCondition.incoming(np.ones(count))})
+        with pytest.raises(ValidationError, match=rf"^{side}: incoming flux must have "
+                                                  rf"length N\*G/2 = 8, got {count}$"):
+            self.build(solver, geo, pincell.materials, gauss_legendre(8))
+
+    def test_missing_spectrum_raises(self, pincell):
+        quad = gauss_legendre(4)
+        spectra = spectra_for(pincell.geometry, pincell.materials, quad)
+        del spectra["reflector"]
+        with pytest.raises(ValidationError, match=r"missing \['reflector'\], sizes \[8\]"):
+            self.build("analytic", pincell.geometry, pincell.materials, quad, spectra)
+
+    # the S_N orders of the core's and the reflector's spectra, two groups
+    # each, and the operator's quadrature order: mixed sizes, or one size
+    # that is not a multiple of N
+    @pytest.mark.parametrize("orders, n, sizes", [((4, 2), 4, [4, 8]), ((4, 8), 4, [8, 16]),
+                                                  ((2, 2), 8, [4])])
+    def test_spectra_of_mixed_or_indivisible_size_raise(self, pincell, orders, n, sizes):
+        spectra = {name: block_diagonalize(assemble_A(pincell.materials[name],
+                                                      gauss_legendre(order), 0.0))
+                   for name, order in zip(("core", "reflector"), orders)}
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"multiple of N = {n}: missing [], sizes {sizes}")):
+            self.build("analytic", pincell.geometry, pincell.materials, gauss_legendre(n),
+                       spectra)
 
 
 class TestClosedForms:

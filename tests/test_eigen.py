@@ -12,7 +12,7 @@ from slab_sn import (BoundaryCondition, FluxField, MaxOuterIterationsError,
                      NonpositiveIntegralError, ShiftAtEigenvalueError,
                      SlabGeometry, SolverConfig, ValidationError,
                      ZeroFluxError, build_fine_mesh,
-                     gauss_legendre, normalize, power_iteration, update_keff)
+                     gauss_legendre, power_iteration, update_keff)
 from slab_sn import SourceField, evaluate_flux
 from slab_sn.eigen import _initial_production, _per_cell, build_operator, solve_source
 from slab_sn.recurrence import FirstOrderScan
@@ -103,34 +103,36 @@ class TestUpdateKeff:
 
 
 class TestNormalize:
+    """FluxField.from_psi with the cell widths, the normalization that
+    power_iteration's final flux read uses."""
+
     def geometry(self):
         geo = SlabGeometry(edges=np.array([0.0, 35.0]), materials=("m",))
         return geo, build_fine_mesh(geo, 70)
 
+    def normed(self, psi, mesh):
+        # from_psi scales the array it is given in place
+        return FluxField.from_psi(mesh.centers, np.array(psi, dtype=float),
+                                  gauss_legendre(2), mesh.widths)
+
     def test_constant_flux_scale_factor(self):
         _, mesh = self.geometry()
         c = 4.0
-        flux = FluxField.from_psi(mesh.centers, np.full((70, 2), c / 2.0),
-                                  gauss_legendre(2))
-        normed = normalize(flux, mesh)
+        normed = self.normed(np.full((70, 2), c / 2.0), mesh)
         assert np.allclose(normed.phi, 1.0 / 35.0, rtol=1e-13)
 
     def test_idempotent_and_projective(self):
         _, mesh = self.geometry()
         rng = np.random.default_rng(7)
         psi = rng.uniform(0.1, 1.0, size=(70, 2))
-        flux = FluxField.from_psi(mesh.centers, psi, gauss_legendre(2))
-        once = normalize(flux, mesh)
-        assert np.allclose(normalize(once, mesh).psi, once.psi, rtol=1e-14)
-        assert np.allclose(normalize(flux.scaled(7.0), mesh).psi, once.psi,
-                           rtol=1e-13)
+        once = self.normed(psi, mesh)
+        assert np.allclose(self.normed(once.psi, mesh).psi, once.psi, rtol=1e-14)
+        assert np.allclose(self.normed(7.0 * psi, mesh).psi, once.psi, rtol=1e-13)
 
     def test_zero_flux_raises(self):
         _, mesh = self.geometry()
-        flux = FluxField.from_psi(mesh.centers, np.zeros((70, 2)),
-                                  gauss_legendre(2))
         with pytest.raises(ZeroFluxError):
-            normalize(flux, mesh)
+            self.normed(np.zeros((70, 2)), mesh)
 
 
 class TestPowerIteration:

@@ -7,6 +7,7 @@ from _helpers import (eigenvalues, faddeev_leverrier, gamma, one_group_material,
 from slab_sn import (BlockSpectrum, DefectiveMatrixError,
                      ExponentOverflowError, MaterialXS, ValidationError,
                      assemble_A, block_diagonalize, gauss_legendre)
+from slab_sn import spectral
 
 SQRT3 = np.sqrt(3.0)
 
@@ -118,6 +119,15 @@ class TestBlockDiagonalize:
     def test_defective_matrix_raises(self):
         with pytest.raises(DefectiveMatrixError):
             block_diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_similarity_residual_above_tolerance_raises(self, pincell, monkeypatch, n):
+        # the pincell core's residual is round-off, 1e-16 to 1e-15 relative,
+        # so a zero tolerance trips the residual check and nothing before it
+        monkeypatch.setattr(spectral, "RESIDUAL_RTOL", 0.0)
+        a = assemble_A(pincell.materials["core"], gauss_legendre(n), 0.0)
+        with pytest.raises(DefectiveMatrixError, match="residual .* too large"):
+            block_diagonalize(a)
 
     @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(4),
                                    np.array([[1.0, np.nan], [0.0, 1.0]]),
