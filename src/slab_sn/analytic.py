@@ -25,17 +25,18 @@ see InterfaceFactor.
 
 Only J and the right-hand side depend on the source.  A FixedSourceOperator
 is therefore built once per problem, by eigen.build_operator.  It gathers
-the regions into groups, one per material and row of width-only factors:
-regions whose cell widths agree to WIDTH_RTOL, as on build_fine_mesh
-meshes, share one row at their nominal width L / m, and the other regions
-of a material (graded meshes) share a group with one row per cell.  Each
-group holds its regions and, for their cells concatenated in slab order,
-the anchored block rates, the homogeneous factors at the cell centres as
-two power tables (of about sqrt(cells) rows at a shared width), the
-width-only factors (the half-cell step, its source integral and the
-recurrence's source multiplier) and the projection and expansion matrices;
-the operator adds the factored global system, built from each group's edge
-blocks in one product per side, checked once for singularity.
+the regions into groups, one per material, row of width-only factors and
+kind of block (below): regions whose cell widths agree to WIDTH_RTOL, as
+on build_fine_mesh meshes, share one row at their nominal width L / m, and
+the other regions of a material (graded meshes) share a group with one
+row per cell.  Each group holds its regions and, for their cells
+concatenated in slab order, the anchored block rates, the homogeneous
+factors at the cell centres as two power tables (of about sqrt(cells) rows
+at a shared width), the width-only factors (the half-cell step, its source
+integral and the recurrence's source multiplier) and the projection and
+expansion matrices; the operator adds the factored global system, built
+from each group's edge blocks in one product per side, checked once for
+singularity.
 A source is a SourceField on the operator's mesh, an isotropic emission
 S (cells, G) with S/2 on every ordinate, so applying the operator costs,
 per group and not per region, with no (rows, blocks) array formed: one
@@ -53,14 +54,20 @@ its operator, from the march of its source, which the operator records
 and marches again only after marching another: flux at the cell centres
 a chunk of rows at a time, and evaluate_flux at EVAL_CHUNK points a call.
 
-Every block is handled as one complex scalar, taken with the encoding
-from the BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair
-block as conj(z), which is how it acts on u1 + i u2.  The blocks are kept
-in scan order: those anchored at the left edge first, then those anchored
-at the right edge, whose per-cell arrays run in each region's reversed
-cell order.  Both kinds then march forward in one recurrence with the
-decaying rate rho (Re rho <= 0), and a cell's upwind edge is the one its
-recurrence enters through.
+Every block is handled as one scalar, taken with the encoding from the
+BlockSpectrum: a real eigenvalue lambda as itself, a 2x2 pair block as the
+complex conj(z), which is how it acts on u1 + i u2.  Each group holds one
+kind of block: for every (material, width row) one group takes the real
+rates and holds all its block data in float64, and, when the material has
+complex pairs, a second group of the same regions takes the pairs in
+complex128.  Each group so owns its blocks' columns of alpha, and the
+groups of a region add their shares of its edge blocks, right-hand side
+and flux.  Within a group the blocks are kept in scan order: those
+anchored at the left edge first, then those anchored at the right edge,
+whose per-cell arrays run in each region's reversed cell order.  Both
+kinds then march forward in one recurrence with the decaying rate rho
+(Re rho <= 0), and a cell's upwind edge is the one its recurrence enters
+through.
 """
 
 import threading
@@ -101,13 +108,23 @@ def _end(kind: str, f: np.ndarray, quad: QuadratureSet, side: str):
 
 
 def _real_part(matrix: np.ndarray) -> np.ndarray:
-    """R with x.view(float) @ R = Re(x @ matrix) for complex x."""
+    """R with _floats(x) @ R = Re(x @ matrix) for x of matrix's dtype: a
+    real matrix itself."""
+    if not np.iscomplexobj(matrix):
+        return matrix
     return np.stack([matrix.real, -matrix.imag], axis=1).reshape(-1, matrix.shape[1])
+
+
+def _floats(x: np.ndarray) -> np.ndarray:
+    """x's values as float64: a complex array's (re, im) pairs, a real
+    array itself."""
+    return x.view(float) if np.iscomplexobj(x) else x
 
 
 class _Group:
     """Source-independent data of the regions of one material that share one
-    row of width-only factors (blocks in scan order).
+    row of width-only factors, for one kind of its blocks (in scan order):
+    the real rates, all data float64, or the complex pairs, complex128.
 
     The regions' cells are concatenated in slab order; each region is one
     segment of the group's FirstOrderScan and keeps its left edge x_left,
@@ -126,8 +143,8 @@ class _Group:
     at a shared width, read through pick: no (rows, blocks) table is kept.
     """
 
-    def __init__(self, spec: BlockSpectrum, quad: QuadratureSet, width, regions,
-                 geometry: SlabGeometry, mesh: FineMesh):
+    def __init__(self, spec: BlockSpectrum, blocks: np.ndarray, quad: QuadratureSet, width,
+                 regions, geometry: SlabGeometry, mesh: FineMesh):
         self.regions = np.asarray(regions)
         self.x_left = geometry.edges[self.regions]
         self.length = geometry.edges[self.regions + 1] - self.x_left
@@ -144,15 +161,18 @@ class _Group:
         # back[m]: the row of cells that scan row m of the backward blocks
         # holds (each region reversed in place, so back is its own inverse)
         self.back = (self.starts + self.ends - 1)[segment] - rows
-        order = np.argsort(spec.rates.real > 0.0, kind="stable")
-        rate = spec.rates.conj()[order]
+        # blocks masks the spectrum's blocks that the group takes
+        rates = spec.rates[blocks]
+        self.dtype = complex if np.any(rates.imag) else float
+        order = np.argsort(rates.real > 0.0, kind="stable")
+        rate = rates.conj()[order]
         self.forward = rate.real <= 0.0
         self.nf = int(np.count_nonzero(self.forward))
-        self.rho = np.where(self.forward, rate, -rate)
+        self.rho = self._cast(np.where(self.forward, rate, -rate))
         # enc maps real coefficients to block scalars; expand maps block
         # scalars back to angular flux rows (psi = Re(x @ expand)) and
         # expand_phi to the scalar flux (phi = Re(x @ expand_phi))
-        self.enc = spec.encoding[order]
+        self.enc = self._cast(spec.encoding[blocks][order])
         self.expand = self.enc.conj() @ spec.P.T
         g = spec.size // quad.n
         self.expand_phi = self.expand.reshape(-1, g, quad.n) @ quad.weight
@@ -181,44 +201,48 @@ class _Group:
             span = int(np.ceil(np.sqrt(counts.max())))
             local, anchor = rows - self.starts[segment], ((np.arange(span) + 0.5) * width)[:, None]
         k, i = np.divmod(local, span)
-        self.p = exp_block(self.rho, anchor)
-        self.q = exp_block(self.rho, np.arange(k.max() + 1)[:, None] * (span * fwd[0]))
+        self.p = self._cast(exp_block(self.rho, anchor))
+        self.q = self._cast(exp_block(self.rho, np.arange(k.max() + 1)[:, None]
+                                         * (span * fwd[0])))
         # each (segment, k) pair that occurs is a row of _coefficients, and
         # pick[m] = pair[m] span + i
         keys, pair = np.unique(segment * len(self.q) + k, return_inverse=True)
         self.pair_segment, self.pair_k = np.divmod(keys, len(self.q))
         self.pick = pair * span + i
-        self.half = exp_block(self.rho, upwind)
-        self.phi_half = phi_block(self.rho, upwind)
+        self.half = self._cast(exp_block(self.rho, upwind))
+        self.phi_half = self._cast(phi_block(self.rho, upwind))
         source_coef = (1.0 + self.half) * self.phi_half
         self.march = march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
         # kept for every outer iteration's scan, whose J it holds until the
         # next; its scratch is the room in which centre values are built
-        self.work = march.workspace(complex)
+        self.work = march.workspace(self.dtype)
         # previous[m]: the flattened workspace row before scan row m's, which
         # holds J at row m's upwind edge
         self.previous = np.roll(march.index, 1)
         # the emission's flat index for every blocked row: the G values of
-        # the forward blocks' cell, then those of the backward blocks'
+        # the forward blocks' cell, then those of the backward blocks'; flat
+        # holds the same index in cell order, through which centres_into
+        # adds to the scalar flux
         flat = self.cells[:, None] * g + np.arange(g)
         self.gather = march.blocks(np.hstack([flat, flat[self.back]]))
+        self.flat = flat.reshape(-1)
         self.emitted = np.empty(self.gather.shape)
         # emitted_map takes a gathered emission row to its block sources and
-        # source_map to the march's, both as real pairs; a row per cell
+        # source_map to the march's, both as _floats; a row per cell
         # keeps source_coef in the blocked layout, per_row, instead
         self.halves = np.stack([self.forward, ~self.forward])
         project = (self.halves[:, None, :] * self.project).reshape(2 * g, -1)
-        self.emitted_map = project.view(float)
+        self.emitted_map = _floats(project)
         self.per_row = march.blocks(source_coef) if width is None else None
-        self.source_map = (project * (1.0 if width is None else source_coef)).view(float)
+        self.source_map = _floats(project * (1.0 if width is None else source_coef))
         # Re(x @ expand) and Re(x @ expand_phi) from each direction half's
         # block scalars (scalars_into)
         self.psi_maps, self.phi_maps = ((_real_part(e[:self.nf]), _real_part(e[self.nf:]))
                                         for e in (self.expand, self.expand_phi))
         # folds, a shared row's matrices to Re(x @ expand_phi) in
         # centres_into, split to the forward and backward halves: theta's
-        # from the emission, J's from the real view of the blocks, and hom
-        # alpha's from the real view of a row of _coefficients to every p
+        # from the emission, J's from the _floats of the blocks, and hom
+        # alpha's from the _floats of a row of _coefficients to every p
         # row at once, Re(c p[i] split) for each i in turn
         split = (self.halves.T[:, :, None] * self.expand_phi[:, None, :]).reshape(self.rho.size, -1)
         self.folds = () if width is None else (
@@ -228,11 +252,16 @@ class _Group:
         # gather, previous and pick stay writeable: take copies a
         # read-only index array on every call
         for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
-                    self.cells, self.back, self.forward, self.rho, self.enc, self.expand,
+                    self.cells, self.back, self.flat, self.forward, self.rho, self.enc, self.expand,
                     self.expand_phi, self.project, self.p, self.q, self.pair_segment, self.pair_k,
                     self.half, self.phi_half, self.halves, self.emitted_map, self.source_map,
                     *self.psi_maps, *self.phi_maps, *self.folds):
             arr.setflags(write=False)
+
+    def _cast(self, x: np.ndarray) -> np.ndarray:
+        """Block values x (complex) in the group's dtype: their real part in
+        a group of real rates, where their imaginary part is zero."""
+        return x if self.dtype is complex else x.real.copy()
 
     def particular(self, emission: np.ndarray) -> np.ndarray:
         """J where each region's march ends, (regions, blocks), marched across
@@ -242,7 +271,7 @@ class _Group:
         y = self.work[0]
         np.take(emission, self.gather, out=self.emitted, mode="clip")
         np.matmul(self.emitted.reshape(-1, self.gather.shape[2]), self.source_map,
-                  out=y.reshape(-1, self.rho.size).view(float))
+                  out=_floats(y.reshape(-1, self.rho.size)))
         if self.per_row is not None:
             y *= self.per_row
         self.march.in_place(self.work)
@@ -252,7 +281,7 @@ class _Group:
         """P @ Gtilde at the left or right edge of each of the group's
         regions, (regions, N G, N G) in the real block basis."""
         far = ~self.forward if side == "left" else self.forward
-        scale = exp_block(self.rho, np.where(far, self.length[:, None], 0.0))
+        scale = self._cast(exp_block(self.rho, np.where(far, self.length[:, None], 0.0)))
         return ((self.expand.T * scale[:, None, :]) @ self.enc).real
 
     def _coefficients(self, alphas: np.ndarray) -> np.ndarray:
@@ -266,8 +295,8 @@ class _Group:
         """values += hom alpha's share of each half's phi at every row: one
         product with fold for every (pair, p row), gathered through pick
         into the scan scratch, as many rows as it holds at a time."""
-        hom = (self._coefficients(alphas).view(float) @ fold).reshape(-1, values.shape[1])
-        scratch = self.work[1].reshape(-1).view(float)
+        hom = (_floats(self._coefficients(alphas)) @ fold).reshape(-1, values.shape[1])
+        scratch = _floats(self.work[1].reshape(-1))
         n = scratch.size // values.shape[1]
         for r in range(0, len(values), n):
             part = values[r:r + n]
@@ -275,25 +304,29 @@ class _Group:
                             out=scratch[:part.size].reshape(part.shape))
 
     def centres_into(self, alphas: np.ndarray, emission: np.ndarray, out: np.ndarray):
-        """out[cells] = Re(x @ expand_phi), the scalar flux, for the block
+        """out[cells] += Re(x @ expand_phi), the scalar flux, for the block
         scalars x = hom alpha + half j_in + phi_half theta at every cell
         centre, from the march of emission that the workspace holds: for
         a shared row each term through folds, J's from the blocked iterate,
         one row down and zero at the segment starts, and hom alpha's for
-        every (pair, p row) at once (_add_hom); a row per cell adds to out,
-        zero there, through scalars_into."""
+        every (pair, p row) at once (_add_hom); a row per cell through
+        scalars_into.  out must be C-contiguous (ValidationError otherwise):
+        a shared row adds to it through a flat view, which a reshape of any
+        other out would silently copy."""
         if self.per_row is not None:
             return self.scalars_into(alphas, out, self.phi_maps)
         theta, j_fold, hom_fold = self.folds
         y = self.work[0].reshape(-1, self.rho.size)
-        values = (y.view(float) @ j_fold).take(self.previous, axis=0)
+        values = (_floats(y) @ j_fold).take(self.previous, axis=0)
         values[self.starts] = 0.0
         self._add_hom(alphas, hom_fold, values)
         k = values.shape[1] // 2
         # the backward half's rows return to cell order by a gather
-        centre = values[:, :k] + values[self.back, k:]
-        centre += emission[self.cells] @ theta
-        out[self.cells] = centre
+        centre = values[:, :k] + values.take(self.back, axis=0)[:, k:]
+        centre += emission.take(self.cells, axis=0) @ theta
+        if not out.flags.c_contiguous:
+            raise ValidationError("centres_into needs a C-contiguous out")
+        out.reshape(-1)[self.flat] += centre.reshape(-1)
 
     def scalars_into(self, alphas: np.ndarray, out: np.ndarray, maps):
         """out[cells] += Re(x @ expand) for maps = psi_maps (expand_phi for
@@ -326,13 +359,14 @@ class _Group:
             t[opens[chunk]] = 0.0
             t *= self.half if self.per_row is None else self.half[chunk]
             x += t
-            np.matmul(emitted[self.march.index[chunk]], self.emitted_map, out=t.view(float))
+            np.matmul(emitted.take(self.march.index[chunk], axis=0), self.emitted_map,
+                      out=_floats(t))
             t *= self.phi_half if self.per_row is None else self.phi_half[chunk]
             x += t
             # row start + l of a region of n rows is cell first + l for the
             # forward blocks and first + n - 1 - l for the backward
             for backward, blocks in enumerate((x[:, :self.nf], x[:, self.nf:])):
-                values = np.matmul(blocks.view(float), maps[backward], out=part[:len(x)])
+                values = np.matmul(_floats(blocks), maps[backward], out=part[:len(x)])
                 for start, end, first in segments:
                     lo, hi = max(start, r), min(end, r + len(x))
                     if lo < hi:
@@ -356,20 +390,23 @@ class _Group:
         y = self.work[0].reshape(-1, self.rho.size)
         j_in = np.take_along_axis(y, self.previous[row], axis=0)
         j_in[row == start[:, None]] = 0.0
-        x = exp_block(self.rho, anchor) * (alphas[self.regions[segment]] @ self.enc.T)
-        x += exp_block(self.rho, upwind) * j_in
-        x += phi_block(self.rho, upwind) * (emission[cell] @ self.project)
+        x = self._cast(exp_block(self.rho, anchor))
+        x *= alphas[self.regions[segment]] @ self.enc.T
+        x += self._cast(exp_block(self.rho, upwind)) * j_in
+        x += self._cast(phi_block(self.rho, upwind)) * (emission[cell] @ self.project)
         return (x @ self.expand).real
 
 
 def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet):
-    """The groups, one per (material, width row), each holding its regions.
+    """The groups, each holding its regions: per (material, width row) one
+    of the real rates and, when the material has complex pairs, one of the
+    pairs.
 
     The mesh must fit the geometry (FineMesh.require_fit).  A region whose
     cell widths spread by at most WIDTH_RTOL of its nominal width L / m
-    joins the first group of its material whose width agrees with that
+    joins the first width row of its material that agrees with that
     nominal width to WIDTH_RTOL, or starts one; the others (graded meshes)
-    share one group per material with a row per cell.
+    share one row per cell for each material.
     """
     mesh.require_fit(geometry)
     widths, first = mesh.widths, mesh.offsets[:-1]
@@ -384,8 +421,10 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
             width = next((w for m, w in members if m == material and w is not None
                           and abs(w - width) <= WIDTH_RTOL * w), width)
         members.setdefault((material, width), []).append(r)
-    return tuple(_Group(spectra[material], quad, width, index, geometry, mesh)
-                 for (material, width), index in members.items())
+    kinds = {name: [blocks for blocks in (spec.rates.imag == 0.0, spec.rates.imag > 0.0)
+                     if blocks.any()] for name, spec in spectra.items()}
+    return tuple(_Group(spectra[material], blocks, quad, width, index, geometry, mesh)
+                 for (material, width), index in members.items() for blocks in kinds[material])
 
 
 def _singular(rcond: float) -> SingularSystemError:
@@ -554,12 +593,13 @@ class FixedSourceOperator:
         self.ng = sizes[0]
         self.n_groups = self.ng // quad.n
 
-        # P @ Gtilde at every region's left and right edge
-        left = np.empty((geometry.n_regions, self.ng, self.ng))
-        right = np.empty_like(left)
+        # P @ Gtilde at every region's left and right edge, the sum of its
+        # groups' shares
+        left = np.zeros((geometry.n_regions, self.ng, self.ng))
+        right = np.zeros_like(left)
         for group in self.groups:
-            left[group.regions] = group.edge_blocks("left")
-            right[group.regions] = group.edge_blocks("right")
+            left[group.regions] += group.edge_blocks("left")
+            right[group.regions] += group.edge_blocks("right")
         # each end's conditions (E, f), for the factor and every rhs
         f_left, f_right = geometry.entering(self.ng // 2)
         self.bcs = (_end(geometry.bc_left.kind, f_left, quad, "left"),
@@ -593,14 +633,15 @@ class FixedSourceOperator:
     def rhs(self, ends) -> np.ndarray:
         """Right-hand side of the global system from the groups' march ends
         (particular), rows left boundary, interface 0 .. R-2, right boundary."""
-        left = np.empty((self.geometry.n_regions, self.ng))
-        right = np.empty_like(left)
-        # the particular angular flux at every region's edges: the backward
-        # blocks' march ends at the left edge, the forward blocks' at the right
+        left = np.zeros((self.geometry.n_regions, self.ng))
+        right = np.zeros_like(left)
+        # the particular angular flux at every region's edges, summed over
+        # its groups: the backward blocks' march ends at the left edge, the
+        # forward blocks' at the right
         for group, end in zip(self.groups, ends):
             nf = group.nf
-            left[group.regions] = (end[:, nf:] @ group.expand[nf:]).real
-            right[group.regions] = (end[:, :nf] @ group.expand[:nf]).real
+            left[group.regions] += (end[:, nf:] @ group.expand[nf:]).real
+            right[group.regions] += (end[:, :nf] @ group.expand[:nf]).real
         (e_left, f_left), (e_right, f_right) = self.bcs
         return np.concatenate([f_left - e_left @ left[0], (left[1:] - right[:-1]).ravel(),
                                f_right - e_right @ right[-1]])
@@ -650,12 +691,12 @@ def evaluate_flux(operator: FixedSourceOperator, solution: Solution, points) -> 
         region = np.searchsorted(edges[1:], points, side="left")
         cell = np.clip(np.searchsorted(operator.mesh.edges[1:], points, side="left"),
                        offsets[region], offsets[region + 1] - 1)
-        psi = np.empty((points.size, operator.ng))
+        psi = np.zeros((points.size, operator.ng))
         for group in operator.groups:
             idx = np.flatnonzero(np.isin(region, group.regions))
             for k in range(0, idx.size, EVAL_CHUNK):
                 chunk = idx[k:k + EVAL_CHUNK]
-                psi[chunk] = group.psi_at(alphas, emission, cell[chunk], points[chunk])
+                psi[chunk] += group.psi_at(alphas, emission, cell[chunk], points[chunk])
     return FluxField.from_psi(points, psi, operator.quad)
 
 

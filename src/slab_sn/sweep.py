@@ -34,9 +34,17 @@ from .recurrence import FirstOrderScan
 
 def _transfer_matrices(geometry, materials, ke):
     """Group transfer by material name: scattering plus the shifted fission
-    part, checked for isotropic scattering and a folded scattering ratio below one."""
+    part, checked for a material of every region, all of one group count,
+    isotropic scattering and a folded scattering ratio below one."""
+    names = list(dict.fromkeys(geometry.materials))
+    missing = [name for name in names if name not in materials]
+    if missing:
+        raise ValidationError(f"materials has no region material {missing}")
+    counts = {name: materials[name].n_groups for name in names}
+    if len(set(counts.values())) != 1:
+        raise ValidationError(f"region materials must share one group count, got {counts}")
     transfer = {}
-    for name in dict.fromkeys(geometry.materials):
+    for name in names:
         mat = materials[name]
         if mat.scatter_kernel is not None:
             raise ValidationError(
@@ -57,8 +65,9 @@ class SweepOperator:
     """The source-independent part of the sweep fixed-source solve.
 
     Built once per (geometry, materials, mesh, quadrature, shift):
-    it checks that every material scatters isotropically with a folded
-    scattering ratio below one, and holds half the per-cell group transfer
+    it checks that materials gives every region material, all of one group
+    count, and that each scatters isotropically with a folded scattering
+    ratio below one (ValidationError otherwise), and holds half the per-cell group transfer
     (scattering plus chi nu-fission / k_e under a shift), the marching
     coefficients and the fixed part of the boundary fluxes.
 

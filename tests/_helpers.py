@@ -715,7 +715,7 @@ def rows_hom(group, centers):
 
 
 def rows_centres_into(group, alphas, part, expand, centers, out):
-    """out[cells] = Re(x @ expand), x = hom alpha + half j_in + phi_half
+    """out[cells] += Re(x @ expand), x = hom alpha + half j_in + phi_half
     theta at every cell centre, hom from rows_hom."""
     segment = np.repeat(np.arange(group.starts.size), group.ends - group.starts)
     x = group.half * part.j_in + group.phi_half * part.theta
@@ -723,7 +723,7 @@ def rows_centres_into(group, alphas, part, expand, centers, out):
     nf = group.nf
     values = (x[:, nf:] @ expand[nf:]).real[group.back]
     values += (x[:, :nf] @ expand[:nf]).real
-    out[group.cells] = values
+    out[group.cells] += values
 
 
 def rows_psi_at(group, i, alpha, part, t):
@@ -746,20 +746,21 @@ def rows_psi_at(group, i, alpha, part, t):
 
 def rows_fixed_source(operator, source, points):
     """(phi and psi at the cell centres, psi at points) of one fixed-source
-    solve on the operator's groups and factor by the rows path."""
+    solve on the operator's groups and factor by the rows path, each group
+    adding its share."""
     parts = [rows_particular(group, source.emission) for group in operator.groups]
     alphas = operator.factor.solve(operator.rhs([part.ends for part in parts]))
-    phi = np.empty((operator.mesh.n_cells, operator.n_groups))
-    psi = np.empty((operator.mesh.n_cells, operator.ng))
+    phi = np.zeros((operator.mesh.n_cells, operator.n_groups))
+    psi = np.zeros((operator.mesh.n_cells, operator.ng))
     region = np.searchsorted(operator.geometry.edges[1:], points, side="left")
-    at_points = np.empty((points.size, operator.ng))
+    at_points = np.zeros((points.size, operator.ng))
     for group, part in zip(operator.groups, parts):
         rows_centres_into(group, alphas, part, group.expand_phi, operator.mesh.centers, phi)
         rows_centres_into(group, alphas, part, group.expand, operator.mesh.centers, psi)
         for i, r in enumerate(group.regions):
             idx = np.nonzero(region == r)[0]
-            at_points[idx] = rows_psi_at(group, i, alphas[r], part,
-                                         points[idx] - group.x_left[i])
+            at_points[idx] += rows_psi_at(group, i, alphas[r], part,
+                                          points[idx] - group.x_left[i])
     return phi, psi, at_points
 
 
@@ -896,14 +897,20 @@ def bc_combination(bc, quad, side, values):
 
 def loop_factor(operator):
     """InterfaceFactor's step, coupling, last and 1-norm of M built the way
-    the per-region loop built them: from loop_edge_block's blocks, an
-    (interface rows on alpha_k, rows on alpha_k+1) pair per interface, and
-    a panel stacked afresh for every column."""
-    regions = {r: (group, i) for group in operator.groups for i, r in enumerate(group.regions)}
+    the per-region loop built them: from loop_edge_block's blocks, summed
+    over each region's groups in the operator's order, an (interface rows
+    on alpha_k, rows on alpha_k+1) pair per interface, and a panel stacked
+    afresh for every column."""
+    regions = {}
+    for group in operator.groups:
+        for i, r in enumerate(group.regions):
+            regions.setdefault(r, []).append((group, i))
 
     def pg(r, side):
-        group, i = regions[r]
-        return loop_edge_block(group, i, side)
+        block = np.zeros((operator.ng, operator.ng))
+        for group, i in regions[r]:
+            block += loop_edge_block(group, i, side)
+        return block
 
     geo, quad, last = operator.geometry, operator.quad, operator.geometry.n_regions - 1
     left = bc_combination(geo.bc_left, quad, "left", pg(0, "left"))

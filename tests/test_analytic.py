@@ -245,6 +245,19 @@ class TestHandBuiltOperators:
             self.build("analytic", pincell.geometry, pincell.materials, gauss_legendre(n),
                        spectra)
 
+    def test_sweep_missing_material_raises(self, pincell):
+        materials = {"core": pincell.materials["core"]}
+        with pytest.raises(ValidationError, match=r"no region material \['reflector'\]"):
+            self.build("sweep", pincell.geometry, materials, gauss_legendre(4))
+
+    def test_sweep_materials_of_mixed_group_counts_raise(self, pincell):
+        # a one-group reflector beside the two-group core
+        materials = {"core": pincell.materials["core"],
+                     "reflector": one_group_material("reflector", sigma_t=1.0, sigma_s=0.5)}
+        with pytest.raises(ValidationError,
+                           match=re.escape("one group count, got {'reflector': 1, 'core': 2}")):
+            self.build("sweep", pincell.geometry, materials, gauss_legendre(4))
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -456,8 +469,9 @@ class TestSeriesLimit:
                            bc_right=BoundaryCondition.vacuum())
         quad, mesh, operator, solution = analytic_setup(geo, mats, 4, 20, 0.0)
         # 8.7e-8 at eps = 1e-12 down to 9.8e-10 at eps = 0: the series form
-        # runs from eps = 1e-14 on
-        smallest = np.min(np.abs(operator.groups[0].rho)) * mesh.widths[0] / 2.0
+        # runs from eps = 1e-14 on; at eps = 0 the smallest rates are a
+        # complex pair, in a group of their own
+        smallest = min(np.min(np.abs(g.rho)) for g in operator.groups) * mesh.widths[0] / 2.0
         assert (smallest < PHI_TAYLOR_CUT) == (eps <= 1e-14)
         flux = operator.flux(solution)
         psi = evaluate_flux(operator, solution, [0.0, 2.0]).psi
@@ -897,14 +911,17 @@ class TestOperatorEquivalence:
 class TestOuterMemory:
     def finemesh_operator(self, pincell):
         """The S16, M = 20000, k_e = 1.3 operator, its pincell source, and
-        the bytes of one (rows, blocks) complex array of its core group."""
+        the bytes of one (rows, blocks) complex array of the core, over all
+        its blocks: those of its real group and of its pair group."""
         quad = gauss_legendre(16)
         geo = pincell.geometry
         mesh = build_fine_mesh(geo, 20000)
         operator = FixedSourceOperator(geo, spectra_for(geo, pincell.materials, quad, 1.0 / 1.3),
                                        mesh, quad)
         core = max(operator.groups, key=lambda group: group.cells.size)
-        rows_by_blocks = core.cells.size * core.rho.size * np.dtype(complex).itemsize
+        blocks = operator.spectra["core"].rates.size
+        assert blocks == sum(g.rho.size for g in operator.groups if g.cells.size == core.cells.size)
+        rows_by_blocks = core.cells.size * blocks * np.dtype(complex).itemsize
         assert rows_by_blocks > 8e6
         return operator, pincell_chi_absx_source(pincell, mesh, quad), rows_by_blocks
 
@@ -939,19 +956,24 @@ class TestOuterMemory:
         assert peak <= flux.psi.nbytes + rows_by_blocks / 4
 
     def test_scan_scratch_is_bounded(self, pincell):
-        # the core group's workspace keeps its iterate and a scratch of at
-        # most SCAN_CHUNK rows, not a second (rows, blocks) buffer
+        # each core group's workspace keeps its iterate, every (row, block)
+        # in the group's dtype, and a scratch of at most SCAN_CHUNK rows,
+        # not a second (rows, blocks) buffer
         operator, _, rows_by_blocks = self.finemesh_operator(pincell)
-        core = max(operator.groups, key=lambda group: group.cells.size)
-        assert core.work[0].nbytes >= rows_by_blocks
-        tracemalloc.start()
-        try:
-            work = core.march.workspace(complex)
-            kept = tracemalloc.get_traced_memory()[1] - work[0].nbytes
-        finally:
-            tracemalloc.stop()
-        assert kept <= rows_by_blocks / 4
-        assert core.work[1].shape[1:] == work[1].shape[1:] == core.work[0].shape[1:]
+        cells = max(group.cells.size for group in operator.groups)
+        cores = [group for group in operator.groups if group.cells.size == cells]
+        assert [group.dtype for group in cores] == [float, complex]
+        for core in cores:
+            assert core.work[0].dtype == core.dtype
+            assert core.work[0].size >= core.cells.size * core.rho.size
+            tracemalloc.start()
+            try:
+                work = core.march.workspace(core.dtype)
+                kept = tracemalloc.get_traced_memory()[1] - work[0].nbytes
+            finally:
+                tracemalloc.stop()
+            assert kept <= rows_by_blocks / 4
+            assert core.work[1].shape[1:] == work[1].shape[1:] == core.work[0].shape[1:]
 
     def test_shared_group_keeps_no_per_cell_table(self, pincell):
         # the homogeneous factors are two power tables of about sqrt(rows)
@@ -1111,14 +1133,76 @@ class TestHomogeneousFactors:
             warnings.simplefilter("error")
             operator = FixedSourceOperator(
                 geo, spectra_for(geo, pincell.materials, quad, 1.0 / 1.3), mesh, quad)
-            [group] = operator.groups
-            pair, i = np.divmod(group.pick, len(group.p))
-            hom = group.p[i] * group.q[group.pair_k[pair]]
-            expected = rows_hom(group, mesh.centers)
-        assert list(group.ends - group.starts) == list(counts)
-        assert np.any(group.rho.imag != 0.0) and np.any(group.q == 0.0)
-        assert len(group.p) == len(group.q) == 131
-        assert np.max(np.abs(hom - expected)) <= 1e-14 * np.max(np.abs(expected))
+            groups = operator.groups
+            homs = []
+            for group in groups:
+                pair, i = np.divmod(group.pick, len(group.p))
+                homs.append((group.p[i] * group.q[group.pair_k[pair]],
+                             rows_hom(group, mesh.centers)))
+        # the core's real rates and its complex pairs, each kind a group
+        assert [group.dtype for group in groups] == [float, complex]
+        assert any(np.any(group.q == 0.0) for group in groups)
+        for group, (hom, expected) in zip(groups, homs):
+            assert list(group.ends - group.starts) == list(counts)
+            assert len(group.p) == len(group.q) == 131
+            assert np.max(np.abs(hom - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+class TestBlockKinds:
+    """Each group holds one kind of block: the real rates in float64, or
+    the complex pairs in complex128."""
+
+    @pytest.mark.parametrize("order, split", [(2, False), (16, False), (64, False), (6, True)])
+    def test_unshifted_groups_hold_no_complex_array(self, pincell, order, split):
+        geo = split_geometry(pincell.geometry, 60, seed=1) if split else pincell.geometry
+        config = replace(pincell.config, solver_kind="analytic", sn_order=order,
+                         fine_mesh_size=700)
+        operator = build_operator(geo, pincell.materials, config)
+        # water and core, real rates only
+        assert len(operator.groups) == 2
+        for group in operator.groups:
+            assert group.dtype is float
+            assert not any(np.iscomplexobj(a) for a in reachable_arrays(group))
+
+    def test_shifted_core_keeps_one_pair_group(self, pincell):
+        config = replace(pincell.config, solver_kind="analytic", sn_order=16,
+                         fine_mesh_size=700, ke=1.3)
+        operator = build_operator(pincell.geometry, pincell.materials, config)
+        core = [group for group in operator.groups if 1 in group.regions]
+        assert [(group.dtype, group.rho.size) for group in core] == [(float, 30), (complex, 1)]
+        assert not any(np.iscomplexobj(a) for a in reachable_arrays(core[0]))
+        assert all(group.dtype is float for group in operator.groups if 1 not in group.regions)
+
+    def test_pair_group_points_match_the_dense_oracle(self, pincell):
+        # every group adds its share of psi at the points: the core's pair
+        # group alone, or its real group alone, is far from the oracle
+        quad = gauss_legendre(8)
+        geo = pincell.geometry
+        mesh = build_fine_mesh(geo, 140)
+        spectra = spectra_for(geo, pincell.materials, quad, 1.0 / 1.3)
+        operator = FixedSourceOperator(geo, spectra, mesh, quad)
+        assert any(group.dtype is complex for group in operator.groups)
+        source = SourceField(mesh, np.ones((mesh.n_cells, 2)))
+        points = np.concatenate([geo.edges, np.linspace(-17.4, 17.4, 61),
+                                 mesh.centers[::7]])
+        psi = evaluate_flux(operator, solve_fixed_source(operator, source), points).psi
+        expected = oracle_fixed_source(geo, spectra, source, quad, points)
+        assert max_rel_diff(psi, expected) <= 1e-12
+
+    def test_centres_into_refuses_a_strided_out(self, pincell):
+        # a shared row adds to out through a flat view, which reshape would
+        # silently make a copy of for a transposed out
+        quad = gauss_legendre(4)
+        mesh = build_fine_mesh(pincell.geometry, 70)
+        operator = FixedSourceOperator(pincell.geometry,
+                                       spectra_for(pincell.geometry, pincell.materials, quad),
+                                       mesh, quad)
+        source = SourceField(mesh, np.ones((70, 2)))
+        solution = solve_fixed_source(operator, source)
+        out = np.zeros((2, 70)).T
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            operator.groups[0].centres_into(solution.coefficients, source.emission, out)
+        assert not out.any()
 
 
 def pincell_lattice(pincell, rng, n_pins=20):
