@@ -60,14 +60,14 @@ complex conj(z), which is how it acts on u1 + i u2.  Each group holds one
 kind of block: for every (material, width row) one group takes the real
 rates and holds all its block data in float64, and, when the material has
 complex pairs, a second group of the same regions takes the pairs in
-complex128.  Each group so owns its blocks' columns of alpha, and the
-groups of a region add their shares of its edge blocks, right-hand side
-and flux.  Within a group the blocks are kept in scan order: those
-anchored at the left edge first, then those anchored at the right edge,
-whose per-cell arrays run in each region's reversed cell order.  Both
-kinds then march forward in one recurrence with the decaying rate rho
-(Re rho <= 0), and a cell's upwind edge is the one its recurrence enters
-through.
+complex128, sharing the first's row data (_Rows) and gathered emission.
+Each group so owns its blocks' columns of alpha, and the groups of a
+region add their shares of its edge blocks, right-hand side and flux.
+Within a group the blocks are kept in scan order: those anchored at the
+left edge first, then those anchored at the right edge, whose per-cell
+arrays run in each region's reversed cell order.  Both kinds then march
+forward in one recurrence with the decaying rate rho (Re rho <= 0), and
+a cell's upwind edge is the one its recurrence enters through.
 """
 
 import threading
@@ -121,17 +121,91 @@ def _floats(x: np.ndarray) -> np.ndarray:
     return x.view(float) if np.iscomplexobj(x) else x
 
 
-class _Group:
-    """Source-independent data of the regions of one material that share one
-    row of width-only factors, for one kind of its blocks (in scan order):
-    the real rates, all data float64, or the complex pairs, complex128.
+class _Rows:
+    """Block-independent data of the regions of one material that share one
+    row of width-only factors, kept once for the groups of their kinds of
+    block.
 
     The regions' cells are concatenated in slab order; each region is one
-    segment of the group's FirstOrderScan and keeps its left edge x_left,
-    its length and its first mesh cell, first.  The forward
-    blocks run in cell order and the backward blocks in each region's
-    reversed cell order, so both restart at the same rows and a region's
-    rows hold the layout a region of its own would have.
+    segment of a group's FirstOrderScan and keeps its left edge x_left,
+    its length and its first mesh cell, first.  The forward blocks run in
+    cell order and the backward blocks in each region's reversed cell
+    order, so both restart at the same rows and a region's rows hold the
+    layout a region of its own would have.  emitted holds the emission
+    gathered into that layout, which every group of the rows marches.
+    """
+
+    def __init__(self, width, regions, geometry: SlabGeometry, mesh: FineMesh, g: int):
+        self.width = width
+        self.regions = np.asarray(regions)
+        self.x_left = geometry.edges[self.regions]
+        self.length = geometry.edges[self.regions + 1] - self.x_left
+        # region i's cells are mesh cells first[i] .. and its rows run from
+        # starts[i] to (exclusive) ends[i]
+        self.mesh_edges, self.first = mesh.edges, mesh.offsets[self.regions]
+        counts = mesh.offsets[self.regions + 1] - self.first
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.starts, self.ends = offsets[:-1], offsets[1:]
+        # segment[m]: the region that row m belongs to
+        segment = np.repeat(np.arange(counts.size), counts)
+        rows = np.arange(offsets[-1])
+        self.cells = (self.first - self.starts)[segment] + rows
+        # back[m]: the row of cells that scan row m of the backward blocks
+        # holds (each region reversed in place, so back is its own inverse)
+        self.back = (self.starts + self.ends - 1)[segment] - rows
+        # the cell widths of the forward and the backward blocks' rows: one
+        # row of the shared width, or one row per cell when width is None
+        self.fwd = np.full(1, width) if width is not None else mesh.widths[self.cells]
+        self.bwd = self.fwd if width is not None else self.fwd[self.back]
+        # the homogeneous factor exp(rho anchor) at row m is p[i] q[k], (k,
+        # i) = divmod(l, span) of its local row l.  At a shared width both
+        # kinds of block anchor row l of a segment at (l + 1/2) width, so p
+        # and q are powers of one factor, span = ceil(sqrt(longest segment))
+        # rows each; a row per cell keeps its anchors in p (l = m, span =
+        # rows) and q is one row of ones.  anchors holds p's anchors for the
+        # forward and the backward blocks, and q_anchor q's
+        if width is None:
+            t = mesh.centers[self.cells] - self.x_left[segment]
+            span, local = rows.size, rows
+            self.anchors = (t[:, None], (self.length[segment] - t)[self.back, None])
+        else:
+            span = int(np.ceil(np.sqrt(counts.max())))
+            local = rows - self.starts[segment]
+            self.anchors = (((np.arange(span) + 0.5) * width)[:, None],) * 2
+        k, i = np.divmod(local, span)
+        self.q_anchor = np.arange(k.max() + 1)[:, None] * (span * self.fwd[0])
+        # each (segment, k) pair that occurs is a row of _coefficients, and
+        # pick[m] = pair[m] span + i
+        keys, pair = np.unique(segment * len(self.q_anchor) + k, return_inverse=True)
+        self.pair_segment, self.pair_k = np.divmod(keys, len(self.q_anchor))
+        self.pick = pair * span + i
+        # the row layout of the groups' scans, whatever their columns
+        layout = FirstOrderScan(np.ones((len(self.fwd), 1)), rows.size, self.starts)
+        # previous[m]: the flattened workspace row before scan row m's, which
+        # holds J at row m's upwind edge
+        self.previous = np.roll(layout.index, 1)
+        # the emission's flat index for every blocked row: the G values of
+        # the forward blocks' cell, then those of the backward blocks'; flat
+        # holds the same index in cell order, through which centres_into
+        # adds to the scalar flux
+        flat = self.cells[:, None] * g + np.arange(g)
+        self.gather = layout.blocks(np.hstack([flat, flat[self.back]]))
+        self.flat = flat.reshape(-1)
+        self.emitted = np.empty(self.gather.shape)
+        # gather, previous and pick stay writeable: take copies a
+        # read-only index array on every call
+        for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
+                    self.cells, self.back, self.fwd, self.bwd, *self.anchors, self.q_anchor,
+                    self.pair_segment, self.pair_k, self.flat):
+            arr.setflags(write=False)
+
+
+class _Group:
+    """Source-independent data of one kind of block (in scan order) of the
+    regions of one material that share one row of width-only factors: the
+    real rates, all data float64, or the complex pairs, complex128.  The
+    rows' data (_Rows) is shared with the group of the regions' other kind,
+    and read as the group's own attributes.
 
     J lives in the scan's blocked workspace, from the gathered sources to
     the centre values, which its scratch builds a chunk of rows at a time.
@@ -143,36 +217,25 @@ class _Group:
     at a shared width, read through pick: no (rows, blocks) table is kept.
     """
 
-    def __init__(self, spec: BlockSpectrum, blocks: np.ndarray, quad: QuadratureSet, width,
-                 regions, geometry: SlabGeometry, mesh: FineMesh):
-        self.regions = np.asarray(regions)
-        self.x_left = geometry.edges[self.regions]
-        self.length = geometry.edges[self.regions + 1] - self.x_left
-        # region i's cells are mesh cells first[i] .. and its rows run from
-        # starts[i] to (exclusive) ends[i]
-        self.mesh_edges, self.first = mesh.edges, mesh.offsets[self.regions]
-        counts = mesh.offsets[self.regions + 1] - self.first
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.starts, self.ends = offsets[:-1], offsets[1:]
-        # segment[m]: the group's region that row m belongs to
-        segment = np.repeat(np.arange(counts.size), counts)
-        rows = np.arange(offsets[-1])
-        self.cells = (self.first - self.starts)[segment] + rows
-        # back[m]: the row of cells that scan row m of the backward blocks
-        # holds (each region reversed in place, so back is its own inverse)
-        self.back = (self.starts + self.ends - 1)[segment] - rows
-        # blocks masks the spectrum's blocks that the group takes
-        rates = spec.rates[blocks]
-        self.dtype = complex if np.any(rates.imag) else float
+    def __init__(self, spec: BlockSpectrum, blocks: np.ndarray, dtype, quad: QuadratureSet,
+                 rows: _Rows):
+        self.rows = rows
+        vars(self).update(vars(rows))
+        # blocks masks the spectrum's blocks that the group takes, all of
+        # them real rates (dtype float) or all complex pairs (complex)
+        self.dtype = dtype
+        rates, enc = spec.rates[blocks], spec.encoding[blocks]
+        if dtype is float:
+            rates, enc = rates.real, enc.real
         order = np.argsort(rates.real > 0.0, kind="stable")
         rate = rates.conj()[order]
         self.forward = rate.real <= 0.0
         self.nf = int(np.count_nonzero(self.forward))
-        self.rho = self._cast(np.where(self.forward, rate, -rate))
+        self.rho = np.where(self.forward, rate, -rate)
         # enc maps real coefficients to block scalars; expand maps block
         # scalars back to angular flux rows (psi = Re(x @ expand)) and
         # expand_phi to the scalar flux (phi = Re(x @ expand_phi))
-        self.enc = self._cast(spec.encoding[blocks][order])
+        self.enc = enc[order]
         self.expand = self.enc.conj() @ spec.P.T
         g = spec.size // quad.n
         self.expand_phi = self.expand.reshape(-1, g, quad.n) @ quad.weight
@@ -181,60 +244,27 @@ class _Group:
         per_group = (spec.P_inv.reshape(-1, g, quad.n) / quad.mu).sum(axis=2) / 2.0
         self.project = per_group.T @ (self.enc.T * sign)
         # cell-centre factors: the half-cell step half and its integral
-        # phi_half at one row of the shared width, or at one row per cell
-        # when width is None.  The recurrence's full-cell step and source
-        # multipliers are half**2 (kept in the scan) and (1 + half) phi_half
-        fwd = np.full(1, width) if width is not None else mesh.widths[self.cells]
-        bwd = fwd if width is not None else fwd[self.back]
-        upwind = np.where(self.forward, fwd[:, None], bwd[:, None]) / 2.0
-        # the homogeneous factor exp(rho anchor) at row m is p[i] q[k], (k,
-        # i) = divmod(l, span) of its local row l.  At a shared width both
-        # kinds of block anchor row l of a segment at (l + 1/2) width, so p
-        # and q are powers of one factor, span = ceil(sqrt(longest segment))
-        # rows each; a row per cell keeps its anchors in p (l = m, span =
-        # rows) and q is one row of ones
-        if width is None:
-            t = mesh.centers[self.cells] - self.x_left[segment]
-            span, local = rows.size, rows
-            anchor = np.where(self.forward, t[:, None], (self.length[segment] - t)[self.back, None])
-        else:
-            span = int(np.ceil(np.sqrt(counts.max())))
-            local, anchor = rows - self.starts[segment], ((np.arange(span) + 0.5) * width)[:, None]
-        k, i = np.divmod(local, span)
-        self.p = self._cast(exp_block(self.rho, anchor))
-        self.q = self._cast(exp_block(self.rho, np.arange(k.max() + 1)[:, None]
-                                         * (span * fwd[0])))
-        # each (segment, k) pair that occurs is a row of _coefficients, and
-        # pick[m] = pair[m] span + i
-        keys, pair = np.unique(segment * len(self.q) + k, return_inverse=True)
-        self.pair_segment, self.pair_k = np.divmod(keys, len(self.q))
-        self.pick = pair * span + i
-        self.half = self._cast(exp_block(self.rho, upwind))
-        self.phi_half = self._cast(phi_block(self.rho, upwind))
+        # phi_half at the rows' widths.  The recurrence's full-cell step and
+        # source multipliers are half**2 (kept in the scan) and (1 + half)
+        # phi_half
+        upwind = np.where(self.forward, rows.fwd[:, None], rows.bwd[:, None]) / 2.0
+        self.p = exp_block(self.rho, np.where(self.forward, *rows.anchors))
+        self.q = exp_block(self.rho, rows.q_anchor)
+        self.half = exp_block(self.rho, upwind)
+        self.phi_half = phi_block(self.rho, upwind)
         source_coef = (1.0 + self.half) * self.phi_half
         self.march = march = FirstOrderScan(self.half * self.half, self.cells.size, self.starts)
         # kept for every outer iteration's scan, whose J it holds until the
         # next; its scratch is the room in which centre values are built
-        self.work = march.workspace(self.dtype)
-        # previous[m]: the flattened workspace row before scan row m's, which
-        # holds J at row m's upwind edge
-        self.previous = np.roll(march.index, 1)
-        # the emission's flat index for every blocked row: the G values of
-        # the forward blocks' cell, then those of the backward blocks'; flat
-        # holds the same index in cell order, through which centres_into
-        # adds to the scalar flux
-        flat = self.cells[:, None] * g + np.arange(g)
-        self.gather = march.blocks(np.hstack([flat, flat[self.back]]))
-        self.flat = flat.reshape(-1)
-        self.emitted = np.empty(self.gather.shape)
+        self.work = march.workspace(dtype)
         # emitted_map takes a gathered emission row to its block sources and
         # source_map to the march's, both as _floats; a row per cell
         # keeps source_coef in the blocked layout, per_row, instead
         self.halves = np.stack([self.forward, ~self.forward])
         project = (self.halves[:, None, :] * self.project).reshape(2 * g, -1)
         self.emitted_map = _floats(project)
-        self.per_row = march.blocks(source_coef) if width is None else None
-        self.source_map = _floats(project * (1.0 if width is None else source_coef))
+        self.per_row = march.blocks(source_coef) if rows.width is None else None
+        self.source_map = _floats(project * (1.0 if rows.width is None else source_coef))
         # Re(x @ expand) and Re(x @ expand_phi) from each direction half's
         # block scalars (scalars_into)
         self.psi_maps, self.phi_maps = ((_real_part(e[:self.nf]), _real_part(e[self.nf:]))
@@ -245,31 +275,22 @@ class _Group:
         # alpha's from the _floats of a row of _coefficients to every p
         # row at once, Re(c p[i] split) for each i in turn
         split = (self.halves.T[:, :, None] * self.expand_phi[:, None, :]).reshape(self.rho.size, -1)
-        self.folds = () if width is None else (
+        self.folds = () if rows.width is None else (
             ((self.project * self.phi_half) @ self.expand_phi).real,
             _real_part(self.half.T * split),
             _real_part((self.p.T[:, :, None] * split[:, None, :]).reshape(self.rho.size, -1)))
-        # gather, previous and pick stay writeable: take copies a
-        # read-only index array on every call
-        for arr in (self.regions, self.x_left, self.length, self.first, self.starts, self.ends,
-                    self.cells, self.back, self.flat, self.forward, self.rho, self.enc, self.expand,
-                    self.expand_phi, self.project, self.p, self.q, self.pair_segment, self.pair_k,
-                    self.half, self.phi_half, self.halves, self.emitted_map, self.source_map,
-                    *self.psi_maps, *self.phi_maps, *self.folds):
+        for arr in (self.forward, self.rho, self.enc, self.expand, self.expand_phi, self.project,
+                    self.p, self.q, self.half, self.phi_half, self.halves, self.emitted_map,
+                    self.source_map, *self.psi_maps, *self.phi_maps, *self.folds):
             arr.setflags(write=False)
 
-    def _cast(self, x: np.ndarray) -> np.ndarray:
-        """Block values x (complex) in the group's dtype: their real part in
-        a group of real rates, where their imaginary part is zero."""
-        return x if self.dtype is complex else x.real.copy()
-
-    def particular(self, emission: np.ndarray) -> np.ndarray:
+    def particular(self) -> np.ndarray:
         """J where each region's march ends, (regions, blocks), marched across
-        every region at once from the group's share of the (cells, G)
-        emission in the workspace, where it stays until the next march, as
-        the gathered emission stays in emitted."""
+        every region at once from the group's share of the emission that
+        its rows gathered (FixedSourceOperator.particular), in the
+        workspace, where it stays until the next march, as the gathered
+        emission stays in emitted."""
         y = self.work[0]
-        np.take(emission, self.gather, out=self.emitted, mode="clip")
         np.matmul(self.emitted.reshape(-1, self.gather.shape[2]), self.source_map,
                   out=_floats(y.reshape(-1, self.rho.size)))
         if self.per_row is not None:
@@ -281,7 +302,7 @@ class _Group:
         """P @ Gtilde at the left or right edge of each of the group's
         regions, (regions, N G, N G) in the real block basis."""
         far = ~self.forward if side == "left" else self.forward
-        scale = self._cast(exp_block(self.rho, np.where(far, self.length[:, None], 0.0)))
+        scale = exp_block(self.rho, np.where(far, self.length[:, None], 0.0))
         return ((self.expand.T * scale[:, None, :]) @ self.enc).real
 
     def _coefficients(self, alphas: np.ndarray) -> np.ndarray:
@@ -298,6 +319,11 @@ class _Group:
         hom = (_floats(self._coefficients(alphas)) @ fold).reshape(-1, values.shape[1])
         scratch = _floats(self.work[1].reshape(-1))
         n = scratch.size // values.shape[1]
+        if n == 0:
+            # a scratch narrower than one row of values (few rows and
+            # blocks) gathers into a temporary of values' size
+            values += hom.take(self.pick, axis=0)
+            return
         for r in range(0, len(values), n):
             part = values[r:r + n]
             part += np.take(hom, self.pick[r:r + n], axis=0, mode="clip",
@@ -390,10 +416,10 @@ class _Group:
         y = self.work[0].reshape(-1, self.rho.size)
         j_in = np.take_along_axis(y, self.previous[row], axis=0)
         j_in[row == start[:, None]] = 0.0
-        x = self._cast(exp_block(self.rho, anchor))
+        x = exp_block(self.rho, anchor)
         x *= alphas[self.regions[segment]] @ self.enc.T
-        x += self._cast(exp_block(self.rho, upwind)) * j_in
-        x += self._cast(phi_block(self.rho, upwind)) * (emission[cell] @ self.project)
+        x += exp_block(self.rho, upwind) * j_in
+        x += phi_block(self.rho, upwind) * (emission[cell] @ self.project)
         return (x @ self.expand).real
 
 
@@ -421,10 +447,16 @@ def _groups(geometry: SlabGeometry, spectra, mesh: FineMesh, quad: QuadratureSet
             width = next((w for m, w in members if m == material and w is not None
                           and abs(w - width) <= WIDTH_RTOL * w), width)
         members.setdefault((material, width), []).append(r)
-    kinds = {name: [blocks for blocks in (spec.rates.imag == 0.0, spec.rates.imag > 0.0)
+    kinds = {name: [(blocks, dtype) for blocks, dtype in ((spec.rates.imag == 0.0, float),
+                                                           (spec.rates.imag > 0.0, complex))
                      if blocks.any()] for name, spec in spectra.items()}
-    return tuple(_Group(spectra[material], blocks, quad, width, index, geometry, mesh)
-                 for (material, width), index in members.items() for blocks in kinds[material])
+    g = next(iter(spectra.values())).size // quad.n
+    groups = []
+    for (material, width), index in members.items():
+        rows = _Rows(width, index, geometry, mesh, g)
+        groups += [_Group(spectra[material], blocks, dtype, quad, rows)
+                   for blocks, dtype in kinds[material]]
+    return tuple(groups)
 
 
 def _singular(rcond: float) -> SingularSystemError:
@@ -590,6 +622,8 @@ class FixedSourceOperator:
         self.quad = quad
         self.spectra = spectra
         self.groups = _groups(geometry, spectra, mesh, quad)
+        # each group's rows, once for the groups that share them
+        self.rows = tuple(dict.fromkeys(group.rows for group in self.groups))
         self.ng = sizes[0]
         self.n_groups = self.ng // quad.n
 
@@ -614,11 +648,14 @@ class FixedSourceOperator:
 
     def particular(self, source: SourceField):
         """Each group's J where its regions' marches end, (regions, blocks),
-        for a source that SourceField.require_on accepts for this operator;
+        for a source that SourceField.require_on accepts for this operator,
+        its emission gathered once for the groups that share their rows;
         marched names source once every group has marched it."""
         source.require_on(self.mesh, self.n_groups)
         self.marched = None
-        ends = [group.particular(source.emission) for group in self.groups]
+        for rows in self.rows:
+            np.take(source.emission, rows.gather, out=rows.emitted, mode="clip")
+        ends = [group.particular() for group in self.groups]
         self.marched = source
         return ends
 

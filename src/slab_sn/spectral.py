@@ -153,16 +153,18 @@ def _guard(args) -> None:
 
 
 def exp_block(rate, x):
-    """e^{rate * x} for block scalars, with the overflow guard."""
-    w = np.asarray(rate * x, dtype=complex)
+    """e^{rate * x} for block scalars, with the overflow guard: real for
+    real rates, complex for complex ones."""
+    w = np.asarray(rate * x, dtype=np.result_type(rate, float))
     _guard(w.real)
     return np.exp(w)
 
 
 def phi_block(rate, dt):
     """Integral of e^{rate u} du over [0, dt] (dt may be negative) for block
-    scalars."""
-    rate = np.asarray(rate, dtype=complex)
+    scalars, real for real rates and complex for complex ones."""
+    rate = np.asarray(rate)
+    rate = rate.astype(np.result_type(rate, float), copy=False)
     dt = np.asarray(dt, dtype=float)
     w = rate * dt
     _guard(w.real)

@@ -691,7 +691,7 @@ class RowsParticular(NamedTuple):
 def rows_particular(group, emission):
     """Project the group's share of the emission and march J in rows."""
     nf = group.nf
-    theta, j = np.empty((2, group.cells.size + 1, group.rho.size), dtype=complex)
+    theta, j = np.empty((2, group.cells.size + 1, group.rho.size), dtype=group.dtype)
     theta = theta[:-1]
     own = emission[group.cells]
     np.matmul(own, group.project[:, :nf], out=theta[:, :nf])

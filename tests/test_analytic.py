@@ -1173,21 +1173,33 @@ class TestBlockKinds:
         assert not any(np.iscomplexobj(a) for a in reachable_arrays(core[0]))
         assert all(group.dtype is float for group in operator.groups if 1 not in group.regions)
 
-    def test_pair_group_points_match_the_dense_oracle(self, pincell):
-        # every group adds its share of psi at the points: the core's pair
-        # group alone, or its real group alone, is far from the oracle
+    @pytest.mark.parametrize("cells", [140, 3, (1, 2, 1, 2, 1, 2)])
+    def test_pair_group_flux_matches_the_dense_oracle(self, pincell, cells):
+        # every group adds its share of phi and of psi at the points: the
+        # core's pair group alone, or its real group alone, is far from the
+        # oracle.  At 3 cells, and with regions of 1 and 2 cells, a
+        # shared-width pair group's scan scratch holds fewer floats than one
+        # row of its 2 G hom terms
         quad = gauss_legendre(8)
-        geo = pincell.geometry
-        mesh = build_fine_mesh(geo, 140)
+        if isinstance(cells, tuple):
+            geo = split_geometry(pincell.geometry, len(cells), seed=1)
+            mesh = graded_mesh(geo, cells, ratio=1.0)
+        else:
+            geo = pincell.geometry
+            mesh = build_fine_mesh(geo, cells)
         spectra = spectra_for(geo, pincell.materials, quad, 1.0 / 1.3)
         operator = FixedSourceOperator(geo, spectra, mesh, quad)
-        assert any(group.dtype is complex for group in operator.groups)
+        pairs = [group for group in operator.groups if group.dtype is complex]
+        narrow = min(group.work[1].size for group in pairs) * 2 < 2 * operator.n_groups
+        assert narrow == (cells != 140)
         source = SourceField(mesh, np.ones((mesh.n_cells, 2)))
-        points = np.concatenate([geo.edges, np.linspace(-17.4, 17.4, 61),
-                                 mesh.centers[::7]])
-        psi = evaluate_flux(operator, solve_fixed_source(operator, source), points).psi
+        phi, solution = fixed_source_solve(operator, source)
+        points = np.concatenate([mesh.centers, geo.edges, np.linspace(-17.4, 17.4, 61)])
+        psi = evaluate_flux(operator, solution, points).psi
         expected = oracle_fixed_source(geo, spectra, source, quad, points)
         assert max_rel_diff(psi, expected) <= 1e-12
+        centres = FluxField.from_psi(mesh.centers, expected[:mesh.n_cells], quad)
+        assert max_rel_diff(phi, centres.phi) <= 1e-12
 
     def test_centres_into_refuses_a_strided_out(self, pincell):
         # a shared row adds to out through a flat view, which reshape would
